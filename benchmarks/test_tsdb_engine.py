@@ -18,7 +18,11 @@ the artifact upload:
   Grid-style aggregation queries alone are additionally gated at
   "never slower than the list engine" (PR 5 allowed 1.3×);
 * **result cache** — warm repeats of the same battery must answer at
-  least 5× faster than computing.
+  least 5× faster than computing;
+* **batched seal** — :func:`~repro.tsdb.chunks.seal_many` over a
+  rack-day's worth of 144-point heads must encode ≥3× the chunks/s of
+  one ``Chunk.seal`` call per head (512-point heads are recorded, not
+  gated).
 
 Cold here means *truly* cold: :meth:`TimeSeriesDB.drop_read_caches`
 (chunked) / per-series ``drop_read_cache`` (list) run before every
@@ -35,6 +39,8 @@ assertions.
 """
 
 import json
+import os
+import subprocess
 import time
 from pathlib import Path
 
@@ -44,6 +50,7 @@ from benchmarks._support import report
 from repro import obs
 from repro.tsdb import TimeSeriesDB, window_stats
 from repro.tsdb.baseline import ListBackedTSDB, baseline_query
+from repro.tsdb.chunks import Chunk, seal_many
 from repro.tsdb.query import query
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_tsdb.json"
@@ -61,6 +68,8 @@ BYTES_PER_POINT_CEILING = 8.0
 COLD_SPEEDUP_FLOOR = 5.0
 GRID_PARITY_MARGIN = 1.0  # grid queries may never be slower than list
 CACHE_SPEEDUP_FLOOR = 5.0
+
+SEAL_SPEEDUP_FLOOR = 3.0  # seal_many vs per-chunk, 144-point heads
 
 #: repeats of the 5-query portal battery
 ROUNDS = 30
@@ -325,4 +334,66 @@ def test_tsdb_engine_gates():
     )
     assert _p(warm, 0.50) * CACHE_SPEEDUP_FLOOR <= _p(cold, 0.50), (
         "result-cache hits are not meaningfully faster than computing"
+    )
+
+
+# -- batched seal --------------------------------------------------------------
+
+#: heads per call: one benchmark rack (8 hosts x 264 series) of day heads
+SEAL_HEADS = 2112
+
+
+def _commit() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=BENCH_JSON.parent, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def _best_seconds(fn, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_seal_many_gate():
+    rng = np.random.default_rng(20151001)
+    payload = {
+        "heads": SEAL_HEADS,
+        "cpu_count": os.cpu_count(),
+        "commit": _commit(),
+        "speedup_floor_144": SEAL_SPEEDUP_FLOOR,
+    }
+    rows = []
+    for n in (144, 512):
+        times = np.arange(n, dtype=np.int64) * 600 + T0
+        heads = [
+            (times, np.cumsum(rng.integers(0, 200_000, n).astype(np.float64)))
+            for _ in range(SEAL_HEADS)
+        ]
+        per_chunk_s = _best_seconds(
+            lambda: [Chunk.seal(t, v) for t, v in heads]
+        )
+        batched_s = _best_seconds(lambda: seal_many(heads))
+        speedup = per_chunk_s / batched_s
+        payload[f"per_chunk_chunks_per_s_{n}"] = round(SEAL_HEADS / per_chunk_s)
+        payload[f"seal_many_chunks_per_s_{n}"] = round(SEAL_HEADS / batched_s)
+        payload[f"speedup_{n}"] = round(speedup, 2)
+        rows.append((
+            f"{n}-point heads", f"{SEAL_HEADS / batched_s:,.0f} chunks/s",
+            f"per-chunk {SEAL_HEADS / per_chunk_s:,.0f} chunks/s, "
+            f"{speedup:.1f}x",
+        ))
+    record_bench("seal_many", payload)
+    report("tsdb seal (seal_many vs one Chunk.seal per head)", rows,
+           ["heads", "seal_many", "detail"])
+    assert payload["speedup_144"] >= SEAL_SPEEDUP_FLOOR, (
+        f"seal_many is only {payload['speedup_144']}x per-chunk sealing "
+        f"on 144-point heads (floor {SEAL_SPEEDUP_FLOOR}x)"
     )

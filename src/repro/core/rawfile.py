@@ -300,9 +300,10 @@ class SampleLike:
 # limits ingest throughput at fleet scale.  :class:`BlockParser` reads
 # the same format into a :class:`HostBlock`: one ``(records, counters)``
 # array per (device type, instance), converted from text in bulk.  The
-# batched ETL path (:mod:`repro.pipeline.parallel`) consumes blocks
-# directly; :meth:`HostBlock.iter_samples` recovers the per-sample view
-# when equivalence with the streaming parser matters.
+# batched ETL path (:mod:`repro.pipeline.parallel`) and the TSDB loader
+# (:func:`repro.tsdb.store.ingest_file`) consume blocks directly;
+# :meth:`HostBlock.iter_samples` recovers the per-sample view when
+# equivalence with the streaming parser matters.
 
 
 @dataclass
@@ -391,6 +392,8 @@ class BlockParser:
 
     Either way, counter text is converted to float64 in bulk, one
     conversion per (type, instance) group instead of one per line.
+    ``on_error="raise"`` fails the file at a corrupt line with
+    ``ValueError("line <n>: <reason>")``.
     """
 
     def __init__(self, on_error: str = "quarantine") -> None:
@@ -503,9 +506,7 @@ class BlockParser:
 
         def fail(lineno: int, line: str, exc: Exception) -> None:
             if self.on_error == "raise":
-                if isinstance(exc, ValueError):
-                    raise exc
-                raise ValueError(str(exc)) from exc
+                raise ValueError(f"line {lineno}: {exc}") from exc
             errors.append(
                 ParseError(lineno=lineno, line=line, reason=str(exc))
             )
@@ -616,7 +617,7 @@ class BlockParser:
                     )
             except ValueError as exc:
                 if self.on_error == "raise":
-                    raise
+                    raise ValueError(f"line {lineno}: {exc}") from exc
                 errors.append(
                     ParseError(lineno=lineno, line=line, reason=str(exc))
                 )

@@ -102,9 +102,6 @@ class ListSeries:
         self._arrays = None
         return dropped
 
-    def seal(self) -> None:
-        """Nothing to seal; lists are the at-rest format."""
-
     def drop_read_cache(self) -> None:
         """Forget the materialised arrays (cold-read benchmarking)."""
         self._arrays = None

@@ -45,16 +45,25 @@ Two read-path accelerators live here as well:
   XOR is its own inverse).  This is the same job-stacking trick that
   won the batch-ingest speedup, applied to the read path: decoding 64
   chunks costs a handful of array ops, not 64 Python round-trips.
+
+The write path is batched the same way: :func:`seal_many` stacks
+columns of equal length into ``(k, n)`` matrices and encodes each
+group with one pass of whole-array operations — what
+:meth:`repro.tsdb.store.TimeSeriesDB.seal_heads` runs at the end of a
+nightly load.  :meth:`Chunk.seal` is its one-column case, so the codec
+exists once.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Chunk", "CHUNK_POINTS", "decode_many", "decode_concat"]
+__all__ = [
+    "Chunk", "CHUNK_POINTS", "decode_many", "decode_concat", "seal_many",
+]
 
 #: chunk ids: process-unique keys for the decoded-buffer cache
 #: (:class:`repro.tsdb.cache.BufferCache`); never reused, so a cache
@@ -78,38 +87,36 @@ _THRESH = (
 
 _U1 = np.uint64(1)
 _U8 = np.uint64(8)
+#: byte positions within one little-endian word
+_BYTE_RAMP = np.arange(8, dtype=np.int64)
 
 
-def _byte_lengths(words: np.ndarray) -> np.ndarray:
-    """Minimal little-endian byte count per uint64 word (0 for 0)."""
-    return (words[:, None] > _THRESH[None, :]).sum(axis=1).astype(np.int64)
+def _encode_words(words: np.ndarray) -> Tuple[List[bytes], List[bytes]]:
+    """``(k, n)`` uint64 rows → per row (packed nibble lengths, payload).
 
-
-def _pack_nibbles(lens: np.ndarray) -> bytes:
-    """Two 4-bit lengths per byte (lengths are 0..8, they fit)."""
-    if len(lens) % 2:
-        lens = np.append(lens, 0)
-    lo = lens[0::2].astype(np.uint8)
-    hi = lens[1::2].astype(np.uint8)
-    return (lo | (hi << 4)).tobytes()
-
-
-def _encode_words(words: np.ndarray) -> Tuple[bytes, bytes]:
-    """uint64 column → (packed nibble lengths, payload bytes)."""
-    lens = _byte_lengths(words)
-    starts = np.empty(len(words), dtype=np.int64)
-    if len(words):
-        starts[0] = 0
-        np.cumsum(lens[:-1], out=starts[1:])
-    payload = np.zeros(int(lens.sum()), dtype=np.uint8)
-    for j in range(8):
-        m = lens > j
-        if not m.any():
-            break
-        payload[starts[m] + j] = (
-            (words[m] >> np.uint64(8 * j)) & np.uint64(0xFF)
-        ).astype(np.uint8)
-    return _pack_nibbles(lens), payload.tobytes()
+    One pass over the whole matrix: a word's minimal byte count is its
+    rank among the byte-width thresholds; lengths pack two 4-bit
+    nibbles per byte (0..8 fits; odd rows get a zero pad nibble); the
+    payload is each word's low ``len`` bytes picked from its
+    little-endian byte view in row-major order — the back-to-back
+    layout :func:`_decode_words_many` addresses with one prefix sum.
+    """
+    k, n = words.shape
+    lens = np.searchsorted(_THRESH, words.ravel()).reshape(k, n)
+    bytes8 = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    payload = bytes8[_BYTE_RAMP < lens.reshape(-1, 1)].tobytes()
+    ends = np.cumsum(lens.sum(axis=1)).tolist()
+    nibbles = lens.astype(np.uint8)
+    if n % 2:
+        nibbles = np.concatenate(
+            [nibbles, np.zeros((k, 1), dtype=np.uint8)], axis=1
+        )
+    packed = (nibbles[:, 0::2] | (nibbles[:, 1::2] << 4)).tobytes()
+    m = (n + 1) // 2
+    return (
+        [packed[i * m:(i + 1) * m] for i in range(k)],
+        [payload[a:b] for a, b in zip([0] + ends, ends)],
+    )
 
 
 def _unpack_nibbles_many(
@@ -375,63 +382,10 @@ class Chunk:
         """Freeze two aligned columns into one compressed chunk.
 
         ``times`` must be strictly increasing (the store sorts and
-        dedupes the head before sealing).
+        dedupes the head before sealing).  The ``k = 1`` case of
+        :func:`seal_many`, which holds the codec.
         """
-        t = np.asarray(times, dtype=np.int64)
-        v = np.asarray(values, dtype=np.float64)
-        if len(t) == 0:
-            raise ValueError("cannot seal an empty chunk")
-        if len(t) != len(v):
-            raise ValueError("time/value columns differ in length")
-        if len(t) > 1 and not (t[1:] > t[:-1]).all():
-            raise ValueError("chunk timestamps must be strictly increasing")
-
-        # constant cadence (the monitoring norm: every delta-of-delta
-        # past the first is zero) stores no timestamp stream at all —
-        # just the step, from which decode rebuilds t0 + k*step
-        # bit-exactly in int64
-        t_step: Optional[int] = None
-        if len(t) == 1:
-            t_step = 0
-            t_lens = t_payload = b""
-        else:
-            d = np.diff(t)
-            if (d == d[0]).all():
-                t_step = int(d[0])
-                t_lens = t_payload = b""
-            else:
-                # delta-of-delta stream: [t0, d1, d2-d1, ...]
-                dod = np.empty(len(t), dtype=np.int64)
-                dod[0] = t[0]
-                dod[1] = d[0]
-                dod[2:] = d[1:] - d[:-1]
-                t_lens, t_payload = _encode_words(_zigzag(dod))
-
-        # XOR-with-previous on the raw IEEE-754 bit patterns
-        words = v.view(np.uint64)
-        xored = words.copy()
-        xored[1:] ^= words[:-1]
-        v_lens, v_payload = _encode_words(xored)
-
-        # pre-aggregates, computed on the exact columns the decode
-        # will reproduce (decode is bit-exact, so these ARE the
-        # decode-time aggregates)
-        agg_count = int(np.count_nonzero(~np.isnan(v)))
-        agg_sum = float(np.nansum(v))
-        if agg_count:
-            with np.errstate(all="ignore"):
-                agg_min = float(np.nanmin(v))
-                agg_max = float(np.nanmax(v))
-        else:
-            agg_min = agg_max = float("nan")
-
-        return cls(
-            int(t[0]), int(t[-1]), len(t),
-            t_lens, t_payload, v_lens, v_payload,
-            agg_count, agg_sum, agg_min, agg_max,
-            float(v[0]), float(v[-1]),
-            t_step=t_step,
-        )
+        return seal_many([(times, values)])[0]
 
     # -- reading -------------------------------------------------------------
     def decode(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -463,3 +417,98 @@ class Chunk:
             f"Chunk(n={self.count}, t=[{self.t_min},{self.t_max}], "
             f"{self.nbytes}B)"
         )
+
+
+def seal_many(
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> List[Chunk]:
+    """Freeze many ``(times, values)`` columns in one batch of array ops.
+
+    The write-side twin of :func:`decode_many`: returns one chunk per
+    column, aligned with ``columns`` and bit-identical to sealing each
+    on its own.  Columns of equal length are stacked into ``(k, n)``
+    matrices, so the cadence check, XOR-with-previous, byte lengths,
+    payload gather and pre-aggregates each run once per length group
+    instead of once per series.  Every column is validated (non-empty,
+    aligned, strictly increasing) before any chunk is built.
+    """
+    by_len: Dict[int, List[int]] = {}
+    cols = []
+    for i, (times, values) in enumerate(columns):
+        t = np.asarray(times, dtype=np.int64)
+        v = np.asarray(values, dtype=np.float64)
+        if len(t) == 0:
+            raise ValueError("cannot seal an empty chunk")
+        if len(t) != len(v):
+            raise ValueError("time/value columns differ in length")
+        cols.append((t, v))
+        by_len.setdefault(len(t), []).append(i)
+    groups = []
+    for idx in by_len.values():
+        t = np.stack([cols[i][0] for i in idx])
+        if not (t[:, 1:] > t[:, :-1]).all():
+            raise ValueError("chunk timestamps must be strictly increasing")
+        groups.append((idx, t, np.stack([cols[i][1] for i in idx])))
+    out: List[Optional[Chunk]] = [None] * len(cols)
+    for idx, t, v in groups:
+        for i, chunk in zip(idx, _seal_group(t, v)):
+            out[i] = chunk
+    return out
+
+
+def _seal_group(t: np.ndarray, v: np.ndarray) -> List[Chunk]:
+    """Encode ``k`` validated columns of one length ``n`` (``(k, n)``)."""
+    k, n = t.shape
+    # constant cadence (the monitoring norm: every delta-of-delta past
+    # the first is zero) stores no timestamp stream at all — just the
+    # step, from which decode rebuilds t0 + k*step bit-exactly in int64
+    t_steps: List[Optional[int]] = [0] * k
+    t_lens, t_payload = [b""] * k, [b""] * k
+    if n > 1:
+        d = np.diff(t, axis=1)
+        t_steps = d[:, 0].tolist()
+        irregular = np.flatnonzero((d != d[:, :1]).any(axis=1))
+        if len(irregular):
+            # delta-of-delta stream: [t0, d1, d2-d1, ...]
+            di = d[irregular]
+            dod = np.empty((len(irregular), n), dtype=np.int64)
+            dod[:, 0] = t[irregular, 0]
+            dod[:, 1] = di[:, 0]
+            dod[:, 2:] = di[:, 1:] - di[:, :-1]
+            for i, lens, payload in zip(
+                irregular.tolist(), *_encode_words(_zigzag(dod))
+            ):
+                t_steps[i], t_lens[i], t_payload[i] = None, lens, payload
+
+    # XOR-with-previous on the raw IEEE-754 bit patterns
+    words = v.view(np.uint64)
+    xored = words.copy()
+    xored[:, 1:] ^= words[:, :-1]
+    v_lens, v_payload = _encode_words(xored)
+
+    # pre-aggregates, computed on the exact columns the decode will
+    # reproduce (decode is bit-exact, so these ARE the decode-time
+    # aggregates): reductions along the contiguous row axis run the
+    # same pairwise/fmin/fmax inner loops as the 1-D nan-reductions
+    nan = np.isnan(v)
+    agg_count = n - nan.sum(axis=1)
+    agg_sum = np.where(nan, 0.0, v).sum(axis=1).tolist()
+    with np.errstate(all="ignore"):
+        # an all-NaN column has the canonical NaN, not one of its own
+        agg_min = np.where(agg_count, np.fmin.reduce(v, axis=1), np.nan)
+        agg_max = np.where(agg_count, np.fmax.reduce(v, axis=1), np.nan)
+    agg_count, agg_min, agg_max = (
+        agg_count.tolist(), agg_min.tolist(), agg_max.tolist()
+    )
+    t_min, t_max = t[:, 0].tolist(), t[:, -1].tolist()
+    v_first, v_last = v[:, 0].tolist(), v[:, -1].tolist()
+    return [
+        Chunk(
+            t_min[i], t_max[i], n,
+            t_lens[i], t_payload[i], v_lens[i], v_payload[i],
+            agg_count[i], agg_sum[i], agg_min[i], agg_max[i],
+            v_first[i], v_last[i],
+            t_step=t_steps[i],
+        )
+        for i in range(k)
+    ]

@@ -34,14 +34,21 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core.rawfile import BlockParser
 from repro.core.store import CentralStore
-from repro.tsdb.chunks import CHUNK_POINTS, Chunk, decode_concat, decode_many
+from repro.tsdb.chunks import (
+    CHUNK_POINTS, Chunk, decode_concat, decode_many, seal_many,
+)
 
 TagKey = Tuple[Tuple[str, str], ...]
 
 #: scans with at least this many chunks to decode are worth handing to
 #: the shared thread pool when ``scan_threads`` > 1
 _PARALLEL_SCAN_MIN_CHUNKS = 8
+
+#: points per :func:`~repro.tsdb.chunks.seal_many` call in ``seal_heads``:
+#: bounds the encoder's temporaries (a few MiB) whatever the store holds
+_SEAL_SLAB_POINTS = 1 << 17
 
 _POOL_LOCK = threading.Lock()
 _POOL: Optional[ThreadPoolExecutor] = None
@@ -145,6 +152,17 @@ def _sort_dedupe(
     return t, v
 
 
+def _count_seals(metric: str, chunks: int, nbytes: int) -> None:
+    obs.counter(
+        "repro_tsdb_chunk_seals_total",
+        "series heads frozen into compressed columnar chunks",
+    ).inc(chunks, metric=metric)
+    obs.counter(
+        "repro_tsdb_chunk_bytes_total",
+        "compressed bytes at rest in sealed TSDB chunks",
+    ).inc(nbytes, metric=metric)
+
+
 @dataclass
 class _Series:
     """One chunked series: sealed chunks + a mutable head."""
@@ -219,19 +237,19 @@ class _Series:
         t, v = _sort_dedupe(t, v)
         chunk = Chunk.seal(t, v)
         self.chunks.append(chunk)
-        obs.counter(
-            "repro_tsdb_chunk_seals_total",
-            "series heads frozen into compressed columnar chunks",
-        ).inc(metric=self.metric)
-        obs.counter(
-            "repro_tsdb_chunk_bytes_total",
-            "compressed bytes at rest in sealed TSDB chunks",
-        ).inc(chunk.nbytes, metric=self.metric)
+        _count_seals(self.metric, 1, chunk.nbytes)
 
-    def seal(self) -> None:
-        """Seal whatever is buffered (benchmarking/at-rest sizing)."""
-        while self._head_t:
-            self._seal_head()
+    def sealable_head(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The whole head as strictly increasing columns: as buffered
+        for an in-order series, sorted + keep-last otherwise."""
+        t, v = self._head_arrays()
+        return (t, v) if self._ordered else _sort_dedupe(t, v)
+
+    def replace_head(self, chunk: Chunk) -> None:
+        """Swap the head for ``chunk``, its sealed form."""
+        self.chunks.append(chunk)
+        self._head_t, self._head_v = [], []
+        self._head_cols = None
 
     # -- reading ------------------------------------------------------------
     def arrays(
@@ -570,10 +588,32 @@ class TimeSeriesDB:
         return dropped
 
     def seal_heads(self) -> None:
-        """Seal every series head (at-rest sizing; not required)."""
+        """Seal every series head: the last step of a batch load.
+
+        After a nightly ingest the day's points sit in heads shorter
+        than ``chunk_size``; this puts them at rest compressed and
+        pre-aggregated.  Heads are encoded a slab at a time through
+        :func:`~repro.tsdb.chunks.seal_many` — bit for bit the chunks
+        a per-series seal would produce — and the seal counters move
+        once per metric.
+        """
         with self.write_locked():
-            for s in self._series.values():
-                s.seal()
+            heads = [
+                s for s in self._series.values()
+                if isinstance(s, _Series) and s._head_t
+            ]
+            per_slab = max(1, _SEAL_SLAB_POINTS // self.chunk_size)
+            sealed: Dict[str, List[int]] = {}
+            for i in range(0, len(heads), per_slab):
+                slab = heads[i:i + per_slab]
+                chunks = seal_many([s.sealable_head() for s in slab])
+                for s, chunk in zip(slab, chunks):
+                    s.replace_head(chunk)
+                    totals = sealed.setdefault(s.metric, [0, 0])
+                    totals[0] += 1
+                    totals[1] += chunk.nbytes
+            for metric, (n_chunks, nbytes) in sealed.items():
+                _count_seals(metric, n_chunks, nbytes)
 
     # -- reading ------------------------------------------------------------
     def scan(
@@ -798,50 +838,48 @@ def ingest_file(
 
     The per-host half of :func:`ingest_store`, split out so shard
     workers (:mod:`repro.shard`) can ingest exactly the same way from
-    any file-like source.  Points are gathered into per-series columns
-    across the host's whole stream and written with one
-    :meth:`TimeSeriesDB.put_many` per series.  Returns ``(points,
-    samples)``.
+    any source — text, or a file-like object read in one go.  The
+    stream is parsed once into a columnar
+    :class:`~repro.core.rawfile.HostBlock` and every ``(type, device,
+    event)`` series is written with one :meth:`TimeSeriesDB.put_many`
+    straight from the block's columns.  A corrupt line raises
+    ``ValueError("<host>: line <n>: <reason>")`` before anything is
+    written.  Returns ``(points, samples)``.
     """
-    from repro.core.rawfile import RawFileParser
-
     wanted = set(types) if types is not None else None
-    parser = RawFileParser()
-    #: (type, device, event) → ([ts...], [value...])
-    columns: Dict[Tuple[str, str, str], Tuple[list, list]] = {}
-    samples = 0
-    for sample in parser.parse(fh):
-        samples += 1
-        for type_name, per_inst in sample.data.items():
-            if wanted is not None and type_name not in wanted:
-                continue
-            schema = parser.schemas.get(type_name)
-            if schema is None:
-                continue
-            names = schema.names()
-            for device, values in per_inst.items():
-                for i, event in enumerate(names):
-                    col = columns.get((type_name, device, event))
-                    if col is None:
-                        col = columns[
-                            (type_name, device, event)
-                        ] = ([], [])
-                    col[0].append(sample.timestamp)
-                    col[1].append(float(values[i]))
+    text = fh if isinstance(fh, str) else fh.read()
+    try:
+        block = BlockParser(on_error="raise").parse_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{host}: {exc}") from exc
     n = 0
-    for (type_name, device, event), (ts_col, val_col) in columns.items():
-        n += tsdb.put_many(
-            metric,
-            {
-                "host": host,
-                "type": type_name,
-                "device": device,
-                "event": event,
-            },
-            ts_col,
-            val_col,
-        )
-    return n, samples
+    for type_name in block.type_order:
+        schema = block.schemas.get(type_name)
+        if schema is None or (wanted is not None and type_name not in wanted):
+            continue
+        names = schema.names()
+        for device, grp in block.groups[type_name].items():
+            rows, values = grp.rows, grp.values
+            if len(rows) > 1:
+                # a device listed twice in one record: the last line wins
+                last = np.append(rows[1:] != rows[:-1], True)
+                if not last.all():
+                    rows, values = rows[last], values[last]
+            times = block.times[rows]
+            # (counters × records): each event's column is contiguous
+            for event, column in zip(names, np.ascontiguousarray(values.T)):
+                n += tsdb.put_many(
+                    metric,
+                    {
+                        "host": host,
+                        "type": type_name,
+                        "device": device,
+                        "event": event,
+                    },
+                    times,
+                    column,
+                )
+    return n, block.n_records
 
 
 def ingest_store(
@@ -853,16 +891,14 @@ def ingest_store(
     """Load a raw-data store into the TSDB under the paper's tag scheme.
 
     Every counter value becomes a point in series tagged
-    ``(host, type, device, event)``.  Points are gathered into
-    per-series columns across each host's whole file and written with
-    one :meth:`TimeSeriesDB.put_many` per series.  Returns points
-    ingested.  ``types`` optionally restricts to certain device types
-    (metadata analyses only need ``mdc``; loading everything is
-    supported but larger).
+    ``(host, type, device, event)``; each host's file goes through
+    :func:`ingest_file`.  Returns points ingested.  ``types``
+    optionally restricts to certain device types (metadata analyses
+    only need ``mdc``; loading everything is supported but larger).
     """
     n = 0
+    store.flush()
     for host in store.hosts():
-        store.flush()
         with open(store.path_for(host)) as fh:
             n += ingest_file(tsdb, host, fh, types=types, metric=metric)[0]
     return n

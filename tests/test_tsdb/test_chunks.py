@@ -1,11 +1,14 @@
 """The columnar chunk codec: exact round-trips, metadata, pushdown."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.tsdb.chunks import CHUNK_POINTS, Chunk
+from repro.tsdb.chunks import CHUNK_POINTS, Chunk, seal_many
+from tests.test_tsdb.reference import assert_same_chunk, seal_1d
 
 
 def seal(times, values):
@@ -235,3 +238,128 @@ def test_wide_value_plane_sparse_path():
     v[::97] = 1e300  # XOR against neighbours yields 8-byte words
     t = np.arange(n, dtype=np.int64)
     assert_bit_identical(seal(t, v), t, v)
+
+
+# -- seal_many: the batched encoder against the frozen 1-D oracle ----------
+
+#: lengths the property mixes into one call: the codec's edges (1, 2,
+#: odd/even nibble padding), both sides of NumPy's pairwise-sum unroll
+#: (8) and block (128), the benchmark's day head (144) and both sides
+#: of the default chunk size
+_LENGTHS = (1, 2, 3, 7, 8, 9, 127, 128, 129, 144, 511, 512, 513, 600)
+
+_SPECIALS = np.array(
+    [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.5, 1e308, -1e308, 5e-324, 0.1]
+)
+# plus a NaN with a payload and the sign bit set: must survive bit for bit
+_SPECIALS = np.append(
+    np.array([0xFFF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64),
+    _SPECIALS,
+)
+
+
+def _column(n, t_kind, v_kind, seed):
+    rng = np.random.default_rng(seed)
+    if t_kind == "regular":
+        t = int(rng.integers(-10**9, 2 * 10**9)) + np.arange(
+            n, dtype=np.int64
+        ) * int(rng.integers(1, 4000))
+    elif t_kind == "irregular":
+        t = np.cumsum(rng.integers(1, 900, n)).astype(np.int64)
+    else:  # strictly increasing over nearly the whole int64 range
+        t = np.sort(
+            rng.choice(np.arange(-(2**62), 2**62, 2**52), n, replace=False)
+        ).astype(np.int64)
+    if v_kind == "counter":
+        v = np.cumsum(rng.integers(0, 10**6, n)).astype(np.float64)
+    elif v_kind == "noisy":  # magnitudes spread so summation order shows
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, n)
+    elif v_kind == "bits":
+        v = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    elif v_kind == "specials":
+        v = rng.choice(_SPECIALS, n)
+    elif v_kind == "zeros":
+        v = rng.choice(np.array([0.0, -0.0, np.nan]), n)
+    else:
+        v = np.full(n, _SPECIALS[int(rng.integers(0, 2))])  # all-NaN
+    return t, v
+
+
+_columns = st.lists(
+    st.tuples(
+        st.sampled_from(_LENGTHS) | st.integers(1, 600),
+        st.sampled_from(["regular", "irregular", "wide"]),
+        st.sampled_from(
+            ["counter", "noisy", "bits", "specials", "zeros", "all_nan"]
+        ),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(_columns)
+def test_seal_many_equals_frozen_encoder(specs):
+    """Any batch, any mix of lengths: slot for slot the old chunk."""
+    cols = [_column(*spec) for spec in specs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf sums
+        refs = [seal_1d(t, v) for t, v in cols]
+        chunks = seal_many(cols)
+        solo = [Chunk.seal(t, v) for t, v in cols]
+    assert len(chunks) == len(cols)
+    for spec, chunk, one, ref in zip(specs, chunks, solo, refs):
+        assert_same_chunk(chunk, ref, spec)
+        assert_same_chunk(one, ref, spec)  # Chunk.seal is the k = 1 case
+    assert len({c.chunk_id for c in chunks}) == len(chunks)
+
+
+@pytest.mark.parametrize("v_kind", ["noisy", "specials", "zeros"])
+def test_seal_many_row_sums_match_1d_nansum(v_kind):
+    """A 2-D row reduction sums in the 1-D pairwise order: many rows
+    per length on both sides of the unroll (8) and the block (128)."""
+    cols = [
+        _column(n, "regular", v_kind, 1000 * n + k)
+        for n in (7, 8, 9, 127, 128, 129, 255, 256, 257, 600)
+        for k in range(25)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for chunk, (t, v) in zip(seal_many(cols), cols):
+            assert_same_chunk(chunk, seal_1d(t, v), len(t))
+
+
+def test_seal_many_empty_batch():
+    assert seal_many([]) == []
+
+
+def test_seal_many_accepts_lists_and_keeps_order():
+    cols = [([3, 4, 9], [1.0, 2.0, 3.0]), ([5], [7.0]), ([0, 10, 20], [0, 0, 0])]
+    chunks = seal_many(cols)
+    assert [(c.t_min, c.t_max, c.count) for c in chunks] == [
+        (3, 9, 3), (5, 5, 1), (0, 20, 3),
+    ]
+    assert [c.t_step for c in chunks] == [None, 0, 10]
+    for c, (t, v) in zip(chunks, cols):
+        assert_bit_identical(c, t, v)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (([], []), "empty"),
+        (([1, 2], [1.0]), "differ in length"),
+        (([1, 3, 3], [1.0, 2.0, 3.0]), "strictly increasing"),
+        (([5, 4, 6], [1.0, 2.0, 3.0]), "strictly increasing"),
+    ],
+)
+def test_seal_many_validates_every_column_before_encoding(bad, message):
+    """One bad column fails the whole batch, whatever its position and
+    whichever length group it lands in — nothing is half-built."""
+    good = [([1, 2, 3], [1.0, 2.0, 3.0]), ([1, 2], [1.0, 2.0])]
+    for batch in ([bad] + good, good + [bad], [good[0], bad, good[1]]):
+        with pytest.raises(ValueError, match=message):
+            seal_many(batch)
+    with pytest.raises(ValueError, match=message):
+        Chunk.seal(*bad)
