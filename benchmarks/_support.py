@@ -8,6 +8,8 @@ in EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import subprocess
+from pathlib import Path
 from typing import Iterable, Sequence, Tuple
 
 from repro import MonitoringSession, monitoring_session
@@ -21,6 +23,18 @@ STANDARD_MIX = (
     ("dave", "openfoam", 2),
     ("erin", "io_heavy", 2),
 )
+
+
+def git_commit() -> str:
+    """``git describe`` of the checkout, recorded next to BENCH numbers."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def report(title: str, rows: Iterable[Sequence], headers: Sequence[str]) -> None:

@@ -13,10 +13,11 @@ the CI artifact upload.
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
-from benchmarks._support import report
+from benchmarks._support import git_commit, report
 from repro import monitoring_session, obs
 from repro.cluster import JobSpec, make_app
 from repro.core.daemon import EXCHANGE
@@ -25,7 +26,11 @@ from repro.stream import StreamPipeline
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_analytics.json"
 
-ROUNDS = 7
+#: the row-wise live path made one replay ~8× shorter (14 s → 1.7 s),
+#: so 5 % of it is ~85 ms — inside one round's scheduling noise on a
+#: shared runner; more interleaved rounds keep best-of-N meaningful and
+#: the whole gate still takes a quarter of the time it used to
+ROUNDS = 15
 BUDGET = 1.05  # analytics may cost at most 5 % more
 
 #: the soak mix: §V-A offenders plus well-behaved jobs, so scoring
@@ -117,6 +122,9 @@ def test_analytics_overhead_within_budget():
     )
     record_bench("soak_replay_6x2d", {
         "scenario": "6 nodes, 2 d sim, 600 s cadence, offender mix",
+        "cpu_count": os.cpu_count(),
+        "commit": git_commit(),
+        "rounds": ROUNDS,
         "deliveries": len(deliveries),
         "samples": pipe.samples,
         "jobs_scored": analytics.jobs_scored,

@@ -40,13 +40,12 @@ assertions.
 
 import json
 import os
-import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks._support import report
+from benchmarks._support import git_commit, report
 from repro import obs
 from repro.tsdb import TimeSeriesDB, window_stats
 from repro.tsdb.baseline import ListBackedTSDB, baseline_query
@@ -343,16 +342,6 @@ def test_tsdb_engine_gates():
 SEAL_HEADS = 2112
 
 
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=BENCH_JSON.parent, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def _best_seconds(fn, repeats=5):
     best = float("inf")
     for _ in range(repeats):
@@ -367,7 +356,7 @@ def test_seal_many_gate():
     payload = {
         "heads": SEAL_HEADS,
         "cpu_count": os.cpu_count(),
-        "commit": _commit(),
+        "commit": git_commit(),
         "speedup_floor_144": SEAL_SPEEDUP_FLOOR,
     }
     rows = []

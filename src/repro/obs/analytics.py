@@ -38,10 +38,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.registry import MetricRegistry
-from repro.obs.sketch import DEFAULT_ALPHA, DEFAULT_MAX_BINS, QuantileSketch
+from repro.obs.sketch import (
+    DEFAULT_ALPHA,
+    DEFAULT_MAX_BINS,
+    QuantileSketch,
+    observe_segments,
+)
 
 try:  # optional, mirrors repro.obs.sketch — pure-stdlib without it
     import numpy as _np
@@ -67,9 +72,12 @@ ANALYTICS_METRICS: Tuple[str, ...] = (
 #: tiered-retention windows, sim seconds: one hour, one day
 DEFAULT_WINDOWS: Tuple[int, ...] = (3600, 86400)
 
-#: buffered feed values forcing a fold even mid-pane — a memory
-#: bound, not a tuning knob (pane changes flush far more often)
-FEED_FLUSH_LIMIT = 65536
+#: feed values staged before a fold is forced: the size of the one
+#: staging buffer (4 MiB of float64) — a memory bound, not a tuning
+#: knob.  A fold costs a few milliseconds whatever its size, so a small
+#: fleet wants them rare; reads never see the difference (they fold
+#: first, the registry's mirror sketch included)
+FEED_FLUSH_LIMIT = 1 << 19
 
 
 class TieredSketch:
@@ -103,25 +111,45 @@ class TieredSketch:
     def _fresh(self) -> QuantileSketch:
         return QuantileSketch(alpha=self.alpha, max_bins=self.max_bins)
 
-    def _rotate(self, now: int) -> None:
-        for w, pane in self._panes.items():
-            idx = now // w
-            if pane[0] is None:
-                pane[0] = idx
-            elif idx == pane[0] + 1:
-                pane[0], pane[2], pane[1] = idx, pane[1], self._fresh()
-            elif idx > pane[0] + 1:
-                # a whole window went by silently: nothing from the
-                # previous pane is recent enough to keep
-                pane[0], pane[1], pane[2] = idx, self._fresh(), self._fresh()
+    def pane_at(self, window: int, idx: int) -> QuantileSketch:
+        """Rotate ``window`` to pane index ``idx``; its current pane."""
+        pane = self._panes[window]
+        if pane[0] is None:
+            pane[0] = idx
+        elif idx == pane[0] + 1:
+            pane[0], pane[2], pane[1] = idx, pane[1], self._fresh()
+        elif idx > pane[0] + 1:
+            # a whole window went by silently: nothing from the
+            # previous pane is recent enough to keep
+            pane[0], pane[1], pane[2] = idx, self._fresh(), self._fresh()
+        return pane[1]
+
+    def place(
+        self, window: int, indices: Sequence[int]
+    ) -> List[Optional[QuantileSketch]]:
+        """Rotate ``window`` through non-decreasing pane ``indices``.
+
+        Returns, per index, the pane that values seen then belong in —
+        or ``None`` where that pane is rotated out again before the
+        last index is reached, so nothing needs folding into it.  The
+        panes end up exactly as if every index had been visited.
+        """
+        at = self._panes[window][0]
+        # an index behind the window's own lands in its current pane
+        last = indices[-1] if at is None else max(indices[-1], at)
+        return [
+            self.pane_at(window, idx)
+            if (idx if at is None else max(idx, at)) >= last - 1 else None
+            for idx in indices
+        ]
 
     def observe_many(self, values, now: int) -> None:
         if not len(values):
             return
-        self._rotate(int(now))
+        now = int(now)
         self.all.observe_many(values)
-        for pane in self._panes.values():
-            pane[1].observe_many(values)
+        for w in self._panes:
+            self.pane_at(w, now // w).observe_many(values)
 
     def observe(self, value: float, now: int) -> None:
         self.observe_many([value], now)
@@ -276,6 +304,28 @@ class ContinuousScorer:
         return sum(properties.values()) / len(properties)
 
 
+class _FeedPlan:
+    """How the columns of one row layout regroup into feeds.
+
+    ``order`` lists the columns feed by feed; ``offsets[i]:offsets[i +
+    1]`` are the positions in it of ``keys[i]``'s columns.
+    """
+
+    __slots__ = ("keys", "order", "offsets")
+
+    def __init__(self, feeds: Sequence[Tuple[str, str]]) -> None:
+        columns: Dict[Tuple[str, str], List[int]] = {}
+        for j, key in enumerate(feeds):
+            columns.setdefault(key, []).append(j)
+        self.keys = tuple(columns)
+        self.order = _np.array(
+            [j for cols in columns.values() for j in cols], dtype=_np.intp
+        )
+        self.offsets = _np.cumsum(
+            [0] + [len(cols) for cols in columns.values()]
+        )
+
+
 class FleetAnalytics:
     """The always-on analytics hub the stream pipeline drives.
 
@@ -305,7 +355,7 @@ class FleetAnalytics:
             registry = obs.get_registry()
         self.registry = registry
         self.scorer = scorer or ContinuousScorer()
-        self.windows = tuple(int(w) for w in windows)
+        self.windows = tuple(sorted({int(w) for w in windows}))
         self.anomaly_quantile = float(anomaly_quantile)
         self.min_jobs = int(min_jobs)
         self.alpha = float(alpha)
@@ -314,14 +364,22 @@ class FleetAnalytics:
         self.feeds: Dict[Tuple[str, str], TieredSketch] = {}
         #: jobid → score (insertion = scoring order)
         self.scores: Dict[str, JobScore] = {}
-        #: values awaiting a vectorised fold, per feed; folding a few
-        #: hundred values through numpy once per window pane instead
-        #: of ~a dozen scalar observes per delivery is what keeps the
-        #: always-on plane inside the ≤5 % overhead gate
-        self._pending: Dict[Tuple[str, str], List[float]] = {}
-        self._pending_n = 0
-        self._pending_now = 0
-        self._pending_panes: Optional[Tuple[int, ...]] = None
+        #: staging buffer for live feed values (allocated on first
+        #: use).  A delivery costs one row copy into it; every feed of
+        #: the fleet is then folded in one array pass per buffer-full —
+        #: that is what keeps the always-on plane inside the ≤5 %
+        #: overhead gate
+        self._buf: Optional["_np.ndarray"] = None
+        self._used = 0
+        #: ``now`` of the latest staged block
+        self._staged_until = 0
+        #: staged row chunks in arrival order: [plan, panes, offset, rows]
+        self._chunks: List[list] = []
+        #: a layout's feed sequence → its column regrouping
+        self._plans: Dict[Tuple[Tuple[str, str], ...], _FeedPlan] = {}
+        #: id(feeds) → (feeds, plan) for the sequences staged since the
+        #: last fold — a host hands in the same object every delivery
+        self._plan_of: Dict[int, Tuple[object, _FeedPlan]] = {}
 
     # -- live feed ingest ----------------------------------------------------
     def is_scored(self, jobid: str) -> bool:
@@ -333,69 +391,174 @@ class FleetAnalytics:
 
     def observe_batch(
         self,
-        batch: Mapping[Tuple[str, str, str], Tuple[list, list]],
+        blocks: Iterable[Tuple[Sequence[Tuple[str, str]], "_np.ndarray"]],
         now: int,
     ) -> None:
-        """Fold one delivery's ``(type, device, event)`` columns in.
+        """Stage one delivery's row blocks for the next fold.
 
-        Devices aggregate into one ``(type, event)`` feed — fleet
-        analytics cares about the distribution of values a counter
-        takes across the fleet, not about individual devices (those
-        stay queryable in the TSDB).
+        A block is ``(feeds, values)``: an ``(n, K)`` matrix of n
+        samples across K series, and per column the ``(type, event)``
+        feed it belongs to.  Devices aggregate into one ``(type,
+        event)`` feed — fleet analytics cares about the distribution
+        of values a counter takes across the fleet, not about
+        individual devices (those stay queryable in the TSDB).
 
-        Values are buffered and folded in bulk: since every ``now``
-        inside one window pane rotates the tiers identically, the
-        fold can wait until the pane changes (or the buffer fills)
-        and then run vectorised over everything that accumulated.
+        Rows are copied into a staging buffer together with the window
+        panes ``now`` falls in, and folded when it fills (or on a
+        read): one vectorised pass over every feed, exact about which
+        rows belong to which pane of which window.
         """
+        now = int(now)
+        if now < self._staged_until:
+            # the clock stepped back: the tiers rotate in arrival
+            # order, so what came before it is folded first
+            self.flush_feeds()
+        self._staged_until = now
         panes = tuple(now // w for w in self.windows)
-        if self._pending_panes is not None and panes != self._pending_panes:
-            self.flush_feeds()
-        self._pending_panes = panes
-        self._pending_now = int(now)
-        pending = self._pending
-        n = 0
-        for (type_name, _device, event), (_ts, vals) in batch.items():
-            key = (type_name, event)
-            lst = pending.get(key)
-            if lst is None:
-                lst = pending[key] = []
-            lst.extend(vals)
-            n += len(vals)
-        self._pending_n += n
-        if self._pending_n >= FEED_FLUSH_LIMIT:
-            self.flush_feeds()
+        for feeds, values in blocks:
+            if not values.size:
+                continue
+            plan = self._plan(feeds)
+            if values.ndim != 2 or values.shape[1] != len(plan.order):
+                raise ValueError(
+                    f"block of shape {values.shape} for "
+                    f"{len(plan.order)} feed columns"
+                )
+            if self._used + values.size > FEED_FLUSH_LIMIT:
+                self.flush_feeds()
+            if values.size > FEED_FLUSH_LIMIT:
+                self._fold([(plan, panes, values)])
+                continue
+            if self._buf is None:
+                self._buf = _np.empty(FEED_FLUSH_LIMIT)
+            start, end = self._used, self._used + values.size
+            self._buf[start:end] = values.ravel()
+            self._used = end
+            last = self._chunks[-1] if self._chunks else None
+            if last is not None and last[0] is plan and last[1] == panes:
+                last[3] += len(values)  # adjacent: one longer chunk
+                continue
+            if last is None:
+                # whoever reads the mirror sketch gets these rows too
+                self._mirror().refresh = self.flush_feeds
+            self._chunks.append([plan, panes, start, len(values)])
 
-    def flush_feeds(self) -> None:
-        """Fold buffered values into the tiers and the registry sketch.
-
-        Called automatically on pane changes, buffer overflow, and
-        every read (:meth:`feed_view` / :meth:`summary`); pipelines
-        call it at ``finalize()`` so the exported
-        ``repro_stream_feed_sketch`` never lags a finished run.
-        """
-        if self._pending_n == 0:
-            return
-        feed_metric = self.registry.sketch(
+    def _mirror(self):
+        """The registry's copy of every feed's all-time tier."""
+        return self.registry.sketch(
             "repro_stream_feed_sketch",
             "fleet distribution of live counter feed values",
             alpha=self.alpha, max_bins=self.max_bins,
         )
-        now = self._pending_now
-        for (type_name, event), vals in self._pending.items():
-            ts = self.feeds.get((type_name, event))
+
+    def _plan(self, feeds: Sequence[Tuple[str, str]]) -> _FeedPlan:
+        entry = self._plan_of.get(id(feeds))
+        if entry is not None:
+            return entry[1]  # the entry pins ``feeds``, so the id is its own
+        key = tuple(feeds)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _FeedPlan(key)
+        self._plan_of[id(feeds)] = (feeds, plan)
+        return plan
+
+    def flush_feeds(self) -> None:
+        """Fold staged values into the tiers and the registry sketch.
+
+        Called automatically when the staging buffer fills and on
+        every read: :meth:`feed_view`, :meth:`summary`, and — through
+        the metric's ``refresh`` hook — whatever reads the registry's
+        ``repro_stream_feed_sketch`` (exporters, the harvest).  With
+        several analytics hubs on one registry the hook belongs to the
+        one that staged last; pipelines also call this at
+        ``finalize()``.
+        """
+        if not self._chunks:
+            return
+        parts = []
+        for plan, panes, start, rows in self._chunks:
+            width = len(plan.order)
+            parts.append((plan, panes, self._buf[
+                start:start + rows * width].reshape(rows, width)))
+        self._chunks = []
+        self._used = 0
+        self._plan_of.clear()
+        self._fold(parts)
+
+    def _fold(self, parts) -> None:
+        """Fold ``(plan, panes, matrix)`` row chunks, in arrival order.
+
+        The all-time tier and the registry mirror take every row.  A
+        window takes the rows of its last two panes only — older ones
+        would be rotated out before the fold ends
+        (:meth:`TieredSketch.place`).  Each plan's rows are stacked,
+        regrouped feed-major, and every span of them that some sketch
+        takes goes through one
+        :func:`~repro.obs.sketch.observe_segments` pass.
+        """
+        feed_metric = self._mirror()
+        by_plan: Dict[_FeedPlan, list] = {}
+        for plan, panes, matrix in parts:
+            by_plan.setdefault(plan, []).append((panes, matrix))
+        #: plan → per window, {pane index: (first row, end row)} of the
+        #: plan's stacked rows (pane indices never decrease in a fold)
+        rows_of: Dict[_FeedPlan, List[Dict[int, Tuple[int, int]]]] = {}
+        for plan, chunks in by_plan.items():
+            rows_of[plan] = [{} for _ in self.windows]
+            row = 0
+            for panes, matrix in chunks:
+                for spans, idx in zip(rows_of[plan], panes):
+                    first = spans[idx][0] if idx in spans else row
+                    spans[idx] = (first, row + len(matrix))
+                row += len(matrix)
+        # a feed rotates through the panes of every plan it has columns
+        # in, so its tiers are placed once, before any plan is folded
+        visits: Dict[Tuple[str, str], List[set]] = {}
+        for plan, per_window in rows_of.items():
+            for key in plan.keys:
+                seen = visits.setdefault(key, [set() for _ in self.windows])
+                for indices, spans in zip(seen, per_window):
+                    indices.update(spans)
+        #: feed → the sketches that take every row
+        whole: Dict[Tuple[str, str], List[QuantileSketch]] = {}
+        #: feed → per window, (pane index, pane) of the panes that last
+        lasting: Dict[Tuple[str, str], list] = {}
+        for key, seen in visits.items():
+            ts = self.feeds.get(key)
             if ts is None:
-                ts = self.feeds[(type_name, event)] = TieredSketch(
+                ts = self.feeds[key] = TieredSketch(
                     self.windows, alpha=self.alpha, max_bins=self.max_bins
                 )
-            if _np is not None:
-                # one conversion shared by all four sketch folds below
-                vals = _np.asarray(vals, dtype=_np.float64)
-            ts.observe_many(vals, now)
-            feed_metric.observe_many(vals, type=type_name, event=event)
-        self._pending.clear()
-        self._pending_n = 0
-        self._pending_panes = None
+            mirror = feed_metric.sample(type=key[0], event=key[1])
+            whole[key] = [ts.all] if mirror is None else [ts.all, mirror]
+            lasting[key] = [
+                [(idx, pane)
+                 for idx, pane in zip(indices, ts.place(w, indices))
+                 if pane is not None]
+                for w, indices in zip(self.windows, map(sorted, seen))
+            ]
+        for plan, chunks in by_plan.items():
+            matrix = (
+                chunks[0][1] if len(chunks) == 1
+                else _np.concatenate([m for _, m in chunks])
+            )
+            #: (first row, end row) → per feed, the sketches taking them
+            spans = {(0, len(matrix)): [list(whole[key]) for key in plan.keys]}
+            for i, key in enumerate(plan.keys):
+                for panes, rows in zip(lasting[key], rows_of[plan]):
+                    for idx, pane in panes:
+                        if idx in rows:
+                            spans.setdefault(
+                                rows[idx], [[] for _ in plan.keys]
+                            )[i].append(pane)
+            for (r0, r1), targets in spans.items():
+                observe_segments(
+                    # (K, n), one feed's columns adjacent, flattened:
+                    # feed i owns a run of n * (its column count) values
+                    matrix[r0:r1].T[plan.order].ravel(),
+                    plan.offsets * (r1 - r0),
+                    targets,
+                )
 
     def feed_view(
         self, type_name: str, event: str, window: Optional[int] = None

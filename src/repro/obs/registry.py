@@ -320,6 +320,15 @@ class Sketch(Metric):
         self.alpha = float(alpha)
         self.max_bins = int(max_bins)
         self._values: Dict[LabelKey, QuantileSketch] = {}
+        #: called before every read, so a producer that folds its
+        #: observations in batches can catch up first
+        #: (:meth:`repro.obs.analytics.FleetAnalytics.flush_feeds`)
+        self.refresh: Optional[Callable[[], None]] = None
+
+    def _refreshed(self) -> Dict[LabelKey, QuantileSketch]:
+        if self.refresh is not None:
+            self.refresh()
+        return self._values
 
     def _sketch(self, key: LabelKey) -> QuantileSketch:
         sk = self._values.get(key)
@@ -344,23 +353,33 @@ class Sketch(Metric):
         self._sketch(key).observe_many(values)
         self._stamp(key)
 
+    def sample(self, **labels: object) -> Optional[QuantileSketch]:
+        """The labelled sample's sketch, stamped, for a caller that
+        folds into it itself (a batched fold across many samples);
+        ``None`` while the registry is disabled."""
+        if not self._enabled():
+            return None
+        key = _label_key(labels)
+        self._stamp(key)
+        return self._sketch(key)
+
     # -- reads -------------------------------------------------------------
     def get_sketch(self, **labels: object) -> Optional[QuantileSketch]:
-        return self._values.get(_label_key(labels))
+        return self._refreshed().get(_label_key(labels))
 
     def quantile(self, q: float, **labels: object) -> float:
-        sk = self._values.get(_label_key(labels))
+        sk = self.get_sketch(**labels)
         return sk.quantile(q) if sk is not None else float("nan")
 
     def count(self, **labels: object) -> int:
-        sk = self._values.get(_label_key(labels))
+        sk = self.get_sketch(**labels)
         return sk.count if sk is not None else 0
 
     def merged(self) -> QuantileSketch:
         """One sketch over every label combination (the fleet view)."""
         out = QuantileSketch(alpha=self.alpha, max_bins=self.max_bins)
-        for key in sorted(self._values):
-            out.merge(self._values[key])
+        for _, sk in self.samples():
+            out.merge(sk)
         return out
 
     def merge_sample(self, key: LabelKey, data: Mapping[str, object]) -> None:
@@ -371,10 +390,11 @@ class Sketch(Metric):
         self._stamp(key)
 
     def label_keys(self) -> List[LabelKey]:
-        return sorted(self._values)
+        return sorted(self._refreshed())
 
     def samples(self) -> List[Tuple[LabelKey, QuantileSketch]]:
-        return [(k, self._values[k]) for k in sorted(self._values)]
+        values = self._refreshed()
+        return [(k, values[k]) for k in sorted(values)]
 
 
 class MetricRegistry:

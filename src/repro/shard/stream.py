@@ -11,7 +11,7 @@ fleet — by the consistent-hash ring:
   exchange under ``shard.{k}.{host}``, where ``k`` is the ring owner
   of the delivery's host;
 * a **per-shard feed** drains queue ``tacc_stats_shard_{k}`` (bound
-  ``shard.{k}.#``): it parses, batches and writes into *its own*
+  ``shard.{k}.#``): it parses, batches rows and writes into *its own*
   chunked TSDB through its own retention writer — shard feeds never
   share write state, which is what makes the layout multi-process
   ready;
@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.broker import Broker, Channel, Delivery
 from repro.cluster.jobs import Job
@@ -44,7 +46,7 @@ from repro.shard.ring import DEFAULT_VNODES, ShardMap
 from repro.shard.worker import ShardSet
 from repro.stream.alerts import AlertRouter
 from repro.stream.analyzer import StreamingFlagAnalyzer
-from repro.stream.pipeline import StreamPipeline
+from repro.stream.pipeline import Block, StreamPipeline, _Layout
 from repro.stream.retention import RetentionPolicy
 from repro.tsdb.chunks import CHUNK_POINTS
 
@@ -74,70 +76,57 @@ class _ShardFeed(StreamPipeline):
         self.shard = shard
         self.analyzer = analyzer
         self.alerts = alerts
-        #: >0 buffers per-series columns across deliveries and writes
-        #: them through in batches of at least this many points; 0
-        #: (the default) keeps the plain one-put_many-per-delivery
-        #: behaviour the equivalence suite pins
+        #: >0 buffers rows across deliveries and writes them through in
+        #: batches of at least this many points; 0 (the default) keeps
+        #: the plain one-put_many-per-delivery behaviour the
+        #: equivalence suite pins
         self.coalesce_points = int(coalesce_points)
-        #: (type, device, event) → pending (ts_col, val_col), per-series
-        #: arrival order preserved — which is all the retention tiers
-        #: and the sorted-key query engine depend on
-        self._coal: Dict[Tuple[str, Tuple[str, str, str]], Tuple[list, list]] = {}
+        #: layout → pending (times, rows) blocks.  A layout belongs to
+        #: one host and a changed layout is a new object, so flushing
+        #: in insertion order keeps every series in arrival order —
+        #: which is all the retention tiers and the sorted-key query
+        #: engine depend on
+        self._coal: Dict[_Layout, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._coal_n = 0
 
-    def _write_batch(self, host, batch) -> int:
+    def _write_blocks(self, blocks: List[Block]) -> int:
         if self.coalesce_points <= 0:
-            return super()._write_batch(host, batch)
+            return super()._write_blocks(blocks)
         n = 0
-        for key, (ts_col, val_col) in batch.items():
-            col = self._coal.get((host, key))
-            if col is None:
-                col = self._coal[(host, key)] = ([], [])
-            col[0].extend(ts_col)
-            col[1].extend(val_col)
-            n += len(ts_col)
+        for layout, times, values in blocks:
+            self._coal.setdefault(layout, []).append((times, values))
+            n += values.size
         # points are accounted when buffered (flush adds nothing), so
         # the totals match the uncoalesced pipeline delivery-for-delivery
         self._coal_n += n
-        self.points += n
-        obs.counter(
-            "repro_stream_points_total",
-            "points written into the live TSDB feed",
-        ).inc(n)
+        self._count_points(n)
         if self._coal_n >= self.coalesce_points:
             self.flush_writes()
         return n
 
     def flush_writes(self) -> None:
-        """Write every buffered column through the retention writer.
+        """Write every buffered row through the retention writer.
 
         Called when the coalesce window fills and at every barrier
         (query epoch sync, finalize) — after it returns the TSDB holds
-        exactly what the uncoalesced pipeline would hold.
+        exactly what the uncoalesced pipeline would hold.  Each
+        layout's rows go out as one ``(n, K)`` block.
         """
         if not self._coal:
             return
         pending, self._coal = self._coal, {}
         self._coal_n = 0
-        flushes = 0
-        for (host, (type_name, device, event)), (ts_col, val_col) in \
-                pending.items():
+        for layout, parts in pending.items():
             self.writer.put_many(
                 self.metric,
-                {
-                    "host": host,
-                    "type": type_name,
-                    "device": device,
-                    "event": event,
-                },
-                ts_col,
-                val_col,
+                layout.group,
+                np.concatenate([t for t, _ in parts]),
+                np.concatenate([v for _, v in parts]),
             )
-            flushes += 1
         obs.counter(
             "repro_shard_stream_coalesced_flushes_total",
-            "coalesced per-series column writes flushed to shard stores",
-        ).inc(flushes, shard=self.shard)
+            "coalesced row blocks flushed to shard stores",
+        ).inc(len(pending), shard=self.shard)
 
     def start(self) -> None:
         if self._started:

@@ -7,11 +7,14 @@ delivery is parsed once and fans out three ways:
 
 1. **TSDB feed** — each counter value becomes a point tagged
    ``(host, type, device, event)`` in a live
-   :class:`~repro.tsdb.store.TimeSeriesDB`: the delivery's samples
-   are gathered into per-series columns and written in one batched
-   :meth:`~repro.stream.retention.RetainingWriter.put_many` per
-   series, through the retention policy so memory stays bounded by
-   the policy, not the run length;
+   :class:`~repro.tsdb.store.TimeSeriesDB`.  A sample is one *row*:
+   the parser's per-device arrays concatenated, in the order of the
+   host's *layout* (its types, their schemas, their devices), whose K
+   series sit behind one :class:`~repro.tsdb.store.SeriesGroup`.  A
+   delivery's rows are written as one ``(n, K)`` block in a single
+   :meth:`~repro.stream.retention.RetainingWriter.put_many`, through
+   the retention policy so memory stays bounded by the policy, not
+   the run length;
 2. **streaming analysis** — the
    :class:`~repro.stream.analyzer.StreamingFlagAnalyzer` advances its
    incremental per-job accumulators and fires §V-A flags while the
@@ -29,19 +32,22 @@ write → alert evaluation (`daemon.publish` → `stream.process` →
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.broker import Broker, Channel, Delivery
 from repro.cluster.jobs import Job
 from repro.core.daemon import EXCHANGE
-from repro.core.rawfile import RawFileParser
+from repro.core.rawfile import ParsedSample, RawFileParser
+from repro.hardware.devices.base import Schema
 from repro.metrics.flags import FlagResult, Thresholds
 from repro.obs.analytics import FleetAnalytics
 from repro.stream.alerts import AlertRouter
 from repro.stream.analyzer import StreamEvent, StreamingFlagAnalyzer
 from repro.stream.retention import RetainingWriter, RetentionPolicy
-from repro.tsdb.store import TimeSeriesDB
+from repro.tsdb.store import SeriesGroup, TimeSeriesDB
 
 __all__ = ["STREAM_QUEUE", "LATENCY_BUCKETS", "StreamPipeline"]
 
@@ -50,6 +56,46 @@ STREAM_QUEUE = "tacc_stats_stream"
 #: sim-second buckets for sample→flag latency: collection intervals,
 #: not milliseconds, are the natural scale here
 LATENCY_BUCKETS = (10.0, 60.0, 300.0, 600.0, 900.0, 1200.0, 1800.0, 3600.0)
+
+
+#: what decides a sample's columns: per device type (after the
+#: ``types`` filter) its schema object and its devices, in file order
+LayoutKey = Tuple[Tuple[str, Schema, Tuple[str, ...]], ...]
+
+
+class _Layout:
+    """The K series one host's samples fill, in row order.
+
+    ``feeds[j]`` is column ``j``'s ``(type, event)`` for the fleet
+    analytics, ``group.tag_sets[j]`` its full tag set.
+    """
+
+    __slots__ = ("key", "group", "feeds")
+
+    def __init__(
+        self, tsdb: TimeSeriesDB, metric: str, host: str, key: LayoutKey
+    ) -> None:
+        tag_sets = []
+        feeds = []
+        for type_name, schema, devices in key:
+            names = schema.names()
+            for device in devices:
+                for event in names:
+                    tag_sets.append({
+                        "host": host,
+                        "type": type_name,
+                        "device": device,
+                        "event": event,
+                    })
+                    feeds.append((type_name, event))
+        self.key = key
+        self.group: SeriesGroup = tsdb.group(metric, tag_sets)
+        self.feeds: Tuple[Tuple[str, str], ...] = tuple(feeds)
+
+
+#: rows of consecutive samples that share a layout: ``(layout, times
+#: (n,), values (n, K))``
+Block = Tuple[_Layout, np.ndarray, np.ndarray]
 
 
 class StreamPipeline:
@@ -88,6 +134,11 @@ class StreamPipeline:
                 }
         self.analyzer = StreamingFlagAnalyzer(thresholds, job_meta=job_meta)
         self._parsers: Dict[str, RawFileParser] = {}
+        #: host → the layout of its latest sample.  One per host, and a
+        #: changed layout is always a new object: rows buffered under
+        #: the old one (shard feeds coalesce) stay ahead of the new
+        #: one's, which keeps every series in arrival order
+        self._layouts: Dict[str, _Layout] = {}
         self._errors_seen: Dict[str, int] = {}
         self.samples = 0
         self.points = 0
@@ -129,20 +180,29 @@ class StreamPipeline:
                 self._errors_seen[host] = 0
             events: List[StreamEvent] = []
             n_samples = 0
-            #: (type, device, event) → aligned time/value columns,
-            #: gathered across every sample in this delivery so the
-            #: TSDB sees one batched put_many per series
-            batch: Dict[Tuple[str, str, str], Tuple[list, list]] = {}
+            #: (layout, [timestamp], [row]) per run of samples that
+            #: share a layout — one run, as a rule
+            runs: List[Tuple[_Layout, List[int], List[np.ndarray]]] = []
             for sample in parser.parse(io.StringIO(msg.body)):
                 n_samples += 1
-                self._collect_sample(sample, parser, batch)
+                placed = self._row(host, sample, parser.schemas)
+                if placed is not None:
+                    layout, row = placed
+                    if not runs or runs[-1][0] is not layout:
+                        runs.append((layout, [], []))
+                    runs[-1][1].append(sample.timestamp)
+                    runs[-1][2].append(row)
                 with obs.span("stream.analyze"):
                     events.extend(
                         self.analyzer.observe(host, sample, parser.schemas)
                     )
-            if batch:
+            blocks: List[Block] = [
+                (layout, np.array(ts, dtype=np.int64), np.array(rows))
+                for layout, ts, rows in runs
+            ]
+            if blocks:
                 with obs.span("stream.tsdb_write") as wsp:
-                    wsp.set(points=self._write_batch(host, batch))
+                    wsp.set(points=self._write_blocks(blocks))
             if len(parser.errors) > self._errors_seen[host]:
                 obs.counter(
                     "repro_stream_parse_errors_total",
@@ -157,61 +217,73 @@ class StreamPipeline:
             sp.set(samples=n_samples, sim_time=now)
             self._route(events, int(now), sp.trace_id or None)
             if self.analytics is not None:
-                with obs.span("stream.analytics"):
-                    if batch:
-                        self.analytics.observe_batch(batch, int(now))
-                    self._score_completed(int(now), sp.trace_id or None)
+                if blocks:
+                    self.analytics.observe_batch(
+                        [(lay.feeds, v) for lay, _, v in blocks], int(now)
+                    )
+                self._score_completed(int(now), sp.trace_id or None)
         obs.gauge(
             "repro_stream_jobs_inflight",
             "jobs currently tracked by the streaming analyzer",
         ).set(self.analyzer.inflight)
 
-    def _collect_sample(
+    def _row(
         self,
-        sample,
-        parser: RawFileParser,
-        batch: Dict[Tuple[str, str, str], Tuple[list, list]],
-    ) -> None:
-        """Fold one parsed sample into the delivery's write batch."""
+        host: str,
+        sample: ParsedSample,
+        schemas: Mapping[str, Schema],
+    ) -> Optional[Tuple[_Layout, np.ndarray]]:
+        """One sample as ``(layout, float64 row)``.
+
+        The host's layout is rebuilt when the types, a schema or a
+        device set differ from its previous sample's — a device or a
+        ``!`` line appearing mid-stream starts a new layout, it is not
+        a shape error.  ``None`` for a sample with no column to write.
+        """
+        parts: List[np.ndarray] = []
+        key = []
         for type_name, per_inst in sample.data.items():
             if self.types is not None and type_name not in self.types:
                 continue
-            schema = parser.schemas.get(type_name)
+            schema = schemas.get(type_name)
             if schema is None:
                 continue
-            names = schema.names()
-            for device, values in per_inst.items():
-                for i, event in enumerate(names):
-                    col = batch.get((type_name, device, event))
-                    if col is None:
-                        col = batch[(type_name, device, event)] = ([], [])
-                    col[0].append(sample.timestamp)
-                    col[1].append(float(values[i]))
-
-    def _write_batch(
-        self, host: str, batch: Dict[Tuple[str, str, str], Tuple[list, list]]
-    ) -> int:
-        """Live counterpart of :func:`repro.tsdb.store.ingest_store`:
-        one batched :meth:`RetainingWriter.put_many` per series."""
-        n = 0
-        for (type_name, device, event), (ts_col, val_col) in batch.items():
-            n += self.writer.put_many(
-                self.metric,
-                {
-                    "host": host,
-                    "type": type_name,
-                    "device": device,
-                    "event": event,
-                },
-                ts_col,
-                val_col,
+            key.append((type_name, schema, tuple(per_inst)))
+            parts.extend(per_inst.values())
+        if not parts:
+            return None
+        key = tuple(key)
+        layout = self._layouts.get(host)
+        if layout is None or layout.key != key:
+            layout = self._layouts[host] = _Layout(
+                self.tsdb, self.metric, host, key
             )
+        row = np.concatenate(parts)
+        if len(row) != len(layout.feeds):
+            # a schema line between a record's data and the next record
+            raise ValueError(
+                f"{host}: sample at {sample.timestamp} carries {len(row)} "
+                f"values for {len(layout.feeds)} schema columns"
+            )
+        return layout, row
+
+    def _write_blocks(self, blocks: List[Block]) -> int:
+        """Live counterpart of :func:`repro.tsdb.store.ingest_store`:
+        one :meth:`RetainingWriter.put_many` per block of rows."""
+        n = 0
+        for layout, times, values in blocks:
+            n += self.writer.put_many(
+                self.metric, layout.group, times, values
+            )
+        self._count_points(n)
+        return n
+
+    def _count_points(self, n: int) -> None:
         self.points += n
         obs.counter(
             "repro_stream_points_total",
             "points written into the live TSDB feed",
         ).inc(n)
-        return n
 
     def _route(
         self, events: List[StreamEvent], now: int, trace_id: Optional[int]
@@ -247,25 +319,26 @@ class StreamPipeline:
         completed = self.analyzer.completed
         if analytics is None or len(completed) == analytics.jobs_scored:
             return
-        for jobid, result in completed.items():
-            if analytics.is_scored(jobid):
-                continue
-            job = self._jobs.get(jobid) if self._jobs is not None else None
-            score, anomalies = analytics.score_job(
-                jobid,
-                result.metrics,
-                user=job.user if job is not None else "?",
-                app=job.spec.name if job is not None else "?",
-                now=now,
-            )
-            for a in anomalies:
-                self.alerts.route(
-                    FlagResult(a.rule, a.value, a.threshold, a.detail),
+        with obs.span("stream.analytics"):
+            for jobid, result in completed.items():
+                if analytics.is_scored(jobid):
+                    continue
+                job = self._jobs.get(jobid) if self._jobs is not None else None
+                score, anomalies = analytics.score_job(
                     jobid,
-                    fired_at=now,
-                    data_time=now,
-                    trace_id=trace_id,
+                    result.metrics,
+                    user=job.user if job is not None else "?",
+                    app=job.spec.name if job is not None else "?",
+                    now=now,
                 )
+                for a in anomalies:
+                    self.alerts.route(
+                        FlagResult(a.rule, a.value, a.threshold, a.detail),
+                        jobid,
+                        fired_at=now,
+                        data_time=now,
+                        trace_id=trace_id,
+                    )
 
     # -- end of run ---------------------------------------------------------
     def finalize(self) -> Dict[str, "object"]:

@@ -13,15 +13,26 @@ completed bucket is flushed as one point of the rollup metric
 ``<metric>.<aggregate><interval>s`` (e.g. ``stats.avg3600s``).  Pruning
 runs off the *data* clock — the max timestamp written — so behaviour is
 deterministic under the sim clock and needs no background thread.
+
+The unit of work is the **row**: the live feed writes one host sample
+as one ``(1, K)`` block across a :class:`~repro.tsdb.store.SeriesGroup`
+of its K series, each tier keeps its K open buckets as three aligned
+arrays, and a row folds into them with one array operation per tier.
+When the buckets of a group roll over together — the normal case, all
+K series share the sample's timestamp — they flush as one row of the
+rollup metric's own group.  A single series is the K = 1 case of the
+same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro import obs
-from repro.tsdb.store import TimeSeriesDB, _tagkey
+from repro.tsdb.store import SeriesGroup, TagKey, TimeSeriesDB, _tagkey
 
 __all__ = ["RetentionTier", "RetentionPolicy", "RetainingWriter"]
 
@@ -61,32 +72,59 @@ class RetentionPolicy:
     prune_interval: int = 3600
 
 
-@dataclass
-class _Bucket:
-    start: int
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
+#: what an empty bucket's accumulator holds, per aggregate
+_EMPTY = {
+    "avg": 0.0, "sum": 0.0, "max": float("-inf"), "min": float("inf"),
+}
 
-    def fold(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
 
-    def value(self, aggregate: str) -> float:
-        if aggregate == "avg":
-            return self.total / max(1, self.count)
-        if aggregate == "sum":
-            return self.total
-        if aggregate == "max":
-            return self.maximum
-        return self.minimum
+class _TierState:
+    """One tier's open buckets for one group: a column per series.
+
+    ``acc`` is the running sum for ``avg``/``sum`` tiers and the
+    running extreme for ``min``/``max`` tiers.  ``start`` and ``count``
+    are per column, not per group, because a bucket can move between
+    groups while it is open (see :meth:`RetainingWriter._claim`): the
+    columns of one group then roll over at different times.
+    """
+
+    __slots__ = ("start", "count", "acc", "empty")
+
+    def __init__(self, k: int, aggregate: str) -> None:
+        self.empty = _EMPTY[aggregate]
+        self.start = np.zeros(k, dtype=np.int64)
+        self.count = np.zeros(k, dtype=np.int64)
+        self.acc = np.full(k, self.empty)
+
+
+class _GroupState:
+    """Everything the writer keeps for one group it has written."""
+
+    __slots__ = ("tiers", "rollups", "owned")
+
+    def __init__(self, group: SeriesGroup, policy: RetentionPolicy) -> None:
+        self.tiers = [
+            _TierState(len(group), tier.aggregate) for tier in policy.tiers
+        ]
+        #: per tier, the rollup metric's group (made at the first flush)
+        self.rollups: List[Optional[SeriesGroup]] = [None] * len(self.tiers)
+        #: columns whose open buckets live here (the rest moved on)
+        self.owned = 0
 
 
 class RetainingWriter:
-    """Write-through TSDB writer applying a :class:`RetentionPolicy`."""
+    """Write-through TSDB writer applying a :class:`RetentionPolicy`.
+
+    :meth:`put_many` is the write entry point, in the two shapes of
+    :meth:`~repro.tsdb.store.TimeSeriesDB.put_many`.  The order of work
+    inside one call is fixed: the whole block goes to the store, then
+    every row is folded into the tiers in arrival order (flushing the
+    buckets it closes), and only then does the prune check run — **once
+    per call, after all rows of all series are written**.  A late point
+    older than ``raw_horizon`` is therefore gone as soon as the call
+    that carried it returns whenever a pruning pass is due, whichever
+    series of the block it sits in.
+    """
 
     def __init__(
         self,
@@ -95,9 +133,11 @@ class RetainingWriter:
     ) -> None:
         self.tsdb = tsdb
         self.policy = policy or RetentionPolicy()
-        #: (tier index, metric, tagkey) → open bucket
-        self._open: Dict[Tuple[int, str, tuple], _Bucket] = {}
-        self._tags: Dict[Tuple[int, str, tuple], Dict[str, str]] = {}
+        self._states: Dict[SeriesGroup, _GroupState] = {}
+        #: series key → (group, column) holding its open buckets
+        self._owner: Dict[Tuple[str, TagKey], Tuple[SeriesGroup, int]] = {}
+        #: one-series groups, for callers that write by tag mapping
+        self._singles: Dict[Tuple[str, TagKey], SeriesGroup] = {}
         self._max_ts: Optional[int] = None
         self._last_prune: Optional[int] = None
         self.pruned = 0
@@ -107,80 +147,149 @@ class RetainingWriter:
         self, metric: str, tags: Mapping[str, str], ts: int, value: float
     ) -> None:
         """One raw point: write through, fold into tiers, maybe prune."""
-        self.tsdb.put(metric, tags, ts, value)
-        self._fold(metric, tags, _tagkey(tags), int(ts), float(value))
-        self._maybe_prune()
+        self.put_many(metric, tags, (ts,), (value,))
 
     def put_many(
         self,
         metric: str,
-        tags: Mapping[str, str],
+        tags: Union[Mapping[str, str], SeriesGroup],
         times: Sequence[int],
         values: Sequence[float],
     ) -> int:
-        """Batched raw points for one series: one write-through call.
+        """Batched raw points: one write-through call.
 
-        The raw columns go to the store via
-        :meth:`~repro.tsdb.store.TimeSeriesDB.put_many` (one series
-        lookup, one epoch bump); tier folding stays per-point in
-        arrival order so bucket flush behaviour is identical to a
-        sequence of :meth:`put` calls.  The prune check runs once for
-        the whole batch.  Returns points written.
+        ``tags`` is one series' tag mapping with aligned ``(n,)``
+        columns, or a :class:`~repro.tsdb.store.SeriesGroup` of this
+        writer's store with an ``(n, K)`` block of rows.  Rows fold
+        into the tiers one at a time in arrival order, so every series
+        sees the same sequence of bucket folds and flushes as if its
+        points had been :meth:`put` one by one.  Returns points
+        written.
         """
-        n = self.tsdb.put_many(metric, tags, times, values)
+        t = np.asarray(times, dtype=np.int64)
+        v = np.asarray(values, dtype=np.float64)
+        if isinstance(tags, SeriesGroup):
+            group = tags
+        else:
+            key = (metric, _tagkey(tags))
+            group = self._singles.get(key)
+            if group is None:
+                group = self._singles[key] = self.tsdb.group(metric, [tags])
+            if v.ndim == 1:
+                v = v[:, None]
+        n = self.tsdb.put_many(metric, group, t, v)
         if not n:
             return 0
-        key_tags = _tagkey(tags)
-        for ts, value in zip(times, values):
-            self._fold(metric, tags, key_tags, int(ts), float(value))
+        state = self._states.get(group)
+        if state is None or state.owned < len(group):
+            state = self._claim(group, state)
+        for ts, row in zip(t.tolist(), v):
+            self._fold_row(group, state, ts, row)
+        last = int(t.max())
+        if self._max_ts is None or last > self._max_ts:
+            self._max_ts = last
         self._maybe_prune()
         return n
 
-    def _fold(
-        self,
-        metric: str,
-        tags: Mapping[str, str],
-        key_tags: tuple,
-        ts: int,
-        value: float,
-    ) -> None:
-        """Fold one point into every tier's open bucket."""
-        for i, tier in enumerate(self.policy.tiers):
-            start = (ts // tier.interval) * tier.interval
-            key = (i, metric, key_tags)
-            bucket = self._open.get(key)
-            if bucket is None:
-                self._open[key] = _Bucket(start=start)
-                self._tags[key] = dict(tags)
-            elif bucket.start != start:
-                self._flush_bucket(key, tier)
-                self._open[key] = _Bucket(start=start)
-            self._open[key].fold(value)
-        if self._max_ts is None or ts > self._max_ts:
-            self._max_ts = ts
+    def _claim(
+        self, group: SeriesGroup, state: Optional[_GroupState]
+    ) -> _GroupState:
+        """Make ``group`` the holder of all its series' open buckets.
 
-    def _flush_bucket(self, key: Tuple[int, str, tuple], tier: RetentionTier) -> None:
-        bucket = self._open.pop(key)
-        _, metric, _ = key
-        self.tsdb.put(
-            tier.rollup_metric(metric),
-            self._tags[key],
-            bucket.start,
-            bucket.value(tier.aggregate),
-        )
-        self.rollup_points += 1
+        Two groups may share series — a host whose device set or schema
+        changed mid-stream writes through a new group, a caller may mix
+        one-series and row writes — and a series' open bucket must
+        carry on across the switch.  So each series has one owner, and
+        a group about to fold takes over the columns another group
+        still holds.
+        """
+        if state is None:
+            state = self._states[group] = _GroupState(group, self.policy)
+        for j, key in enumerate(group.keys):
+            other, jo = self._owner.get(key, (group, j))
+            if other is not group:
+                theirs = self._states[other]
+                for mine, old in zip(state.tiers, theirs.tiers):
+                    mine.start[j] = old.start[jo]
+                    mine.count[j] = old.count[jo]
+                    mine.acc[j] = old.acc[jo]
+                    old.count[jo] = 0
+                theirs.owned -= 1
+                if not theirs.owned:
+                    del self._states[other]
+            self._owner[key] = (group, j)
+        state.owned = len(group)
+        return state
+
+    def _fold_row(
+        self, group: SeriesGroup, state: _GroupState, ts: int,
+        row: np.ndarray,
+    ) -> None:
+        """Fold one row into every tier's open buckets."""
+        for i, tier in enumerate(self.policy.tiers):
+            st = state.tiers[i]
+            start = (ts // tier.interval) * tier.interval
+            moved = st.start != start
+            if moved.any():
+                self._flush_columns(group, state, i, moved & (st.count > 0))
+                st.start[moved] = start
+            st.count += 1
+            # a scalar min()/max() fold keeps the incumbent unless the
+            # newcomer compares strictly beyond it, so a NaN never
+            # replaces a value (np.minimum/np.maximum would let it)
+            if tier.aggregate == "max":
+                np.copyto(st.acc, row, where=row > st.acc)
+            elif tier.aggregate == "min":
+                np.copyto(st.acc, row, where=row < st.acc)
+            else:
+                # elementwise in arrival order: the same float sequence
+                # per series as a scalar running total
+                st.acc += row
+
+    def _flush_columns(
+        self, group: SeriesGroup, state: _GroupState, i: int,
+        mask: np.ndarray,
+    ) -> int:
+        """Write the open buckets under ``mask`` as rollup points."""
+        cols = np.flatnonzero(mask)
+        if not len(cols):
+            return 0
+        tier, st = self.policy.tiers[i], state.tiers[i]
+        values = st.acc[cols]
+        if tier.aggregate == "avg":
+            values = values / st.count[cols]
+        starts = st.start[cols]
+        rollup = state.rollups[i]
+        if rollup is None:
+            rollup = state.rollups[i] = self.tsdb.group(
+                tier.rollup_metric(group.metric), group.tag_sets
+            )
+        if len(cols) == len(group) and (starts == starts[0]).all():
+            self.tsdb.put_many(
+                rollup.metric, rollup, starts[:1], values[None, :]
+            )
+        else:
+            # buckets that moved between groups roll over on their own
+            for j, ts, x in zip(cols.tolist(), starts.tolist(),
+                                values.tolist()):
+                self.tsdb.put_many(
+                    rollup.metric, rollup.tag_sets[j], (ts,), (x,)
+                )
+        st.count[cols] = 0
+        st.acc[cols] = st.empty
+        self.rollup_points += len(cols)
         obs.counter(
             "repro_stream_rollup_points_total",
             "downsampled rollup points flushed into the live TSDB",
-        ).inc()
+        ).inc(len(cols))
+        return len(cols)
 
     def flush(self) -> int:
         """Flush every open bucket (end of run); returns points written."""
         n = 0
-        for key in sorted(self._open):
-            self._flush_bucket(key, self.policy.tiers[key[0]])
-            n += 1
-        self._tags.clear()
+        for group, state in list(self._states.items()):
+            for i, st in enumerate(state.tiers):
+                n += self._flush_columns(group, state, i, st.count > 0)
         return n
 
     def _maybe_prune(self) -> None:

@@ -14,7 +14,8 @@ This package implements exactly that data model:
   a chunked columnar engine (:mod:`repro.tsdb.chunks`): compressed
   immutable chunks behind a small mutable head, a per-metric series
   index, time-range pushdown, batched :meth:`TimeSeriesDB.put_many`
-  writes and an epoch-invalidated LRU query-result cache
+  writes (one series' column, or rows across a :class:`SeriesGroup`)
+  and an epoch-invalidated LRU query-result cache
   (:mod:`repro.tsdb.cache`).  The displaced growable-list engine
   survives as :class:`repro.tsdb.baseline.ListBackedTSDB`, the golden
   reference the equivalence suite and benchmarks compare against.
@@ -37,10 +38,11 @@ from repro.tsdb.query import (
     correlate,
     window_stats,
 )
-from repro.tsdb.store import TimeSeriesDB, ingest_store
+from repro.tsdb.store import SeriesGroup, TimeSeriesDB, ingest_store
 
 __all__ = [
     "TimeSeriesDB",
+    "SeriesGroup",
     "ingest_store",
     "ResultSeries",
     "QueryResult",

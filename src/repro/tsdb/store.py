@@ -16,7 +16,9 @@ retained reference implementation) — but
 * :meth:`TimeSeriesDB.prune` drops expired sealed chunks by comparing
   ``t_max`` against the horizon, decoding only the one chunk that
   straddles it, and
-* :meth:`TimeSeriesDB.put_many` appends whole columns in one call.
+* :meth:`TimeSeriesDB.put_many` appends whole columns in one call —
+  one series' ``(n,)`` column, or an ``(n, K)`` block of rows across a
+  :class:`SeriesGroup` (the live feed writes one row per host sample).
 
 Every write bumps the store's ``epoch``, which is what lets the
 query-result cache (:mod:`repro.tsdb.cache`) invalidate precisely.
@@ -29,7 +31,9 @@ from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -444,6 +448,45 @@ class _Series:
         return sum(c.count for c in self.chunks) + len(self._head_t)
 
 
+class SeriesGroup:
+    """K series of one metric that are written together, a row at a time.
+
+    A handle from :meth:`TimeSeriesDB.group`: it carries the K tag sets
+    and their precomputed series keys, and caches the store's series
+    objects between writes.  The cache is tagged with the store's
+    series *generation*, which moves whenever :meth:`TimeSeriesDB.prune`
+    deletes an emptied series, so a handle that outlives its series
+    re-registers them on its next write instead of appending to a
+    detached object.  Column ``j`` of a written block belongs to
+    ``tag_sets[j]``.
+    """
+
+    __slots__ = ("tsdb", "metric", "tag_sets", "keys", "_members",
+                 "_generation")
+
+    def __init__(
+        self,
+        tsdb: "TimeSeriesDB",
+        metric: str,
+        tag_sets: Sequence[Mapping[str, str]],
+    ) -> None:
+        self.tsdb = tsdb
+        self.metric = metric
+        self.tag_sets: Tuple[Dict[str, str], ...] = tuple(
+            dict(tags) for tags in tag_sets
+        )
+        self.keys: Tuple[Tuple[str, TagKey], ...] = tuple(
+            (metric, _tagkey(tags)) for tags in self.tag_sets
+        )
+        if len(set(self.keys)) != len(self.keys):
+            raise ValueError("a series group cannot list a series twice")
+        self._members: List[_Series] = []
+        self._generation = -1  # never resolved
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
 class TimeSeriesDB:
     """An in-memory tag-indexed TSDB over chunked columnar series."""
 
@@ -471,6 +514,9 @@ class TimeSeriesDB:
         self.chunk_size = int(chunk_size)
         #: bumped on every mutation; the query cache keys on it
         self.epoch = 0
+        #: bumped whenever a series is deleted; a :class:`SeriesGroup`
+        #: resolved under an older generation looks its series up again
+        self._generation = 0
         #: LRU query-result cache consulted by :func:`repro.tsdb.query`
         #: (pass ``cache=None`` to disable)
         self.cache = QueryCache() if cache is ... else cache
@@ -506,15 +552,30 @@ class TimeSeriesDB:
         key = (metric, _tagkey(tags))
         s = self._series.get(key)
         if s is None:
-            s = self._series[key] = self.series_cls(
-                metric=metric, tags=dict(tags), chunk_size=self.chunk_size
-            )
-            if isinstance(s, _Series):
-                s.buffer_cache = self.buffer_cache
-            self._by_metric[metric].add(key)
-            for k, v in s.tags.items():
-                self._index[k][str(v)].add(key)
+            s = self._new_series(key, tags)
         return s
+
+    def _new_series(
+        self, key: Tuple[str, TagKey], tags: Mapping[str, str]
+    ) -> _Series:
+        """Create and index the series ``key`` (write lock held)."""
+        s = self._series[key] = self.series_cls(
+            metric=key[0], tags=dict(tags), chunk_size=self.chunk_size
+        )
+        if isinstance(s, _Series):
+            s.buffer_cache = self.buffer_cache
+        self._by_metric[key[0]].add(key)
+        for k, v in s.tags.items():
+            self._index[k][str(v)].add(key)
+        return s
+
+    def group(
+        self, metric: str, tag_sets: Sequence[Mapping[str, str]]
+    ) -> SeriesGroup:
+        """A write handle on K series of ``metric`` (see
+        :class:`SeriesGroup`).  Nothing is created until the first
+        :meth:`put_many` through it."""
+        return SeriesGroup(self, metric, tag_sets)
 
     def put(
         self, metric: str, tags: Mapping[str, str], ts: int, value: float
@@ -527,15 +588,24 @@ class TimeSeriesDB:
     def put_many(
         self,
         metric: str,
-        tags: Mapping[str, str],
+        tags: Union[Mapping[str, str], SeriesGroup],
         times: Sequence[int],
         values: Sequence[float],
     ) -> int:
-        """Batched insert of aligned time/value columns into one series.
+        """Batched insert: a column into one series, or rows into a group.
 
-        One key computation, one index lookup and one epoch bump for
-        the whole batch; returns points inserted.
+        With a tag mapping, ``times`` and ``values`` are aligned
+        ``(n,)`` columns of that one series.  With a
+        :class:`SeriesGroup` from :meth:`group`, ``values`` is an
+        ``(n, K)`` block — row ``i`` holds the K series' values at
+        ``times[i]`` — and the result is exactly what K one-series
+        calls with ``values[:, j]`` would leave.  Either way: one
+        write-lock acquisition and one epoch bump for the whole batch;
+        a shape or metric mismatch raises ``ValueError`` before
+        anything is written.  Returns points inserted.
         """
+        if isinstance(tags, SeriesGroup):
+            return self._put_rows(metric, tags, times, values)
         if len(times) == 0:
             return 0
         with self.write_locked():
@@ -545,6 +615,45 @@ class TimeSeriesDB:
             if n:
                 self.epoch += 1
         return n
+
+    def _put_rows(
+        self, metric: str, group: SeriesGroup, times, values
+    ) -> int:
+        t = np.asarray(times, dtype=np.int64)
+        v = np.asarray(values, dtype=np.float64)
+        if group.tsdb is not self:
+            raise ValueError("series group belongs to another store")
+        if group.metric != metric:
+            raise ValueError(
+                f"series group of {group.metric!r} written as {metric!r}"
+            )
+        if t.ndim != 1 or v.shape != (len(t), len(group)):
+            raise ValueError(
+                f"group rows must be ({len(t)}, {len(group)}) values for "
+                f"({len(t)},) times, got {v.shape} for {t.shape}"
+            )
+        if v.size == 0:
+            return 0
+        with self.write_locked():
+            if group._generation != self._generation:
+                group._members = [
+                    self._series[key] if key in self._series
+                    else self._new_series(key, tags)
+                    for key, tags in zip(group.keys, group.tag_sets)
+                ]
+                group._generation = self._generation
+            if len(t) == 1:
+                ts = int(t[0])
+                for s, x in zip(group._members, v[0].tolist()):
+                    s.add(ts, x)
+            else:
+                # (series × rows): each series' column is contiguous
+                for s, column in zip(
+                    group._members, np.ascontiguousarray(v.T)
+                ):
+                    s.extend(t, column)
+            self.epoch += 1
+        return v.size
 
     def prune(self, before: int, metric: Optional[str] = None) -> int:
         """Drop points older than ``before`` (optionally one metric).
@@ -569,6 +678,7 @@ class TimeSeriesDB:
             dropped += s.prune(before)
             if not len(s):
                 del self._series[key]
+                self._generation += 1
                 self._by_metric[key[0]].discard(key)
                 if not self._by_metric[key[0]]:
                     del self._by_metric[key[0]]

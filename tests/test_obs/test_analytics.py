@@ -8,8 +8,11 @@ and test-before-observe anomaly detection.
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.obs import analytics as analytics_module
 from repro.obs.analytics import (
     ANALYTICS_METRICS,
     Anomaly,
@@ -167,18 +170,134 @@ def test_low_efficiency_anomaly_fires_low_side(analytics):
 
 
 def test_observe_batch_groups_devices_into_feeds(analytics):
-    batch = {
-        ("cpu", "0", "user"): ([0, 10], [1.0, 2.0]),
-        ("cpu", "1", "user"): ([0, 10], [3.0, 4.0]),
-        ("mem", "-", "MemUsed"): ([0], [7.0]),
-    }
-    analytics.observe_batch(batch, now=10)
+    blocks = [
+        # two samples of a host with two cpu devices, one column each
+        ((("cpu", "user"), ("cpu", "user")),
+         np.array([[1.0, 3.0], [2.0, 4.0]])),
+        ((("mem", "MemUsed"),), np.array([[7.0]])),
+    ]
+    analytics.observe_batch(blocks, now=10)
     cpu = analytics.feed_view("cpu", "user")
     assert cpu.count == 4  # both devices, one feed
     assert analytics.feed_view("mem", "MemUsed").count == 1
     assert analytics.feed_view("nope", "x") is None
     sk = analytics.registry.sketch("repro_stream_feed_sketch")
     assert sk.count(type="cpu", event="user") == 4
+
+
+# two layouts sharing the ("cpu", "user") feed; the first has two cpu devices
+LAYOUTS = (
+    (("cpu", "user"), ("cpu", "idle"), ("cpu", "user"), ("mem", "MemUsed")),
+    (("cpu", "user"), ("net", "rx")),
+)
+
+
+def reference_feeds(deliveries, windows):
+    """What the staged fold must equal: every block folded into its
+    feeds' tiers the moment it arrives."""
+    feeds = {}
+    for layout, rows, now in deliveries:
+        for j, key in enumerate(LAYOUTS[layout]):
+            ts = feeds.get(key)
+            if ts is None:
+                ts = feeds[key] = TieredSketch(windows)
+            ts.observe_many([row[j] for row in rows], now)
+    return feeds
+
+
+value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0, 250.0, 1e9]),
+)
+
+
+@st.composite
+def deliveries_strategy(draw):
+    out, now = [], draw(st.integers(0, 500))
+    for _ in range(draw(st.integers(1, 25))):
+        # mostly forwards, across pane and window boundaries, with the
+        # odd gap of several windows and the odd step back
+        now = max(0, now + draw(st.sampled_from(
+            [0, 7, 7, 40, 40, 100, 130, 450, 1000, 2600, -35, -300])))
+        layout = draw(st.integers(0, len(LAYOUTS) - 1))
+        rows = draw(st.lists(
+            st.lists(value, min_size=len(LAYOUTS[layout]),
+                     max_size=len(LAYOUTS[layout])),
+            min_size=1, max_size=4))
+        out.append((layout, rows, now))
+    return out
+
+
+# summing 1e308-sized values overflows, in the staged fold as on arrival
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(deliveries_strategy(), st.sampled_from([1 << 17, 24, 7]),
+       st.sampled_from([(100, 1000), (100,), (1000, 100, 100)]))
+def test_staged_fold_equals_folding_every_block_on_arrival(
+    deliveries, limit, windows
+):
+    """Staging across pane rotations, buffer-full folds mid-stream and
+    blocks larger than the buffer change nothing: every tier of every
+    feed ends as if each block had been folded when it arrived."""
+    saved = analytics_module.FEED_FLUSH_LIMIT
+    analytics_module.FEED_FLUSH_LIMIT = limit
+    try:
+        a = FleetAnalytics(registry=MetricRegistry(), windows=windows)
+        for layout, rows, now in deliveries:
+            a.observe_batch([(LAYOUTS[layout], np.array(rows))], now)
+        a.flush_feeds()
+    finally:
+        analytics_module.FEED_FLUSH_LIMIT = saved
+    want = reference_feeds(deliveries, windows)
+    assert set(a.feeds) == set(want)
+    mirror = a.registry.sketch("repro_stream_feed_sketch")
+    for key, ref in want.items():
+        got = a.feeds[key]
+        assert got.all.dist_state() == ref.all.dist_state(), key
+        for w in ref.windows:
+            assert got._panes[w][0] == ref._panes[w][0], (key, w)
+            for pane in (1, 2):
+                assert got._panes[w][pane].dist_state() == \
+                    ref._panes[w][pane].dist_state(), (key, w, pane)
+        assert mirror.get_sketch(type=key[0], event=key[1]).dist_state() \
+            == ref.all.dist_state()
+
+
+def test_observe_batch_copies_the_rows_it_stages(analytics):
+    block = np.array([[1.0, 2.0]])
+    feeds = (("cpu", "user"), ("cpu", "idle"))
+    analytics.observe_batch([(feeds, block)], now=0)
+    block[:] = 1e9  # the caller reuses its buffer
+    assert analytics.feed_view("cpu", "user").max == 1.0
+    with pytest.raises(ValueError, match="feed columns"):
+        analytics.observe_batch([(feeds, np.array([[1.0, 2.0, 3.0]]))], 0)
+    with pytest.raises(ValueError, match="feed columns"):
+        analytics.observe_batch([(feeds, np.array([1.0, 2.0]))], 0)
+    analytics.observe_batch([(feeds, np.empty((0, 2)))], now=0)  # no rows
+    assert analytics.feed_view("cpu", "idle").count == 1
+
+
+def test_reading_the_mirror_sketch_folds_what_is_staged(analytics):
+    feeds = (("cpu", "user"),)
+    analytics.observe_batch([(feeds, np.array([[1.0], [2.0]]))], now=0)
+    assert not analytics.feeds  # staged, not folded
+    mirror = analytics.registry.sketch("repro_stream_feed_sketch")
+    assert mirror.count(type="cpu", event="user") == 2
+    analytics.observe_batch([(feeds, np.array([[3.0]]))], now=10_000)
+    assert "repro_stream_feed_sketch_count" in analytics.registry.render_text()
+    assert [sk.count for _, sk in mirror.samples()] == [3]
+    assert analytics.feeds[("cpu", "user")].view(3600).count == 1
+
+
+def test_disabled_registry_keeps_the_tiers_and_skips_the_mirror():
+    registry = MetricRegistry()
+    a = FleetAnalytics(registry=registry)
+    registry.enabled = False
+    a.observe_batch([((("cpu", "user"),), np.array([[3.0]]))], now=0)
+    assert a.feed_view("cpu", "user").count == 1
+    registry.enabled = True
+    assert registry.sketch("repro_stream_feed_sketch").count(
+        type="cpu", event="user") == 0
 
 
 def test_summary_shape(analytics):

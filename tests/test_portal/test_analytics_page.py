@@ -3,6 +3,7 @@
 import json
 import types
 
+import numpy as np
 import pytest
 
 from repro.obs.analytics import FleetAnalytics
@@ -18,7 +19,7 @@ def analytics():
     a = FleetAnalytics(registry=MetricRegistry(), min_jobs=4)
     a.score_job("j1", GOOD, user="alice", app="wrf")
     a.score_job("j2", dict(GOOD, idle=0.1), user="bob", app="idlebench")
-    a.observe_batch({("cpu", "0", "user"): ([0], [1.0])}, now=0)
+    a.observe_batch([((("cpu", "user"),), np.array([[1.0]]))], now=0)
     return a
 
 

@@ -55,16 +55,21 @@ def soak_run():
     sess = monitoring_session(nodes=6, seed=23, largemem_nodes=1)
     obs.set_clock(sess.cluster.clock.now)
 
-    # an extra tap on the stats exchange records every delivery's
-    # headers, independently of what the pipeline consumes
+    # an extra tap on the stats exchange records every delivery —
+    # headers, and (body, delivery time) for replays into an oracle —
+    # independently of what the pipeline consumes
     probe_headers = []
+    probe_deliveries = []
+
+    def probe(ch, d):
+        probe_headers.append(dict(d.message.headers))
+        probe_deliveries.append(
+            (str(d.message.headers["host"]), d.message.body, d.delivered_at)
+        )
+
     sess.broker.declare_queue("stats_probe")
     sess.broker.bind("stats_probe", EXCHANGE, "stats.#")
-    sess.broker.channel().basic_consume(
-        "stats_probe",
-        lambda ch, d: probe_headers.append(dict(d.message.headers)),
-        auto_ack=True,
-    )
+    sess.broker.channel().basic_consume("stats_probe", probe, auto_ack=True)
 
     stream = StreamPipeline(
         sess.broker, jobs=sess.cluster.jobs, types=["mdc"]
@@ -105,6 +110,7 @@ def soak_run():
         ledger_before_finalize=ledger_before_finalize,
         spans=spans,
         headers=probe_headers,
+        deliveries=probe_deliveries,
         metrics=metrics,
         result=result,
         batch_flags=batch_flags,

@@ -11,6 +11,7 @@ statistics.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.rawfile import RawFileParser
@@ -33,7 +34,7 @@ def soak_feeds(soak_run):
         parser = RawFileParser()
         with open(store.path_for(host)) as fh:
             for sample in parser.parse(fh):
-                batch = {}
+                feeds, row = [], []
                 for tname, devices in sample.data.items():
                     schema = parser.schemas.get(tname)
                     if schema is None:
@@ -41,15 +42,15 @@ def soak_feeds(soak_run):
                     names = schema.names()
                     for dev, values in devices.items():
                         for ev, v in zip(names, values):
-                            key = (tname, dev, ev)
-                            ts, vs = batch.setdefault(key, ([], []))
-                            ts.append(sample.timestamp)
-                            vs.append(float(v))
+                            feeds.append((tname, ev))
+                            row.append(float(v))
                             exact.setdefault((tname, ev), []).append(
                                 float(v)
                             )
                             total += 1
-                analytics.observe_batch(batch, now=sample.timestamp)
+                analytics.observe_batch(
+                    [(feeds, np.array([row]))], now=sample.timestamp
+                )
     analytics.flush_feeds()
     return SimpleNamespace(analytics=analytics, exact=exact, total=total)
 
