@@ -27,7 +27,6 @@ from repro.broker import Broker
 from repro.cluster import JobSpec, make_app
 from repro.core.overhead import predicted_overhead
 from repro.metrics.kernels import arc, max_rate, ratio_of_sums
-from repro.pipeline import accumulate, map_jobs
 
 
 # ---------------------------------------------------------------- A1 / A2 / A4

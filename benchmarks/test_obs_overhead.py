@@ -14,7 +14,7 @@ import time
 from benchmarks._support import report
 from repro import obs
 from repro.db import Database
-from repro.pipeline.ingest import ingest_jobs
+from repro.pipeline import ingest_jobs
 from tests.test_pipeline.test_parallel import build_store
 
 ROUNDS = 7
@@ -44,7 +44,7 @@ def test_obs_overhead_within_budget(tmp_path):
         baseline, instrumented = min(off), min(on)
         ratio = instrumented / baseline
         report(
-            "obs overhead gate (serial ingest, best of %d)" % ROUNDS,
+            "obs overhead gate (in-process ingest, best of %d)" % ROUNDS,
             [("disabled", f"{baseline * 1e3:.1f} ms", ""),
              ("enabled", f"{instrumented * 1e3:.1f} ms",
               f"{(ratio - 1) * 100:+.1f} %")],

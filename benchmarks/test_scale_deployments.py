@@ -11,12 +11,13 @@ far faster than wall-clock (a backend slower than real time cannot
 monitor anything).
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
-from benchmarks._support import once, report
+from benchmarks._support import git_commit, once, report
 from benchmarks.test_throughput import record_bench
 from repro import monitoring_session
 from repro.cluster import DEFAULT_MIX, WorkloadGenerator
@@ -25,7 +26,7 @@ from repro.core.rawfile import RawFileWriter
 from repro.core.store import CentralStore
 from repro.db import Database
 from repro.hardware.devices.base import Schema, SchemaEntry
-from repro.pipeline import parallel_ingest_jobs
+from repro.pipeline import ingest_jobs
 
 #: (name, nodes, architecture)
 DEPLOYMENTS = (
@@ -167,8 +168,7 @@ def test_scale_full_day_ingest(benchmark, tmp_path):
     db = Database()
 
     def full_day_pass():
-        return parallel_ingest_jobs(store, None, db, workers=4,
-                                    executor="thread", batch_size=200)
+        return ingest_jobs(store, None, db, batch_size=200)
 
     t0 = time.perf_counter()
     result = once(benchmark, full_day_pass)
@@ -184,6 +184,8 @@ def test_scale_full_day_ingest(benchmark, tmp_path):
         ("jobs ingested", f"{result.ingested:,}", ""),
     ], ["stage", "size/wall", "rate"])
     record_bench("full_day_1984_nodes", {
+        "cpu_count": os.cpu_count(),
+        "commit": git_commit(),
         "hosts": FLEET_NODES,
         "samples_per_host": DAY_SAMPLES,
         "jobs": n_jobs,
@@ -194,8 +196,7 @@ def test_scale_full_day_ingest(benchmark, tmp_path):
     assert result.ingested == n_jobs
     assert not result.errors
     # a second pass is a no-op: exactly-once at fleet scale
-    rerun = parallel_ingest_jobs(store, None, db, workers=4,
-                                 executor="thread")
+    rerun = ingest_jobs(store, None, db)
     assert rerun.ingested == 0
     assert rerun.skipped_existing == n_jobs
     # the daily cron window is hours; a day of data must take minutes

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks._support import once, report, standard_session
 from repro.metrics.table1 import METRIC_REGISTRY
-from repro.pipeline import accumulate, map_jobs
+from repro.pipeline import assemble_jobs, parse_blocks
 from repro.metrics import compute_metrics
 
 
@@ -20,14 +20,15 @@ def session():
 
 
 def test_table1_full_metric_set(benchmark, session):
-    jobdata, _ = map_jobs(session.store, session.cluster.jobs)
+    jobdata, _ = assemble_jobs(
+        parse_blocks(session.store), session.cluster.jobs)
     wrf_jd = next(
         jd for jd in jobdata.values()
         if jd.job and jd.job.executable == "wrf.exe"
     )
 
     def compute():
-        return compute_metrics(accumulate(wrf_jd))
+        return compute_metrics(wrf_jd.accumulate())
 
     metrics = once(benchmark, compute)
 

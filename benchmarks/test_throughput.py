@@ -21,20 +21,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks._support import once, report
+from benchmarks._support import git_commit, once, report
 from repro.core.collector import Sample
 from repro.core.rawfile import BlockParser, RawFileParser, RawFileWriter
 from repro.db import Database
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics import compute_metrics
-from repro.pipeline import ingest_jobs, parallel_ingest_jobs
+from repro.pipeline import ingest_jobs
 from repro.pipeline.records import JobRecord
 from repro.tsdb import TimeSeriesDB
 from repro.tsdb.query import query
 from tests.test_metrics.test_table1 import make_accum
+from tests.test_pipeline.reference import reference_ingest
 from tests.test_pipeline.test_parallel import build_store
 
-#: before/after numbers for the parallel-ingest work land here
+#: oracle-vs-ETL and fleet-day numbers land here
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_ingest.json"
 
 
@@ -123,7 +124,7 @@ def test_orm_bulk_insert_rate(benchmark):
 
 
 def test_block_parse_rate(benchmark):
-    """Columnar block parse of the same file the streaming parser eats."""
+    """Columnar block parse of the same file the per-sample parser eats."""
     text = _raw_text(200)
 
     def parse():
@@ -134,44 +135,44 @@ def test_block_parse_rate(benchmark):
 
 
 def test_parallel_ingest_speedup(benchmark, tmp_path):
-    """The ISSUE acceptance gate: ≥5× on the parse+metric hot path.
+    """The ETL's hot path against its own oracle: ≥5× on parse+metrics.
 
     One corpus (32 hosts × 100 samples, 8 four-node jobs), two full
-    store→database passes: the row-at-a-time pipeline vs
-    ``parallel_ingest_jobs --workers 4``.  Asserts the speedup and
-    byte-identical output, and records both sides in BENCH_ingest.json.
+    store→database passes: the frozen per-sample driver
+    (``tests/test_pipeline/reference.py``) vs ``ingest_jobs`` at its
+    defaults (in-process).  Asserts the speedup and byte-identical
+    output, and records both sides in BENCH_ingest.json.
     """
     store = build_store(tmp_path / "store", hosts=32, samples=100,
                         cpus=16, hosts_per_job=4)
 
     t0 = time.perf_counter()
     db_old = Database()
-    before = ingest_jobs(store, None, db_old)
-    serial_s = time.perf_counter() - t0
+    before = reference_ingest(store, None, db_old)
+    oracle_s = time.perf_counter() - t0
     assert before.ingested == 8
 
-    def parallel_pass():
+    def etl_pass():
         db = Database()
-        result = parallel_ingest_jobs(store, None, db, workers=4,
-                                      executor="thread")
-        return db, result
+        return db, ingest_jobs(store, None, db)
 
     t0 = time.perf_counter()
-    db_new, after = once(benchmark, parallel_pass)
-    parallel_s = time.perf_counter() - t0
+    db_new, after = once(benchmark, etl_pass)
+    etl_s = time.perf_counter() - t0
     assert after.ingested == before.ingested
     assert list(db_new.conn.iterdump()) == list(db_old.conn.iterdump())
 
-    speedup = serial_s / parallel_s
-    report("Parallel ingest speedup (32 hosts × 100 samples, 8 jobs)", [
-        ("row-at-a-time serial", f"{serial_s:.2f}s", "1.0x"),
-        ("parallel --workers 4", f"{parallel_s:.2f}s", f"{speedup:.1f}x"),
+    speedup = oracle_s / etl_s
+    report("Oracle vs ETL (32 hosts × 100 samples, 8 jobs)", [
+        ("frozen per-sample oracle", f"{oracle_s:.2f}s", "1.0x"),
+        ("ingest_jobs, workers=1", f"{etl_s:.2f}s", f"{speedup:.1f}x"),
     ], ["pipeline", "wall", "speedup"])
     record_bench("hot_path_32x100", {
         "corpus": "32 hosts x 100 samples, 8 four-node jobs",
         "cpu_count": os.cpu_count(),
-        "serial_row_at_a_time_s": round(serial_s, 3),
-        "parallel_workers4_thread_s": round(parallel_s, 3),
+        "commit": git_commit(),
+        "oracle_per_sample_s": round(oracle_s, 3),
+        "etl_workers1_s": round(etl_s, 3),
         "speedup": round(speedup, 2),
     })
     assert speedup >= 5.0, f"hot path only {speedup:.1f}x faster"

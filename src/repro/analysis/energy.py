@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.pipeline.jobmap import JobData
+from repro.pipeline.parallel import JobBlockData
 
 USER_HZ = 100.0
 COMPONENTS = ("pkg", "core", "dram")
@@ -87,15 +87,14 @@ def _rapl_deltas(samples) -> Dict[str, np.ndarray]:
     return out
 
 
-def energy_breakdown(jd: JobData) -> EnergyReport:
+def energy_breakdown(jd: JobBlockData) -> EnergyReport:
     """Compute the per-socket / per-process energy report for a job."""
     per_socket: Dict[Tuple[str, str], Dict[str, float]] = {}
     per_process: Dict[int, float] = defaultdict(float)
     unattributed = 0.0
     t_lo, t_hi = None, None
 
-    for host, samples in sorted(jd.hosts.items()):
-        samples = sorted(samples, key=lambda s: s.timestamp)
+    for host, samples in sorted(jd.host_samples().items()):
         if len(samples) < 2:
             continue
         t_lo = samples[0].timestamp if t_lo is None else min(t_lo, samples[0].timestamp)

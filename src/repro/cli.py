@@ -85,9 +85,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ))
     sess.cluster.run_for(args.hours * 3600)
     db = _open_db(args.db)
-    from repro.pipeline.parallel import parallel_ingest_jobs
+    from repro.pipeline import ingest_jobs
 
-    result = parallel_ingest_jobs(
+    result = ingest_jobs(
         sess.store, sess.cluster.jobs, db,
         workers=args.workers, batch_size=args.batch_size,
     )
@@ -153,7 +153,7 @@ def _cmd_ingest_sharded(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     from repro.core.store import CentralStore
-    from repro.pipeline.parallel import ShardedCheckpoint, parallel_ingest_jobs
+    from repro.pipeline import ShardedCheckpoint, ingest_jobs
 
     if args.shards:
         return _cmd_ingest_sharded(args)
@@ -168,10 +168,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         checkpoint = ShardedCheckpoint(
             args.checkpoint, shards=max(args.workers, 1)
         )
-    result = parallel_ingest_jobs(
+    result = ingest_jobs(
         store, None, db,
         workers=args.workers,
-        executor=args.executor,
         batch_size=args.batch_size,
         chunk_size=args.chunk_size,
         checkpoint=checkpoint,
@@ -306,7 +305,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
     """Simulate a monitored day and report the monitor's own telemetry."""
     from repro import obs
     from repro.core.overhead import measured_fleet_overhead, predicted_overhead
-    from repro.pipeline.parallel import parallel_ingest_jobs
+    from repro.pipeline import ingest_jobs
 
     obs.reset()
     sess = monitoring_session(
@@ -320,7 +319,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
             nodes=min(nodes, args.nodes),
         ))
     sess.cluster.run_for(args.hours * 3600)
-    result = parallel_ingest_jobs(
+    result = ingest_jobs(
         sess.store, sess.cluster.jobs, Database(), workers=args.workers
     )
     harvest = None
@@ -646,13 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated device types for the sharded "
                           "TSDB load (default: all)")
     ing.add_argument("--workers", type=int, default=1,
-                     help="parse worker count (1 = serial)")
+                     help="parse worker processes (1 = in-process)")
     ing.add_argument("--batch-size", type=int, default=200,
                      help="jobs per committed+checkpointed batch")
     ing.add_argument("--chunk-size", type=int, default=500,
                      help="rows per bulk-insert executemany chunk")
-    ing.add_argument("--executor", default="auto",
-                     choices=("auto", "serial", "thread", "process"))
     ing.add_argument("--checkpoint", default="",
                      help="directory for durable per-shard checkpoints")
     ing.set_defaults(fn=cmd_ingest)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.cluster import JobSpec, make_app
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.pipeline import accumulate, ingest_jobs, map_jobs
+from repro.pipeline import assemble_jobs, ingest_jobs, parse_blocks
 from repro.pipeline.records import JobRecord
 
 #: slack on the daemon loss bound: broker latency, event ordering and
@@ -238,14 +238,16 @@ def run_chaos(
             ))
 
     # 4. monotone, rollover-corrected series out of the daemon store
-    jobdata, _dropped = map_jobs(dsess.store, dsess.cluster.jobs)
+    jobdata, _dropped = assemble_jobs(
+        parse_blocks(dsess.store), dsess.cluster.jobs
+    )
     bad_axis, bad_delta = [], []
     for jid in sorted(jobdata):
         jd = jobdata[jid]
         if jd.job is not None and not jd.job.state.finished:
             continue
         try:
-            accum = accumulate(jd)
+            accum = jd.accumulate()
         except ValueError:
             continue  # short jobs are the drop path's business
         if np.any(np.diff(accum.times) <= 0):

@@ -14,53 +14,54 @@
 * Ratios are formed from averages (ratio-of-averages, not
   average-of-ratios).
 
-:func:`compute_metrics` evaluates the full Table I set (plus the
-energy extension metrics the contributions section mentions) on a
-:class:`~repro.pipeline.accum.JobAccum`; :func:`compute_metrics_batch`
-evaluates it on many jobs at once by stacking same-shaped jobs into
-``(jobs, nodes, windows)`` tensors — bit-identical results, one set of
-NumPy reductions per metric.  :mod:`repro.metrics.flags` implements
-the §V-A automatic job flags.
+Every metric has one formula, written over ``(jobs, nodes, windows)``
+tensors.  :func:`compute_metrics_batch` stacks same-shaped jobs and
+evaluates the full Table I set (plus the energy extension metrics the
+contributions section mentions) once per stack;
+:func:`compute_metrics` is the same evaluation on a stack of one
+:class:`~repro.pipeline.accum.JobAccum`, bit for bit.
+:mod:`repro.metrics.flags` implements the §V-A automatic job flags.
 
 Example
 -------
-The kernels operate on ``(nodes, windows)`` interval-delta arrays.
-One node advancing a counter by 100 in each of two 10-second windows
-averages 10 ops/s; the peak windowed rate over both nodes is 30 ops/s:
+The kernels operate on ``(..., nodes, windows)`` interval-delta
+arrays; leading axes are jobs.  One node advancing a counter by 100 in
+each of two 10-second windows averages 10 ops/s; the peak windowed
+rate over both nodes is 30 ops/s:
 
 >>> import numpy as np
 >>> from repro.metrics import arc, max_rate, ratio_of_sums
 >>> deltas = np.array([[100.0, 100.0],
 ...                    [200.0, 100.0]])
->>> arc(deltas[:1], elapsed=20.0)
+>>> float(arc(deltas[:1], elapsed=20.0))
 10.0
->>> max_rate(deltas, dt=np.array([10.0, 10.0]))
+>>> float(max_rate(deltas, dt=np.array([10.0, 10.0])))
 30.0
 
 Ratios divide totals, so elapsed-time factors cancel
 (ratio-of-averages, §IV-A):
 
->>> ratio_of_sums(np.array([30.0, 30.0]), np.array([40.0, 80.0]))
+>>> float(ratio_of_sums(np.array([[30.0, 30.0]]), np.array([[40.0, 80.0]])))
 0.5
+
+Two jobs at once — a leading axis in, one value per job out:
+
+>>> arc(np.stack([deltas, 2 * deltas]), elapsed=np.array([20.0, 20.0]))
+array([12.5, 25. ])
 """
 
 from repro.metrics.flags import FLAG_REGISTRY, FlagResult, evaluate_flags
 from repro.metrics.kernels import (
     arc,
-    arc_batch,
     gauge_max,
-    gauge_max_batch,
     max_rate,
-    max_rate_batch,
     node_balance_ratio,
-    node_balance_ratio_batch,
     ratio_of_sums,
-    ratio_of_sums_batch,
     time_balance_ratio,
-    time_balance_ratio_batch,
 )
 from repro.metrics.table1 import (
     METRIC_REGISTRY,
+    JobStack,
     MetricDef,
     compute_metrics,
     compute_metrics_batch,
@@ -69,17 +70,12 @@ from repro.metrics.table1 import (
 
 __all__ = [
     "arc",
-    "arc_batch",
     "max_rate",
-    "max_rate_batch",
     "ratio_of_sums",
-    "ratio_of_sums_batch",
     "gauge_max",
-    "gauge_max_batch",
     "node_balance_ratio",
-    "node_balance_ratio_batch",
     "time_balance_ratio",
-    "time_balance_ratio_batch",
+    "JobStack",
     "MetricDef",
     "METRIC_REGISTRY",
     "compute_metrics",

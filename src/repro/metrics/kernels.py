@@ -1,16 +1,17 @@
 """Vectorised metric primitives.
 
-All kernels take ``(N, T-1)`` per-node interval-delta arrays (or
-``(N, T)`` gauge arrays) and are pure NumPy — they are also reused by
-the batched population generator, where the same formulas run on
-``(jobs, T)`` arrays along the same axis conventions.
+Every kernel is written once over ``(..., N, T-1)`` per-node
+interval-delta arrays (``(..., N, T)`` for gauges): the last two axes
+are nodes and windows, any leading axes are jobs.  One job is the call
+with no leading axis — ``arc(deltas, 20.0)`` on an ``(N, T-1)`` array
+returns one number — and the ingest pipeline stacks same-shaped jobs
+into ``(J, N, T-1)`` and gets ``(J,)`` back.  Reductions run along the
+same axes in the same order whatever the leading shape, so job ``j``
+of a stack evaluates bit-for-bit like that job alone
+(``tests/test_metrics/test_properties.py``).
 
-Each kernel also has a ``*_batch`` variant operating on whole
-job×device arrays — ``(J, N, T-1)`` stacks of same-shaped jobs —
-returning one value per job.  The batch variants reduce along the same
-axes in the same order as the scalar kernels, so for every job ``j``
-``arc_batch(D, e)[j] == arc(D[j], e[j])`` bitwise; the batched ingest
-pipeline relies on that equivalence.
+Per-job scalars (``elapsed``) broadcast against the leading axes;
+``dt`` is ``(..., T-1)``.
 """
 
 from __future__ import annotations
@@ -20,140 +21,74 @@ import numpy as np
 EPS = 1e-300
 
 
-def arc(deltas: np.ndarray, elapsed: float) -> float:
+def safe_div(num: np.ndarray, den: np.ndarray, otherwise: float):
+    """``num / den`` where ``den > 0``, ``otherwise`` elsewhere."""
+    ok = den > 0
+    return np.where(ok, num / np.where(ok, den, 1.0), otherwise)[()]
+
+
+def arc(deltas: np.ndarray, elapsed) -> np.ndarray:
     """Average Rate of Change: per-node mean rate, averaged over nodes.
 
     For cumulative counters the per-node time-average rate is the sum
     of its interval deltas (= endpoint delta) over the elapsed time.
     """
-    if elapsed <= 0 or deltas.size == 0:
-        return 0.0
-    per_node = deltas.sum(axis=-1) / elapsed
-    return float(per_node.mean())
+    if deltas.size == 0:
+        return np.zeros(deltas.shape[:-2])[()]
+    elapsed = np.asarray(elapsed, dtype=np.float64)[..., None]
+    return safe_div(deltas.sum(axis=-1), elapsed, 0.0).mean(axis=-1)
 
 
-def max_rate(deltas: np.ndarray, dt: np.ndarray) -> float:
+def max_rate(deltas: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """Maximum metric: peak over intervals of the node-summed rate."""
     if deltas.size == 0:
-        return 0.0
-    summed = deltas.sum(axis=0)  # (T-1,)
-    rates = summed / np.maximum(dt, EPS)
-    return float(rates.max())
+        return np.zeros(deltas.shape[:-2])[()]
+    rates = deltas.sum(axis=-2) / np.maximum(dt, EPS)  # (..., T-1)
+    return rates.max(axis=-1)
 
 
-def ratio_of_sums(num: np.ndarray, den: np.ndarray) -> float:
+def total(x: np.ndarray) -> np.ndarray:
+    """Sum over nodes and windows, one value per job."""
+    return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def ratio_of_sums(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Ratio of totals — §IV-A: averages are computed before ratios.
 
     Both numerator and denominator are summed over nodes and time, so
     the elapsed-time factors cancel and the result is the
     ratio-of-averages the paper prescribes.
     """
-    d = float(np.sum(den))
-    if d <= 0:
-        return 0.0
-    return float(np.sum(num)) / d
+    return safe_div(total(num), total(den), 0.0)
 
 
-def gauge_max(gauge: np.ndarray) -> float:
+def gauge_max(gauge: np.ndarray) -> np.ndarray:
     """Max over nodes and snapshots of a gauge (e.g. MemUsage)."""
+    lead = gauge.shape[:-2]
     if gauge.size == 0:
-        return 0.0
-    return float(gauge.max())
+        return np.zeros(lead)[()]
+    return gauge.reshape(lead + (-1,)).max(axis=-1)
 
 
-def node_balance_ratio(per_node: np.ndarray) -> float:
+def node_balance_ratio(per_node: np.ndarray) -> np.ndarray:
     """min/max over nodes — the ``idle`` metric's work-imbalance ratio.
 
-    1.0 means perfectly balanced; ~0 means at least one node did
-    essentially nothing while another worked.
+    ``per_node`` is ``(..., N)``.  1.0 means perfectly balanced; ~0
+    means at least one node did essentially nothing while another
+    worked.
     """
     if per_node.size == 0:
-        return 1.0
-    hi = float(per_node.max())
-    if hi <= 0:
-        return 1.0
-    return float(per_node.min()) / hi
+        return np.ones(per_node.shape[:-1])[()]
+    return safe_div(per_node.min(axis=-1), per_node.max(axis=-1), 1.0)
 
 
-# -- batched variants: one value per job over (J, N, T-1) stacks --------------
-
-
-def arc_batch(deltas: np.ndarray, elapsed: np.ndarray) -> np.ndarray:
-    """:func:`arc` for a ``(J, N, T-1)`` stack; ``elapsed`` is ``(J,)``."""
-    J = deltas.shape[0]
-    if deltas.size == 0:
-        return np.zeros(J)
-    safe = np.where(elapsed > 0, elapsed, 1.0)
-    per_node = deltas.sum(axis=-1) / safe[:, None]
-    out = per_node.mean(axis=-1)
-    out[elapsed <= 0] = 0.0
-    return out
-
-
-def max_rate_batch(deltas: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """:func:`max_rate` for a ``(J, N, T-1)`` stack; ``dt`` is ``(J, T-1)``."""
-    J = deltas.shape[0]
-    if deltas.size == 0:
-        return np.zeros(J)
-    summed = deltas.sum(axis=1)  # (J, T-1)
-    rates = summed / np.maximum(dt, EPS)
-    return rates.max(axis=-1)
-
-
-def ratio_of_sums_batch(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """:func:`ratio_of_sums` per job over ``(J, ...)`` stacks."""
-    J = num.shape[0]
-    n = num.reshape(J, -1).sum(axis=-1)
-    d = den.reshape(J, -1).sum(axis=-1)
-    ok = d > 0
-    return np.where(ok, n / np.where(ok, d, 1.0), 0.0)
-
-
-def gauge_max_batch(gauge: np.ndarray) -> np.ndarray:
-    """:func:`gauge_max` per job over a ``(J, N, T)`` stack."""
-    J = gauge.shape[0]
-    if gauge.size == 0:
-        return np.zeros(J)
-    return gauge.reshape(J, -1).max(axis=-1)
-
-
-def node_balance_ratio_batch(per_node: np.ndarray) -> np.ndarray:
-    """:func:`node_balance_ratio` per job over a ``(J, N)`` stack."""
-    J = per_node.shape[0]
-    if per_node.size == 0:
-        return np.ones(J)
-    hi = per_node.max(axis=-1)
-    lo = per_node.min(axis=-1)
-    ok = hi > 0
-    return np.where(ok, lo / np.where(ok, hi, 1.0), 1.0)
-
-
-def time_balance_ratio_batch(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """:func:`time_balance_ratio` per job over ``(J, N, T-1)`` stacks."""
-    J = num.shape[0]
-    if num.size == 0:
-        return np.ones(J)
-    n = num.sum(axis=1)
-    d = np.maximum(den.sum(axis=1), EPS)
-    frac = n / d
-    hi = frac.max(axis=-1)
-    lo = frac.min(axis=-1)
-    ok = hi > 0
-    return np.where(ok, lo / np.where(ok, hi, 1.0), 1.0)
-
-
-def time_balance_ratio(num: np.ndarray, den: np.ndarray) -> float:
+def time_balance_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """min/max over time windows of a node-summed fraction (catastrophe).
 
-    ``num``/``den`` are (N, T-1) deltas (e.g. user vs total jiffies);
-    each window's value is the node-summed ratio.
+    ``num``/``den`` are ``(..., N, T-1)`` deltas (e.g. user vs total
+    jiffies); each window's value is the node-summed ratio.
     """
     if num.size == 0:
-        return 1.0
-    n = num.sum(axis=0)
-    d = np.maximum(den.sum(axis=0), EPS)
-    frac = n / d
-    hi = float(frac.max())
-    if hi <= 0:
-        return 1.0
-    return float(frac.min()) / hi
+        return np.ones(num.shape[:-2])[()]
+    frac = num.sum(axis=-2) / np.maximum(den.sum(axis=-2), EPS)
+    return safe_div(frac.min(axis=-1), frac.max(axis=-1), 1.0)

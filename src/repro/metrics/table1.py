@@ -1,7 +1,9 @@
 """Table I: the metric set computed for every job.
 
-Every metric is a named, documented function of a
-:class:`~repro.pipeline.accum.JobAccum`.  Units follow the portal's
+Every metric is a named, documented formula over a :class:`JobStack`
+— same-shaped :class:`~repro.pipeline.accum.JobAccum` jobs on a
+leading axis — and the registry entry is the only place that formula
+is written.  Units follow the portal's
 conventions: request rates in ops/s, bandwidths in MB/s, flops in
 GFLOP/s, memory bandwidth in GB/s, memory in GB, time fractions in
 [0, 1], VecPercent in percent.
@@ -14,93 +16,111 @@ dram components") are included in the ``Energy`` category.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.metrics.kernels import (
     arc,
-    arc_batch,
     gauge_max,
-    gauge_max_batch,
     max_rate,
-    max_rate_batch,
     node_balance_ratio,
-    node_balance_ratio_batch,
     ratio_of_sums,
-    ratio_of_sums_batch,
+    safe_div,
     time_balance_ratio,
-    time_balance_ratio_batch,
+    total,
 )
-from repro.pipeline.accum import CANONICAL_QUANTITIES, JobAccum
+from repro.pipeline.accum import JobAccum
 
 MB = 1e6
 GB2 = float(1 << 30)
 
 
 @dataclass(frozen=True)
+class JobStack:
+    """Same-shaped jobs on a leading axis — what a formula evaluates.
+
+    The fields mirror :class:`~repro.pipeline.accum.JobAccum` with a
+    job axis in front; one job is the ``J = 1`` stack (views of its
+    arrays, no copy).
+    """
+
+    deltas: Dict[str, np.ndarray]  # key → (J, N, T-1)
+    gauges: Dict[str, np.ndarray]  # key → (J, N, T)
+    dt: np.ndarray  # (J, T-1)
+    elapsed: np.ndarray  # (J,)
+    vector_width: np.ndarray  # (J,)
+    n_hosts: int
+
+    @classmethod
+    def of(cls, accums: Sequence[JobAccum]) -> "JobStack":
+        def stack(arrays: List[np.ndarray]) -> np.ndarray:
+            return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+        first = accums[0]
+        return cls(
+            deltas={
+                k: stack([a.deltas[k] for a in accums]) for k in first.deltas
+            },
+            gauges={
+                k: stack([a.gauges[k] for a in accums]) for k in first.gauges
+            },
+            dt=stack([a.dt for a in accums]),
+            elapsed=np.array([a.elapsed for a in accums]),
+            vector_width=np.array(
+                [a.vector_width for a in accums], dtype=np.float64
+            ),
+            n_hosts=first.n_hosts,
+        )
+
+
+@dataclass(frozen=True)
 class MetricDef:
-    """One computed metric."""
+    """One computed metric.
+
+    ``fn`` is the metric's only formula: it maps a :class:`JobStack`
+    to one value per job.  Calling the definition on a single
+    :class:`~repro.pipeline.accum.JobAccum` evaluates just this metric
+    for that job.
+    """
 
     name: str
     category: str  # Lustre | Network | Processor | OS | Energy
     unit: str
     description: str
-    fn: Callable[[JobAccum], float]
+    fn: Callable[[JobStack], np.ndarray]
 
     def __call__(self, accum: JobAccum) -> float:
-        return self.fn(accum)
+        return float(self.fn(JobStack.of([accum]))[0])
 
 
-def _flops(a: JobAccum) -> float:
+def _flops(s: JobStack) -> np.ndarray:
     """GFLOP/s: scalar FP instructions + width × vector FP instructions."""
-    if a.elapsed <= 0:
-        return 0.0
-    scalar = a.deltas["fp_scalar"].sum()
-    vector = a.deltas["fp_vector"].sum() * a.vector_width
+    scalar = total(s.deltas["fp_scalar"])
+    vector = total(s.deltas["fp_vector"]) * s.vector_width
     # node-summed total rate (the Fig. 5 "Gigaflops" panel is per node;
     # the job metric is the per-node average)
-    return float(scalar + vector) / a.elapsed / a.n_hosts / 1e9
+    return safe_div(scalar + vector, s.elapsed, 0.0) / s.n_hosts / 1e9
 
 
-def _vec_percent(a: JobAccum) -> float:
+def _vec_percent(s: JobStack) -> np.ndarray:
     """Percent of FP instructions that are vector instructions."""
-    s = float(a.deltas["fp_scalar"].sum())
-    v = float(a.deltas["fp_vector"].sum())
-    if s + v <= 0:
-        return 0.0
-    return min(100.0, 100.0 * v / (s + v))
+    scalar = total(s.deltas["fp_scalar"])
+    vector = total(s.deltas["fp_vector"])
+    return np.minimum(100.0, safe_div(100.0 * vector, scalar + vector, 0.0))
 
 
-def _cpu_usage(a: JobAccum) -> float:
-    return ratio_of_sums(a.deltas["cpu_user"], a.deltas["cpu_total"])
-
-
-def _idle(a: JobAccum) -> float:
-    user = a.deltas["cpu_user"].sum(axis=1)
-    total = np.maximum(a.deltas["cpu_total"].sum(axis=1), 1e-300)
-    return node_balance_ratio(user / total)
-
-
-def _mic_usage(a: JobAccum) -> float:
-    return ratio_of_sums(a.deltas["mic_user"], a.deltas["mic_total"])
-
-
-def _wait_per_req(a: JobAccum, wait_key: str, req_key: str) -> float:
-    return ratio_of_sums(a.deltas[wait_key], a.deltas[req_key])
-
-
-def _packetsize(a: JobAccum) -> float:
-    return ratio_of_sums(a.deltas["ib_bytes"], a.deltas["ib_packets"])
+def _idle(s: JobStack) -> np.ndarray:
+    user = s.deltas["cpu_user"].sum(axis=-1)
+    busy = np.maximum(s.deltas["cpu_total"].sum(axis=-1), 1e-300)
+    return node_balance_ratio(user / busy)
 
 
 METRIC_REGISTRY: Dict[str, MetricDef] = {}
 
 
-def _register(
-    name: str, category: str, unit: str, description: str
-) -> Callable[[Callable[[JobAccum], float]], Callable[[JobAccum], float]]:
-    def deco(fn: Callable[[JobAccum], float]) -> Callable[[JobAccum], float]:
+def _register(name: str, category: str, unit: str, description: str):
+    def deco(fn: Callable[[JobStack], np.ndarray]):
         METRIC_REGISTRY[name] = MetricDef(
             name=name, category=category, unit=unit,
             description=description, fn=fn,
@@ -122,10 +142,10 @@ _register("OSCReqs", "Lustre", "req/s",
     lambda a: arc(a.deltas["osc_reqs"], a.elapsed))
 _register("MDCWait", "Lustre", "us",
           "Average time to complete metadata server operations")(
-    lambda a: _wait_per_req(a, "mdc_wait_us", "mdc_reqs"))
+    lambda a: ratio_of_sums(a.deltas["mdc_wait_us"], a.deltas["mdc_reqs"]))
 _register("OSCWait", "Lustre", "us",
           "Average time to complete object storage server operations")(
-    lambda a: _wait_per_req(a, "osc_wait_us", "osc_reqs"))
+    lambda a: ratio_of_sums(a.deltas["osc_wait_us"], a.deltas["osc_reqs"]))
 _register("LLiteOpenClose", "Lustre", "ops/s",
           "Average file open/close rate")(
     lambda a: arc(a.deltas["llite_oc"], a.elapsed))
@@ -144,7 +164,8 @@ _register("InternodeIBMaxBW", "Network", "MB/s",
           "Maximum Infiniband bandwidth between compute nodes (MPI)")(
     lambda a: max_rate(a.deltas["ib_bytes"], a.dt) / MB)
 _register("Packetsize", "Network", "B",
-          "Average Infiniband packet size")(_packetsize)
+          "Average Infiniband packet size")(
+    lambda a: ratio_of_sums(a.deltas["ib_bytes"], a.deltas["ib_packets"]))
 _register("Packetrate", "Network", "pkt/s",
           "Average Infiniband packet rate")(
     lambda a: arc(a.deltas["ib_packets"], a.elapsed))
@@ -184,14 +205,16 @@ _register("MemUsage", "OS", "GB",
           "Maximum memory usage (gauge snapshot, per node)")(
     lambda a: gauge_max(a.gauges["mem_used"]) / GB2)
 _register("CPU_Usage", "OS", "frac",
-          "Average fraction of time spent in user space")(_cpu_usage)
+          "Average fraction of time spent in user space")(
+    lambda a: ratio_of_sums(a.deltas["cpu_user"], a.deltas["cpu_total"]))
 _register("idle", "OS", "ratio",
           "Min/max of per-node CPU_Usage: work imbalance across nodes")(_idle)
 _register("catastrophe", "OS", "ratio",
           "Min/max over time windows of CPU_Usage: imbalance across time")(
     lambda a: time_balance_ratio(a.deltas["cpu_user"], a.deltas["cpu_total"]))
 _register("MIC_Usage", "OS", "frac",
-          "Average utilisation of the Xeon Phi coprocessor")(_mic_usage)
+          "Average utilisation of the Xeon Phi coprocessor")(
+    lambda a: ratio_of_sums(a.deltas["mic_user"], a.deltas["mic_total"]))
 
 # -- Energy (contributions §I-C) ---------------------------------------------
 _register("PkgPower", "Energy", "W",
@@ -205,8 +228,8 @@ _register("DramPower", "Energy", "W",
     lambda a: arc(a.deltas["rapl_dram_uj"], a.elapsed) / 1e6)
 _register("TotalEnergy", "Energy", "J",
           "Total node-summed energy consumed by the job")(
-    lambda a: float(
-        a.deltas["rapl_pkg_uj"].sum() + a.deltas["rapl_dram_uj"].sum()
+    lambda a: (
+        total(a.deltas["rapl_pkg_uj"]) + total(a.deltas["rapl_dram_uj"])
     ) / 1e6)
 
 
@@ -218,129 +241,34 @@ def metric_names(category: str = "") -> List[str]:
     ]
 
 
+def _evaluate(accums: Sequence[JobAccum]) -> List[Dict[str, float]]:
+    """The registry on same-shaped jobs: each formula runs once."""
+    stack = JobStack.of(accums)
+    columns = {name: d.fn(stack) for name, d in METRIC_REGISTRY.items()}
+    return [
+        {name: float(col[j]) for name, col in columns.items()}
+        for j in range(len(accums))
+    ]
+
+
 def compute_metrics(accum: JobAccum) -> Dict[str, float]:
     """Evaluate the full registry on one job."""
-    return {name: d.fn(accum) for name, d in METRIC_REGISTRY.items()}
+    return _evaluate([accum])[0]
 
 
-# -- batched evaluation --------------------------------------------------------
-#
-# The parallel ingest pipeline evaluates the registry on whole
-# job×device stacks: jobs with the same (n_hosts, T) shape are stacked
-# into (J, N, T-1) arrays and every metric is computed for all of them
-# in one set of NumPy reductions.  The batched formulas reduce along
-# the same axes in the same order as the per-job ones, so the results
-# are bit-identical — `tests/test_metrics` asserts exactly that.
-
-
-def _stack(accums: List[JobAccum], key: str, gauge: bool = False) -> np.ndarray:
-    source = "gauges" if gauge else "deltas"
-    return np.stack([getattr(a, source)[key] for a in accums])
-
-
-def _batch_group(accums: List[JobAccum]) -> List[Dict[str, float]]:
-    """Evaluate the registry on same-shaped jobs, vectorized across jobs."""
-    J = len(accums)
-    elapsed = np.array([a.elapsed for a in accums])
-    dt = np.stack([a.dt for a in accums])
-    vw = np.array([a.vector_width for a in accums], dtype=np.float64)
-    n_hosts = accums[0].n_hosts
-    D = {
-        k: _stack(accums, k)
-        for k in accums[0].deltas
-    }
-
-    def sums(key: str) -> np.ndarray:
-        return D[key].reshape(J, -1).sum(axis=-1)
-
-    out: Dict[str, np.ndarray] = {}
-    # Lustre
-    out["MetaDataRate"] = max_rate_batch(D["mdc_reqs"], dt)
-    out["MDCReqs"] = arc_batch(D["mdc_reqs"], elapsed)
-    out["OSCReqs"] = arc_batch(D["osc_reqs"], elapsed)
-    out["MDCWait"] = ratio_of_sums_batch(D["mdc_wait_us"], D["mdc_reqs"])
-    out["OSCWait"] = ratio_of_sums_batch(D["osc_wait_us"], D["osc_reqs"])
-    out["LLiteOpenClose"] = arc_batch(D["llite_oc"], elapsed)
-    out["LnetAveBW"] = arc_batch(D["lnet_bytes"], elapsed) / MB
-    out["LnetMaxBW"] = max_rate_batch(D["lnet_bytes"], dt) / MB
-    # Network
-    out["InternodeIBAveBW"] = arc_batch(D["ib_bytes"], elapsed) / MB
-    out["InternodeIBMaxBW"] = max_rate_batch(D["ib_bytes"], dt) / MB
-    out["Packetsize"] = ratio_of_sums_batch(D["ib_bytes"], D["ib_packets"])
-    out["Packetrate"] = arc_batch(D["ib_packets"], elapsed)
-    out["GigEBW"] = arc_batch(D["gige_bytes"], elapsed) / MB
-    # Processor
-    out["Load_All"] = arc_batch(D["loads"], elapsed)
-    out["Load_L1Hits"] = arc_batch(D["l1_hits"], elapsed)
-    out["Load_L2Hits"] = arc_batch(D["l2_hits"], elapsed)
-    out["Load_LLCHits"] = arc_batch(D["llc_hits"], elapsed)
-    out["cpi"] = ratio_of_sums_batch(D["cycles"], D["instructions"])
-    out["cpld"] = ratio_of_sums_batch(D["cycles"], D["loads"])
-    scalar = sums("fp_scalar")
-    vector = sums("fp_vector")
-    safe_e = np.where(elapsed > 0, elapsed, 1.0)
-    flops = (scalar + vector * vw) / safe_e / n_hosts / 1e9
-    flops[elapsed <= 0] = 0.0
-    out["flops"] = flops
-    fp_total = scalar + vector
-    ok = fp_total > 0
-    out["VecPercent"] = np.where(
-        ok,
-        np.minimum(100.0, 100.0 * vector / np.where(ok, fp_total, 1.0)),
-        0.0,
-    )
-    out["mbw"] = arc_batch(D["imc_cas"], elapsed) * 64.0 / 1e9
-    # OS
-    out["MemUsage"] = gauge_max_batch(_stack(accums, "mem_used", True)) / GB2
-    out["CPU_Usage"] = ratio_of_sums_batch(D["cpu_user"], D["cpu_total"])
-    user = D["cpu_user"].sum(axis=-1)
-    total = np.maximum(D["cpu_total"].sum(axis=-1), 1e-300)
-    out["idle"] = node_balance_ratio_batch(user / total)
-    out["catastrophe"] = time_balance_ratio_batch(
-        D["cpu_user"], D["cpu_total"]
-    )
-    out["MIC_Usage"] = ratio_of_sums_batch(D["mic_user"], D["mic_total"])
-    # Energy
-    out["PkgPower"] = arc_batch(D["rapl_pkg_uj"], elapsed) / 1e6
-    out["CorePower"] = arc_batch(D["rapl_core_uj"], elapsed) / 1e6
-    out["DramPower"] = arc_batch(D["rapl_dram_uj"], elapsed) / 1e6
-    pkg = D["rapl_pkg_uj"].reshape(J, -1).sum(axis=-1)
-    dram = D["rapl_dram_uj"].reshape(J, -1).sum(axis=-1)
-    out["TotalEnergy"] = (pkg + dram) / 1e6
-
-    results: List[Dict[str, float]] = []
-    for j, a in enumerate(accums):
-        row = {}
-        for name, mdef in METRIC_REGISTRY.items():
-            if name in out:
-                row[name] = float(out[name][j])
-            else:  # registry extended beyond the batched set
-                row[name] = mdef.fn(a)
-        results.append(row)
-    return results
-
-
-_EVENT_KEYS = {q.key for q in CANONICAL_QUANTITIES if not q.gauge}
-_GAUGE_KEYS = {q.key for q in CANONICAL_QUANTITIES if q.gauge}
-
-
-def compute_metrics_batch(accums: List[JobAccum]) -> List[Dict[str, float]]:
+def compute_metrics_batch(accums: Sequence[JobAccum]) -> List[Dict[str, float]]:
     """Evaluate the registry on many jobs at once.
 
-    Jobs sharing an ``(n_hosts, T)`` shape are stacked and computed
-    with one set of whole-array reductions; odd shapes (or accums
-    built from non-canonical quantity sets) fall back to
-    :func:`compute_metrics`.  Values are bit-identical to the per-job
-    path either way.
+    Jobs sharing an ``(n_hosts, T)`` shape are stacked into
+    ``(J, N, T-1)`` arrays and every formula runs once per stack; the
+    values are those of :func:`compute_metrics` job by job, bit for
+    bit.
     """
-    out: List[Optional[Dict[str, float]]] = [None] * len(accums)
     groups: Dict[tuple, List[int]] = {}
     for i, a in enumerate(accums):
-        if set(a.deltas) >= _EVENT_KEYS and set(a.gauges) >= _GAUGE_KEYS:
-            groups.setdefault((a.n_hosts, len(a.times)), []).append(i)
-        else:
-            out[i] = compute_metrics(a)
+        groups.setdefault((a.n_hosts, len(a.times)), []).append(i)
+    out: List[Dict[str, float]] = [{}] * len(accums)
     for idxs in groups.values():
-        for i, row in zip(idxs, _batch_group([accums[i] for i in idxs])):
+        for i, row in zip(idxs, _evaluate([accums[i] for i in idxs])):
             out[i] = row
-    return out  # type: ignore[return-value]
+    return out

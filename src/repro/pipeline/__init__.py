@@ -4,29 +4,30 @@
 node to job ids.  Metadata describing each job along with a set of
 computed metrics are then ingested into a PostgreSQL database."*
 
-Stages:
+One pass, :func:`ingest_jobs`, in four stages:
 
-1. :func:`map_jobs` — stream every host's raw samples out of the
-   :class:`~repro.core.store.CentralStore` and bucket them by job id
-   (a sample tagged with several jobs lands in each — shared nodes).
-2. :class:`JobAccum` — rollover-corrected per-interval deltas of the
-   canonical quantities, the metrics engine's input representation.
-3. :func:`ingest_jobs` — compute Table I metrics and write one row per
-   job into the database.
+1. :func:`parse_blocks` — every host's raw file out of the
+   :class:`~repro.core.store.CentralStore`, parsed into columnar
+   blocks (:class:`~repro.core.rawfile.BlockParser`), optionally
+   sharded over a process pool.
+2. :func:`assemble_jobs` + :func:`accumulate_blocks` — records
+   bucketed by job id (a record tagged with several jobs lands in each
+   — shared nodes) and reduced to a :class:`JobAccum`: rollover-
+   corrected per-interval deltas of the canonical quantities, the
+   metrics engine's input representation.
+3. :func:`~repro.metrics.table1.compute_metrics_batch` — Table I on
+   stacked job tensors.
+4. one row per job into the database via chunked, checkpointed bulk
+   inserts.
 
-:func:`parallel_ingest_jobs` is the production-scale variant of the
-same pass: per-host raw files are sharded across a worker pool and
-parsed into columnar blocks (:class:`~repro.core.rawfile.BlockParser`),
-jobs are accumulated with whole-array NumPy operations
-(:func:`accumulate_blocks`), metrics are evaluated on stacked job
-tensors, and rows reach the database via chunked bulk inserts.  Its
-output is byte-identical to the streaming path at any worker count —
-see ``docs/architecture.md`` for the full data-flow picture and
+Its output is byte-identical at any worker count and to the frozen
+per-sample oracle in ``tests/test_pipeline/reference.py`` — see
+``docs/architecture.md`` for the data-flow picture and
 ``docs/performance.md`` for tuning.
 
 Example
 -------
-Write a two-host raw store, then run the parallel batched ingest:
+Write a two-host raw store, then ingest it on two worker processes:
 
 >>> import tempfile
 >>> import numpy as np
@@ -35,7 +36,7 @@ Write a two-host raw store, then run the parallel batched ingest:
 >>> from repro.core.store import CentralStore
 >>> from repro.db import Database
 >>> from repro.hardware.devices.base import Schema, SchemaEntry
->>> from repro.pipeline import parallel_ingest_jobs
+>>> from repro.pipeline import ingest_jobs
 >>> schemas = {"cpu": Schema([SchemaEntry("user", unit="cs"),
 ...                           SchemaEntry("idle", unit="cs")])}
 >>> tmp = tempfile.TemporaryDirectory()
@@ -50,8 +51,7 @@ Write a two-host raw store, then run the parallel batched ingest:
 ...                                      procs=[])))
 ...     store.append(host, "".join(parts), arrived_at=1800)
 >>> db = Database()
->>> result = parallel_ingest_jobs(store, None, db, workers=2,
-...                               executor="thread")
+>>> result = ingest_jobs(store, None, db, workers=2)
 >>> result.ingested
 1
 >>> tmp.cleanup()
@@ -60,32 +60,28 @@ Write a two-host raw store, then run the parallel batched ingest:
 from repro.pipeline.accum import (
     CANONICAL_QUANTITIES,
     JobAccum,
-    accumulate,
     accumulate_blocks,
 )
-from repro.pipeline.ingest import IngestCheckpoint, IngestResult, ingest_jobs
-from repro.pipeline.jobmap import JobData, map_jobs
+from repro.pipeline.ingest import IngestCheckpoint, IngestResult
 from repro.pipeline.parallel import (
+    JobBlockData,
     ShardedCheckpoint,
     assemble_jobs,
-    parallel_ingest_jobs,
+    ingest_jobs,
     parse_blocks,
     shard_hosts,
 )
 from repro.pipeline.pickles import JobPickleStore
 
 __all__ = [
-    "JobData",
-    "map_jobs",
     "JobAccum",
-    "accumulate",
+    "JobBlockData",
     "accumulate_blocks",
     "CANONICAL_QUANTITIES",
     "ingest_jobs",
     "IngestResult",
     "IngestCheckpoint",
     "JobPickleStore",
-    "parallel_ingest_jobs",
     "parse_blocks",
     "assemble_jobs",
     "shard_hosts",

@@ -1,10 +1,11 @@
-"""Per-job accumulation: raw samples → canonical quantity arrays.
+"""Per-job accumulation: host blocks → canonical quantity arrays.
 
 The metrics of Table I are all functions of a small set of *canonical
 quantities* — node-level sums of related counters (metadata requests,
-lnet bytes, instructions, user jiffies, ...).  :func:`accumulate`
-reduces a :class:`~repro.pipeline.jobmap.JobData` to a
-:class:`JobAccum` holding, for every quantity,
+lnet bytes, instructions, user jiffies, ...).
+:func:`accumulate_blocks` reduces one job's slice of the parsed
+:class:`~repro.core.rawfile.HostBlock` columns to a :class:`JobAccum`
+holding, for every quantity,
 
 * ``deltas[q]`` — an ``(n_hosts, T-1)`` array of rollover-corrected
   per-interval increments (event counters), or
@@ -25,7 +26,6 @@ import numpy as np
 from repro.hardware.arch import ARCHITECTURES
 from repro.hardware.counters import correct_rollover
 from repro.hardware.devices.base import Schema
-from repro.pipeline.jobmap import JobData
 
 
 @dataclass(frozen=True)
@@ -118,112 +118,6 @@ class JobAccum:
         return float(self.times[-1] - self.times[0])
 
 
-def _resolve_type(q: Quantity, available: Sequence[str]) -> Optional[str]:
-    if q.type_name:
-        return q.type_name if q.type_name in available else None
-    for t in available:
-        if t in _CORE_TYPES:
-            return t
-    return None
-
-
-def _sum_counters(
-    sample_data: Dict[str, Dict[str, np.ndarray]],
-    type_name: str,
-    schema: Schema,
-    counters: Tuple[str, ...],
-) -> float:
-    """Sum selected counters over all instances of a device type."""
-    per_type = sample_data.get(type_name)
-    if not per_type:
-        return np.nan
-    idx = [schema.index[c] for c in counters if c in schema.index]
-    if not idx:
-        return np.nan
-    total = 0.0
-    for values in per_type.values():
-        total += float(values[idx].sum()) if len(values) else 0.0
-    return total
-
-
-def accumulate(jd: JobData, quantities: Sequence[Quantity] = CANONICAL_QUANTITIES) -> JobAccum:
-    """Reduce one job's raw samples to canonical quantity arrays."""
-    hosts = sorted(jd.hosts)
-    if not hosts:
-        raise ValueError(f"job {jd.jobid}: no hosts")
-    # align on common timestamps across hosts
-    common = None
-    for h in hosts:
-        ts = {s.timestamp for s in jd.hosts[h]}
-        common = ts if common is None else (common & ts)
-    times = np.array(sorted(common or ()), dtype=np.int64)
-    if len(times) < 2:
-        raise ValueError(
-            f"job {jd.jobid}: only {len(times)} aligned samples"
-        )
-    tindex = {int(t): i for i, t in enumerate(times)}
-    T, N = len(times), len(hosts)
-
-    # vector width from the recorded architecture
-    arch = ARCHITECTURES.get(jd.arch or "", None)
-    vector_width = arch.vector_width_doubles if arch else 4
-
-    deltas: Dict[str, np.ndarray] = {}
-    gauges: Dict[str, np.ndarray] = {}
-
-    for q in quantities:
-        # per host, build (T,) summed-counter series then difference
-        event_rows = np.zeros((N, T - 1))
-        gauge_rows = np.zeros((N, T))
-        present = False
-        for n, h in enumerate(hosts):
-            samples = [s for s in jd.hosts[h] if int(s.timestamp) in tindex]
-            # dedupe repeated timestamps (prolog + periodic coincide)
-            by_t: Dict[int, object] = {}
-            for s in samples:
-                by_t[int(s.timestamp)] = s
-            type_name = None
-            series = np.full(T, np.nan)
-            for t_int, s in by_t.items():
-                if type_name is None:
-                    type_name = _resolve_type(q, list(s.data))
-                if type_name is None:
-                    continue
-                schema = jd.schemas.get(type_name)
-                if schema is None:
-                    continue
-                series[tindex[t_int]] = _sum_counters(
-                    s.data, type_name, schema, q.counters
-                )
-            if np.all(np.isnan(series)):
-                continue
-            present = True
-            # forward-fill interior gaps (a host may miss one sample)
-            filled = _ffill(series)
-            if q.gauge:
-                gauge_rows[n] = filled
-            else:
-                if type_name is not None and type_name in jd.schemas:
-                    width = _counter_width(jd.schemas[type_name], q.counters)
-                else:
-                    width = 2.0**64
-                event_rows[n] = _event_deltas(filled, width)
-        if q.gauge:
-            gauges[q.key] = gauge_rows if present else np.zeros((N, T))
-        else:
-            deltas[q.key] = event_rows if present else np.zeros((N, T - 1))
-
-    return JobAccum(
-        jobid=jd.jobid,
-        hosts=hosts,
-        times=times,
-        deltas=deltas,
-        gauges=gauges,
-        vector_width=vector_width,
-        meta={"arch": jd.arch},
-    )
-
-
 def _counter_width(schema, counters: Tuple[str, ...]) -> float:
     """Largest register modulus among the requested event counters."""
     return max(
@@ -239,9 +133,8 @@ def _counter_width(schema, counters: Tuple[str, ...]) -> float:
 def _nan_add(total: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     """Elementwise add treating NaN as *absent* (not poisonous).
 
-    Mirrors the row-at-a-time accumulation: an instance missing from
-    one sample contributes nothing there, while a timestamp where *no*
-    instance reported stays NaN.
+    An instance missing from one sample contributes nothing there,
+    while a timestamp where *no* instance reported stays NaN.
     """
     both = ~np.isnan(total) & ~np.isnan(contrib)
     out = np.where(np.isnan(total), contrib, total)
@@ -256,15 +149,16 @@ def accumulate_blocks(
     arch: Optional[str],
     quantities: Sequence[Quantity] = CANONICAL_QUANTITIES,
 ) -> JobAccum:
-    """Columnar :func:`accumulate`: reduce host *blocks* to a JobAccum.
+    """Reduce one job's host blocks to canonical quantity arrays.
 
     Takes, per host, a :class:`~repro.core.rawfile.HostBlock` plus the
-    record indices belonging to the job, and produces bit-identical
-    results to running :func:`accumulate` over the materialised
-    per-sample view — but with whole-array NumPy operations per
-    (host, device, instance) instead of a Python loop per sample.
-    This is the metric hot path of the batched ingest pipeline
-    (:mod:`repro.pipeline.parallel`).
+    record indices belonging to the job, and works with whole-array
+    NumPy operations per (host, device, instance).  Hosts are aligned
+    on the intersection of their timestamps, a repeated timestamp
+    keeps its later record, an interior gap is forward-filled, and an
+    instance absent from a record contributes nothing to it.  The
+    per-sample oracle in ``tests/test_pipeline/reference.py`` defines
+    the expected arrays bit for bit.
     """
     hosts = sorted(host_rows)
     if not hosts:
@@ -291,8 +185,8 @@ def accumulate_blocks(
     for h in hosts:
         block, rows = host_rows[h]
         trow = block.times[rows]
-        # dedupe repeated timestamps keeping the later sample, exactly
-        # like the stable-sorted dict overwrite in the streaming path
+        # dedupe repeated timestamps keeping the later sample (stable
+        # sort + rightmost match)
         order = np.argsort(trow, kind="stable")
         sorted_t = trow[order]
         pos = np.searchsorted(sorted_t, times, side="right") - 1
@@ -382,10 +276,10 @@ def _unwrap(
     """Correct negative deltas: register rollover vs counter reset.
 
     Thin alias for the one shared policy in
-    :func:`repro.hardware.counters.correct_rollover` — the streaming
+    :func:`repro.hardware.counters.correct_rollover` — the live
     device reader (:func:`repro.hardware.devices.base.rollover_delta`)
     delegates to the same function, so a mid-job counter reset yields
-    identical deltas on the streaming and batch paths by construction.
+    identical deltas live and in the ETL by construction.
     """
     return correct_rollover(deltas, later_values, width)
 
@@ -393,10 +287,9 @@ def _unwrap(
 def _event_deltas(filled: np.ndarray, width: float) -> np.ndarray:
     """Per-interval increments of one forward-filled counter series.
 
-    The single call site shared by :func:`accumulate` and
-    :func:`accumulate_blocks` — both event-row reductions MUST go
-    through here so the rollover/reset policy cannot drift between
-    the per-sample and columnar paths again.
+    Every event-row reduction — :func:`accumulate_blocks` and the
+    per-sample oracle in ``tests/test_pipeline/reference.py`` — MUST
+    go through here so the rollover/reset policy has one definition.
     """
     return _unwrap(np.diff(filled), filled[1:], width)
 

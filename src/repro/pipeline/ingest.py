@@ -1,7 +1,8 @@
-"""Database ingest: raw store → job records.
+"""What an ingest pass keeps, reports and writes.
 
-Ties the pipeline together: map samples to jobs, accumulate, compute
-metrics, evaluate flags, and bulk-insert :class:`JobRecord` rows.
+The pass itself is :func:`repro.pipeline.parallel.ingest_jobs`; this
+module holds its durable single-file checkpoint, its result record
+and the metrics → :class:`JobRecord` row builder.
 
 Ingest is *idempotent*: jobs whose rows already exist in the target
 database (or are listed in an :class:`IngestCheckpoint`) are skipped,
@@ -16,20 +17,11 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro import obs
 from repro.cluster.jobs import Job
-from repro.core.store import CentralStore
-from repro.db.connection import Database
-from repro.metrics.flags import Thresholds, evaluate_flags
-from repro.metrics.table1 import compute_metrics
-from repro.pipeline.accum import JobAccum, accumulate
-from repro.pipeline.jobmap import JobData, map_jobs
-from repro.pipeline.pickles import JobPickleStore
 from repro.pipeline.records import JobRecord
 
 
@@ -117,118 +109,3 @@ def record_from(
         kwargs["user"] = "?"
     kwargs.update(metrics)
     return JobRecord(**kwargs)
-
-
-def ingest_jobs(
-    store: CentralStore,
-    jobs: Mapping[str, Job],
-    db: Database,
-    thresholds: Optional[Thresholds] = None,
-    create_table: bool = True,
-    pickle_store: Optional[JobPickleStore] = None,
-    checkpoint: Optional[IngestCheckpoint] = None,
-    skip_existing: bool = True,
-    batch_size: int = 200,
-) -> IngestResult:
-    """Full ETL pass: store → mapped jobs → metrics → database rows.
-
-    Only jobs that have *finished* are ingested (running jobs lack an
-    epilog sample and would bias the averages).  When ``pickle_store``
-    is given, each job's accumulation is also materialised as a job
-    pickle so detail views and re-analyses skip the raw parse.
-
-    Recovery semantics: with ``skip_existing`` (default) a job whose
-    row is already in the database is not re-inserted, so replaying the
-    pass over redelivered data has exactly-once effect.  ``checkpoint``
-    adds durable cross-process resume: rows are committed and
-    checkpointed every ``batch_size`` jobs, and a later pass with the
-    same checkpoint skips everything already committed.
-    """
-    stage_seconds = obs.histogram(
-        "repro_ingest_stage_seconds",
-        "wall-clock seconds spent in each ingest stage",
-    )
-    JobRecord.bind(db)
-    if create_table:
-        JobRecord.create_table()
-    with obs.span("ingest.parse", path="serial"):
-        t0 = time.perf_counter()
-        jobdata, dropped = map_jobs(store, jobs)
-        stage_seconds.observe(time.perf_counter() - t0, stage="parse")
-    result = IngestResult(dropped_short=len(dropped))
-    already: set = set()
-    if skip_existing:
-        try:
-            already = set(JobRecord.objects.all().values_list("jobid", flat=True))
-        except Exception:
-            already = set()  # table absent (create_table=False, first run)
-
-    records: List[JobRecord] = []
-
-    def commit_batch() -> None:
-        if not records:
-            return
-        t0 = time.perf_counter()
-        JobRecord.objects.bulk_create(records)
-        db.commit()
-        stage_seconds.observe(time.perf_counter() - t0, stage="insert")
-        result.ingested += len(records)
-        obs.counter(
-            "repro_ingest_rows_committed_total",
-            "job rows committed to the database",
-        ).inc(len(records), path="serial")
-        if checkpoint is not None:
-            checkpoint.mark_many(r.jobid for r in records)
-        records.clear()
-
-    with obs.span("ingest.run", path="serial") as run_span:
-        for jid in sorted(jobdata):
-            if jid in already or (checkpoint is not None and jid in checkpoint):
-                result.skipped_existing += 1
-                obs.counter(
-                    "repro_ingest_jobs_skipped_total",
-                    "jobs skipped because already ingested (idempotency)",
-                ).inc(path="serial")
-                continue
-            jd = jobdata[jid]
-            job = jd.job
-            if job is not None and not job.state.finished:
-                continue
-            try:
-                t0 = time.perf_counter()
-                accum = accumulate(jd)
-                stage_seconds.observe(time.perf_counter() - t0, stage="accumulate")
-                t0 = time.perf_counter()
-                metrics = compute_metrics(accum)
-                stage_seconds.observe(time.perf_counter() - t0, stage="metrics")
-            except ValueError as exc:
-                result.errors.append(f"{jid}: {exc}")
-                obs.counter(
-                    "repro_ingest_errors_total",
-                    "jobs that failed accumulation or metric computation",
-                ).inc(path="serial")
-                continue
-            obs.counter(
-                "repro_ingest_jobs_total",
-                "jobs processed through accumulation and metrics",
-            ).inc(path="serial")
-            if pickle_store is not None:
-                pickle_store.save(accum)
-            meta = {
-                "queue": job.queue if job else "normal",
-                "nodes": job.nodes if job else jd.n_hosts,
-            }
-            raised = evaluate_flags(metrics, accum, meta, thresholds)
-            flag_names = [f.name for f in raised]
-            if flag_names:
-                result.flagged[jid] = flag_names
-            records.append(record_from(jid, metrics, job, flag_names))
-            if batch_size and len(records) >= batch_size:
-                commit_batch()
-        commit_batch()
-        run_span.set(
-            ingested=result.ingested,
-            skipped=result.skipped_existing,
-            errors=len(result.errors),
-        )
-    return result

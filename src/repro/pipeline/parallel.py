@@ -1,47 +1,45 @@
-"""Parallel, batched ingest: fleet-scale raw files → job table.
+"""The job ETL: fleet-scale raw files → job table.
 
-The row-at-a-time pipeline (:func:`~repro.pipeline.jobmap.map_jobs` +
-:func:`~repro.pipeline.accum.accumulate` +
-:func:`~repro.pipeline.ingest.ingest_jobs`) is what the paper's
-deployments would run on one thread — and at Comet/Stampede scale
-(1984 nodes × 10-minute cadence) the per-line and per-sample Python
-work is the bottleneck, not collection overhead.  This module is the
-scaled replacement:
+§IV-A: *"After data collection TACC Stats maps the raw output from each
+node to job ids.  Metadata describing each job along with a set of
+computed metrics are then ingested into a PostgreSQL database."*
+:func:`ingest_jobs` is that pass, and the only one in ``src/``:
 
-1. **Shard** the per-host raw files round-robin across ``workers``
-   shards and parse each shard with
+1. **Parse** every per-host raw file with
    :class:`~repro.core.rawfile.BlockParser` — one columnar
-   :class:`~repro.core.rawfile.HostBlock` per host, with text→float64
-   conversion done in bulk.  Shards run on a process or thread pool;
-   a shard whose worker dies is re-parsed serially in the parent, so
-   a killed worker costs time, never data.
-2. **Assemble** jobs from blocks (the jobmap bucket-sort, columnar)
-   and reduce each to a :class:`~repro.pipeline.accum.JobAccum` with
+   :class:`~repro.core.rawfile.HostBlock` per host, text→float64
+   conversion done in bulk (:func:`parse_blocks`).  With
+   ``workers > 1`` the hosts are sharded round-robin over a process
+   pool; a shard whose worker dies is re-parsed in the parent, so a
+   killed worker costs time, never data.
+2. **Assemble** jobs from blocks (:func:`assemble_jobs`, a bucket-sort
+   of record indices by job id) and reduce each to a
+   :class:`~repro.pipeline.accum.JobAccum` with
    :func:`~repro.pipeline.accum.accumulate_blocks` — whole-array
-   NumPy per (host, device, instance) instead of per-sample loops.
+   NumPy per (host, device, instance).
 3. **Compute** Table I with
    :func:`~repro.metrics.table1.compute_metrics_batch`, stacking
    same-shaped jobs into (jobs, nodes, T-1) arrays.
 4. **Insert** rows with chunked ``bulk_create`` batches, checkpointing
-   each committed batch in a :class:`ShardedCheckpoint`.
+   each committed batch.
 
 Everything is deterministic: hosts are sharded and merged in sorted
-order, jobs are ingested in sorted order, and all arithmetic follows
-the exact reduction order of the serial path — so a 1-worker and an
-N-worker run produce byte-identical databases, and both match the
-row-at-a-time pipeline bit for bit.  Recovery semantics are those of
-:func:`~repro.pipeline.ingest.ingest_jobs`: idempotent exactly-once
-ingest, per-shard durable checkpoints, and per-host quarantine ledgers
-merged into the store regardless of which worker hit the corruption.
+order and jobs are ingested in sorted order, so a 1-worker and an
+N-worker run produce byte-identical databases — and both match the
+frozen per-sample oracle in ``tests/test_pipeline/reference.py`` bit
+for bit.  Recovery semantics: idempotent exactly-once ingest, durable
+checkpoints, and per-host quarantine ledgers merged into the store
+regardless of which worker hit the corruption.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -50,7 +48,7 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.jobs import Job
-from repro.core.rawfile import BlockParser, HostBlock, Schema
+from repro.core.rawfile import BlockParser, HostBlock, ParsedSample, Schema
 from repro.core.store import CentralStore
 from repro.db.connection import Database
 from repro.metrics.flags import Thresholds, evaluate_flags
@@ -66,7 +64,7 @@ __all__ = [
     "shard_hosts",
     "parse_blocks",
     "assemble_jobs",
-    "parallel_ingest_jobs",
+    "ingest_jobs",
 ]
 
 
@@ -91,38 +89,25 @@ def _parse_shard(tasks: List[Tuple[str, str]]) -> List[Tuple[str, Optional[HostB
     return [(host, _parse_host(host, path)) for host, path in tasks]
 
 
-def _resolve_executor(executor: str, workers: int) -> str:
-    if executor not in ("auto", "serial", "thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}")
-    if workers <= 1:
-        return "serial"
-    if executor == "auto":
-        return "process" if (os.cpu_count() or 1) > 1 else "thread"
-    return executor
-
-
 def parse_blocks(
     store: CentralStore,
     workers: int = 1,
-    executor: str = "auto",
     hosts: Optional[Iterable[str]] = None,
 ) -> Dict[str, HostBlock]:
     """Parse every host file of the store into columnar blocks.
 
-    With ``workers > 1`` the sorted host list is round-robin sharded
-    and the shards parsed on a pool (``executor="process"`` or
-    ``"thread"``; ``"auto"`` picks by core count).  A shard whose
-    worker fails — including a worker killed outright — is retried
-    serially in the parent, so the result never depends on worker
+    ``workers <= 1`` parses in-process.  With ``workers > 1`` the
+    sorted host list is round-robin sharded over a process pool; a
+    shard whose worker fails — including a worker killed outright —
+    is retried in the parent, so the result never depends on worker
     fate.  Quarantined lines from every worker are merged into the
-    store's per-host ledgers, exactly as in the serial path.
+    store's per-host ledgers in sorted host order.
     """
     store.flush()
     host_list = sorted(hosts) if hosts is not None else store.hosts()
     tasks = [(h, str(store.path_for(h))) for h in host_list]
-    mode = _resolve_executor(executor, workers)
     results: Dict[str, Optional[HostBlock]] = {}
-    if mode == "serial":
+    if workers <= 1:
         for host, path in tasks:
             results[host] = _parse_host(host, path)
     else:
@@ -131,12 +116,9 @@ def parse_blocks(
             [(h, by_host[h]) for h in shard]
             for shard in shard_hosts(by_host, workers)
         ]
-        pool_cls = (
-            ProcessPoolExecutor if mode == "process" else ThreadPoolExecutor
-        )
         failed: List[List[Tuple[str, str]]] = []
         try:
-            with pool_cls(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_parse_shard, s) for s in shards]
                 for shard, fut in zip(shards, futures):
                     try:
@@ -169,7 +151,7 @@ def parse_blocks(
 
 @dataclass
 class JobBlockData:
-    """One job's slice of the parsed blocks (columnar JobData)."""
+    """One job's slice of the parsed blocks."""
 
     jobid: str
     job: Optional[Job] = None
@@ -194,13 +176,34 @@ class JobBlockData:
             self.jobid, self.host_rows, self.schemas, self.arch
         )
 
+    def host_samples(self) -> Dict[str, List[ParsedSample]]:
+        """The job's whole samples per host, oldest first.
+
+        For the consumers that need more than counter columns: the
+        process table and the per-socket / per-process energy report.
+        """
+        out: Dict[str, List[ParsedSample]] = {}
+        for host, (block, rows) in self.host_rows.items():
+            samples = list(block.iter_samples())
+            out[host] = sorted(
+                (samples[r] for r in rows), key=lambda s: s.timestamp
+            )
+        return out
+
 
 def assemble_jobs(
     blocks: Mapping[str, HostBlock],
     jobs: Optional[Mapping[str, Job]] = None,
     require_samples: int = 2,
 ) -> Tuple[Dict[str, JobBlockData], Dict[str, int]]:
-    """Bucket block records by job id (columnar ``map_jobs``)."""
+    """Bucket block records by job id.
+
+    A record tagged with several jobs lands in each (shared nodes).
+    Jobs with fewer than ``require_samples`` records on some host
+    cannot yield rates and are returned in ``dropped`` with their
+    deficient count — the "short job" case the prolog/epilog
+    guarantee exists to prevent.
+    """
     out: Dict[str, JobBlockData] = {}
     for host in sorted(blocks):
         block = blocks[host]
@@ -233,8 +236,8 @@ class ShardedCheckpoint:
     it touches — atomically, via the same write-temp + rename protocol
     as :class:`~repro.pipeline.ingest.IngestCheckpoint`.  The merged
     view (membership, :meth:`done`) is the union of all shards, so a
-    resumed pass — serial or parallel, any worker count — skips
-    exactly the jobs that were durably committed.
+    resumed pass at any worker count skips exactly the jobs that were
+    durably committed.
     """
 
     def __init__(self, root, shards: int = 8) -> None:
@@ -288,7 +291,7 @@ class ShardedCheckpoint:
             self._path(i).unlink(missing_ok=True)
 
 
-def parallel_ingest_jobs(
+def ingest_jobs(
     store: CentralStore,
     jobs: Optional[Mapping[str, Job]] = None,
     db: Optional[Database] = None,
@@ -299,19 +302,25 @@ def parallel_ingest_jobs(
     skip_existing: bool = True,
     batch_size: int = 200,
     workers: int = 1,
-    executor: str = "auto",
     chunk_size: int = 500,
 ) -> IngestResult:
-    """Batched, sharded ETL pass: store → blocks → metrics → rows.
+    """Full ETL pass: store → blocks → jobs → metrics → database rows.
 
-    The parallel counterpart of
-    :func:`~repro.pipeline.ingest.ingest_jobs`, with identical
-    semantics and byte-identical output for any ``workers`` /
-    ``executor`` combination.  ``checkpoint`` may be a
-    :class:`ShardedCheckpoint` or the serial
-    :class:`~repro.pipeline.ingest.IngestCheckpoint` — anything with
-    ``__contains__`` and ``mark_many``.  Rows are committed every
-    ``batch_size`` jobs in ``chunk_size``-row executemany chunks.
+    Only jobs that have *finished* are ingested (running jobs lack an
+    epilog sample and would bias the averages).  When ``pickle_store``
+    is given, each job's accumulation is also materialised as a job
+    pickle so detail views and re-analyses skip the raw parse.  Output
+    is byte-identical for any ``workers``.
+
+    Recovery semantics: with ``skip_existing`` (default) a job whose
+    row is already in the database is not re-inserted, so replaying the
+    pass over redelivered data has exactly-once effect.  ``checkpoint``
+    — a :class:`ShardedCheckpoint` or an
+    :class:`~repro.pipeline.ingest.IngestCheckpoint`, anything with
+    ``__contains__`` and ``mark_many`` — adds durable cross-process
+    resume: rows are committed (in ``chunk_size``-row executemany
+    chunks) and checkpointed every ``batch_size`` jobs, and a later
+    pass with the same checkpoint skips everything already committed.
     """
     if db is None:
         db = Database()
@@ -322,9 +331,9 @@ def parallel_ingest_jobs(
     JobRecord.bind(db)
     if create_table:
         JobRecord.create_table()
-    with obs.span("ingest.parse", path="parallel", workers=workers):
+    with obs.span("ingest.parse", workers=workers):
         t0 = time.perf_counter()
-        blocks = parse_blocks(store, workers=workers, executor=executor)
+        blocks = parse_blocks(store, workers=workers)
         stage_seconds.observe(time.perf_counter() - t0, stage="parse")
     t0 = time.perf_counter()
     jobdata, dropped = assemble_jobs(blocks, jobs)
@@ -336,8 +345,11 @@ def parallel_ingest_jobs(
             already = set(
                 JobRecord.objects.all().values_list("jobid", flat=True)
             )
-        except Exception:
-            already = set()  # table absent (create_table=False, first run)
+        except sqlite3.OperationalError as exc:
+            # create_table=False on a first run: nothing ingested yet.
+            # Any other database failure must not read as "empty".
+            if "no such table" not in str(exc):
+                raise
 
     pending: List[Tuple[str, Optional[Job], JobAccum]] = []
     t0 = time.perf_counter()
@@ -347,7 +359,7 @@ def parallel_ingest_jobs(
             obs.counter(
                 "repro_ingest_jobs_skipped_total",
                 "jobs skipped because already ingested (idempotency)",
-            ).inc(path="parallel")
+            ).inc()
             continue
         jd = jobdata[jid]
         job = jd.job
@@ -360,12 +372,12 @@ def parallel_ingest_jobs(
             obs.counter(
                 "repro_ingest_errors_total",
                 "jobs that failed accumulation or metric computation",
-            ).inc(path="parallel")
+            ).inc()
             continue
         obs.counter(
             "repro_ingest_jobs_total",
             "jobs processed through accumulation and metrics",
-        ).inc(path="parallel")
+        ).inc()
         pending.append((jid, job, accum))
     stage_seconds.observe(time.perf_counter() - t0, stage="accumulate")
 
@@ -386,12 +398,12 @@ def parallel_ingest_jobs(
         obs.counter(
             "repro_ingest_rows_committed_total",
             "job rows committed to the database",
-        ).inc(len(records), path="parallel")
+        ).inc(len(records))
         if checkpoint is not None:
             checkpoint.mark_many(r.jobid for r in records)
         records.clear()
 
-    with obs.span("ingest.run", path="parallel", workers=workers) as run_span:
+    with obs.span("ingest.run", workers=workers) as run_span:
         for (jid, job, accum), metrics in zip(pending, metric_rows):
             if pickle_store is not None:
                 pickle_store.save(accum)
@@ -413,3 +425,8 @@ def parallel_ingest_jobs(
             errors=len(result.errors),
         )
     return result
+
+
+#: the name this function had while a second, per-sample driver
+#: existed; kept bound because ``bench/wl_batch.py`` imports it
+parallel_ingest_jobs = ingest_jobs

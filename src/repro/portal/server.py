@@ -43,13 +43,13 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro import obs
 from repro.portal.app import PortalApp, Response
+from repro.tsdb.cache import QueryCache
 
 __all__ = ["PageCache", "PortalServer", "ROUTE_LABELS"]
 
@@ -65,70 +65,28 @@ ROUTE_LABELS = frozenset(
 CACHEABLE = frozenset({"", "search", "job", "date", "fleet", "tsdb"})
 
 
-class PageCache:
+class PageCache(QueryCache):
     """Bounded LRU of fully rendered pages, invalidated by store epoch.
 
     Keyed on ``(path+query, epoch)``: any TSDB write bumps the epoch,
-    so a stale page can never be served — the same invalidation rule
-    (and the same hit-is-bit-identical guarantee) as the query cache
-    one tier below.  Thread-safe like the TSDB caches: all entry
-    mutations run under an ``RLock``.
+    so a stale page can never be served — the invalidation rule, lock
+    and hits + misses == lookups accounting are those of the query
+    cache one tier below; only the exported counter names differ.
     """
 
-    def __init__(self, maxsize: int = 256) -> None:
-        if maxsize <= 0:
-            raise ValueError("cache maxsize must be positive")
-        self.maxsize = int(maxsize)
-        self._entries: "OrderedDict[Hashable, Tuple[int, Response]]" = (
-            OrderedDict()
-        )
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
+    @staticmethod
+    def _count_hit() -> None:
+        obs.counter(
+            "repro_portal_page_cache_hits_total",
+            "portal pages served from the rendered-page cache",
+        ).inc()
 
-    def get(self, key: Hashable, epoch: int) -> Optional[Response]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == epoch:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                hit, result = True, entry[1]
-            else:
-                if entry is not None:
-                    del self._entries[key]
-                self.misses += 1
-                hit, result = False, None
-        if hit:
-            obs.counter(
-                "repro_portal_page_cache_hits_total",
-                "portal pages served from the rendered-page cache",
-            ).inc()
-        else:
-            obs.counter(
-                "repro_portal_page_cache_misses_total",
-                "portal pages that had to be rendered",
-            ).inc()
-        return result
-
-    def put(self, key: Hashable, epoch: int, page: Response) -> None:
-        with self._lock:
-            self._entries[key] = (epoch, page)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    @staticmethod
+    def _count_miss() -> None:
+        obs.counter(
+            "repro_portal_page_cache_misses_total",
+            "portal pages that had to be rendered",
+        ).inc()
 
 
 _STATUS_REASONS = {

@@ -17,8 +17,8 @@ from repro.analysis.energy import EnergyReport, energy_breakdown
 from repro.core.store import CentralStore
 from repro.metrics.flags import FlagResult, Thresholds, evaluate_flags
 from repro.metrics.table1 import METRIC_REGISTRY, compute_metrics
-from repro.pipeline.accum import JobAccum, accumulate
-from repro.pipeline.jobmap import map_jobs
+from repro.pipeline.accum import JobAccum
+from repro.pipeline.parallel import assemble_jobs, parse_blocks
 from repro.portal.plots import Panel, fig5_series
 
 #: columns of the job list, in display order (§IV-B)
@@ -91,12 +91,18 @@ class JobDetailView:
         record: Optional[object] = None,
         thresholds: Optional[Thresholds] = None,
     ) -> "JobDetailView":
-        """Map, accumulate and analyse one job from the raw store."""
-        jobdata, _ = map_jobs(store, jobs)
+        """Map, accumulate and analyse one job from the raw store.
+
+        Only the job's assigned nodes are parsed when the catalogue
+        knows the job; every host file otherwise.
+        """
+        known = jobs.get(jobid) if jobs is not None else None
+        hosts = known.assigned_nodes if known is not None else None
+        jobdata, _ = assemble_jobs(parse_blocks(store, hosts=hosts), jobs)
         if jobid not in jobdata:
             raise KeyError(f"job {jobid} not found in raw store")
         jd = jobdata[jobid]
-        accum = accumulate(jd)
+        accum = jd.accumulate()
         metrics = compute_metrics(accum)
         job = jd.job
         meta = {
@@ -106,7 +112,7 @@ class JobDetailView:
         flags = evaluate_flags(metrics, accum, meta, thresholds)
         # last process snapshot across the job's hosts
         procs = []
-        for host, samples in sorted(jd.hosts.items()):
+        for host, samples in sorted(jd.host_samples().items()):
             for s in reversed(samples):
                 if s.procs:
                     procs.extend(

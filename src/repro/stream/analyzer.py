@@ -1,7 +1,8 @@
 """Streaming §V-A flag evaluation over in-flight jobs.
 
 The batch pipeline flags a job once, after it ends:
-``map_jobs → accumulate → compute_metrics → evaluate_flags``.  This
+``assemble_jobs → accumulate_blocks → compute_metrics_batch →
+evaluate_flags``.  This
 module computes the same flags *while the job runs*, from samples as
 the broker delivers them, with no full-job replay — and reproduces the
 batch answer exactly at job completion.
@@ -9,11 +10,11 @@ batch answer exactly at job completion.
 Bit-exactness is by construction, not by approximation:
 
 * Per (job, host) the analyzer keeps the *same* per-timestamp summed
-  counter values batch accumulation builds, computed with the shared
-  :func:`~repro.pipeline.accum._sum_counters` /
-  :func:`~repro.pipeline.accum._resolve_type` helpers.
+  counter values batch accumulation builds (:func:`_sum_counters`
+  over the device type :func:`_resolve_type` picks, instances added
+  in file order).
 * Hosts are aligned on the intersection of their sample timestamps
-  exactly like :func:`~repro.pipeline.accum.accumulate`: an aligned
+  exactly like :func:`~repro.pipeline.accum.accumulate_blocks`: an aligned
   timestamp ``T`` is only *consumed* once every participating host has
   reported past ``T`` (or finished), so late per-host deliveries —
   which stay FIFO per node even through daemon publish retries — can
@@ -42,14 +43,13 @@ import numpy as np
 
 from repro.hardware.counters import correct_rollover
 from repro.metrics.flags import FlagResult, Thresholds, evaluate_flags
-from repro.metrics.table1 import METRIC_REGISTRY
+from repro.metrics.table1 import METRIC_REGISTRY, JobStack
 from repro.pipeline.accum import (
+    _CORE_TYPES,
     CANONICAL_QUANTITIES,
     JobAccum,
     Quantity,
     _counter_width,
-    _resolve_type,
-    _sum_counters,
 )
 
 __all__ = [
@@ -81,6 +81,35 @@ STREAM_METRICS = (
 
 #: job-metadata provider: (jobid, observed hosts) → evaluate_flags meta
 MetaFn = Callable[[str, Sequence[str]], Mapping[str, object]]
+
+
+def _resolve_type(q: Quantity, available: Sequence[str]) -> Optional[str]:
+    """The device type of one sample that carries quantity ``q``."""
+    if q.type_name:
+        return q.type_name if q.type_name in available else None
+    for t in available:
+        if t in _CORE_TYPES:
+            return t
+    return None
+
+
+def _sum_counters(
+    sample_data: Dict[str, Dict[str, np.ndarray]],
+    type_name: str,
+    schema,
+    counters: Tuple[str, ...],
+) -> float:
+    """Sum selected counters over all instances of a device type."""
+    per_type = sample_data.get(type_name)
+    if not per_type:
+        return np.nan
+    idx = [schema.index[c] for c in counters if c in schema.index]
+    if not idx:
+        return np.nan
+    total = 0.0
+    for values in per_type.values():
+        total += float(values[idx].sum()) if len(values) else 0.0
+    return total
 
 
 @dataclass(frozen=True)
@@ -186,8 +215,8 @@ class _JobStream:
         for q in self.quantities:
             type_name = hs.types.get(q.key)
             if type_name is None:
-                # same lazy resolution as accumulate(): retry until a
-                # sample actually carries the device type
+                # lazy resolution: retry until a sample actually
+                # carries the device type
                 type_name = _resolve_type(q, list(sample.data))
                 if type_name is not None:
                     hs.types[q.key] = type_name
@@ -202,7 +231,7 @@ class _JobStream:
                 hs.widths[q.key] = _counter_width(schema, q.counters)
             row[q.key] = _sum_counters(sample.data, type_name, schema, q.counters)
         # duplicate timestamps (prolog + periodic coincide): last wins,
-        # matching the by_t dict overwrite in accumulate()
+        # as in accumulate_blocks()
         hs.pending[ts] = row
 
     def mark_done(self, host: str) -> None:
@@ -361,8 +390,10 @@ class _JobStream:
         self, thresholds: Thresholds, meta_fn: Optional[MetaFn]
     ) -> List[FlagResult]:
         accum = self._assemble()
+        stack = JobStack.of([accum])  # one job, stacked once for all six
         metrics = {
-            name: METRIC_REGISTRY[name].fn(accum) for name in STREAM_METRICS
+            name: float(METRIC_REGISTRY[name].fn(stack)[0])
+            for name in STREAM_METRICS
         }
         self.last_metrics = metrics
         if meta_fn is not None:

@@ -22,8 +22,8 @@ done:
 * **batched scan** — all selected series materialise through
   :meth:`~repro.tsdb.store.TimeSeriesDB.scan`, which decodes every
   cache-missing chunk of every series in one
-  :func:`~repro.tsdb.chunks.decode_many` call (optionally across a
-  thread pool), instead of one decode round-trip per chunk;
+  :func:`~repro.tsdb.chunks.decode_concat` call, instead of one
+  decode round-trip per chunk;
 * **stacked kernels** — monitoring series share a sampling cadence,
   so when every non-empty series sits on the same time grid the rate
   conversion runs once over a ``(series × samples)`` matrix and each

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -46,32 +45,9 @@ from repro.tsdb.chunks import (
 
 TagKey = Tuple[Tuple[str, str], ...]
 
-#: scans with at least this many chunks to decode are worth handing to
-#: the shared thread pool when ``scan_threads`` > 1
-_PARALLEL_SCAN_MIN_CHUNKS = 8
-
 #: points per :func:`~repro.tsdb.chunks.seal_many` call in ``seal_heads``:
 #: bounds the encoder's temporaries (a few MiB) whatever the store holds
 _SEAL_SLAB_POINTS = 1 << 17
-
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_SIZE = 0
-
-
-def _scan_pool(threads: int) -> ThreadPoolExecutor:
-    """One shared decode pool, grown on demand (never per-query)."""
-    global _POOL, _POOL_SIZE
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_SIZE < threads:
-            if _POOL is not None:
-                _POOL.shutdown(wait=False)
-            _POOL = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="tsdb-scan"
-            )
-            _POOL_SIZE = threads
-        return _POOL
-
 
 class RWLock:
     """A writer-priority readers/writer lock for the store.
@@ -499,7 +475,6 @@ class TimeSeriesDB:
         chunk_size: int = CHUNK_POINTS,
         cache: Optional[object] = ...,
         buffer_cache: Optional[object] = ...,
-        scan_threads: int = 1,
     ) -> None:
         from repro.tsdb.cache import BufferCache, QueryCache
 
@@ -525,8 +500,6 @@ class TimeSeriesDB:
         self.buffer_cache = (
             BufferCache() if buffer_cache is ... else buffer_cache
         )
-        #: decode pool width for multi-series scans (1 = serial)
-        self.scan_threads = int(scan_threads)
         #: windowed-stats calls answered through the chunk path, and
         #: chunk decodes skipped outright thanks to pre-aggregates
         self.preagg_windows = 0
@@ -730,30 +703,25 @@ class TimeSeriesDB:
         self,
         series_list: Sequence[object],
         time_range: Optional[Tuple[int, int]] = None,
-        threads: Optional[int] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Materialise many series at once; returns aligned ``(t, v)``.
 
         The fleet-wide read path: every sealed chunk that survives
         pushdown and misses the decoded-buffer cache — across *all*
         requested series — is decompressed in one batched
-        :func:`~repro.tsdb.chunks.decode_many` call (optionally split
-        over a shared thread pool), then each series assembles its
-        columns from the decode map.  Results are independent of
-        ``threads``: chunks decode bit-exactly in isolation and
-        assembly order is the caller's series order.
+        :func:`~repro.tsdb.chunks.decode_concat` call, then each
+        series assembles its columns from the decode map, in the
+        caller's series order.
         """
         with self.read_locked():
-            return self._scan_locked(series_list, time_range, threads)
+            return self._scan_locked(series_list, time_range)
 
     def _scan_locked(
         self,
         series_list: Sequence[object],
         time_range: Optional[Tuple[int, int]],
-        threads: Optional[int],
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         lo, hi = time_range if time_range is not None else (None, None)
-        threads = self.scan_threads if threads is None else int(threads)
 
         needed: List[Chunk] = []
         plans: List[Optional[Tuple[List[Chunk], List[Chunk], int]]] = []
@@ -769,15 +737,7 @@ class TimeSeriesDB:
             self.buffer_cache.note_misses(len(needed))
         decoded: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         spans: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        if threads > 1 and len(needed) >= _PARALLEL_SCAN_MIN_CHUNKS:
-            pool = _scan_pool(threads)
-            slabs = [needed[i::threads] for i in range(threads)]
-            for slab, cols in zip(slabs, pool.map(decode_many, slabs)):
-                for chunk, tv in zip(slab, cols):
-                    decoded[chunk.chunk_id] = tv
-            if self.buffer_cache is not None:
-                self.buffer_cache.put_many(decoded.items())
-        elif needed:
+        if needed:
             spans = decode_concat(needed)
 
         def _chunk_cols(start: int, k: int) -> None:

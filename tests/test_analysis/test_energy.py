@@ -3,12 +3,13 @@
 import pytest
 
 from repro.analysis.energy import COMPONENTS, energy_breakdown
-from repro.pipeline.jobmap import map_jobs
+from repro.pipeline import assemble_jobs, parse_blocks
 
 
 @pytest.fixture(scope="module")
 def wrf_report(monitored_run):
-    jobdata, _ = map_jobs(monitored_run.store, monitored_run.cluster.jobs)
+    jobdata, _ = assemble_jobs(
+        parse_blocks(monitored_run.store), monitored_run.cluster.jobs)
     jd = next(
         j for j in jobdata.values()
         if j.job and j.job.executable == "wrf.exe"
@@ -29,7 +30,7 @@ def test_per_socket_breakdown_shape(wrf_report):
 def test_component_ordering_and_power_band(wrf_report):
     jd, rep = wrf_report
     power = rep.average_power()
-    n_nodes = len(jd.hosts)
+    n_nodes = jd.n_hosts
     # a busy 2-socket SNB node draws ~100–350 W package + dram
     per_node = (power["pkg"] + power["dram"]) / n_nodes
     assert 80 < per_node < 400
@@ -72,7 +73,8 @@ def test_total_energy_consistent_with_runtime(wrf_report):
 def test_idle_job_energy_mostly_unattributed(monitored_run):
     """The idle-half job: reserved nodes burn baseline watts that no
     process can claim."""
-    jobdata, _ = map_jobs(monitored_run.store, monitored_run.cluster.jobs)
+    jobdata, _ = assemble_jobs(
+        parse_blocks(monitored_run.store), monitored_run.cluster.jobs)
     jd = next(
         j for j in jobdata.values()
         if j.job and j.job.executable == "run_ensemble.sh"

@@ -86,7 +86,7 @@ def test_io_time_fraction_estimate():
 
 def test_end_to_end_on_pathological_wrf(monitored_run):
     """The §V-B offender gets the exact advice the paper prescribes."""
-    from repro.pipeline import accumulate, map_jobs
+    from repro.pipeline import assemble_jobs, parse_blocks
     from repro.metrics import compute_metrics
     from repro import monitoring_session
     from repro.cluster import JobSpec, make_app
@@ -99,8 +99,8 @@ def test_end_to_end_on_pathological_wrf(monitored_run):
         nodes=4,
     ))
     sess.cluster.run_for(3 * 3600)
-    jd, _ = map_jobs(sess.store, sess.cluster.jobs)
-    accum = accumulate(jd[job.jobid])
+    jd, _ = assemble_jobs(parse_blocks(sess.store), sess.cluster.jobs)
+    accum = jd[job.jobid].accumulate()
     d = diagnose_io(job.jobid, compute_metrics(accum), accum)
     assert "redundant open/close cycling" in patterns(d)
     assert "metadata-bound access" in patterns(d)

@@ -31,6 +31,19 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_ingest_executor_flag_is_gone(capsys):
+    """``workers`` alone picks in-process vs process pool."""
+    parser = build_parser()
+    args = parser.parse_args(
+        ["ingest", "--store", "s", "--db", "d", "--workers", "2"])
+    assert args.workers == 2 and not hasattr(args, "executor")
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(
+            ["ingest", "--store", "s", "--db", "d", "--executor", "thread"])
+    assert exc.value.code == 2
+    assert "--executor" in capsys.readouterr().err
+
+
 def test_simulate_persists_jobs(sim_db, capsys):
     db = Database(sim_db)
     JobRecord.bind(db)

@@ -96,10 +96,10 @@ def test_duplicated_samples_collapse_in_accumulation():
     timestamps = [s.timestamp for s in samples]
     assert len(timestamps) > len(set(timestamps))  # raw dups exist
 
-    from repro.pipeline import accumulate, map_jobs
+    from repro.pipeline import assemble_jobs, parse_blocks
 
-    jobdata, _ = map_jobs(sess.store, sess.cluster.jobs)
-    accum = accumulate(jobdata[job.jobid])
+    jobdata, _ = assemble_jobs(parse_blocks(sess.store), sess.cluster.jobs)
+    accum = jobdata[job.jobid].accumulate()
     assert len(accum.times) == len(set(accum.times.tolist()))
     for arr in accum.deltas.values():
         assert arr.size == 0 or float(arr.min()) >= 0.0

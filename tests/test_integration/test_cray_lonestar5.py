@@ -11,7 +11,7 @@ import pytest
 
 from repro import monitoring_session
 from repro.cluster import JobSpec, make_app
-from repro.pipeline import accumulate, map_jobs
+from repro.pipeline import assemble_jobs, parse_blocks
 from repro.pipeline.records import JobRecord
 
 
@@ -64,16 +64,16 @@ def test_jobs_ingested_with_haswell_vector_width(ls5):
 
 
 def test_accum_vector_width_is_4(ls5):
-    jobdata, _ = map_jobs(ls5.store, ls5.cluster.jobs)
-    a = accumulate(next(iter(jobdata.values())))
+    jobdata, _ = assemble_jobs(parse_blocks(ls5.store), ls5.cluster.jobs)
+    a = next(iter(jobdata.values())).accumulate()
     assert a.vector_width == 4
     assert a.meta["arch"] == "intel_hsw"
 
 
 def test_one_rank_per_physical_core_affinity(ls5):
-    jobdata, _ = map_jobs(ls5.store, ls5.cluster.jobs)
+    jobdata, _ = assemble_jobs(parse_blocks(ls5.store), ls5.cluster.jobs)
     jd = next(iter(jobdata.values()))
-    samples = next(iter(jd.hosts.values()))
+    samples = next(iter(jd.host_samples().values()))
     procs = [p for s in samples if s.procs for p in s.procs]
     assert procs
     # each rank pinned to a physical core = both hyperthread siblings

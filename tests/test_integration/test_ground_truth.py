@@ -13,7 +13,7 @@ from repro import monitoring_session
 from repro.cluster import ClusterConfig, Cluster, JobSpec, Phase, make_app
 from repro.core import CentralStore, Collector, DaemonMode, StatsConsumer
 from repro.broker import Broker
-from repro.pipeline import accumulate, map_jobs
+from repro.pipeline import assemble_jobs, parse_blocks
 from repro.metrics import compute_metrics
 
 #: the exact per-node rates we configure the app with
@@ -52,8 +52,8 @@ def metrics():
     )
     job = c.submit(JobSpec(user="u", app=app, nodes=2))
     c.run_for(4 * 3600)
-    jd, _ = map_jobs(store, c.jobs)
-    return compute_metrics(accumulate(jd[job.jobid]))
+    jd, _ = assemble_jobs(parse_blocks(store), c.jobs)
+    return compute_metrics(jd[job.jobid].accumulate())
 
 
 def test_lustre_rates_conserved(metrics):

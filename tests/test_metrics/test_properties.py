@@ -103,3 +103,68 @@ def test_node_permutation_invariance(mdc):
     m1, m2 = compute_metrics(a1), compute_metrics(a2)
     for key in ("MDCReqs", "MetaDataRate", "CPU_Usage", "idle"):
         assert m1[key] == pytest.approx(m2[key], rel=1e-12, abs=1e-12)
+
+
+# -- one formula per metric: a stack of k jobs ≡ the frozen scalar formulas -----
+
+
+@st.composite
+def job_stacks(draw):
+    """k same-shaped accums with every canonical quantity populated:
+    zero, integer-valued and fractional deltas up to 1e15, uneven
+    sampling intervals, vector widths 2/4/8."""
+    from repro.pipeline.accum import CANONICAL_QUANTITIES, JobAccum
+
+    k = draw(st.integers(1, 5))
+    N = draw(st.integers(1, 8))
+    T = draw(st.integers(2, 40))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=k, max_size=k))
+    accums = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        deltas_, gauges = {}, {}
+        for q in CANONICAL_QUANTITIES:
+            if q.gauge:
+                gauges[q.key] = rng.uniform(0, 1e11, (N, T))
+                continue
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                arr = np.zeros((N, T - 1))
+            elif kind == 1:
+                arr = rng.integers(0, 1 << 40, (N, T - 1)).astype(float)
+            else:
+                arr = rng.uniform(0, 10.0 ** rng.integers(0, 16), (N, T - 1))
+            deltas_[q.key] = arr
+        # busy time is part of total time, as on a real node
+        deltas_["cpu_total"] += deltas_["cpu_user"]
+        deltas_["mic_total"] += deltas_["mic_user"]
+        accums.append(JobAccum(
+            jobid=f"j{seed}", hosts=[f"n{i}" for i in range(N)],
+            times=np.cumsum(rng.integers(1, 1200, T)).astype(np.int64),
+            deltas=deltas_, gauges=gauges,
+            vector_width=int(rng.choice([2, 4, 8])),
+        ))
+    return accums
+
+
+@given(job_stacks())
+@settings(max_examples=60, deadline=None)
+def test_stacked_registry_equals_frozen_scalar_formulas(accums):
+    """The unified registry at J = k, at J = 1 and one metric at a time
+    returns, job by job, the 8 bytes the frozen scalar formulas do."""
+    import struct
+
+    from repro.metrics.table1 import METRIC_REGISTRY, compute_metrics_batch
+    from tests.test_pipeline.reference import SCALAR_FORMULAS
+
+    def bits(x):
+        return struct.pack("<d", x)
+
+    assert set(METRIC_REGISTRY) == set(SCALAR_FORMULAS)
+    for accum, row in zip(accums, compute_metrics_batch(accums)):
+        alone = compute_metrics(accum)
+        for name, formula in SCALAR_FORMULAS.items():
+            want = bits(float(formula(accum)))
+            assert bits(row[name]) == want, (name, "J=k")
+            assert bits(alone[name]) == want, (name, "J=1")
+            assert bits(METRIC_REGISTRY[name](accum)) == want, (name, "one")

@@ -12,7 +12,7 @@ from repro import cron_session, monitoring_session, obs
 from repro.cluster import JobSpec, make_app
 from repro.core.overhead import measured_fleet_overhead, predicted_overhead
 from repro.db import Database
-from repro.pipeline.parallel import parallel_ingest_jobs
+from repro.pipeline import ingest_jobs
 
 
 @pytest.fixture(autouse=True)
@@ -90,12 +90,11 @@ def test_measured_overhead_within_2x_of_predicted(tmp_path):
 
 def test_ingest_counters_and_stage_timings(tmp_path):
     sess = run_daemon_day(tmp_path, hours=4)
-    result = parallel_ingest_jobs(
+    result = ingest_jobs(
         sess.store, sess.cluster.jobs, Database(), workers=2,
-        executor="thread",
     )
     assert result.ingested >= 1
-    assert obs.counter("repro_ingest_jobs_total").value(path="parallel") >= 1
+    assert obs.counter("repro_ingest_jobs_total").value() >= 1
     assert (
         obs.counter("repro_ingest_rows_committed_total").total()
         == result.ingested

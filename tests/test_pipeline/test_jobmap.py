@@ -1,20 +1,26 @@
-"""Job mapping: bucketing samples by job id from the raw store."""
+"""Job mapping: bucketing raw-store records by job id.
+
+Each case runs ``assemble_jobs`` over ``parse_blocks`` (the ETL) and
+the frozen per-sample ``map_jobs`` (the oracle in ``reference.py``) on
+the same store and requires the same jobs, hosts, per-host timestamps,
+dropped-short counts, schemas and arch before asserting the values.
+"""
 
 import numpy as np
-import pytest
 
 from repro.core.collector import Sample
 from repro.core.rawfile import RawFileWriter
 from repro.core.store import CentralStore
 from repro.hardware.devices.base import Schema, SchemaEntry
-from repro.pipeline.jobmap import map_jobs
+from repro.pipeline.parallel import assemble_jobs, parse_blocks
+from tests.test_pipeline import reference
 
 SCHEMAS = {"mdc": Schema([SchemaEntry("reqs", width=64)])}
 
 
-def put(store, host, entries):
+def put(store, host, entries, schemas=SCHEMAS):
     """entries: list of (ts, jobids, value)."""
-    w = RawFileWriter(host, "intel_snb", SCHEMAS)
+    w = RawFileWriter(host, "intel_snb", schemas)
     text = w.header()
     for ts, jobids, v in entries:
         text += w.record(Sample(
@@ -24,6 +30,26 @@ def put(store, host, entries):
     store.append(host, text, arrived_at=0)
 
 
+def map_jobs(store, jobs=None, hosts=None):
+    """The ETL's (jobdata, dropped), checked against the oracle's."""
+    got, dropped = assemble_jobs(parse_blocks(store, hosts=hosts), jobs)
+    want, want_dropped = reference.map_jobs(store, jobs, hosts=hosts)
+    assert dropped == want_dropped
+    assert sorted(got) == sorted(want)
+    for jid, jd in got.items():
+        ref = want[jid]
+        assert jd.job is ref.job
+        assert jd.arch == ref.arch
+        assert sorted(jd.schemas) == sorted(ref.schemas)
+        samples = jd.host_samples()
+        assert sorted(samples) == sorted(ref.hosts)
+        for host, rows in samples.items():
+            assert [(s.timestamp, s.jobids) for s in rows] == [
+                (s.timestamp, s.jobids) for s in ref.hosts[host]
+            ]
+    return got, dropped
+
+
 def test_samples_bucketed_per_job(tmp_path):
     store = CentralStore(tmp_path)
     put(store, "n1", [(0, ["A"], 1), (600, ["A"], 2), (1200, ["B"], 3),
@@ -31,7 +57,7 @@ def test_samples_bucketed_per_job(tmp_path):
     put(store, "n2", [(0, ["A"], 1), (600, ["A"], 2)])
     jd, dropped = map_jobs(store)
     assert set(jd) == {"A", "B"}
-    assert sorted(jd["A"].hosts) == ["n1", "n2"]
+    assert sorted(jd["A"].host_rows) == ["n1", "n2"]
     assert jd["B"].n_hosts == 1
     assert dropped == {}
 
@@ -40,16 +66,18 @@ def test_shared_sample_lands_in_both_jobs(tmp_path):
     store = CentralStore(tmp_path)
     put(store, "n1", [(0, ["A", "B"], 1), (600, ["A", "B"], 2)])
     jd, _ = map_jobs(store)
-    assert len(jd["A"].hosts["n1"]) == 2
-    assert len(jd["B"].hosts["n1"]) == 2
+    assert len(jd["A"].host_samples()["n1"]) == 2
+    assert len(jd["B"].host_samples()["n1"]) == 2
 
 
 def test_short_jobs_dropped_with_count(tmp_path):
     store = CentralStore(tmp_path)
     put(store, "n1", [(0, ["A"], 1)])  # single sample: unusable
+    put(store, "n2", [(0, ["B"], 1), (600, ["B"], 2), (1200, ["B"], 3)])
+    put(store, "n3", [(0, ["B"], 1)])  # B is short on one of its hosts
     jd, dropped = map_jobs(store)
     assert jd == {}
-    assert dropped == {"A": 1}
+    assert dropped == {"A": 1, "B": 1}
 
 
 def test_untagged_samples_ignored(tmp_path):
@@ -76,7 +104,7 @@ def test_samples_sorted_by_time(tmp_path):
     store = CentralStore(tmp_path)
     put(store, "n1", [(600, ["A"], 2), (0, ["A"], 1)])
     jd, _ = map_jobs(store)
-    ts = [s.timestamp for s in jd["A"].hosts["n1"]]
+    ts = [s.timestamp for s in jd["A"].host_samples()["n1"]]
     assert ts == [0, 600]
 
 
@@ -86,6 +114,17 @@ def test_schemas_and_arch_recorded(tmp_path):
     jd, _ = map_jobs(store)
     assert "mdc" in jd["A"].schemas
     assert jd["A"].arch == "intel_snb"
+
+
+def test_late_schema_lines_extend_the_job(tmp_path):
+    """A host whose file declares more device types (a new day's
+    header) widens the job's schema set."""
+    wider = dict(SCHEMAS, mem=Schema([SchemaEntry("MemUsed", event=False)]))
+    store = CentralStore(tmp_path)
+    put(store, "n1", [(0, ["A"], 1), (600, ["A"], 2)])
+    put(store, "n2", [(0, ["A"], 1), (600, ["A"], 2)], schemas=wider)
+    jd, _ = map_jobs(store)
+    assert sorted(jd["A"].schemas) == ["mdc", "mem"]
 
 
 def test_hosts_filter(tmp_path):

@@ -1,11 +1,10 @@
-"""Parallel ingest: serial/N-worker equivalence and crash recovery.
+"""The job ETL: oracle/N-worker equivalence and crash recovery.
 
 The contract under test is the one ``docs/architecture.md`` documents:
-the batched, sharded pipeline is a pure optimisation.  For any worker
-count and executor, ``parallel_ingest_jobs`` must produce a database
-byte-identical to the row-at-a-time ``ingest_jobs`` path, quarantine
-the same corrupt lines, and recover from killed workers and mid-batch
-crashes without losing or duplicating jobs.
+at any worker count ``ingest_jobs`` must produce a database
+byte-identical to the frozen per-sample driver in ``reference.py``,
+quarantine the same corrupt lines, and recover from killed workers and
+mid-batch crashes without losing or duplicating jobs.
 """
 
 from __future__ import annotations
@@ -13,6 +12,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sqlite3
+import sys
 
 import numpy as np
 import pytest
@@ -24,17 +25,20 @@ from repro.db import Database
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics.table1 import compute_metrics, compute_metrics_batch
 from repro.pipeline import parallel as parallel_mod
-from repro.pipeline.accum import accumulate
-from repro.pipeline.ingest import ingest_jobs
-from repro.pipeline.jobmap import map_jobs
 from repro.pipeline.parallel import (
     ShardedCheckpoint,
     assemble_jobs,
-    parallel_ingest_jobs,
+    ingest_jobs,
     parse_blocks,
     shard_hosts,
 )
 from repro.pipeline.records import JobRecord
+from tests.test_pipeline.reference import (
+    accumulate,
+    assert_same_accum,
+    map_jobs,
+    reference_ingest,
+)
 
 SCHEMAS = {
     "cpu": Schema([SchemaEntry(n, unit="cs") for n in
@@ -87,23 +91,31 @@ def dump(db: Database):
     return list(db.conn.iterdump())
 
 
-# -- serial vs N-worker equivalence -------------------------------------------
+# -- oracle vs N-worker equivalence -------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="forked pool workers inherit the monkeypatched module",
+)
+
+
+def test_ingest_jobs_is_the_only_driver():
+    assert parallel_mod.parallel_ingest_jobs is ingest_jobs
 
 
 def test_parallel_matches_serial_byte_identical(raw_store):
-    """1-worker, N-thread and N-process runs equal the streaming path."""
+    """In-process and 2-process runs equal the frozen per-sample driver."""
     reference = Database()
-    ref_result = ingest_jobs(raw_store, None, reference)
+    ref_result = reference_ingest(raw_store, None, reference)
     assert ref_result.ingested == 2
     ref_dump = dump(reference)
 
-    for workers, executor in ((1, "auto"), (3, "thread"), (2, "process")):
+    for workers in (1, 2):
         db = Database()
-        result = parallel_ingest_jobs(
-            raw_store, None, db, workers=workers, executor=executor)
-        assert result.ingested == ref_result.ingested, (workers, executor)
-        assert result.flagged == ref_result.flagged, (workers, executor)
-        assert dump(db) == ref_dump, (workers, executor)
+        result = ingest_jobs(raw_store, None, db, workers=workers)
+        assert result.ingested == ref_result.ingested, workers
+        assert result.flagged == ref_result.flagged, workers
+        assert dump(db) == ref_dump, workers
 
 
 def test_accumulate_blocks_matches_streaming(raw_store):
@@ -113,17 +125,7 @@ def test_accumulate_blocks_matches_streaming(raw_store):
     columnar, _ = assemble_jobs(blocks)
     assert sorted(columnar) == sorted(streaming)
     for jid, jd in columnar.items():
-        a = accumulate(streaming[jid])
-        b = jd.accumulate()
-        assert a.hosts == b.hosts
-        assert np.array_equal(a.times, b.times)
-        assert sorted(a.deltas) == sorted(b.deltas)
-        for key in a.deltas:
-            assert np.array_equal(a.deltas[key], b.deltas[key],
-                                  equal_nan=True), (jid, key)
-        for key in a.gauges:
-            assert np.array_equal(a.gauges[key], b.gauges[key],
-                                  equal_nan=True), (jid, key)
+        assert_same_accum(jd.accumulate(), accumulate(streaming[jid]), jid)
 
 
 def test_compute_metrics_batch_matches_per_job(raw_store):
@@ -137,28 +139,33 @@ def test_compute_metrics_batch_matches_per_job(raw_store):
 
 
 def test_quarantine_merged_under_parallelism(raw_store):
-    """Corrupt lines quarantine identically at any worker count."""
+    """Corrupt lines quarantine identically at any worker count, and
+    exactly as the per-sample parser quarantines them."""
     victim = raw_store.hosts()[0]
     with open(raw_store.path_for(victim), "a") as fh:
         fh.write("cpu 0 not-a-number 1 2 3 4 5 6\n")
         fh.write("garbage line with no schema\n")
 
-    serial_store = CentralStore(raw_store.root)
-    parse_blocks(serial_store)
-    expected = serial_store.quarantine_counts()
+    def ledger(store):
+        return {
+            host: [(e.lineno, e.line, e.reason) for e in errors]
+            for host, errors in store.quarantined.items()
+        }
+
+    oracle_store = CentralStore(raw_store.root)
+    db_ref = Database()
+    reference_ingest(oracle_store, None, db_ref)
+    expected = ledger(oracle_store)
     assert expected.get(victim)
 
-    parallel_store = CentralStore(raw_store.root)
-    parse_blocks(parallel_store, workers=3, executor="thread")
-    assert parallel_store.quarantine_counts() == expected
-    assert (parallel_store.root / "quarantine" / f"{victim}.bad").exists()
-
-    # and the damaged store still ingests identically on both paths
-    db_a, db_b = Database(), Database()
-    ingest_jobs(CentralStore(raw_store.root), None, db_a)
-    parallel_ingest_jobs(CentralStore(raw_store.root), None, db_b,
-                         workers=3, executor="thread")
-    assert dump(db_a) == dump(db_b)
+    for workers in (1, 2):
+        store = CentralStore(raw_store.root)
+        db = Database()
+        ingest_jobs(store, None, db, workers=workers)
+        assert ledger(store) == expected, workers
+        assert (store.root / "quarantine" / f"{victim}.bad").exists()
+        # and the damaged store still ingests identically
+        assert dump(db) == dump(db_ref), workers
 
 
 def test_shard_hosts_deterministic_and_complete():
@@ -206,9 +213,8 @@ def test_checkpoint_resume_after_midbatch_crash(raw_store, tmp_path,
 
     monkeypatch.setattr(JobRecord.objects, "bulk_create", flaky_bulk_create)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        parallel_ingest_jobs(raw_store, None, db, workers=2,
-                             executor="thread", batch_size=1,
-                             checkpoint=ckpt)
+        ingest_jobs(raw_store, None, db, workers=2, batch_size=1,
+                    checkpoint=ckpt)
     monkeypatch.setattr(JobRecord.objects, "bulk_create", real_bulk_create)
 
     # the committed batch is durably checkpointed, the rest is not
@@ -216,31 +222,89 @@ def test_checkpoint_resume_after_midbatch_crash(raw_store, tmp_path,
     JobRecord.bind(db)
     assert JobRecord.objects.count() == 1
 
-    resumed = parallel_ingest_jobs(
-        raw_store, None, db, workers=2, executor="thread",
+    resumed = ingest_jobs(
+        raw_store, None, db, workers=2,
         checkpoint=ShardedCheckpoint(tmp_path / "ckpt", shards=4))
     assert resumed.skipped_existing == 1
     assert resumed.ingested == 1
 
     # exactly-once: the resumed database equals an uninterrupted run's
     clean = Database()
-    parallel_ingest_jobs(raw_store, None, clean)
+    ingest_jobs(raw_store, None, clean)
     assert dump(db) == dump(clean)
+
+
+# -- swallowed database errors -------------------------------------------------
+
+
+def test_missing_job_table_reads_as_nothing_ingested(raw_store):
+    """``create_table=False`` on a first run: the skip-existing probe
+    finds no table, which means no job is there to skip — and the pass
+    then fails at the insert, not silently."""
+    db = Database()
+    with pytest.raises(sqlite3.OperationalError, match="no such table"):
+        ingest_jobs(raw_store, None, db, create_table=False)
+    JobRecord.bind(db)
+    JobRecord.create_table()
+    again = ingest_jobs(raw_store, None, db, create_table=False)
+    assert (again.ingested, again.skipped_existing) == (2, 0)
+
+
+def test_database_failure_is_not_an_empty_table(raw_store, tmp_path):
+    """Any other failure of the skip-existing probe propagates before a
+    row is written — it used to read as "nothing ingested yet" and
+    re-ingest every job."""
+    closed = Database()
+    ingest_jobs(raw_store, None, closed)
+    closed.close()
+    with pytest.raises(sqlite3.ProgrammingError):
+        ingest_jobs(raw_store, None, closed, create_table=False)
+
+    path = str(tmp_path / "jobs.db")
+    db = Database(path)
+    ingest_jobs(raw_store, None, db)
+    before = dump(db)
+    locker = sqlite3.connect(path)
+    locker.execute("PRAGMA locking_mode=EXCLUSIVE")
+    locker.execute("BEGIN EXCLUSIVE")
+    db.conn.execute("PRAGMA busy_timeout=0")
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            ingest_jobs(raw_store, None, db, create_table=False)
+    finally:
+        locker.rollback()
+        locker.close()
+    assert dump(db) == before
 
 
 # -- killed workers -----------------------------------------------------------
 
+#: where a doomed worker leaves proof that it really ran (and died) in a
+#: forked pool process; set by the test before the pool forks
+_MARK_DIR = None
 
-def test_crashed_worker_shard_is_retried_serially(raw_store, monkeypatch):
-    """A worker that dies mid-shard costs time, never data."""
-    reference = parse_blocks(CentralStore(raw_store.root))
 
-    def exploding_shard(tasks):
-        raise RuntimeError("worker OOM-killed mid-shard")
+def _exploding_shard(tasks):
+    open(os.path.join(_MARK_DIR, f"raised-{os.getpid()}"), "w").close()
+    raise RuntimeError("worker OOM-killed mid-shard")
 
-    monkeypatch.setattr(parallel_mod, "_parse_shard", exploding_shard)
-    store = CentralStore(raw_store.root)
-    blocks = parse_blocks(store, workers=3, executor="thread")
+
+def _suicidal_shard(tasks):
+    open(os.path.join(_MARK_DIR, f"killed-{os.getpid()}"), "w").close()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _doom_workers(monkeypatch, tmp_path, shard_fn):
+    """Patch the worker entry point with a module-level function, so the
+    pool can pickle it by name and the forked workers resolve it."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setattr(sys.modules[__name__], "_MARK_DIR", str(marks))
+    monkeypatch.setattr(parallel_mod, "_parse_shard", shard_fn)
+    return marks
+
+
+def assert_same_blocks(blocks, reference):
     assert sorted(blocks) == sorted(reference)
     for host, block in blocks.items():
         ref = reference[host]
@@ -251,28 +315,31 @@ def test_crashed_worker_shard_is_retried_serially(raw_store, monkeypatch):
                     grp.values, ref.groups[tname][inst].values)
 
 
-def test_sigkilled_process_worker_is_retried(raw_store, monkeypatch):
-    """A real SIGKILL of a pool process degrades to in-parent parsing."""
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("kill-injection needs fork workers to inherit the patch")
-
-    parent = os.getpid()
-
-    def suicidal_shard(tasks):
-        if os.getpid() != parent:  # forked pool worker only
-            os.kill(os.getpid(), signal.SIGKILL)
-        return [(host, parallel_mod._parse_host(host, path))
-                for host, path in tasks]
-
-    monkeypatch.setattr(parallel_mod, "_parse_shard", suicidal_shard)
+@needs_fork
+def test_crashed_worker_shard_is_retried_serially(raw_store, monkeypatch,
+                                                  tmp_path):
+    """A worker that raises mid-shard costs time, never data."""
     reference = parse_blocks(CentralStore(raw_store.root))
-    blocks = parse_blocks(CentralStore(raw_store.root),
-                          workers=2, executor="process")
-    assert sorted(blocks) == sorted(reference)
+    marks = _doom_workers(monkeypatch, tmp_path, _exploding_shard)
+    blocks = parse_blocks(CentralStore(raw_store.root), workers=3)
+    raised = [p for p in marks.iterdir() if p.name.startswith("raised-")]
+    assert raised and f"raised-{os.getpid()}" not in {p.name for p in raised}
+    assert_same_blocks(blocks, reference)
 
-    db_a, db_b = Database(), Database()
-    ingest_jobs(CentralStore(raw_store.root), None, db_a)
-    monkeypatch.setattr(parallel_mod, "_parse_shard", suicidal_shard)
-    parallel_ingest_jobs(CentralStore(raw_store.root), None, db_b,
-                         workers=2, executor="process")
-    assert dump(db_a) == dump(db_b)
+
+@needs_fork
+def test_sigkilled_process_worker_is_retried(raw_store, monkeypatch,
+                                             tmp_path):
+    """A real SIGKILL of a pool process degrades to in-parent parsing."""
+    reference = parse_blocks(CentralStore(raw_store.root))
+    db_ref = Database()
+    ingest_jobs(CentralStore(raw_store.root), None, db_ref)
+
+    marks = _doom_workers(monkeypatch, tmp_path, _suicidal_shard)
+    blocks = parse_blocks(CentralStore(raw_store.root), workers=2)
+    assert any(p.name.startswith("killed-") for p in marks.iterdir())
+    assert_same_blocks(blocks, reference)
+
+    db = Database()
+    ingest_jobs(CentralStore(raw_store.root), None, db, workers=2)
+    assert dump(db) == dump(db_ref)

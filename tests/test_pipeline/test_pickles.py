@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import compute_metrics
-from repro.pipeline import JobPickleStore, accumulate, ingest_jobs, map_jobs
+from repro.pipeline import JobPickleStore, ingest_jobs
 from repro.db import Database
 from tests.test_metrics.test_table1 import make_accum
 

@@ -132,3 +132,84 @@ def test_detail_html_embeds_svg(detail):
     html = render_detail_html(detail)
     assert "<svg" in html
     assert html.count("<polyline") >= 6 * 4  # 6 panels × 4 nodes
+
+
+# -- the job page reads one job through the block path --------------------------
+
+
+def test_detail_parses_only_the_jobs_hosts(monitored_run, monitored_records,
+                                           monkeypatch):
+    """Showing one job costs one parse per node of that job, not one
+    per host file in the store (the whole fleet only when the catalogue
+    does not know the job)."""
+    from repro.core.rawfile import BlockParser
+
+    parsed = []
+    real = BlockParser.parse_path
+
+    def counting(self, path):
+        parsed.append(str(path))
+        return real(self, path)
+
+    monkeypatch.setattr(BlockParser, "parse_path", counting)
+    store, jobs = monitored_run.store, monitored_run.cluster.jobs
+    wrf = [r for r in monitored_records.values()
+           if r.executable == "wrf.exe"][0]
+    nodes = jobs[wrf.jobid].assigned_nodes
+    assert 0 < len(nodes) < len(store.hosts())
+
+    known = JobDetailView.load(wrf.jobid, store, jobs, record=wrf)
+    assert sorted(parsed) == sorted(str(store.path_for(n)) for n in nodes)
+
+    del parsed[:]
+    unknown = JobDetailView.load(wrf.jobid, store)
+    assert len(parsed) == len(store.hosts())
+    assert known.accum.hosts == unknown.accum.hosts
+    for key, arr in unknown.accum.deltas.items():
+        assert np.array_equal(known.accum.deltas[key], arr), key
+
+
+def test_flagged_job_detail_matches_per_sample_oracle(monitored_run,
+                                                      monitored_records):
+    """The rendered page of every flagged job is character for character
+    what the per-sample path (frozen in tests/test_pipeline/reference.py:
+    whole-fleet ``map_jobs``, ``accumulate``, scalar formulas) renders."""
+    from repro.analysis.energy import energy_breakdown
+    from repro.metrics.flags import evaluate_flags
+    from tests.test_pipeline import reference
+
+    class PerSample:
+        """What ``energy_breakdown`` reads, served by the oracle."""
+
+        def __init__(self, jd):
+            self.jobid, self._hosts = jd.jobid, jd.hosts
+
+        def host_samples(self):
+            return self._hosts
+
+    store, jobs = monitored_run.store, monitored_run.cluster.jobs
+    jobdata, _ = reference.map_jobs(store, jobs)
+    flagged = [r for r in monitored_records.values() if r.flags]
+    assert flagged
+    for rec in flagged:
+        jd = jobdata[rec.jobid]
+        accum = reference.accumulate(jd)
+        metrics = reference.reference_metrics(accum)
+        meta = {"queue": jd.job.queue, "nodes": jd.job.nodes}
+        procs = []
+        for _host, samples in sorted(jd.hosts.items()):
+            for s in reversed(samples):
+                if s.procs:
+                    procs.extend(p for p in s.procs
+                                 if p.jobid in (rec.jobid, "-"))
+                    break
+        want = JobDetailView(
+            jobid=rec.jobid, record=rec, accum=accum, metrics=metrics,
+            panels=fig5_series(accum),
+            flags=evaluate_flags(metrics, accum, meta),
+            processes=procs, energy=energy_breakdown(PerSample(jd)),
+        )
+        got = JobDetailView.load(rec.jobid, store, jobs, record=rec)
+        assert sorted(f.name for f in got.flags) == sorted(rec.flags)
+        assert render_detail_text(got) == render_detail_text(want), rec.jobid
+        assert render_detail_html(got) == render_detail_html(want), rec.jobid

@@ -37,13 +37,11 @@ def engines(soak_run):
 def engine_matrix(soak_run):
     """Chunked engines in every read-path configuration under test:
 
-    buffer cache enabled (default), disabled, and parallel scans —
-    all loaded with the same soak corpus as the frozen list baseline.
+    buffer cache enabled (default) and disabled — both loaded with the same soak corpus as the frozen list baseline.
     """
     configs = {
         "buffered": TimeSeriesDB(chunk_size=CHUNK_SIZE),
         "unbuffered": TimeSeriesDB(chunk_size=CHUNK_SIZE, buffer_cache=None),
-        "threaded": TimeSeriesDB(chunk_size=CHUNK_SIZE, scan_threads=4),
     }
     listed = ListBackedTSDB()
     n_ref = ingest_store(listed, soak_run.sess.store, types=["mdc"])
@@ -163,7 +161,7 @@ def test_interference_analysis_identical_end_to_end(engines, soak_run):
 def test_battery_vs_frozen_baseline_all_cache_modes(engine_matrix):
     """The full battery, bit-identical to the *frozen* pre-vectorisation
     query path (`tsdb/baseline.py`), with the decoded-buffer cache
-    enabled, disabled, and scans parallelised.  Each query runs twice
+    enabled and disabled.  Each query runs twice
     per configuration so the second pass reads through whatever caches
     the configuration keeps (result cache, buffer cache, ``_full``)."""
     configs, listed = engine_matrix
@@ -201,32 +199,6 @@ def test_windowed_battery_vs_frozen_baseline_all_cache_modes(engine_matrix):
                     assert_results_bit_identical(
                         ra, expected, ctx=f"{name}/{window}/{kw}"
                     )
-
-
-def test_parallel_scan_determinism(soak_run):
-    """scan() must return bit-identical columns at 1 and N threads,
-    cold and warm, windowed and unwindowed."""
-    serial = TimeSeriesDB(chunk_size=CHUNK_SIZE, scan_threads=1)
-    threaded = TimeSeriesDB(chunk_size=CHUNK_SIZE, scan_threads=4)
-    ingest_store(serial, soak_run.sess.store, types=["mdc"])
-    ingest_store(threaded, soak_run.sess.store, types=["mdc"])
-    t0, t1 = None, None
-    for s in serial.select("stats"):
-        t, _ = s.arrays()
-        t0 = int(t[0]) if t0 is None else min(t0, int(t[0]))
-        t1 = int(t[-1]) if t1 is None else max(t1, int(t[-1]))
-    serial.drop_read_caches()
-    threaded.drop_read_caches()
-    for time_range in (None, (t0 + (t1 - t0) // 3, t0 + (t1 - t0) // 2)):
-        for _ in range(2):  # cold, then through the caches
-            cols_a = serial.scan(serial.select("stats"), time_range)
-            cols_b = threaded.scan(threaded.select("stats"), time_range)
-            assert len(cols_a) == len(cols_b) > 0
-            for (ta, va), (tb, vb) in zip(cols_a, cols_b):
-                assert np.array_equal(ta, tb)
-                assert np.array_equal(
-                    va.view(np.uint64), vb.view(np.uint64)
-                )
 
 
 def test_window_stats_matches_list_recompute_on_soak(engine_matrix):

@@ -270,15 +270,6 @@ def test_scan_matches_per_series_arrays():
                 assert np.array_equal(v, rv)
 
 
-def test_scan_threads_bit_identical_to_serial():
-    serial = _filled(scan_threads=1)
-    threaded = _filled(scan_threads=4)
-    a = serial.scan(serial.select("m"), None)
-    b = threaded.scan(threaded.select("m"), None)
-    for (ta, va), (tb, vb) in zip(a, b):
-        assert np.array_equal(ta, tb) and np.array_equal(va, vb)
-
-
 def test_drop_read_caches_forces_fresh_decode():
     db = _filled()
     # unwindowed cold scans memoise whole series (``_full``) instead of
