@@ -8,6 +8,8 @@ in EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 from pathlib import Path
 from typing import Iterable, Sequence, Tuple
@@ -35,6 +37,22 @@ def git_commit() -> str:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def record_bench(path: Path, section: str, payload: dict) -> None:
+    """Merge one benchmark's numbers into a ``BENCH_*.json`` file as
+    ``section``, stamped with the machine shape and the commit; the
+    file's other sections are kept."""
+    data = {}
+    if path.exists():
+        try:
+            data = json.loads(path.read_text())
+        except ValueError:
+            data = {}
+    data[section] = {
+        **payload, "cpu_count": os.cpu_count(), "commit": git_commit(),
+    }
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def report(title: str, rows: Iterable[Sequence], headers: Sequence[str]) -> None:

@@ -16,13 +16,12 @@ Size knobs: ``REPRO_PORTAL_BENCH_USERS`` (default 200) and
 ``REPRO_PORTAL_BENCH_P99_MS`` (default 2000).
 """
 
-import json
 import os
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks._support import report
+from benchmarks._support import record_bench, report
 from repro import obs
 from repro.analysis.popgen import generate_population
 from repro.db import Database
@@ -101,9 +100,7 @@ def test_portal_load_gate():
     payload = result.to_dict()
     payload["p99_gate_ms"] = P99_GATE_MS
     payload["page_cache_hit_ratio"] = round(server.page_cache.hit_ratio, 3)
-    BENCH_JSON.write_text(
-        json.dumps({"loadtest": payload}, indent=2, sort_keys=True) + "\n"
-    )
+    record_bench(BENCH_JSON, "loadtest", payload)
 
     report(
         f"Portal under load — {USERS} closed-loop users",

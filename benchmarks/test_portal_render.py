@@ -1,0 +1,177 @@
+"""Portal render path: Python calls and SQL statements per page miss.
+
+A machine-independent gate beside the wall-clock claim of
+``BENCHMARK.json``'s ``portal_cold``: each of that workload's six route
+shapes is rendered once, cold, on a fixed fixture under ``cProfile``,
+and what is recorded is *counts* — Python-level function calls and SQL
+statements per render.  They repeat exactly from run to run on one
+interpreter + NumPy, so they need no repetitions, no quiet machine and
+no second checkout.
+
+The fixture mirrors ``bench/wl_portal.py``: a 5000-job generated
+population, a TSDB prefilled with 64 hosts x 33 series x 1080 one-minute
+samples and sealed, a started ``StreamPipeline`` on it, ``PortalApp`` on
+both.  ``HEAD_CALLS`` are this file's counts at commit ``b5a580a`` (the
+parent of the PR that rewrote the render path), measured in this
+repository's container (Python 3.11.7, NumPy 2.4); the gates are ratios
+to them with room for another interpreter's bookkeeping calls.
+
+Gates: exactly one SQL statement per job-table-backed render (it was
+two: ``list(queryset)`` asked ``len()`` first); calls per render at
+most 0.5x the parent's for the front page and the wide search, at most
+0.65x for the two charts (whose TSDB query half this PR did not touch).
+"""
+
+import cProfile
+import pstats
+from pathlib import Path
+
+import numpy as np
+
+from benchmarks._support import record_bench, report
+from repro.analysis.popgen import generate_population
+from repro.broker import Broker
+from repro.pipeline.records import JobRecord
+from repro.portal.app import PortalApp
+from repro.stream import StreamPipeline
+from repro.tsdb import TimeSeriesDB
+from tests.test_portal.test_render_path import CountingDatabase
+
+BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_portal.json"
+
+SEED = 3
+JOBS = 5000
+HOSTS, SAMPLES, INTERVAL = 64, 1080, 60
+T0 = 1_443_657_600
+#: jobs the wide search matches, of the commonest executable's ~1450
+WIDE_MATCHES = 400
+
+#: events per device type; one host reports 4 cpu cores + 3 devices
+EVENTS = {
+    "cpu": ("user", "nice", "system", "idle", "iowait", "irq", "softirq"),
+    "lnet": ("rx_bytes", "tx_bytes"),
+    "mdc": ("reqs", "wait_us"),
+    "mem": ("MemUsed",),
+}
+DEVICES = tuple(
+    [("cpu", str(core)) for core in range(4)]
+    + [("lnet", "0"), ("mdc", "t"), ("mem", "0")]
+)
+
+#: Python function calls per cold render at the parent commit
+HEAD_CALLS = {
+    "front": 13_149,
+    "search": 19_032,
+    "search_wide": 85_151,
+    "job": 341,
+    "tsdb_host": 4_755,
+    "tsdb_fleet": 21_984,
+}
+MAX_RATIO = {
+    "front": 0.5, "search_wide": 0.5, "tsdb_host": 0.65, "tsdb_fleet": 0.65,
+}
+#: SQL statements one render may issue: one per job-table page
+SQL_STATEMENTS = {
+    "front": 1, "search": 1, "search_wide": 1, "job": 1,
+    "tsdb_host": 0, "tsdb_fleet": 0,
+}
+
+
+def prefill(tsdb: TimeSeriesDB) -> None:
+    """Monotone counters (``mem`` a gauge) per device, every host the
+    same columns offset by its index, sealed."""
+    rng = np.random.default_rng(SEED)
+    times = T0 + INTERVAL * np.arange(SAMPLES, dtype=np.int64)
+    columns = {}
+    for type_name, device in DEVICES:
+        width = len(EVENTS[type_name])
+        if type_name == "mem":
+            cols = rng.integers(1 << 33, 1 << 36, size=(SAMPLES, width))
+        else:
+            step = 1 << (20 if type_name == "cpu" else 30)
+            cols = rng.integers(0, 1 << 30, size=width) + np.cumsum(
+                rng.integers(0, step, size=(SAMPLES, width)), axis=0
+            )
+        columns[type_name, device] = cols.astype(np.float64)
+    for h in range(HOSTS):
+        for (type_name, device), cols in columns.items():
+            for j, event in enumerate(EVENTS[type_name]):
+                tsdb.put_many(
+                    "stats",
+                    {"host": f"c{h:03d}-{100 + h:03d}", "type": type_name,
+                     "device": device, "event": event},
+                    times, cols[:, j] + float(h),
+                )
+    tsdb.seal_heads()
+
+
+def route_urls(n: int):
+    """The six ``portal_cold`` route shapes; ``n`` moves every window
+    and threshold so that no two calls share a cache entry."""
+    rows = JobRecord.objects.all().values_list(
+        "jobid", "user", "executable", "run_time")
+    by_exe = {}
+    for _, _, exe, run_time in rows:
+        by_exe.setdefault(exe, []).append(run_time)
+    wide_exe, times = max(by_exe.items(), key=lambda kv: len(kv[1]))
+    threshold = sorted(times, reverse=True)[WIDE_MATCHES - 1 - n]
+    lo = T0 + 3600 * (2 + n)
+    return {
+        "front": f"/?v={n}",
+        "search": f"/search?user={rows[n][1]}&min_runtime={60 + n}",
+        "search_wide": f"/search?exe={wide_exe}&min_runtime={threshold}",
+        "job": f"/job/{rows[n][0]}?v={n}",
+        "tsdb_host": (f"/tsdb?tag.host=c{n:03d}-{100 + n:03d}&tag.type=cpu"
+                      f"&group_by=event&rate=1&range={lo}:{lo + 7200}"),
+        "tsdb_fleet": ("/tsdb?tag.type=mdc&group_by=host&downsample=600:avg"
+                       f"&range={lo}:{lo + 21600}"),
+    }
+
+
+def test_render_counts_gate():
+    db = CountingDatabase()
+    generate_population(db, JOBS, seed=SEED)
+    JobRecord.bind(db)
+    tsdb = TimeSeriesDB()
+    prefill(tsdb)
+    pipeline = StreamPipeline(Broker(), tsdb=tsdb)
+    pipeline.start()
+    app = PortalApp(db, stream=pipeline)
+
+    for url in route_urls(0).values():  # lazy imports, first-use plans
+        assert app.get_url(url).status == 200
+    measured = {}
+    for kind, url in route_urls(1).items():
+        db.statements.clear()
+        profile = cProfile.Profile()
+        profile.enable()
+        page = app.get_url(url)
+        profile.disable()
+        assert page.status == 200
+        calls = pstats.Stats(profile).total_calls
+        measured[kind] = {
+            "calls": calls,
+            "head_calls": HEAD_CALLS[kind],
+            "ratio": round(calls / HEAD_CALLS[kind], 3),
+            "sql_statements": len(db.statements),
+            "body_bytes": len(page.body.encode()),
+        }
+
+    record_bench(BENCH_JSON, "render", {
+        "fixture": (f"{JOBS} jobs seed {SEED}; tsdb {HOSTS} hosts x 33 "
+                    f"series x {SAMPLES} samples, sealed"),
+        "head_commit": "b5a580a",
+        "routes": measured,
+    })
+    report(
+        "Portal render path — Python calls and SQL statements per miss",
+        [(kind, m["head_calls"], m["calls"], m["ratio"],
+          MAX_RATIO.get(kind, "-"), m["sql_statements"])
+         for kind, m in measured.items()],
+        ["route", "calls @b5a580a", "calls", "ratio", "gate", "SQL"],
+    )
+
+    for kind, statements in SQL_STATEMENTS.items():
+        assert measured[kind]["sql_statements"] == statements, measured[kind]
+    for kind, limit in MAX_RATIO.items():
+        assert measured[kind]["ratio"] <= limit, (kind, measured[kind])

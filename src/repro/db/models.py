@@ -22,7 +22,11 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, List, Optional, Type
+from keyword import iskeyword
+from typing import (
+    Any, Callable, ClassVar, Dict, Iterable, List, Optional, Sequence,
+    Tuple, Type,
+)
 
 from repro.db.connection import Database
 from repro.db.fields import Field, IntegerField
@@ -107,6 +111,7 @@ class ModelMeta(type):
                 pk.name = "id"
                 fields = {"id": pk, **fields}
             cls._fields = fields
+            cls._hydrators = {}
             cls._table = getattr(cls, "table_name", name.lower())
             cls.objects = Manager(cls)
         return cls
@@ -119,6 +124,8 @@ class Model(metaclass=ModelMeta):
     _table: ClassVar[str]
     objects: ClassVar[Manager]
     _database: ClassVar[Optional[Database]] = None
+    #: result-column tuple → compiled row hydrator (see ``_hydrator``)
+    _hydrators: ClassVar[Dict[Tuple[str, ...], Callable]]
 
     def __init__(self, **values: Any) -> None:
         unknown = set(values) - set(self._fields)
@@ -226,12 +233,50 @@ class Model(metaclass=ModelMeta):
 
     # -- hydration -----------------------------------------------------------
     @classmethod
-    def _from_row(cls, row) -> "Model":
-        obj = cls.__new__(cls)
-        for name, field in cls._fields.items():
-            raw = row[name] if name in row.keys() else None
-            setattr(obj, name, field.from_db(raw))
-        return obj
+    def _hydrator(
+        cls, columns: Tuple[str, ...]
+    ) -> Callable[[Iterable[Sequence[Any]]], List["Model"]]:
+        """The function turning result rows with these ``columns`` (the
+        names in ``cursor.description``) into instances.
+
+        Compiled once per result shape and kept on the model class:
+        every column position is resolved here, not per row.  A field
+        whose ``from_db`` is the base identity is copied by index, any
+        other field goes through its ``from_db``; a field with no column
+        in the result (a table written before ``sync_table`` added it)
+        reads as ``from_db(None)``, a name selected twice reads its first
+        column (as ``sqlite3.Row`` does) and columns that are not fields
+        are ignored.  Threads that race on first use each compile the
+        same plan and ``setdefault`` keeps one of them.
+        """
+        hydrate = cls._hydrators.get(columns)
+        if hydrate is not None:
+            return hydrate
+        at: Dict[str, int] = {}
+        for i, column in enumerate(columns):
+            at.setdefault(column, i)
+        scope: Dict[str, Any] = {"cls": cls, "new": cls.__new__}
+        stores = []
+        for k, (name, field) in enumerate(cls._fields.items()):
+            value = f"row[{at[name]}]" if name in at else "None"
+            if getattr(field.from_db, "__func__", None) is not Field.from_db:
+                scope[f"from_db_{k}"] = field.from_db
+                value = f"from_db_{k}({value})"
+            if name.isidentifier() and not iskeyword(name):
+                stores.append(f"obj.{name} = {value}")
+            else:
+                stores.append(f"setattr(obj, {name!r}, {value})")
+        source = (
+            "def hydrate(rows):\n"
+            "    out = []\n"
+            "    for row in rows:\n"
+            "        obj = new(cls)\n"
+            + "".join(f"        {store}\n" for store in stores)
+            + "        out.append(obj)\n"
+            "    return out\n"
+        )
+        exec(source, scope)  # names and positions only, no row data
+        return cls._hydrators.setdefault(columns, scope["hydrate"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pk = getattr(self, "id", None)

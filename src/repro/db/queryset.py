@@ -13,7 +13,10 @@ Supported lookup suffixes::
 
 ``Q`` objects combine conditions with ``|`` and ``&`` and negate with
 ``~``.  Query sets are lazy, chainable, sliceable and iterable; each
-evaluation compiles to a single parameterised SQL statement.
+evaluation compiles to a single parameterised SQL statement.  One
+caveat: ``list(qs)`` asks ``len(qs)`` for a size hint first, which is a
+``COUNT(*)`` of its own — iterate, slice or write ``list(iter(qs))`` to
+read in one statement.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.db.aggregates import Aggregate
 
 _OPS = {
@@ -167,26 +171,40 @@ class QuerySet:
         return sql, params
 
     # -- evaluation ---------------------------------------------------------
-    def __iter__(self) -> Iterator:
+    def _fetch(self) -> List:
+        """Run the SELECT and hydrate every row: one statement."""
         sql, params = self._select()
-        cur = self.model._db().execute(sql, params)
-        for row in cur.fetchall():
-            yield self.model._from_row(row)
+        with obs.span("db.select") as sp:
+            cur = self.model._db().execute(sql, params)
+            cur.row_factory = None  # tuples: the hydrator reads by position
+            columns = tuple(d[0] for d in cur.description)
+            records = self.model._hydrator(columns)(cur.fetchall())
+            sp.set(rows=len(records))
+        return records
+
+    def __iter__(self) -> Iterator:
+        return iter(self._fetch())
 
     def __len__(self) -> int:
         return self.count()
 
     def __getitem__(self, item):
-        if isinstance(item, slice):
-            clone = self._clone()
-            clone._offset = (item.start or 0) + self._offset
-            if item.stop is not None:
-                clone._limit = item.stop - (item.start or 0)
-            return list(clone)
         clone = self._clone()
+        if isinstance(item, slice):
+            start = item.start or 0
+            if item.step not in (None, 1):
+                raise ValueError("slicing with a step is not supported")
+            if start < 0 or (item.stop is not None and item.stop < 0):
+                raise ValueError("negative indexing is not supported")
+            clone._offset = start + self._offset
+            if item.stop is not None:
+                clone._limit = max(item.stop - start, 0)
+            return clone._fetch()
+        if item < 0:
+            raise ValueError("negative indexing is not supported")
         clone._offset = self._offset + item
         clone._limit = 1
-        rows = list(clone)
+        rows = clone._fetch()
         if not rows:
             raise IndexError(item)
         return rows[0]
@@ -205,12 +223,11 @@ class QuerySet:
     def first(self):
         clone = self._clone()
         clone._limit = 1
-        rows = list(clone)
+        rows = clone._fetch()
         return rows[0] if rows else None
 
     def get(self, *qs: Q, **lookups: Any):
-        clone = self.filter(*qs, **lookups)
-        rows = list(clone[:2])
+        rows = self.filter(*qs, **lookups)[:2]
         if not rows:
             raise LookupError("no rows match")
         if len(rows) > 1:

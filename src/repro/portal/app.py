@@ -38,13 +38,27 @@ from urllib.parse import parse_qsl, urlsplit
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro import obs
 from repro.core.store import CentralStore
 from repro.db.connection import Database
 from repro.pipeline.records import JobRecord
 from repro.portal.histograms import job_histograms
 from repro.portal.reports import _PAGE, render_detail_html
 from repro.portal.search import JobSearch, SearchField, browse_date
-from repro.portal.views import JobDetailView, JobListView
+from repro.portal.views import LIST_COLUMNS, JobDetailView, JobListView
+
+#: cell types whose ``str()`` holds nothing HTML escapes, and which
+#: ``str.format`` renders exactly as ``str()`` does
+_PLAIN_CELLS = frozenset({int, float, type(None)})
+_JOB_TABLE_HEAD = (
+    "<table><tr>" + "".join(f"<th>{c}</th>" for c in LIST_COLUMNS) + "</tr>"
+)
+#: one job-list row, cells by position; the jobid cell links to the job
+_JOB_TABLE_ROW = "<tr>" + "".join(
+    f'<td><a href="/job/{{{i}}}">{{{i}}}</a></td>' if col == "jobid"
+    else f"<td>{{{i}}}</td>"
+    for i, col in enumerate(LIST_COLUMNS)
+) + "</tr>"
 
 
 def _int_param(name: str, raw: str) -> int:
@@ -338,17 +352,19 @@ class PortalApp:
 
         s = self.stream
         try:
-            res = query(
-                s.tsdb, s.metric, group_by=("host",), aggregate="sum",
-                rate=True, downsample=(600, "avg"),
-            )
+            with obs.span("tsdb.query"):
+                res = query(
+                    s.tsdb, s.metric, group_by=("host",), aggregate="sum",
+                    rate=True, downsample=(600, "avg"),
+                )
         except ValueError:
             return ""
         if not res.series:
             return ""
-        chart = render_result_ascii(
-            res, label=f"{s.metric} rate by host (600 s avg)"
-        )
+        with obs.span("portal.chart"):
+            chart = render_result_ascii(
+                res, label=f"{s.metric} rate by host (600 s avg)"
+            )
         return (
             "<h3>Live activity</h3><pre>" + html.escape(chart) + "</pre>"
         )
@@ -366,7 +382,7 @@ class PortalApp:
                 status=404, body=self._error("no live TSDB attached")
             )
         from repro.tsdb.query import query
-        from repro.tsdb.render import render_result_ascii, render_result_svg
+        from repro.tsdb.render import render_result_html
 
         tsdb = self.stream.tsdb
         metric = params.get("metric", self.stream.metric)
@@ -395,16 +411,17 @@ class PortalApp:
         width = _float_param("width", params.get("width", 2.0**64))
         if width <= 0:
             raise ValueError(f"counter width must be positive, got {width}")
-        res = query(
-            tsdb, metric,
-            tags=tags or None,
-            group_by=group_by,
-            aggregate=params.get("agg", "sum"),
-            rate=params.get("rate", "") in ("1", "true", "yes"),
-            counter_width=width,
-            downsample=downsample,
-            time_range=time_range,
-        )
+        with obs.span("tsdb.query"):
+            res = query(
+                tsdb, metric,
+                tags=tags or None,
+                group_by=group_by,
+                aggregate=params.get("agg", "sum"),
+                rate=params.get("rate", "") in ("1", "true", "yes"),
+                counter_width=width,
+                downsample=downsample,
+                time_range=time_range,
+            )
         label = metric + (f" {tags}" if tags else "")
         cache = getattr(tsdb, "cache", None)
         footer = (
@@ -415,18 +432,13 @@ class PortalApp:
             )
             + "</p>"
         )
-        body = (
-            f"<h2>tsdb: {html.escape(label)}</h2>"
-            + render_result_svg(res, label=label)
-            + "<pre>" + html.escape(render_result_ascii(res, label=label))
-            + "</pre>" + footer
-        )
+        with obs.span("portal.chart"):
+            chart = render_result_html(res, label=label)
+        body = f"<h2>tsdb: {html.escape(label)}</h2>" + chart + footer
         return Response(body=_PAGE.format(title="TSDB query", body=body))
 
     def obs_page(self, params: Dict[str, str]) -> Response:
         """The monitor's own telemetry: metrics registry + span stats."""
-        from repro import obs
-
         if params.get("format") == "json":
             return Response(
                 content_type="application/json", body=obs.render_json()
@@ -526,20 +538,16 @@ class PortalApp:
     # -- fragments ----------------------------------------------------------
     @staticmethod
     def _job_table(records) -> str:
-        view = JobListView(records)
-        cells = ["<table><tr>"]
-        cells.extend(f"<th>{c}</th>" for c in view.header())
-        cells.append("</tr>")
-        for row in view.rows():
-            cells.append("<tr>")
-            for col in view.header():
-                val = html.escape(str(row[col]))
-                if col == "jobid":
-                    val = f'<a href="/job/{val}">{val}</a>'
-                cells.append(f"<td>{val}</td>")
-            cells.append("</tr>")
-        cells.append("</table>")
-        return "".join(cells)
+        escape = html.escape
+        with obs.span("portal.table"):
+            parts = [_JOB_TABLE_HEAD]
+            for cells in JobListView(records).cells():
+                parts.append(_JOB_TABLE_ROW.format(*[
+                    c if type(c) in _PLAIN_CELLS else escape(str(c))
+                    for c in cells
+                ]))
+            parts.append("</table>")
+            return "".join(parts)
 
     @staticmethod
     def _search_form(params: Optional[Dict[str, str]] = None) -> str:

@@ -82,6 +82,7 @@ def fig5_series(accum: JobAccum) -> Dict[str, Panel]:
 
 
 _SPARK = "▁▂▃▄▅▆▇█"
+_SPARK_GLYPHS = np.array(list(_SPARK))
 
 
 def sparkline(values: np.ndarray, lo: float = None, hi: float = None) -> str:
@@ -95,7 +96,7 @@ def sparkline(values: np.ndarray, lo: float = None, hi: float = None) -> str:
         return _SPARK[0] * v.size
     idx = np.clip(((v - lo) / (hi - lo) * (len(_SPARK) - 1)).astype(int),
                   0, len(_SPARK) - 1)
-    return "".join(_SPARK[i] for i in idx)
+    return "".join(_SPARK_GLYPHS[idx].tolist())
 
 
 #: a colour cycle for per-node lines (SVG rendering)
@@ -133,17 +134,21 @@ def render_panel_svg(
             hi = lo + 1.0
         t0, t1 = float(t.min()), float(t.max())
         span = max(t1 - t0, 1.0)
-
-        def xy(ti: float, vi: float) -> str:
-            x = pad_l + (ti - t0) / span * plot_w
-            y = pad_t + (1.0 - (vi - lo) / (hi - lo)) * plot_h
-            return f"{x:.1f},{y:.1f}"
-
-        for i in range(min(s.shape[0], max_hosts)):
-            pts = " ".join(
-                xy(ti, vi) for ti, vi in zip(t, s[i])
-                if np.isfinite(vi)
-            )
+        # every drawn point of every line in two array expressions, in
+        # the scalar formula's operation order (so each %.1f rounds the
+        # same double); only finite values are touched, row-major
+        drawn = s[:max(max_hosts, 0), :len(t)]
+        finite = np.isfinite(drawn)
+        xy = np.empty((int(finite.sum()), 2))
+        xy[:, 0] = pad_l + (
+            np.broadcast_to(t[:drawn.shape[1]], drawn.shape)[finite] - t0
+        ) / span * plot_w
+        xy[:, 1] = pad_t + (1.0 - (drawn[finite] - lo) / (hi - lo)) * plot_h
+        coords = xy.ravel().tolist()
+        end = 0
+        for i, n in enumerate(finite.sum(axis=1).tolist()):
+            start, end = end, end + 2 * n
+            pts = " ".join(["%.1f,%.1f"] * n) % tuple(coords[start:end])
             colour = _COLOURS[i % len(_COLOURS)]
             parts.append(
                 f'<polyline points="{pts}" fill="none" '

@@ -103,7 +103,8 @@ class JobSearch:
 
     def run(self) -> List:
         """Execute and return matching job records, newest first."""
-        return list(self.queryset().order_by("-start_time"))
+        # iter(): list() on the query set itself would COUNT(*) first
+        return list(iter(self.queryset().order_by("-start_time")))
 
     def flagged_sublist(self) -> List:
         """The flagged jobs among the matches (§V-A sublist)."""
@@ -114,8 +115,8 @@ def browse_date(day_start: int, day_end: Optional[int] = None) -> List:
     """\"View all jobs for a given date\" (Fig. 3 calendar)."""
     if day_end is None:
         day_end = day_start + 86_400
-    return list(
+    return list(iter(
         JobRecord.objects.filter(
             end_time__gte=day_start, end_time__lt=day_end
         ).order_by("end_time")
-    )
+    ))

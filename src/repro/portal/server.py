@@ -162,16 +162,16 @@ class PortalServer:
         lands mid-render bumps the epoch, so the possibly-stale page
         is filed under the old epoch and never served after the write.
         """
-        path = urlsplit(target).path
-        cacheable = self._route_label(path) in CACHEABLE
-        if not cacheable:
-            return self.app.get_url(target)
-        epoch = self._store_epoch()
-        page = self.page_cache.get(target, epoch)
-        if page is not None:
-            return page
-        page = self.app.get_url(target)
-        if page.status == 200:
+        route = self._route_label(urlsplit(target).path)
+        cacheable = route in CACHEABLE
+        if cacheable:
+            epoch = self._store_epoch()
+            page = self.page_cache.get(target, epoch)
+            if page is not None:
+                return page
+        with obs.span("portal.render", route=route):
+            page = self.app.get_url(target)
+        if cacheable and page.status == 200:
             self.page_cache.put(target, epoch, page)
         return page
 

@@ -11,7 +11,7 @@ tests"*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.energy import EnergyReport, energy_breakdown
 from repro.core.store import CentralStore
@@ -44,11 +44,13 @@ class JobListView:
 
     records: Sequence
 
+    def cells(self) -> Iterator[Tuple[object, ...]]:
+        """One tuple per record, in :data:`LIST_COLUMNS` order."""
+        for r in self.records:
+            yield tuple([getattr(r, col, None) for col in LIST_COLUMNS])
+
     def rows(self) -> List[Dict[str, object]]:
-        return [
-            {col: getattr(r, col, None) for col in LIST_COLUMNS}
-            for r in self.records
-        ]
+        return [dict(zip(LIST_COLUMNS, cells)) for cells in self.cells()]
 
     def header(self) -> List[str]:
         return list(LIST_COLUMNS)

@@ -108,6 +108,18 @@ def test_slicing_and_indexing(db):
     assert qs[0].name == "alpha"
     with pytest.raises(IndexError):
         qs[99]
+    # SQL has no negative OFFSET and no stride: refuse rather than
+    # answer with the wrong rows
+    with pytest.raises(ValueError):
+        qs[-1]
+    with pytest.raises(ValueError):
+        qs[-2:]
+    with pytest.raises(ValueError):
+        qs[::2]
+    with pytest.raises(ValueError):
+        qs[:-1]
+    assert names(qs[::1]) == names(qs[:]) == names(qs)
+    assert qs[3:1] == [] and qs[2:2] == []
 
 
 def test_first_and_exists(db):

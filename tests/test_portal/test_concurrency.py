@@ -11,13 +11,15 @@ PortalApp whose TSDB is being written to concurrently, asserting
   a miss, even interleaved (hits + misses == lookups).
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.analysis.popgen import generate_population
-from repro.db import Database
+from repro.db import BooleanField, Database, IntegerField, Model, TextField
+from repro.db.fields import JSONField
 from repro.pipeline.records import JobRecord
 from repro.portal.app import PortalApp
 from repro.tsdb import TimeSeriesDB
@@ -170,6 +172,59 @@ def test_hammer_responses_identical_after_writer_stops(live_app):
     for t in threads:
         t.join(timeout=60)
     assert all(b == want for b in bodies)
+
+
+def test_first_hydration_of_a_model_from_many_threads():
+    """The hydration plan of a result shape is compiled on first use
+    and kept on the model class: 8 pool threads reading a model nobody
+    has read yet must each get every row right and leave one plan."""
+
+    class Fresh(Model):
+        table_name = "fresh"
+        name = TextField()
+        rank = IntegerField(default=0)
+        live = BooleanField(default=False)
+        extra = JSONField(null=True)
+
+    db = Database()
+    Fresh.bind(db)
+    Fresh.create_table()
+    Fresh.objects.bulk_create([
+        Fresh(name=f"r{i}", rank=i, live=bool(i % 2), extra={"i": [i]})
+        for i in range(50)
+    ])
+    want = [(f"r{i}", i, bool(i % 2), {"i": [i]}) for i in range(50)]
+    assert Fresh._hydrators == {}
+    barrier = threading.Barrier(N_THREADS)
+    got = [None] * N_THREADS
+    failures = []
+
+    def reader(tid):
+        try:
+            barrier.wait(timeout=30)
+            got[tid] = [
+                (r.name, r.rank, r.live, r.extra)
+                for r in Fresh.objects.all().order_by("rank")
+            ]
+        except Exception as exc:  # noqa: BLE001
+            failures.append((tid, repr(exc)))
+
+    threads = [
+        threading.Thread(target=reader, args=(i,)) for i in range(N_THREADS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert all(rows == want for rows in got)
+    assert len(Fresh._hydrators) == 1
 
 
 # -- direct cache hammers --------------------------------------------------
