@@ -16,19 +16,34 @@ upload (``BENCH_stream.json``).  Three numbers matter:
   ``TimeSeriesDB.put_many`` plus at most one rollup row per tier that
   rolled over (~1.2 on this scenario).  It gates at 3; the per-series
   write path it replaced made ~340.
+
+Three more gates hold the store's side of that write (row-block heads
+and the prune low-water mark), all machine-independent:
+
+* **Python calls per delivery** inside ``RetainingWriter.put_many``
+  (store write + retention fold + prune check), counted by ``cProfile``
+  on the same fixture — the count repeats exactly, and must stay at or
+  below a quarter of what the per-series heads cost;
+* **a prune pass that cannot drop** visits no series and no block;
+* **a prune pass that does drop**, on a 48-host x 339-series fleet two
+  days deep, is at least 8x faster than the list engine doing the same
+  pass in the same process, and leaves the same store.
 """
 
-import json
-import os
+import cProfile
+import pstats
 import time
 from pathlib import Path
 
-from benchmarks._support import git_commit, report
+import numpy as np
+
+from benchmarks._support import record_bench, report
 from repro import monitoring_session, obs
 from repro.cluster import JobSpec, make_app
-from repro.stream import StreamPipeline
+from repro.stream import RetainingWriter, StreamPipeline
 from repro.stream.pipeline import STREAM_QUEUE
 from repro.tsdb import TimeSeriesDB
+from tests.test_tsdb.reference import ListBackedTSDB
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 
@@ -38,6 +53,15 @@ LATENCY_BUDGET = 2 * INTERVAL
 
 #: store write calls (``put`` + ``put_many``) one delivery may cost
 MAX_WRITE_CALLS_PER_DELIVERY = 3
+
+#: Python + builtin calls inside ``RetainingWriter.put_many`` per
+#: delivery on this fixture at 9d51588 (per-series list heads, a prune
+#: walk over every series), counted the way the gate below counts
+CALLS_PER_DELIVERY_AT_9D51588 = 1_657_541 / 584  # 2838.3
+MAX_CALLS_RATIO = 0.25
+
+#: the dropping pass against the list engine's
+MIN_PRUNE_SPEEDUP = 8.0
 
 #: offender-heavy mix so several predicates actually fire
 MIX = (
@@ -62,22 +86,12 @@ class CountingTSDB(TimeSeriesDB):
         return super().put_many(*args, **kw)
 
 
-def record_bench(section: str, payload: dict) -> None:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def test_stream_latency_and_throughput_gate():
+def run_fixture(tsdb):
+    """The 8-node, 12-hour offender session streamed into ``tsdb``:
+    ``(stream, deliveries, wall seconds)``."""
     obs.reset()
     sess = monitoring_session(nodes=8, seed=404, interval=INTERVAL)
     obs.set_clock(sess.cluster.clock.now)
-    tsdb = CountingTSDB()
     stream = StreamPipeline(sess.broker, tsdb=tsdb, jobs=sess.cluster.jobs)
     stream.start()
     for user, app, nodes in MIX:
@@ -91,6 +105,12 @@ def test_stream_latency_and_throughput_gate():
     stream.finalize()
     wall = time.perf_counter() - t0
     deliveries = sess.broker.stats()["queues"][STREAM_QUEUE]["delivered"]
+    return stream, deliveries, wall
+
+
+def test_stream_latency_and_throughput_gate():
+    tsdb = CountingTSDB()
+    stream, deliveries, wall = run_fixture(tsdb)
     obs.reset()
 
     assert stream.samples > 0 and stream.alerts.ledger
@@ -112,10 +132,8 @@ def test_stream_latency_and_throughput_gate():
          f"{tsdb.write_calls} calls, {deliveries} deliveries "
          f"(gate {MAX_WRITE_CALLS_PER_DELIVERY})"),
     ], ["measure", "value", "detail"])
-    record_bench("live_path_8x12h", {
+    record_bench(BENCH_JSON, "live_path_8x12h", {
         "scenario": "8 nodes, 12 h sim, 600 s cadence, offender mix",
-        "cpu_count": os.cpu_count(),
-        "commit": git_commit(),
         "samples": stream.samples,
         "deliveries": deliveries,
         "store_write_calls": tsdb.write_calls,
@@ -140,4 +158,119 @@ def test_stream_latency_and_throughput_gate():
         f"p99 sample→flag latency {p99} sim-s exceeds "
         f"{LATENCY_BUDGET} sim-s ({LATENCY_BUDGET // INTERVAL} "
         f"collection intervals)"
+    )
+
+
+def test_store_calls_per_delivery_and_noop_prune_gate(monkeypatch):
+    """Count, do not time: the profiler runs only inside
+    ``RetainingWriter.put_many``, so ``total_calls`` is every Python and
+    builtin call one delivery's write costs — the store append, the
+    retention fold, and the hourly prune check (12 passes here, none of
+    which can drop: the session is shorter than every horizon)."""
+    profile = cProfile.Profile()
+    put_many = RetainingWriter.put_many
+
+    def profiled(self, *args, **kw):
+        profile.enable()
+        try:
+            return put_many(self, *args, **kw)
+        finally:
+            profile.disable()
+
+    monkeypatch.setattr(RetainingWriter, "put_many", profiled)
+    stream, deliveries, _ = run_fixture(TimeSeriesDB())
+    passes = obs.counter("repro_tsdb_prune_passes_total")
+    skipped, walked = (
+        passes.value(outcome="skipped"), passes.value(outcome="walked"))
+    obs.reset()
+
+    stats = pstats.Stats(profile)
+    calls = stats.total_calls / deliveries
+    ratio = calls / CALLS_PER_DELIVERY_AT_9D51588
+    #: calls into the two places a prune pass touches stored points
+    visits = sum(
+        ncalls for (_, _, name), (_, ncalls, *_) in stats.stats.items()
+        if name in ("prune_chunks", "cut")
+    )
+    report("store calls per delivery (cProfile, 8 nodes, 12 h)", [
+        ("calls / delivery", f"{calls:.1f}",
+         f"{CALLS_PER_DELIVERY_AT_9D51588:.1f} at 9d51588 -> "
+         f"{ratio:.3f}x (gate {MAX_CALLS_RATIO}x)"),
+        ("prune passes", f"{skipped:.0f} skipped, {walked:.0f} walked",
+         f"{visits} series/block visits, "
+         f"{stream.writer.pruned} points dropped"),
+    ], ["measure", "value", "detail"])
+    record_bench(BENCH_JSON, "store_calls_8x12h", {
+        "scenario": "8 nodes, 12 h sim, cProfile inside "
+                    "RetainingWriter.put_many only",
+        "deliveries": deliveries,
+        "calls": stats.total_calls,
+        "calls_per_delivery": round(calls, 2),
+        "calls_per_delivery_at_9d51588": CALLS_PER_DELIVERY_AT_9D51588,
+        "ratio": round(ratio, 4),
+        "prune_passes_skipped": skipped,
+        "prune_passes_walked": walked,
+        "prune_series_visits": visits,
+        "points_pruned": stream.writer.pruned,
+    })
+    assert ratio <= MAX_CALLS_RATIO, (
+        f"{calls:.0f} calls per delivery inside RetainingWriter.put_many "
+        f"is {ratio:.2f}x the per-series heads' "
+        f"{CALLS_PER_DELIVERY_AT_9D51588:.0f} (gate {MAX_CALLS_RATIO}x)"
+    )
+    assert stream.writer.pruned == 0 and skipped > 0
+    assert walked == 0 and visits == 0, (
+        f"{walked:.0f} prune passes walked and visited {visits} "
+        f"series/blocks to drop nothing"
+    )
+
+
+def test_dropping_prune_pass_gate():
+    """The other side of the low-water mark: a pass that drops.  A
+    48 x 339 fleet holds 294 rows per series (49 h at the 600 s cadence,
+    the default raw horizon is 48 h), and one hourly pass drops the
+    oldest six of each — 97 632 points — from both engines."""
+    hosts, k, rows = 48, 339, 294
+    t = np.arange(rows, dtype=np.int64) * INTERVAL
+    block = np.random.default_rng(18).random((rows, k))
+    stores = []
+    for store in (TimeSeriesDB(), ListBackedTSDB()):
+        for h in range(hosts):
+            group = store.group("stats", [
+                {"host": f"c{h:03d}", "event": f"e{j:03d}"} for j in range(k)
+            ])
+            # two writes, so the heads have grown once
+            store.put_many("stats", group, t[:288], block[:288] + h)
+            store.put_many("stats", group, t[288:], block[288:] + h)
+        t0 = time.perf_counter()
+        dropped = store.prune(6 * INTERVAL, metric="stats")
+        stores.append((store, dropped, time.perf_counter() - t0))
+    (db, dropped, wall), (oracle, oracle_dropped, oracle_wall) = stores
+    speedup = oracle_wall / wall
+
+    report("dropping prune pass (48 hosts x 339 series x 294 rows)", [
+        ("row-block heads", f"{wall * 1e3:.1f} ms", f"{dropped} points"),
+        ("list engine", f"{oracle_wall * 1e3:.1f} ms",
+         f"{oracle_dropped} points"),
+        ("speed-up", f"{speedup:.1f}x", f"gate {MIN_PRUNE_SPEEDUP}x"),
+    ], ["engine", "one pass", "detail"])
+    record_bench(BENCH_JSON, "dropping_prune_48x339", {
+        "scenario": "48 hosts x 339 series x 294 rows, prune the oldest "
+                    "6 rows of every series, one pass per engine",
+        "points_dropped": dropped,
+        "pass_ms": round(wall * 1e3, 2),
+        "list_engine_pass_ms": round(oracle_wall * 1e3, 2),
+        "speedup": round(speedup, 1),
+    })
+    assert dropped == oracle_dropped == hosts * k * 6
+    assert db.n_series() == oracle.n_series() == hosts * k
+    # the same store: ``store_dump`` series by series, without the lists
+    for key, s in db._series.items():
+        (ta, va), (tb, vb) = s.arrays(), oracle._series[key].arrays()
+        assert np.array_equal(ta, tb), key
+        assert np.array_equal(va.view(np.uint64), vb.view(np.uint64)), key
+    assert speedup >= MIN_PRUNE_SPEEDUP, (
+        f"dropping pass {wall * 1e3:.0f} ms vs the list engine's "
+        f"{oracle_wall * 1e3:.0f} ms: {speedup:.1f}x "
+        f"(gate {MIN_PRUNE_SPEEDUP}x)"
     )

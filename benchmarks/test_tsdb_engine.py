@@ -1,7 +1,7 @@
 """CI gates for the chunked columnar TSDB storage engine.
 
 Four promises back the engine, each measured against the retained
-list-backed reference (:mod:`repro.tsdb.baseline`) on one
+list-backed reference (:mod:`tests.test_tsdb.reference`) on one
 deterministic counter corpus and recorded in ``BENCH_tsdb.json`` for
 the artifact upload:
 
@@ -29,7 +29,7 @@ Cold here means *truly* cold: :meth:`TimeSeriesDB.drop_read_caches`
 single query, so the chunked side pays full decode and the list side
 pays full re-materialisation — neither engine smuggles warm arrays
 into the measurement.  The list side runs the frozen pre-vectorisation
-query path (:func:`~repro.tsdb.baseline.baseline_query`) plus a plain
+query path (:func:`~tests.test_tsdb.reference.baseline_query`) plus a plain
 materialise-and-reduce loop for the summary queries, i.e. exactly what
 the engine did before this work.
 
@@ -48,7 +48,7 @@ import numpy as np
 from benchmarks._support import git_commit, report
 from repro import obs
 from repro.tsdb import TimeSeriesDB, window_stats
-from repro.tsdb.baseline import ListBackedTSDB, baseline_query
+from tests.test_tsdb.reference import ListBackedTSDB, baseline_query
 from repro.tsdb.chunks import Chunk, seal_many
 from repro.tsdb.query import query
 

@@ -12,12 +12,14 @@ This package implements exactly that data model:
   group-by over any tag subset, sum/avg/max/min aggregation,
   counter→rate conversion and time-bucket downsampling.  Storage is
   a chunked columnar engine (:mod:`repro.tsdb.chunks`): compressed
-  immutable chunks behind a small mutable head, a per-metric series
-  index, time-range pushdown, batched :meth:`TimeSeriesDB.put_many`
-  writes (one series' column, or rows across a :class:`SeriesGroup`)
-  and an epoch-invalidated LRU query-result cache
-  (:mod:`repro.tsdb.cache`).  The displaced growable-list engine
-  survives as :class:`repro.tsdb.baseline.ListBackedTSDB`, the golden
+  immutable chunks behind row-block heads (the series written
+  together share one time vector and one values matrix), a per-metric
+  series index, time-range pushdown, batched
+  :meth:`TimeSeriesDB.put_many` writes (one series' column, or rows
+  across a :class:`SeriesGroup`) and an epoch-invalidated LRU
+  query-result cache (:mod:`repro.tsdb.cache`).  The displaced
+  growable-list engine is frozen as the test oracle
+  ``tests/test_tsdb/reference.py::ListBackedTSDB``, the golden
   reference the equivalence suite and benchmarks compare against.
 * :func:`ingest_store` — load every counter of every host from a
   :class:`~repro.core.store.CentralStore` under the paper's tag

@@ -13,7 +13,7 @@ Query semantics follow OpenTSDB:
    NaN-skipping),
 4. optionally downsample into fixed time buckets.
 
-The semantics are pinned by :func:`repro.tsdb.baseline.baseline_query`
+The semantics are pinned by ``tests/test_tsdb/reference.py::baseline_query``
 (the pre-vectorisation implementation, kept verbatim as an oracle);
 everything below must stay *bit-identical* to it, and the equivalence
 and property suites enforce that.  What changed is how the work is
@@ -63,7 +63,7 @@ import numpy as np
 from repro import obs
 from repro.hardware.counters import correct_rollover
 from repro.tsdb.chunks import Chunk, decode_many
-from repro.tsdb.store import TimeSeriesDB, _Series
+from repro.tsdb.store import TimeSeriesDB
 
 _AGGS = {
     "sum": np.nansum,
@@ -520,9 +520,9 @@ def window_stats(
     a window edge decode (through the buffer cache) and reduce their
     in-window slice.  ``use_preagg=False`` forces the decode path for
     every chunk; the property suite proves both modes bit-identical.
-    Series with out-of-order or duplicate timestamps, and foreign
-    engines (the list baseline), fall back to one reduction over the
-    merged window — same statistics, single-segment association.
+    Series with out-of-order or duplicate timestamps fall back to one
+    reduction over the merged window — same statistics, single-segment
+    association.
     """
     with _read_locked(tsdb):
         return _window_stats_locked(
@@ -555,7 +555,7 @@ def _window_stats_locked(
     plans: List[Optional[List[Tuple[Chunk, bool]]]] = []
     to_decode: List[Chunk] = []
     for s in selected:
-        if isinstance(s, _Series) and s._ordered:
+        if s._ordered:
             items: List[Tuple[Chunk, bool]] = []
             for chunk in s.chunks:
                 if not chunk.overlaps(lo, hi):
@@ -607,19 +607,13 @@ def _window_stats_locked(
                 j = len(t) if hi is None else int(np.searchsorted(t, hi))
                 if j > i:
                     parts.append(_part_stats(t[i:j], v[i:j]))
-            if s._head_t:
-                t, v = s._head_arrays()
-                if lo is not None:
-                    m = (t >= lo) & (t < hi)
-                    t, v = t[m], v[m]
-                if len(t):
-                    parts.append(_part_stats(t, v))
-            stats_lock = getattr(tsdb, "_stats_lock", None)
-            if stats_lock is not None:
-                with stats_lock:
-                    tsdb.preagg_windows += 1
-                    tsdb.preagg_chunks_skipped += skipped
-            else:
+            t, v = s.head()
+            if lo is not None and len(t):
+                m = (t >= lo) & (t < hi)
+                t, v = t[m], v[m]
+            if len(t):
+                parts.append(_part_stats(t, v))
+            with tsdb._stats_lock:
                 tsdb.preagg_windows += 1
                 tsdb.preagg_chunks_skipped += skipped
             if skipped:

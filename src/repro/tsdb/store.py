@@ -1,24 +1,29 @@
 """Time-series storage and ingest.
 
 Series are keyed by (metric, sorted tag items).  Each series is a
-chunked columnar store: writes land in a small mutable head, and once
-the head reaches ``chunk_size`` points it is sealed into an immutable
-compressed :class:`~repro.tsdb.chunks.Chunk` (delta-of-delta varint
-timestamps, XOR-packed float values) carrying ``(t_min, t_max,
-count)`` metadata.  Reads materialise sorted NumPy arrays with
-last-write-wins duplicate handling — semantically identical to the
-original growable-list store (see :mod:`repro.tsdb.baseline`, the
-retained reference implementation) — but
+chunked columnar store: writes land in a *head block* — one shared
+time vector and one values matrix for the K series that are written
+together (:class:`_HeadBlock`; a series written on its own is K = 1) —
+and once a column holds ``chunk_size`` open points they are sealed
+into an immutable compressed :class:`~repro.tsdb.chunks.Chunk`
+(delta-of-delta varint timestamps, XOR-packed float values) carrying
+``(t_min, t_max, count)`` metadata.  Reads materialise sorted NumPy
+arrays with last-write-wins duplicate handling — semantically
+identical to the original growable-list store (frozen as the test
+oracle ``tests/test_tsdb/reference.py::ListBackedTSDB``) — but
 
 * time-range reads skip whole chunks on metadata before any decode,
 * :meth:`TimeSeriesDB.select` resolves series through a per-metric
   index instead of scanning every key in the store,
-* :meth:`TimeSeriesDB.prune` drops expired sealed chunks by comparing
-  ``t_max`` against the horizon, decoding only the one chunk that
-  straddles it, and
+* :meth:`TimeSeriesDB.prune` skips a metric outright when its
+  low-water mark says nothing is that old; otherwise it drops expired
+  sealed chunks by comparing ``t_max`` against the horizon, decoding
+  only the one chunk that straddles it, and cuts open points a head
+  block at a time, and
 * :meth:`TimeSeriesDB.put_many` appends whole columns in one call —
   one series' ``(n,)`` column, or an ``(n, K)`` block of rows across a
-  :class:`SeriesGroup` (the live feed writes one row per host sample).
+  :class:`SeriesGroup` (the live feed writes one row per host sample):
+  one array store into the group's head block, no per-series call.
 
 Every write bumps the store's ``epoch``, which is what lets the
 query-result cache (:mod:`repro.tsdb.cache`) invalidate precisely.
@@ -29,7 +34,6 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import (
     Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -132,104 +136,299 @@ def _sort_dedupe(
     return t, v
 
 
-def _count_seals(metric: str, chunks: int, nbytes: int) -> None:
-    obs.counter(
-        "repro_tsdb_chunk_seals_total",
-        "series heads frozen into compressed columnar chunks",
-    ).inc(chunks, metric=metric)
-    obs.counter(
-        "repro_tsdb_chunk_bytes_total",
-        "compressed bytes at rest in sealed TSDB chunks",
-    ).inc(nbytes, metric=metric)
+def _seal_into(
+    heads: List[Tuple["_Series", np.ndarray, np.ndarray]], chunk_size: int
+) -> None:
+    """Seal each ``(series, t, v)`` into a new chunk of that series.
+
+    Columns are encoded a slab at a time through
+    :func:`~repro.tsdb.chunks.seal_many` — bit for bit the chunks a
+    per-series seal would produce — and the seal counters move once
+    per metric.
+    """
+    per_slab = max(1, _SEAL_SLAB_POINTS // chunk_size)
+    sealed: Dict[str, List[int]] = {}
+    for i in range(0, len(heads), per_slab):
+        slab = heads[i:i + per_slab]
+        for (s, _, _), chunk in zip(
+            slab, seal_many([(t, v) for _, t, v in slab])
+        ):
+            s.chunks.append(chunk)
+            totals = sealed.setdefault(s.metric, [0, 0])
+            totals[0] += 1
+            totals[1] += chunk.nbytes
+    for metric, (n_chunks, nbytes) in sealed.items():
+        obs.counter(
+            "repro_tsdb_chunk_seals_total",
+            "series heads frozen into compressed columnar chunks",
+        ).inc(n_chunks, metric=metric)
+        obs.counter(
+            "repro_tsdb_chunk_bytes_total",
+            "compressed bytes at rest in sealed TSDB chunks",
+        ).inc(nbytes, metric=metric)
 
 
-@dataclass
-class _Series:
-    """One chunked series: sealed chunks + a mutable head."""
+#: lower edge of a column whose series left the block: past every row
+#: count, so the column is empty in each array expression over ``lo``
+_DEAD = 1 << 62
+#: ``max_ts`` of a column nothing was ever written to
+_NEVER = np.iinfo(np.int64).min
 
-    metric: str
-    tags: Dict[str, str]
-    chunk_size: int = CHUNK_POINTS
-    chunks: List[Chunk] = field(default_factory=list)
-    #: decoded-chunk LRU shared across the store (None disables)
-    buffer_cache: Optional[object] = None
-    _head_t: List[int] = field(default_factory=list)
-    _head_v: List[float] = field(default_factory=list)
-    #: strictly-increasing fast path: every append so far was newer
-    #: than everything before it (chunks disjoint + head in order)
-    _ordered: bool = True
-    _max_ts: Optional[int] = None
-    _full: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    #: memoised head columns — a write-side artifact (the head *is*
-    #: these arrays between appends), so unlike ``_full`` it survives
-    #: :meth:`drop_read_cache`
-    _head_cols: Optional[Tuple[np.ndarray, np.ndarray]] = None
+_NO_T = np.empty(0, dtype=np.int64)
+_NO_V = np.empty(0, dtype=np.float64)
 
-    # -- writing ------------------------------------------------------------
-    def add(self, ts: int, value: float) -> None:
-        ts = int(ts)
-        if self._max_ts is not None and ts <= self._max_ts:
-            self._ordered = False
+
+class _HeadBlock:
+    """The open (unsealed) points of K series that are written together.
+
+    One shared ``int64`` time vector ``t`` and one ``(K, capacity)``
+    ``float64`` matrix ``v``: rows ``[0, n)`` are filled in arrival
+    order and column ``j`` owns rows ``[lo[j], n)``.  The series of a
+    :class:`SeriesGroup` share a block, a series written on its own
+    owns a K = 1 block, and a series sits in at most one block, so
+    every open point lives in exactly one place.  A column seals when
+    *its own* open count reaches ``chunk_size``.  A column whose series
+    left (written through another handle, adopted by another block,
+    deleted) gets ``lo = _DEAD`` and is listed in ``detached`` for the
+    owning group's tail loop; the block carries on.  Rows a reader may
+    hold are never rewritten: an append fills rows past ``n``, growth
+    and compaction build fresh arrays.  Once every open row is sealed
+    (:meth:`TimeSeriesDB.seal_heads`) the block is dissolved, so a
+    sealed series costs no block at all.
+    """
+
+    __slots__ = (
+        "members", "chunk_size", "t", "v", "n", "lo", "detached",
+        "max_ts", "col_ordered", "base", "stamp",
+    )
+
+    def __init__(self, members: Sequence["_Series"], chunk_size: int) -> None:
+        self.members = members
+        self.chunk_size = chunk_size
+        self.t, self.v, self.n = _NO_T, None, 0
+        self.lo = np.zeros(len(members), dtype=np.int64)
+        self.detached: List[int] = []
+        #: per column, as a per-series head would keep them: the newest
+        #: timestamp ever written, and whether every append so far was
+        #: newer than everything before it (sticky)
+        history = [s._history() for s in members]
+        self.max_ts = np.array([h[0] for h in history], dtype=np.int64)
+        self.col_ordered = np.array([h[1] for h in history], dtype=bool)
+        #: ``lo.min()``: rows before it belong to no column any more
+        self.base = 0
+        #: moves with every change; validates the members' ``_full``
+        self.stamp = 0
+
+    def append(self, t: np.ndarray, v_t: np.ndarray) -> int:
+        """Store ``len(t)`` rows, ``v_t`` being ``(K, len(t))``; returns
+        their oldest timestamp."""
+        m = len(t)
+        if self.n + m > len(self.t):
+            self._compact(room=m)
+        a, b = self.n, self.n + m
+        self.t[a:b] = t
+        self.v[:, a:b] = v_t
+        self.n = b
+        rising = m == 1 or bool((t[1:] > t[:-1]).all())
+        if rising:
+            self.col_ordered &= self.max_ts < t[0]
         else:
-            self._max_ts = ts
-        self._head_t.append(ts)
-        self._head_v.append(float(value))
+            self.col_ordered[:] = False
+        np.maximum(self.max_ts, t[-1] if rising else t.max(), out=self.max_ts)
+        self.stamp += 1
+        while self.n - self.base >= self.chunk_size:
+            # the oldest chunk_size rows of every column that has them
+            due = np.flatnonzero(self.n - self.lo >= self.chunk_size)
+            _seal_into(
+                self.sealable(due, self.chunk_size), self.chunk_size
+            )
+            self.lo[due] += self.chunk_size
+            self._edges_moved()
+        return int(t[0] if rising else t.min())
+
+    def _keep_rows(self, rows, m: int, room: int = 0) -> None:
+        """Fresh arrays holding only ``rows`` (a slice or a mask
+        selecting ``m`` of them); the caller moves the edges."""
+        cap = max(m + room, 2 * m, 4)
+        t = np.empty(cap, dtype=np.int64)
+        v = np.empty((len(self.lo), cap))
+        if m:
+            t[:m] = self.t[:self.n][rows]
+            v[:, :m] = self.v[:, :self.n][:, rows]
+        self.t, self.v, self.n = t, v, m
+
+    def _compact(self, room: int = 0) -> None:
+        """Fresh arrays without the rows every column has sealed or
+        dropped, and with room for ``room`` more."""
+        base = min(self.base, self.n)
+        self._keep_rows(slice(base, self.n), self.n - base, room)
+        if base:
+            np.subtract(self.lo, base, out=self.lo, where=self.lo < _DEAD)
+            self.base -= base
+
+    def _edges_moved(self) -> None:
+        """Some ``lo`` rose: note the lowest, let the rows go once no
+        column owns any, and compact once half of them are nobody's."""
+        self.base = int(self.lo.min())
+        if self.base >= self.n:
+            self.t, self.v, self.n = _NO_T, None, 0
+            if self.base < _DEAD:
+                self.lo[self.lo < _DEAD] = 0
+                self.base = 0
+        elif self.base >= self.n - self.base:
+            self._compact()
+
+    def _rising(self) -> bool:
+        t = self.t[:self.n]
+        return bool((t[1:] > t[:-1]).all())
+
+    def sealable(
+        self, cols: np.ndarray, size: int
+    ) -> List[Tuple["_Series", np.ndarray, np.ndarray]]:
+        """``(series, t, v)`` over the oldest ``size`` open rows of each
+        of ``cols``, strictly increasing: as buffered when the rows are
+        in order, sorted + keep-last otherwise."""
+        rising = self._rising()
+        out = []
+        for j, a in zip(cols.tolist(), self.lo[cols].tolist()):
+            b = min(a + size, self.n)
+            t, v = self.t[a:b], self.v[j, a:b]
+            if not rising:
+                # within one sealed slice, last-inserted wins for
+                # duplicate timestamps; later slices/heads override at
+                # merge time because chunks are concatenated in seal
+                # order before the stable sort
+                t, v = _sort_dedupe(t, v)
+            out.append((self.members[j], t, v))
+        return out
+
+    def dissolve(self) -> None:
+        """Every open row has been sealed: park the series still here,
+        each keeping its own order history.  The block is garbage."""
+        for s, a, top, ordered in zip(
+            self.members, self.lo.tolist(), self.max_ts.tolist(),
+            self.col_ordered.tolist(),
+        ):
+            if a < _DEAD:
+                s._parked = (top, ordered)
+                s._block, s._col, s._full = _EMPTY, 0, None
+
+    def take(
+        self, src: "_HeadBlock", mine: List[int], theirs: List[int]
+    ) -> None:
+        """Start this (still empty) block from ``src``'s open rows: its
+        columns ``theirs`` become columns ``mine``, every other column
+        starts at the current row."""
+        base = int(src.lo[theirs].min())
+        keep = src.n - base
+        self.t = np.empty(2 * keep, dtype=np.int64)
+        self.v = np.empty((len(self.lo), 2 * keep))
+        self.t[:keep] = src.t[base:src.n]
+        self.v[mine, :keep] = src.v[theirs, base:src.n]
+        self.n = keep
+        self.lo[:] = keep
+        self.lo[mine] = src.lo[theirs] - base
+        self.base = int(self.lo.min())
+
+    def leave(self, col: int) -> None:
+        """Column ``col``'s series is no longer kept here."""
+        self.lo[col] = _DEAD
+        self.detached.append(col)
+        self._edges_moved()
+
+    def cut(self, before: int) -> Tuple[int, List[int]]:
+        """Drop open rows older than ``before`` from every column:
+        ``(points dropped, columns left without an open row)``."""
+        was = np.clip(self.n - self.lo, 0, None)
+        t = self.t[:self.n]
+        if self._rising():
+            np.maximum(self.lo, np.searchsorted(t, before), out=self.lo)
+        elif not (keep := t >= before).all():
+            # kept rows ahead of each row: where an edge lands
+            ahead = np.concatenate(([0], np.cumsum(keep)))
+            self.lo = np.where(
+                self.lo < _DEAD, ahead[np.minimum(self.lo, self.n)], _DEAD
+            )
+            self._keep_rows(keep, int(ahead[-1]))
+        now = np.clip(self.n - self.lo, 0, None)
+        dropped = int((was - now).sum())
+        if dropped:
+            self.stamp += 1
+        self._edges_moved()
+        return dropped, np.flatnonzero(
+            (now == 0) & (self.lo < _DEAD)
+        ).tolist()
+
+
+#: the block of no series, where one without an open point sits: just
+#: created, sealed by ``seal_heads``, or deleted by a prune
+_EMPTY = _HeadBlock((), CHUNK_POINTS)
+
+
+class _Series:
+    """One chunked series: sealed chunks + a column of a head block."""
+
+    __slots__ = (
+        "key", "metric", "tags", "chunks", "buffer_cache",
+        "_block", "_col", "_parked", "_full",
+    )
+
+    def __init__(
+        self,
+        key: Tuple[str, TagKey],
+        tags: Dict[str, str],
+        buffer_cache: Optional[object],
+    ) -> None:
+        self.key = key
+        self.metric = key[0]
+        self.tags = tags
+        self.chunks: List[Chunk] = []
+        #: decoded-chunk LRU shared across the store (None disables)
+        self.buffer_cache = buffer_cache
+        self._block, self._col = _EMPTY, 0
+        #: ``(max_ts, ordered)`` while in no block (see :meth:`_history`)
+        self._parked: Tuple[int, bool] = (_NEVER, True)
+        #: ``(block stamp, t, v)``: the materialised full columns, good
+        #: while the block has not changed since
+        self._full: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+
+    # -- the head -----------------------------------------------------------
+    def _history(self) -> Tuple[int, bool]:
+        """``(max_ts, ordered)``: kept by the block while in one."""
+        block = self._block
+        if block is _EMPTY:
+            return self._parked
+        return int(block.max_ts[self._col]), bool(block.col_ordered[self._col])
+
+    @property
+    def _ordered(self) -> bool:
+        """Strictly-increasing fast path: every append so far was newer
+        than everything before it (chunks disjoint + head in order)."""
+        return self._history()[1]
+
+    @property
+    def _max_ts(self) -> Optional[int]:
+        top = self._history()[0]
+        return None if top == _NEVER else top
+
+    def head(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The open points as ``(t, v)`` views in arrival order — before
+        any read-side sort, duplicates included."""
+        block = self._block
+        if not block.n or (a := block.lo[self._col]) >= block.n:
+            return _NO_T, _NO_V
+        return block.t[a:block.n], block.v[self._col, a:block.n]
+
+    def head_len(self) -> int:
+        block = self._block
+        return block.n - int(block.lo[self._col]) if block.n else 0
+
+    def _move(self, block: _HeadBlock, col: int) -> None:
+        """Sit in ``block`` (which already holds the open rows)."""
+        if self._block is not _EMPTY:
+            self._block.leave(self._col)
+        self._block, self._col = block, col
         self._full = None
-        self._head_cols = None
-        if len(self._head_t) >= self.chunk_size:
-            self._seal_head()
-
-    def extend(self, times: np.ndarray, values: np.ndarray) -> int:
-        """Bulk append two aligned columns; returns points appended."""
-        t = np.asarray(times, dtype=np.int64)
-        v = np.asarray(values, dtype=np.float64)
-        if t.shape != v.shape or t.ndim != 1:
-            raise ValueError("times/values must be aligned 1-d columns")
-        if len(t) == 0:
-            return 0
-        if self._ordered:
-            in_order = len(t) == 1 or bool((t[1:] > t[:-1]).all())
-            if not in_order or (
-                self._max_ts is not None and int(t[0]) <= self._max_ts
-            ):
-                self._ordered = False
-        last = int(t.max())
-        if self._max_ts is None or last > self._max_ts:
-            self._max_ts = last
-        self._head_t.extend(t.tolist())
-        self._head_v.extend(v.tolist())
-        self._full = None
-        self._head_cols = None
-        while len(self._head_t) >= self.chunk_size:
-            self._seal_head()
-        return len(t)
-
-    def _seal_head(self) -> None:
-        """Freeze the oldest ``chunk_size`` buffered points."""
-        n = min(self.chunk_size, len(self._head_t))
-        t = np.asarray(self._head_t[:n], dtype=np.int64)
-        v = np.asarray(self._head_v[:n], dtype=np.float64)
-        del self._head_t[:n], self._head_v[:n]
-        self._head_cols = None
-        # within one sealed slice, last-inserted wins for duplicate
-        # timestamps; later slices/heads override at merge time because
-        # chunks are concatenated in seal order before the stable sort
-        t, v = _sort_dedupe(t, v)
-        chunk = Chunk.seal(t, v)
-        self.chunks.append(chunk)
-        _count_seals(self.metric, 1, chunk.nbytes)
-
-    def sealable_head(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The whole head as strictly increasing columns: as buffered
-        for an in-order series, sorted + keep-last otherwise."""
-        t, v = self._head_arrays()
-        return (t, v) if self._ordered else _sort_dedupe(t, v)
-
-    def replace_head(self, chunk: Chunk) -> None:
-        """Swap the head for ``chunk``, its sealed form."""
-        self.chunks.append(chunk)
-        self._head_t, self._head_v = [], []
-        self._head_cols = None
 
     # -- reading ------------------------------------------------------------
     def arrays(
@@ -244,29 +443,25 @@ class _Series:
         through the store's decoded-buffer cache when one is attached,
         and the misses of one call are decoded in a single batch.
         """
+        cols = self.materialised(time_range)
+        if cols is not None:
+            return cols
         lo, hi = time_range if time_range is not None else (None, None)
-        if self._full is not None:
-            return self._slice_full(lo, hi, time_range is None)
         _, needed = self.pending_chunks(lo, hi)
         decoded = self.decode_into({}, needed)
         return self.assemble(decoded, lo, hi, cache_full=time_range is None)
 
-    def _head_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The buffered head as columns, memoised between appends."""
-        if self._head_cols is None:
-            self._head_cols = (
-                np.asarray(self._head_t, dtype=np.int64),
-                np.asarray(self._head_v, dtype=np.float64),
-            )
-        return self._head_cols
-
-    def _slice_full(
-        self, lo: Optional[int], hi: Optional[int], full: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        t, v = self._full
-        if full:
+    def materialised(
+        self, time_range: Optional[Tuple[int, int]]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The window out of the full columns, if they are current."""
+        full = self._full
+        if full is None or full[0] != self._block.stamp:
+            return None
+        _, t, v = full
+        if time_range is None:
             return t, v
-        i, j = np.searchsorted(t, lo), np.searchsorted(t, hi)
+        i, j = np.searchsorted(t, time_range)
         return t[i:j], v[i:j]
 
     def pending_chunks(
@@ -283,7 +478,7 @@ class _Series:
         skips the per-chunk merge entirely, because consecutive chunks
         of one series decode into one contiguous span.
         """
-        if self._full is not None:
+        if self.materialised(None) is not None:
             return [], []
         if lo is None and hi is None:
             overlapping = self.chunks
@@ -340,42 +535,38 @@ class _Series:
                 m = (t >= lo) & (t < hi)
                 t, v = t[m], v[m]
             parts.append((t, v))
-        if self._head_t:
-            t, v = self._head_arrays()
+        t, v = self.head()
+        if len(t):
             if lo is not None:
                 m = (t >= lo) & (t < hi)
                 t, v = t[m], v[m]
             parts.append((t, v))
 
         if not parts:
-            empty = (np.empty(0, dtype=np.int64), np.empty(0))
-            if cache_full:
-                self._full = empty
-            return empty
-        t = np.concatenate([p[0] for p in parts])
-        v = np.concatenate([p[1] for p in parts])
-        if not self._ordered:
-            # rare path: out-of-order or duplicate writes happened;
-            # concatenation order is insertion order, so the stable
-            # sort + keep-last reproduces the flat-list semantics
-            t, v = _sort_dedupe(t, v)
+            t, v = np.empty(0, dtype=np.int64), np.empty(0)
+        else:
+            t = np.concatenate([p[0] for p in parts])
+            v = np.concatenate([p[1] for p in parts])
+            if not self._ordered:
+                # rare path: out-of-order or duplicate writes happened;
+                # concatenation order is insertion order, so the stable
+                # sort + keep-last reproduces the flat-list semantics
+                t, v = _sort_dedupe(t, v)
         if cache_full:
-            self._full = (t, v)
+            self._full = (self._block.stamp, t, v)
         return t, v
 
     def drop_read_cache(self) -> None:
         """Forget materialised columns (cold-read benchmarking)."""
         self._full = None
 
-    def prune(self, before: int) -> int:
-        """Drop points older than ``before``; returns points dropped.
+    def prune_chunks(self, before: int) -> int:
+        """Drop sealed points older than ``before``; returns how many.
 
         Whole expired chunks are discarded on their ``t_max`` alone;
         only a chunk straddling the horizon is decoded and re-sealed.
+        (Open points go a block at a time: :meth:`_HeadBlock.cut`.)
         """
-        t_min = self._t_min()
-        if t_min is None or t_min >= before:
-            return 0
         dropped = 0
         kept_chunks: List[Chunk] = []
         dead_ids: List[int] = []
@@ -391,45 +582,29 @@ class _Series:
                 dropped += int((~m).sum())
                 kept_chunks.append(Chunk.seal(t[m], v[m]))
                 dead_ids.append(chunk.chunk_id)
-        self.chunks = kept_chunks
-        if dead_ids and self.buffer_cache is not None:
-            # ids are never reused, so this is pure garbage collection
-            self.buffer_cache.invalidate(dead_ids)
-        if self._head_t:
-            kept = [
-                (t, v)
-                for t, v in zip(self._head_t, self._head_v)
-                if t >= before
-            ]
-            dropped += len(self._head_t) - len(kept)
-            self._head_t = [t for t, _ in kept]
-            self._head_v = [v for _, v in kept]
-            self._head_cols = None
-        if dropped:
+        if dead_ids:
+            self.chunks = kept_chunks
             self._full = None
+            if self.buffer_cache is not None:
+                # ids are never reused, so this is pure garbage collection
+                self.buffer_cache.invalidate(dead_ids)
         return dropped
-
-    def _t_min(self) -> Optional[int]:
-        lows = [c.t_min for c in self.chunks]
-        if self._head_t:
-            lows.append(min(self._head_t))
-        return min(lows) if lows else None
 
     @property
     def nbytes(self) -> int:
-        """At-rest size: compressed chunks + raw head columns."""
-        return sum(c.nbytes for c in self.chunks) + 16 * len(self._head_t)
+        """At-rest size: compressed chunks + 16 B per open point."""
+        return sum(c.nbytes for c in self.chunks) + 16 * self.head_len()
 
     def __len__(self) -> int:
-        return sum(c.count for c in self.chunks) + len(self._head_t)
+        return sum(c.count for c in self.chunks) + self.head_len()
 
 
 class SeriesGroup:
     """K series of one metric that are written together, a row at a time.
 
     A handle from :meth:`TimeSeriesDB.group`: it carries the K tag sets
-    and their precomputed series keys, and caches the store's series
-    objects between writes.  The cache is tagged with the store's
+    and their precomputed series keys, and — once written through — the
+    head block its series share.  The handle is tagged with the store's
     series *generation*, which moves whenever :meth:`TimeSeriesDB.prune`
     deletes an emptied series, so a handle that outlives its series
     re-registers them on its next write instead of appending to a
@@ -437,7 +612,7 @@ class SeriesGroup:
     ``tag_sets[j]``.
     """
 
-    __slots__ = ("tsdb", "metric", "tag_sets", "keys", "_members",
+    __slots__ = ("tsdb", "metric", "tag_sets", "keys", "_block",
                  "_generation")
 
     def __init__(
@@ -456,7 +631,7 @@ class SeriesGroup:
         )
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("a series group cannot list a series twice")
-        self._members: List[_Series] = []
+        self._block: Optional[_HeadBlock] = None
         self._generation = -1  # never resolved
 
     def __len__(self) -> int:
@@ -465,10 +640,6 @@ class SeriesGroup:
 
 class TimeSeriesDB:
     """An in-memory tag-indexed TSDB over chunked columnar series."""
-
-    #: series implementation; the list-backed reference store
-    #: (:mod:`repro.tsdb.baseline`) swaps this out
-    series_cls = _Series
 
     def __init__(
         self,
@@ -486,11 +657,17 @@ class TimeSeriesDB:
         #: metric → set of series keys, so per-metric operations never
         #: scan the whole store
         self._by_metric: Dict[str, set] = defaultdict(set)
+        #: metric → low-water mark: no point of the metric is older.
+        #: Every write lowers it to that write's oldest timestamp, a
+        #: prune pass that walked raises it to its horizon — so a pass
+        #: whose horizon is not above it cannot drop anything
+        self._low: Dict[str, int] = {}
         self.chunk_size = int(chunk_size)
         #: bumped on every mutation; the query cache keys on it
         self.epoch = 0
-        #: bumped whenever a series is deleted; a :class:`SeriesGroup`
-        #: resolved under an older generation looks its series up again
+        #: bumped whenever a series is deleted or ``seal_heads``
+        #: dissolves the head blocks; a :class:`SeriesGroup` resolved
+        #: under an older generation looks its series up again
         self._generation = 0
         #: LRU query-result cache consulted by :func:`repro.tsdb.query`
         #: (pass ``cache=None`` to disable)
@@ -521,25 +698,17 @@ class TimeSeriesDB:
         return self._rw.write()
 
     # -- writing ------------------------------------------------------------
-    def _get_series(self, metric: str, tags: Mapping[str, str]) -> _Series:
-        key = (metric, _tagkey(tags))
+    def _get_series(self, key: Tuple[str, TagKey], tags: Mapping[str, str]):
+        """The series ``key``, created and indexed if new (write lock
+        held, the write already validated)."""
         s = self._series.get(key)
         if s is None:
-            s = self._new_series(key, tags)
-        return s
-
-    def _new_series(
-        self, key: Tuple[str, TagKey], tags: Mapping[str, str]
-    ) -> _Series:
-        """Create and index the series ``key`` (write lock held)."""
-        s = self._series[key] = self.series_cls(
-            metric=key[0], tags=dict(tags), chunk_size=self.chunk_size
-        )
-        if isinstance(s, _Series):
-            s.buffer_cache = self.buffer_cache
-        self._by_metric[key[0]].add(key)
-        for k, v in s.tags.items():
-            self._index[k][str(v)].add(key)
+            s = self._series[key] = _Series(
+                key, dict(tags), self.buffer_cache
+            )
+            self._by_metric[key[0]].add(key)
+            for k, v in s.tags.items():
+                self._index[k][str(v)].add(key)
         return s
 
     def group(
@@ -554,9 +723,10 @@ class TimeSeriesDB:
         self, metric: str, tags: Mapping[str, str], ts: int, value: float
     ) -> None:
         """Insert one data point."""
-        with self.write_locked():
-            self._get_series(metric, tags).add(ts, value)
-            self.epoch += 1
+        self._put_column(
+            metric, tags,
+            np.array([int(ts)], dtype=np.int64), np.array([float(value)]),
+        )
 
     def put_many(
         self,
@@ -575,19 +745,28 @@ class TimeSeriesDB:
         calls with ``values[:, j]`` would leave.  Either way: one
         write-lock acquisition and one epoch bump for the whole batch;
         a shape or metric mismatch raises ``ValueError`` before
-        anything is written.  Returns points inserted.
+        anything is written or any series created.  Returns points
+        inserted.
         """
         if isinstance(tags, SeriesGroup):
             return self._put_rows(metric, tags, times, values)
         if len(times) == 0:
             return 0
+        t = np.asarray(times, dtype=np.int64)
+        v = np.asarray(values, dtype=np.float64)
+        if t.shape != v.shape or t.ndim != 1:
+            raise ValueError("times/values must be aligned 1-d columns")
+        return self._put_column(metric, tags, t, v)
+
+    def _put_column(
+        self, metric: str, tags: Mapping[str, str], t: np.ndarray,
+        v: np.ndarray,
+    ) -> int:
+        """Append validated ``(n,)`` columns to one series."""
         with self.write_locked():
-            n = self._get_series(metric, tags).extend(
-                np.asarray(times), np.asarray(values)
-            )
-            if n:
-                self.epoch += 1
-        return n
+            s = self._get_series((metric, _tagkey(tags)), tags)
+            self._wrote(metric, self._own_block(s).append(t, v[None, :]))
+        return len(t)
 
     def _put_rows(
         self, metric: str, group: SeriesGroup, times, values
@@ -608,95 +787,182 @@ class TimeSeriesDB:
         if v.size == 0:
             return 0
         with self.write_locked():
+            block = group._block
             if group._generation != self._generation:
-                group._members = [
-                    self._series[key] if key in self._series
-                    else self._new_series(key, tags)
-                    for key, tags in zip(group.keys, group.tag_sets)
-                ]
-                group._generation = self._generation
-            if len(t) == 1:
-                ts = int(t[0])
-                for s, x in zip(group._members, v[0].tolist()):
-                    s.add(ts, x)
-            else:
-                # (series × rows): each series' column is contiguous
-                for s, column in zip(
-                    group._members, np.ascontiguousarray(v.T)
-                ):
-                    s.extend(t, column)
-            self.epoch += 1
+                block = self._attach(group)
+            v_t = v.T
+            if len(block.detached) < len(v_t):
+                oldest = block.append(t, v_t)
+            # columns that left the block: each through its own series
+            for j in block.detached:
+                oldest = self._own_block(block.members[j]).append(
+                    t, v_t[j:j + 1]
+                )
+            self._wrote(metric, oldest)
         return v.size
+
+    def _wrote(self, metric: str, oldest: int) -> None:
+        low = self._low.get(metric)
+        if low is None or oldest < low:
+            self._low[metric] = oldest
+        self.epoch += 1
+
+    def _own_block(self, s: _Series) -> _HeadBlock:
+        """The K = 1 block ``s`` is written through on its own.  A
+        series sitting in a shared block leaves it first, taking its
+        open rows along — the block stays intact for the others."""
+        block = s._block
+        if len(block.lo) == 1:
+            return block
+        if block is not _EMPTY:
+            obs.counter(
+                "repro_tsdb_head_detaches_total",
+                "series that left a shared head block for one of their own",
+            ).inc()
+        return self._adopt([s])
+
+    def _attach(self, group: SeriesGroup) -> _HeadBlock:
+        """Resolve ``group``'s series and the block they share: a
+        series' own block for a one-series group, a block whose columns
+        are exactly these series as it is, a new one otherwise."""
+        members = [
+            self._get_series(key, tags)
+            for key, tags in zip(group.keys, group.tag_sets)
+        ]
+        group._generation = self._generation
+        block = members[0]._block
+        if len(members) == 1:
+            block = self._own_block(members[0])
+        elif (
+            len(block.lo) != len(members)
+            or any(
+                s._block is not block or s._col != j
+                for j, s in enumerate(members)
+            )
+        ):
+            block = self._adopt(members)
+        group._block = block
+        return block
+
+    def _adopt(self, members: List[_Series]) -> _HeadBlock:
+        """A new block for ``members``.  Open points can only come along
+        from *one* block (they share its time vector), so the first
+        member that holds any names the block that is adopted — a layout
+        change, whose new members start at the current row, keeps the
+        host on the fast path — and a member holding open points
+        anywhere else stays there, as a detached column."""
+        block = _HeadBlock(members, self.chunk_size)
+        src = next((s._block for s in members if s.head_len()), None)
+        joining, staying = [], []
+        for j, s in enumerate(members):
+            if s._block is src:
+                joining.append(j)
+            elif s.head_len():
+                staying.append(j)
+        if joining:
+            block.take(src, joining, [members[j]._col for j in joining])
+        for j in staying:
+            block.leave(j)
+        for j, s in enumerate(members):
+            if j not in staying:
+                s._move(block, j)
+        return block
 
     def prune(self, before: int, metric: Optional[str] = None) -> int:
         """Drop points older than ``before`` (optionally one metric).
 
         Series left empty are removed entirely, including their
         inverted-index entries, so long-running live feeds keep both
-        point and series counts bounded.  Expired sealed chunks are
-        discarded on metadata comparison alone.  Returns points
-        dropped.
+        point and series counts bounded.  A metric whose low-water mark
+        is not below ``before`` is skipped without a walk; otherwise
+        expired sealed chunks are discarded on metadata comparison
+        alone and open points are cut a head block at a time.  Returns
+        points dropped.
         """
-        with self.write_locked():
-            return self._prune_locked(before, metric)
-
-    def _prune_locked(self, before: int, metric: Optional[str]) -> int:
-        if metric is None:
-            keys = list(self._series)
-        else:
-            keys = list(self._by_metric.get(metric, ()))
+        passes = obs.counter(
+            "repro_tsdb_prune_passes_total",
+            "per-metric prune passes, by whether the low-water mark let "
+            "them skip the walk",
+        )
         dropped = 0
-        for key in keys:
-            s = self._series[key]
-            dropped += s.prune(before)
-            if not len(s):
-                del self._series[key]
-                self._generation += 1
-                self._by_metric[key[0]].discard(key)
-                if not self._by_metric[key[0]]:
-                    del self._by_metric[key[0]]
-                for k, v in s.tags.items():
-                    by_value = self._index.get(k)
-                    if by_value is None:
-                        continue
-                    members = by_value.get(str(v))
-                    if members is not None:
-                        members.discard(key)
-                        if not members:
-                            del by_value[str(v)]
-                    if not by_value:
-                        del self._index[k]
-        if dropped:
-            self.epoch += 1
+        with self.write_locked():
+            for m in [metric] if metric is not None else list(self._by_metric):
+                if before <= self._low.get(m, before):
+                    passes.inc(outcome="skipped")
+                else:
+                    passes.inc(outcome="walked")
+                    dropped += self._prune_walk(before, m)
+            if dropped:
+                self.epoch += 1
         return dropped
+
+    def _prune_walk(self, before: int, metric: str) -> int:
+        dropped = 0
+        blocks: Dict[_HeadBlock, None] = {}
+        emptied: List[_Series] = []
+        for key in self._by_metric[metric]:
+            s = self._series[key]
+            if s.chunks:
+                dropped += s.prune_chunks(before)
+            if s._block is not _EMPTY:
+                blocks[s._block] = None
+            elif not s.chunks:
+                emptied.append(s)
+        for block in blocks:
+            gone, cols = block.cut(before)
+            dropped += gone
+            emptied += [
+                block.members[j] for j in cols if not block.members[j].chunks
+            ]
+        for s in emptied:
+            self._delete(s)
+        if metric in self._by_metric:
+            self._low[metric] = before
+        else:
+            del self._low[metric]
+        return dropped
+
+    def _delete(self, s: _Series) -> None:
+        """Remove the emptied series ``s`` and its index entries."""
+        key = s.key
+        del self._series[key]
+        self._generation += 1
+        s._move(_EMPTY, 0)
+        self._by_metric[key[0]].discard(key)
+        if not self._by_metric[key[0]]:
+            del self._by_metric[key[0]]
+        for k, v in s.tags.items():
+            by_value = self._index.get(k)
+            if by_value is None:
+                continue
+            members = by_value.get(str(v))
+            if members is not None:
+                members.discard(key)
+                if not members:
+                    del by_value[str(v)]
+            if not by_value:
+                del self._index[k]
 
     def seal_heads(self) -> None:
         """Seal every series head: the last step of a batch load.
 
         After a nightly ingest the day's points sit in heads shorter
         than ``chunk_size``; this puts them at rest compressed and
-        pre-aggregated.  Heads are encoded a slab at a time through
-        :func:`~repro.tsdb.chunks.seal_many` — bit for bit the chunks
-        a per-series seal would produce — and the seal counters move
-        once per metric.
+        pre-aggregated (see :func:`_seal_into`).
         """
         with self.write_locked():
-            heads = [
-                s for s in self._series.values()
-                if isinstance(s, _Series) and s._head_t
-            ]
-            per_slab = max(1, _SEAL_SLAB_POINTS // self.chunk_size)
-            sealed: Dict[str, List[int]] = {}
-            for i in range(0, len(heads), per_slab):
-                slab = heads[i:i + per_slab]
-                chunks = seal_many([s.sealable_head() for s in slab])
-                for s, chunk in zip(slab, chunks):
-                    s.replace_head(chunk)
-                    totals = sealed.setdefault(s.metric, [0, 0])
-                    totals[0] += 1
-                    totals[1] += chunk.nbytes
-            for metric, (n_chunks, nbytes) in sealed.items():
-                _count_seals(metric, n_chunks, nbytes)
+            blocks = {s._block: None for s in self._series.values()}
+            blocks.pop(_EMPTY, None)
+            heads = []
+            for block in blocks:
+                heads += block.sealable(
+                    np.flatnonzero(block.lo < block.n), block.n
+                )
+            _seal_into(heads, self.chunk_size)
+            for block in blocks:
+                block.dissolve()
+            if blocks:  # every group handle has lost its block
+                self._generation += 1
 
     # -- reading ------------------------------------------------------------
     def scan(
@@ -724,11 +990,8 @@ class TimeSeriesDB:
         lo, hi = time_range if time_range is not None else (None, None)
 
         needed: List[Chunk] = []
-        plans: List[Optional[Tuple[List[Chunk], List[Chunk], int]]] = []
+        plans: List[Tuple[List[Chunk], List[Chunk], int]] = []
         for s in series_list:
-            if not isinstance(s, _Series):
-                plans.append(None)  # foreign series answer on their own
-                continue
             overlapping, pending = s.pending_chunks(lo, hi)
             plans.append((overlapping, pending, len(needed)))
             needed.extend(pending)
@@ -762,13 +1025,10 @@ class TimeSeriesDB:
                 self.buffer_cache.put_many(fresh)
 
         out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for s, plan in zip(series_list, plans):
-            if plan is None:
-                out.append(s.arrays(time_range))
-                continue
-            overlapping, pending, start = plan
-            if s._full is not None:
-                out.append(s._slice_full(lo, hi, time_range is None))
+        for s, (overlapping, pending, start) in zip(series_list, plans):
+            cols = s.materialised(time_range)
+            if cols is not None:
+                out.append(cols)
             elif (
                 spans is not None
                 and s._ordered
@@ -784,15 +1044,15 @@ class TimeSeriesDB:
                     # the span is sorted, so the window is a slice
                     i, j = np.searchsorted(t, (lo, hi))
                     t, v = t[i:j], v[i:j]
-                if s._head_t:
-                    ht, hv = s._head_arrays()
+                ht, hv = s.head()
+                if len(ht):
                     if lo is not None:
                         i, j = np.searchsorted(ht, (lo, hi))
                         ht, hv = ht[i:j], hv[i:j]
                     t = np.concatenate([t, ht])
                     v = np.concatenate([v, hv])
                 if time_range is None:
-                    s._full = (t, v)
+                    s._full = (s._block.stamp, t, v)
                 out.append((t, v))
                 if time_range is not None and pending:
                     # windowed scans keep the chunk decodes around —

@@ -14,7 +14,7 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
 from repro.broker import Broker, Delivery, Message
@@ -26,7 +26,7 @@ from repro.stream.retention import (
     RetentionTier,
 )
 from repro.tsdb import TimeSeriesDB
-from repro.tsdb.baseline import ListBackedTSDB
+from tests.test_tsdb.reference import ListBackedTSDB
 from tests.test_stream.reference import (
     ReferenceRetainingWriter,
     ReferenceStreamPipeline,
@@ -324,8 +324,8 @@ def series_state(s):
     t, v = s.arrays()
     return (
         [(c.t_min, c.t_max, c.count) for c in s.chunks],
-        list(s._head_t),
-        np.asarray(s._head_v, dtype=np.float64).view(np.uint64).tolist(),
+        s.head()[0].tolist(),
+        s.head()[1].view(np.uint64).tolist(),
         s._ordered, s._max_ts,
         t.tolist(), np.asarray(v).view(np.uint64).tolist(),
     )
@@ -346,6 +346,12 @@ finite_or_not = st.floats(allow_nan=True, allow_infinity=True, width=64)
         min_size=1, max_size=6,
     ),
 )
+# one block that crosses ``chunk_size`` twice, then late rows on the rest
+@example(blocks=[
+    [(ts, (float(ts), -0.0, float("nan"))) for ts in range(19)],
+    [(20, (1.0, 2.0, 3.0)), (7, (4.0, 5.0, 6.0)), (20, (7.0, 8.0, 9.0))],
+    [(ts, (0.5, 0.25, 0.125)) for ts in range(21, 27)],
+])
 def test_group_rows_equal_k_one_series_writes(blocks):
     """``put_many(group, t, V)`` ≡ K × ``put_many(tags_j, t, V[:, j])``:
     out-of-order and repeated rows, heads crossing ``chunk_size``."""
@@ -385,6 +391,22 @@ def test_group_write_is_validated_before_anything_is_written():
     # an empty block is no write
     assert db.put_many("m", group, [], np.empty((0, 3))) == 0
     assert db.n_series() == 0 and db.epoch == 0
+
+
+def test_rejected_one_series_write_leaves_no_ghost_series():
+    """``ValueError`` before anything is written means before the
+    series is created, too: no empty series in any index."""
+    db = TimeSeriesDB()
+    db.put("kept", {"a": "x"}, 0, 1.0)
+    before = (db.n_series(), db.metrics(), db.tag_values("a"), db.epoch)
+    with pytest.raises(ValueError):
+        db.put_many("m", {"a": "b"}, [1, 2], [1.0])             # ragged
+    with pytest.raises(ValueError):
+        db.put_many("m", {"a": "b"}, [1, 2], [[1.0], [2.0]])    # 2-d column
+    with pytest.raises(ValueError):
+        db.put("m", {"a": "b"}, "noon", 1.0)                    # not a time
+    assert (db.n_series(), db.metrics(), db.tag_values("a"), db.epoch) \
+        == before
 
 
 def test_stale_handle_reregisters_after_prune():

@@ -4,7 +4,7 @@ The chunked columnar engine's correctness bar: every query the
 reproduction issues — plain aggregation, group-by, counter→rate with
 rollover correction, downsampling, windowed reads — must return
 *bit-identical* results to the retained list-backed reference engine
-(:mod:`repro.tsdb.baseline`) when both are loaded with the same
+(:mod:`tests.test_tsdb.reference`) when both are loaded with the same
 multi-day corpus.  A tiny ``chunk_size`` forces hundreds of seals so
 chunk boundaries, pushdown and the head/sealed merge path are all
 exercised, not just the head.
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.tsdb import TimeSeriesDB, ingest_store, window_stats
-from repro.tsdb.baseline import ListBackedTSDB, baseline_query
+from tests.test_tsdb.reference import ListBackedTSDB, baseline_query
 from repro.tsdb.query import query
 
 #: small enough that the soak corpus seals many chunks per series
@@ -160,7 +160,7 @@ def test_interference_analysis_identical_end_to_end(engines, soak_run):
 
 def test_battery_vs_frozen_baseline_all_cache_modes(engine_matrix):
     """The full battery, bit-identical to the *frozen* pre-vectorisation
-    query path (`tsdb/baseline.py`), with the decoded-buffer cache
+    query path (`tests/test_tsdb/reference.py`), with the decoded-buffer cache
     enabled and disabled.  Each query runs twice
     per configuration so the second pass reads through whatever caches
     the configuration keeps (result cache, buffer cache, ``_full``)."""

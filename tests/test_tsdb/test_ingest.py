@@ -83,10 +83,10 @@ def assert_same_store(new, ref):
         got = new._series[key]
         assert got.tags == want.tags and len(got) == len(want)
         # the raw head, in insertion order, before any read-side sort
-        assert got._head_t == want._head_t, key
+        assert got.head()[0].tolist() == want.head()[0].tolist(), key
         assert np.array_equal(
-            np.asarray(got._head_v).view(np.uint64),
-            np.asarray(want._head_v).view(np.uint64),
+            got.head()[1].view(np.uint64),
+            want.head()[1].view(np.uint64),
         ), key
         (gt, gv), (wt, wv) = got.arrays(), want.arrays()
         assert np.array_equal(gt, wt), key
@@ -97,7 +97,7 @@ def assert_same_store(new, ref):
     assert new.n_chunks() == ref.n_chunks()
     for key, want in ref._series.items():
         got = new._series[key]
-        assert not got._head_t and len(got.chunks) == len(want.chunks)
+        assert not got.head_len() and len(got.chunks) == len(want.chunks)
         for a, b in zip(got.chunks, want.chunks):
             assert_same_chunk(a, b, key)
 
@@ -323,7 +323,7 @@ def test_seal_heads_slabs_do_not_change_the_chunks(monkeypatch):
     assert whole.storage_bytes() == sliced.storage_bytes()
     for key, a in whole._series.items():
         b = sliced._series[key]
-        assert not a._head_t and not b._head_t
+        assert not a.head_len() and not b.head_len()
         assert_same_chunk(a.chunks[0], b.chunks[0], key)
     late = whole.select("stats", {"type": "late"})[0]
     assert list(late.arrays()[0]) == [T0, T0 + 5]

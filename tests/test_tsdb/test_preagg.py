@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import TimeSeriesDB, window_stats
-from repro.tsdb.baseline import ListBackedTSDB
+from tests.test_tsdb.reference import ListBackedTSDB
 from repro.tsdb.chunks import Chunk
 
 # adversarial float pool: signed zeros, NaN, infinities, extremes
@@ -178,7 +178,7 @@ def test_full_history_summary_uses_preaggs_and_matches(writes):
 def test_query_matches_baseline_on_arbitrary_data(writes, n_series):
     """query() vs the frozen baseline path on arbitrary adversarial
     data spread across several series (shared + disjoint grids)."""
-    from repro.tsdb.baseline import baseline_query
+    from tests.test_tsdb.reference import baseline_query
     from repro.tsdb.query import query
 
     db = TimeSeriesDB(chunk_size=8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tsdb import TimeSeriesDB, ingest_store
-from repro.tsdb.baseline import ListBackedTSDB
+from tests.test_tsdb.reference import ListBackedTSDB
 
 
 def test_series_identity_by_metric_and_tags():
