@@ -60,12 +60,13 @@ def test_scan_reply_wire_bytes_gate():
     oob = obs.counter("repro_shard_rpc_oob_bytes_total", "")
 
     with ShardWorkerPool(1, 1, chunk_size=8192) as pool:
-        pool.put_many(0, "stats", {"host": "h0"}, t, v)
+        pool.post("put_many", 0, ("stats", {"host": "h0"}, t, v))
         pool.flush()
         rx0 = wire.value(dir="rx")
         arena0 = oob.value(placement="arena")
         t_start = time.perf_counter()
-        cols = pool.scan("stats", [(0, _tagkey({"host": "h0"}))])
+        cols = pool.call(
+            "scan", {0: ("stats", [_tagkey({"host": "h0"})], None)})[0]
         wall = time.perf_counter() - t_start
         rx_bytes = wire.value(dir="rx") - rx0
         arena_bytes = oob.value(placement="arena") - arena0
@@ -99,7 +100,7 @@ def test_scan_reply_wire_bytes_gate():
          ("zero-copy frame", f"{int(rx_bytes):,} B", f"{ratio:.0f}x")],
         ["encoding", "pipe bytes", "reduction"],
     )
-    assert arena_bytes >= t.nbytes + v.nbytes, (
+    assert arena_bytes >= t.nbytes + v.nbytes and rx_bytes <= 300, (
         "scan columns should travel by shared-memory reference"
     )
     assert ratio >= MIN_WIRE_RATIO, (
@@ -116,15 +117,14 @@ def test_streaming_write_roundtrips_gate():
         r0, p0 = rtt.total(), posted.total()
         t_start = time.perf_counter()
         for i in range(N_WRITES):
-            pool.put_many(
-                0, "stats", {"host": f"h{i % 8}"},
-                [T0 + i * 10], [float(i)],
-            )
+            pool.post("put_many", 0, (
+                "stats", {"host": f"h{i % 8}"}, [T0 + i * 10], [float(i)],
+            ))
         pool.flush()
         wall = time.perf_counter() - t_start
         roundtrips = rtt.total() - r0
         pipelined = posted.total() - p0
-        assert pool.stats()[0]["points"] == N_WRITES
+        assert pool.call("stats", {0: ()})[0]["points"] == N_WRITES
 
     legacy = N_WRITES  # the replaced protocol: one reply awaited per write
     ratio = legacy / max(1, roundtrips)
@@ -148,6 +148,7 @@ def test_streaming_write_roundtrips_gate():
         ["protocol", "round-trips", "reduction"],
     )
     assert pipelined == N_WRITES
+    assert roundtrips == N_WRITES // WINDOW  # one sync per full window
     assert ratio >= MIN_RTT_RATIO, (
         f"{N_WRITES} writes cost {roundtrips} round-trips — only "
         f"{ratio:.1f}x better than legacy (gate {MIN_RTT_RATIO}x)"

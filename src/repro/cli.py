@@ -107,7 +107,7 @@ def _cmd_ingest_sharded(args: argparse.Namespace) -> int:
     stores; ``--shard-workers`` OS processes host the shards, packed
     by observed load (file sizes) by the resource-aware scheduler.
     """
-    from repro.shard import ResourceScheduler, ShardedTSDB, StoreSource
+    from repro.shard import ShardedTSDB, ShardMap, StoreSource
 
     source = StoreSource(args.store)
     hosts = source.hosts()
@@ -115,23 +115,16 @@ def _cmd_ingest_sharded(args: argparse.Namespace) -> int:
         print(f"no .raw files under {args.store}", file=sys.stderr)
         return 1
     workers = max(args.shard_workers, 0)
-    transport_kw = dict(
-        arena_bytes=max(0, args.arena_kb) * 1024,
-        rpc_window=max(1, args.rpc_window),
-    )
-    tsdb = ShardedTSDB(shards=args.shards, workers=workers, **transport_kw)
-    shard_loads: dict = {}
+    pool_args = {}
     if workers:
-        hints = source.load_hints(hosts)
-        for h, load in hints.items():
-            s = tsdb.map.place(h)
-            shard_loads[s] = shard_loads.get(s, 0.0) + load
-        scheduler = ResourceScheduler(workers)
-        tsdb.close()
-        tsdb = ShardedTSDB(
-            shards=args.shards, workers=workers,
-            scheduler=scheduler, loads=shard_loads, **transport_kw,
-        )
+        # pack the workers by the raw bytes awaiting each shard
+        ring = ShardMap(args.shards)
+        loads: dict = {}
+        for h, load in source.load_hints(hosts).items():
+            s = ring.place(h)
+            loads[s] = loads.get(s, 0.0) + load
+        pool_args["loads"] = loads
+    tsdb = ShardedTSDB(shards=args.shards, workers=workers, **pool_args)
     types = tuple(t for t in args.types.split(",") if t) or None
     report = tsdb.ingest(source, hosts=hosts, types=types)
     print(f"sharded ingest: {len(hosts)} hosts -> {args.shards} shards "
@@ -384,7 +377,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         stream = ShardedStreamPipeline(
             sess.broker, shards=args.shards, jobs=sess.cluster.jobs,
             types=types, analytics=analytics,
-            coalesce_points=max(0, args.coalesce_points),
         )
     else:
         stream = StreamPipeline(
@@ -406,17 +398,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
         j: r.final_flags for j, r in sorted(completed.items())
         if r.final_flags
     }
-    n_series = (
-        stream.n_series() if args.shards else stream.tsdb.n_series()
-    )
-    n_points = (
-        stream.n_points() if args.shards else stream.tsdb.n_points()
-    )
     print(f"streamed {args.hours}h on {args.nodes} nodes "
           f"(preset={args.preset}): {stream.samples} samples, "
           f"{stream.points} points into "
-          f"{n_series} series "
-          f"({n_points} retained)")
+          f"{stream.tsdb.n_series()} series "
+          f"({stream.tsdb.n_points()} retained)")
     if args.shards:
         spread = stream.shard_points()
         print("shard spread: " + ", ".join(
@@ -633,14 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--shard-workers", type=int, default=0,
                      help="OS processes hosting the shards "
                           "(0 = in-process)")
-    ing.add_argument("--arena-kb", type=int, default=4096,
-                     help="per-worker shared-memory reply arena in KiB "
-                          "(0 disables: large columns spill into the "
-                          "pipe; sharded mode only)")
-    ing.add_argument("--rpc-window", type=int, default=64,
-                     help="pipelined writes allowed in flight per shard "
-                          "worker before a sync barrier (sharded mode "
-                          "only)")
     ing.add_argument("--types", default="",
                      help="comma-separated device types for the sharded "
                           "TSDB load (default: all)")
@@ -724,10 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--shards", type=int, default=0,
                     help="partition the live feed across a sharded "
                          "exchange (0 = single consumer)")
-    st.add_argument("--coalesce-points", type=int, default=0,
-                    help="buffer at least this many points per shard "
-                         "feed before writing through (0 = write per "
-                         "delivery; sharded mode only)")
     st.add_argument("--analytics", action="store_true",
                     help="attach always-on fleet analytics: feed "
                          "sketches, continuous efficiency scoring, "

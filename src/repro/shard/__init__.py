@@ -8,14 +8,16 @@ single result bit:
 * :mod:`repro.shard.ring` — :class:`ShardMap`, a consistent-hash ring
   with virtual nodes giving every ``(host, metric)`` partition key a
   deterministic owner shard;
-* :mod:`repro.shard.worker` — :class:`ShardSet` (the shard-local
-  chunked TSDBs) and the spawn-safe worker entry point;
-* :mod:`repro.shard.pool` — :class:`ShardWorkerPool`, shard workers
-  as OS processes behind duplex pipes, placed by the resource-aware
+* :mod:`repro.shard.coordinator` — :class:`ShardedTSDB`, the one
+  sharded store: it routes writes through the ring, splits each
+  command's arguments by shard and merges the shards' replies;
+* :mod:`repro.shard.worker` — the op table (what each command does to
+  one shard's store), the in-process backend that calls it, and the
+  spawn-safe worker entry point that serves it;
+* :mod:`repro.shard.pool` — :class:`ShardWorkerPool`, the same two
+  verbs (``call``/``post``) over OS processes behind duplex pipes,
+  placed by the resource-aware
   :class:`~repro.shard.scheduler.ResourceScheduler`;
-* :mod:`repro.shard.coordinator` — :class:`QueryCoordinator` (the
-  scatter-gather read side) and :class:`ShardedTSDB` (the facade that
-  routes writes through the ring);
 * :mod:`repro.shard.stream` — the sharded streaming pipeline: a
   router partitions the broker's live feed per shard.
 
@@ -36,7 +38,6 @@ See docs/scaling.md for the design and the scaling benchmark.
 """
 
 from repro.shard.coordinator import (
-    QueryCoordinator,
     RemoteSeries,
     ShardedTSDB,
     ShardIngestReport,
@@ -46,16 +47,14 @@ from repro.shard.pool import ShardWorkerDied, ShardWorkerPool
 from repro.shard.ring import DEFAULT_VNODES, ShardMap
 from repro.shard.scheduler import ResourceScheduler
 from repro.shard.stream import ShardedStreamPipeline
-from repro.shard.worker import ShardSet, worker_main
+from repro.shard.worker import worker_main
 
 __all__ = [
     "DEFAULT_VNODES",
-    "QueryCoordinator",
     "RemoteSeries",
     "ResourceScheduler",
     "ShardIngestReport",
     "ShardMap",
-    "ShardSet",
     "ShardWorkerDied",
     "ShardWorkerPool",
     "ShardedStreamPipeline",

@@ -1,24 +1,31 @@
-"""Scatter-gather query coordination over a sharded fleet.
+"""The sharded store: one TSDB interface over a ring of shard stores.
 
-:class:`QueryCoordinator` is the read side: it fans ``select`` /
-``scan`` / ``window_stats`` out to every shard, merges the partial
-results, and exposes exactly the interface the central query engine
-(:mod:`repro.tsdb.query`) expects from a store — ``select``, ``scan``,
-``cache``, ``epoch``.  That shape is the whole trick behind the
-bit-exactness guarantee:
+:class:`ShardedTSDB` is the only class that knows the ring, the write
+epoch and the :class:`~repro.tsdb.cache.QueryCache`, and — once, for
+both backends — how each command's arguments split by shard and how
+the shards' replies merge.  What a command does *to a store* is a row
+of :data:`repro.shard.worker.OPS`; how it reaches the store is the
+backend's business (``workers=0``: an in-process
+:class:`~repro.shard.worker.LocalShards`; ``workers>0``: a
+spawn-started :class:`~repro.shard.pool.ShardWorkerPool`).
+
+It exposes exactly the interface the central query engine
+(:mod:`repro.tsdb.query`) reads a store through — ``select``,
+``scan``, ``cache``, ``epoch``, ``read_locked`` — and that shape is
+the whole trick behind the bit-exactness guarantee:
 
 * **window_stats** merges shard-local partial aggregates.  The
   partition key is ``(host, metric)``, so *all* points of one series
   live on one shard — each shard computes its per-series
   count/sum/min/max/first/last exactly as the single store would
-  (same chunks, same pre-aggregate folds), and the coordinator only
-  has to re-sort the concatenated partials into the single store's
+  (same chunks, same pre-aggregate folds), and the merge only has to
+  re-sort the concatenated partials into the single store's
   ``sorted(series key)`` order.  Nothing numeric is combined across
   shards, so nothing can drift.
 * **query** (group-by / rate / downsample) runs the *central*
-  aggregation code over shard-materialised per-series columns: the
-  coordinator's ``select`` returns lightweight handles sorted exactly
-  like :meth:`TimeSeriesDB.select`, its ``scan`` gathers each shard's
+  aggregation code over shard-materialised per-series columns:
+  ``select`` returns lightweight handles sorted exactly like
+  :meth:`TimeSeriesDB.select`, ``scan`` gathers each shard's
   batch-decoded columns back into that order, and then
   :func:`repro.tsdb.query.query` proceeds as if it were reading one
   store.  (Cross-shard *sum* partials would not be bit-stable —
@@ -26,23 +33,24 @@ bit-exactness guarantee:
   reduces centrally over full columns rather than merging per-shard
   sums.)
 
-:class:`ShardedTSDB` is the write-side facade around the coordinator:
-it routes ``put``/``put_many``/``ingest`` through the
-:class:`~repro.shard.ring.ShardMap` and bumps the coordinator's write
-epoch so the shared :class:`~repro.tsdb.cache.QueryCache` invalidates
-exactly like the single store's.  With ``workers=0`` the backend is
-an in-process :class:`~repro.shard.worker.ShardSet`; with
-``workers>0`` it is a spawn-started
-:class:`~repro.shard.pool.ShardWorkerPool`.
+Every write bumps the epoch, so the result cache invalidates exactly
+like the single store's (per-shard epochs never cross the pipe).
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.shard.ring import DEFAULT_VNODES, ShardMap
-from repro.shard.worker import ShardSet
+import numpy as np
+
+from repro import obs
+from repro.obs.harvest import HarvestMerger
+from repro.shard.pool import ShardWorkerPool
+from repro.shard.ring import ShardMap
+from repro.shard.worker import LocalShards
 from repro.tsdb.cache import QueryCache
 from repro.tsdb.chunks import CHUNK_POINTS
 from repro.tsdb.query import (
@@ -53,8 +61,7 @@ from repro.tsdb.query import (
 )
 from repro.tsdb.store import TagKey, _tagkey
 
-__all__ = ["QueryCoordinator", "RemoteSeries", "ShardedTSDB",
-           "ShardIngestReport"]
+__all__ = ["RemoteSeries", "ShardedTSDB", "ShardIngestReport"]
 
 
 @dataclass(frozen=True)
@@ -65,9 +72,6 @@ class RemoteSeries:
     metric: str
     tags: Dict[str, str] = field(compare=False)
     key: TagKey
-
-    def __hash__(self) -> int:  # hashable despite the dict field
-        return hash((self.shard, self.metric, self.key))
 
 
 @dataclass
@@ -89,35 +93,134 @@ class ShardIngestReport:
         return self.samples / self.seconds if self.seconds else 0.0
 
 
-class QueryCoordinator:
-    """Fan reads out to the shard backend; merge to single-store order."""
+class ShardedTSDB:
+    """The sharded drop-in for :class:`~repro.tsdb.store.TimeSeriesDB`.
 
-    def __init__(self, backend, cache: Optional[QueryCache] = None) -> None:
-        self.backend = backend
-        self.cache = cache if cache is not None else QueryCache()
-        #: write epoch — bumped by the owning facade on every mutation,
-        #: which makes the shared QueryCache invalidate exactly like a
-        #: single store's (per-shard epochs never cross the pipe)
+    ``shards=1, workers=0`` is byte-identical to the single-process
+    store on every read path (the equivalence suite pins it), which
+    is what makes ``--shards`` safe to default off.  ``backend_args``
+    go to the backend as they are: ``loads``, ``arena_bytes`` and
+    ``rpc_window`` configure a worker pool, nothing the in-process one.
+    """
+
+    def __init__(
+        self,
+        shards: int = 1,
+        workers: int = 0,
+        chunk_size: int = CHUNK_POINTS,
+        **backend_args,
+    ) -> None:
+        self.map = ShardMap(shards)
+        self.n_shards = self.map.shards
+        self.workers = int(workers)
+        if self.workers > 0:
+            self.backend = ShardWorkerPool(
+                self.n_shards, self.workers, chunk_size, **backend_args
+            )
+        else:
+            self.backend = LocalShards(
+                range(self.n_shards), chunk_size, **backend_args
+            )
+        self.cache = QueryCache()
+        #: write epoch — bumped on every mutation, which makes the
+        #: QueryCache invalidate exactly like a single store's
         self.epoch = 0
+        #: merge state for obs harvest (pool backend only)
+        self._harvest_merger = HarvestMerger() if self.workers else None
 
-    def note_write(self) -> None:
+    def _all(self, *args) -> Dict[int, tuple]:
+        """The same arguments for every shard."""
+        return dict.fromkeys(range(self.n_shards), args)
+
+    def read_locked(self):
+        """Nothing to hold: the shard stores lock themselves, and the
+        epoch only moves on the thread that writes through here."""
+        return nullcontext()
+
+    # -- write path (routed by the ring) -------------------------------------
+    def put(
+        self, metric: str, tags: Mapping[str, str], ts: int, value: float
+    ) -> None:
+        shard = self.map.place_tags(metric, tags)
+        self.backend.post("put", shard, (metric, dict(tags), ts, value))
         self.epoch += 1
 
-    # -- the store interface the central query engine consumes --------------
+    def put_many(
+        self,
+        metric: str,
+        tags: Mapping[str, str],
+        times: Sequence[int],
+        values: Sequence[float],
+    ) -> int:
+        # contiguous arrays, so the columns leave a frame out-of-band
+        # instead of as boxed Python objects (the store's own
+        # conversion, done one step early)
+        t = np.ascontiguousarray(times, dtype=np.int64)
+        v = np.ascontiguousarray(values, dtype=np.float64)
+        shard = self.map.place_tags(metric, tags)
+        self.backend.post("put_many", shard, (metric, dict(tags), t, v))
+        self.epoch += 1
+        return len(t)
+
+    def ingest(
+        self,
+        source,
+        hosts: Optional[Sequence[str]] = None,
+        types: Optional[Sequence[str]] = None,
+        metric: str = "stats",
+    ) -> ShardIngestReport:
+        """Scatter a host source across the shards and load it all."""
+        if hosts is None:
+            hosts = source.hosts()
+        by_shard: Dict[int, List[str]] = {s: [] for s in range(self.n_shards)}
+        for host in hosts:
+            by_shard[self.map.place(host, metric)].append(host)
+        t0 = time.perf_counter()
+        per_shard = self.backend.call("ingest", {
+            s: (source, part, types, metric) for s, part in by_shard.items()
+        })
+        seconds = time.perf_counter() - t0
+        self.epoch += 1
+        if self.workers:
+            # observed load: what the pool's scheduler packs by
+            for sid, r in per_shard.items():
+                if r["points"] or r["samples"]:
+                    self.backend.scheduler.observe(
+                        sid, points=int(r["points"]), seconds=r["seconds"]
+                    )
+        return ShardIngestReport(
+            points=int(sum(r["points"] for r in per_shard.values())),
+            samples=int(sum(r["samples"] for r in per_shard.values())),
+            seconds=seconds,
+            per_shard=per_shard,
+            workers=self.workers,
+        )
+
+    def flush(self) -> None:
+        """Write barrier: every ``put``/``put_many`` before it landed,
+        or this raises (the pipelining contract of
+        :mod:`repro.shard.pool`).  Reads and ``close()`` are barriers
+        too — an explicit flush just lets callers pick *where*
+        failures surface.  A no-op for the in-process backend.
+        """
+        self.backend.flush()
+
+    def prune(self, before: int, metric: Optional[str] = None) -> int:
+        n = sum(self.backend.call("prune", self._all(before, metric)).values())
+        if n:
+            self.epoch += 1
+        return n
+
+    # -- read path (scatter-gather) ------------------------------------------
     def select(
         self, metric: str, tags: Optional[Mapping[str, object]] = None
     ) -> List[RemoteSeries]:
-        """Matching series across all shards, in single-store order.
-
-        :meth:`TimeSeriesDB.select` returns series sorted by their
-        ``(metric, tag-items)`` key; sorting the gathered handles by
-        the same key restores that order globally, so everything
-        downstream (grouping, stacking, caching) sees the series in
-        the exact sequence the single store would produce.
-        """
-        rows = self.backend.select(metric, tags)
+        """Matching series across all shards, in single-store order
+        (:meth:`TimeSeriesDB.select` sorts by the same key)."""
+        replies = self.backend.call("select", self._all(metric, tags))
         handles = [
-            RemoteSeries(shard, metric, t, _tagkey(t)) for shard, t in rows
+            RemoteSeries(shard, metric, t, _tagkey(t))
+            for shard, rows in replies.items() for t in rows
         ]
         handles.sort(key=lambda h: h.key)
         return handles
@@ -127,17 +230,23 @@ class QueryCoordinator:
         series_list: Sequence[RemoteSeries],
         time_range: Optional[Tuple[int, int]] = None,
     ):
-        """Materialise handles as columns, preserving caller order.
-
-        Each shard still batch-decodes all of its requested series in
-        one pass; the coordinator just re-threads the per-shard
-        results back into the request order.
-        """
+        """Materialise handles as columns, preserving caller order;
+        each shard batch-decodes all of its requested series at once."""
         if not series_list:
             return []
         metric = series_list[0].metric
-        items = [(h.shard, h.key) for h in series_list]
-        return self.backend.scan(metric, items, time_range)
+        by_shard: Dict[int, List[int]] = {}
+        for i, h in enumerate(series_list):
+            by_shard.setdefault(h.shard, []).append(i)
+        replies = self.backend.call("scan", {
+            s: (metric, [series_list[i].key for i in idxs], time_range)
+            for s, idxs in by_shard.items()
+        })
+        out: List[Optional[tuple]] = [None] * len(series_list)
+        for s, idxs in by_shard.items():
+            for i, cols in zip(idxs, replies[s]):
+                out[i] = cols
+        return out
 
     def window_stats(
         self,
@@ -146,12 +255,8 @@ class QueryCoordinator:
         time_range: Optional[Tuple[int, int]] = None,
         use_preagg: bool = True,
     ) -> List[SeriesStats]:
-        """Merge per-shard partial aggregates into single-store output.
-
-        Every shard folds its own chunk partials (sealed
-        pre-aggregates included); because a series never spans shards,
-        the merge is a pure re-sort — no cross-shard arithmetic.
-        """
+        """Per-series scalar stats in single-store order — a pure
+        re-sort of the shards' own partials (module docstring)."""
         cache_key = (
             "window_stats", metric, _norm_tags(tags), time_range,
             bool(use_preagg),
@@ -159,7 +264,10 @@ class QueryCoordinator:
         cached = self.cache.get(cache_key, self.epoch)
         if cached is not None:
             return list(cached)
-        out = self.backend.window_stats(metric, tags, time_range, use_preagg)
+        replies = self.backend.call(
+            "window_stats", self._all(metric, tags, time_range, use_preagg)
+        )
+        out = [st for rows in replies.values() for st in rows]
         out.sort(key=lambda st: _tagkey(st.tags))
         self.cache.put(cache_key, self.epoch, tuple(out))
         return out
@@ -180,173 +288,36 @@ class QueryCoordinator:
         >>> [(s.tags["host"], s.values.tolist()) for s in r.series]
         [('c001-001', [1.0, 3.0]), ('c001-002', [1.0, 3.0])]
         """
-        from repro import obs
-
         with obs.span("shard.query", metric=metric):
             return _central_query(self, metric, **kw)
 
-
-class ShardedTSDB:
-    """The sharded drop-in for :class:`~repro.tsdb.store.TimeSeriesDB`.
-
-    ``shards=1, workers=0`` is byte-identical to the single-process
-    store on every read path (the equivalence suite pins it), which
-    is what makes ``--shards`` safe to default off.
-    """
-
-    def __init__(
-        self,
-        shards: int = 1,
-        workers: int = 0,
-        chunk_size: int = CHUNK_POINTS,
-        vnodes: int = DEFAULT_VNODES,
-        shard_map: Optional[ShardMap] = None,
-        cache: Optional[QueryCache] = None,
-        scheduler=None,
-        loads: Optional[Mapping[int, float]] = None,
-        start_method: str = "spawn",
-        arena_bytes: Optional[int] = None,
-        rpc_window: Optional[int] = None,
-    ) -> None:
-        self.map = shard_map or ShardMap(shards, vnodes=vnodes)
-        self.n_shards = self.map.shards
-        self.workers = int(workers)
-        if self.workers > 0:
-            from repro.shard import transport
-            from repro.shard.pool import DEFAULT_RPC_WINDOW, ShardWorkerPool
-
-            self.backend = ShardWorkerPool(
-                self.n_shards, self.workers, chunk_size=chunk_size,
-                scheduler=scheduler, loads=loads, start_method=start_method,
-                arena_bytes=(
-                    transport.DEFAULT_ARENA_BYTES
-                    if arena_bytes is None else arena_bytes
-                ),
-                rpc_window=(
-                    DEFAULT_RPC_WINDOW if rpc_window is None else rpc_window
-                ),
-            )
-        else:
-            self.backend = ShardSet(
-                range(self.n_shards), chunk_size=chunk_size
-            )
-        self.coordinator = QueryCoordinator(self.backend, cache=cache)
-        #: coordinator-side merge state for obs harvest (pool backend
-        #: only); lazily built so workers=0 runs pay nothing
-        self._harvest_merger = None
-
-    # -- write path (routed by the ring) -------------------------------------
-    @property
-    def epoch(self) -> int:
-        return self.coordinator.epoch
-
-    @property
-    def cache(self) -> QueryCache:
-        return self.coordinator.cache
-
-    def put(
-        self, metric: str, tags: Mapping[str, str], ts: int, value: float
-    ) -> None:
-        shard = self.map.place_tags(metric, tags)
-        self.backend.put(shard, metric, tags, ts, value)
-        self.coordinator.note_write()
-
-    def put_many(
-        self,
-        metric: str,
-        tags: Mapping[str, str],
-        times: Sequence[int],
-        values: Sequence[float],
-    ) -> int:
-        shard = self.map.place_tags(metric, tags)
-        n = self.backend.put_many(shard, metric, tags, times, values)
-        self.coordinator.note_write()
-        return n
-
-    def ingest(
-        self,
-        source,
-        hosts: Optional[Sequence[str]] = None,
-        types: Optional[Sequence[str]] = None,
-        metric: str = "stats",
-    ) -> ShardIngestReport:
-        """Scatter a host source across the shards and load it all."""
-        import time
-
-        if hosts is None:
-            hosts = source.hosts()
-        host_shards = [(h, self.map.place(h, metric)) for h in hosts]
-        t0 = time.perf_counter()
-        per_shard = self.backend.ingest(
-            source, host_shards, types=types, metric=metric
-        )
-        seconds = time.perf_counter() - t0
-        self.coordinator.note_write()
-        return ShardIngestReport(
-            points=int(sum(r["points"] for r in per_shard.values())),
-            samples=int(sum(r["samples"] for r in per_shard.values())),
-            seconds=seconds,
-            per_shard=per_shard,
-            workers=self.workers,
-        )
-
-    def flush(self) -> None:
-        """Write barrier for the pipelined RPC transport.
-
-        With worker processes, ``put``/``put_many`` are posted without
-        waiting for a reply (a bounded in-flight window per worker);
-        ``flush()`` forces the round-trip, so afterwards every prior
-        write either landed or this call raised (``RuntimeError`` for
-        worker-side write failures,
-        :class:`~repro.shard.pool.ShardWorkerDied` for a lost
-        process).  Queries and ``close()`` are barriers too — an
-        explicit flush just lets callers pick *where* failures
-        surface.  A no-op for the in-process backend.
-        """
-        flush = getattr(self.backend, "flush", None)
-        if flush is not None:
-            flush()
-
-    def prune(self, before: int, metric: Optional[str] = None) -> int:
-        n = self.backend.prune(before, metric)
-        if n:
-            self.coordinator.note_write()
-        return n
-
-    # -- read path (scatter-gather) ------------------------------------------
-    def select(self, metric, tags=None) -> List[RemoteSeries]:
-        return self.coordinator.select(metric, tags)
-
-    def scan(self, series_list, time_range=None):
-        return self.coordinator.scan(series_list, time_range)
-
-    def query(self, metric: str, **kw) -> QueryResult:
-        return self.coordinator.query(metric, **kw)
-
-    def window_stats(self, metric: str, **kw) -> List[SeriesStats]:
-        return self.coordinator.window_stats(metric, **kw)
-
-    # -- obs harvest ----------------------------------------------------------
+    # -- worker processes ----------------------------------------------------
     def harvest_obs(self):
         """Merge worker-process obs state into the central registry.
 
-        Only meaningful for the pool backend: in-process shard sets
-        (``workers=0``) already write straight into the central
-        registry, and harvesting them again would double-count.
         Returns a :class:`~repro.obs.harvest.HarvestReport`, or
-        ``None`` when there are no worker processes to harvest.
+        ``None`` at ``workers=0``: in-process shard stores already
+        write straight into the central registry, and harvesting them
+        again would double-count.
         """
         if self.workers == 0:
             return None
-        if self._harvest_merger is None:
-            from repro.obs.harvest import HarvestMerger
-
-            self._harvest_merger = HarvestMerger()
         return self.backend.harvest_obs(self._harvest_merger)
+
+    def respawn(self, worker: int) -> List[int]:
+        """Restart a dead worker; returns the shard ids it lost.
+
+        Those shards come back *empty* (re-ingest them from the raw
+        files), so the epoch moves: a result cached before the death
+        must not be served for data that is no longer there.
+        """
+        lost = self.backend.respawn(worker)
+        self.epoch += 1
+        return lost
 
     # -- bookkeeping ----------------------------------------------------------
     def shard_stats(self) -> Dict[int, Dict[str, int]]:
-        return self.backend.stats()
+        return self.backend.call("stats", self._all())
 
     def n_points(self) -> int:
         return sum(r["points"] for r in self.shard_stats().values())
@@ -361,16 +332,14 @@ class ShardedTSDB:
         return sum(r["bytes"] for r in self.shard_stats().values())
 
     def drop_read_caches(self) -> None:
-        self.backend.drop_read_caches()
-        self.coordinator.cache.clear()
+        self.backend.call("drop_read_caches", self._all())
+        self.cache.clear()
 
     def seal_heads(self) -> None:
-        self.backend.seal_heads()
+        self.backend.call("seal_heads", self._all())
 
     def close(self) -> None:
-        close = getattr(self.backend, "close", None)
-        if close is not None:
-            close()
+        self.backend.close()
 
     def __enter__(self) -> "ShardedTSDB":
         return self

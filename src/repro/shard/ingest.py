@@ -82,6 +82,3 @@ class TemplateSource:
         text = self.template.replace(self.host_token, host)
         return io.StringIO(text.replace(self.job_token, jid))
 
-    def load_hints(self, hosts: Iterable[str]) -> Dict[str, float]:
-        n = float(len(self.template))
-        return {h: n for h in hosts}

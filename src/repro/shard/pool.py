@@ -1,7 +1,10 @@
 """A spawn-started pool of shard worker processes.
 
 :class:`ShardWorkerPool` hosts ``shards`` shard stores across
-``workers`` OS processes.  The shard→worker assignment comes from the
+``workers`` OS processes — the RPC form of the two-verb backend over
+the op table in :mod:`repro.shard.worker`: it knows which worker owns
+which shard and how a frame crosses a pipe, nothing about what any
+command does.  The shard→worker assignment comes from the
 resource-aware :class:`~repro.shard.scheduler.ResourceScheduler`
 (load-hinted LPT packing), every process runs
 :func:`~repro.shard.worker.worker_main`, and all traffic rides the
@@ -9,14 +12,14 @@ zero-copy frames of :mod:`repro.shard.transport` — protocol-5
 envelopes over ``Connection.send_bytes`` with numeric columns shipped
 as out-of-band raw buffers (or, for large replies, written straight
 into the worker's shared-memory arena and delivered by reference).
-Scatter-gather calls send to every worker first and only then collect
+A call sends to every worker it involves first and only then collects
 replies, so workers genuinely overlap on multi-core hosts.
 
-Writes are *pipelined*: ``put``/``put_many`` post without waiting for
-a reply, keeping up to ``rpc_window`` un-acknowledged messages in
-flight per worker.  Worker-side write failures are buffered and
-surfaced — together with :class:`ShardWorkerDied` — at the next
-barrier: an explicit :meth:`flush`, any query or sync command, or
+Posted writes are *pipelined*: :meth:`~ShardWorkerPool.post` does not
+wait for a reply, keeping up to ``rpc_window`` un-acknowledged
+messages in flight per worker.  Worker-side write failures are
+buffered and surfaced — together with :class:`ShardWorkerDied` — at
+the next barrier: an explicit :meth:`flush`, any :meth:`call`, or
 :meth:`close`.  No barrier, no guarantee; after a barrier, everything
 before it either landed or raised.
 
@@ -32,8 +35,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro import obs
 from repro.shard import transport
@@ -63,18 +64,6 @@ class ShardWorkerDied(RuntimeError):
         self.shards = list(shards)
 
 
-def _as_time_col(times) -> np.ndarray:
-    if isinstance(times, np.ndarray):
-        return np.ascontiguousarray(times)
-    return np.asarray(list(times), dtype=np.int64)
-
-
-def _as_value_col(values) -> np.ndarray:
-    if isinstance(values, np.ndarray):
-        return np.ascontiguousarray(values)
-    return np.asarray(list(values), dtype=np.float64)
-
-
 class ShardWorkerPool:
     """``shards`` chunked TSDBs served by ``workers`` processes."""
 
@@ -83,9 +72,7 @@ class ShardWorkerPool:
         shards: int,
         workers: int,
         chunk_size: int = CHUNK_POINTS,
-        scheduler: Optional[ResourceScheduler] = None,
         loads: Optional[Mapping[int, float]] = None,
-        start_method: str = "spawn",
         arena_bytes: int = transport.DEFAULT_ARENA_BYTES,
         rpc_window: int = DEFAULT_RPC_WINDOW,
     ) -> None:
@@ -96,35 +83,48 @@ class ShardWorkerPool:
         self.chunk_size = int(chunk_size)
         self.arena_bytes = max(0, int(arena_bytes))
         self.rpc_window = max(1, int(rpc_window))
-        self.scheduler = scheduler or ResourceScheduler(self.workers)
+        self.scheduler = ResourceScheduler(self.workers)
         #: worker index → sorted shard ids it owns
         self.assignment = self.scheduler.plan(range(self.n_shards), loads)
-        self._ctx = mp.get_context(start_method)
-        self._procs: List[Optional[mp.process.BaseProcess]] = []
-        self._conns: List[Optional[object]] = []
-        self._arenas: List[Optional[transport.CoordinatorArena]] = []
+        self._ctx = mp.get_context("spawn")
+        n = self.workers
+        self._procs: List[Optional[mp.process.BaseProcess]] = [None] * n
+        self._conns: List[Optional[object]] = [None] * n
+        self._arenas: List[Optional[transport.CoordinatorArena]] = [None] * n
         #: per-worker posted-but-unacknowledged write count
-        self._unacked: List[int] = []
+        self._unacked: List[int] = [0] * n
         #: per-worker replies to discard (queued by an aborted gather)
-        self._stale: List[int] = []
+        self._stale: List[int] = [0] * n
         #: per-worker deferred write errors awaiting the next barrier
-        self._write_errors: List[List[str]] = []
+        self._write_errors: List[List[str]] = [[] for _ in range(n)]
         self._worker_of: Dict[int, int] = {}
         for w, sids in enumerate(self.assignment):
             for sid in sids:
                 self._worker_of[sid] = w
-            self._spawn(w, sids, append=True)
+            self._spawn(w)
 
-    def _spawn(self, w: int, sids: Sequence[int], append: bool) -> None:
+    def _spawn(self, w: int) -> None:
+        """Start (or restart) worker ``w`` with empty shard stores."""
         arena: Optional[transport.CoordinatorArena] = None
         if self.arena_bytes > 0:
-            arena = transport.CoordinatorArena(self.arena_bytes)
+            try:
+                arena = transport.CoordinatorArena(self.arena_bytes)
+            except OSError:
+                # no shared memory to be had (a host that restricts
+                # /dev/shm): this worker's reply columns all take the
+                # spill path through the pipe — same bytes, more copying
+                obs.counter(
+                    "repro_shard_arena_unavailable_total",
+                    "shard workers started without a reply arena "
+                    "because the shared-memory block could not be "
+                    "created",
+                ).inc()
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
             args=(
                 child,
-                tuple(sids),
+                tuple(self.assignment[w]),
                 self.chunk_size,
                 arena.name if arena is not None else None,
                 self.arena_bytes,
@@ -134,22 +134,14 @@ class ShardWorkerPool:
         )
         proc.start()
         child.close()
-        if append:
-            self._procs.append(proc)
-            self._conns.append(parent)
-            self._arenas.append(arena)
-            self._unacked.append(0)
-            self._stale.append(0)
-            self._write_errors.append([])
-        else:
-            old = self._arenas[w]
-            if old is not None:
-                old.retire()
-            self._procs[w] = proc
-            self._conns[w] = parent
-            self._arenas[w] = arena
-            self._unacked[w] = 0
-            self._stale[w] = 0
+        old = self._arenas[w]
+        if old is not None:
+            old.retire()
+        self._procs[w] = proc
+        self._conns[w] = parent
+        self._arenas[w] = arena
+        self._unacked[w] = 0
+        self._stale[w] = 0
         obs.counter(
             "repro_shard_workers_spawned_total",
             "shard worker processes started (including respawns)",
@@ -165,18 +157,14 @@ class ShardWorkerPool:
             "repro_shard_rpc_wire_bytes_total",
             "bytes of RPC frames crossing shard worker pipes",
         ).inc(info.frame_bytes, dir=direction)
-        if info.inline_oob_bytes:
-            obs.counter(
-                "repro_shard_rpc_oob_bytes_total",
-                "out-of-band column bytes moved by the shard RPC, by "
-                "placement (frame = in the pipe, arena = shared memory)",
-            ).inc(info.inline_oob_bytes, placement="frame")
-        if info.arena_bytes:
-            obs.counter(
-                "repro_shard_rpc_oob_bytes_total",
-                "out-of-band column bytes moved by the shard RPC, by "
-                "placement (frame = in the pipe, arena = shared memory)",
-            ).inc(info.arena_bytes, placement="arena")
+        for placement, n in (("frame", info.inline_oob_bytes),
+                             ("arena", info.arena_bytes)):
+            if n:
+                obs.counter(
+                    "repro_shard_rpc_oob_bytes_total",
+                    "out-of-band column bytes moved by the shard RPC, by "
+                    "placement (frame = in the pipe, arena = shared memory)",
+                ).inc(n, placement=placement)
         if info.arena_hits:
             obs.counter(
                 "repro_shard_arena_hits_total",
@@ -190,7 +178,7 @@ class ShardWorkerPool:
             "un-acknowledged pipelined writes currently in flight",
         ).set(self._unacked[w], worker=str(w))
 
-    def _send(self, w: int, cmd: str, payload: tuple,
+    def _send(self, w: int, cmd: str, payload,
               ack: bool = True) -> None:
         conn = self._conns[w]
         if conn is None:
@@ -296,21 +284,12 @@ class ShardWorkerPool:
             errs.clear()
         raise RuntimeError(f"pipelined shard writes failed: {detail}")
 
-    def _exchange(self, w: int, cmd: str, payload: tuple):
+    def _exchange(self, w: int, cmd: str, payload):
         """One synchronous round-trip (implicitly a per-worker barrier)."""
         self._send(w, cmd, payload)
         return self._recv_reply(w)
 
-    def _post(self, w: int, cmd: str, payload: tuple) -> None:
-        """Pipeline a write; sync when the credit window is exhausted."""
-        self._send(w, cmd, payload, ack=False)
-        self._unacked[w] += 1
-        self._gauge_inflight(w)
-        if self._unacked[w] >= self.rpc_window:
-            self._exchange(w, "flush", ())
-            self._raise_deferred()
-
-    def _scatter(self, calls: Dict[int, Tuple[str, tuple]]) -> Dict[int, object]:
+    def _scatter(self, calls: Dict[int, Tuple[str, object]]) -> Dict[int, object]:
         """Send every request, then gather every reply (true overlap).
 
         If the gather aborts (a worker died, or one replied with an
@@ -345,26 +324,36 @@ class ShardWorkerPool:
         self._raise_deferred()
         return out
 
-    def _all(self, cmd: str, payload: tuple) -> Dict[int, object]:
-        live = [
-            w for w, sids in enumerate(self.assignment)
-            if sids or cmd == "close"
-        ]
-        return self._scatter({w: (cmd, payload) for w in live})
+    # -- the two verbs (same shape as worker.LocalShards) ---------------------
+    def call(
+        self, op: str, args_by_shard: Mapping[int, tuple]
+    ) -> Dict[int, object]:
+        """Run ``OPS[op]`` on each named shard with its own arguments.
 
-    # -- backend operations (mirror ShardSet) --------------------------------
-    def put(self, shard, metric, tags, ts, value) -> None:
-        w = self._worker_of[shard]
-        self._post(w, "put", (shard, metric, dict(tags), ts, value))
+        One frame per worker that owns any of the shards, all sent
+        before the first reply is read.  Every call is a barrier.
+        """
+        by_worker: Dict[int, Dict[int, tuple]] = {}
+        for shard, args in args_by_shard.items():
+            by_worker.setdefault(self._worker_of[shard], {})[shard] = args
+        out: Dict[int, object] = {}
+        for reply in self._scatter(
+            {w: (op, part) for w, part in by_worker.items()}
+        ).values():
+            out.update(reply)
+        return out
 
-    def put_many(self, shard, metric, tags, times, values) -> int:
-        t = _as_time_col(times)
-        v = _as_value_col(values)
+    def post(self, op: str, shard: int, args: tuple) -> None:
+        """Pipeline a write to ``shard``; sync when the credit window
+        is exhausted.  The store accepts the whole batch or raises,
+        and a failure surfaces at the next barrier."""
         w = self._worker_of[shard]
-        self._post(w, "put_many", (shard, metric, dict(tags), t, v))
-        # the store's extend() accepts the whole aligned batch or
-        # raises; a failure surfaces at the next barrier
-        return len(t)
+        self._send(w, op, {shard: args}, ack=False)
+        self._unacked[w] += 1
+        self._gauge_inflight(w)
+        if self._unacked[w] >= self.rpc_window:
+            self._exchange(w, "flush", ())
+            self._raise_deferred()
 
     def flush(self) -> None:
         """Barrier: every pipelined write landed, or this raises."""
@@ -372,71 +361,6 @@ class ShardWorkerPool:
             if conn is not None and self._unacked[w]:
                 self._exchange(w, "flush", ())
         self._raise_deferred()
-
-    def ingest(self, source, host_shards, types=None, metric="stats"):
-        groups: Dict[int, list] = {}
-        for host, shard in host_shards:
-            groups.setdefault(self._worker_of[shard], []).append(
-                (host, shard)
-            )
-        replies = self._scatter({
-            w: ("ingest", (source, part, types, metric))
-            for w, part in groups.items()
-        })
-        merged: Dict[int, Dict[str, float]] = {}
-        for report in replies.values():
-            for sid, r in report.items():
-                merged[sid] = r
-                if r["points"] or r["samples"]:
-                    self.scheduler.observe(
-                        sid, points=int(r["points"]), seconds=r["seconds"]
-                    )
-        return merged
-
-    def select(self, metric, tags=None):
-        out = []
-        for rows in self._all("select", (metric, tags)).values():
-            out.extend(rows)
-        return out
-
-    def scan(self, metric, items, time_range=None):
-        by_worker: Dict[int, List[int]] = {}
-        for i, (sid, _) in enumerate(items):
-            by_worker.setdefault(self._worker_of[sid], []).append(i)
-        replies = self._scatter({
-            w: ("scan", (metric, [items[i] for i in idxs], time_range))
-            for w, idxs in by_worker.items()
-        })
-        out: List[Optional[tuple]] = [None] * len(items)
-        for w, idxs in by_worker.items():
-            for i, cols in zip(idxs, replies[w]):
-                out[i] = cols
-        return out
-
-    def window_stats(self, metric, tags=None, time_range=None,
-                     use_preagg=True):
-        out = []
-        replies = self._all(
-            "window_stats", (metric, tags, time_range, use_preagg)
-        )
-        for rows in replies.values():
-            out.extend(rows)
-        return out
-
-    def prune(self, before, metric=None) -> int:
-        return sum(self._all("prune", (before, metric)).values())
-
-    def stats(self) -> Dict[int, Dict[str, int]]:
-        merged: Dict[int, Dict[str, int]] = {}
-        for report in self._all("stats", ()).values():
-            merged.update(report)
-        return merged
-
-    def drop_read_caches(self) -> None:
-        self._all("drop_read_caches", ())
-
-    def seal_heads(self) -> None:
-        self._all("seal_heads", ())
 
     # -- obs harvest ---------------------------------------------------------
     def harvest_obs(self, merger) -> "HarvestReport":
@@ -518,7 +442,7 @@ class ShardWorkerPool:
             proc.terminate()
             proc.join(timeout=2.0)
         self._write_errors[worker].clear()
-        self._spawn(worker, self.assignment[worker], append=False)
+        self._spawn(worker)
         return list(self.assignment[worker])
 
     def close(self) -> None:

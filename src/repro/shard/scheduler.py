@@ -15,10 +15,10 @@ Loads come from two places, in preference order:
    the :mod:`repro.obs` registry
    (``repro_shard_points_total{shard=…}``,
    ``repro_shard_ingest_seconds``) so the portal's ``/obs`` page and
-   the rebalance decision read the same numbers;
+   the next :meth:`plan` read the same numbers;
 2. **hinted** — before anything ran, per-host hints from the source
    (raw file sizes for a :class:`~repro.shard.ingest.StoreSource`)
-   summed per shard.
+   summed per shard and handed to :meth:`plan` as ``loads``.
 
 ``plan()`` with no information at all degrades to round-robin (every
 shard load 1.0), which is also exactly what a fresh ring gets.
@@ -40,14 +40,10 @@ class ResourceScheduler:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
-        #: shard → accumulated load figure (points, seconds or hints)
+        #: shard → accumulated observed load (seconds, else points)
         self._loads: Dict[int, float] = {}
 
     # -- load accounting -----------------------------------------------------
-    def hint(self, shard: int, load: float) -> None:
-        """Pre-run load hint (e.g. raw bytes awaiting the shard)."""
-        self._loads[shard] = self._loads.get(shard, 0.0) + float(load)
-
     def observe(
         self, shard: int, points: int = 0, seconds: float = 0.0
     ) -> None:
@@ -65,9 +61,6 @@ class ResourceScheduler:
         self._loads[shard] = self._loads.get(shard, 0.0) + (
             seconds if seconds else float(points)
         )
-
-    def loads(self) -> Dict[int, float]:
-        return dict(self._loads)
 
     # -- assignment ----------------------------------------------------------
     def plan(
@@ -100,7 +93,3 @@ class ResourceScheduler:
             ).set(totals[w], worker=w)
             sids.sort()
         return assignment
-
-    def rebalance(self, shards: Sequence[int]) -> List[List[int]]:
-        """Re-plan from everything observed so far."""
-        return self.plan(shards)

@@ -21,9 +21,10 @@ fleet — by the consistent-hash ring:
   through one :class:`~repro.stream.alerts.AlertRouter` (both live in
   the coordinator process in a real deployment).
 
-Reads go through the same scatter-gather
-:class:`~repro.shard.coordinator.QueryCoordinator` as batch-loaded
-shards, so ``pipeline.query(...)``/``window_stats(...)`` stay
+Reads go through the same
+:class:`~repro.shard.coordinator.ShardedTSDB` as batch-loaded shards
+(the feeds write straight into its in-process shard stores), so
+``pipeline.query(...)``/``window_stats(...)`` stay
 bit-identical to a single-store run over the same traffic — with
 ``shards=1`` the whole arrangement degenerates to one queue feeding
 one store in the original delivery order, which the equivalence suite
@@ -32,23 +33,18 @@ pins against :class:`~repro.stream.pipeline.StreamPipeline` exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro import obs
 from repro.broker import Broker, Channel, Delivery
 from repro.cluster.jobs import Job
 from repro.core.daemon import EXCHANGE
 from repro.metrics.flags import Thresholds
-from repro.shard.coordinator import QueryCoordinator
-from repro.shard.ring import DEFAULT_VNODES, ShardMap
-from repro.shard.worker import ShardSet
+from repro.shard.coordinator import ShardedTSDB
 from repro.stream.alerts import AlertRouter
 from repro.stream.analyzer import StreamingFlagAnalyzer
-from repro.stream.pipeline import Block, StreamPipeline, _Layout
+from repro.stream.pipeline import StreamPipeline
 from repro.stream.retention import RetentionPolicy
-from repro.tsdb.chunks import CHUNK_POINTS
 
 __all__ = ["SHARD_EXCHANGE", "ROUTER_QUEUE", "ShardedStreamPipeline"]
 
@@ -68,7 +64,7 @@ class _ShardFeed(StreamPipeline):
 
     def __init__(self, broker: Broker, shard: int, tsdb, analyzer,
                  alerts: AlertRouter, retention, types, metric,
-                 jobs=None, analytics=None, coalesce_points: int = 0) -> None:
+                 jobs=None, analytics=None) -> None:
         super().__init__(
             broker, tsdb=tsdb, jobs=jobs, retention=retention, types=types,
             metric=metric, analytics=analytics,
@@ -76,57 +72,6 @@ class _ShardFeed(StreamPipeline):
         self.shard = shard
         self.analyzer = analyzer
         self.alerts = alerts
-        #: >0 buffers rows across deliveries and writes them through in
-        #: batches of at least this many points; 0 (the default) keeps
-        #: the plain one-put_many-per-delivery behaviour the
-        #: equivalence suite pins
-        self.coalesce_points = int(coalesce_points)
-        #: layout → pending (times, rows) blocks.  A layout belongs to
-        #: one host and a changed layout is a new object, so flushing
-        #: in insertion order keeps every series in arrival order —
-        #: which is all the retention tiers and the sorted-key query
-        #: engine depend on
-        self._coal: Dict[_Layout, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        self._coal_n = 0
-
-    def _write_blocks(self, blocks: List[Block]) -> int:
-        if self.coalesce_points <= 0:
-            return super()._write_blocks(blocks)
-        n = 0
-        for layout, times, values in blocks:
-            self._coal.setdefault(layout, []).append((times, values))
-            n += values.size
-        # points are accounted when buffered (flush adds nothing), so
-        # the totals match the uncoalesced pipeline delivery-for-delivery
-        self._coal_n += n
-        self._count_points(n)
-        if self._coal_n >= self.coalesce_points:
-            self.flush_writes()
-        return n
-
-    def flush_writes(self) -> None:
-        """Write every buffered row through the retention writer.
-
-        Called when the coalesce window fills and at every barrier
-        (query epoch sync, finalize) — after it returns the TSDB holds
-        exactly what the uncoalesced pipeline would hold.  Each
-        layout's rows go out as one ``(n, K)`` block.
-        """
-        if not self._coal:
-            return
-        pending, self._coal = self._coal, {}
-        self._coal_n = 0
-        for layout, parts in pending.items():
-            self.writer.put_many(
-                self.metric,
-                layout.group,
-                np.concatenate([t for t, _ in parts]),
-                np.concatenate([v for _, v in parts]),
-            )
-        obs.counter(
-            "repro_shard_stream_coalesced_flushes_total",
-            "coalesced row blocks flushed to shard stores",
-        ).inc(len(pending), shard=self.shard)
 
     def start(self) -> None:
         if self._started:
@@ -154,18 +99,16 @@ class ShardedStreamPipeline:
         alerts: Optional[AlertRouter] = None,
         types: Optional[Iterable[str]] = None,
         metric: str = "stats",
-        vnodes: int = DEFAULT_VNODES,
-        chunk_size: int = CHUNK_POINTS,
         analytics=None,
-        coalesce_points: int = 0,
     ) -> None:
         self.broker = broker
-        self.map = ShardMap(shards, vnodes=vnodes)
+        #: the in-process sharded store.  The feeds write into its shard
+        #: stores directly, so read through :meth:`query` /
+        #: :meth:`window_stats` here, which sync its epoch first
+        self.tsdb = ShardedTSDB(shards)
+        self.map = self.tsdb.map
         self.metric = metric
         self.alerts = alerts if alerts is not None else AlertRouter()
-        # the shard stores double as the in-process query backend
-        self._shardset = ShardSet(range(shards), chunk_size=chunk_size)
-        self.coordinator = QueryCoordinator(self._shardset)
         job_meta = None
         if jobs is not None:
             def job_meta(jobid: str, hosts) -> Dict[str, object]:
@@ -183,12 +126,11 @@ class ShardedStreamPipeline:
         self.analytics = analytics
         self.feeds: List[_ShardFeed] = [
             _ShardFeed(
-                broker, k, self._shardset.stores[k], self.analyzer,
+                broker, k, store, self.analyzer,
                 self.alerts, retention, types, metric,
                 jobs=jobs, analytics=analytics,
-                coalesce_points=coalesce_points,
             )
-            for k in range(shards)
+            for k, store in self.tsdb.backend.stores.items()
         ]
         self._channel: Optional[Channel] = None
         self._started = False
@@ -229,27 +171,22 @@ class ShardedStreamPipeline:
             "live deliveries partitioned onto shard queues",
         ).inc(shard=k)
 
-    # -- reads (scatter-gather, same coordinator as batch shards) ------------
+    # -- reads (scatter-gather, same store as batch shards) ------------------
     def _sync_epoch(self) -> None:
-        # a read is a write barrier: coalesced columns still buffered
-        # in the feeds must land before the epochs (and the data) are
-        # observed, or a query could miss delivered points
-        for feed in self.feeds:
-            feed.flush_writes()
         # feeds write concurrently with queries; fold the per-store
-        # write epochs into the coordinator's so its QueryCache
+        # write epochs into the sharded store's so its QueryCache
         # invalidates exactly like a single live store's would
-        self.coordinator.epoch = sum(
-            s.epoch for s in self._shardset.stores.values()
+        self.tsdb.epoch = sum(
+            s.epoch for s in self.tsdb.backend.stores.values()
         )
 
     def query(self, metric: str, **kw):
         self._sync_epoch()
-        return self.coordinator.query(metric, **kw)
+        return self.tsdb.query(metric, **kw)
 
     def window_stats(self, metric: str, **kw):
         self._sync_epoch()
-        return self.coordinator.window_stats(metric, **kw)
+        return self.tsdb.window_stats(metric, **kw)
 
     # -- aggregate counters ---------------------------------------------------
     @property
@@ -264,21 +201,9 @@ class ShardedStreamPipeline:
     def last_seen(self) -> int:
         return max((f.last_seen for f in self.feeds), default=0)
 
-    def n_series(self) -> int:
-        for feed in self.feeds:
-            feed.flush_writes()
-        return sum(s.n_series() for s in self._shardset.stores.values())
-
-    def n_points(self) -> int:
-        for feed in self.feeds:
-            feed.flush_writes()
-        return sum(s.n_points() for s in self._shardset.stores.values())
-
     def shard_points(self) -> Dict[int, int]:
-        for feed in self.feeds:
-            feed.flush_writes()
         return {
-            k: s.n_points() for k, s in self._shardset.stores.items()
+            k: r["points"] for k, r in self.tsdb.shard_stats().items()
         }
 
     # -- end of run -----------------------------------------------------------
@@ -289,7 +214,6 @@ class ShardedStreamPipeline:
             self.feeds[0]._route(events, self.last_seen, None)
             self.feeds[0]._score_completed(self.last_seen, None)
         for feed in self.feeds:
-            feed.flush_writes()
             feed.writer.flush()
         obs.gauge(
             "repro_stream_jobs_inflight",

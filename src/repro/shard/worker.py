@@ -1,18 +1,22 @@
-"""Shard workers: each owns the chunked TSDBs of its shards.
+"""The shard op table, and the two places it runs.
 
-:class:`ShardSet` is the worker-side state — a handful of shard ids,
-each backed by its own :class:`~repro.tsdb.store.TimeSeriesDB` — plus
-the operations the coordinator scatters: bulk ingest of a host list,
-series selection, batched scans, windowed statistics, pruning.  It is
-used two ways:
+:data:`OPS` is the whole shard-local command set: one row per command,
+a function of *one* shard's :class:`~repro.tsdb.store.TimeSeriesDB`
+and the command's arguments.  How a call's arguments split by shard
+and how the shards' replies merge is
+:class:`~repro.shard.coordinator.ShardedTSDB`'s business; both backends
+are the same two-verb proxy over the table —
+``call(op, {shard: args}) -> {shard: result}`` and
+``post(op, shard, args)``:
 
-* **in-process** (``workers=0``): the coordinator holds one ShardSet
-  directly — deterministic, sim-friendly, and the configuration the
-  equivalence suites pin bit-for-bit against the single store;
-* **multi-process**: :func:`worker_main` is the spawn entry point; a
-  :class:`~repro.shard.pool.ShardWorkerPool` process runs it, serving
-  the same operations over a duplex pipe.  Everything crossing the
-  pipe (sources, tag dicts, NumPy columns,
+* **in-process** (``workers=0``): :class:`LocalShards` holds the shard
+  stores and calls the row — deterministic, sim-friendly, and the
+  configuration the equivalence suites pin bit-for-bit against the
+  single store;
+* **multi-process**: :func:`worker_main`, the spawn entry point of a
+  :class:`~repro.shard.pool.ShardWorkerPool` process, serves a
+  :class:`LocalShards` of its own over a duplex pipe.  Everything
+  crossing the pipe (sources, tag dicts, NumPy columns,
   :class:`~repro.tsdb.query.SeriesStats`) pickles losslessly, so a
   scatter-gathered result is bit-identical to the in-process one.
 
@@ -25,163 +29,121 @@ names to pull from it, and each host is parsed with the same
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.obs.harvest import snapshot_process
-from repro.tsdb.chunks import CHUNK_POINTS
-from repro.tsdb.query import SeriesStats, window_stats
-from repro.tsdb.store import TagKey, TimeSeriesDB, _tagkey, ingest_file
+from repro.tsdb.query import window_stats
+from repro.tsdb.store import TagKey, TimeSeriesDB, ingest_file
 
-__all__ = ["ShardSet", "worker_main"]
-
-#: (shard, tagkey) — how the coordinator names a series to scan
-ScanItem = Tuple[int, TagKey]
+__all__ = ["OPS", "LocalShards", "worker_main"]
 
 
-class ShardSet:
-    """The shard-local state: one chunked TSDB per owned shard."""
+def _ingest(
+    store: TimeSeriesDB,
+    source,
+    hosts: Sequence[str],
+    types: Optional[Sequence[str]],
+    metric: str,
+) -> Dict[str, float]:
+    """Parse and load ``hosts`` from ``source`` into this shard.
 
-    def __init__(
-        self,
-        shard_ids: Iterable[int],
-        chunk_size: int = CHUNK_POINTS,
-    ) -> None:
-        self.chunk_size = int(chunk_size)
+    Returns ``{points, samples, seconds}`` — the observed-load
+    feedback the resource scheduler packs future assignments by.
+    """
+    points = samples = 0
+    t0 = time.perf_counter()
+    for host in hosts:
+        with source.open(host) as fh:
+            n, k = ingest_file(store, host, fh, types=types, metric=metric)
+        points += n
+        samples += k
+    return {
+        "points": points, "samples": samples,
+        "seconds": time.perf_counter() - t0,
+    }
+
+
+def _select(
+    store: TimeSeriesDB, metric: str, tags: Optional[Mapping[str, object]]
+) -> list:
+    """Tags of every matching series (handles never cross the pipe)."""
+    return [dict(s.tags) for s in store.select(metric, tags)]
+
+
+def _scan(
+    store: TimeSeriesDB,
+    metric: str,
+    keys: Sequence[TagKey],
+    time_range: Optional[Tuple[int, int]],
+):
+    """Materialise the named series in request order — one batched
+    decode (``decode_many``) across everything asked of this shard."""
+    return store.scan([store._series[(metric, k)] for k in keys], time_range)
+
+
+def _stats(store: TimeSeriesDB) -> Dict[str, int]:
+    return {
+        "points": store.n_points(),
+        "series": store.n_series(),
+        "chunks": store.n_chunks(),
+        "bytes": store.storage_bytes(),
+    }
+
+
+#: command → ``fn(store, *args)``, run on one shard's store.  The names
+#: are the only ones a worker answers to; a command added here is
+#: reachable through both backends and must be merged in ShardedTSDB.
+#: The rows that are a store method as it stands call it through the
+#: store, not as ``TimeSeriesDB.put``: a wrapper put on the class later
+#: (``bench/spans.py`` times ``seal_heads`` that way) must be what runs.
+OPS: Dict[str, Callable] = {
+    "put": lambda store, *args: store.put(*args),
+    "put_many": lambda store, *args: store.put_many(*args),
+    "ingest": _ingest,
+    "prune": lambda store, *args: store.prune(*args),
+    "select": _select,
+    "scan": _scan,
+    # each shard folds its own per-chunk partials (sealed pre-aggregates
+    # for covered chunks): the expensive half runs where the data lives
+    "window_stats": window_stats,
+    "stats": _stats,
+    "drop_read_caches": lambda store: store.drop_read_caches(),
+    "seal_heads": lambda store: store.seal_heads(),
+}
+
+
+class LocalShards:
+    """The in-process backend: the shard stores, and the two verbs."""
+
+    def __init__(self, shard_ids: Iterable[int], chunk_size: int) -> None:
         self.stores: Dict[int, TimeSeriesDB] = {
-            int(s): TimeSeriesDB(chunk_size=self.chunk_size)
+            int(s): TimeSeriesDB(chunk_size=int(chunk_size))
             for s in shard_ids
         }
 
-    # -- writing ------------------------------------------------------------
-    def put(
-        self,
-        shard: int,
-        metric: str,
-        tags: Mapping[str, str],
-        ts: int,
-        value: float,
-    ) -> None:
-        self.stores[shard].put(metric, tags, ts, value)
-
-    def put_many(
-        self,
-        shard: int,
-        metric: str,
-        tags: Mapping[str, str],
-        times: Sequence[int],
-        values: Sequence[float],
-    ) -> int:
-        return self.stores[shard].put_many(metric, tags, times, values)
-
-    def ingest(
-        self,
-        source,
-        host_shards: Sequence[Tuple[str, int]],
-        types: Optional[Sequence[str]] = None,
-        metric: str = "stats",
-    ) -> Dict[int, Dict[str, float]]:
-        """Parse and load each ``(host, shard)`` from ``source``.
-
-        Returns per-shard ``{points, samples, seconds}`` — the
-        observed-load feedback the resource scheduler packs future
-        assignments by.
-        """
-        report: Dict[int, Dict[str, float]] = {
-            s: {"points": 0, "samples": 0, "seconds": 0.0}
-            for s in self.stores
-        }
-        for host, shard in host_shards:
-            t0 = time.perf_counter()
-            with source.open(host) as fh:
-                n, k = ingest_file(
-                    self.stores[shard], host, fh, types=types, metric=metric
-                )
-            r = report[shard]
-            r["points"] += n
-            r["samples"] += k
-            r["seconds"] += time.perf_counter() - t0
-        return report
-
-    def prune(self, before: int, metric: Optional[str] = None) -> int:
-        return sum(s.prune(before, metric) for s in self.stores.values())
-
-    # -- reading ------------------------------------------------------------
-    def select(
-        self, metric: str, tags: Optional[Mapping[str, object]] = None
-    ) -> List[Tuple[int, Dict[str, str]]]:
-        """``(shard, tags)`` of every matching series across shards."""
-        out: List[Tuple[int, Dict[str, str]]] = []
-        for sid, store in self.stores.items():
-            for s in store.select(metric, tags):
-                out.append((sid, dict(s.tags)))
-        return out
-
-    def scan(
-        self,
-        metric: str,
-        items: Sequence[ScanItem],
-        time_range: Optional[Tuple[int, int]] = None,
-    ):
-        """Materialise named series, preserving the callers' order.
-
-        Items are grouped per shard store so each store's batched
-        decode (one ``decode_many`` across all its requested series)
-        still applies.
-        """
-        by_shard: Dict[int, List[int]] = {}
-        for i, (sid, _) in enumerate(items):
-            by_shard.setdefault(sid, []).append(i)
-        out: List[Optional[Tuple]] = [None] * len(items)
-        for sid, idxs in by_shard.items():
-            store = self.stores[sid]
-            series = [store._series[(metric, items[i][1])] for i in idxs]
-            for i, cols in zip(idxs, store.scan(series, time_range)):
-                out[i] = cols
-        return out
-
-    def window_stats(
-        self,
-        metric: str,
-        tags: Optional[Mapping[str, object]] = None,
-        time_range: Optional[Tuple[int, int]] = None,
-        use_preagg: bool = True,
-    ) -> List[SeriesStats]:
-        """Shard-local scalar stats; coordinator merge-sorts globally.
-
-        Each shard store folds its own per-chunk partials (sealed
-        pre-aggregates for covered chunks), so the expensive half of
-        ``window_stats`` runs where the data lives.
-        """
-        out: List[SeriesStats] = []
-        for store in self.stores.values():
-            out.extend(
-                window_stats(
-                    store, metric, tags=tags, time_range=time_range,
-                    use_preagg=use_preagg,
-                )
-            )
-        return out
-
-    # -- bookkeeping ---------------------------------------------------------
-    def stats(self) -> Dict[int, Dict[str, int]]:
+    def call(
+        self, op: str, args_by_shard: Mapping[int, tuple]
+    ) -> Dict[int, object]:
+        """Run ``OPS[op]`` on each named shard with its own arguments."""
+        fn = OPS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown shard op {op!r}")
         return {
-            sid: {
-                "points": store.n_points(),
-                "series": store.n_series(),
-                "chunks": store.n_chunks(),
-                "bytes": store.storage_bytes(),
-            }
-            for sid, store in self.stores.items()
+            shard: fn(self.stores[shard], *args)
+            for shard, args in args_by_shard.items()
         }
 
-    def drop_read_caches(self) -> None:
-        for store in self.stores.values():
-            store.drop_read_caches()
+    def post(self, op: str, shard: int, args: tuple) -> None:
+        """A write nobody waits for; in-process it has simply happened
+        (and a bad one raises here rather than at the next barrier)."""
+        self.call(op, {shard: args})
 
-    def seal_heads(self) -> None:
-        for store in self.stores.values():
-            store.seal_heads()
+    def flush(self) -> None:
+        """Nothing is ever in flight in-process."""
+
+    def close(self) -> None:
+        """No process to stop."""
 
 
 def worker_main(
@@ -191,23 +153,26 @@ def worker_main(
     arena_name: Optional[str] = None,
     arena_size: int = 0,
 ) -> None:
-    """Process entry point: serve ShardSet operations over ``conn``.
+    """Process entry point: serve :data:`OPS` over ``conn``.
 
     Spawn-safe: importable at module top level with picklable
     arguments only.  Every message is one
     :mod:`repro.shard.transport` frame carrying
-    ``(cmd, payload, ctx, meta)`` — ``ctx`` is the coordinator's
-    ``(trace_id, span_id)`` or ``None``; ``meta["frees"]`` returns
-    arena regions the coordinator no longer references, and
-    ``meta["ack"]`` selects the reply discipline:
+    ``(cmd, payload, ctx, meta)`` — ``payload`` is ``{shard: args}``,
+    ``ctx`` is the coordinator's ``(trace_id, span_id)`` or ``None``;
+    ``meta["frees"]`` returns arena regions the coordinator no longer
+    references, and ``meta["ack"]`` selects the reply discipline:
 
-    * **acked** commands answer ``("ok", result, deferred)`` or
-      ``("err", message, deferred)``, where ``deferred`` drains every
-      error buffered by earlier un-acked writes (the coordinator's
-      error-at-barrier contract);
+    * **acked** commands answer ``("ok", {shard: result}, deferred)``
+      or ``("err", message, deferred)``, where ``deferred`` drains
+      every error buffered by earlier un-acked writes (the
+      coordinator's error-at-barrier contract);
     * **un-acked** commands (pipelined ``put``/``put_many``) send no
       reply at all — a failure is buffered and rides out on the next
       acked exchange.
+
+    ``cmd`` is looked up in :data:`OPS` and nowhere else: any other
+    name, whatever attribute it spells, fails like a failed command.
 
     Reply columns above the arena threshold are written into the
     shared-memory arena (when one was handed over) and travel as
@@ -217,8 +182,8 @@ def worker_main(
 
     Every shard operation runs inside a ``shard.worker.<cmd>`` span
     joined to the coordinator's trace via ``ctx``; the
-    ``obs_snapshot`` command (answered here, never dispatched to the
-    ShardSet) ships the worker's cumulative metrics and finished spans
+    ``obs_snapshot`` command (answered here, not a row of the table)
+    ships the worker's cumulative metrics and finished spans
     back for the coordinator-side
     :class:`~repro.obs.harvest.HarvestMerger`.  The snapshot itself is
     deliberately *untraced* — every span in it is finished before the
@@ -227,7 +192,7 @@ def worker_main(
     """
     from repro.shard import transport
 
-    shards = ShardSet(shard_ids, chunk_size=chunk_size)
+    shards = LocalShards(shard_ids, chunk_size)
     arena = (
         transport.WorkerArena.attach(arena_name, arena_size)
         if arena_name is not None and arena_size > 0
@@ -248,12 +213,9 @@ def worker_main(
         except (EOFError, OSError):
             break
         try:
-            msg, _ = transport.decode(frame)
+            (cmd, payload, ctx, meta), _ = transport.decode(frame)
         except Exception:  # corrupt request: die visibly, not wrongly
             break
-        cmd, payload = msg[0], msg[1]
-        ctx = msg[2] if len(msg) > 2 else None
-        meta = msg[3] if len(msg) > 3 else {}
         if arena is not None and meta.get("frees"):
             arena.free_many(meta["frees"])
         ack = meta.get("ack", True)
@@ -270,7 +232,7 @@ def worker_main(
                 reply("ok", snapshot_process())
                 continue
             with obs.span(f"shard.worker.{cmd}", remote_parent=ctx):
-                result = getattr(shards, cmd)(*payload)
+                result = shards.call(cmd, payload)
             if ack:
                 reply("ok", result)
         except Exception as exc:  # surfaced coordinator-side

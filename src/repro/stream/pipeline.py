@@ -135,9 +135,8 @@ class StreamPipeline:
         self.analyzer = StreamingFlagAnalyzer(thresholds, job_meta=job_meta)
         self._parsers: Dict[str, RawFileParser] = {}
         #: host → the layout of its latest sample.  One per host, and a
-        #: changed layout is always a new object: rows buffered under
-        #: the old one (shard feeds coalesce) stay ahead of the new
-        #: one's, which keeps every series in arrival order
+        #: changed layout is always a new object (a delivery's rows are
+        #: split into blocks on layout identity)
         self._layouts: Dict[str, _Layout] = {}
         self._errors_seen: Dict[str, int] = {}
         self.samples = 0
@@ -275,15 +274,12 @@ class StreamPipeline:
             n += self.writer.put_many(
                 self.metric, layout.group, times, values
             )
-        self._count_points(n)
-        return n
-
-    def _count_points(self, n: int) -> None:
         self.points += n
         obs.counter(
             "repro_stream_points_total",
             "points written into the live TSDB feed",
         ).inc(n)
+        return n
 
     def _route(
         self, events: List[StreamEvent], now: int, trace_id: Optional[int]

@@ -54,14 +54,16 @@ pre-aggregates sealed into the chunk — no decode, no cache, O(chunks)
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    ContextManager, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro import obs
 from repro.hardware.counters import correct_rollover
+from repro.tsdb.cache import QueryCache
 from repro.tsdb.chunks import Chunk, decode_many
 from repro.tsdb.store import TimeSeriesDB
 
@@ -73,16 +75,37 @@ _AGGS = {
 }
 
 
-def _read_locked(tsdb):
-    """The store's shared read lock, or a no-op for foreign engines.
+class ReadableStore(Protocol):
+    """Everything :func:`query` reads a store through.
 
-    Both query entry points hold it end-to-end: the epoch is captured,
-    the series scanned and the result cached as one atomic read, so a
-    concurrent writer can never leave a half-new result filed under an
-    epoch that would serve it stale.
+    :class:`~repro.tsdb.store.TimeSeriesDB` and
+    :class:`~repro.shard.coordinator.ShardedTSDB` both implement it;
+    selected series need only carry ``tags``.
     """
-    lock = getattr(tsdb, "read_locked", None)
-    return lock() if lock is not None else nullcontext()
+
+    #: write epoch — a cached result is valid for exactly one value
+    epoch: int
+    cache: Optional[QueryCache]
+
+    def select(
+        self, metric: str, tags: Optional[Mapping[str, object]] = None
+    ) -> Sequence:
+        """Matching series, sorted by their ``(metric, tag-items)`` key."""
+
+    def scan(
+        self, series_list: Sequence,
+        time_range: Optional[Tuple[int, int]] = None,
+    ) -> Sequence[Tuple[np.ndarray, np.ndarray]]:
+        """``(times, values)`` of each series, in request order."""
+
+    def read_locked(self) -> ContextManager:
+        """The store's shared read lock.
+
+        Both query entry points hold it end-to-end: the epoch is
+        captured, the series scanned and the result cached as one
+        atomic read, so a concurrent writer can never leave a half-new
+        result filed under an epoch that would serve it stale.
+        """
 
 
 @dataclass
@@ -151,7 +174,7 @@ def _to_rate_stacked(
 
 
 def query(
-    tsdb: TimeSeriesDB,
+    tsdb: ReadableStore,
     metric: str,
     tags: Optional[Mapping[str, object]] = None,
     group_by: Sequence[str] = (),
@@ -168,7 +191,7 @@ def query(
     """
     if aggregate not in _AGGS:
         raise ValueError(f"unknown aggregator {aggregate!r}; use {_AGGS}")
-    with _read_locked(tsdb):
+    with tsdb.read_locked():
         return _query_locked(
             tsdb, metric, tags, group_by, aggregate, rate,
             counter_width, downsample, time_range,
@@ -179,7 +202,7 @@ def _query_locked(
     tsdb, metric, tags, group_by, aggregate, rate,
     counter_width, downsample, time_range,
 ) -> QueryResult:
-    cache = getattr(tsdb, "cache", None)
+    cache = tsdb.cache
     cache_key = None
     epoch = tsdb.epoch
     if cache is not None:
@@ -192,11 +215,7 @@ def _query_locked(
             # fresh wrapper, shared (treat-as-immutable) series
             return QueryResult(series=list(cached.series))
     selected = tsdb.select(metric, tags)
-    scan = getattr(tsdb, "scan", None)
-    if scan is not None:
-        cols = scan(selected, time_range)
-    else:  # an engine without batched scans: one series at a time
-        cols = [s.arrays(time_range) for s in selected]
+    cols = tsdb.scan(selected, time_range)
     groups: Dict[Tuple[str, ...], List[int]] = {}
     for i, s in enumerate(selected):
         key = tuple(str(s.tags.get(g, "")) for g in group_by)
@@ -524,7 +543,7 @@ def window_stats(
     reduction over the merged window — same statistics, single-segment
     association.
     """
-    with _read_locked(tsdb):
+    with tsdb.read_locked():
         return _window_stats_locked(
             tsdb, metric, tags, time_range, use_preagg
         )
@@ -533,7 +552,7 @@ def window_stats(
 def _window_stats_locked(
     tsdb, metric, tags, time_range, use_preagg
 ) -> List[SeriesStats]:
-    cache = getattr(tsdb, "cache", None)
+    cache = tsdb.cache
     cache_key = None
     epoch = tsdb.epoch
     if cache is not None:
@@ -576,7 +595,7 @@ def _window_stats_locked(
 
     decoded: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     if to_decode:
-        bc = getattr(tsdb, "buffer_cache", None)
+        bc = tsdb.buffer_cache
         if bc is not None:
             bc.note_misses(len(to_decode))
         fresh = []

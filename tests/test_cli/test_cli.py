@@ -236,3 +236,68 @@ def test_loadtest_gate_failure_exits_nonzero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "GATE FAIL" in captured.err
+
+
+# -- sharded ingest ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def raw_store(tmp_path_factory):
+    """Four hosts' raw files on disk, and their unsharded totals."""
+    from repro import monitoring_session
+    from repro.cluster import JobSpec, make_app
+    from repro.tsdb import TimeSeriesDB, ingest_store
+    from repro.tsdb.store import ingest_file
+
+    sess = monitoring_session(
+        nodes=4, seed=11, interval=600,
+        store_dir=tmp_path_factory.mktemp("cli-raw"),
+    )
+    sess.cluster.submit(JobSpec(
+        user="alice", app=make_app("wrf", runtime_mean=3000.0), nodes=4
+    ))
+    sess.cluster.run_for(3 * 3600)
+    store = sess.store
+    store.flush()
+    points = ingest_store(TimeSeriesDB(), store, types=["mdc", "cpu"])
+    samples = 0
+    for host in store.hosts():
+        with open(store.path_for(host)) as fh:
+            samples += ingest_file(TimeSeriesDB(), host, fh, types=[])[1]
+    assert points > 0 and samples > 0
+    return str(store.root), points, samples
+
+
+@pytest.mark.parametrize("extra, workers", [
+    (["--shards", "3"], 0),
+    (["--shards", "4", "--shard-workers", "2"], 2),
+])
+def test_ingest_sharded_matches_unsharded_totals(
+        raw_store, capsys, extra, workers):
+    from repro import obs
+
+    root, points, samples = raw_store
+    spawned = obs.counter("repro_shard_workers_spawned_total", "")
+    before = spawned.total()
+    rc = main(["ingest", "--store", root, "--types", "mdc,cpu", *extra])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert f"{points} points, {samples} samples" in captured.out
+    assert f"4 hosts -> {extra[1]} shards" in captured.out
+    # one process per worker: the ring alone places the load hints
+    assert spawned.total() - before == workers
+
+
+def test_shard_transport_and_coalescing_flags_are_gone(capsys):
+    """The arena, the credit window and feed coalescing are constants
+    (docs/performance.md, "Tuning knobs")."""
+    parser = build_parser()
+    for argv in (
+        ["ingest", "--store", "s", "--shards", "2", "--arena-kb", "0"],
+        ["ingest", "--store", "s", "--shards", "2", "--rpc-window", "1"],
+        ["stream", "--shards", "2", "--coalesce-points", "512"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err

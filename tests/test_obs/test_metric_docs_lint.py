@@ -55,3 +55,22 @@ def test_lint_reports_file_and_line():
     assert len(out) == 1
     assert out[0].startswith("src/repro/fake.py:2:")
     assert "repro_missing_dist" in out[0]
+
+
+def test_lint_flags_a_documented_row_nothing_emits(tmp_path):
+    """The other direction: an inventory row that outlived its metric.
+    Only table rows count — names in prose or examples are free."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text('obs.counter("repro_good_total", "h")\n')
+    docs = tmp_path / "observability.md"
+    docs.write_text(
+        'obs.counter("repro_example_total")  # an API example\n'
+        + DOCS
+        + "| `repro_gone_total{shard}` | counter | removed long ago |\n"
+    )
+    out = lint.check_path(src, docs)
+    assert len(out) == 1
+    assert out[0].startswith(f"{docs}:3:") and "repro_gone_total" in out[0]
+    # one file is not the whole inventory: no reverse check
+    assert lint.check_path(src / "mod.py", docs) == []

@@ -167,7 +167,7 @@ def pooled_matrix(request, fleet_day):
     shards, workers, arena = request.param
     db = ShardedTSDB(
         shards=shards, workers=workers, chunk_size=CHUNK_SIZE,
-        arena_bytes=0 if arena == "noarena" else None,
+        **({"arena_bytes": 0} if arena == "noarena" else {}),
     )
     report = db.ingest(StoreSource(fleet_day.store.root), types=TYPES)
     assert report.points > 0 and report.workers == workers
@@ -204,6 +204,8 @@ def test_dead_worker_is_detected_and_respawnable(fleet_day):
     db = ShardedTSDB(shards=4, workers=2, chunk_size=CHUNK_SIZE)
     source = StoreSource(fleet_day.store.root)
     db.ingest(source, types=TYPES)
+    # cached under the pre-death epoch
+    full = db.query("stats", group_by=("host",))
     victim = 0
     lost_shards = db.backend.assignment[victim]
     db.backend._procs[victim].terminate()
@@ -212,13 +214,20 @@ def test_dead_worker_is_detected_and_respawnable(fleet_day):
         db.window_stats("stats")
     assert err.value.worker == victim
     assert sorted(err.value.shards) == sorted(lost_shards)
-    # respawn comes back empty; re-ingest restores full service
-    assert db.backend.respawn(victim) == sorted(lost_shards)
+    # respawn comes back empty, and says so: the cached pre-death
+    # result must not be served for series that are no longer there
+    assert db.respawn(victim) == sorted(lost_shards)
+    survivors = db.query("stats", group_by=("host",))
+    assert 0 < len(survivors) < len(full)
+    assert all(
+        db.map.place(s.tags["host"]) not in lost_shards
+        for s in survivors.series
+    )
+    # re-ingest restores full service
     hosts = [
         h for h in source.hosts()
         if db.map.place(h) in set(lost_shards)
     ]
-    db.coordinator.cache.clear()
     db.ingest(source, hosts=hosts, types=TYPES)
     single = TimeSeriesDB(chunk_size=CHUNK_SIZE)
     ingest_store(single, fleet_day.store, types=TYPES)

@@ -34,15 +34,14 @@ def test_observed_load_drives_rebalance():
     sched.observe(0, points=10, seconds=50.0)
     for s in (1, 2, 3):
         sched.observe(s, points=10, seconds=1.0)
-    second = sched.rebalance(range(4))
+    second = sched.plan(range(4))
     heavy = next(w for w, sids in enumerate(second) if 0 in sids)
     assert second[heavy] == [0], (first, second)
 
 
 def test_hints_without_observations():
     sched = ResourceScheduler(workers=2)
-    sched.hint(2, 1000.0)
-    plan = sched.plan(range(3))
+    plan = sched.plan(range(3), loads={2: 1000.0})
     heavy = next(w for w, sids in enumerate(plan) if 2 in sids)
     assert plan[heavy] == [2]
 
@@ -54,10 +53,19 @@ def test_more_workers_than_shards_leaves_empties():
 
 
 def test_loads_accumulate_and_are_reported():
+    """Two observations of shard 1 (5 + 7 points) outweigh one of
+    shard 0 (11): the plan isolates shard 1 and reports its 12."""
+    from repro import obs
+
     sched = ResourceScheduler(workers=2)
+    sched.observe(0, points=11)
     sched.observe(1, points=5)
     sched.observe(1, points=7)
-    assert sched.loads()[1] == pytest.approx(12.0)
+    plan = sched.plan(range(3))
+    heavy = next(w for w, sids in enumerate(plan) if 1 in sids)
+    assert plan[heavy] == [1]
+    assert obs.gauge("repro_shard_worker_load", "").value(
+        worker=heavy) == pytest.approx(12.0)
 
 
 def test_validation():

@@ -24,7 +24,7 @@ WAVE = (
 )
 
 
-def _run(shards, coalesce=0):
+def _run(shards):
     sess = monitoring_session(nodes=8, seed=47, interval=600)
     if shards is None:
         pipe = StreamPipeline(
@@ -33,7 +33,7 @@ def _run(shards, coalesce=0):
     else:
         pipe = ShardedStreamPipeline(
             sess.broker, shards=shards, jobs=sess.cluster.jobs,
-            types=["mdc"], coalesce_points=coalesce,
+            types=["mdc"],
         )
     pipe.start()
     for user, app, nodes in WAVE:
@@ -57,8 +57,10 @@ def test_sample_and_point_counts_agree(runs):
     (plain, _), (one, _), (three, _) = runs
     assert plain.samples == one.samples == three.samples > 0
     assert plain.points == one.points == three.points > 0
-    assert plain.tsdb.n_points() == one.n_points() == three.n_points()
-    assert plain.tsdb.n_series() == one.n_series() == three.n_series()
+    assert (plain.tsdb.n_points() == one.tsdb.n_points()
+            == three.tsdb.n_points())
+    assert (plain.tsdb.n_series() == one.tsdb.n_series()
+            == three.tsdb.n_series())
 
 
 def test_flags_and_alerts_agree(runs):
@@ -112,56 +114,15 @@ def test_partitioning_actually_happened(runs):
     assert sorted(spread) == [0, 1, 2]
     assert sum(1 for n in spread.values() if n > 0) >= 2, spread
     # every host's series sit on the ring owner's shard store
-    for k, store in three._shardset.stores.items():
+    for k, store in three.tsdb.backend.stores.items():
         for s in store.select("stats"):
             assert three.map.place(s.tags["host"]) == k
-
-
-def test_coalesced_writes_change_no_result(runs):
-    """Per-shard write coalescing is invisible to every reader.
-
-    Same traffic, ``shards=3`` with a 512-point coalesce window: the
-    buffered columns land at window fills and barriers instead of one
-    ``put_many`` per delivery, but counts, flags, ledger and every
-    TSDB read must match the uncoalesced run bit-for-bit.
-    """
-    (plain, c_plain), _, (three, _) = runs
-    coal, c_coal = _run(3, coalesce=512)
-    assert coal.samples == plain.samples
-    assert coal.points == plain.points
-    assert coal.n_points() == plain.tsdb.n_points()
-    assert coal.n_series() == plain.tsdb.n_series()
-    assert sorted(c_coal) == sorted(c_plain)
-    for jid in c_plain:
-        assert sorted(c_coal[jid].final_flags) == \
-            sorted(c_plain[jid].final_flags), jid
-    assert sorted(
-        (a.rule, a.jobid, a.fired_at) for a in coal.alerts.ledger
-    ) == sorted(
-        (a.rule, a.jobid, a.fired_at) for a in three.alerts.ledger
-    )
-    for kw in (
-        {"group_by": ("host",)},
-        {"rate": True, "group_by": ("host", "event")},
-    ):
-        want = query(plain.tsdb, "stats", **kw)
-        got = coal.query("stats", **kw)
-        assert len(got.series) == len(want.series), kw
-        for a, b in zip(got.series, want.series):
-            assert a.tags == b.tags, kw
-            assert np.array_equal(a.times, b.times), kw
-            assert np.array_equal(
-                np.asarray(a.values).view(np.uint64),
-                np.asarray(b.values).view(np.uint64),
-            ), kw
-    assert [repr(s) for s in coal.window_stats("stats")] == \
-        [repr(s) for s in window_stats(plain.tsdb, "stats")]
 
 
 def test_live_cache_invalidation_tracks_feed_writes(runs):
     _, _, (three, _) = runs
     r1 = three.query("stats", group_by=("host",))
-    hits_before = three.coordinator.cache.hits
+    hits_before = three.tsdb.cache.hits
     r2 = three.query("stats", group_by=("host",))
-    assert three.coordinator.cache.hits == hits_before + 1
+    assert three.tsdb.cache.hits == hits_before + 1
     assert len(r1.series) == len(r2.series)

@@ -277,6 +277,14 @@ def test_full_arena_spills_then_recovers_after_frees():
 # -- pool protocol: death, pipelining, barriers -------------------------------
 
 
+def put_many(pool, sid, tags, times, values):
+    pool.post("put_many", sid, ("stats", tags, times, values))
+
+
+def points(pool, sid):
+    return pool.call("stats", {sid: ()})[sid]["points"]
+
+
 def test_recv_death_raises_shard_worker_died():
     """The satellite pin: a death during recv is ShardWorkerDied —
     not the UnboundLocalError the old ``status, result = conn.recv()``
@@ -291,7 +299,7 @@ def test_recv_death_raises_shard_worker_died():
         assert err.value.shards == list(pool.assignment[0])
         # the death is recorded: the next use raises cleanly too
         with pytest.raises(ShardWorkerDied):
-            pool._exchange(0, "stats", ())
+            pool._exchange(0, "stats", {pool.assignment[0][0]: ()})
     finally:
         pool.close()
 
@@ -306,9 +314,9 @@ def test_kill_mid_frame_raises_died_never_truncated():
         n = 500_000  # 8 MB of values: far beyond any pipe buffer
         t = np.arange(n, dtype=np.int64)
         v = np.sqrt(np.arange(n, dtype=np.float64))
-        pool.put_many(sid, "stats", {"host": "h"}, t, v)
+        put_many(pool, sid, {"host": "h"}, t, v)
         pool.flush()
-        pool._send(0, "scan", ("stats", [(sid, _tagkey({"host": "h"}))], None))
+        pool._send(0, "scan", {sid: ("stats", [_tagkey({"host": "h"})], None)})
         # wait until the reply starts flowing — the worker is now
         # blocked mid-frame (the message dwarfs the pipe buffer)
         assert pool._conns[0].poll(30.0)
@@ -328,7 +336,7 @@ def test_kill_mid_window_surfaces_at_flush_and_respawn_recovers():
     try:
         sid = pool.assignment[0][0]
         for i in range(50):
-            pool.put_many(sid, "stats", {"host": "h"}, [i * 10], [float(i)])
+            put_many(pool, sid, {"host": "h"}, [i * 10], [float(i)])
         pool._procs[0].kill()
         pool._procs[0].join()
         with pytest.raises(ShardWorkerDied) as err:
@@ -337,9 +345,9 @@ def test_kill_mid_window_surfaces_at_flush_and_respawn_recovers():
         # recovery: respawn empty, re-ingest the durable copy
         assert pool.respawn(0) == sorted(pool.assignment[0])
         for i in range(50):
-            pool.put_many(sid, "stats", {"host": "h"}, [i * 10], [float(i)])
+            put_many(pool, sid, {"host": "h"}, [i * 10], [float(i)])
         pool.flush()
-        assert pool.stats()[sid]["points"] == 50
+        assert points(pool, sid) == 50
     finally:
         pool.close()
 
@@ -351,14 +359,16 @@ def test_scatter_err_reply_is_not_marked_stale():
     pool = ShardWorkerPool(2, 2, chunk_size=32)
     try:
         sid0 = pool.assignment[0][0]
-        bad = ("stats", [(sid0, _tagkey({"host": "nope"}))], None)
+        sid1 = pool.assignment[1][0]
+        bad = {sid0: ("stats", [_tagkey({"host": "nope"})], None)}
         with pytest.raises(RuntimeError, match="shard worker 0"):
-            pool._scatter({0: ("scan", bad), 1: ("stats", ())})
+            pool._scatter({0: ("scan", bad), 1: ("stats", {sid1: ()})})
         # worker 0's err frame was read: only worker 1's genuinely
         # unread reply is stale, and the pool still answers
         assert pool._stale[0] == 0
         assert pool._stale[1] == 1
-        assert pool.stats()[sid0]["points"] == 0
+        stats = pool.call("stats", {sid0: (), sid1: ()})
+        assert stats[sid0]["points"] == 0
         assert pool._stale == [0, 0]  # stale reply drained exactly once
     finally:
         pool.close()
@@ -374,12 +384,12 @@ def test_deferred_errors_survive_a_stale_discarded_reply():
         sid0 = pool.assignment[0][0]
         sid1 = pool.assignment[1][0]
         # misaligned columns: worker 1 buffers a deferred write error
-        pool.put_many(sid1, "stats", {"host": "x"}, [1, 2, 3], [1.0])
+        put_many(pool, sid1, {"host": "x"}, [1, 2, 3], [1.0])
         # a scatter in which worker 0 errs first: worker 1's reply —
         # the one draining the deferred error — is marked stale
-        bad = ("stats", [(sid0, _tagkey({"host": "nope"}))], None)
+        bad = {sid0: ("stats", [_tagkey({"host": "nope"})], None)}
         with pytest.raises(RuntimeError, match="shard worker 0"):
-            pool._scatter({0: ("scan", bad), 1: ("stats", ())})
+            pool._scatter({0: ("scan", bad), 1: ("stats", {sid1: ()})})
         assert pool._stale[1] == 1
         # the stale reply is discarded at the next barrier, but the
         # write failure it carried must still raise there
@@ -411,7 +421,7 @@ def test_harvest_err_reply_is_a_miss_not_an_abort():
         assert report.missing == ["w0"]
         assert report.sources == ["w1"]
         pool._recv_reply = real
-        assert pool.stats()  # reply streams still in sync
+        assert pool.call("stats", {0: (), 1: ()})  # streams still in sync
     finally:
         pool.close()
 
@@ -421,13 +431,13 @@ def test_pipelined_write_errors_surface_at_barrier():
     try:
         # misaligned columns: the worker-side extend raises, the
         # error is buffered, and the *flush* is where it surfaces
-        pool.put_many(0, "stats", {"host": "x"}, [1, 2, 3], [1.0])
+        put_many(pool, 0, {"host": "x"}, [1, 2, 3], [1.0])
         with pytest.raises(RuntimeError, match="pipelined shard writes"):
             pool.flush()
         # one barrier drains the buffer: the pool stays usable
-        pool.put_many(0, "stats", {"host": "x"}, [1, 2], [1.0, 2.0])
+        put_many(pool, 0, {"host": "x"}, [1, 2], [1.0, 2.0])
         pool.flush()
-        assert pool.stats()[0]["points"] == 2
+        assert points(pool, 0) == 2
     finally:
         pool.close()
 
@@ -435,9 +445,9 @@ def test_pipelined_write_errors_surface_at_barrier():
 def test_query_is_a_write_barrier():
     pool = ShardWorkerPool(2, 1, chunk_size=32)
     try:
-        pool.put_many(0, "stats", {"host": "x"}, [5, 6], [1.0])
+        put_many(pool, 0, {"host": "x"}, [5, 6], [1.0])
         with pytest.raises(RuntimeError, match="pipelined shard writes"):
-            pool.window_stats("stats")
+            pool.call("window_stats", {0: ("stats",), 1: ("stats",)})
     finally:
         pool.close()
 
@@ -448,12 +458,51 @@ def test_window_exhaustion_inserts_sync_barrier():
         # the 4th posted write trips the window and syncs: unacked
         # drops back to zero without an explicit flush
         for i in range(4):
-            pool.put(0, "stats", {"host": "x"}, i, float(i))
+            pool.post("put", 0, ("stats", {"host": "x"}, i, float(i)))
         assert pool._unacked[0] == 0
-        pool.put(0, "stats", {"host": "x"}, 99, 1.0)
+        pool.post("put", 0, ("stats", {"host": "x"}, 99, 1.0))
         assert pool._unacked[0] == 1
         pool.flush()
         assert pool._unacked[0] == 0
-        assert pool.stats()[0]["points"] == 5
+        assert points(pool, 0) == 5
     finally:
         pool.close()
+
+
+def test_no_shared_memory_runs_on_the_spill_path(monkeypatch):
+    """A host that will not hand out a shared-memory block is observed,
+    not configured: the worker starts without an arena, every reply
+    column rides the pipe, and the answer is the arena run's bit for
+    bit."""
+    import os
+
+    from repro import obs
+    from repro.shard import transport
+
+    def scan_8k(pool):
+        t = np.arange(1024, dtype=np.int64) * 10
+        v = np.sqrt(np.arange(1024, dtype=np.float64))
+        put_many(pool, 0, {"host": "h"}, t, v)
+        assert t.nbytes >= 2 * MIN_ARENA_BYTES
+        got = pool.call(
+            "scan", {0: ("stats", [_tagkey({"host": "h"})], None)})
+        return [(c.dtype.str, c.tobytes()) for c in got[0][0]]
+
+    with ShardWorkerPool(1, 1, chunk_size=256) as pool:
+        assert pool._arenas[0] is not None
+        want = scan_8k(pool)
+
+    def no_shm(nbytes):
+        raise OSError(28, "No space left on device")
+
+    unavailable = obs.counter("repro_shard_arena_unavailable_total", "")
+    hits = obs.counter("repro_shard_arena_hits_total", "")
+    before, hits0 = unavailable.total(), hits.total()
+    shm_before = set(os.listdir("/dev/shm"))
+    monkeypatch.setattr(transport, "CoordinatorArena", no_shm)
+    with ShardWorkerPool(1, 1, chunk_size=256) as pool:
+        assert pool._arenas[0] is None
+        assert scan_8k(pool) == want
+    assert unavailable.total() - before == 1
+    assert hits.total() == hits0  # nothing travelled by reference
+    assert set(os.listdir("/dev/shm")) == shm_before

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
 from repro.broker import Broker, Delivery, Message
-from repro.shard.stream import ShardedStreamPipeline
 from repro.stream import StreamPipeline
 from repro.stream.retention import (
     RetainingWriter,
@@ -264,25 +263,6 @@ def test_schema_line_inside_a_record_is_refused_before_any_write():
     with pytest.raises(ValueError, match="2 values for 1 schema columns"):
         deliver(pipeline, "h1", body, 1)
     assert pipeline.tsdb.n_series() == 0
-
-
-def test_coalescing_shard_feed_keeps_arrival_order_across_layouts():
-    deliveries = [("h1", HEADER.format(host="h1") + record(
-        0, ["x 0 1 2", "y - 5"]), 1)]
-    for i in range(1, 30):
-        lines = [f"x 0 {i} {i}", "y - 1"]
-        if i % 7 in (3, 4):
-            lines.insert(1, f"x 1 {i} {i}")
-        deliveries.append(("h1", record(600 * (i // 2), lines), 600 * i))
-    ref, _ = replay(ReferenceStreamPipeline, deliveries, retention=TIGHT)
-    sharded = ShardedStreamPipeline(
-        Broker(), shards=1, retention=TIGHT, coalesce_points=10**6)
-    (feed,) = sharded.feeds
-    for host, body, now in deliveries:
-        deliver(feed, host, body, now)
-    assert feed.tsdb.n_points() == 0  # all buffered
-    sharded.finalize()
-    assert_same_outcome(feed, ref)
 
 
 # -- the prune rule ---------------------------------------------------------------

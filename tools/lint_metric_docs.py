@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Fail when an obs metric name in src/ is missing from the docs.
+"""Fail when the docs and src/ disagree about which obs metrics exist.
 
 The metrics reference in ``docs/observability.md`` is only useful
-while it is *complete* — an operator grepping an exported name must
-find it there.  This lint walks the AST of every ``.py`` file under
+while it is *complete* and *true* — an operator grepping an exported
+name must find it there, and a name found there must be one the
+system can emit.  This lint walks the AST of every ``.py`` file under
 the given root and collects the first-argument string of every
 ``counter(...)`` / ``gauge(...)`` / ``histogram(...)`` /
 ``sketch(...)`` call that looks like a metric name (``repro_*``),
 whichever object the constructor hangs off (``obs.counter``,
 ``registry.sketch``, ``self.registry.counter`` ...).  Any collected
-name that does not appear verbatim in the docs file is a violation.
+name that does not appear verbatim in the docs file is a violation —
+and, when a whole tree is linted, so is any inventory row (a table
+line opening ``| `repro_…``) whose name nothing under the root
+declares: a row that outlived its metric.
 
 Names are matched as raw substrings of the docs, so the reference may
 decorate them with label sets (``repro_x_total{queue}``) freely —
@@ -34,6 +38,7 @@ from pathlib import Path
 
 KINDS = {"counter", "gauge", "histogram", "sketch"}
 NAME_RE = re.compile(r"^repro_[a-z0-9_]+$")
+ROW_RE = re.compile(r"^\| `(repro_[a-z0-9_]+)")  # an inventory table row
 
 
 def _call_kind(func: ast.expr) -> str | None:
@@ -58,15 +63,22 @@ def metric_names(source: str, filename: str = "<string>"):
             yield arg.value, node.lineno
 
 
-def check_source(source: str, docs: str,
-                 filename: str = "<string>") -> list[str]:
-    """Return ``file:line: message`` strings for each violation."""
+def check_source(source: str, docs: str, filename: str = "<string>",
+                 declared: set[str] | None = None) -> list[str]:
+    """Return ``file:line: message`` strings for each violation.
+
+    Every metric name the source declares is added to ``declared``
+    when a set is given (what :func:`check_docs` checks the docs
+    against).
+    """
     violations = []
     try:
         names = list(metric_names(source, filename))
     except SyntaxError as exc:
         return [f"{filename}:{exc.lineno or 0}: unparseable: {exc.msg}"]
     for name, lineno in names:
+        if declared is not None:
+            declared.add(name)
         if name not in docs:
             violations.append(
                 f"{filename}:{lineno}: metric `{name}` is not in the "
@@ -76,14 +88,37 @@ def check_source(source: str, docs: str,
 
 
 def check_path(root: Path, docs_file: Path) -> list[str]:
-    """Lint one file or every ``.py`` file under a directory."""
+    """Lint one file or every ``.py`` file under a directory.
+
+    A directory is the whole inventory, so the docs are checked
+    against it in the other direction too; one file cannot say what
+    the rest of the tree declares.
+    """
     docs = docs_file.read_text(encoding="utf-8")
     files = [root] if root.is_file() else sorted(root.rglob("*.py"))
     violations = []
+    declared: set[str] = set()
     for path in files:
         violations.extend(
             check_source(path.read_text(encoding="utf-8"), docs,
-                         str(path)))
+                         str(path), declared))
+    if root.is_dir():
+        violations.extend(check_docs(docs, declared, str(docs_file)))
+    return violations
+
+
+def check_docs(docs: str, declared: set[str],
+               filename: str = "<docs>") -> list[str]:
+    """Violations for inventory rows whose name nothing declares."""
+    violations = []
+    for lineno, line in enumerate(docs.splitlines(), 1):
+        row = ROW_RE.match(line)
+        if row and row.group(1) not in declared:
+            violations.append(
+                f"{filename}:{lineno}: metric `{row.group(1)}` is "
+                f"documented but nothing under the source root emits "
+                f"it — drop the row or restore the metric"
+            )
     return violations
 
 
@@ -101,7 +136,7 @@ def main(argv: list[str]) -> int:
         print(v)
     if violations:
         print(f"lint_metric_docs: {len(violations)} undocumented "
-              f"metric reference(s)", file=sys.stderr)
+              f"or stale metric reference(s)", file=sys.stderr)
         return 1
     return 0
 
