@@ -22,7 +22,12 @@ the artifact upload:
 * **batched seal** — :func:`~repro.tsdb.chunks.seal_many` over a
   rack-day's worth of 144-point heads must encode ≥3× the chunks/s of
   one ``Chunk.seal`` call per head (512-point heads are recorded, not
-  gated).
+  gated);
+* **store scaling** — a host-pinned ``select``, the same with
+  ``type=cpu``, and a ``seal_heads`` with nothing open must cost at
+  most 2× as much on a store of 21 120 series as on one of 2 112 (a
+  same-process ratio, so it travels across machines): a read or a seal
+  costs what it touches, not what the store holds.
 
 Cold here means *truly* cold: :meth:`TimeSeriesDB.drop_read_caches`
 (chunked) / per-series ``drop_read_cache`` (list) run before every
@@ -38,14 +43,12 @@ and reported for trend tracking; the gates above are the hard
 assertions.
 """
 
-import json
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks._support import git_commit, report
+from benchmarks._support import record_bench, report
 from repro import obs
 from repro.tsdb import TimeSeriesDB, window_stats
 from tests.test_tsdb.reference import ListBackedTSDB, baseline_query
@@ -90,17 +93,6 @@ def _corpus():
             }
             out.append((tags, times, values))
     return out
-
-
-def record_bench(section: str, payload: dict) -> None:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _fill_per_point(db, corpus):
@@ -281,7 +273,7 @@ def test_tsdb_engine_gates():
         "grid_parity_margin": GRID_PARITY_MARGIN,
         "cache_speedup_floor": CACHE_SPEEDUP_FLOOR,
     }
-    record_bench("engine_gates", payload)
+    record_bench(BENCH_JSON, "engine_gates", payload)
     report("tsdb engine (chunked columnar vs list baseline)", [
         ("write put()", f"{per_point_rate:,.0f} pts/s", "chunked engine"),
         ("write put_many()", f"{batched_rate:,.0f} pts/s",
@@ -353,12 +345,7 @@ def _best_seconds(fn, repeats=5):
 
 def test_seal_many_gate():
     rng = np.random.default_rng(20151001)
-    payload = {
-        "heads": SEAL_HEADS,
-        "cpu_count": os.cpu_count(),
-        "commit": git_commit(),
-        "speedup_floor_144": SEAL_SPEEDUP_FLOOR,
-    }
+    payload = {"heads": SEAL_HEADS, "speedup_floor_144": SEAL_SPEEDUP_FLOOR}
     rows = []
     for n in (144, 512):
         times = np.arange(n, dtype=np.int64) * 600 + T0
@@ -379,10 +366,84 @@ def test_seal_many_gate():
             f"per-chunk {SEAL_HEADS / per_chunk_s:,.0f} chunks/s, "
             f"{speedup:.1f}x",
         ))
-    record_bench("seal_many", payload)
+    record_bench(BENCH_JSON, "seal_many", payload)
     report("tsdb seal (seal_many vs one Chunk.seal per head)", rows,
            ["heads", "seal_many", "detail"])
     assert payload["speedup_144"] >= SEAL_SPEEDUP_FLOOR, (
         f"seal_many is only {payload['speedup_144']}x per-chunk sealing "
         f"on 144-point heads (floor {SEAL_SPEEDUP_FLOOR}x)"
     )
+
+
+# -- cost against store size ---------------------------------------------------
+
+#: one host as ``bench/corpus.prefill_tsdb`` shapes it: 4 cores x 7
+#: events, lnet and mdc x 2, mem x 1 — 33 series, 28 of them ``type=cpu``
+SCALING_DEVICES = (
+    [("cpu", str(core), 7) for core in range(4)]
+    + [("lnet", "0", 2), ("mdc", "t", 2), ("mem", "0", 1)]
+)
+SCALING_HOSTS = (64, 640)  # 2 112 and 21 120 series
+SCALING_RATIO_CEILING = 2.0
+#: calls per timed batch: one call is a few microseconds
+SCALING_CALLS = 64
+
+
+def _sealed_fleet(hosts):
+    db = TimeSeriesDB(cache=None)
+    times = np.arange(4, dtype=np.int64) * 600 + T0
+    for h in range(hosts):
+        group = db.group("stats", [
+            {"host": f"p{h:03d}", "type": type_name, "device": device,
+             "event": f"ev{e}"}
+            for type_name, device, width in SCALING_DEVICES
+            for e in range(width)
+        ])
+        db.put_many("stats", group, times, np.ones((4, len(group))))
+    db.seal_heads()
+    return db
+
+
+def test_store_scaling_gate():
+    ops = {
+        "select_host": lambda db, host: db.select("stats", {"host": host}),
+        "select_host_cpu": lambda db, host: db.select(
+            "stats", {"host": host, "type": "cpu"}),
+        "seal_heads_nothing_open": lambda db, host: db.seal_heads(),
+    }
+    us = {}
+    for hosts in SCALING_HOSTS:
+        db = _sealed_fleet(hosts)
+        assert db.n_series() == 33 * hosts and not db._blocks
+        assert len(db.select("stats", {"host": "p007", "type": "cpu"})) == 28
+        pinned = [f"p{h:03d}" for h in range(SCALING_CALLS)]  # on both
+        for name, op in ops.items():
+            us[name, hosts] = 1e6 / SCALING_CALLS * _best_seconds(
+                lambda: [op(db, host) for host in pinned], repeats=20
+            )
+    small, large = SCALING_HOSTS
+    payload = {
+        "series": [33 * hosts for hosts in SCALING_HOSTS],
+        "ratio_ceiling": SCALING_RATIO_CEILING,
+    }
+    rows = []
+    for name in ops:
+        ratio = us[name, large] / us[name, small]
+        payload[name] = {
+            "us_small": round(us[name, small], 2),
+            "us_large": round(us[name, large], 2),
+            "ratio": round(ratio, 2),
+        }
+        rows.append((
+            name, f"{us[name, small]:.2f} us", f"{us[name, large]:.2f} us",
+            f"{ratio:.2f}x (ceiling {SCALING_RATIO_CEILING}x)",
+        ))
+    record_bench(BENCH_JSON, "store_scaling", payload)
+    report("tsdb cost against store size (best of 20, per call)", rows,
+           ["op", f"{33 * small} series", f"{33 * large} series", "ratio"])
+    for name in ops:
+        assert payload[name]["ratio"] <= SCALING_RATIO_CEILING, (
+            f"{name} costs {payload[name]['ratio']}x as much on "
+            f"{33 * large} series as on {33 * small} "
+            f"(ceiling {SCALING_RATIO_CEILING}x)"
+        )

@@ -46,7 +46,9 @@ def _ingest(
     types: Optional[Sequence[str]],
     metric: str,
 ) -> Dict[str, float]:
-    """Parse and load ``hosts`` from ``source`` into this shard.
+    """Parse and load ``hosts`` from ``source`` into this shard: each
+    through :func:`~repro.tsdb.store.ingest_file`, so a regular host
+    file is one block write (one ``put_many``, one head block).
 
     Returns ``{points, samples, seconds}`` — the observed-load
     feedback the resource scheduler packs future assignments by.

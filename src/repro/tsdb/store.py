@@ -13,8 +13,9 @@ identical to the original growable-list store (frozen as the test
 oracle ``tests/test_tsdb/reference.py::ListBackedTSDB``) — but
 
 * time-range reads skip whole chunks on metadata before any decode,
-* :meth:`TimeSeriesDB.select` resolves series through a per-metric
-  index instead of scanning every key in the store,
+* :meth:`TimeSeriesDB.select` intersects the metric's key set and the
+  tag index's posting sets smallest first, so a host-pinned read costs
+  the host's series, not the metric's or the store's,
 * :meth:`TimeSeriesDB.prune` skips a metric outright when its
   low-water mark says nothing is that old; otherwise it drops expired
   sealed chunks by comparing ``t_max`` against the horizon, decoding
@@ -22,10 +23,14 @@ oracle ``tests/test_tsdb/reference.py::ListBackedTSDB``) — but
   block at a time, and
 * :meth:`TimeSeriesDB.put_many` appends whole columns in one call —
   one series' ``(n,)`` column, or an ``(n, K)`` block of rows across a
-  :class:`SeriesGroup` (the live feed writes one row per host sample):
-  one array store into the group's head block, no per-series call.
+  :class:`SeriesGroup` (the live feed writes one row per host sample,
+  :func:`ingest_file` one block per host file): one array store into
+  the group's head block, no per-series call, and
+* the store keeps a registry of its live head blocks, so
+  :meth:`TimeSeriesDB.seal_heads` seals exactly what is open and costs
+  nothing when nothing is.
 
-Every write bumps the store's ``epoch``, which is what lets the
+Every write call bumps the store's ``epoch``, which is what lets the
 query-result cache (:mod:`repro.tsdb.cache`) invalidate precisely.
 """
 
@@ -330,11 +335,13 @@ class _HeadBlock:
         self.lo[mine] = src.lo[theirs] - base
         self.base = int(self.lo.min())
 
-    def leave(self, col: int) -> None:
-        """Column ``col``'s series is no longer kept here."""
+    def leave(self, col: int) -> bool:
+        """Column ``col``'s series is no longer kept here; true when
+        that was the last one."""
         self.lo[col] = _DEAD
         self.detached.append(col)
         self._edges_moved()
+        return self.base >= _DEAD
 
     def cut(self, before: int) -> Tuple[int, List[int]]:
         """Drop open rows older than ``before`` from every column:
@@ -422,13 +429,6 @@ class _Series:
     def head_len(self) -> int:
         block = self._block
         return block.n - int(block.lo[self._col]) if block.n else 0
-
-    def _move(self, block: _HeadBlock, col: int) -> None:
-        """Sit in ``block`` (which already holds the open rows)."""
-        if self._block is not _EMPTY:
-            self._block.leave(self._col)
-        self._block, self._col = block, col
-        self._full = None
 
     # -- reading ------------------------------------------------------------
     def arrays(
@@ -657,6 +657,10 @@ class TimeSeriesDB:
         #: metric → set of series keys, so per-metric operations never
         #: scan the whole store
         self._by_metric: Dict[str, set] = defaultdict(set)
+        #: the live head blocks, oldest first — exactly the blocks some
+        #: series sits in: entered by :meth:`_adopt`, left when
+        #: :meth:`seal_heads` dissolves or :meth:`_move` empties one
+        self._blocks: Dict[_HeadBlock, None] = {}
         #: metric → low-water mark: no point of the metric is older.
         #: Every write lowers it to that write's oldest timestamp, a
         #: prune pass that walked raises it to its horizon — so a pass
@@ -743,8 +747,9 @@ class TimeSeriesDB:
         ``(n, K)`` block — row ``i`` holds the K series' values at
         ``times[i]`` — and the result is exactly what K one-series
         calls with ``values[:, j]`` would leave.  Either way: one
-        write-lock acquisition and one epoch bump for the whole batch;
-        a shape or metric mismatch raises ``ValueError`` before
+        write-lock acquisition and one epoch bump for the whole batch
+        (``epoch`` counts write calls, not the series or points they
+        touch); a shape or metric mismatch raises ``ValueError`` before
         anything is written or any series created.  Returns points
         inserted.
         """
@@ -852,6 +857,7 @@ class TimeSeriesDB:
         host on the fast path — and a member holding open points
         anywhere else stays there, as a detached column."""
         block = _HeadBlock(members, self.chunk_size)
+        self._blocks[block] = None
         src = next((s._block for s in members if s.head_len()), None)
         joining, staying = [], []
         for j, s in enumerate(members):
@@ -865,8 +871,16 @@ class TimeSeriesDB:
             block.leave(j)
         for j, s in enumerate(members):
             if j not in staying:
-                s._move(block, j)
+                self._move(s, block, j)
         return block
+
+    def _move(self, s: _Series, block: _HeadBlock, col: int) -> None:
+        """``s`` sits in ``block`` (which already holds its open rows)
+        from now on; a block its last column left is forgotten."""
+        was = s._block
+        if was is not _EMPTY and was.leave(s._col):
+            del self._blocks[was]
+        s._block, s._col, s._full = block, col, None
 
     def prune(self, before: int, metric: Optional[str] = None) -> int:
         """Drop points older than ``before`` (optionally one metric).
@@ -927,7 +941,7 @@ class TimeSeriesDB:
         key = s.key
         del self._series[key]
         self._generation += 1
-        s._move(_EMPTY, 0)
+        self._move(s, _EMPTY, 0)
         self._by_metric[key[0]].discard(key)
         if not self._by_metric[key[0]]:
             del self._by_metric[key[0]]
@@ -951,8 +965,9 @@ class TimeSeriesDB:
         pre-aggregated (see :func:`_seal_into`).
         """
         with self.write_locked():
-            blocks = {s._block: None for s in self._series.values()}
-            blocks.pop(_EMPTY, None)
+            blocks, self._blocks = self._blocks, {}
+            if not blocks:
+                return
             heads = []
             for block in blocks:
                 heads += block.sealable(
@@ -961,8 +976,7 @@ class TimeSeriesDB:
             _seal_into(heads, self.chunk_size)
             for block in blocks:
                 block.dissolve()
-            if blocks:  # every group handle has lost its block
-                self._generation += 1
+            self._generation += 1  # every group handle has lost its block
 
     # -- reading ------------------------------------------------------------
     def scan(
@@ -1139,21 +1153,32 @@ class TimeSeriesDB:
         metric: str,
         tags: Optional[Mapping[str, object]] = None,
     ) -> List[_Series]:
-        """All series of ``metric`` matching the tag filters.
+        """All series of ``metric`` matching the tag filters, in key order.
 
-        A filter value may be a single value or a list of alternatives.
-        Resolution starts from the per-metric index, so cost scales
-        with the metric's own series count, not the store's.
+        A filter value may be a single value or a list, tuple or set of
+        alternatives.  The metric's key set and one posting set per
+        filter — the index's own set for one value (never copied), the
+        union for several — are intersected smallest first: the cost is
+        O(smallest set × filters) plus the sort of the result, whatever
+        the metric or the store holds.  The index is shared by every
+        metric, hence the metric's key set; a tag or value it does not
+        know matches nothing.
         """
-        keys = set(self._by_metric.get(metric, ()))
+        by_metric = self._by_metric.get(metric)
+        if not by_metric:
+            return []
+        sets = [by_metric]
         for tag, want in (tags or {}).items():
-            if not keys:
-                break
+            by_value = self._index.get(tag, {})
             alts = want if isinstance(want, (list, tuple, set)) else [want]
-            hit = set()
-            for v in alts:
-                hit |= self._index.get(tag, {}).get(str(v), set())
-            keys &= hit
+            hits = [by_value[v] for v in map(str, alts) if v in by_value]
+            if not hits:
+                return []
+            sets.append(hits[0] if len(hits) == 1 else set().union(*hits))
+        sets.sort(key=len)
+        keys = sets[0]
+        for other in sets[1:]:
+            keys = keys & other  # never ``&=``: ``sets[0]`` is the index's
         return [self._series[k] for k in sorted(keys)]
 
 
@@ -1170,9 +1195,14 @@ def ingest_file(
     workers (:mod:`repro.shard`) can ingest exactly the same way from
     any source — text, or a file-like object read in one go.  The
     stream is parsed once into a columnar
-    :class:`~repro.core.rawfile.HostBlock` and every ``(type, device,
-    event)`` series is written with one :meth:`TimeSeriesDB.put_many`
-    straight from the block's columns.  A corrupt line raises
+    :class:`~repro.core.rawfile.HostBlock` and written a block at a
+    time: the device slabs whose readings cover the same records are
+    laid side by side into one ``(records, series)`` matrix and go
+    through one :class:`SeriesGroup` in one
+    :meth:`TimeSeriesDB.put_many`.  A regular file — every device read
+    in every record — is one write and one head block for the whole
+    host; a device that appears late or skips a record covers other
+    records and gets a block of its own.  A corrupt line raises
     ``ValueError("<host>: line <n>: <reason>")`` before anything is
     written.  Returns ``(points, samples)``.
     """
@@ -1182,7 +1212,9 @@ def ingest_file(
         block = BlockParser(on_error="raise").parse_text(text)
     except ValueError as exc:
         raise ValueError(f"{host}: {exc}") from exc
-    n = 0
+    #: record index → ``(rows, tag sets, value slabs)``, in file order;
+    #: keyed by content: the general parser builds an array per device
+    shared: Dict[bytes, Tuple[np.ndarray, list, list]] = {}
     for type_name in block.type_order:
         schema = block.schemas.get(type_name)
         if schema is None or (wanted is not None and type_name not in wanted):
@@ -1195,20 +1227,27 @@ def ingest_file(
                 last = np.append(rows[1:] != rows[:-1], True)
                 if not last.all():
                     rows, values = rows[last], values[last]
-            times = block.times[rows]
-            # (counters × records): each event's column is contiguous
-            for event, column in zip(names, np.ascontiguousarray(values.T)):
-                n += tsdb.put_many(
-                    metric,
-                    {
-                        "host": host,
-                        "type": type_name,
-                        "device": device,
-                        "event": event,
-                    },
-                    times,
-                    column,
-                )
+            _, tag_sets, slabs = shared.setdefault(
+                rows.tobytes(), (rows, [], [])
+            )
+            tag_sets.extend(
+                {
+                    "host": host,
+                    "type": type_name,
+                    "device": device,
+                    "event": event,
+                }
+                for event in names
+            )
+            slabs.append(values)
+    n = 0
+    for rows, tag_sets, slabs in shared.values():
+        n += tsdb.put_many(
+            metric,
+            tsdb.group(metric, tag_sets),
+            block.times[rows],
+            np.concatenate(slabs, axis=1),
+        )
     return n, block.n_records
 
 

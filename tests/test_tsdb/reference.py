@@ -20,7 +20,10 @@ their replacements in ``src/`` have an oracle:
   a dict;
 * :func:`ingest_file_reference` — the per-sample loader ``ingest_file``
   used to be (``RawFileParser`` walked sample by sample, every point
-  appended to Python lists).
+  appended to Python lists).  It is an oracle for *data* — which series
+  exist and what each holds, bit for bit — not for how the data gets
+  there: it makes one ``put_many`` per series where ``ingest_file``
+  makes one per block, so call counts and ``epoch`` differ by design.
 
 Do not "fix" or speed these up: they are the specification.
 """

@@ -1,12 +1,15 @@
 """``ingest_file``: the columnar loader against the per-sample reference.
 
 Every case loads the same text twice — once through
-``repro.tsdb.store.ingest_file`` (``BlockParser`` columns straight into
-``put_many``), once through the frozen per-sample gather it replaced
+``repro.tsdb.store.ingest_file`` (``BlockParser`` slabs, one group
+``put_many`` per set of devices that share a record index), once
+through the frozen per-sample gather it replaced
 (:func:`tests.test_tsdb.reference.ingest_file_reference`) — and demands
 bitwise-equal stores: the same series, the same ``(t, v)`` columns,
 ``n_points``, ``storage_bytes`` before and after ``seal_heads``, and
-the same sealed chunks.
+the same sealed chunks.  How many write calls it took is not data:
+``epoch`` is held to its own rule (one bump per block written), not to
+the reference's count.
 
 One known divergence, pinned by
 :func:`test_schema_redefined_mid_file_uses_the_final_schema`: a ``!``
@@ -29,7 +32,7 @@ import pytest
 
 from repro import obs
 from repro.tsdb import TimeSeriesDB
-from repro.tsdb.store import ingest_file
+from repro.tsdb.store import _tagkey, ingest_file
 from tests.test_tsdb.reference import assert_same_chunk, ingest_file_reference
 
 HEADER = [
@@ -73,12 +76,19 @@ def load_both(text, chunk_size=512, **kw):
     return new, ref
 
 
-def assert_same_store(new, ref):
+def assert_same_store(new, ref, writes=None):
+    """``new`` holds bit for bit what ``ref`` holds.  ``writes`` is the
+    number of write calls ``new`` has seen when that is not one per open
+    head block, which is what one load into a fresh store makes."""
     assert set(new._series) == set(ref._series)
     assert new.n_series() == ref.n_series()
     assert new.n_points() == ref.n_points()
     assert new.storage_bytes() == ref.storage_bytes()
-    assert new.epoch == ref.epoch
+    # ``epoch`` counts write calls, not series: it moved iff points were
+    # written, once per block ``ingest_file`` wrote (the reference makes
+    # one call per series, so its count says nothing about the data)
+    assert bool(new.epoch) == bool(ref.epoch) == bool(new.n_points())
+    assert new.epoch == (len(new._blocks) if writes is None else writes)
     for key, want in ref._series.items():
         got = new._series[key]
         assert got.tags == want.tags and len(got) == len(want)
@@ -102,9 +112,24 @@ def assert_same_store(new, ref):
             assert_same_chunk(a, b, key)
 
 
+def blocks_of(db):
+    """The ``(type, device)`` slabs of each open head block, oldest
+    first: ``ingest_file`` writes one block per shared record index."""
+    return [
+        sorted({(s.tags["type"], s.tags["device"]) for s in block.members})
+        for block in db._blocks
+    ]
+
+
+HOST_BLOCK = [("cpu", "0"), ("cpu", "1"), ("mdc", "scratch")]
+
+
 def test_strided_fast_path():
     new, ref = load_both(regular_file())
     assert new.n_series() == 2 * 3 + 2 and new.n_points() == 12 * 8
+    # a regular host: one write and one head block where the reference
+    # made a call per series
+    assert blocks_of(new) == [HOST_BLOCK] and (new.epoch, ref.epoch) == (1, 8)
     assert_same_store(new, ref)
 
 
@@ -122,6 +147,9 @@ def test_ps_lines_take_the_general_path():
             lines.append(PS)
     new, ref = load_both("\n".join(lines) + "\n")
     assert new.select("stats", {"type": "ps"}) == []
+    # the general parser builds one record index per device; they are
+    # equal, so the host is one block all the same
+    assert blocks_of(new) == [HOST_BLOCK] and new.epoch == 1
     assert_same_store(new, ref)
 
 
@@ -134,6 +162,9 @@ def test_device_first_appearing_mid_file():
     new, ref = load_both("\n".join(lines) + "\n")
     late = new.select("stats", {"type": "cpu", "device": "2"})
     assert len(late) == 3 and all(len(s) == 5 for s in late)
+    # each covers other records than the host block: blocks of their own
+    assert blocks_of(new) == [
+        [("cpu", "0"), ("cpu", "1")], [("cpu", "2")], [("mdc", "scratch")]]
     assert_same_store(new, ref)
 
 
@@ -158,6 +189,9 @@ def test_device_listed_twice_in_one_record_last_line_wins():
     new, ref = load_both("\n".join(lines) + "\n")
     s = new.select("stats", {"type": "cpu", "device": "0", "event": "user"})[0]
     assert list(s.arrays()[1]) == [100.0, 101.0, 9999.0, 103.0]
+    # with the dropped line gone cpu 0 covers every record again —
+    # compared, not assumed — so it sits in the host block
+    assert blocks_of(new) == [HOST_BLOCK] and new.epoch == 1
     assert_same_store(new, ref)
 
 
@@ -171,12 +205,71 @@ def test_schema_less_type_is_skipped():
     assert_same_store(new, ref)
 
 
+# -- block-shaped cases the per-series loader could not get wrong ---------------
+
+def test_late_device_blocks_seal_identically_across_the_chunk_size():
+    lines = list(HEADER)
+    for k in range(40):
+        cpu = ("0", "1") if k < 7 else ("0", "1", "2")
+        mdc = ("scratch",) if k % 9 else ()
+        lines += record(T0 + 600 * k, cpu=cpu, mdc=mdc, k=k)
+    new, ref = load_both("\n".join(lines) + "\n", chunk_size=16)
+    assert blocks_of(new) == [
+        [("cpu", "0"), ("cpu", "1")], [("cpu", "2")], [("mdc", "scratch")]]
+    assert new.n_chunks() == 3 * 2 * 2 + 3 * 2 + 2 * 2
+    assert_same_store(new, ref)
+
+
+@pytest.mark.parametrize("seal_between", [False, True])
+def test_same_file_twice_into_one_store(seal_between):
+    """The second load's group finds its series open in the first load's
+    block (and reuses it) or sealed and parked (and starts a new one);
+    every timestamp arrives twice and the later value wins."""
+    first = regular_file(records=21)
+    second = first.replace(" 100", " 5100")  # same records, other values
+    assert second != first
+    new, ref = TimeSeriesDB(chunk_size=16), TimeSeriesDB(chunk_size=16)
+    for db, loader in ((new, ingest_file), (ref, ingest_file_reference)):
+        assert loader(db, "c401-101", first) == (21 * 8, 21)
+        if seal_between:
+            db.seal_heads()
+        assert loader(db, "c401-101", second) == (21 * 8, 21)
+    assert blocks_of(new) == [HOST_BLOCK]
+    s = new.select("stats", {"device": "0", "event": "user"})[0]
+    assert len(s) == 42 and not s._ordered
+    t, v = s.arrays()
+    assert len(t) == 21 and v[0] == 5100.0
+    assert_same_store(new, ref, writes=2)
+
+
+def test_file_after_live_puts_on_two_of_its_series():
+    """Open points come along from one block only: the first series a
+    live ``put`` touched joins the host block with its row, the second
+    keeps its own block and is written as a detached column."""
+    early = {"host": "c401-101", "type": "cpu", "device": "0", "event": "nice"}
+    other = {"host": "c401-101", "type": "mdc", "device": "scratch",
+             "event": "wait"}
+    new, ref = TimeSeriesDB(chunk_size=8), TimeSeriesDB(chunk_size=8)
+    for db, loader in ((new, ingest_file), (ref, ingest_file_reference)):
+        db.put("stats", early, T0 - 600, -1.0)
+        db.put("stats", other, T0 + 900, -2.0)  # lands mid-file
+        loader(db, "c401-101", regular_file(records=20))
+    own, host = new._blocks  # oldest first; the first put's is gone
+    assert new._series[("stats", _tagkey(other))]._block is own
+    assert len(own.members) == 1 and len(host.members) == 8
+    assert [host.members[j].tags for j in host.detached] == [other]
+    assert new._series[("stats", _tagkey(early))]._block is host
+    assert_same_store(new, ref, writes=3)
+
+
 @pytest.mark.parametrize("types", [["mdc"], ("cpu",), {"cpu", "mdc"}, ["nope"]])
 def test_types_filter(types):
     new, ref = load_both(regular_file(), types=types)
-    assert {s.tags["type"] for s in new._series.values()} == (
-        set(types) & {"cpu", "mdc"}
-    )
+    kept = set(types) & {"cpu", "mdc"}
+    assert {s.tags["type"] for s in new._series.values()} == kept
+    # what is kept of the host block is still one block
+    assert [{t for t, _ in slabs} for slabs in blocks_of(new)] == (
+        [kept] if kept else [])
     assert_same_store(new, ref)
 
 

@@ -3,10 +3,11 @@
 A hypothesis state machine drives one :class:`TimeSeriesDB` (tiny
 ``chunk_size``) through every way points get in and out — ``put``,
 one-series and group ``put_many``, groups that share series, a superset
-group (a layout change), late and duplicate timestamps, non-finite
-values, ``seal_heads``, ``prune`` with and without a metric, writes
-through handles a prune left stale — and after every step compares it
-with two independent statements of what the store should hold:
+group (a layout change), a raw file loaded by ``ingest_file`` over the
+same series, late and duplicate timestamps, non-finite values,
+``seal_heads``, ``prune`` with and without a metric, writes through
+handles a prune left stale — and after every step compares it with two
+independent statements of what the store should hold:
 
 * the frozen list engine (:class:`~tests.test_tsdb.reference.
   ListBackedTSDB`): every series' sorted columns, ``query`` and
@@ -16,8 +17,10 @@ with two independent statements of what the store should hold:
   the list to prune): chunk boundaries, the raw head in arrival order,
   ``_ordered`` / ``_max_ts``, point and byte counts.
 
-The direct tests below it pin three properties of the block heads that
-a comparison of stores cannot see.
+One more invariant is about the store alone: its registry of live head
+blocks is exactly the set of blocks some series sits in.  The direct
+tests below pin properties of the block heads that a comparison of
+stores cannot see.
 """
 
 import numpy as np
@@ -30,12 +33,17 @@ from hypothesis.stateful import (
 from repro import obs
 from repro.tsdb import Chunk, TimeSeriesDB, window_stats
 from repro.tsdb.query import query
-from repro.tsdb.store import _HeadBlock, _Series, _tagkey
+from repro.tsdb.store import (
+    _EMPTY, _HeadBlock, _Series, _tagkey, ingest_file,
+)
 from tests.test_stream.reference import store_dump
 from tests.test_tsdb.reference import ListBackedTSDB, baseline_query
 
 CHUNK = 4
-TAGS = [{"host": "n1", "event": e} for e in "abcde"]
+#: the tag scheme of a raw file, so ``ingest_file`` writes these too
+TAGS = [
+    {"host": "n1", "type": "t", "device": "d", "event": e} for e in "abcde"
+]
 #: column sets of the group handles: "abc" and "bcd" share two series,
 #: "abcde" is the layout both grow into, "c" is a one-series group
 GROUPS = {"abc": [0, 1, 2], "bcd": [1, 2, 3], "abcde": [0, 1, 2, 3, 4],
@@ -164,6 +172,30 @@ class StoreMachine(RuleBasedStateMachine):
             self._model_write(
                 "m", TAGS[j], [(ts, row[i]) for ts, row in zip(t, block)])
 
+    @rule(data=st.data(), n=st.integers(1, 6), late=st.integers(0, 6))
+    def ingest_raw_file(self, data, n, late):
+        """A raw file of ``n`` records: device ``d`` — the five ``TAGS``
+        series, whatever blocks they sit in by now — in every record,
+        device ``d2`` from record ``late`` on (a block of its own,
+        unless ``late`` is 0: then the file is regular)."""
+        lines = ["$hostname n1", "!t a b c d e"]
+        columns = {}
+        for i in range(n):
+            ts = self._ts(data.draw(steps))
+            lines.append(f"{ts} -")
+            for device in ("d", "d2") if i >= late else ("d",):
+                row = [data.draw(values) for _ in "abcde"]
+                lines.append(f"t {device} " + " ".join(map(repr, row)))
+                for event, v in zip("abcde", row):
+                    columns.setdefault((device, event), []).append((ts, v))
+        text = "\n".join(lines) + "\n"
+        points = 5 * (n + max(0, n - late))
+        for store in (self.db, self.oracle):
+            assert ingest_file(store, "n1", text, metric="m") == (points, n)
+        for (device, event), column in columns.items():
+            self._model_write(
+                "m", {**TAGS[0], "device": device, "event": event}, column)
+
     @rule()
     def seal_heads(self):
         self.db.seal_heads()
@@ -209,6 +241,13 @@ class StoreMachine(RuleBasedStateMachine):
         assert db.n_points() == sum(map(len, self.model.values()))
         assert db.storage_bytes() == sum(
             s.nbytes() for s in self.model.values())
+
+    @invariant()
+    def live_blocks_are_registered(self):
+        """What a walk over every series would find, kept as it changes."""
+        db = self.db
+        assert set(db._blocks) == {
+            s._block for s in db._series.values()} - {_EMPTY}
 
     @invariant()
     def same_answers(self):
@@ -342,3 +381,43 @@ def test_a_series_leaving_its_block_is_counted_once():
     db.put_many("m", db.group("m", [TAGS[2]]), [50], [[9.0]])
     assert detaches.total() == 2 and wide._block.detached == [1]
     obs.reset()
+
+
+def test_a_feed_that_never_seals_leaks_no_block():
+    """The live-feed shape: a host whose layout keeps changing and no
+    ``seal_heads`` ever.  Every change adopts the open rows into a new
+    block; the one left without a column must leave the registry."""
+    db, oracle = TimeSeriesDB(), ListBackedTSDB()
+    for i in range(1000):
+        tag_sets = TAGS[:3 + i % 2]
+        for store in (db, oracle):
+            store.put_many(
+                "m", store.group("m", tag_sets), [10 * i],
+                [[float(i)] * len(tag_sets)])
+        assert len(db._blocks) <= 2
+        assert set(db._blocks) == {s._block for s in db._series.values()}
+    assert store_dump(db) == store_dump(oracle)
+    assert db.n_points() == 3 * 1000 + 500
+
+
+def test_seal_heads_finds_open_blocks_without_walking_the_series():
+    class NoWalk(dict):
+        def _refuse(self, *args):
+            raise AssertionError("seal_heads walked the series table")
+
+        __iter__ = keys = values = items = _refuse
+
+    db = TimeSeriesDB(chunk_size=8)
+    db.put_many("m", db.group("m", TAGS[:3]), [0, 10], np.ones((2, 3)))
+    db.put("m", TAGS[4], 5, 2.0)
+    series = db._series
+    db._series = NoWalk(series)
+    assert len(db._blocks) == 2
+    generation = db._generation
+    db.seal_heads()                                  # two open blocks
+    assert db._blocks == {} and db._generation == generation + 1
+    db.seal_heads()                                  # nothing open
+    assert db._generation == generation + 1
+    db._series = series
+    assert db.n_chunks() == 4 and db.n_points() == 7
+    assert all(s._block is _EMPTY for s in series.values())

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.shard import ShardedTSDB
 from repro.tsdb import TimeSeriesDB, ingest_store
 from tests.test_tsdb.reference import ListBackedTSDB
 
@@ -41,6 +44,87 @@ def test_select_with_filters():
     assert len(db.select("m", {"type": "mdc"})) == 3
     assert len(db.select("m", {"type": "mdc", "host": ["n1", "n3"]})) == 2
     assert db.select("m", {"host": "ghost"}) == []
+
+
+# small tag vocabularies, so two metrics share most tag values and the
+# index's posting sets mix their keys
+_VALUES = {"host": ["n1", "n2", "n3"], "type": ["cpu", "mdc"],
+           "device": ["0", "1", 2]}
+#: every series a store may hold: both metrics over every combination
+#: of a host with, optionally, a type and a device
+_GRID = [
+    (metric, {"host": host, **type_, **device})
+    for metric in ("m", "x")
+    for host in _VALUES["host"]
+    for type_ in [{}] + [{"type": v} for v in _VALUES["type"]]
+    for device in [{}] + [{"device": v} for v in _VALUES["device"]]
+]
+
+
+def _wanted(tag):
+    """One value, or a list / tuple / set of alternatives (maybe none),
+    mostly known to the index, sometimes not."""
+    value = st.sampled_from(_VALUES.get(tag, []) + ["ghost"])
+    several = st.lists(value, max_size=3)
+    return st.one_of(value, several, several.map(tuple), several.map(set))
+
+
+_FILTERS = st.fixed_dictionaries(
+    {},
+    optional={tag: _wanted(tag) for tag in ("host", "type", "device", "rack")},
+)
+
+
+def _brute_select(db, metric, tags):
+    """Every series checked against every filter, in key order."""
+    hits = []
+    for key in sorted(db._series):
+        s = db._series[key]
+        if key[0] == metric and all(
+            tag in s.tags and str(s.tags[tag]) in {
+                str(alt) for alt in (
+                    want if isinstance(want, (list, tuple, set)) else [want]
+                )
+            }
+            for tag, want in (tags or {}).items()
+        ):
+            hits.append(s)
+    return hits
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    series=st.lists(st.sampled_from(_GRID), min_size=6, max_size=30),
+    filters=st.lists(
+        st.tuples(st.sampled_from(["m", "x"]), _FILTERS),
+        min_size=3, max_size=8,
+    ),
+)
+def test_select_equals_a_brute_force_filter(series, filters):
+    db, sharded = TimeSeriesDB(), ShardedTSDB(shards=3)
+    for metric, tags in series:
+        db.put(metric, tags, 0, 1.0)
+        sharded.put(metric, tags, 0, 1.0)
+    posting_sets = lambda: (
+        {m: set(keys) for m, keys in db._by_metric.items()},
+        {
+            tag: {v: set(keys) for v, keys in by_value.items()}
+            for tag, by_value in db._index.items()
+        },
+    )
+    before = posting_sets()
+    for metric, tags in filters + [
+        ("m", None), ("x", {}), ("nope", None), ("nope", {"host": "n1"}),
+    ]:
+        got = db.select(metric, tags)
+        want = _brute_select(db, metric, tags)
+        assert got == want, (metric, tags)  # the very same objects
+        assert [(h.metric, h.key) for h in sharded.select(metric, tags)] == [
+            s.key for s in want
+        ], (metric, tags)
+    # the posting sets were read, never written (nor grown by a miss)
+    assert posting_sets() == before
+    sharded.close()
 
 
 def test_series_arrays_sorted_and_deduped():
