@@ -17,13 +17,19 @@ upload (``BENCH_stream.json``).  Three numbers matter:
   rolled over (~1.2 on this scenario).  It gates at 3; the per-series
   write path it replaced made ~340.
 
-Three more gates hold the store's side of that write (row-block heads
-and the prune low-water mark), all machine-independent:
+Four more gates hold the two ends of that write — the decode of the
+message text into the row, and the store's side (row-block heads and
+the prune low-water mark) — all machine-independent:
 
 * **Python calls per delivery** inside ``RetainingWriter.put_many``
   (store write + retention fold + prune check), counted by ``cProfile``
   on the same fixture — the count repeats exactly, and must stay at or
   below a quarter of what the per-series heads cost;
+* **Python calls per delivery** inside ``RawFileParser.parse`` (the
+  time its generator spends in ``next()``) plus ``StreamPipeline._row``
+  — turning one message into one float64 row — counted the same way,
+  at or below 0.4x of the line-at-a-time parser and the per-device
+  gather it replaced;
 * **a prune pass that cannot drop** visits no series and no block;
 * **a prune pass that does drop**, on a 48-host x 339-series fleet two
   days deep, is at least 8x faster than the list engine doing the same
@@ -31,6 +37,7 @@ and the prune low-water mark), all machine-independent:
 """
 
 import cProfile
+import functools
 import pstats
 import time
 from pathlib import Path
@@ -40,6 +47,7 @@ import numpy as np
 from benchmarks._support import record_bench, report
 from repro import monitoring_session, obs
 from repro.cluster import JobSpec, make_app
+from repro.core.rawfile import RawFileParser
 from repro.stream import RetainingWriter, StreamPipeline
 from repro.stream.pipeline import STREAM_QUEUE
 from repro.tsdb import TimeSeriesDB
@@ -59,6 +67,13 @@ MAX_WRITE_CALLS_PER_DELIVERY = 3
 #: walk over every series), counted the way the gate below counts
 CALLS_PER_DELIVERY_AT_9D51588 = 1_657_541 / 584  # 2838.3
 MAX_CALLS_RATIO = 0.25
+
+#: Python + builtin calls inside ``RawFileParser.parse`` +
+#: ``StreamPipeline._row`` per delivery on this fixture at 85305f7 (one
+#: small array per data line, then a dict walk and a concatenate),
+#: counted the way the gate below counts
+DECODE_CALLS_PER_DELIVERY_AT_85305F7 = 489_078 / 584  # 837.5
+MAX_DECODE_CALLS_RATIO = 0.4
 
 #: the dropping pass against the list engine's
 MIN_PRUNE_SPEEDUP = 8.0
@@ -84,6 +99,17 @@ class CountingTSDB(TimeSeriesDB):
     def put_many(self, *args, **kw):
         self.write_calls += 1
         return super().put_many(*args, **kw)
+
+
+def profiled(profile, fn):
+    """``fn`` with ``profile`` running only while it does."""
+    def wrapper(*args, **kw):
+        profile.enable()
+        try:
+            return fn(*args, **kw)
+        finally:
+            profile.disable()
+    return wrapper
 
 
 def run_fixture(tsdb):
@@ -168,16 +194,9 @@ def test_store_calls_per_delivery_and_noop_prune_gate(monkeypatch):
     retention fold, and the hourly prune check (12 passes here, none of
     which can drop: the session is shorter than every horizon)."""
     profile = cProfile.Profile()
-    put_many = RetainingWriter.put_many
-
-    def profiled(self, *args, **kw):
-        profile.enable()
-        try:
-            return put_many(self, *args, **kw)
-        finally:
-            profile.disable()
-
-    monkeypatch.setattr(RetainingWriter, "put_many", profiled)
+    monkeypatch.setattr(
+        RetainingWriter, "put_many",
+        profiled(profile, RetainingWriter.put_many))
     stream, deliveries, _ = run_fixture(TimeSeriesDB())
     passes = obs.counter("repro_tsdb_prune_passes_total")
     skipped, walked = (
@@ -222,6 +241,59 @@ def test_store_calls_per_delivery_and_noop_prune_gate(monkeypatch):
     assert walked == 0 and visits == 0, (
         f"{walked:.0f} prune passes walked and visited {visits} "
         f"series/blocks to drop nothing"
+    )
+
+
+def test_decode_calls_per_delivery_gate(monkeypatch):
+    """Count, do not time: the profiler runs only while the parser's
+    generator is inside ``next()`` and inside ``StreamPipeline._row``,
+    so ``total_calls`` is every Python and builtin call it costs to
+    turn one message body into the float64 row that is written."""
+    profile = cProfile.Profile()
+    parse = RawFileParser.parse
+    done = object()
+
+    def profiled_parse(self, stream):
+        step = profiled(profile, functools.partial(
+            next, parse(self, stream), done))
+        return iter(step, done)
+
+    monkeypatch.setattr(RawFileParser, "parse", profiled_parse)
+    monkeypatch.setattr(
+        StreamPipeline, "_row", profiled(profile, StreamPipeline._row))
+    stream, deliveries, _ = run_fixture(TimeSeriesDB())
+    parsers = stream._parsers.values()
+    by_template = sum(p.template_records for p in parsers)
+    by_line = sum(p.line_records for p in parsers)
+    obs.reset()
+
+    stats = pstats.Stats(profile)
+    calls = stats.total_calls / deliveries
+    ratio = calls / DECODE_CALLS_PER_DELIVERY_AT_85305F7
+    report("decode calls per delivery (cProfile, 8 nodes, 12 h)", [
+        ("calls / delivery", f"{calls:.1f}",
+         f"{DECODE_CALLS_PER_DELIVERY_AT_85305F7:.1f} at 85305f7 -> "
+         f"{ratio:.3f}x (gate {MAX_DECODE_CALLS_RATIO}x)"),
+        ("records", f"{by_template} by template",
+         f"{by_line} line by line"),
+    ], ["measure", "value", "detail"])
+    record_bench(BENCH_JSON, "decode_calls_8x12h", {
+        "scenario": "8 nodes, 12 h sim, cProfile inside "
+                    "RawFileParser.parse (next) + StreamPipeline._row only",
+        "deliveries": deliveries,
+        "calls": stats.total_calls,
+        "calls_per_delivery": round(calls, 2),
+        "calls_per_delivery_at_85305f7": DECODE_CALLS_PER_DELIVERY_AT_85305F7,
+        "ratio": round(ratio, 4),
+        "records_by_template": by_template,
+        "records_line_by_line": by_line,
+    })
+    assert by_template + by_line == stream.samples
+    assert ratio <= MAX_DECODE_CALLS_RATIO, (
+        f"{calls:.0f} calls per delivery inside RawFileParser.parse + "
+        f"StreamPipeline._row is {ratio:.2f}x the line-at-a-time "
+        f"parser's {DECODE_CALLS_PER_DELIVERY_AT_85305F7:.0f} "
+        f"(gate {MAX_DECODE_CALLS_RATIO}x)"
     )
 
 

@@ -28,9 +28,10 @@ real.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
+from itertools import repeat
+from operator import getitem
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,15 +120,93 @@ class RawFileWriter:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ParsedSample:
-    """One record block as read back from a raw stats file."""
+#: one run of a sample's row: ``(device type, instance, counters)``
+Column = Tuple[str, str, int]
 
-    host: str
-    timestamp: int
-    jobids: List[str]
+
+def _flatten(
     data: Dict[str, Dict[str, np.ndarray]]
-    procs: List[ProcessRecord] = field(default_factory=list)
+) -> Tuple[np.ndarray, Tuple[Column, ...]]:
+    """``data`` as one read-only float64 row and the columns it holds,
+    both in iteration order."""
+    arrays = [v for per_type in data.values() for v in per_type.values()]
+    row = (
+        np.concatenate(arrays, dtype=np.float64) if arrays else np.empty(0)
+    )
+    row.flags.writeable = False
+    columns = tuple(
+        (type_name, instance, len(values))
+        for type_name, per_type in data.items()
+        for instance, values in per_type.items()
+    )
+    return row, columns
+
+
+class ParsedSample:
+    """One record block as read back from a raw stats file.
+
+    A record is one vector: ``row`` holds every counter it carries as a
+    read-only float64 array and ``columns`` names its runs, ``(type,
+    instance, width)`` each — ``row`` is the concatenation of
+    ``data[type][instance]`` as they iterate.  A sample the parser
+    yields *is* its row: ``data`` is built on first read, as views of
+    it, and consecutive records of a host share one ``columns`` object
+    for as long as their line structure repeats, so a consumer compares
+    layouts by identity.  A sample built from a ``data`` mapping
+    (:meth:`HostBlock.iter_samples`) is flattened on first read of
+    ``row`` or ``columns``.
+    """
+
+    __slots__ = (
+        "host", "timestamp", "jobids", "procs", "_data", "_row", "_columns",
+    )
+
+    def __init__(
+        self,
+        host: str,
+        timestamp: int,
+        jobids: List[str],
+        data: Dict[str, Dict[str, np.ndarray]],
+        procs: Optional[List[ProcessRecord]] = None,
+    ) -> None:
+        self.host = host
+        self.timestamp = timestamp
+        self.jobids = jobids
+        self.procs: List[ProcessRecord] = [] if procs is None else procs
+        self._data: Optional[Dict[str, Dict[str, np.ndarray]]] = data
+        self._row: Optional[np.ndarray] = None
+        self._columns: Optional[Tuple[Column, ...]] = None
+
+    def _seal(self, row: np.ndarray, columns: Tuple[Column, ...]) -> None:
+        """From here the sample is its row; ``data`` is re-read from it."""
+        self._row = row
+        self._columns = columns
+        self._data = None
+
+    @property
+    def data(self) -> Dict[str, Dict[str, np.ndarray]]:
+        data = self._data
+        if data is None:
+            data = self._data = {}
+            lo = 0
+            for type_name, instance, width in self._columns:
+                data.setdefault(type_name, {})[instance] = (
+                    self._row[lo:lo + width]
+                )
+                lo += width
+        return data
+
+    @property
+    def row(self) -> np.ndarray:
+        if self._row is None:
+            self._seal(*_flatten(self._data))
+        return self._row
+
+    @property
+    def columns(self) -> Tuple[Column, ...]:
+        if self._columns is None:
+            self._seal(*_flatten(self._data))
+        return self._columns
 
 
 @dataclass(frozen=True)
@@ -139,6 +218,52 @@ class ParseError:
     reason: str
 
 
+class _Template:
+    """The line structure of one record, to decode the next by.
+
+    Derived from a sample's ``columns``: device line ``i`` opens with
+    ``prefixes[i]`` (``"<type> <instance> "``), holds ``counts[i]``
+    spaces and carries its values in ``cuts[i]``.  A record whose lines
+    pass all three, line for line, with nothing but ``ps`` lines after
+    them, has ``columns`` and ``width`` value tokens — whatever schema
+    widths the lines were checked against when ``columns`` was
+    decoded, the same check has now been made of these.
+    """
+
+    __slots__ = ("columns", "prefixes", "spaces", "counts", "cuts", "width")
+
+    def __init__(self, columns: Tuple[Column, ...]) -> None:
+        self.columns = columns
+        self.prefixes = [f"{t} {inst} " for t, inst, _ in columns]
+        self.spaces = [" "] * len(columns)
+        self.counts = [width + 1 for _, _, width in columns]
+        self.cuts = [slice(len(prefix), None) for prefix in self.prefixes]
+        self.width = sum(width for _, _, width in columns)
+
+    def decode(self, lines: List[str]) -> Optional[np.ndarray]:
+        """The row of the record ``lines`` make, when they have the
+        structure and every value converts; its ``ps`` lines are
+        ``lines[len(columns):]``."""
+        # each ``map`` stops with the shorter list: at the template's
+        # last line, or short of ``counts`` when lines are missing
+        if not (
+            all(map(str.startswith, lines, self.prefixes))
+            and list(map(str.count, lines, self.spaces)) == self.counts
+            and all(map(
+                str.startswith, lines[len(self.columns):], repeat("ps ")))
+        ):
+            return None
+        try:
+            row = np.fromiter(
+                map(float, " ".join(map(getitem, lines, self.cuts)).split(" ")),
+                np.float64, self.width,
+            )
+        except ValueError:
+            return None  # a token ``float`` refuses: the line path names it
+        row.flags.writeable = False
+        return row
+
+
 class RawFileParser:
     """Streaming parser for raw stats text (one host per stream).
 
@@ -147,6 +272,22 @@ class RawFileParser:
     ``"quarantine"`` records the offending line in :attr:`errors` and
     keeps parsing — a truncated tail or a corrupted block costs only
     the damaged lines, never the whole host file.
+
+    The unit of decoding is the record.  :meth:`parse` only classifies
+    lines; an open record's data lines are buffered and decoded when
+    the record closes — or when a ``$``/``!`` line interrupts it, so a
+    line's width is always checked against the schema it was read
+    under.  A host repeats its device lines from one record to the
+    next, so the parser keeps the line structure of the last whole
+    record it decoded line by line as a *template*: a whole record that
+    has it — the same ``"<type> <instance> "`` prefix and token count
+    line for line, only ``ps`` lines after — is converted in one pass
+    into the sample's ``row``.  Any other record is decoded line by
+    line, in order, by :meth:`_data_line`, which alone decides what is
+    refused and why.  A ``!`` line drops the template (the width check
+    is part of it), which is why :attr:`schemas` is the stream's to
+    change once parsing has begun.  :attr:`template_records` and
+    :attr:`line_records` count the records decoded each way.
     """
 
     def __init__(self, on_error: str = "raise") -> None:
@@ -158,31 +299,59 @@ class RawFileParser:
         self.mem_bytes: int = 0
         self.schemas: Dict[str, Schema] = {}
         self.errors: List[ParseError] = []
+        #: records decoded through the template / line by line
+        self.template_records = 0
+        self.line_records = 0
+        self._template: Optional[_Template] = None
 
     def parse(self, stream) -> Iterator[ParsedSample]:
         """Yield samples from a text stream (file object or string)."""
         if isinstance(stream, str):
-            stream = io.StringIO(stream)
+            lines: Iterable[str] = stream.split("\n")
+        else:
+            lines = map(str.rstrip, stream, repeat("\n"))
         current: Optional[ParsedSample] = None
+        #: the open record's data lines not decoded yet, and their numbers
+        pending: List[str] = []
+        linenos: List[int] = []
+        #: a ``$``/``!`` line made the open record decode some lines early
+        interrupted = False
         #: after a corrupt record-open line, orphan data lines are part
         #: of the same damaged block — swallow them without re-reporting
         skipping_block = False
-        for lineno, raw in enumerate(stream, 1):
-            line = raw.rstrip("\n")
+        for lineno, line in enumerate(lines, 1):
             if not line:
                 continue
             c = line[0]
+            opens = c.isdigit()
+            if not opens and c != "$" and c != "!":
+                if current is not None:
+                    pending.append(line)
+                    linenos.append(lineno)
+                elif not skipping_block:
+                    self._refuse(lineno, line, ValueError(
+                        f"data line before any record: {line!r}"
+                    ))
+                continue
+            if current is not None:
+                if opens:
+                    self._close(current, pending, linenos, not interrupted)
+                    yield current
+                    current = None
+                elif pending:
+                    self._decode_lines(current, pending, linenos)
+                    interrupted = True
+                pending.clear()
+                linenos.clear()
             try:
                 if c == "$":
                     self._header_line(line)
                 elif c == "!":
                     type_name, schema = Schema.parse_line(line)
                     self.schemas[type_name] = schema
-                elif c.isdigit():
-                    if current is not None:
-                        yield current
-                        current = None
-                    skipping_block = False
+                    self._template = None
+                else:
+                    skipping_block = interrupted = False
                     ts_str, _, jobs_str = line.partition(" ")
                     jobids = [] if jobs_str in ("-", "") else jobs_str.split(",")
                     current = ParsedSample(
@@ -191,27 +360,67 @@ class RawFileParser:
                         jobids=jobids,
                         data={},
                     )
-                else:
-                    if current is None:
-                        if skipping_block:
-                            continue
-                        raise ValueError(f"data line before any record: {line!r}")
-                    self._data_line(current, line)
             except (ValueError, IndexError) as exc:
-                if self.on_error == "raise":
-                    if isinstance(exc, ValueError):
-                        raise
-                    raise ValueError(str(exc)) from exc
-                self.errors.append(
-                    ParseError(lineno=lineno, line=line, reason=str(exc))
-                )
-                if c.isdigit():
+                self._refuse(lineno, line, exc)
+                if opens:
                     # the record-open line itself is damaged: the block
                     # that follows has no timestamp to attach to
-                    current = None
                     skipping_block = True
         if current is not None:
+            self._close(current, pending, linenos, not interrupted)
             yield current
+
+    def _refuse(self, lineno: int, line: str, exc: Exception) -> None:
+        """The failure policy: raise, or file the line under ``errors``."""
+        if self.on_error == "raise":
+            if isinstance(exc, ValueError):
+                raise exc
+            raise ValueError(str(exc)) from exc
+        self.errors.append(
+            ParseError(lineno=lineno, line=line, reason=str(exc))
+        )
+
+    def _close(
+        self,
+        sample: ParsedSample,
+        lines: List[str],
+        linenos: List[int],
+        whole: bool,
+    ) -> None:
+        """Decode what the closing record still has buffered and seal
+        it; ``whole`` when that is every data line it has."""
+        template = self._template
+        if whole and template is not None:
+            row = template.decode(lines)
+            if row is not None:
+                try:
+                    sample.procs = [
+                        self._parse_ps(line.split(" "))
+                        for line in lines[len(template.columns):]
+                    ]
+                except ValueError:
+                    pass  # a bad ``ps`` line: the line path names it
+                else:
+                    sample._seal(row, template.columns)
+                    self.template_records += 1
+                    return
+        self._decode_lines(sample, lines, linenos)
+        sample._seal(*_flatten(sample.data))
+        self.line_records += 1
+        if whole:
+            # whatever order its lines came in, the record's columns
+            # spell the order the next one is expected in
+            self._template = _Template(sample.columns)
+
+    def _decode_lines(
+        self, sample: ParsedSample, lines: List[str], linenos: List[int]
+    ) -> None:
+        """Line by line, in order, each refused on its own."""
+        for lineno, line in zip(linenos, lines):
+            try:
+                self._data_line(sample, line)
+            except (ValueError, IndexError) as exc:
+                self._refuse(lineno, line, exc)
 
     def _header_line(self, line: str) -> None:
         key, _, value = line[1:].partition(" ")
@@ -295,12 +504,13 @@ class SampleLike:
 
 # -- columnar block parsing ---------------------------------------------------
 #
-# The row-at-a-time :class:`RawFileParser` materialises one small numpy
-# array per data line — convenient, but the per-line Python work is what
-# limits ingest throughput at fleet scale.  :class:`BlockParser` reads
-# the same format into a :class:`HostBlock`: one ``(records, counters)``
-# array per (device type, instance), converted from text in bulk.  The
-# batched ETL path (:mod:`repro.pipeline.parallel`) and the TSDB loader
+# :class:`RawFileParser` reads a stream a record at a time — one float64
+# row per sample, which is the shape the live path writes — and so pays
+# Python work per record.  At fleet scale a whole host file is at rest,
+# and :class:`BlockParser` reads the same format into a
+# :class:`HostBlock`: one ``(records, counters)`` array per (device
+# type, instance), converted from text in bulk.  The batched ETL path
+# (:mod:`repro.pipeline.parallel`) and the TSDB loader
 # (:func:`repro.tsdb.store.ingest_file`) consume blocks directly;
 # :meth:`HostBlock.iter_samples` recovers the per-sample view when
 # equivalence with the streaming parser matters.

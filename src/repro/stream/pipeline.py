@@ -7,11 +7,12 @@ delivery is parsed once and fans out three ways:
 
 1. **TSDB feed** — each counter value becomes a point tagged
    ``(host, type, device, event)`` in a live
-   :class:`~repro.tsdb.store.TimeSeriesDB`.  A sample is one *row*:
-   the parser's per-device arrays concatenated, in the order of the
-   host's *layout* (its types, their schemas, their devices), whose K
-   series sit behind one :class:`~repro.tsdb.store.SeriesGroup`.  A
-   delivery's rows are written as one ``(n, K)`` block in a single
+   :class:`~repro.tsdb.store.TimeSeriesDB`.  A sample arrives as one
+   *row* (:attr:`~repro.core.rawfile.ParsedSample.row`) and is written
+   as it arrived: the host's *layout* maps the row's columns (its
+   types, their schemas, their devices) onto K series behind one
+   :class:`~repro.tsdb.store.SeriesGroup`.  A delivery's rows are
+   written as one ``(n, K)`` block in a single
    :meth:`~repro.stream.retention.RetainingWriter.put_many`, through
    the retention policy so memory stays bounded by the policy, not
    the run length;
@@ -31,8 +32,7 @@ write → alert evaluation (`daemon.publish` → `stream.process` →
 
 from __future__ import annotations
 
-import io
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro import obs
 from repro.broker import Broker, Channel, Delivery
 from repro.cluster.jobs import Job
 from repro.core.daemon import EXCHANGE
-from repro.core.rawfile import ParsedSample, RawFileParser
+from repro.core.rawfile import Column, ParsedSample, RawFileParser
 from repro.hardware.devices.base import Schema
 from repro.metrics.flags import FlagResult, Thresholds
 from repro.obs.analytics import FleetAnalytics
@@ -58,29 +58,41 @@ STREAM_QUEUE = "tacc_stats_stream"
 LATENCY_BUCKETS = (10.0, 60.0, 300.0, 600.0, 900.0, 1200.0, 1800.0, 3600.0)
 
 
-#: what decides a sample's columns: per device type (after the
-#: ``types`` filter) its schema object and its devices, in file order
-LayoutKey = Tuple[Tuple[str, Schema, Tuple[str, ...]], ...]
-
-
 class _Layout:
     """The K series one host's samples fill, in row order.
 
-    ``feeds[j]`` is column ``j``'s ``(type, event)`` for the fleet
-    analytics, ``group.tag_sets[j]`` its full tag set.
+    Built for one ``columns`` tuple under one set of schemas, which is
+    its key: ``types`` are the device types of ``columns`` and
+    ``schemas`` what each resolved to.  ``take`` picks the row entries
+    that are written — ``None`` for all of them; a type outside the
+    ``types`` filter or without a schema leaves its columns out.
+    ``feeds[j]`` is written column ``j``'s ``(type, event)`` for the
+    fleet analytics, ``group.tag_sets[j]`` its full tag set (``group``
+    is ``None`` when nothing is written).
     """
 
-    __slots__ = ("key", "group", "feeds")
+    __slots__ = ("columns", "types", "schemas", "take", "group", "feeds")
 
     def __init__(
-        self, tsdb: TimeSeriesDB, metric: str, host: str, key: LayoutKey
+        self,
+        tsdb: TimeSeriesDB,
+        metric: str,
+        host: str,
+        sample: ParsedSample,
+        schemas: Mapping[str, Schema],
+        wanted: Optional[Set[str]],
     ) -> None:
+        columns = sample.columns
+        types = tuple(dict.fromkeys(t for t, _, _ in columns))
         tag_sets = []
         feeds = []
-        for type_name, schema, devices in key:
-            names = schema.names()
-            for device in devices:
-                for event in names:
+        take: List[int] = []
+        lo = 0
+        for type_name, device, width in columns:
+            schema = schemas.get(type_name)
+            if schema is not None and (wanted is None or type_name in wanted):
+                take.extend(range(lo, lo + width))
+                for event in schema.names():
                     tag_sets.append({
                         "host": host,
                         "type": type_name,
@@ -88,8 +100,22 @@ class _Layout:
                         "event": event,
                     })
                     feeds.append((type_name, event))
-        self.key = key
-        self.group: SeriesGroup = tsdb.group(metric, tag_sets)
+            lo += width
+        if len(take) != len(feeds):
+            # a schema line between a record's data and the next record
+            raise ValueError(
+                f"{host}: sample at {sample.timestamp} carries {len(take)} "
+                f"values for {len(feeds)} schema columns"
+            )
+        self.columns: Tuple[Column, ...] = columns
+        self.types = types
+        self.schemas = tuple(map(schemas.get, types))
+        self.take: Optional[np.ndarray] = (
+            None if len(take) == lo else np.array(take, dtype=np.intp)
+        )
+        self.group: Optional[SeriesGroup] = (
+            tsdb.group(metric, tag_sets) if tag_sets else None
+        )
         self.feeds: Tuple[Tuple[str, str], ...] = tuple(feeds)
 
 
@@ -138,7 +164,6 @@ class StreamPipeline:
         #: changed layout is always a new object (a delivery's rows are
         #: split into blocks on layout identity)
         self._layouts: Dict[str, _Layout] = {}
-        self._errors_seen: Dict[str, int] = {}
         self.samples = 0
         self.points = 0
         self.last_seen = 0  # sim time of the latest delivery processed
@@ -176,13 +201,13 @@ class StreamPipeline:
                 parser = self._parsers[host] = RawFileParser(
                     on_error="quarantine"
                 )
-                self._errors_seen[host] = 0
+            line_records = parser.line_records
             events: List[StreamEvent] = []
             n_samples = 0
             #: (layout, [timestamp], [row]) per run of samples that
             #: share a layout — one run, as a rule
             runs: List[Tuple[_Layout, List[int], List[np.ndarray]]] = []
-            for sample in parser.parse(io.StringIO(msg.body)):
+            for sample in parser.parse(msg.body):
                 n_samples += 1
                 placed = self._row(host, sample, parser.schemas)
                 if placed is not None:
@@ -202,12 +227,20 @@ class StreamPipeline:
             if blocks:
                 with obs.span("stream.tsdb_write") as wsp:
                     wsp.set(points=self._write_blocks(blocks))
-            if len(parser.errors) > self._errors_seen[host]:
+            if parser.errors:
                 obs.counter(
                     "repro_stream_parse_errors_total",
                     "corrupt raw lines quarantined on the live path",
-                ).inc(len(parser.errors) - self._errors_seen[host], host=host)
-                self._errors_seen[host] = len(parser.errors)
+                ).inc(len(parser.errors), host=host)
+                # counted is all the live path does with them: kept, a
+                # torn line an interval is a leak for the process's life
+                parser.errors.clear()
+            if parser.line_records != line_records:
+                obs.counter(
+                    "repro_stream_line_decoded_records_total",
+                    "records the parser decoded line by line, not by "
+                    "its template",
+                ).inc(parser.line_records - line_records, host=host)
             self.samples += n_samples
             obs.counter(
                 "repro_stream_samples_total",
@@ -234,37 +267,26 @@ class StreamPipeline:
     ) -> Optional[Tuple[_Layout, np.ndarray]]:
         """One sample as ``(layout, float64 row)``.
 
-        The host's layout is rebuilt when the types, a schema or a
-        device set differ from its previous sample's — a device or a
-        ``!`` line appearing mid-stream starts a new layout, it is not
-        a shape error.  ``None`` for a sample with no column to write.
+        The host's layout is rebuilt when the sample's columns or the
+        schema of one of its types differ from its previous sample's —
+        a device or a ``!`` line appearing mid-stream starts a new
+        layout, it is not a shape error.  ``None`` for a sample with no
+        column to write.
         """
-        parts: List[np.ndarray] = []
-        key = []
-        for type_name, per_inst in sample.data.items():
-            if self.types is not None and type_name not in self.types:
-                continue
-            schema = schemas.get(type_name)
-            if schema is None:
-                continue
-            key.append((type_name, schema, tuple(per_inst)))
-            parts.extend(per_inst.values())
-        if not parts:
-            return None
-        key = tuple(key)
         layout = self._layouts.get(host)
-        if layout is None or layout.key != key:
+        if (
+            layout is None
+            or layout.columns is not sample.columns
+            or layout.schemas != tuple(map(schemas.get, layout.types))
+        ):
             layout = self._layouts[host] = _Layout(
-                self.tsdb, self.metric, host, key
+                self.tsdb, self.metric, host, sample, schemas, self.types
             )
-        row = np.concatenate(parts)
-        if len(row) != len(layout.feeds):
-            # a schema line between a record's data and the next record
-            raise ValueError(
-                f"{host}: sample at {sample.timestamp} carries {len(row)} "
-                f"values for {len(layout.feeds)} schema columns"
-            )
-        return layout, row
+        if layout.group is None:
+            return None
+        if layout.take is None:
+            return layout, sample.row
+        return layout, sample.row[layout.take]
 
     def _write_blocks(self, blocks: List[Block]) -> int:
         """Live counterpart of :func:`repro.tsdb.store.ingest_store`:

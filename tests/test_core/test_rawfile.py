@@ -11,6 +11,7 @@ from repro.core.collector import Sample
 from repro.core.rawfile import RawFileParser, RawFileWriter
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.hardware.devices.procfs import ProcessRecord
+from tests.test_core.reference import ReferenceRawFileParser
 
 SCHEMAS = {
     "mdc": Schema([SchemaEntry("reqs", width=64),
@@ -166,3 +167,235 @@ def test_roundtrip_property(points):
         assert s_out.data["mdc"]["i"][0] == float(
             int(s_in.data["mdc"]["i"][0])
         )
+
+
+# -- record-at-a-time decoding ≡ the frozen line-at-a-time parser ------------------
+#
+# ``RawFileParser`` decodes a record at a time and, where a record
+# repeats the previous one's line structure, in one pass through a
+# template; ``tests/test_core/reference.py`` keeps the parser it
+# replaced.  Whatever the text, however it is fed, in either mode: same
+# samples bit for bit, same ``errors`` entry for entry, same raised
+# text, same parser state.
+
+PS_LINE = "ps 41 wrf.exe alice 100 160 200 100 120 8 64 8 2 2 0,16 0"
+ODD_TOKENS = ["nan", "inf", "-inf", "-0.0", "1e5", "1_0", "1.5", "0x10",
+              "", "x", "١٢", "+7"]
+STRAY_LINES = [
+    "total garbage line", "x", " ", "\t", "ps 1 2", "ps", "ps ",
+    "$hostname other", "$mem 7", "$mem seven", "$tacc_stats 9.0", "$",
+    "!", "!a c0,E c0,E", "!b c0,E,W=sixty", "14436x8800 1", "²3 -",
+    "12 ", "13", "a 0", "a 0 ", "a  1 2", "", "",
+]
+
+
+@st.composite
+def host_streams(draw):
+    """``[[line, ...], ...]``: a host's messages, damaged in places."""
+    types = ["a", "b", "c", "d"][:draw(st.integers(2, 4))]
+    widths = {t: draw(st.integers(0, 5)) for t in types}
+    devices = {
+        t: [str(i) for i in range(draw(st.integers(1, 4)))] for t in types
+    }
+
+    def schema_line(t, width):
+        return f"!{t} " + " ".join(f"c{i},E,W=64" for i in range(width))
+
+    def header(changed=None):
+        # the last type never announces a schema
+        return ["$tacc_stats 2.3.2", "$hostname h1", "$arch intel_snb",
+                "$mem 1024"] + [
+            schema_line(t, widths[t] + (t == changed)) for t in types[:-1]
+        ]
+
+    value = st.integers(0, 2**40).map(str) | st.sampled_from(
+        ["0", "7", "nan", "-0.0", "1e5"])
+    msgs = []
+    for r in range(draw(st.integers(2, 6))):
+        jobs = draw(st.sampled_from(["-", "100", "100,200", ""]))
+        lines = [f"{600 * r} {jobs}"]
+        for t in types:
+            for dev in devices[t]:
+                vals = [draw(value) for _ in range(widths[t])]
+                lines.append(" ".join([t, dev] + vals))
+        lines += [PS_LINE] * draw(st.integers(0, 2))
+        msgs.append(lines)
+    msgs[0] = header() + msgs[0]
+
+    def spot():
+        m = draw(st.integers(0, len(msgs) - 1))
+        return msgs[m], draw(st.integers(0, len(msgs[m]) - 1))
+
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from([
+            "truncate", "add", "drop", "space", "dup", "move", "stray",
+            "reannounce", "change", "swap", "token",
+        ]))
+        lines, i = spot()
+        line = lines[i]
+        if kind == "truncate":
+            lines[i] = line[:draw(st.integers(0, len(line)))]
+        elif kind == "add":
+            lines[i] = line + " 7"
+        elif kind == "drop":
+            lines[i] = line.rpartition(" ")[0]
+        elif kind == "space":
+            cut = draw(st.integers(0, len(line)))
+            lines[i] = line[:cut] + " " + line[cut:]
+        elif kind == "dup":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif kind == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif kind == "stray":
+            lines.insert(i, draw(st.sampled_from(STRAY_LINES)))
+        elif kind == "reannounce":
+            lines[i:i] = header()
+        elif kind == "change":
+            lines[i:i] = header(changed=draw(st.sampled_from(types)))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            parts = line.split(" ")
+            k = draw(st.integers(0, len(parts) - 1))
+            parts[k] = draw(st.sampled_from(ODD_TOKENS))
+            lines[i] = " ".join(parts)
+    return msgs
+
+
+def frozen(sample):
+    return (
+        sample.host, sample.timestamp, sample.jobids,
+        [(t, [(inst, v.dtype.str, v.tobytes()) for inst, v in per.items()])
+         for t, per in sample.data.items()],
+        sample.procs,
+    )
+
+
+def outcome(parser, feeds):
+    """Everything a caller can see of ``parser`` reading ``feeds``."""
+    reads = []
+    for feed in feeds:
+        samples, raised = [], None
+        try:
+            for sample in parser.parse(feed):
+                if isinstance(parser, RawFileParser):
+                    assert_row_contract(sample)
+                samples.append(frozen(sample))
+        except ValueError as exc:
+            raised = str(exc)
+        reads.append((samples, raised))
+    return (
+        reads, parser.errors, parser.hostname, parser.arch, parser.mem_bytes,
+        [(t, s.names()) for t, s in parser.schemas.items()],
+    )
+
+
+def assert_row_contract(sample):
+    flat = [(t, inst, v) for t, per in sample.data.items()
+            for inst, v in per.items()]
+    assert sample.columns == tuple((t, inst, len(v)) for t, inst, v in flat)
+    assert sample.row.dtype == np.float64 and not sample.row.flags.writeable
+    assert sample.row.tobytes() == b"".join(v.tobytes() for _, _, v in flat)
+
+
+@given(host_streams(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_decoding_equals_the_frozen_parser(msgs, final_newline):
+    bodies = ["".join(line + "\n" for line in lines) for lines in msgs]
+    text = "".join(bodies)
+    if not final_newline:
+        text = text[:-1]
+    for on_error in ("quarantine", "raise"):
+        whole = outcome(ReferenceRawFileParser(on_error), [text])
+        assert outcome(RawFileParser(on_error), [text]) == whole
+        assert outcome(RawFileParser(on_error), [io.StringIO(text)]) == whole
+        new = RawFileParser(on_error)
+        assert outcome(new, bodies) == outcome(
+            ReferenceRawFileParser(on_error), bodies)
+        if on_error == "quarantine":
+            assert new.template_records + new.line_records == sum(
+                len(samples) for samples, _ in whole[0])
+
+
+def test_template_learnt_before_a_schema_line_is_not_used_after_it():
+    """The width check is baked into a template, so a ``!`` line ends
+    it: lines that still have the old shape are refused as the
+    line-at-a-time parser refuses them."""
+    head = "$hostname h1\n!a c0,E c1,E\n"
+    rec = "{} -\na 0 1 2\na 1 3 4\n"
+    bodies = [
+        head + rec.format(0), rec.format(600), rec.format(1200),
+        "!a c0,E\n" + rec.format(1800), "1900 -\na 0 5\n",
+        head + rec.format(2400), rec.format(3000),
+    ]
+    parser = RawFileParser(on_error="quarantine")
+    samples = [s for body in bodies for s in parser.parse(body)]
+    assert [len(s.row) for s in samples] == [4, 4, 4, 0, 1, 4, 4]
+    assert [e.lineno for e in parser.errors] == [3, 4]
+    assert "2 values vs schema of 1" in parser.errors[0].reason
+    # one template before the schema changed, another once it is back
+    assert samples[0].columns is samples[1].columns is samples[2].columns
+    assert samples[5].columns is samples[6].columns
+    assert samples[5].columns is not samples[2].columns
+    assert samples[5].columns == samples[2].columns
+    assert (parser.template_records, parser.line_records) == (3, 4)
+    assert outcome(RawFileParser("quarantine"), bodies) == outcome(
+        ReferenceRawFileParser("quarantine"), bodies)
+
+
+REGULAR = ["a 0 1 2", "a 1 3 4", "b - 5", PS_LINE]
+
+#: every irregularity that sends a record to the line path: the third
+#: record's lines, and how many of the five records are then decoded
+#: line by line (the first always is; a record whose columns changed
+#: leaves a template the next regular record does not match)
+IRREGULAR = {
+    "regular": (REGULAR, 1),
+    "values only differ": (["a 0 nan -0.0", "a 1 1e5 1_0", "b - inf",
+                            PS_LINE], 1),
+    "a token float refuses": (["a 0 1 2", "a 1 3 x", "b - 5", PS_LINE], 3),
+    "an empty token": (["a 0 1 2", "a 1 3 ", "b - 5", PS_LINE], 3),
+    "a token too many": (["a 0 1 2", "a 1 3 4 9", "b - 5", PS_LINE], 3),
+    "a token too few": (["a 0 1 2", "a 1 3", "b - 5", PS_LINE], 3),
+    "a doubled space": (["a 0 1 2", "a 1  3 4", "b - 5", PS_LINE], 3),
+    "a device renamed": (["a 0 1 2", "a 7 3 4", "b - 5", PS_LINE], 3),
+    "a device missing": (["a 0 1 2", "b - 5", PS_LINE], 3),
+    "a device added": (["a 0 1 2", "a 1 3 4", "a 2 5 6", "b - 5",
+                        PS_LINE], 3),
+    "a device listed twice": (["a 0 1 2", "a 1 3 4", "a 0 8 9", "b - 5",
+                               PS_LINE], 2),
+    "types interleaved": (["a 0 1 2", "b - 5", "a 1 3 4", PS_LINE], 2),
+    "a ps line mid-record": (["a 0 1 2", PS_LINE, "a 1 3 4", "b - 5"], 2),
+    "a bad ps line": (["a 0 1 2", "a 1 3 4", "b - 5", PS_LINE + " 9"], 2),
+    "no ps line": (["a 0 1 2", "a 1 3 4", "b - 5"], 1),
+    # ``b`` has no schema: fourteen values that read as a process record
+    "a device line that reads like a ps line": (
+        REGULAR + ["b 41 1 2 3 160 200 100 120 8 64 8 2 2 0 0"], 3),
+    "a $ line mid-record": (["a 0 1 2", "$mem 7", "a 1 3 4", "b - 5",
+                             PS_LINE], 2),
+    "a $ line at its end": (REGULAR + ["$mem 7"], 2),
+    "a ! line mid-record": (["a 0 1 2", "!a c0,E c1,E", "a 1 3 4", "b - 5",
+                             PS_LINE], 3),
+    "a changed ! line at its end": (REGULAR + ["!a c0,E"], 4),
+    "a blank line": (["a 0 1 2", "", "a 1 3 4", "b - 5", PS_LINE], 1),
+}
+
+
+@pytest.mark.parametrize("name", IRREGULAR)
+def test_what_sends_a_record_to_the_line_path(name):
+    third, line_records = IRREGULAR[name]
+    records = [REGULAR, REGULAR, third, REGULAR, REGULAR]
+    bodies = [
+        f"{600 * i} 100\n" + "".join(line + "\n" for line in lines)
+        for i, lines in enumerate(records)
+    ]
+    bodies[0] = "$hostname h1\n!a c0,E c1,E\n" + bodies[0]
+    for feeds in (bodies, ["".join(bodies)]):
+        for on_error in ("quarantine", "raise"):
+            assert outcome(RawFileParser(on_error), feeds) == outcome(
+                ReferenceRawFileParser(on_error), feeds), on_error
+    parser = RawFileParser("quarantine")
+    assert len(outcome(parser, bodies)[0]) == 5
+    assert (parser.template_records, parser.line_records) == (
+        5 - line_records, line_records)

@@ -1,7 +1,7 @@
 """Frozen per-sample ETL: the oracle of the job-pipeline suites.
 
 Until PR 15 ``src/`` shipped the job ETL twice.  The per-sample half —
-``map_jobs``/``JobData`` over :class:`~repro.core.rawfile.RawFileParser`,
+``map_jobs``/``JobData`` over the frozen ``ReferenceRawFileParser``,
 the sample-by-sample :func:`accumulate`, the six scalar metric kernels
 and the 31 scalar Table I formulas — is kept here verbatim in
 behaviour, with a minimal map → accumulate → metrics → flags →
@@ -28,7 +28,6 @@ from typing import (
 import numpy as np
 
 from repro.cluster.jobs import Job
-from repro.core.rawfile import ParsedSample, RawFileParser
 from repro.core.store import CentralStore
 from repro.db.connection import Database
 from repro.hardware.arch import ARCHITECTURES
@@ -44,6 +43,7 @@ from repro.pipeline.accum import (
 )
 from repro.pipeline.ingest import IngestResult, record_from
 from repro.pipeline.records import JobRecord
+from tests.test_core.reference import ParsedSample, ReferenceRawFileParser
 
 
 
@@ -124,7 +124,7 @@ def map_jobs(
     for host in hosts if hosts is not None else store.hosts():
         # tolerant parsing: corrupt lines are quarantined via the
         # store's ledger instead of aborting the whole ETL pass
-        parser = RawFileParser(on_error="quarantine")
+        parser = ReferenceRawFileParser(on_error="quarantine")
         path = store.path_for(host)
         if not path.exists():
             continue

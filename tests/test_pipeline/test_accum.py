@@ -2,7 +2,7 @@
 
 Every hand-built case is written to raw-file text and read twice: by
 ``BlockParser`` into ``accumulate_blocks`` (the ETL) and by
-``RawFileParser`` into the frozen per-sample ``accumulate`` (the
+``ReferenceRawFileParser`` into the frozen per-sample ``accumulate`` (the
 oracle in ``reference.py``).  The two must agree array for array, or
 both reject the job; the assertions below then pin the values.
 """
@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core.collector import Sample
-from repro.core.rawfile import BlockParser, RawFileParser, RawFileWriter
+from repro.core.rawfile import BlockParser, RawFileWriter
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.pipeline.accum import accumulate_blocks
 from repro.pipeline.parallel import assemble_jobs
+from tests.test_core.reference import ReferenceRawFileParser
 from tests.test_pipeline import reference
 
 SCHEMAS = {
@@ -61,7 +62,7 @@ def accumulate(samples_by_host, arch="intel_snb"):
         w = RawFileWriter(host, arch, SCHEMAS)
         text = w.header() + "".join(w.record(s) for s in samples)
         blocks[host] = BlockParser().parse_text(text)
-        parser = RawFileParser()
+        parser = ReferenceRawFileParser()
         for s in parser.parse(text):
             oracle.add(host, s)
         oracle.schemas, oracle.arch = dict(parser.schemas), parser.arch

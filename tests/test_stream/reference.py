@@ -27,7 +27,6 @@ import numpy as np
 
 from repro import obs
 from repro.broker import Channel, Delivery
-from repro.core.rawfile import RawFileParser
 from repro.stream.analyzer import StreamEvent
 from repro.stream.pipeline import StreamPipeline
 from repro.stream.retention import (
@@ -36,6 +35,7 @@ from repro.stream.retention import (
     RetentionTier,
 )
 from repro.tsdb.store import TimeSeriesDB, _tagkey
+from tests.test_core.reference import ReferenceRawFileParser
 
 
 @dataclass
@@ -160,6 +160,8 @@ class ReferenceStreamPipeline(StreamPipeline):
         retention = kw.get("retention")
         super().__init__(broker, **kw)
         self.writer = ReferenceRetainingWriter(self.tsdb, retention)
+        self._parsers: Dict[str, ReferenceRawFileParser] = {}
+        self._errors_seen: Dict[str, int] = {}
 
     def _on_delivery(self, channel: Channel, delivery: Delivery) -> None:
         msg = delivery.message
@@ -177,7 +179,7 @@ class ReferenceStreamPipeline(StreamPipeline):
         ) as sp:
             parser = self._parsers.get(host)
             if parser is None:
-                parser = self._parsers[host] = RawFileParser(
+                parser = self._parsers[host] = ReferenceRawFileParser(
                     on_error="quarantine"
                 )
                 self._errors_seen[host] = 0
@@ -218,7 +220,7 @@ class ReferenceStreamPipeline(StreamPipeline):
     def _collect_sample(
         self,
         sample,
-        parser: RawFileParser,
+        parser: ReferenceRawFileParser,
         batch: Dict[Tuple[str, str, str], Tuple[list, list]],
     ) -> None:
         """Fold one parsed sample into the delivery's write batch."""

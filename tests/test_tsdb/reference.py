@@ -36,9 +36,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.rawfile import RawFileParser
 from repro.hardware.counters import correct_rollover
 from repro.tsdb.store import SeriesGroup, TimeSeriesDB, _tagkey
+from tests.test_core.reference import ReferenceRawFileParser
 
 #: every Chunk slot the encoder decides (``chunk_id`` is a process-wide
 #: serial number, not a property of the data)
@@ -165,7 +165,7 @@ def ingest_file_reference(
 ) -> Tuple[int, int]:
     """The pre-PR-13 ``ingest_file`` body: per-sample gather."""
     wanted = set(types) if types is not None else None
-    parser = RawFileParser()
+    parser = ReferenceRawFileParser()
     #: (type, device, event) → ([ts...], [value...])
     columns: Dict[Tuple[str, str, str], Tuple[list, list]] = {}
     samples = 0
