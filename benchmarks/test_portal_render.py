@@ -2,24 +2,27 @@
 
 A machine-independent gate beside the wall-clock claim of
 ``BENCHMARK.json``'s ``portal_cold``: each of that workload's six route
-shapes is rendered once, cold, on a fixed fixture under ``cProfile``,
-and what is recorded is *counts* — Python-level function calls and SQL
-statements per render.  They repeat exactly from run to run on one
-interpreter + NumPy, so they need no repetitions, no quiet machine and
-no second checkout.
+shapes, and ``/date/<day>``, is rendered once, cold, on a fixed fixture
+under ``cProfile``, and what is recorded is *counts* — Python-level
+function calls, SQL statements and selected columns per render.  They
+repeat exactly from run to run on one interpreter + NumPy, so they need
+no repetitions, no quiet machine and no second checkout.
 
 The fixture mirrors ``bench/wl_portal.py``: a 5000-job generated
 population, a TSDB prefilled with 64 hosts x 33 series x 1080 one-minute
 samples and sealed, a started ``StreamPipeline`` on it, ``PortalApp`` on
 both.  ``HEAD_CALLS`` are this file's counts at commit ``b5a580a`` (the
-parent of the PR that rewrote the render path), measured in this
-repository's container (Python 3.11.7, NumPy 2.4); the gates are ratios
-to them with room for another interpreter's bookkeeping calls.
+parent of PR 17, which rewrote the render path), measured in this
+repository's container (Python 3.11.7, NumPy 2.4); the call gates are
+ratios to them.
 
 Gates: exactly one SQL statement per job-table-backed render (it was
-two: ``list(queryset)`` asked ``len()`` first); calls per render at
-most 0.5x the parent's for the front page and the wide search, at most
-0.65x for the two charts (whose TSDB query half this PR did not touch).
+two: ``list(queryset)`` asked ``len()`` first); that statement names
+its columns — no ``SELECT *``, at most 16 — on ``/``, ``/search`` and
+``/date`` (PR 22: a page selects what it shows; ``/job`` shows the whole
+record); calls per render at most ``MAX_RATIO`` of ``b5a580a``'s, which
+is what PR 22 measured plus at most 10 % — between PR 17 and PR 22 the
+gates had 35 % of headroom and three PRs added 10 % to the charts unseen.
 """
 
 import cProfile
@@ -66,15 +69,23 @@ HEAD_CALLS = {
     "job": 341,
     "tsdb_host": 4_755,
     "tsdb_fleet": 21_984,
+    "date": 13_050,
 }
+#: the ratios PR 22 measured (0.276, 0.258, 0.161, 0.812, 0.329, 0.290,
+#: 0.228) plus at most 10 %; the host chart's also keeps it below the
+#: 1 923 calls (0.404) it had grown to by ``560f94d``
 MAX_RATIO = {
-    "front": 0.5, "search_wide": 0.5, "tsdb_host": 0.65, "tsdb_fleet": 0.65,
+    "front": 0.30, "search": 0.28, "search_wide": 0.175, "job": 0.88,
+    "tsdb_host": 0.355, "tsdb_fleet": 0.305, "date": 0.25,
 }
 #: SQL statements one render may issue: one per job-table page
 SQL_STATEMENTS = {
     "front": 1, "search": 1, "search_wide": 1, "job": 1,
-    "tsdb_host": 0, "tsdb_fleet": 0,
+    "tsdb_host": 0, "tsdb_fleet": 0, "date": 1,
 }
+#: columns the one statement of a job-list page may select (12 shown,
+#: the primary key, ``flags`` or the two histogram fields not shown)
+MAX_COLUMNS = {"front": 16, "search": 16, "search_wide": 16, "date": 16}
 
 
 def prefill(tsdb: TimeSeriesDB) -> None:
@@ -106,12 +117,13 @@ def prefill(tsdb: TimeSeriesDB) -> None:
 
 
 def route_urls(n: int):
-    """The six ``portal_cold`` route shapes; ``n`` moves every window
-    and threshold so that no two calls share a cache entry."""
+    """The six ``portal_cold`` route shapes and a day's job list; ``n``
+    moves every window and threshold so that no two calls share a cache
+    entry."""
     rows = JobRecord.objects.all().values_list(
-        "jobid", "user", "executable", "run_time")
+        "jobid", "user", "executable", "run_time", "end_time")
     by_exe = {}
-    for _, _, exe, run_time in rows:
+    for _, _, exe, run_time, _ in rows:
         by_exe.setdefault(exe, []).append(run_time)
     wide_exe, times = max(by_exe.items(), key=lambda kv: len(kv[1]))
     threshold = sorted(times, reverse=True)[WIDE_MATCHES - 1 - n]
@@ -125,7 +137,14 @@ def route_urls(n: int):
                       f"&group_by=event&rate=1&range={lo}:{lo + 7200}"),
         "tsdb_fleet": ("/tsdb?tag.type=mdc&group_by=host&downsample=600:avg"
                        f"&range={lo}:{lo + 21600}"),
+        "date": (f"/date/{np.datetime64(rows[n][4], 's').astype('M8[D]')}"
+                 f"?v={n}"),
     }
+
+
+def selected_columns(statement: str):
+    """The column list of a ``SELECT <columns> FROM ...`` statement."""
+    return statement[len("SELECT "):statement.index(" FROM ")].split(", ")
 
 
 def test_render_counts_gate():
@@ -154,6 +173,10 @@ def test_render_counts_gate():
             "head_calls": HEAD_CALLS[kind],
             "ratio": round(calls / HEAD_CALLS[kind], 3),
             "sql_statements": len(db.statements),
+            "sql_columns": [
+                "*" if "*" in cols else len(cols)
+                for cols in map(selected_columns, db.statements)
+            ],
             "body_bytes": len(page.body.encode()),
         }
 
@@ -164,14 +187,20 @@ def test_render_counts_gate():
         "routes": measured,
     })
     report(
-        "Portal render path — Python calls and SQL statements per miss",
+        "Portal render path — Python calls, SQL statements and columns "
+        "per miss",
         [(kind, m["head_calls"], m["calls"], m["ratio"],
-          MAX_RATIO.get(kind, "-"), m["sql_statements"])
+          MAX_RATIO.get(kind, "-"), m["sql_statements"],
+          ",".join(map(str, m["sql_columns"])) or "-")
          for kind, m in measured.items()],
-        ["route", "calls @b5a580a", "calls", "ratio", "gate", "SQL"],
+        ["route", "calls @b5a580a", "calls", "ratio", "gate", "SQL",
+         "columns"],
     )
 
     for kind, statements in SQL_STATEMENTS.items():
         assert measured[kind]["sql_statements"] == statements, measured[kind]
+    for kind, limit in MAX_COLUMNS.items():
+        (columns,) = measured[kind]["sql_columns"]
+        assert columns != "*" and columns <= limit, (kind, measured[kind])
     for kind, limit in MAX_RATIO.items():
         assert measured[kind]["ratio"] <= limit, (kind, measured[kind])

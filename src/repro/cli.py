@@ -45,10 +45,12 @@ from repro.cluster import JobSpec, make_app
 from repro.db import Database
 from repro.metrics.table1 import METRIC_REGISTRY
 from repro.pipeline.records import JobRecord
-from repro.portal.histograms import job_histograms, render_ascii
+from repro.portal.histograms import (
+    DEFAULT_PANELS, job_histograms, render_ascii,
+)
 from repro.portal.reports import render_job_list_text
 from repro.portal.search import JobSearch, SearchField
-from repro.portal.views import JobListView
+from repro.portal.views import LIST_COLUMNS, JobListView
 
 #: workload presets for `simulate`
 PRESETS = {
@@ -215,7 +217,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         min_run_time=args.min_runtime,
         fields=_parse_fields(args.field),
     )
-    matches = search.run()
+    # what this command reads: the list, the histogram panels, the flags
+    matches = search.run(only=(
+        *LIST_COLUMNS, *(f for f, _ in DEFAULT_PANELS), "flags"
+    ))
     print(render_job_list_text(JobListView(matches), limit=args.limit))
     flagged = [r for r in matches if r.flags]
     if flagged:

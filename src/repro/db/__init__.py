@@ -8,7 +8,8 @@ and queries them through Django's object-relational mapper (§IV-A,
 * ``filter``/``exclude`` with double-underscore lookups
   (``cpu_usage__gt=0.8``, ``executable__contains="wrf"``),
 * ``Q`` objects for disjunctions,
-* ``order_by``, ``values``, ``values_list``, slicing,
+* ``order_by``, ``values``, ``values_list``, slicing, ``only`` (partial
+  records: an unselected field raises ``FieldNotLoaded``),
 * ``aggregate`` with ``Avg`` / ``Max`` / ``Min`` / ``Sum`` / ``Count``
   (§V-B: *"The Django ORM ... provides a variety of aggregation
   functions including averaging a metric field over a returned job
@@ -28,12 +29,13 @@ from repro.db.fields import (
     IntegerField,
     TextField,
 )
-from repro.db.models import Model
+from repro.db.models import FieldNotLoaded, Model
 from repro.db.queryset import Q, QuerySet
 
 __all__ = [
     "Database",
     "Model",
+    "FieldNotLoaded",
     "Field",
     "IntegerField",
     "FloatField",

@@ -20,8 +20,10 @@ class Database:
     serialized threading mode (``sqlite3.threadsafety == 3``), which
     makes the shared connection safe at the C level; the lock keeps
     each ``execute``/``executemany`` call atomic at the Python level
-    too (each call returns its own cursor, already fully stepped for
-    the fetches the ORM performs).
+    too.  Each call returns its own cursor, and for a ``SELECT`` that
+    cursor has been stepped to its *first* row only: ``fetchall`` steps
+    the rest in the caller, outside the lock, so timing ``execute``
+    measures statement preparation plus one row, not the read.
     """
 
     def __init__(self, path: str = ":memory:") -> None:

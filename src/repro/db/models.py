@@ -33,6 +33,15 @@ from repro.db.fields import Field, IntegerField
 from repro.db.queryset import Q, QuerySet
 
 
+class FieldNotLoaded(Exception):
+    """A field ``QuerySet.only()`` left out was read.
+
+    Deliberately *not* an ``AttributeError``: ``getattr(record, name,
+    None)`` and ``hasattr`` swallow those, and a page would print a
+    plausible ``None`` or ``0`` for a column it never selected.
+    """
+
+
 class Manager:
     """The model's query entry point (``Model.objects``)."""
 
@@ -124,8 +133,8 @@ class Model(metaclass=ModelMeta):
     _table: ClassVar[str]
     objects: ClassVar[Manager]
     _database: ClassVar[Optional[Database]] = None
-    #: result-column tuple → compiled row hydrator (see ``_hydrator``)
-    _hydrators: ClassVar[Dict[Tuple[str, ...], Callable]]
+    #: (result columns, partial) → compiled row hydrator (``_hydrator``)
+    _hydrators: ClassVar[Dict[Tuple[Tuple[str, ...], bool], Callable]]
 
     def __init__(self, **values: Any) -> None:
         unknown = set(values) - set(self._fields)
@@ -136,6 +145,14 @@ class Model(metaclass=ModelMeta):
                 setattr(self, name, values[name])
             else:
                 setattr(self, name, field.default)
+
+    def __getattr__(self, name: str) -> Any:
+        # runs only when normal lookup failed: a loaded field pays nothing
+        if name in getattr(type(self), "_fields", ()):
+            raise FieldNotLoaded(name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     # -- binding -----------------------------------------------------------
     @classmethod
@@ -207,6 +224,8 @@ class Model(metaclass=ModelMeta):
     # -- persistence -----------------------------------------------------------
     def save(self) -> None:
         cols = [n for n in self._fields if n != "id"]
+        # a partial record raises FieldNotLoaded here, before any
+        # statement: saving it would write defaults over unread columns
         vals = [self._fields[c].to_db(getattr(self, c)) for c in cols]
         if getattr(self, "id", None) is None:
             marks = ",".join("?" for _ in cols)
@@ -234,7 +253,7 @@ class Model(metaclass=ModelMeta):
     # -- hydration -----------------------------------------------------------
     @classmethod
     def _hydrator(
-        cls, columns: Tuple[str, ...]
+        cls, columns: Tuple[str, ...], partial: bool = False
     ) -> Callable[[Iterable[Sequence[Any]]], List["Model"]]:
         """The function turning result rows with these ``columns`` (the
         names in ``cursor.description``) into instances.
@@ -242,14 +261,17 @@ class Model(metaclass=ModelMeta):
         Compiled once per result shape and kept on the model class:
         every column position is resolved here, not per row.  A field
         whose ``from_db`` is the base identity is copied by index, any
-        other field goes through its ``from_db``; a field with no column
-        in the result (a table written before ``sync_table`` added it)
-        reads as ``from_db(None)``, a name selected twice reads its first
-        column (as ``sqlite3.Row`` does) and columns that are not fields
-        are ignored.  Threads that race on first use each compile the
-        same plan and ``setdefault`` keeps one of them.
+        other field goes through its ``from_db``; a name selected twice
+        reads its first column (as ``sqlite3.Row`` does) and columns
+        that are not fields are ignored.  A field with no column in the
+        result reads as ``from_db(None)`` in a full record (a table
+        written before ``sync_table`` added it) and is not stored at all
+        in a ``partial`` one (``QuerySet.only()`` did not ask for it:
+        reading it raises :class:`FieldNotLoaded`).  Threads that race
+        on first use each compile the same plan and ``setdefault`` keeps
+        one of them.
         """
-        hydrate = cls._hydrators.get(columns)
+        hydrate = cls._hydrators.get((columns, partial))
         if hydrate is not None:
             return hydrate
         at: Dict[str, int] = {}
@@ -258,6 +280,8 @@ class Model(metaclass=ModelMeta):
         scope: Dict[str, Any] = {"cls": cls, "new": cls.__new__}
         stores = []
         for k, (name, field) in enumerate(cls._fields.items()):
+            if partial and name not in at:
+                continue
             value = f"row[{at[name]}]" if name in at else "None"
             if getattr(field.from_db, "__func__", None) is not Field.from_db:
                 scope[f"from_db_{k}"] = field.from_db
@@ -276,7 +300,9 @@ class Model(metaclass=ModelMeta):
             "    return out\n"
         )
         exec(source, scope)  # names and positions only, no row data
-        return cls._hydrators.setdefault(columns, scope["hydrate"])
+        return cls._hydrators.setdefault(
+            (columns, partial), scope["hydrate"]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pk = getattr(self, "id", None)

@@ -13,7 +13,8 @@ Supported lookup suffixes::
 
 ``Q`` objects combine conditions with ``|`` and ``&`` and negate with
 ``~``.  Query sets are lazy, chainable, sliceable and iterable; each
-evaluation compiles to a single parameterised SQL statement.  One
+evaluation compiles to a single parameterised SQL statement, which
+selects every column or the ones ``only()`` names.  One
 caveat: ``list(qs)`` asks ``len(qs)`` for a size hint first, which is a
 ``COUNT(*)`` of its own — iterate, slice or write ``list(iter(qs))`` to
 read in one statement.
@@ -106,6 +107,8 @@ class QuerySet:
         self._order: List[str] = []
         self._limit: Optional[int] = None
         self._offset: int = 0
+        #: the columns ``only()`` asked for; ``None`` reads full records
+        self._only: Optional[Tuple[str, ...]] = None
 
     # -- chaining -----------------------------------------------------------
     def _clone(self) -> "QuerySet":
@@ -114,6 +117,7 @@ class QuerySet:
         qs._order = list(self._order)
         qs._limit = self._limit
         qs._offset = self._offset
+        qs._only = self._only
         return qs
 
     def filter(self, *qs: Q, **lookups: Any) -> "QuerySet":
@@ -138,6 +142,32 @@ class QuerySet:
 
     def all(self) -> "QuerySet":
         return self._clone()
+
+    def only(self, *fields: str) -> "QuerySet":
+        """Read just these fields (and always the primary key).
+
+        The records come back *partial*: they store what was selected,
+        and reading any other field raises
+        :class:`~repro.db.models.FieldNotLoaded` — never a plausible
+        ``None`` — so ``save()`` refuses them and ``delete()`` works.
+        A second call replaces the first (with no fields: full records
+        again); an unknown name is a ``ValueError`` here, before any SQL.
+        """
+        clone = self._clone()
+        clone._only = tuple(
+            dict.fromkeys(("id", *self._known(fields)))
+        ) if fields else None
+        return clone
+
+    def _known(self, fields: Tuple[str, ...]) -> Tuple[str, ...]:
+        """``fields``, each checked to be a field of the model: the
+        names go into the statement text."""
+        unknown = [f for f in fields if f not in self.model._fields]
+        if unknown:
+            raise ValueError(
+                f"{self.model.__name__} has no field {unknown[0]!r}"
+            )
+        return fields
 
     # -- SQL assembly ---------------------------------------------------------
     def _where_sql(self) -> Tuple[str, List[Any]]:
@@ -173,13 +203,16 @@ class QuerySet:
     # -- evaluation ---------------------------------------------------------
     def _fetch(self) -> List:
         """Run the SELECT and hydrate every row: one statement."""
-        sql, params = self._select()
+        only = self._only
+        sql, params = self._select("*" if only is None else ", ".join(only))
         with obs.span("db.select") as sp:
             cur = self.model._db().execute(sql, params)
             cur.row_factory = None  # tuples: the hydrator reads by position
             columns = tuple(d[0] for d in cur.description)
-            records = self.model._hydrator(columns)(cur.fetchall())
-            sp.set(rows=len(records))
+            hydrate = self.model._hydrator(columns, partial=only is not None)
+            # execute() stepped to the first row; fetchall reads the rest
+            records = hydrate(cur.fetchall())
+            sp.set(rows=len(records), columns=len(columns))
         return records
 
     def __iter__(self) -> Iterator:
@@ -235,7 +268,7 @@ class QuerySet:
         return rows[0]
 
     def values(self, *fields: str) -> List[Dict[str, Any]]:
-        cols = ", ".join(fields) if fields else "*"
+        cols = ", ".join(self._known(fields)) if fields else "*"
         sql, params = self._select(cols)
         cur = self.model._db().execute(sql, params)
         return [dict(r) for r in cur.fetchall()]
@@ -243,7 +276,7 @@ class QuerySet:
     def values_list(self, *fields: str, flat: bool = False) -> List:
         if flat and len(fields) != 1:
             raise ValueError("flat=True requires exactly one field")
-        cols = ", ".join(fields)
+        cols = ", ".join(self._known(fields))
         sql, params = self._select(cols)
         cur = self.model._db().execute(sql, params)
         rows = cur.fetchall()

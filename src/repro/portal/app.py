@@ -42,22 +42,22 @@ from repro import obs
 from repro.core.store import CentralStore
 from repro.db.connection import Database
 from repro.pipeline.records import JobRecord
-from repro.portal.histograms import job_histograms
+from repro.portal import histograms, views
 from repro.portal.reports import _PAGE, render_detail_html
 from repro.portal.search import JobSearch, SearchField, browse_date
-from repro.portal.views import LIST_COLUMNS, JobDetailView, JobListView
+from repro.portal.views import JobDetailView, JobListView
 
 #: cell types whose ``str()`` holds nothing HTML escapes, and which
 #: ``str.format`` renders exactly as ``str()`` does
 _PLAIN_CELLS = frozenset({int, float, type(None)})
-_JOB_TABLE_HEAD = (
-    "<table><tr>" + "".join(f"<th>{c}</th>" for c in LIST_COLUMNS) + "</tr>"
-)
+_JOB_TABLE_HEAD = "<table><tr>" + "".join(
+    f"<th>{c}</th>" for c in views.LIST_COLUMNS
+) + "</tr>"
 #: one job-list row, cells by position; the jobid cell links to the job
 _JOB_TABLE_ROW = "<tr>" + "".join(
     f'<td><a href="/job/{{{i}}}">{{{i}}}</a></td>' if col == "jobid"
     else f"<td>{{{i}}}</td>"
-    for i, col in enumerate(LIST_COLUMNS)
+    for i, col in enumerate(views.LIST_COLUMNS)
 ) + "</tr>"
 
 
@@ -164,9 +164,11 @@ class PortalApp:
 
     # -- pages -------------------------------------------------------------
     def front_page(self, params: Dict[str, str]) -> Response:
-        records = list(
-            JobRecord.objects.all().order_by("-end_time")[:50]
-        )
+        # a job-table page selects what it shows: the table's columns
+        # (read where ``JobListView.cells`` reads them) and ``flags``
+        records = JobRecord.objects.all().order_by("-end_time").only(
+            *views.LIST_COLUMNS, "flags"
+        )[:50]
         flagged = [r for r in records if r.flags]
         body = [self._search_form()]
         body.append(f"<h2>Recent jobs ({len(records)})</h2>")
@@ -201,16 +203,17 @@ class PortalApp:
             if params.get("min_runtime") else None,
             fields=fields,
         )
-        matches = search.run()
-        hists = job_histograms(matches)
+        panels = histograms.DEFAULT_PANELS
+        matches = search.run(
+            only=views.LIST_COLUMNS + tuple(f for f, _ in panels)
+        )
+        hists = histograms.job_histograms(matches, panels)
         body = [self._search_form(params)]
         body.append(f"<h2>{len(matches)} jobs</h2>")
         body.append(self._job_table(matches[:200]))
         body.append("<h2>Histograms</h2><pre>")
-        from repro.portal.histograms import render_ascii
-
         for h in hists.values():
-            body.append(html.escape(render_ascii(h)))
+            body.append(html.escape(histograms.render_ascii(h)))
             body.append("\n")
         body.append("</pre>")
         return Response(body=_PAGE.format(
@@ -247,7 +250,7 @@ class PortalApp:
             # like month 13; .timestamp() can instead overflow on
             # platform-edge dates, which must be a 400 too.
             raise ValueError(f"date out of range: {day}") from exc
-        records = browse_date(start)
+        records = browse_date(start, only=views.LIST_COLUMNS)
         body = [f"<h2>Jobs completed on {day} ({len(records)})</h2>",
                 self._job_table(records)]
         return Response(body=_PAGE.format(

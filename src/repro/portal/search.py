@@ -101,22 +101,29 @@ class JobSearch:
             qs = qs.filter(**f.lookup())
         return qs
 
-    def run(self) -> List:
-        """Execute and return matching job records, newest first."""
+    def run(self, only: Sequence[str] = ()) -> List:
+        """Execute and return matching job records, newest first:
+        full records, or partial ones holding the ``only`` fields the
+        caller reads (:meth:`~repro.db.queryset.QuerySet.only`)."""
         # iter(): list() on the query set itself would COUNT(*) first
-        return list(iter(self.queryset().order_by("-start_time")))
+        return list(iter(
+            self.queryset().order_by("-start_time").only(*only)
+        ))
 
     def flagged_sublist(self) -> List:
         """The flagged jobs among the matches (§V-A sublist)."""
         return [r for r in self.run() if r.flags]
 
 
-def browse_date(day_start: int, day_end: Optional[int] = None) -> List:
-    """\"View all jobs for a given date\" (Fig. 3 calendar)."""
+def browse_date(
+    day_start: int, day_end: Optional[int] = None, only: Sequence[str] = ()
+) -> List:
+    """\"View all jobs for a given date\" (Fig. 3 calendar); ``only``
+    as in :meth:`JobSearch.run`."""
     if day_end is None:
         day_end = day_start + 86_400
     return list(iter(
         JobRecord.objects.filter(
             end_time__gte=day_start, end_time__lt=day_end
-        ).order_by("end_time")
+        ).order_by("end_time").only(*only)
     ))

@@ -30,17 +30,19 @@ Both caches are shared mutable state on the portal's concurrent read
 path (``repro.portal.server`` dispatches requests on a thread pool),
 so every entry mutation — the LRU ``move_to_end``/``popitem`` pair
 most of all — happens under a per-cache :class:`threading.RLock`.
-Membership peeks against ``_entries`` from the store's scan planner
-stay lock-free: a stale answer only costs a redundant decode (the
-readers fall back to decoding when an entry vanished), never a wrong
-result, because chunk ids are process-unique.
+The store's scan takes every chunk it will read in one
+:meth:`BufferCache.get_many` — one lock hold, the columns in hand from
+then on.  The ``window_stats`` planner still peeks at ``_entries``
+lock-free: a stale answer only costs a redundant decode (its reader
+falls back to decoding when an entry vanished), never a wrong result,
+because chunk ids are process-unique.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Iterable, Optional, Tuple
+from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,24 +145,31 @@ class BufferCache:
 
     def get(self, chunk_id: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The decoded columns, or None when the chunk must be decoded."""
+        return self.get_many((chunk_id,))[0]
+
+    def get_many(
+        self, chunk_ids: Sequence[int]
+    ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
+        """The decoded columns per id, ``None`` where the chunk must be
+        decoded: one lock hold for the whole list, recency touched in
+        list order, every id counted as one hit or one miss."""
         with self._lock:
-            entry = self._entries.get(chunk_id)
-            if entry is not None:
-                self._entries.move_to_end(chunk_id)
-                self.hits += 1
-        if entry is not None:
+            entries = self._entries
+            found = []
+            for cid in chunk_ids:
+                entry = entries.get(cid)
+                if entry is not None:
+                    entries.move_to_end(cid)
+                found.append(entry)
+            hits = len(found) - found.count(None)
+            self.hits += hits
+        if hits:
             obs.counter(
                 "repro_tsdb_buffer_cache_hits_total",
                 "chunk decodes avoided by the decoded-buffer cache",
-            ).inc()
-            return entry
-        with self._lock:
-            self.misses += 1
-        obs.counter(
-            "repro_tsdb_buffer_cache_misses_total",
-            "chunk decodes that had to run",
-        ).inc()
-        return None
+            ).inc(hits)
+        self.note_misses(len(found) - hits)
+        return found
 
     def put(self, chunk_id: int, t: np.ndarray, v: np.ndarray) -> None:
         with self._lock:
@@ -188,9 +197,9 @@ class BufferCache:
     def note_misses(self, n: int) -> None:
         """Account for ``n`` decodes planned against this cache.
 
-        The batched scan path peeks at membership first, gathers every
-        absent chunk across all series, and decodes them in one call —
-        so the misses are counted here, once per planned decode,
+        The ``window_stats`` planner peeks at membership first, gathers
+        every absent chunk across all series, and decodes them in one
+        call — so the misses are counted here, once per planned decode,
         instead of through :meth:`get`.
         """
         if n:

@@ -48,9 +48,7 @@ import numpy as np
 from repro import obs
 from repro.core.rawfile import BlockParser
 from repro.core.store import CentralStore
-from repro.tsdb.chunks import (
-    CHUNK_POINTS, Chunk, decode_concat, decode_many, seal_many,
-)
+from repro.tsdb.chunks import CHUNK_POINTS, Chunk, decode_concat, seal_many
 
 TagKey = Tuple[Tuple[str, str], ...]
 
@@ -434,22 +432,9 @@ class _Series:
     def arrays(
         self, time_range: Optional[Tuple[int, int]] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted, deduplicated columns, optionally only [lo, hi).
-
-        With a ``time_range`` the sealed chunks are filtered on their
-        metadata first, so out-of-window chunks are never decoded; a
-        series whose full columns are already materialised answers a
-        window by binary-search slicing instead.  Chunk decodes go
-        through the store's decoded-buffer cache when one is attached,
-        and the misses of one call are decoded in a single batch.
-        """
-        cols = self.materialised(time_range)
-        if cols is not None:
-            return cols
-        lo, hi = time_range if time_range is not None else (None, None)
-        _, needed = self.pending_chunks(lo, hi)
-        decoded = self.decode_into({}, needed)
-        return self.assemble(decoded, lo, hi, cache_full=time_range is None)
+        """Sorted, deduplicated columns, optionally only [lo, hi): a
+        :func:`_scan` of this one series."""
+        return _scan([self], time_range, self.buffer_cache)[0]
 
     def materialised(
         self, time_range: Optional[Tuple[int, int]]
@@ -463,98 +448,6 @@ class _Series:
             return t, v
         i, j = np.searchsorted(t, time_range)
         return t[i:j], v[i:j]
-
-    def pending_chunks(
-        self, lo: Optional[int], hi: Optional[int]
-    ) -> Tuple[List[Chunk], List[Chunk]]:
-        """``(overlapping, pending)`` sealed chunks for a window.
-
-        ``overlapping`` survived the metadata pushdown; ``pending`` is
-        the subset whose decode is not in the buffer cache yet.
-        Store-level :meth:`TimeSeriesDB.scan` collects the pending
-        sets across every selected series and decodes them in one
-        :func:`~repro.tsdb.chunks.decode_concat` batch — and when
-        *every* overlapping chunk is pending (a truly cold series) it
-        skips the per-chunk merge entirely, because consecutive chunks
-        of one series decode into one contiguous span.
-        """
-        if self.materialised(None) is not None:
-            return [], []
-        if lo is None and hi is None:
-            overlapping = self.chunks
-        else:
-            overlapping = [c for c in self.chunks if c.overlaps(lo, hi)]
-        if self.buffer_cache is None or not self.buffer_cache._entries:
-            return overlapping, overlapping
-        resident = self.buffer_cache._entries
-        pending = [c for c in overlapping if c.chunk_id not in resident]
-        return overlapping, pending
-
-    def decode_into(
-        self,
-        decoded: Dict[int, Tuple[np.ndarray, np.ndarray]],
-        needed: List[Chunk],
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Batch-decode ``needed`` into the ``decoded`` map."""
-        if needed:
-            if self.buffer_cache is not None:
-                self.buffer_cache.note_misses(len(needed))
-            for chunk, cols in zip(needed, decode_many(needed)):
-                decoded[chunk.chunk_id] = cols
-        return decoded
-
-    def assemble(
-        self,
-        decoded: Dict[int, Tuple[np.ndarray, np.ndarray]],
-        lo: Optional[int],
-        hi: Optional[int],
-        cache_full: bool,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Merge decoded chunks + head into the final sorted columns.
-
-        ``decoded`` maps chunk ids to freshly decoded columns; chunks
-        not in it are taken from the buffer cache (populating the
-        cache with the fresh decodes on the way through).
-        """
-        cache = self.buffer_cache
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        for chunk in self.chunks:
-            if not chunk.overlaps(lo, hi):
-                continue
-            cols = decoded.get(chunk.chunk_id)
-            if cols is None and cache is not None:
-                cols = cache.get(chunk.chunk_id)
-            if cols is None:  # decoded without a cache attached
-                cols = decode_many([chunk])[0]
-            elif cache is not None and chunk.chunk_id not in cache._entries:
-                cache.put(chunk.chunk_id, *cols)
-            t, v = cols
-            if lo is not None and hi is not None and (
-                t[0] < lo or t[-1] >= hi
-            ):
-                m = (t >= lo) & (t < hi)
-                t, v = t[m], v[m]
-            parts.append((t, v))
-        t, v = self.head()
-        if len(t):
-            if lo is not None:
-                m = (t >= lo) & (t < hi)
-                t, v = t[m], v[m]
-            parts.append((t, v))
-
-        if not parts:
-            t, v = np.empty(0, dtype=np.int64), np.empty(0)
-        else:
-            t = np.concatenate([p[0] for p in parts])
-            v = np.concatenate([p[1] for p in parts])
-            if not self._ordered:
-                # rare path: out-of-order or duplicate writes happened;
-                # concatenation order is insertion order, so the stable
-                # sort + keep-last reproduces the flat-list semantics
-                t, v = _sort_dedupe(t, v)
-        if cache_full:
-            self._full = (self._block.stamp, t, v)
-        return t, v
 
     def drop_read_cache(self) -> None:
         """Forget materialised columns (cold-read benchmarking)."""
@@ -597,6 +490,113 @@ class _Series:
 
     def __len__(self) -> int:
         return sum(c.count for c in self.chunks) + self.head_len()
+
+
+def _scan(
+    series_list: Sequence[_Series],
+    time_range: Optional[Tuple[int, int]],
+    cache: Optional[object],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Sorted, deduplicated ``(t, v)`` per series, optionally only
+    ``[lo, hi)``: the one read plan, behind :meth:`TimeSeriesDB.scan`
+    and :meth:`_Series.arrays` alike.
+
+    *Plan.*  A series whose full columns are materialised answers by
+    binary search.  Every other one lists, in one pass over its chunk
+    metadata, the sealed chunks the window touches — out-of-window
+    chunks are never decoded.
+    *Fetch.*  The buffer cache (``cache``, ``None`` when disabled) is
+    asked for all of them in one :meth:`BufferCache.get_many`: one lock
+    hold, recency touched in series order, hits and misses counted once.
+    The resident columns are in hand from then on, so a later eviction
+    cannot matter; the rest — across every series — is decoded in one
+    :func:`~repro.tsdb.chunks.decode_concat` batch.  A windowed scan
+    files those decodes in the cache (the next window will want some of
+    them again); an unwindowed one memoises each series whole instead.
+    *Assemble.*  Per series, oldest part first: resident columns as they
+    are, each run of consecutive fresh decodes as one slice of the
+    batch, then the open points.  In an in-order series the parts are
+    sorted and disjoint, so only the first and the last chunk part and
+    the head can cross a window edge: they are cut by binary search,
+    and a read that ends up with a single part returns that view, never
+    a copy.  A series that saw out-of-order or duplicate writes merges
+    whole parts in insertion order, masks, and stable-sorts keeping the
+    last value per timestamp — the flat-list semantics.
+    """
+    lo, hi = time_range if time_range is not None else (None, None)
+    out = [s.materialised(time_range) for s in series_list]
+    plans: List[Optional[List[Chunk]]] = []
+    wanted: List[Chunk] = []
+    for s, cols in zip(series_list, out):
+        plan = None
+        if cols is None:
+            plan = s.chunks if time_range is None else [
+                c for c in s.chunks if c.overlaps(lo, hi)
+            ]
+            wanted += plan
+        plans.append(plan)
+    resident = [None] * len(wanted) if cache is None else cache.get_many(
+        [c.chunk_id for c in wanted]
+    )
+    needed = [c for c, cols in zip(wanted, resident) if cols is None]
+    if needed:
+        gt, gv, bounds = decode_concat(needed)
+        bounds = bounds.tolist()
+        if cache is not None and time_range is not None:
+            cache.put_many([
+                (c.chunk_id, (gt[a:b], gv[a:b]))
+                for c, a, b in zip(needed, bounds, bounds[1:])
+            ])
+    i = p = 0  # the next chunk of ``wanted``, the next decode of ``needed``
+    for k, (s, plan) in enumerate(zip(series_list, plans)):
+        if plan is None:
+            continue
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        stop = i + len(plan)
+        while i < stop:
+            cols = resident[i]
+            i += 1
+            if cols is None:
+                a = bounds[p]
+                p += 1
+                while i < stop and resident[i] is None:
+                    i += 1
+                    p += 1
+                cols = gt[a:bounds[p]], gv[a:bounds[p]]
+            parts.append(cols)
+        ht, hv = s.head()
+        ordered = s._ordered
+        if ordered and time_range is not None:
+            if parts:
+                t, v = parts[0]
+                if t[0] < lo:
+                    a = t.searchsorted(lo)
+                    parts[0] = t[a:], v[a:]
+                t, v = parts[-1]
+                if t[-1] >= hi:
+                    b = t.searchsorted(hi)
+                    parts[-1] = t[:b], v[:b]
+            if len(ht):
+                a, b = ht.searchsorted(time_range)
+                ht, hv = ht[a:b], hv[a:b]
+        if len(ht):
+            parts.append((ht, hv))
+        if not parts:
+            t, v = _NO_T, _NO_V
+        elif len(parts) == 1:
+            t, v = parts[0]
+        else:
+            t = np.concatenate([part[0] for part in parts])
+            v = np.concatenate([part[1] for part in parts])
+        if not ordered:
+            if time_range is not None:
+                m = (t >= lo) & (t < hi)
+                t, v = t[m], v[m]
+            t, v = _sort_dedupe(t, v)
+        if time_range is None:
+            s._full = (s._block.stamp, t, v)
+        out[k] = (t, v)
+    return out
 
 
 class SeriesGroup:
@@ -984,103 +984,12 @@ class TimeSeriesDB:
         series_list: Sequence[object],
         time_range: Optional[Tuple[int, int]] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Materialise many series at once; returns aligned ``(t, v)``.
-
-        The fleet-wide read path: every sealed chunk that survives
-        pushdown and misses the decoded-buffer cache — across *all*
-        requested series — is decompressed in one batched
-        :func:`~repro.tsdb.chunks.decode_concat` call, then each
-        series assembles its columns from the decode map, in the
-        caller's series order.
-        """
+        """Materialise many series at once; returns aligned ``(t, v)``
+        in the caller's series order.  The fleet-wide read path: one
+        plan, one buffer-cache fetch and one batched decode for *all*
+        requested series (:func:`_scan`)."""
         with self.read_locked():
-            return self._scan_locked(series_list, time_range)
-
-    def _scan_locked(
-        self,
-        series_list: Sequence[object],
-        time_range: Optional[Tuple[int, int]],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        lo, hi = time_range if time_range is not None else (None, None)
-
-        needed: List[Chunk] = []
-        plans: List[Tuple[List[Chunk], List[Chunk], int]] = []
-        for s in series_list:
-            overlapping, pending = s.pending_chunks(lo, hi)
-            plans.append((overlapping, pending, len(needed)))
-            needed.extend(pending)
-
-        if self.buffer_cache is not None:
-            self.buffer_cache.note_misses(len(needed))
-        decoded: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        spans: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        if needed:
-            spans = decode_concat(needed)
-
-        def _chunk_cols(start: int, k: int) -> None:
-            """Lazily slice per-chunk columns out of the batch decode.
-
-            Only series that fall back to the per-chunk merge (warm
-            cache, out-of-order writes) pay for this; a cold full
-            scan hands each series its contiguous span directly and
-            its repeat reads are served by ``_full``, so populating
-            the chunk cache for it would be pure overhead.
-            """
-            gt, gv, bounds = spans
-            fresh = []
-            for i in range(start, start + k):
-                cols = (
-                    gt[bounds[i]:bounds[i + 1]],
-                    gv[bounds[i]:bounds[i + 1]],
-                )
-                decoded[needed[i].chunk_id] = cols
-                fresh.append((needed[i].chunk_id, cols))
-            if self.buffer_cache is not None:
-                self.buffer_cache.put_many(fresh)
-
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for s, (overlapping, pending, start) in zip(series_list, plans):
-            cols = s.materialised(time_range)
-            if cols is not None:
-                out.append(cols)
-            elif (
-                spans is not None
-                and s._ordered
-                and len(pending) == len(overlapping)
-            ):
-                # truly cold in-order series: its chunks decoded into
-                # one contiguous span of the batch — slice, window,
-                # append the head; no per-chunk merge at all
-                gt, gv, bounds = spans
-                a, b = bounds[start], bounds[start + len(pending)]
-                t, v = gt[a:b], gv[a:b]
-                if lo is not None and len(t) and (t[0] < lo or t[-1] >= hi):
-                    # the span is sorted, so the window is a slice
-                    i, j = np.searchsorted(t, (lo, hi))
-                    t, v = t[i:j], v[i:j]
-                ht, hv = s.head()
-                if len(ht):
-                    if lo is not None:
-                        i, j = np.searchsorted(ht, (lo, hi))
-                        ht, hv = ht[i:j], hv[i:j]
-                    t = np.concatenate([t, ht])
-                    v = np.concatenate([v, hv])
-                if time_range is None:
-                    s._full = (s._block.stamp, t, v)
-                out.append((t, v))
-                if time_range is not None and pending:
-                    # windowed scans keep the chunk decodes around —
-                    # the next window will want (some of) them again
-                    _chunk_cols(start, len(pending))
-            else:
-                if spans is not None and pending:
-                    _chunk_cols(start, len(pending))
-                out.append(
-                    s.assemble(
-                        decoded, lo, hi, cache_full=time_range is None
-                    )
-                )
-        return out
+            return _scan(series_list, time_range, self.buffer_cache)
 
     def drop_read_caches(self) -> None:
         """Forget every cached read artifact (cold-read benchmarking).

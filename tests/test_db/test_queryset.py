@@ -1,10 +1,17 @@
-"""QuerySet lookups, chaining, ordering, slicing, Q objects."""
+"""QuerySet lookups, chaining, ordering, slicing, Q objects, ``only()``."""
+
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, FloatField, IntegerField, Model, Q, TextField
+from repro.db import (
+    BooleanField, Database, FieldNotLoaded, FloatField, IntegerField, Model,
+    Q, TextField,
+)
+from repro.db.fields import JSONField
+from tests.test_portal.test_render_path import CountingDatabase
 
 
 class Row(Model):
@@ -173,3 +180,146 @@ def test_gt_lookup_matches_python_semantics(values, threshold):
     )
     expected = sum(1 for v in values if v > threshold)
     assert Row.objects.filter(value__gt=threshold).count() == expected
+
+
+# -- only(): partial records --------------------------------------------------
+
+class Part(Model):
+    table_name = "parts"
+    name = TextField()
+    mass = FloatField(default=0.0)
+    live = BooleanField(default=False)
+    extra = JSONField(null=True)
+
+
+@pytest.fixture
+def parts():
+    d = CountingDatabase()
+    Part.bind(d)
+    Part.create_table()
+    Part.objects.bulk_create([
+        Part(name=f"p{i}", mass=float(i), live=bool(i % 2), extra={"i": [i]})
+        for i in range(5)
+    ])
+    d.statements.clear()
+    return d
+
+
+def test_only_selects_the_primary_key_and_what_was_asked(parts):
+    got = list(iter(Part.objects.all().order_by("id").only("name")))
+    assert parts.statements == ["SELECT id, name FROM parts ORDER BY id ASC"]
+    assert [vars(r) for r in got] == [
+        {"id": i + 1, "name": f"p{i}"} for i in range(5)
+    ]
+    # asking for the key, or for a name twice, selects it once
+    Part.objects.all().only("id", "mass", "mass").first()
+    assert parts.statements[-1] == "SELECT id, mass FROM parts LIMIT 1"
+    # field conversion is still applied to what was selected
+    r = Part.objects.filter(name="p3").only("live", "extra").first()
+    assert r.live is True and r.extra == {"i": [3]}
+    assert vars(r) == {"id": 4, "live": True, "extra": {"i": [3]}}
+
+
+def test_an_unselected_field_never_reads_as_a_plausible_none(parts):
+    assert not issubclass(FieldNotLoaded, AttributeError)
+    r = Part.objects.all().only("name").first()
+    for missing in ("mass", "live", "extra"):
+        with pytest.raises(FieldNotLoaded, match=missing):
+            getattr(r, missing)
+        with pytest.raises(FieldNotLoaded):
+            getattr(r, missing, None)   # what JobListView.cells does
+        with pytest.raises(FieldNotLoaded):
+            hasattr(r, missing)
+    assert (r.id, r.name) == (1, "p0")
+    # a name that is no field is an ordinary missing attribute
+    with pytest.raises(AttributeError):
+        r.nope
+    assert getattr(r, "nope", 7) == 7 and not hasattr(r, "nope")
+    # a full record, and one built in Python, load everything
+    assert Part.objects.all().first().mass == 0.0
+    assert Part(name="x").extra is None
+
+
+def test_save_refuses_a_partial_record_and_delete_deletes(parts):
+    r = Part.objects.filter(name="p2").only("name").first()
+    r.name = "renamed"
+    parts.statements.clear()
+    with pytest.raises(FieldNotLoaded):
+        r.save()
+    assert parts.statements == []       # nothing written over unread columns
+    assert Part.objects.filter(name="p2").count() == 1
+    r.delete()
+    assert Part.objects.filter(name="p2").count() == 0
+    assert Part.objects.count() == 4
+
+
+@pytest.mark.parametrize("read", [
+    lambda qs, name: qs.only(name),
+    lambda qs, name: qs.only("name", name),
+    lambda qs, name: qs.values(name),
+    lambda qs, name: qs.values_list("name", name),
+    lambda qs, name: qs.values_list(name, flat=True),
+])
+def test_a_name_that_is_no_field_is_refused_before_any_sql(parts, read):
+    for name in ("nope", "name, mass", "name FROM parts; --", "*", ""):
+        with pytest.raises(ValueError, match="Part has no field"):
+            read(Part.objects.all(), name)
+    assert parts.statements == []
+
+
+def test_only_composes_with_the_rest_of_the_chain(parts):
+    qs = Part.objects.all().only("name", "mass")
+
+    def partial(rows):
+        assert all(set(vars(r)) == {"id", "name", "mass"} for r in rows)
+        return [r.name for r in rows]
+
+    assert partial(qs.filter(mass__gte=3).order_by("-mass")) == ["p4", "p3"]
+    assert partial(qs.exclude(live=True).order_by("id")) == ["p0", "p2", "p4"]
+    assert partial(qs.order_by("id")[1:3]) == ["p1", "p2"]
+    assert partial([qs.order_by("id")[4]]) == ["p4"]
+    assert partial([qs.order_by("-id").first()]) == ["p4"]
+    assert partial([qs.get(name="p1")]) == ["p1"]
+    assert partial([Part.objects.filter(live=True).only("name", "mass")
+                    .order_by("id").first()]) == ["p1"]
+    assert all(s.startswith("SELECT id, name, mass FROM parts")
+               for s in parts.statements)
+    # a second call replaces the first; with no fields, full records again
+    again = qs.only("live").order_by("id").first()
+    assert vars(again) == {"id": 1, "live": False}
+    full = qs.only().order_by("id").first()
+    assert set(vars(full)) == set(Part._fields)
+    assert parts.statements[-1].startswith("SELECT * FROM parts")
+    # the original query set is untouched, counting ignores the projection
+    assert partial(qs.order_by("id")[:1]) == ["p0"]
+    assert qs.count() == len(qs) == 5 and qs.exists()
+
+
+def test_full_and_partial_reads_of_a_table_written_before_sync_table():
+    """``SELECT *`` over a table that lacks a column reads it as
+    ``from_db(None)``; *asking* for that column is an SQL error, as
+    filtering or ordering on it already is.  The two hydrators share a
+    result shape — ``(id, name)`` — and are kept apart."""
+
+    class Legacy(Model):
+        table_name = "legacy"
+        name = TextField()
+        added = BooleanField(null=True, default=True)
+
+    d = Database()
+    Legacy.bind(d)
+    d.execute("CREATE TABLE legacy (id INTEGER PRIMARY KEY, name TEXT)")
+    d.execute("INSERT INTO legacy (name) VALUES ('old')")
+    full = Legacy.objects.all().first()
+    part = Legacy.objects.all().only("name").first()
+    assert vars(full) == {"id": 1, "name": "old", "added": None}
+    assert vars(part) == {"id": 1, "name": "old"}
+    with pytest.raises(FieldNotLoaded):
+        part.added
+    assert sorted(Legacy._hydrators) == [
+        (("id", "name"), False), (("id", "name"), True)]
+    for broken in (Legacy.objects.all().only("added"),
+                   Legacy.objects.filter(added=True),
+                   Legacy.objects.all().order_by("added")):
+        with pytest.raises(sqlite3.OperationalError, match="added"):
+            broken.first()

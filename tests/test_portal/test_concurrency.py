@@ -195,36 +195,53 @@ def test_first_hydration_of_a_model_from_many_threads():
     ])
     want = [(f"r{i}", i, bool(i % 2), {"i": [i]}) for i in range(50)]
     assert Fresh._hydrators == {}
-    barrier = threading.Barrier(N_THREADS)
-    got = [None] * N_THREADS
-    failures = []
 
-    def reader(tid):
+    def race(read):
+        barrier = threading.Barrier(N_THREADS)
+        got = [None] * N_THREADS
+        failures = []
+
+        def reader(tid):
+            try:
+                barrier.wait(timeout=30)
+                got[tid] = read()
+            except Exception as exc:  # noqa: BLE001
+                failures.append((tid, repr(exc)))
+
+        threads = [
+            threading.Thread(target=reader, args=(i,))
+            for i in range(N_THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            barrier.wait(timeout=30)
-            got[tid] = [
-                (r.name, r.rank, r.live, r.extra)
-                for r in Fresh.objects.all().order_by("rank")
-            ]
-        except Exception as exc:  # noqa: BLE001
-            failures.append((tid, repr(exc)))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        return got
 
-    threads = [
-        threading.Thread(target=reader, args=(i,)) for i in range(N_THREADS)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert failures == []
+    got = race(lambda: [
+        (r.name, r.rank, r.live, r.extra)
+        for r in Fresh.objects.all().order_by("rank")
+    ])
     assert all(rows == want for rows in got)
     assert len(Fresh._hydrators) == 1
+    # one more shape: a projection nobody has read yet compiles its own
+    # plan beside the full one, and the race again leaves one of it
+    got = race(lambda: [
+        vars(r) for r in Fresh.objects.all().order_by("rank")
+        .only("extra", "live")
+    ])
+    assert all(rows == [
+        {"id": i + 1, "live": live, "extra": extra}
+        for i, (_, _, live, extra) in enumerate(want)
+    ] for rows in got)
+    assert len(Fresh._hydrators) == 2
 
 
 # -- direct cache hammers --------------------------------------------------

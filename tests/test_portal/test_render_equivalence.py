@@ -3,7 +3,10 @@
 ``tests/test_portal/reference.py`` holds the code PR 17 replaced; every
 property here renders the same input through it and through production
 and requires equal characters — and that production raises no warning
-category the oracle does not raise too.
+category the oracle does not raise too.  The oracle reads full records
+(``SELECT *``); production's job-table pages read the columns they show
+(``QuerySet.only``), so the whole-page tests also hold that a page from
+partial records is the page from full ones.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.popgen import generate_population
 from repro.broker import Broker
+from repro.cli import main as cli_main
 from repro.db import (
     BooleanField,
     Database,
+    FieldNotLoaded,
     FloatField,
     IntegerField,
     Model,
@@ -31,7 +36,7 @@ from repro.db import (
 from repro.db.fields import JSONField
 from repro.db.models import ModelMeta
 from repro.pipeline.records import JobRecord
-from repro.portal import plots
+from repro.portal import histograms, plots, views
 from repro.portal.app import PortalApp
 from repro.portal.views import LIST_COLUMNS, JobListView
 from repro.stream import StreamPipeline
@@ -39,6 +44,7 @@ from repro.tsdb import TimeSeriesDB, render
 from repro.tsdb.query import QueryResult, ResultSeries
 
 from tests.test_portal import reference
+from tests.test_portal.test_render_path import CountingDatabase
 
 #: what HTML escapes, a quote of each kind, and text outside ASCII
 _TEXT = st.text(
@@ -336,7 +342,7 @@ _EVENTS = {"cpu": ("user", "system", "idle"), "mdc": ("reqs", "wait_us")}
 def cold_portal():
     """The ``portal_cold`` fixture in small: a generated population, a
     prefilled sealed TSDB and a started stream pipeline on it."""
-    db = Database()
+    db = CountingDatabase()
     generate_population(db, 300, seed=5)
     tsdb = TimeSeriesDB()
     rng = np.random.default_rng(5)
@@ -392,3 +398,117 @@ def test_six_route_shapes_render_the_oracles_bytes(cold_portal):
     assert got["search_wide"].count("<tr>") > 50
     assert got["tsdb_fleet"].count("<polyline") == 6
     assert got["tsdb_host"].count("<polyline") == 3
+
+
+def _job_table_urls(db):
+    JobRecord.bind(db)
+    rows = JobRecord.objects.all().values_list(
+        "user", "executable", "queue", "status", "end_time", "MetaDataRate")
+    user, exe, queue, status, end_time, _ = rows[0]
+    day = np.datetime64(int(end_time), "s").astype("datetime64[D]")
+    rate = sorted(r[-1] for r in rows if r[-1] is not None)[len(rows) // 2]
+    return {
+        "front": "/",
+        "narrow": f"/search?user={user}&min_runtime=60",
+        "wide": "/search?min_runtime=1",
+        "none": "/search?user=nobody",
+        "by_exe": f"/search?exe={exe[:4]}",
+        "by_queue": f"/search?queue={queue}",
+        "by_status": f"/search?status={status}",
+        "three_fields": (f"/search?f1=MetaDataRate__gte&v1={rate}"
+                         "&f2=CPU_Usage__gt&v2=0.05&f3=MemUsage__lte&v3=1e12"),
+        "date": f"/date/{day}",
+    }
+
+
+def test_job_table_pages_from_partial_records_are_the_full_record_pages(
+    cold_portal,
+):
+    app, db, _ = cold_portal
+    urls = _job_table_urls(db)
+
+    def render_all():
+        db.statements.clear()
+        pages = {}
+        for kind, url in urls.items():
+            resp = app.get_url(url)
+            assert resp.status == 200, (kind, resp.body[:200])
+            pages[kind] = resp.body
+        return pages, list(db.statements)
+
+    got, statements = render_all()
+    with reference.reference_portal():
+        want, full_statements = render_all()
+    assert got == want
+    # one statement a page on both sides: production's names the columns
+    # the page shows, the oracle's reads every column
+    assert len(statements) == len(full_statements) == len(urls)
+    assert all(s.startswith("SELECT id, jobid, user, ") for s in statements)
+    assert all(s.startswith("SELECT * FROM job") for s in full_statements)
+    assert "<h2>0 jobs</h2>" in got["none"]
+    assert got["wide"].count("<tr>") == 201 < int(
+        re.search(r"<h2>(\d+) jobs</h2>", got["wide"]).group(1))
+    for kind in ("narrow", "by_exe", "by_queue", "by_status", "three_fields",
+                 "date", "front"):
+        assert got[kind].count("<tr>") > 1, kind
+    assert "<h2>Flagged (0)</h2>" not in got["front"]
+
+
+def test_repro_search_prints_the_same_from_partial_records(tmp_path, capsys):
+    path = str(tmp_path / "jobs.db")
+    with Database(path) as db:
+        generate_population(db, 300, seed=5)
+    argv = ["search", "--db", path, "--min-runtime", "1", "--histograms",
+            "--limit", "25"]
+
+    def run():
+        assert cli_main(argv) == 0
+        return capsys.readouterr().out
+
+    got = run()
+    with reference.reference_portal():
+        want = run()
+    assert got == want
+    assert "flagged (" in got and "Metadata Reqs" in got
+
+
+def test_the_selected_columns_follow_the_constants_the_readers_use(
+    cold_portal, monkeypatch,
+):
+    """No page types its column list: a column added to the job list or
+    a panel added to the quartet is selected because it is shown."""
+    app, db, _ = cold_portal
+    urls = _job_table_urls(db)
+    before = {k: app.get_url(urls[k]).body for k in ("front", "wide", "date")}
+    monkeypatch.setattr(views, "LIST_COLUMNS", LIST_COLUMNS + ("account",))
+    monkeypatch.setattr(
+        histograms, "DEFAULT_PANELS",
+        histograms.DEFAULT_PANELS + (("CPU_Usage", "CPU usage"),))
+    db.statements.clear()
+    after = {k: app.get_url(urls[k]).body for k in before}
+    assert all(" account" in s for s in db.statements)
+    assert " CPU_Usage" in db.statements[1]
+    # the row template is fixed at import, so the tables are unchanged;
+    # the search page grew its fifth panel
+    assert after["front"] == before["front"]
+    assert after["date"] == before["date"]
+    assert after["wide"].startswith(before["wide"].split("</pre>")[0])
+    assert "CPU usage  (n=" in after["wide"]
+    assert "CPU usage  (n=" not in before["wide"]
+
+
+def test_a_page_handed_records_lacking_a_shown_column_raises(cold_portal):
+    """... instead of printing ``None`` in the cell or a histogram of
+    zeros, which is what ``getattr(r, col, None)`` would make of an
+    ``AttributeError``."""
+    _app, db, _ = cold_portal
+    JobRecord.bind(db)
+    short = JobRecord.objects.all().only(*LIST_COLUMNS[:-1])[:3]
+    with pytest.raises(FieldNotLoaded, match=LIST_COLUMNS[-1]):
+        PortalApp._job_table(short)
+    with pytest.raises(FieldNotLoaded, match=LIST_COLUMNS[-1]):
+        JobListView(short).rows()
+    with pytest.raises(FieldNotLoaded, match="queue_wait"):
+        histograms.job_histograms(short)
+    shown = JobRecord.objects.all().only(*LIST_COLUMNS)[:3]
+    assert "None" not in PortalApp._job_table(shown)

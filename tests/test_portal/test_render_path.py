@@ -119,6 +119,8 @@ def test_a_miss_is_traced_and_a_hit_is_not(portal):
         assert tree[None] == ["portal.render"]
         assert sorted(tree["portal.render"]) == ["db.select", "portal.table"]
         assert by_name["db.select"].attrs["rows"] > 0
+        # the key, the 12 listed columns, the two histogram fields not listed
+        assert by_name["db.select"].attrs["columns"] == 15
 
         get("/tsdb?group_by=host")
         tree, _ = _span_tree("tsdb")

@@ -149,6 +149,24 @@ def test_buffer_cache_put_many_and_note_misses():
     assert len(bc) == 0
 
 
+def test_buffer_cache_get_many_is_one_counted_lookup_per_id():
+    obs.reset()
+    bc = BufferCache(maxsize=3)
+    for cid in (1, 2, 3):
+        bc.put(cid, *cols(cid))
+    found = bc.get_many([3, 9, 1, 8, 7])
+    assert [None if c is None else len(c[0]) for c in found] == [
+        3, None, 1, None, None]
+    assert (bc.hits, bc.misses) == (2, 3)
+    assert obs.counter("repro_tsdb_buffer_cache_hits_total").value() == 2
+    assert obs.counter("repro_tsdb_buffer_cache_misses_total").value() == 3
+    # recency was touched in list order: 2 is now the oldest, then 3, 1
+    bc.put(4, *cols(4))
+    assert list(bc._entries) == [3, 1, 4]
+    assert bc.get_many([]) == [] and (bc.hits, bc.misses) == (2, 3)
+    obs.reset()
+
+
 def test_buffer_cache_maxsize_must_be_positive():
     with pytest.raises(ValueError):
         BufferCache(maxsize=0)

@@ -6,8 +6,9 @@ one-series and group ``put_many``, groups that share series, a superset
 group (a layout change), a raw file loaded by ``ingest_file`` over the
 same series, late and duplicate timestamps, non-finite values,
 ``seal_heads``, ``prune`` with and without a metric, writes through
-handles a prune left stale — and after every step compares it with two
-independent statements of what the store should hold:
+handles a prune left stale, windowed scans through a two-entry buffer
+cache — and after every step compares it with two independent
+statements of what the store should hold:
 
 * the frozen list engine (:class:`~tests.test_tsdb.reference.
   ListBackedTSDB`): every series' sorted columns, ``query`` and
@@ -32,6 +33,7 @@ from hypothesis.stateful import (
 
 from repro import obs
 from repro.tsdb import Chunk, TimeSeriesDB, window_stats
+from repro.tsdb.cache import BufferCache
 from repro.tsdb.query import query
 from repro.tsdb.store import (
     _EMPTY, _HeadBlock, _Series, _tagkey, ingest_file,
@@ -123,7 +125,10 @@ class ModelSeries:
 class StoreMachine(RuleBasedStateMachine):
     @initialize()
     def stores(self):
-        self.db = TimeSeriesDB(chunk_size=CHUNK)
+        # a decoded-buffer cache of two entries: every windowed scan
+        # below reads chunks the one before it evicted
+        self.db = TimeSeriesDB(
+            chunk_size=CHUNK, buffer_cache=BufferCache(maxsize=2))
         self.oracle = ListBackedTSDB()
         self.model = {}
         #: handles live for the whole run, so they go stale across prunes
@@ -215,6 +220,21 @@ class StoreMachine(RuleBasedStateMachine):
             if not len(self.model[key]):
                 del self.model[key]
         assert dropped == want
+
+    @rule(back=st.integers(0, 30), width=st.integers(0, 30))
+    def windowed_scan(self, back, width):
+        """The scan plan proper: the invariants leave every series
+        materialised, which would answer a window by binary search."""
+        window = (self.now - back, self.now - back + width)
+        series = self.db.select("m")
+        want = self.oracle.scan(self.oracle.select("m"), window)
+        for _ in range(2):      # mostly cold, then through the cache
+            for s in series:
+                s.drop_read_cache()
+            got = self.db.scan(series, window)
+            assert [(t.tolist(), bits(v)) for t, v in got] == [
+                (t.tolist(), bits(v)) for t, v in want], window
+        assert len(self.db.buffer_cache) <= 2
 
     @invariant()
     def same_store(self):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.shard import ShardedTSDB
 from repro.tsdb import TimeSeriesDB, ingest_store
+from repro.tsdb.cache import BufferCache
 from tests.test_tsdb.reference import ListBackedTSDB
+from tests.test_tsdb.test_model import bits
 
 
 def test_series_identity_by_metric_and_tags():
@@ -412,3 +414,100 @@ def test_read_stats_counts_scan_activity():
     assert db.read_stats()["buffer_cache"]["misses"] == (
         stats["buffer_cache"]["misses"]
     )
+
+
+# -- the scan plan on window edges (ISSUE 22) ---------------------------------
+
+_SCAN_VALUES = st.one_of(
+    st.integers(-40, 40).map(lambda i: i / 2),
+    st.sampled_from([float("nan"), float("inf"), -0.0]),
+)
+#: per series, how far the next timestamp moves from the newest so far:
+#: always forward, late and duplicate arrivals, duplicates only
+_SCAN_STEPS = {
+    "ordered": st.integers(1, 9),
+    "late": st.integers(-7, 9),
+    "dup": st.integers(0, 3),
+}
+_BUFFER_CACHES = {
+    "off": lambda: {"buffer_cache": None},
+    "default": dict,
+    # every decode filed evicts the one before it
+    "one": lambda: {"buffer_cache": BufferCache(maxsize=1)},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cache=st.sampled_from(sorted(_BUFFER_CACHES)))
+def test_scan_plan_equals_the_list_engine_on_window_edges(data, cache):
+    """Windows that start or end inside a chunk, exactly on a chunk's
+    ``t_min`` / ``t_max``, between chunks, empty, inverted and wider than
+    the series — over in-order, out-of-order and duplicate-timestamp
+    series, sealed or with open heads, before and after a prune re-seals
+    a straddling chunk, with the buffer cache off, at its default and at
+    one entry: bit-equal to the list engine, one cache lookup counted
+    per chunk read, and nothing a scan returned is ever rewritten."""
+    db = TimeSeriesDB(chunk_size=4, **_BUFFER_CACHES[cache]())
+    oracle = ListBackedTSDB()
+    newest = dict.fromkeys(_SCAN_STEPS, 100)
+
+    def write(n):
+        for kind, step in _SCAN_STEPS.items():
+            for _ in range(n):
+                ts = max(0, newest[kind] + data.draw(step))
+                newest[kind] = max(newest[kind], ts)
+                v = data.draw(_SCAN_VALUES)
+                for store in (db, oracle):
+                    store.put("m", {"s": kind}, ts, v)
+
+    write(data.draw(st.integers(1, 14)))
+    if data.draw(st.booleans()):
+        db.seal_heads()
+    if data.draw(st.booleans()):
+        before = data.draw(st.integers(95, max(newest.values()) + 2))
+        db.prune(before)
+        oracle.prune(before)
+    write(data.draw(st.integers(0, 5)))
+    if data.draw(st.booleans()):
+        db.seal_heads()
+
+    def edges():
+        out = {0, max(newest.values()) + 5}
+        for s in db.select("m"):
+            for c in s.chunks:
+                out.update((c.t_min - 1, c.t_min, c.t_min + 1,
+                            (c.t_min + c.t_max) // 2,
+                            c.t_max - 1, c.t_max, c.t_max + 1))
+            out.update(s.head()[0].tolist())
+        return sorted(out)
+
+    bc = db.buffer_cache
+    held = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        edge = st.sampled_from(edges())
+        window = data.draw(st.none() | st.tuples(edge, edge))
+        series, listed = db.select("m"), oracle.select("m")
+        assert [s.tags for s in series] == [s.tags for s in listed]
+        lookups = sum(
+            1 for s in series if s.materialised(None) is None
+            for c in s.chunks
+            if window is None
+            or not (c.t_max < window[0] or c.t_min >= window[1])
+        )
+        counted = bc.hits + bc.misses if bc is not None else 0
+        got = db.scan(series, window)
+        if bc is not None:
+            assert bc.hits + bc.misses - counted == lookups
+            assert len(bc) <= bc.maxsize
+        want = oracle.scan(listed, window)
+        for s, (t, v), (wt, wv) in zip(series, got, want):
+            assert (t.dtype, v.dtype) == (np.int64, np.float64)
+            assert (t.tolist(), bits(v)) == (wt.tolist(), bits(wv)), (
+                s.tags, window)
+            at, av = s.arrays(window)    # the same plan, one series
+            assert (at.tolist(), bits(av)) == (wt.tolist(), bits(wv))
+            held.append((t, v, t.tolist(), bits(v)))
+        if data.draw(st.booleans()):
+            write(data.draw(st.integers(1, 5)))
+    for t, v, t_was, v_was in held:
+        assert (t.tolist(), bits(v)) == (t_was, v_was)
