@@ -13,8 +13,11 @@ import pytest
 
 from benchmarks._support import once, report
 from repro import monitoring_session
-from repro.analysis.realtime import RealTimeDetector
 from repro.cluster import JobSpec, make_app
+from repro.metrics.flags import Thresholds
+from repro.stream import StreamPipeline, suspend_sink
+
+STORM = "high_metadata_rate"
 
 
 def bystander_wait_per_req(sess, users=("alice", "bob")):
@@ -37,15 +40,20 @@ def run(guardian: bool):
         nodes=10, seed=71, tick=300,
         shared_filesystem=True, mds_capacity=40_000,
     )
-    notifications = []
-    det = None
-    if guardian:
-        det = RealTimeDetector(
-            sess.broker, sess.cluster, threshold=50_000, confirm=2,
-            notify=notifications.append,
-        )
-        det.start()
     c = sess.cluster
+    #: (alert, the storm job's status when the administrator is paged)
+    notifications = []
+    if guardian:
+        stream = StreamPipeline(
+            sess.broker, jobs=c.jobs,
+            thresholds=Thresholds(metadata_rate=50_000),
+        )
+        stream.alerts.add_sink(suspend_sink(c))
+        stream.alerts.add_sink(
+            lambda a: a.rule == STORM
+            and notifications.append((a, c.jobs[a.jobid].status))
+        )
+        stream.start()
     storm = c.submit(JobSpec(
         user="eve",
         app=make_app("wrf_pathological", runtime_mean=9000.0,
@@ -59,16 +67,16 @@ def run(guardian: bool):
             nodes=2,
         ))
     c.run_for(5 * 3600)
-    return sess, storm, det, notifications
+    return sess, storm, notifications
 
 
 def test_e7_realtime_guardian(benchmark):
-    (sess_off, storm_off, _, _), (sess_on, storm_on, det, notes) = once(
+    (sess_off, storm_off, _), (sess_on, storm_on, notes) = once(
         benchmark, lambda: (run(False), run(True))
     )
     wait_off = bystander_wait_per_req(sess_off)
     wait_on = bystander_wait_per_req(sess_on)
-    latency = det.detections[0].time - storm_on.start_time
+    latency = notes[0][0].fired_at - storm_on.start_time
     rows = [
         ("storm outcome (no guardian)", storm_off.status, "runs to end"),
         ("storm outcome (guardian)", storm_on.status, "SUSPENDED"),
@@ -86,5 +94,7 @@ def test_e7_realtime_guardian(benchmark):
     assert storm_off.status == "COMPLETED"  # nobody stopped it
     assert storm_on.status == "SUSPENDED"
     assert latency <= 3 * 600 + 60
-    assert len(notes) == 1 and notes[0].suspended
+    assert [(a.jobid, status) for a, status in notes] == [
+        (storm_on.jobid, "SUSPENDED")
+    ]
     assert wait_off > 2.0 * wait_on  # the slowdown was prevented

@@ -7,7 +7,8 @@ Scenario: a metadata storm erupts on a shared Lustre filesystem.
   the time-series database pins the blame on the storm user
   (paper §VI-A: "a particular user's metadata requests ... could be
   related to other users' increased Lustre operation wait times").
-* With the real-time detector armed, the offending job is identified
+* With the guardian armed — the stream pipeline's metadata-storm
+  alert wired to a suspend sink — the offending job is identified
   from the live daemon stream and suspended within a couple of
   sampling intervals, protecting the bystanders (paper §VI-B).
 
@@ -15,28 +16,37 @@ Run:  python examples/realtime_guardian.py
 """
 
 from repro import monitoring_session
-from repro.analysis.realtime import RealTimeDetector
 from repro.analysis.timeseries import interference_report
 from repro.cluster import JobSpec, make_app
+from repro.metrics.flags import Thresholds
+from repro.stream import StreamPipeline, suspend_sink
 from repro.tsdb import TimeSeriesDB, ingest_store
+
+STORM = "high_metadata_rate"  # the §V-A flag the guardian acts on
 
 
 def build(guardian: bool, seed: int = 99):
     sess = monitoring_session(
         nodes=10, seed=seed, shared_filesystem=True, mds_capacity=40_000
     )
-    detector = None
-    if guardian:
-        detector = RealTimeDetector(
-            sess.broker, sess.cluster, threshold=50_000, confirm=2,
-            notify=lambda d: print(
-                f"  [guardian] t+{d.time - sess.cluster.clock.epoch}s: "
-                f"job {d.jobid} at {d.rate:,.0f} req/s -> "
-                f"{'SUSPENDED' if d.suspended else 'notified only'}"
-            ),
-        )
-        detector.start()
     c = sess.cluster
+    stream = None
+    if guardian:
+        stream = StreamPipeline(
+            sess.broker, jobs=c.jobs,
+            thresholds=Thresholds(metadata_rate=50_000),
+        )
+        stream.alerts.add_sink(suspend_sink(c))
+        # the administrator's page: after the suspend sink, so it can
+        # say what was done
+        stream.alerts.add_sink(
+            lambda a: a.rule == STORM and print(
+                f"  [guardian] t+{a.fired_at - c.clock.epoch}s: "
+                f"job {a.jobid} at {a.value:,.0f} req/s -> "
+                f"{c.jobs[a.jobid].status or 'notified only'}"
+            )
+        )
+        stream.start()
     storm = c.submit(JobSpec(
         user="eve",
         app=make_app("wrf_pathological", runtime_mean=8000.0,
@@ -54,7 +64,7 @@ def build(guardian: bool, seed: int = 99):
                        ("carol", "namd"))
     ]
     c.run_for(5 * 3600)
-    return sess, storm, bystanders, detector
+    return sess, storm, bystanders, stream
 
 
 def bystander_wait(sess, bystanders):
@@ -92,12 +102,12 @@ def main() -> None:
               f"-> implicated={r.implicated}")
 
     print("\n--- run 2: guardian armed (the §VI-B automation) ---")
-    sess2, storm2, bystanders2, det = build(guardian=True)
+    sess2, storm2, bystanders2, stream = build(guardian=True)
     wait_protected = bystander_wait(sess2, bystanders2)
-    d = det.detections[0]
+    d = next(a for a in stream.alerts.ledger if a.rule == STORM)
     print(f"storm job final state: {storm2.status}")
-    print(f"detection latency: {d.time - storm2.start_time}s "
-          f"({(d.time - storm2.start_time) / 600:.1f} sampling intervals)")
+    print(f"detection latency: {d.fired_at - storm2.start_time}s "
+          f"({(d.fired_at - storm2.start_time) / 600:.1f} sampling intervals)")
     print(f"bystander MDC wait: {wait_protected:,.0f} us/req")
     print(f"\n=> suspension cut bystander wait by "
           f"{wait_unprotected / max(wait_protected, 1):,.1f}x")

@@ -12,19 +12,18 @@
   correlation study (CPU_Usage vs I/O metrics).
 * :mod:`repro.analysis.timeseries` — the §VI-A cross-job
   interference analysis on the TSDB.
-* :mod:`repro.analysis.realtime` — the §VI-B automated real-time
-  detector with job suspension.
+
+The §VI-B guardian and the §I status board live with the stream they
+read: :func:`repro.stream.suspend_sink`, :class:`repro.stream.LiveStatus`.
 """
 
 from repro.analysis.casestudy import CaseStudyResult, wrf_case_study
 from repro.analysis.energy import EnergyReport, energy_breakdown
 from repro.analysis.fleet import FleetReport, fleet_report
 from repro.analysis.io_advisor import IODiagnosis, diagnose_io
-from repro.analysis.live import LiveStatusBoard
 from repro.analysis.correlations import correlation_study, production_jobs
 from repro.analysis.popgen import PopulationMix, STAMPEDE_Q4_MIX, generate_population
 from repro.analysis.populations import population_fractions
-from repro.analysis.realtime import RealTimeDetector
 from repro.analysis.timeseries import interference_report
 from repro.analysis.vectorization import VectorizationStudy, vectorization_study
 
@@ -35,7 +34,6 @@ __all__ = [
     "fleet_report",
     "IODiagnosis",
     "diagnose_io",
-    "LiveStatusBoard",
     "VectorizationStudy",
     "vectorization_study",
     "PopulationMix",
@@ -47,5 +45,4 @@ __all__ = [
     "correlation_study",
     "production_jobs",
     "interference_report",
-    "RealTimeDetector",
 ]

@@ -18,8 +18,8 @@ single result bit:
   verbs (``call``/``post``) over OS processes behind duplex pipes,
   placed by the resource-aware
   :class:`~repro.shard.scheduler.ResourceScheduler`;
-* :mod:`repro.shard.stream` — the sharded streaming pipeline: a
-  router partitions the broker's live feed per shard.
+* :mod:`repro.shard.stream` — the sharded streaming pipeline: the
+  live feed's rows written through one retention writer per shard.
 
 The contract, enforced by the equivalence suites: any query answered
 by a :class:`ShardedTSDB` — at any shard count, in-process or across

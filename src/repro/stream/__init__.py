@@ -28,12 +28,22 @@ Typical wiring, next to an existing monitoring session::
     sess.cluster.run_for(86400)
     completed = stream.finalize()
     stream.alerts.recent()    # what fired, newest first
+
+``stream.alerts.add_sink(suspend_sink(sess.cluster))`` before the run
+is the §VI-B guardian (a metadata storm's job is suspended);
+``LiveStatus(stream)`` at any point of it is the §I online status board.
 """
 
 from __future__ import annotations
 
 from repro.obs.analytics import ContinuousScorer, FleetAnalytics, JobScore
-from repro.stream.alerts import Alert, AlertRouter, SEVERITY_BY_RULE, log_sink
+from repro.stream.alerts import (
+    Alert,
+    AlertRouter,
+    SEVERITY_BY_RULE,
+    log_sink,
+    suspend_sink,
+)
 from repro.stream.analyzer import (
     STREAM_METRICS,
     STREAM_QUANTITIES,
@@ -47,6 +57,7 @@ from repro.stream.retention import (
     RetentionPolicy,
     RetentionTier,
 )
+from repro.stream.status import HostStatus, LiveStatus
 
 __all__ = [
     "Alert",
@@ -56,6 +67,9 @@ __all__ = [
     "JobScore",
     "SEVERITY_BY_RULE",
     "log_sink",
+    "suspend_sink",
+    "HostStatus",
+    "LiveStatus",
     "STREAM_METRICS",
     "STREAM_QUANTITIES",
     "STREAM_QUEUE",

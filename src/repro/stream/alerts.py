@@ -16,18 +16,27 @@ Built-in destinations:
   ``repro_stream_alerts_suppressed_total{rule}``;
 * any callable registered via :meth:`AlertRouter.add_sink` (sink
   errors are counted, never raised into the delivery path).
+
+§VI-B's automation (*"problem jobs … quickly identified and suspended
+… and a system administrator notified immediately"*) is two sinks:
+:func:`suspend_sink`, then whatever pages the administrator — sinks
+run in registration order, so the page can say what was done.
+Notify-only is not registering :func:`suspend_sink`.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, TextIO, Tuple
 
 from repro import obs
+from repro.cluster.cluster import Cluster
 from repro.metrics.flags import FlagResult
 
-__all__ = ["Alert", "AlertRouter", "SEVERITY_BY_RULE", "log_sink"]
+__all__ = [
+    "Alert", "AlertRouter", "SEVERITY_BY_RULE", "log_sink", "suspend_sink",
+]
 
 #: severity of each §V-A flag when it fires mid-run.  Sudden drops and
 #: metadata storms hurt *other* users (filesystem, application death)
@@ -91,6 +100,18 @@ def log_sink(stream: TextIO) -> Callable[[Alert], None]:
     return write
 
 
+def suspend_sink(cluster: Cluster) -> Callable[[Alert], None]:
+    """A sink suspending the job a ``high_metadata_rate`` alert names:
+    the one §V-A flag whose job is hurting *other* users now.  The
+    threshold is the pipeline's ``Thresholds.metadata_rate``."""
+
+    def suspend(alert: Alert) -> None:
+        if alert.rule == "high_metadata_rate":
+            cluster.suspend_job(alert.jobid)
+
+    return suspend
+
+
 class AlertRouter:
     """Severity, dedup/cooldown and fan-out for streaming flags."""
 
@@ -105,7 +126,9 @@ class AlertRouter:
         self.ledger: List[Alert] = []
         self.feed: Deque[Alert] = deque(maxlen=max_feed)
         self.suppressed = 0
-        self._last_fired: Dict[Tuple[str, str], int] = {}
+        #: (rule, jobid) → when it last fired, oldest firing first;
+        #: holds the alerts of one cooldown, not of the process's life
+        self._last_fired: "OrderedDict[Tuple[str, str], int]" = OrderedDict()
         self._sinks: List[Callable[[Alert], None]] = []
 
     def add_sink(self, sink: Callable[[Alert], None]) -> None:
@@ -129,7 +152,16 @@ class AlertRouter:
                 "streaming alerts suppressed by the dedup/cooldown window",
             ).inc(rule=flag.name)
             return None
-        self._last_fired[key] = int(fired_at)
+        last_fired = self._last_fired
+        last_fired[key] = int(fired_at)
+        last_fired.move_to_end(key)
+        # in firing order, so the entries too old to suppress anything
+        # are at the front: each is dropped once, by a later alert
+        while (
+            last_fired
+            and fired_at - next(iter(last_fired.values())) >= self.cooldown
+        ):
+            last_fired.popitem(last=False)
         alert = Alert(
             rule=flag.name,
             severity=self.severities.get(flag.name, DEFAULT_SEVERITY),

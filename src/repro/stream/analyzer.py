@@ -423,7 +423,7 @@ class StreamingFlagAnalyzer:
         self.active: Dict[str, _JobStream] = {}
         self.completed: Dict[str, StreamJobResult] = {}
         #: host → jobids currently observed on that host
-        self._host_jobs: Dict[str, Set[str]] = {}
+        self.host_jobs: Dict[str, Set[str]] = {}
 
     @property
     def inflight(self) -> int:
@@ -435,7 +435,7 @@ class StreamingFlagAnalyzer:
         """Feed one parsed sample; returns flags that newly fired."""
         mentioned = set(sample.jobids)
         touched: List[str] = []
-        known = self._host_jobs.setdefault(host, set())
+        known = self.host_jobs.setdefault(host, set())
         # a job this host stopped mentioning has ended on this host
         for jid in sorted(known - mentioned):
             known.discard(jid)
@@ -480,7 +480,7 @@ class StreamingFlagAnalyzer:
             metrics=dict(js.last_metrics),
         )
         del self.active[js.jobid]
-        for jobs in self._host_jobs.values():
+        for jobs in self.host_jobs.values():
             jobs.discard(js.jobid)
 
     def finalize(self) -> List[StreamEvent]:

@@ -47,6 +47,7 @@ from repro.obs.analytics import FleetAnalytics
 from repro.stream.alerts import AlertRouter
 from repro.stream.analyzer import StreamEvent, StreamingFlagAnalyzer
 from repro.stream.retention import RetainingWriter, RetentionPolicy
+from repro.tsdb.query import QueryResult, query
 from repro.tsdb.store import SeriesGroup, TimeSeriesDB
 
 __all__ = ["STREAM_QUEUE", "LATENCY_BUCKETS", "StreamPipeline"]
@@ -68,14 +69,17 @@ class _Layout:
     ``types`` filter or without a schema leaves its columns out.
     ``feeds[j]`` is written column ``j``'s ``(type, event)`` for the
     fleet analytics, ``group.tag_sets[j]`` its full tag set (``group``
-    is ``None`` when nothing is written).
+    is ``None`` when nothing is written).  ``writer`` is where the rows
+    go: ``group`` is a group of its store.
     """
 
-    __slots__ = ("columns", "types", "schemas", "take", "group", "feeds")
+    __slots__ = (
+        "columns", "types", "schemas", "take", "writer", "group", "feeds",
+    )
 
     def __init__(
         self,
-        tsdb: TimeSeriesDB,
+        writer: RetainingWriter,
         metric: str,
         host: str,
         sample: ParsedSample,
@@ -113,8 +117,9 @@ class _Layout:
         self.take: Optional[np.ndarray] = (
             None if len(take) == lo else np.array(take, dtype=np.intp)
         )
+        self.writer = writer
         self.group: Optional[SeriesGroup] = (
-            tsdb.group(metric, tag_sets) if tag_sets else None
+            writer.tsdb.group(metric, tag_sets) if tag_sets else None
         )
         self.feeds: Tuple[Tuple[str, str], ...] = tuple(feeds)
 
@@ -141,7 +146,11 @@ class StreamPipeline:
     ) -> None:
         self.broker = broker
         self.tsdb = tsdb if tsdb is not None else TimeSeriesDB()
-        self.writer = RetainingWriter(self.tsdb, retention)
+        #: one retention writer per store written (see :meth:`_stores`)
+        self.writers: List[RetainingWriter] = [
+            RetainingWriter(store, retention) for store in self._stores()
+        ]
+        self.writer = self.writers[0]
         self.alerts = alerts if alerts is not None else AlertRouter()
         #: optional always-on fleet analytics: feed sketches + per-job
         #: continuous scoring (None keeps the pipeline cost-free)
@@ -280,7 +289,8 @@ class StreamPipeline:
             or layout.schemas != tuple(map(schemas.get, layout.types))
         ):
             layout = self._layouts[host] = _Layout(
-                self.tsdb, self.metric, host, sample, schemas, self.types
+                self._writer_for(host), self.metric, host, sample, schemas,
+                self.types,
             )
         if layout.group is None:
             return None
@@ -288,12 +298,21 @@ class StreamPipeline:
             return layout, sample.row
         return layout, sample.row[layout.take]
 
+    def _stores(self) -> List[TimeSeriesDB]:
+        """The stores rows are written into: :attr:`tsdb` itself."""
+        return [self.tsdb]
+
+    def _writer_for(self, host: str) -> RetainingWriter:
+        """Which of :attr:`writers` takes ``host``'s rows.  Asked where
+        a layout is built — once per host, not per delivery."""
+        return self.writer
+
     def _write_blocks(self, blocks: List[Block]) -> int:
         """Live counterpart of :func:`repro.tsdb.store.ingest_store`:
         one :meth:`RetainingWriter.put_many` per block of rows."""
         n = 0
         for layout, times, values in blocks:
-            n += self.writer.put_many(
+            n += layout.writer.put_many(
                 self.metric, layout.group, times, values
             )
         self.points += n
@@ -326,9 +345,6 @@ class StreamPipeline:
     ) -> None:
         """Run continuous scoring over jobs that just completed.
 
-        Scoring is idempotent per jobid inside
-        :class:`~repro.obs.analytics.FleetAnalytics`, so shard feeds
-        sharing one analyzer + analytics pair never double-score.
         Fleet-quantile anomalies route through the same AlertRouter
         as the §V-A flags (rules ``fleet_outlier_*`` /
         ``fleet_low_efficiency``).
@@ -358,6 +374,11 @@ class StreamPipeline:
                         trace_id=trace_id,
                     )
 
+    # -- reads ---------------------------------------------------------------
+    def query(self, metric: str, **kw) -> QueryResult:
+        """:func:`repro.tsdb.query.query` over the live store."""
+        return query(self.tsdb, metric, **kw)
+
     # -- end of run ---------------------------------------------------------
     def finalize(self) -> Dict[str, "object"]:
         """Close the stream: drain the analyzer, flush rollup buckets.
@@ -370,7 +391,8 @@ class StreamPipeline:
         self._score_completed(self.last_seen, None)
         if self.analytics is not None:
             self.analytics.flush_feeds()
-        self.writer.flush()
+        for writer in self.writers:
+            writer.flush()
         obs.gauge(
             "repro_stream_jobs_inflight",
             "jobs currently tracked by the streaming analyzer",

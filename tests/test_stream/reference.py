@@ -160,6 +160,7 @@ class ReferenceStreamPipeline(StreamPipeline):
         retention = kw.get("retention")
         super().__init__(broker, **kw)
         self.writer = ReferenceRetainingWriter(self.tsdb, retention)
+        self.writers = [self.writer]
         self._parsers: Dict[str, ReferenceRawFileParser] = {}
         self._errors_seen: Dict[str, int] = {}
 

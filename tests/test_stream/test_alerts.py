@@ -12,6 +12,7 @@ from repro.stream.alerts import (
     DEFAULT_SEVERITY,
     SEVERITY_BY_RULE,
     log_sink,
+    suspend_sink,
 )
 
 
@@ -59,6 +60,22 @@ def test_cooldown_suppresses_same_rule_and_job():
     ).value(rule="high_metadata_rate") == 1
 
 
+def test_dedup_state_is_bounded_by_the_cooldown_not_the_job_count():
+    router = AlertRouter(cooldown=3600)
+    for i in range(10_000):
+        # a new job every cooldown, each alerting twice inside its own
+        at = 1000 + i * 3600
+        assert router.route(flag(), str(i), at, at) is not None
+        assert router.route(flag(), str(i), at + 600, at) is None
+        assert router.route(flag("idle_nodes"), str(i), at + 900, at)
+        assert len(router._last_fired) <= 4
+    assert router.suppressed == 10_000
+    assert len(router.ledger) == 20_000
+    # a key that refires after its cooldown is remembered from then on
+    assert router.route(flag(), "0", at + 1000, at) is not None
+    assert router.route(flag(), "0", at + 1001, at) is None
+
+
 def test_alert_counter_labelled_by_rule_and_severity():
     router = AlertRouter()
     router.route(flag(), "1", 1000, 400)
@@ -100,6 +117,25 @@ def test_sinks_fan_out_and_errors_are_contained():
     assert obs.counter("repro_stream_alert_sink_errors_total").value(
         rule="high_metadata_rate"
     ) == 1
+
+
+def test_suspend_sink_acts_on_metadata_storms_only():
+    class FakeCluster:
+        suspended = []
+
+        def suspend_job(self, jobid):
+            self.suspended.append(jobid)
+            return True
+
+    cluster = FakeCluster()
+    router = AlertRouter()
+    router.add_sink(suspend_sink(cluster))
+    router.route(flag("idle_nodes"), "1", 1000, 400)
+    router.route(flag("sudden_drop"), "2", 1000, 400)
+    assert cluster.suspended == []
+    router.route(flag("high_metadata_rate"), "3", 1000, 400)
+    router.route(flag("high_metadata_rate"), "3", 1600, 1000)  # deduped
+    assert cluster.suspended == ["3"]
 
 
 def test_log_sink_line_format():
