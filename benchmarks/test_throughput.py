@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 from benchmarks._support import git_commit, once, report
+from repro import monitoring_session
+from repro.cluster import JobSpec, make_app
 from repro.core.collector import Sample
 from repro.core.rawfile import BlockParser, RawFileParser, RawFileWriter
 from repro.db import Database
@@ -49,6 +51,12 @@ def record_bench(section: str, payload: dict) -> None:
             data = {}
     data[section] = payload
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+#: the job mix ``bench/corpus.py::record_session`` runs
+OFFENDER_MIX = (
+    ("mduser", "metadata_thrash", 2), ("idleuser", "idle_half", 2),
+    ("ptruser", "hicpi", 2), ("ethuser", "gige_mpi", 2),
+)
 
 SCHEMAS = {
     "cpu": Schema([SchemaEntry(n, unit="cs") for n in
@@ -132,6 +140,47 @@ def test_block_parse_rate(benchmark):
 
     n = benchmark(parse)
     assert n == 200
+
+
+def test_block_parse_session_host_day(benchmark, tmp_path):
+    """The record path: a host-day as a monitoring session writes it.
+
+    ``test_block_parse_rate`` times strided text.  A session's file has
+    ``ps`` lines, so ``BlockParser`` stacks the record decoder's rows;
+    what that costs is how many records the decoder takes by template
+    — a count, so it travels between machines.  Gate: ≥ 0.95 of the
+    records read.  Wall time is reported, not gated.
+    """
+    sess = monitoring_session(
+        nodes=8, seed=5, interval=600, store_dir=str(tmp_path / "store"))
+    for user, app, nodes in OFFENDER_MIX:
+        sess.cluster.submit(JobSpec(
+            user=user, app=make_app(app, runtime_mean=6000.0, fail_prob=0.0),
+            nodes=nodes))
+    sess.cluster.run_for(86_400 + 10)
+    sess.store.flush()
+    host = sess.store.hosts()[0]
+    text = sess.store.path_for(host).read_text()
+
+    block = benchmark(lambda: BlockParser().parse_text(text))
+    decoder = RawFileParser(on_error="quarantine")
+    samples = list(decoder.parse(text))
+    records = len(samples)
+    assert block.n_records == records and block.procs and not block.errors
+    share = decoder.template_records / records
+    device_lines = sum(len(s.columns) for s in samples) / records
+    record_bench("block_parse_session_host_day", {
+        "corpus": "one host-day of an 8-node monitoring_session, "
+                  "offender mix, 600 s cadence, ps lines",
+        "cpu_count": os.cpu_count(),
+        "commit": git_commit(),
+        "records": records,
+        "device_lines_per_record": round(device_lines, 1),
+        "template_records": decoder.template_records,
+        "template_share": round(share, 4),
+        "block_parse_wall_ms": round(benchmark.stats.stats.median * 1e3, 2),
+    })
+    assert share >= 0.95, f"only {share:.2%} of records decoded by template"
 
 
 def test_parallel_ingest_speedup(benchmark, tmp_path):

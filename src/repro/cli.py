@@ -35,6 +35,7 @@ queries over the resulting job table.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -148,7 +149,7 @@ def _cmd_ingest_sharded(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     from repro.core.store import CentralStore
-    from repro.pipeline import ShardedCheckpoint, ingest_jobs
+    from repro.pipeline import IngestCheckpoint, ingest_jobs
 
     if args.shards:
         return _cmd_ingest_sharded(args)
@@ -160,14 +161,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     db = _open_db(args.db)
     checkpoint = None
     if args.checkpoint:
-        checkpoint = ShardedCheckpoint(
-            args.checkpoint, shards=max(args.workers, 1)
+        checkpoint = IngestCheckpoint(
+            os.path.join(args.checkpoint, "checkpoint.json")
         )
     result = ingest_jobs(
         store, None, db,
         workers=args.workers,
         batch_size=args.batch_size,
-        chunk_size=args.chunk_size,
         checkpoint=checkpoint,
     )
     db.commit()
@@ -631,10 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="parse worker processes (1 = in-process)")
     ing.add_argument("--batch-size", type=int, default=200,
                      help="jobs per committed+checkpointed batch")
-    ing.add_argument("--chunk-size", type=int, default=500,
-                     help="rows per bulk-insert executemany chunk")
     ing.add_argument("--checkpoint", default="",
-                     help="directory for durable per-shard checkpoints")
+                     help="directory for the durable ingest checkpoint")
     ing.set_defaults(fn=cmd_ingest)
 
     pop = sub.add_parser("popgen", help="synthesise a job population")

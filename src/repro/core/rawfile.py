@@ -154,11 +154,13 @@ class ParsedSample:
     for as long as their line structure repeats, so a consumer compares
     layouts by identity.  A sample built from a ``data`` mapping
     (:meth:`HostBlock.iter_samples`) is flattened on first read of
-    ``row`` or ``columns``.
+    ``row`` or ``columns``.  ``lineno`` is the line its record opened
+    on in the stream it was parsed from (0 when it was not parsed).
     """
 
     __slots__ = (
-        "host", "timestamp", "jobids", "procs", "_data", "_row", "_columns",
+        "host", "timestamp", "jobids", "procs", "lineno",
+        "_data", "_row", "_columns",
     )
 
     def __init__(
@@ -168,11 +170,13 @@ class ParsedSample:
         jobids: List[str],
         data: Dict[str, Dict[str, np.ndarray]],
         procs: Optional[List[ProcessRecord]] = None,
+        lineno: int = 0,
     ) -> None:
         self.host = host
         self.timestamp = timestamp
         self.jobids = jobids
         self.procs: List[ProcessRecord] = [] if procs is None else procs
+        self.lineno = lineno
         self._data: Optional[Dict[str, Dict[str, np.ndarray]]] = data
         self._row: Optional[np.ndarray] = None
         self._columns: Optional[Tuple[Column, ...]] = None
@@ -344,12 +348,8 @@ class RawFileParser:
                 pending.clear()
                 linenos.clear()
             try:
-                if c == "$":
+                if not opens:
                     self._header_line(line)
-                elif c == "!":
-                    type_name, schema = Schema.parse_line(line)
-                    self.schemas[type_name] = schema
-                    self._template = None
                 else:
                     skipping_block = interrupted = False
                     ts_str, _, jobs_str = line.partition(" ")
@@ -359,6 +359,7 @@ class RawFileParser:
                         timestamp=int(ts_str),
                         jobids=jobids,
                         data={},
+                        lineno=lineno,
                     )
             except (ValueError, IndexError) as exc:
                 self._refuse(lineno, line, exc)
@@ -423,6 +424,13 @@ class RawFileParser:
                 self._refuse(lineno, line, exc)
 
     def _header_line(self, line: str) -> None:
+        """A ``$`` metadata or ``!`` schema line — the one reader of
+        either, for this parser and for :class:`BlockParser`."""
+        if line[0] == "!":
+            type_name, schema = Schema.parse_line(line)
+            self.schemas[type_name] = schema
+            self._template = None
+            return
         key, _, value = line[1:].partition(" ")
         if key == "hostname":
             self.hostname = value
@@ -504,16 +512,18 @@ class SampleLike:
 
 # -- columnar block parsing ---------------------------------------------------
 #
-# :class:`RawFileParser` reads a stream a record at a time — one float64
-# row per sample, which is the shape the live path writes — and so pays
-# Python work per record.  At fleet scale a whole host file is at rest,
-# and :class:`BlockParser` reads the same format into a
-# :class:`HostBlock`: one ``(records, counters)`` array per (device
-# type, instance), converted from text in bulk.  The batched ETL path
-# (:mod:`repro.pipeline.parallel`) and the TSDB loader
-# (:func:`repro.tsdb.store.ingest_file`) consume blocks directly;
-# :meth:`HostBlock.iter_samples` recovers the per-sample view when
-# equivalence with the streaming parser matters.
+# A host file at rest is read whole into a :class:`HostBlock`: one
+# ``(records, counters)`` array per (device type, instance), which the
+# batched ETL (:mod:`repro.pipeline.parallel`) and the TSDB loader
+# (:func:`repro.tsdb.store.ingest_file`) consume directly.  There is
+# one record decoder, :class:`RawFileParser`; :class:`BlockParser`
+# stacks the rows it yields.  The one thing it does without it is
+# slice a perfectly regular file by stride, because that is the nightly
+# bulk load and the decoder pays Python work per record: a rack of 8
+# host-days (144 records × 7 device lines) reads in 5–7 ms strided
+# against 11–14 ms stacked (2 vCPUs), of a ≈ 38 ms ``batch_fleet_day``
+# op that parses it twice.  Strided refuses nothing: anything it does
+# not recognise, it leaves to the decoder.
 
 
 @dataclass
@@ -591,19 +601,24 @@ class HostBlock:
 class BlockParser:
     """Columnar raw-file parser: whole file → :class:`HostBlock`.
 
-    Two passes are attempted:
+    The file chooses its path by what it looks like:
 
-    1. a *strided* fast path for perfectly regular files (every record
-       carries the same device lines in the same order, no ``ps``
-       lines) — the common case for periodic-only samples;
-    2. a general single-pass path that tolerates ``ps`` lines, schema
-       evolution and — with ``on_error="quarantine"`` — corrupt lines,
-       with the same failure semantics as :class:`RawFileParser`.
+    1. *strided* — a perfectly regular file (``$``/``!`` lines only at
+       the top, every record the same device lines in the same order,
+       no ``ps`` lines): each device's lines are sliced out by stride
+       and converted in one bulk call;
+    2. *records* — any other file (``ps`` lines, a late device, schema
+       evolution, damage) goes through :class:`RawFileParser`, and its
+       rows are stacked: records that share a ``columns`` layout become
+       one ``(records, K)`` matrix, a device's :class:`BlockGroup` a
+       column slice of it.  What is refused, why and in what order is
+       the decoder's answer: ``errors`` is its ledger.
 
-    Either way, counter text is converted to float64 in bulk, one
-    conversion per (type, instance) group instead of one per line.
-    ``on_error="raise"`` fails the file at a corrupt line with
-    ``ValueError("line <n>: <reason>")``.
+    The block keeps one schema per type — the file's last — so a
+    reading the decoder accepted under an earlier schema of another
+    width cannot be filed under it: it is dropped and ledgered at the
+    line its record opened on.  ``on_error="raise"`` fails the file at
+    the first ledger entry with ``ValueError("line <n>: <reason>")``.
     """
 
     def __init__(self, on_error: str = "quarantine") -> None:
@@ -624,18 +639,19 @@ class BlockParser:
             lines.pop()
         block = self._try_strided(lines)
         if block is None:
-            block = self._general(lines)
+            block = self._stack_records(lines)
+            if self.on_error == "raise" and block.errors:
+                first = block.errors[0]
+                raise ValueError(f"line {first.lineno}: {first.reason}")
         return block
 
     # -- strided fast path ---------------------------------------------------
     def _try_strided(self, lines: List[str]) -> Optional[HostBlock]:
-        header: Dict[str, object] = {
-            "host": "?", "arch": None, "mem": 0, "schemas": {},
-        }
+        header = RawFileParser()
         i = 0
         try:
             while i < len(lines) and lines[i][0] in "$!":
-                self._header_line(lines[i], header)
+                header._header_line(lines[i])
                 i += 1
             if i >= len(lines) or not lines[i][0].isdigit():
                 return None
@@ -660,8 +676,7 @@ class BlockParser:
         if not all(l[0].isdigit() for l in ts_lines):
             return None
         groups: Dict[str, Dict[str, BlockGroup]] = {}
-        type_order: List[str] = []
-        schemas: Dict[str, Schema] = header["schemas"]  # type: ignore
+        schemas = header.schemas
         rows = np.arange(R, dtype=np.int64)
         try:
             times = np.array(
@@ -683,185 +698,89 @@ class BlockParser:
                 if rem or (schema is not None and width != len(schema)):
                     return None
                 values = np.array(tokens, dtype=np.float64).reshape(R, width)
-                if t not in groups:
-                    groups[t] = {}
-                    type_order.append(t)
-                groups[t][inst] = BlockGroup(rows=rows, values=values)
+                # a device listed twice: one row a record, the last line's
+                groups.setdefault(t, {})[inst] = BlockGroup(rows, values)
         except (ValueError, IndexError):
             return None
         return HostBlock(
-            host=str(header["host"]), arch=header["arch"],  # type: ignore
-            mem_bytes=int(header["mem"]),  # type: ignore
-            schemas=schemas, times=times, jobids=jobids,
-            groups=groups, type_order=type_order,
+            host=header.hostname or "?", arch=header.arch,
+            mem_bytes=header.mem_bytes, schemas=schemas,
+            times=times, jobids=jobids,
+            groups=groups, type_order=list(groups),
         )
 
-    # -- general path --------------------------------------------------------
-    def _general(self, lines: List[str]) -> HostBlock:
-        header: Dict[str, object] = {
-            "host": "?", "arch": None, "mem": 0, "schemas": {},
-        }
-        schemas: Dict[str, Schema] = header["schemas"]  # type: ignore
-        errors: List[ParseError] = []
-        times: List[int] = []
-        jobids: List[Tuple[str, ...]] = []
-        #: (type, inst) → ([record rows], [value strings], [line numbers])
-        chunks: Dict[Tuple[str, str], Tuple[List[int], List[str], List[int]]] = {}
-        type_order: List[str] = []
-        seen_types: set = set()
-        procs: Dict[int, List[ProcessRecord]] = {}
-        rec = -1
-        in_record = False
-        skipping_block = False
-
-        def fail(lineno: int, line: str, exc: Exception) -> None:
-            if self.on_error == "raise":
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            errors.append(
-                ParseError(lineno=lineno, line=line, reason=str(exc))
-            )
-
-        for lineno, line in enumerate(lines, 1):
-            if not line:
-                continue
-            c = line[0]
-            try:
-                if c.isdigit():
-                    skipping_block = False
-                    ts_str, _, jobs_str = line.partition(" ")
-                    ts = int(ts_str)
-                    times.append(ts)
-                    jobids.append(
-                        ()
-                        if jobs_str in ("-", "")
-                        else tuple(jobs_str.split(","))
-                    )
-                    rec += 1
-                    in_record = True
-                elif c == "$":
-                    self._header_line(line, header)
-                elif c == "!":
-                    type_name, schema = Schema.parse_line(line)
-                    schemas[type_name] = schema
-                elif not in_record:
-                    if skipping_block:
-                        continue
-                    raise ValueError(f"data line before any record: {line!r}")
-                elif line.startswith("ps "):
-                    procs.setdefault(rec, []).append(
-                        RawFileParser._parse_ps(line.split(" "))
-                    )
-                else:
-                    t, _, rest = line.partition(" ")
-                    inst, _, vals = rest.partition(" ")
-                    entry = chunks.get((t, inst))
-                    if entry is None:
-                        entry = chunks[(t, inst)] = ([], [], [])
-                        if t not in seen_types:
-                            seen_types.add(t)
-                            type_order.append(t)
-                    entry[0].append(rec)
-                    entry[1].append(vals)
-                    entry[2].append(lineno)
-            except (ValueError, IndexError) as exc:
-                fail(lineno, line, exc)
-                if c.isdigit():
-                    # the record-open line itself is damaged: the block
-                    # that follows has no timestamp to attach to
-                    in_record = False
-                    skipping_block = True
-
+    # -- the record decoder's rows, stacked ----------------------------------
+    def _stack_records(self, lines: List[str]) -> HostBlock:
+        parser = RawFileParser(on_error="quarantine")
+        samples = list(parser.parse(lines))
+        #: ``columns`` → the records laid out that way, and their rows
+        layouts: Dict[
+            Tuple[Column, ...], Tuple[List[int], List[np.ndarray]]
+        ] = {}
+        for r, sample in enumerate(samples):
+            records, rows = layouts.setdefault(sample.columns, ([], []))
+            records.append(r)
+            rows.append(sample.row)
+        #: device → its ``(record index, values)`` under each layout, in
+        #: first-appearance order (a layout's first record is where each
+        #: of its devices not seen before first appears)
+        pieces: Dict[
+            Tuple[str, str], List[Tuple[np.ndarray, np.ndarray]]
+        ] = {}
+        for columns, (records, rows) in layouts.items():
+            index = np.array(records, dtype=np.int64)
+            matrix = np.vstack(rows)
+            lo = 0
+            for type_name, instance, width in columns:
+                pieces.setdefault((type_name, instance), []).append(
+                    (index, matrix[:, lo:lo + width])
+                )
+                lo += width
+        errors = parser.errors
         groups: Dict[str, Dict[str, BlockGroup]] = {}
-        for (t, inst), (rows, vals, linenos) in chunks.items():
-            grp = self._convert_group(
-                t, inst, rows, vals, linenos, schemas.get(t), errors
-            )
-            if grp is not None:
-                groups.setdefault(t, {})[inst] = grp
-        # prune types whose every group was quarantined away
-        type_order = [t for t in type_order if t in groups]
-        return HostBlock(
-            host=str(header["host"]), arch=header["arch"],  # type: ignore
-            mem_bytes=int(header["mem"]),  # type: ignore
-            schemas=schemas,
-            times=np.asarray(times, dtype=np.int64),
-            jobids=jobids, groups=groups, type_order=type_order,
-            procs=procs, errors=errors,
-        )
-
-    def _convert_group(
-        self,
-        type_name: str,
-        instance: str,
-        rows: List[int],
-        vals: List[str],
-        linenos: List[int],
-        schema: Optional[Schema],
-        errors: List[ParseError],
-    ) -> Optional[BlockGroup]:
-        """Bulk-convert one group's value text; fall back row-wise."""
-        n = len(rows)
-        tokens = " ".join(vals).split(" ")
-        width, rem = divmod(len(tokens), n)
-        if rem == 0 and (schema is None or width == len(schema)):
-            try:
-                values = np.array(tokens, dtype=np.float64).reshape(n, width)
-                return BlockGroup(
-                    rows=np.asarray(rows, dtype=np.int64), values=values
+        for (type_name, instance), parts in pieces.items():
+            schema = parser.schemas.get(type_name)
+            kept = []
+            for index, values in parts:
+                width = values.shape[1]
+                if schema is None or width == len(schema):
+                    kept.append((index, values))
+                    continue
+                reason = (
+                    f"{type_name}/{instance}: {width} values vs "
+                    f"schema of {len(schema)}"
                 )
-            except ValueError:
-                pass  # a malformed token somewhere: locate it row-wise
-        good_rows: List[int] = []
-        good_vals: List[np.ndarray] = []
-        widths: set = set()
-        for r, chunk, lineno in zip(rows, vals, linenos):
-            line = f"{type_name} {instance} {chunk}"
-            try:
-                arr = np.array(
-                    [float(v) for v in chunk.split(" ")], dtype=np.float64
+                errors.extend(
+                    ParseError(n, lines[n - 1], reason)
+                    for n in (samples[r].lineno for r in index)
                 )
-                if schema is not None and len(arr) != len(schema):
-                    raise ValueError(
-                        f"{type_name}/{instance}: {len(arr)} values vs "
-                        f"schema of {len(schema)}"
-                    )
-            except ValueError as exc:
-                if self.on_error == "raise":
-                    raise ValueError(f"line {lineno}: {exc}") from exc
-                errors.append(
-                    ParseError(lineno=lineno, line=line, reason=str(exc))
-                )
+            if not kept:
                 continue
-            good_rows.append(r)
-            good_vals.append(arr)
-            widths.add(len(arr))
-        if not good_rows:
-            return None
-        if len(widths) == 1:
-            return BlockGroup(
-                rows=np.asarray(good_rows, dtype=np.int64),
-                values=np.vstack(good_vals),
+            ragged = None
+            if len(kept) == 1:
+                (index, values), = kept
+            else:
+                # a record has one layout, so no index repeats
+                index = np.concatenate([i for i, _ in kept])
+                order = np.argsort(index)
+                index = index[order]
+                if len({values.shape[1] for _, values in kept}) == 1:
+                    values = np.concatenate([v for _, v in kept])[order]
+                else:
+                    # schema-less and of varying width: per-row arrays
+                    flat = [row for _, values in kept for row in values]
+                    ragged = [flat[i] for i in order]
+                    values = np.zeros((len(index), 0))
+            groups.setdefault(type_name, {})[instance] = BlockGroup(
+                rows=index, values=values, ragged=ragged
             )
-        # schema-less rows of varying width: keep per-row arrays
-        return BlockGroup(
-            rows=np.asarray(good_rows, dtype=np.int64),
-            values=np.zeros((len(good_rows), 0)),
-            ragged=good_vals,
+        errors.sort(key=lambda e: e.lineno)  # stable: it stays file order
+        return HostBlock(
+            host=parser.hostname or "?", arch=parser.arch,
+            mem_bytes=parser.mem_bytes, schemas=parser.schemas,
+            times=np.array([s.timestamp for s in samples], dtype=np.int64),
+            jobids=[tuple(s.jobids) for s in samples],
+            groups=groups, type_order=list(groups),
+            procs={r: s.procs for r, s in enumerate(samples) if s.procs},
+            errors=errors,
         )
-
-    @staticmethod
-    def _header_line(line: str, header: Dict[str, object]) -> None:
-        if line[0] == "!":
-            type_name, schema = Schema.parse_line(line)
-            header["schemas"][type_name] = schema  # type: ignore
-            return
-        key, _, value = line[1:].partition(" ")
-        if key == "hostname":
-            header["host"] = value
-        elif key == "arch":
-            header["arch"] = value
-        elif key == "mem":
-            header["mem"] = int(value)
-        elif key == "tacc_stats":
-            if value.split(".")[0] != FORMAT_VERSION.split(".")[0]:
-                raise ValueError(f"unsupported format version {value}")

@@ -65,7 +65,6 @@ from repro.pipeline.accum import (
 from repro.pipeline.ingest import IngestCheckpoint, IngestResult
 from repro.pipeline.parallel import (
     JobBlockData,
-    ShardedCheckpoint,
     assemble_jobs,
     ingest_jobs,
     parse_blocks,
@@ -85,5 +84,4 @@ __all__ = [
     "parse_blocks",
     "assemble_jobs",
     "shard_hosts",
-    "ShardedCheckpoint",
 ]

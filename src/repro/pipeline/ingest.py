@@ -28,8 +28,9 @@ from repro.pipeline.records import JobRecord
 class IngestCheckpoint:
     """Durable record of jobids whose rows are already committed.
 
-    A JSON file updated atomically (write-temp + rename) after every
-    committed batch.  A crashed ingest process resumes by constructing
+    One JSON file updated atomically (write-temp + rename) after every
+    committed batch; nothing about it depends on how many workers the
+    pass ran with.  A crashed ingest process resumes by constructing
     the checkpoint from the same path: completed jobs are skipped, the
     interrupted batch is re-done — harmless, because the database-side
     dedup makes re-insertion a no-op anyway.
@@ -37,6 +38,7 @@ class IngestCheckpoint:
 
     def __init__(self, path) -> None:
         self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._done: set = set()
         if self.path.exists():
             try:

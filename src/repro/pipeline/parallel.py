@@ -34,14 +34,11 @@ regardless of which worker hit the corruption.
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -59,7 +56,6 @@ from repro.pipeline.pickles import JobPickleStore
 from repro.pipeline.records import JobRecord
 
 __all__ = [
-    "ShardedCheckpoint",
     "JobBlockData",
     "shard_hosts",
     "parse_blocks",
@@ -228,69 +224,6 @@ def assemble_jobs(
     return out, dropped
 
 
-class ShardedCheckpoint:
-    """Durable ingest checkpoint split across shard files.
-
-    Jobids are assigned to ``shards`` files by a stable hash
-    (``crc32``), and each committed batch updates only the shard files
-    it touches — atomically, via the same write-temp + rename protocol
-    as :class:`~repro.pipeline.ingest.IngestCheckpoint`.  The merged
-    view (membership, :meth:`done`) is the union of all shards, so a
-    resumed pass at any worker count skips exactly the jobs that were
-    durably committed.
-    """
-
-    def __init__(self, root, shards: int = 8) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.shards = max(1, int(shards))
-        self._done: List[set] = [set() for _ in range(self.shards)]
-        for i in range(self.shards):
-            path = self._path(i)
-            if path.exists():
-                try:
-                    payload = json.loads(path.read_text())
-                    self._done[i] = set(payload.get("done", []))
-                except (ValueError, OSError):
-                    self._done[i] = set()
-
-    def _path(self, shard: int) -> Path:
-        return self.root / f"checkpoint-shard{shard:02d}.json"
-
-    def shard_of(self, jobid: str) -> int:
-        return zlib.crc32(jobid.encode()) % self.shards
-
-    def __contains__(self, jobid: str) -> bool:
-        return jobid in self._done[self.shard_of(jobid)]
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._done)
-
-    def done(self) -> List[str]:
-        out: set = set()
-        for s in self._done:
-            out |= s
-        return sorted(out)
-
-    def mark_many(self, jobids: Iterable[str]) -> None:
-        """Record a committed batch, flushing each touched shard."""
-        touched: set = set()
-        for jid in jobids:
-            i = self.shard_of(jid)
-            self._done[i].add(jid)
-            touched.add(i)
-        for i in sorted(touched):
-            path = self._path(i)
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(json.dumps({"done": sorted(self._done[i])}))
-            os.replace(tmp, path)
-
-    def clear(self) -> None:
-        for i in range(self.shards):
-            self._done[i] = set()
-            self._path(i).unlink(missing_ok=True)
-
-
 def ingest_jobs(
     store: CentralStore,
     jobs: Optional[Mapping[str, Job]] = None,
@@ -302,7 +235,6 @@ def ingest_jobs(
     skip_existing: bool = True,
     batch_size: int = 200,
     workers: int = 1,
-    chunk_size: int = 500,
 ) -> IngestResult:
     """Full ETL pass: store → blocks → jobs → metrics → database rows.
 
@@ -315,12 +247,10 @@ def ingest_jobs(
     Recovery semantics: with ``skip_existing`` (default) a job whose
     row is already in the database is not re-inserted, so replaying the
     pass over redelivered data has exactly-once effect.  ``checkpoint``
-    — a :class:`ShardedCheckpoint` or an
-    :class:`~repro.pipeline.ingest.IngestCheckpoint`, anything with
-    ``__contains__`` and ``mark_many`` — adds durable cross-process
-    resume: rows are committed (in ``chunk_size``-row executemany
-    chunks) and checkpointed every ``batch_size`` jobs, and a later
-    pass with the same checkpoint skips everything already committed.
+    — an :class:`~repro.pipeline.ingest.IngestCheckpoint` — adds
+    durable cross-process resume: rows are committed and checkpointed
+    every ``batch_size`` jobs, and a later pass with the same
+    checkpoint, at any ``workers``, skips everything already committed.
     """
     if db is None:
         db = Database()
@@ -391,7 +321,7 @@ def ingest_jobs(
         if not records:
             return
         t0 = time.perf_counter()
-        JobRecord.objects.bulk_create(records, chunk_size=chunk_size)
+        JobRecord.objects.bulk_create(records)
         db.commit()
         stage_seconds.observe(time.perf_counter() - t0, stage="insert")
         result.ingested += len(records)

@@ -1122,7 +1122,8 @@ def ingest_file(
     except ValueError as exc:
         raise ValueError(f"{host}: {exc}") from exc
     #: record index → ``(rows, tag sets, value slabs)``, in file order;
-    #: keyed by content: the general parser builds an array per device
+    #: keyed by content: a device pieced together from several record
+    #: layouts has an index array of its own, whatever it holds
     shared: Dict[bytes, Tuple[np.ndarray, list, list]] = {}
     for type_name in block.type_order:
         schema = block.schemas.get(type_name)
@@ -1130,14 +1131,8 @@ def ingest_file(
             continue
         names = schema.names()
         for device, grp in block.groups[type_name].items():
-            rows, values = grp.rows, grp.values
-            if len(rows) > 1:
-                # a device listed twice in one record: the last line wins
-                last = np.append(rows[1:] != rows[:-1], True)
-                if not last.all():
-                    rows, values = rows[last], values[last]
             _, tag_sets, slabs = shared.setdefault(
-                rows.tobytes(), (rows, [], [])
+                grp.rows.tobytes(), (grp.rows, [], [])
             )
             tag_sets.extend(
                 {
@@ -1148,7 +1143,7 @@ def ingest_file(
                 }
                 for event in names
             )
-            slabs.append(values)
+            slabs.append(grp.values)
     n = 0
     for rows, tag_sets, slabs in shared.values():
         n += tsdb.put_many(

@@ -37,11 +37,14 @@ def test_ingest_executor_flag_is_gone(capsys):
     args = parser.parse_args(
         ["ingest", "--store", "s", "--db", "d", "--workers", "2"])
     assert args.workers == 2 and not hasattr(args, "executor")
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(
-            ["ingest", "--store", "s", "--db", "d", "--executor", "thread"])
-    assert exc.value.code == 2
-    assert "--executor" in capsys.readouterr().err
+    # ... and ``batch_size`` alone bounds an insert
+    assert not hasattr(args, "chunk_size")
+    for flag, value in (("--executor", "thread"), ("--chunk-size", "500")):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(
+                ["ingest", "--store", "s", "--db", "d", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_simulate_persists_jobs(sim_db, capsys):

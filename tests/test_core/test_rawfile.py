@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.collector import Sample
-from repro.core.rawfile import RawFileParser, RawFileWriter
+from repro.core.rawfile import BlockParser, RawFileParser, RawFileWriter
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.hardware.devices.procfs import ProcessRecord
 from tests.test_core.reference import ReferenceRawFileParser
@@ -399,3 +399,143 @@ def test_what_sends_a_record_to_the_line_path(name):
     assert len(outcome(parser, bodies)[0]) == 5
     assert (parser.template_records, parser.line_records) == (
         5 - line_records, line_records)
+
+
+# -- BlockParser ≡ the frozen parser, whichever path the file takes ----------------
+#
+# A regular file is sliced by stride; any other is the record decoder's
+# rows, stacked.  Either way the block holds what the frozen parser
+# reads from the same text — every timestamp, job id, process record
+# and array — its ``errors`` are that parser's ledger in file order,
+# and raise mode names the ledger's first line.  The one stated
+# exception (``tests/test_tsdb/test_ingest.py``): a block has one
+# schema per type, the file's last, so a reading accepted under an
+# earlier schema of another width is dropped and ledgered at the line
+# its record opened on.
+
+
+def arrays(sample):
+    return {(t, inst): (v.dtype.str, v.tobytes())
+            for t, per in sample.data.items() for inst, v in per.items()}
+
+
+def assert_block_equals_the_frozen_parser(text):
+    ref = ReferenceRawFileParser("quarantine")
+    want = list(ref.parse(text))
+    stale = 0
+    for sample in want:
+        for t, per in sample.data.items():
+            for inst in [i for i, v in per.items() if t in ref.schemas
+                         and len(v) != len(ref.schemas[t])]:
+                del per[inst]
+                stale += 1
+    block = BlockParser("quarantine").parse_text(text)
+    got = list(block.iter_samples())
+    assert len(got) == len(want) == block.n_records
+    for g, w in zip(got, want):
+        assert (g.timestamp, g.jobids, g.procs) == (
+            w.timestamp, w.jobids, w.procs)
+        assert arrays(g) == arrays(w)
+    assert (block.host, block.arch, block.mem_bytes) == (
+        ref.hostname or "?", ref.arch, ref.mem_bytes)
+    assert [(t, sc.names()) for t, sc in block.schemas.items()] == [
+        (t, sc.names()) for t, sc in ref.schemas.items()]
+    for per_type in block.groups.values():
+        for grp in per_type.values():  # at most one row a record
+            assert (np.diff(grp.rows) > 0).all()
+    assert [e for e in block.errors if e in ref.errors] == ref.errors
+    dropped = [e for e in block.errors if e not in ref.errors]
+    assert len(dropped) == stale
+    assert all("values vs schema of" in e.reason for e in dropped)
+    linenos = [e.lineno for e in block.errors]
+    assert linenos == sorted(linenos)
+    if block.errors:
+        first = block.errors[0]
+        with pytest.raises(ValueError) as exc:
+            BlockParser("raise").parse_text(text)
+        assert str(exc.value) == f"line {first.lineno}: {first.reason}"
+    else:
+        strict = BlockParser("raise").parse_text(text)
+        assert [arrays(s) for s in strict.iter_samples()] == [
+            arrays(s) for s in got]
+    return block
+
+
+@given(host_streams(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_block_parser_equals_the_frozen_parser(msgs, with_ps):
+    lines = [line for lines in msgs for line in lines
+             if with_ps or not line.startswith("ps")]
+    assert_block_equals_the_frozen_parser("".join(l + "\n" for l in lines))
+
+
+def regular_lines(records=4, extra=()):
+    lines = ["$hostname h1", "$arch intel_snb", "!a c0,E c1,E", "!b c0,E"]
+    for k in range(records):
+        lines += [f"{600 * k} 100", f"a 0 {k} 2", f"a 1 3 {k}", *extra,
+                  f"b - {5 * k}"]
+    return lines
+
+
+def is_strided(lines):
+    return BlockParser()._try_strided(list(lines)) is not None
+
+
+def test_ledger_is_in_file_order_and_raise_names_its_first_line():
+    """Bad values at lines 7 and 9 and a bad ``ps`` at line 14."""
+    lines = [
+        "$hostname h1", "!a c0,E c1,E", "!b c0,E",
+        "0 100", "a 0 1 2", "a 1 3 4", "b - x",
+        "600 100", "a 0 1 y", "a 1 3 4", "b - 5",
+        "1200 100", "a 0 1 2", "ps 1 2",
+    ]
+    block = assert_block_equals_the_frozen_parser("\n".join(lines) + "\n")
+    assert [e.lineno for e in block.errors] == [7, 9, 14]
+    with pytest.raises(ValueError, match=r"^line 7: "):
+        BlockParser("raise").parse_text("\n".join(lines))
+
+
+def test_device_listed_twice_in_a_regular_file_keeps_the_last_line():
+    lines = regular_lines(extra=("a 0 70 80",))
+    assert is_strided(lines)
+    block = assert_block_equals_the_frozen_parser("\n".join(lines) + "\n")
+    grp = block.groups["a"]["0"]
+    assert grp.rows.tolist() == [0, 1, 2, 3]
+    assert grp.values.tolist() == [[70.0, 80.0]] * 4
+    assert list(block.groups["a"]) == ["0", "1"]
+
+
+def test_a_trailing_ps_line_changes_the_path_not_the_block():
+    lines = regular_lines()
+    assert is_strided(lines) and not is_strided(lines + [PS_LINE])
+    strided = BlockParser().parse_text("\n".join(lines))
+    stacked = BlockParser().parse_text("\n".join(lines + [PS_LINE]))
+    assert strided.times.tobytes() == stacked.times.tobytes()
+    assert strided.jobids == stacked.jobids
+    assert strided.type_order == stacked.type_order == ["a", "b"]
+    for t, per_type in strided.groups.items():
+        assert list(per_type) == list(stacked.groups[t])
+        for inst, grp in per_type.items():
+            twin = stacked.groups[t][inst]
+            assert grp.rows.tolist() == twin.rows.tolist()
+            assert grp.values.shape == twin.values.shape
+            assert grp.values.tobytes() == twin.values.tobytes()
+            assert twin.ragged is None
+    assert list(stacked.procs) == [3] and not strided.procs
+
+
+def test_readings_under_an_earlier_schema_of_another_width_are_ledgered():
+    """The stated exception: the file's last schema is the block's."""
+    lines = regular_lines(records=2) + ["!b c0,E c1,E", "1200 100",
+                                         "a 0 1 2", "b - 5 6"]
+    block = assert_block_equals_the_frozen_parser("\n".join(lines) + "\n")
+    assert block.groups["b"]["-"].rows.tolist() == [2]
+    assert [(e.lineno, e.line, e.reason) for e in block.errors] == [
+        (5, "0 100", "b/-: 1 values vs schema of 2"),
+        (9, "600 100", "b/-: 1 values vs schema of 2"),
+    ]
+    # a type without a schema keeps every width, row by row
+    loose = [line for line in lines if not line.startswith("!b")]
+    grp = assert_block_equals_the_frozen_parser(
+        "\n".join(loose) + "\n").groups["b"]["-"]
+    assert [len(v) for v in grp.ragged] == [1, 1, 2]

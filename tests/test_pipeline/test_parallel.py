@@ -24,9 +24,8 @@ from repro.core.store import CentralStore
 from repro.db import Database
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics.table1 import compute_metrics, compute_metrics_batch
-from repro.pipeline import parallel as parallel_mod
+from repro.pipeline import IngestCheckpoint, parallel as parallel_mod
 from repro.pipeline.parallel import (
-    ShardedCheckpoint,
     assemble_jobs,
     ingest_jobs,
     parse_blocks,
@@ -180,27 +179,33 @@ def test_shard_hosts_deterministic_and_complete():
 # -- checkpoint durability ----------------------------------------------------
 
 
-def test_sharded_checkpoint_roundtrip(tmp_path):
-    ckpt = ShardedCheckpoint(tmp_path / "ckpt", shards=4)
-    ckpt.mark_many(["job-a", "job-b", "job-c"])
-    assert "job-a" in ckpt and "missing" not in ckpt
-    assert len(ckpt) == 3
+def test_checkpoint_written_at_one_worker_count_is_read_at_any(
+        raw_store, tmp_path, capsys):
+    """``--checkpoint DIR`` marked under ``--workers 4`` and reopened
+    under 1, 2 and 8 — each time against an empty database, so only the
+    checkpoint can recognise the jobs — skips every one of them."""
+    from repro.cli import main
 
-    reopened = ShardedCheckpoint(tmp_path / "ckpt", shards=4)
-    assert reopened.done() == ["job-a", "job-b", "job-c"]
+    def run(workers, db):
+        rc = main(["ingest", "--store", str(raw_store.root),
+                   "--db", str(tmp_path / db), "--workers", str(workers),
+                   "--batch-size", "1", "--checkpoint", str(tmp_path / "ck")])
+        assert rc == 0
+        return capsys.readouterr().out
 
-    shard_files = sorted((tmp_path / "ckpt").glob("checkpoint-shard*.json"))
-    assert shard_files  # per-shard files, not one global json
-
-    reopened.clear()
-    assert len(ShardedCheckpoint(tmp_path / "ckpt", shards=4)) == 0
+    assert "ingested 2 jobs" in run(4, "first.db")
+    assert IngestCheckpoint(tmp_path / "ck" / "checkpoint.json").done() == [
+        "2000000", "2000001"]
+    for workers in (1, 2, 8):
+        out = run(workers, f"again{workers}.db")
+        assert "ingested 0 jobs" in out and "skipped 2 already" in out
 
 
 def test_checkpoint_resume_after_midbatch_crash(raw_store, tmp_path,
                                                 monkeypatch):
     """A crash between batches resumes exactly-once from the checkpoint."""
     db = Database()
-    ckpt = ShardedCheckpoint(tmp_path / "ckpt", shards=4)
+    ckpt = IngestCheckpoint(tmp_path / "ckpt" / "checkpoint.json")
 
     real_bulk_create = JobRecord.objects.bulk_create
     calls = {"n": 0}
@@ -224,7 +229,7 @@ def test_checkpoint_resume_after_midbatch_crash(raw_store, tmp_path,
 
     resumed = ingest_jobs(
         raw_store, None, db, workers=2,
-        checkpoint=ShardedCheckpoint(tmp_path / "ckpt", shards=4))
+        checkpoint=IngestCheckpoint(tmp_path / "ckpt" / "checkpoint.json"))
     assert resumed.skipped_existing == 1
     assert resumed.ingested == 1
 

@@ -16,13 +16,23 @@ One known divergence, pinned by
 schema line that *redefines* a type after records were written.  The
 reference resolved event names per sample, so readings before the
 redefinition landed under the old names and later ones under the new;
-the block parser keeps one schema per type for the whole file (the
-last), so every reading of the file is filed under the final names, and
-a redefinition that changes the counter count fails the file (nothing
-written) where the reference accepted it.  Writers emit schemas once,
-in the header; a mid-file redefinition only arises from concatenating
-files across a schema change, which the archive layout (one file per
-host per rotation) rules out.
+a block keeps one schema per type for the whole file (the last), so
+every reading of the file is filed under the final names.  Widths are
+checked where every reader checks them — by the record decoder, as
+each line is read, against the schema then in force — so after a
+redefinition that changes the counter count a line of the old width is
+refused like any other bad line.  What the final names cannot take is
+the other half of such a file: readings *accepted* under the earlier
+schema.  The block parser drops them and ledgers each at the line its
+record opened on (``<type>/<device>: W values vs schema of N``), so a
+quarantining reader never sees a device of two widths under a schema,
+and ``ingest_file``, which reads in raise mode, fails the file at its
+first ledger entry (``"<host>: line <n>: … schema of N"``, nothing
+written) whether or not the lines after the redefinition conform —
+where the reference accepted it.  Writers emit schemas once, in the
+header; a mid-file redefinition only arises from concatenating files
+across a schema change, which the archive layout (one file per host
+per rotation) rules out.
 """
 
 import io
@@ -374,6 +384,16 @@ def test_schema_redefined_mid_file_uses_the_final_schema():
     db = TimeSeriesDB()
     with pytest.raises(ValueError, match=r"^h: line \d+: .*schema of 1"):
         ingest_file(db, "h", widened)
+    assert db.n_series() == 0 and db.epoch == 0
+    # ... and so does one whose later lines conform to it: the readings
+    # accepted before it are the ones the final schema cannot name
+    conforming = "\n".join(
+        line.rpartition(" ")[0] if i > 18 and line.startswith("mdc") else line
+        for i, line in enumerate(widened.split("\n"))
+    )
+    assert conforming.count("mdc scratch") == 6 and conforming != widened
+    with pytest.raises(ValueError, match=r"^h: line 7: mdc/scratch: 2 .*of 1"):
+        ingest_file(db, "h", conforming)
     assert db.n_series() == 0 and db.epoch == 0
 
 
