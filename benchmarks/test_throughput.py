@@ -13,8 +13,10 @@ pytest-benchmark runs these multiple rounds, so regressions show as
 statistically solid slowdowns.
 """
 
+import cProfile
 import json
 import os
+import pstats
 import time
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from repro.pipeline import ingest_jobs
 from repro.pipeline.records import JobRecord
 from repro.tsdb import TimeSeriesDB
 from repro.tsdb.query import query
+from tests.test_core.test_rawfile import fleet_host_day
 from tests.test_metrics.test_table1 import make_accum
 from tests.test_pipeline.reference import reference_ingest
 from tests.test_pipeline.test_parallel import build_store
@@ -181,6 +184,55 @@ def test_block_parse_session_host_day(benchmark, tmp_path):
         "block_parse_wall_ms": round(benchmark.stats.stats.median * 1e3, 2),
     })
     assert share >= 0.95, f"only {share:.2%} of records decoded by template"
+
+
+#: Python + builtin calls one strided host-day parse cost at 1d35e8f,
+#: when each counter was one ``float()`` (cProfile inside
+#: ``BlockParser.parse_text`` on ``fleet_host_day()``)
+STRIDED_CALLS_PER_HOST_DAY_AT_1D35E8F = 4185
+#: the byte kernel's gate against that count
+MAX_STRIDED_CALLS_RATIO = 0.25
+
+
+def test_block_parse_strided_host_day(benchmark):
+    """The strided path: a host-day of ``batch_fleet_day``'s shape (144
+    records; cpu ×4, lnet, mdc, mem; 33 counters) as ``RawFileWriter``
+    writes it.  Count, do not time: the profiler runs only inside one
+    ``parse_text``, so ``total_calls`` is every Python and builtin call
+    a host-day costs — a count, so it travels between machines.  Gate:
+    ≤ 0.25× the per-token parser's.  Wall time is reported, not gated.
+    """
+    text = fleet_host_day()
+    parser = BlockParser()
+    assert parser._try_strided(text) is not None
+    block = parser.parse_text(text)  # the path counter exists from here
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        parser.parse_text(text)
+    finally:
+        profile.disable()
+    calls = pstats.Stats(profile).total_calls
+    benchmark(lambda: parser.parse_text(text))
+    ratio = calls / STRIDED_CALLS_PER_HOST_DAY_AT_1D35E8F
+    record_bench("block_parse_strided_host_day", {
+        "corpus": "one host-day of batch_fleet_day's shape, written by "
+                  "RawFileWriter: 144 records, cpu x4 + lnet + mdc + mem, "
+                  "33 counters a record",
+        "cpu_count": os.cpu_count(),
+        "commit": git_commit(),
+        "records": block.n_records,
+        "calls": calls,
+        "calls_at_1d35e8f": STRIDED_CALLS_PER_HOST_DAY_AT_1D35E8F,
+        "ratio": round(ratio, 4),
+        "block_parse_wall_us": round(benchmark.stats.stats.median * 1e6),
+    })
+    assert block.n_records == 144
+    assert ratio <= MAX_STRIDED_CALLS_RATIO, (
+        f"{calls} calls inside BlockParser.parse_text is {ratio:.2f}x the "
+        f"per-token parser's {STRIDED_CALLS_PER_HOST_DAY_AT_1D35E8F} "
+        f"(gate {MAX_STRIDED_CALLS_RATIO}x)"
+    )
 
 
 def test_parallel_ingest_speedup(benchmark, tmp_path):

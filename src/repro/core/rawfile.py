@@ -35,6 +35,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.hardware.devices.base import Schema
 from repro.hardware.devices.procfs import ProcessRecord
 
@@ -518,12 +519,38 @@ class SampleLike:
 # (:func:`repro.tsdb.store.ingest_file`) consume directly.  There is
 # one record decoder, :class:`RawFileParser`; :class:`BlockParser`
 # stacks the rows it yields.  The one thing it does without it is
-# slice a perfectly regular file by stride, because that is the nightly
-# bulk load and the decoder pays Python work per record: a rack of 8
-# host-days (144 records × 7 device lines) reads in 5–7 ms strided
-# against 11–14 ms stacked (2 vCPUs), of a ≈ 38 ms ``batch_fleet_day``
-# op that parses it twice.  Strided refuses nothing: anything it does
-# not recognise, it leaves to the decoder.
+# decode a perfectly regular file in one pass over its bytes, because
+# that is the nightly bulk load: a rack of 8 host-days (144 records × 7
+# device lines) reads in 3.3–6.8 ms strided against 15–20 ms stacked
+# (2 vCPUs), of a ≈ 28 ms ``batch_fleet_day`` op that parses it twice.
+# Strided takes what :class:`RawFileWriter` writes — counters and
+# timestamps of 1–18 ASCII digits, single spaces, ``\n`` line ends —
+# and leaves any other spelling (a sign, point, exponent, ``nan``,
+# ``_``, 19+ digits, CR, tab, a doubled or trailing space, a non-ASCII
+# byte) to the decoder, refusing nothing itself.  It is exact: 1–18
+# digits spell an integer below 10**18, which int64 holds, and the
+# int64 → float64 cast rounds to nearest-even, as ``float(token)`` does.
+
+#: ``10**17 … 10**0``: the place values of a right-aligned 18-digit run
+_POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+
+
+def _decimals(b: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> Optional[np.ndarray]:
+    """The tokens ``b[starts[i]:ends[i]]`` as int64, or ``None`` unless
+    every one is 1–18 ASCII digits."""
+    lens = ends - starts
+    width = int(lens.max())
+    if width > 18 or lens.min() < 1:
+        return None
+    # (width, n): each token's digits right-aligned, the long axis inner
+    digits = b.take(ends + np.arange(-width, 0)[:, None], mode="clip")
+    digits -= np.uint8(48)
+    digits *= (np.arange(width, 0, -1, dtype=np.uint8)[:, None]
+               <= lens.astype(np.uint8))  # zero the left padding
+    if digits.max() > 9:
+        return None
+    return _POW10[18 - width:] @ digits.astype(np.int64)
 
 
 @dataclass
@@ -603,10 +630,13 @@ class BlockParser:
 
     The file chooses its path by what it looks like:
 
-    1. *strided* — a perfectly regular file (``$``/``!`` lines only at
-       the top, every record the same device lines in the same order,
-       no ``ps`` lines): each device's lines are sliced out by stride
-       and converted in one bulk call;
+    1. *strided* — a perfectly regular file as the writer spells it
+       (``$``/``!`` lines only at the top, every record the same device
+       lines in the same order, no ``ps`` lines, every number 1–18
+       ASCII digits): its body is decoded in one pass over its bytes —
+       token bounds from the separators, the layout checked by one
+       reshape-and-compare and one gather, every number by
+       :func:`_decimals`;
     2. *records* — any other file (``ps`` lines, a late device, schema
        evolution, damage) goes through :class:`RawFileParser`, and its
        rows are stacked: records that share a ``columns`` layout become
@@ -634,78 +664,87 @@ class BlockParser:
             return self.parse_text(fh.read())
 
     def parse_text(self, text: str) -> HostBlock:
-        lines = text.split("\n")
-        if lines and not lines[-1]:
-            lines.pop()
-        block = self._try_strided(lines)
+        block = self._try_strided(text)
+        path = "records" if block is None else "strided"
         if block is None:
-            block = self._stack_records(lines)
-            if self.on_error == "raise" and block.errors:
-                first = block.errors[0]
-                raise ValueError(f"line {first.lineno}: {first.reason}")
+            block = self._stack_records(text.split("\n"))
+        obs.counter("repro_rawfile_block_parses_total",
+                    "host files block-parsed, by path").inc(path=path)
+        if self.on_error == "raise" and block.errors:
+            first = block.errors[0]
+            raise ValueError(f"line {first.lineno}: {first.reason}")
         return block
 
     # -- strided fast path ---------------------------------------------------
-    def _try_strided(self, lines: List[str]) -> Optional[HostBlock]:
+    def _try_strided(self, text: str) -> Optional[HostBlock]:
         header = RawFileParser()
-        i = 0
+        pos = 0
         try:
-            while i < len(lines) and lines[i][0] in "$!":
-                header._header_line(lines[i])
-                i += 1
-            if i >= len(lines) or not lines[i][0].isdigit():
+            while text.startswith(("$", "!"), pos):
+                end = text.index("\n", pos)
+                header._header_line(text[pos:end])
+                pos = end + 1
+            body = text[pos:] if text.endswith("\n") else text[pos:] + "\n"
+            b = np.frombuffer(body.encode("ascii"), np.uint8)
+            # the layout: the first record's device lines
+            layout: List[Tuple[str, str, int]] = []
+            end = body.index("\n")
+            while end + 1 < len(body) and not body[end + 1].isdigit():
+                start, end = end + 1, body.index("\n", end + 1)
+                t, inst, *values = body[start:end].split(" ")
+                if not t or not inst or t == "ps" or t[0] in "$!":
+                    return None
+                layout.append((t, inst, len(values)))
+            schemas = header.schemas
+            if not layout or any(t in schemas and w != len(schemas[t])
+                                 for t, _, w in layout):
                 return None
-            # layout from the first record
-            layout: List[Tuple[str, str]] = []
-            j = i + 1
-            while j < len(lines) and not lines[j][0].isdigit():
-                t, _, rest = lines[j].partition(" ")
-                inst = rest.partition(" ")[0]
-                if t in ("ps", "$", "!") or t.startswith(("$", "!")):
-                    return None
-                layout.append((t, inst))
-                j += 1
+            # every token is followed by one separator: token i of
+            # record r ends at ``sep[r, i]``; the line ends fall where
+            # the layout puts them and every other separator is a space
+            line_end = np.cumsum([2] + [2 + w for _, _, w in layout]) - 1
+            pattern = np.full(line_end[-1] + 1, 32, np.uint8)
+            pattern[line_end] = 10
+            sep = np.flatnonzero(b <= 32)
+            R, rem = divmod(len(sep), len(pattern))
+            if rem or not (b[sep].reshape(R, -1) == pattern).all():
+                return None
+            sep = sep.reshape(R, -1)
+            # each device line opens with its ``"<type> <inst> "`` bytes
+            prefixes = [f"{t} {inst} ".encode() for t, inst, _ in layout]
+            at = np.repeat(line_end[:-1], [len(p) for p in prefixes])
+            off = np.concatenate([np.arange(1, len(p) + 1) for p in prefixes])
+            if not (b[sep[:, at] + off] == np.frombuffer(
+                    b"".join(prefixes), np.uint8)).all():
+                return None
+            cols = np.concatenate([np.arange(o + 2, o + 2 + w) for o, (_, _, w)
+                                   in zip(line_end[:-1] + 1, layout)])
+            ints = _decimals(b, sep[:, cols - 1].ravel() + 1,
+                             sep[:, cols].ravel())
+            times = _decimals(b, np.concatenate(([0], sep[:-1, -1] + 1)),
+                              sep[:, 0])
         except (ValueError, IndexError):
             return None
-        stride = len(layout) + 1
-        body = lines[i:]
-        R, rem = divmod(len(body), stride)
-        if rem or R == 0 or not layout:
+        # an empty job token is a doubled or trailing space
+        if ints is None or times is None or (sep[:, 1] - sep[:, 0] < 2).any():
             return None
-        ts_lines = body[::stride]
-        if not all(l[0].isdigit() for l in ts_lines):
-            return None
-        groups: Dict[str, Dict[str, BlockGroup]] = {}
-        schemas = header.schemas
+        values = ints.astype(np.float64).reshape(R, -1)
+        jobs = [body[lo:hi] for lo, hi in zip(
+            (sep[:, 0] + 1).tolist(), sep[:, 1].tolist())]
+        split = {js: () if js == "-" else tuple(js.split(","))
+                 for js in set(jobs)}
         rows = np.arange(R, dtype=np.int64)
-        try:
-            times = np.array(
-                [l.partition(" ")[0] for l in ts_lines], dtype=np.int64
-            )
-            jobids = []
-            for l in ts_lines:
-                js = l.partition(" ")[2]
-                jobids.append(() if js in ("-", "") else tuple(js.split(",")))
-            for k, (t, inst) in enumerate(layout):
-                g = body[k + 1 :: stride]
-                prefix = f"{t} {inst} "
-                plen = len(prefix)
-                if not all(l.startswith(prefix) for l in g):
-                    return None
-                tokens = " ".join(l[plen:] for l in g).split(" ")
-                schema = schemas.get(t)
-                width, rem = divmod(len(tokens), R)
-                if rem or (schema is not None and width != len(schema)):
-                    return None
-                values = np.array(tokens, dtype=np.float64).reshape(R, width)
-                # a device listed twice: one row a record, the last line's
-                groups.setdefault(t, {})[inst] = BlockGroup(rows, values)
-        except (ValueError, IndexError):
-            return None
+        groups: Dict[str, Dict[str, BlockGroup]] = {}
+        lo = 0
+        for t, inst, w in layout:
+            # a device listed twice: one row a record, the last line's
+            groups.setdefault(t, {})[inst] = BlockGroup(
+                rows, values[:, lo:lo + w])
+            lo += w
         return HostBlock(
             host=header.hostname or "?", arch=header.arch,
             mem_bytes=header.mem_bytes, schemas=schemas,
-            times=times, jobids=jobids,
+            times=times, jobids=[split[js] for js in jobs],
             groups=groups, type_order=list(groups),
         )
 

@@ -11,12 +11,24 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.rawfile import ParseError, ParsedSample, RawFileParser
+
+
+def _read_ledger(path: Path) -> List[ParseError]:
+    """A ``.bad`` file's entries: a ``line N: reason`` line, then the line."""
+    with open(path, newline="") as fh:  # a bad line may hold a CR
+        rows = fh.read().split("\n")
+    errors = []
+    for head, line in zip(rows[0::2], rows[1::2]):
+        lineno, _, reason = head[len("line "):].partition(": ")
+        if head.startswith("line ") and lineno.isdigit():  # else torn
+            errors.append(ParseError(int(lineno), line, reason))
+    return errors
 
 
 class CentralStore:
@@ -26,7 +38,10 @@ class CentralStore:
     injected by chaos tests) is *quarantined*, not fatal: tolerant
     parsing skips the damaged lines, records them per host in
     :attr:`quarantined`, and mirrors them into
-    ``<root>/quarantine/<host>.bad`` for operator inspection.
+    ``<root>/quarantine/<host>.bad`` for operator inspection.  The
+    ledger holds a bad ``(lineno, line)`` once, however often and by
+    whichever parser the file is read, and a store opened on a root
+    starts from the ledgers already there.
     """
 
     def __init__(self, root) -> None:
@@ -35,8 +50,12 @@ class CentralStore:
         #: host → list of (collect_ts, arrive_ts)
         self.arrivals: Dict[str, List[Tuple[int, int]]] = {}
         self._open_files: Dict[str, object] = {}
-        #: host → parse errors hit while reading that host's raw file
+        #: host → the parse errors filed under its quarantine ledger
         self.quarantined: Dict[str, List[ParseError]] = {}
+        #: host → the ``(lineno, line)`` of every entry in its ledger
+        self._filed: Dict[str, Set[Tuple[int, str]]] = {}
+        for bad in sorted((self.root / "quarantine").glob("*.bad")):
+            self._file(bad.stem, _read_ledger(bad))
 
     def path_for(self, host: str) -> Path:
         return self.root / f"{host}.raw"
@@ -94,19 +113,32 @@ class CentralStore:
 
     # -- quarantine ----------------------------------------------------------
     def record_parse_errors(self, host: str, errors: List[ParseError]) -> None:
-        """File parse errors under the host's quarantine ledger."""
-        if not errors:
+        """File parse errors under the host's quarantine ledger; a line
+        already there is not filed again."""
+        new = self._file(host, errors)
+        if not new:
             return
-        self.quarantined.setdefault(host, []).extend(errors)
         obs.counter(
             "repro_ingest_quarantined_lines_total",
             "corrupt raw-file lines quarantined during parsing",
-        ).inc(len(errors), host=host)
+        ).inc(len(new), host=host)
         qdir = self.root / "quarantine"
         qdir.mkdir(exist_ok=True)
         with open(qdir / f"{host}.bad", "a") as fh:
-            for e in errors:
+            for e in new:
                 fh.write(f"line {e.lineno}: {e.reason}\n{e.line}\n")
+
+    def _file(self, host: str, errors: List[ParseError]) -> List[ParseError]:
+        """Add to the ledger the errors whose line it lacks; returns them."""
+        filed = self._filed.setdefault(host, set())
+        new = []
+        for e in errors:
+            if (e.lineno, e.line) not in filed:
+                filed.add((e.lineno, e.line))
+                new.append(e)
+        if new:
+            self.quarantined.setdefault(host, []).extend(new)
+        return new
 
     def quarantine_counts(self) -> Dict[str, int]:
         """Quarantined line count per host (empty dict = clean store)."""

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.collector import Sample
-from repro.core.rawfile import BlockParser, RawFileParser, RawFileWriter
+from repro.core.rawfile import (
+    BlockParser, RawFileParser, RawFileWriter, _decimals,
+)
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.hardware.devices.procfs import ProcessRecord
 from tests.test_core.reference import ReferenceRawFileParser
@@ -478,7 +481,234 @@ def regular_lines(records=4, extra=()):
 
 
 def is_strided(lines):
-    return BlockParser()._try_strided(list(lines)) is not None
+    return BlockParser()._try_strided(
+        "".join(line + "\n" for line in lines)) is not None
+
+
+# -- what the strided kernel takes ------------------------------------------
+#
+# The strided path decodes a file's body in one pass over its bytes and
+# takes exactly what ``RawFileWriter`` writes: unsigned integers of 1–18
+# ASCII digits, single spaces, ``\n`` line ends.  Any other spelling
+# leaves the file to the record decoder.  Either way the block is the
+# frozen parser's; these pin which path each spelling takes, so the fast
+# path is known to run on every spelling it should.
+
+#: name → (line of ``regular_lines()`` to replace — 8 opens record 1, 10
+#: is one of its device lines — the replacement, whether it is strided)
+SPELLINGS = {
+    "float": (10, "a 1 1.5 1", False),
+    "negative": (10, "a 1 -7 1", False),
+    "exponent": (10, "a 1 1e5 1", False),
+    "plus sign": (10, "a 1 +7 1", False),
+    "nan": (10, "a 1 nan 1", False),
+    "inf": (10, "a 1 inf 1", False),
+    "underscore": (10, "a 1 1_0 1", False),
+    "18 digits": (10, "a 1 999999999999999999 1", True),
+    "19 digits": (10, "a 1 1000000000000000000 1", False),
+    "20 digits": (10, "a 1 99999999999999999999 1", False),
+    "leading zeros": (10, "a 1 007 1", True),
+    "CR": (10, "a 1 3 1\r", False),
+    "tab": (10, "a 1 3 1\t", False),
+    "tab between values": (10, "a 1 3\t1", False),
+    "CR between values": (10, "a 1 3\r1", False),
+    "trailing space": (10, "a 1 3 1 ", False),
+    "double space": (10, "a 1 3  1", False),
+    "full-width digit": (10, "a 1 ３ 1", False),
+    "open: extra token": (8, "600 100 extra", False),
+    "open: bare timestamp": (8, "600", False),
+    "open: trailing space": (8, "600 ", False),
+    "open: no job": (8, "600 -", True),
+    "open: two jobs": (8, "600 100,200", True),
+    "open: plus sign": (8, "+600 100", False),
+    "open: leading zero": (8, "0600 100", True),
+    "open: underscore": (8, "6_00 100", False),
+    "open: Arabic-Indic digit": (8, "٦٠٠ 100", False),
+    "open: non-ASCII job id": (8, "600 jöb", False),
+}
+
+
+@pytest.mark.parametrize("name", SPELLINGS)
+def test_which_spellings_the_strided_kernel_takes(name):
+    at, line, strided = SPELLINGS[name]
+    lines = regular_lines()
+    lines[at] = line
+    assert is_strided(lines) is strided
+    assert_block_equals_the_frozen_parser("".join(l + "\n" for l in lines))
+
+
+def test_an_empty_instance_is_left_to_the_decoder():
+    lines = [line.replace("b - ", "b  ") for line in regular_lines()]
+    assert not is_strided(lines)
+    block = assert_block_equals_the_frozen_parser("\n".join(lines) + "\n")
+    assert list(block.groups["b"]) == [""]
+
+
+def test_every_record_wider_than_its_schema_is_left_to_the_decoder():
+    lines = [line + " 9" if line.startswith("b ") else line
+             for line in regular_lines()]
+    assert not is_strided(lines)
+    block = assert_block_equals_the_frozen_parser("\n".join(lines) + "\n")
+    assert "b" not in block.groups and len(block.errors) == 4
+
+
+def test_a_ps_line_of_digits_in_every_record_is_a_process_record():
+    """Every field a number: the kernel would take it, the layout must
+    not."""
+    digits_ps = "ps 41 7 8 100 160 200 100 120 8 64 8 2 2 0 0"
+    lines = regular_lines(extra=(digits_ps,))
+    assert not is_strided(lines)
+    block = assert_block_equals_the_frozen_parser("\n".join(lines) + "\n")
+    assert "ps" not in block.groups and len(block.procs) == 4
+
+
+def test_no_final_newline_is_strided():
+    text = "\n".join(regular_lines())
+    assert BlockParser()._try_strided(text) is not None
+    assert_block_equals_the_frozen_parser(text)
+
+
+@st.composite
+def regular_files(draw):
+    """``(text, strided)``: a file of the writer's shape — every record
+    the same device lines — with values drawn from 0 … 10**20."""
+    types = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    widths = {t: draw(st.integers(0, 4)) for t in types}
+    devices = {
+        t: [str(i) for i in range(draw(st.integers(1, 3)))] for t in types
+    }
+    value = st.integers(0, 10**20) | st.sampled_from(
+        [0, 2**53 - 1, 2**53 + 1, 10**18 - 1, 10**18])
+    # the last type announces no schema
+    lines = ["$hostname h1", "$arch intel_snb"] + [
+        f"!{t} " + " ".join(f"c{i},E" for i in range(widths[t]))
+        for t in types[:-1]
+    ]
+    biggest = 0
+    for r in range(draw(st.integers(1, 6))):
+        lines.append(f"{600 * r} {draw(st.sampled_from(['-', '7', '7,8']))}")
+        for t in types:
+            for dev in devices[t]:
+                vals = [draw(value) for _ in range(widths[t])]
+                biggest = max([biggest] + vals)
+                lines.append(f"{t} {dev} " + " ".join(map(str, vals)))
+    strided = min(widths.values()) > 0 and biggest < 10**18
+    return "".join(line + "\n" for line in lines), strided
+
+
+@given(regular_files())
+@settings(max_examples=50, deadline=None)
+def test_regular_files_are_strided_iff_every_value_fits(case):
+    text, strided = case
+    assert (BlockParser()._try_strided(text) is not None) is strided
+    assert_block_equals_the_frozen_parser(text)
+
+
+#: tokens whose float64 is not the integer they spell, or only just is
+DECIMALS = ["0", "7", "10", "007", str(2**53 - 1), str(2**53),
+            str(2**53 + 1), str(10**17), "123456789012345678",
+            str(10**18 - 1)]
+
+
+def spans(tokens):
+    """``tokens`` as one line of bytes, and each one's ``[start, end)``."""
+    b = np.frombuffer((" ".join(tokens) + "\n").encode(), np.uint8)
+    ends = np.flatnonzero(b <= 32)
+    return b, np.concatenate(([0], ends[:-1] + 1)), ends
+
+
+def assert_decimals_equal_float(tokens):
+    ints = _decimals(*spans(tokens))
+    assert ints.dtype == np.int64
+    assert ints.tolist() == [int(t) for t in tokens]
+    assert ints.astype(np.float64).tobytes() == np.array(
+        tokens, dtype=np.float64).tobytes()
+
+
+def test_decimals_are_the_doubles_float_reads():
+    assert_decimals_equal_float(DECIMALS)
+    assert_decimals_equal_float(DECIMALS[::-1])
+    assert_decimals_equal_float(["5"])
+
+
+@given(st.lists(st.integers(0, 10**18 - 1), min_size=1, max_size=40))
+@settings(max_examples=60)
+def test_decimals_property(values):
+    assert_decimals_equal_float([str(v) for v in values])
+
+
+@pytest.mark.parametrize("token", [
+    "1000000000000000000", "-1", "+1", "1.0", "1e5", "nan", "inf", "1_0",
+    "0x1", "３", "٣",
+])
+def test_decimals_refuse_what_is_not_1_to_18_ascii_digits(token):
+    assert _decimals(*spans(["12", token, "34"])) is None
+
+
+def test_decimals_refuse_an_empty_or_blank_token():
+    b = np.frombuffer(b"12 3\t4 56\n", np.uint8)
+    assert _decimals(b, np.array([0, 3, 7]), np.array([2, 6, 9])) is None
+    assert _decimals(b, np.array([0, 3]), np.array([2, 3])) is None
+
+
+def test_the_path_a_host_file_took_is_counted(monitored_run):
+    counter = obs.counter("repro_rawfile_block_parses_total")
+
+    def took(text):
+        before = {p: counter.value(path=p) for p in ("strided", "records")}
+        BlockParser().parse_text(text)
+        return {p: counter.value(path=p) - n for p, n in before.items()}
+
+    assert took(fleet_host_day()) == {"strided": 1, "records": 0}
+    store = monitored_run.store
+    session_day = store.path_for(store.hosts()[0]).read_text()
+    assert took(session_day) == {"strided": 0, "records": 1}
+
+
+#: ``batch_fleet_day``'s host: four cores, one LNET, one MDC, memory
+FLEET_SCHEMAS = {
+    "cpu": Schema([SchemaEntry(n, unit="cs") for n in (
+        "user", "nice", "system", "idle", "iowait", "irq", "softirq")]),
+    "lnet": Schema([SchemaEntry("rx_bytes", width=64, unit="B"),
+                    SchemaEntry("tx_bytes", width=64, unit="B")]),
+    "mdc": SCHEMAS["mdc"],
+    "mem": Schema([SchemaEntry("MemUsed", event=False, unit="B")]),
+}
+FLEET_DEVICES = [("cpu", str(core)) for core in range(4)] + [
+    ("lnet", "0"), ("mdc", "t"), ("mem", "0")]
+
+
+def fleet_host_day(records=144, seed=0):
+    """One host-day of ``batch_fleet_day``'s shape, written by
+    ``RawFileWriter``: ``records`` samples 600 s apart, one job, 33
+    monotone counters a sample."""
+    rng = np.random.default_rng(seed)
+    columns = {
+        (t, dev): np.cumsum(rng.integers(
+            0, 1 << 30, size=(records, len(FLEET_SCHEMAS[t]))), axis=0)
+        for t, dev in FLEET_DEVICES
+    }
+    writer = RawFileWriter("c001-001", "intel_hsw", FLEET_SCHEMAS,
+                           mem_bytes=1 << 37)
+    parts = [writer.header()]
+    for i in range(records):
+        data = {}
+        for (t, dev), cols in columns.items():
+            data.setdefault(t, {})[dev] = cols[i].astype(np.float64)
+        parts.append(writer.record(Sample(
+            host="c001-001", timestamp=1_443_657_600 + 600 * i,
+            jobids=["5000001"], data=data, procs=[],
+        )))
+    return "".join(parts)
+
+
+def test_the_fleet_host_day_is_strided_and_exact():
+    text = fleet_host_day()
+    assert BlockParser()._try_strided(text) is not None
+    block = assert_block_equals_the_frozen_parser(text)
+    assert block.n_records == 144
+    assert sum(g.values.shape[1] for per in block.groups.values()
+               for g in per.values()) == 33
 
 
 def test_ledger_is_in_file_order_and_raise_names_its_first_line():
