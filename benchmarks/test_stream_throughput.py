@@ -17,9 +17,10 @@ upload (``BENCH_stream.json``).  Three numbers matter:
   rolled over (~1.2 on this scenario).  It gates at 3; the per-series
   write path it replaced made ~340.
 
-Four more gates hold the two ends of that write — the decode of the
+Six more gates hold the two ends of that write — the decode of the
 message text into the row, and the store's side (row-block heads and
-the prune low-water mark) — all machine-independent:
+the prune low-water mark) — and the monitor's own bookkeeping, all
+machine-independent:
 
 * **Python calls per delivery** inside ``RetainingWriter.put_many``
   (store write + retention fold + prune check), counted by ``cProfile``
@@ -30,6 +31,12 @@ the prune low-water mark) — all machine-independent:
   — turning one message into one float64 row — counted the same way,
   at or below 0.4x of the line-at-a-time parser and the per-device
   gather it replaced;
+* **calls into ``repro/obs`` per delivery** — the metric and span
+  bookkeeping of one delivery — at or below half of what per-call
+  lookups by name cost (pre-bound handles and class-based spans);
+* **Python calls in a host's first rollup flush** — the registration
+  of the host's layout under the rollup metric — at or below a third
+  of what a per-series registration cost;
 * **a prune pass that cannot drop** visits no series and no block;
 * **a prune pass that does drop**, on a 48-host x 339-series fleet two
   days deep, is at least 8x faster than the list engine doing the same
@@ -38,6 +45,7 @@ the prune low-water mark) — all machine-independent:
 
 import cProfile
 import functools
+import os
 import pstats
 import time
 from pathlib import Path
@@ -46,6 +54,7 @@ import numpy as np
 
 from benchmarks._support import record_bench, report
 from repro import monitoring_session, obs
+from repro.broker import Broker
 from repro.cluster import JobSpec, make_app
 from repro.core.rawfile import RawFileParser
 from repro.stream import RetainingWriter, StreamPipeline
@@ -74,6 +83,20 @@ MAX_CALLS_RATIO = 0.25
 #: counted the way the gate below counts
 DECODE_CALLS_PER_DELIVERY_AT_85305F7 = 489_078 / 584  # 837.5
 MAX_DECODE_CALLS_RATIO = 0.4
+
+#: calls into functions under ``repro/obs`` per delivery inside
+#: ``Broker.publish`` + the stream queue's drain on this fixture at
+#: eade75c (a registry lookup, a sorted label key and a stamp per
+#: counter bump, a generator context manager per span), counted the way
+#: the gate below counts
+OBS_CALLS_PER_DELIVERY_AT_EADE75C = 60_237 / 584  # 103.1
+MAX_OBS_CALLS_RATIO = 0.5
+
+#: Python + builtin calls in one host's first rollup flush on this
+#: fixture at eade75c (a tag-key sort and a ``_get_series`` call per
+#: series), counted the way the gate below counts
+FIRST_FLUSH_CALLS_AT_EADE75C = 7_898
+MAX_FIRST_FLUSH_RATIO = 0.33
 
 #: the dropping pass against the list engine's
 MIN_PRUNE_SPEEDUP = 8.0
@@ -294,6 +317,107 @@ def test_decode_calls_per_delivery_gate(monkeypatch):
         f"StreamPipeline._row is {ratio:.2f}x the line-at-a-time "
         f"parser's {DECODE_CALLS_PER_DELIVERY_AT_85305F7:.0f} "
         f"(gate {MAX_DECODE_CALLS_RATIO}x)"
+    )
+
+
+def test_obs_calls_per_delivery_gate(monkeypatch):
+    """Count, do not time: the profiler runs inside ``Broker.publish``
+    and inside the drain of the stream queue — what one ``live_replay``
+    op does — and the gate counts calls into functions defined under
+    ``repro/obs``: the monitor's own bookkeeping per delivery."""
+    profile = cProfile.Profile()
+    monkeypatch.setattr(Broker, "publish", profiled(profile, Broker.publish))
+    drain = Broker._drain
+    drain_profiled = profiled(profile, drain)
+    monkeypatch.setattr(
+        Broker, "_drain",
+        lambda self, q: (drain_profiled if q.name == STREAM_QUEUE
+                         else drain)(self, q))
+    stream, deliveries, _ = run_fixture(TimeSeriesDB())
+    obs.reset()
+
+    stats = pstats.Stats(profile)
+    obs_dir = os.sep + os.path.join("repro", "obs") + os.sep
+    calls = sum(
+        ncalls for (filename, _, _), (_, ncalls, *_) in stats.stats.items()
+        if obs_dir in filename
+    )
+    per_delivery = calls / deliveries
+    ratio = per_delivery / OBS_CALLS_PER_DELIVERY_AT_EADE75C
+    report("obs calls per delivery (cProfile, 8 nodes, 12 h)", [
+        ("obs calls / delivery", f"{per_delivery:.1f}",
+         f"{OBS_CALLS_PER_DELIVERY_AT_EADE75C:.1f} at eade75c -> "
+         f"{ratio:.3f}x (gate {MAX_OBS_CALLS_RATIO}x)"),
+        ("all calls / delivery", f"{stats.total_calls / deliveries:.1f}",
+         f"{deliveries} deliveries"),
+    ], ["measure", "value", "detail"])
+    record_bench(BENCH_JSON, "obs_calls_8x12h", {
+        "scenario": "8 nodes, 12 h sim, cProfile inside Broker.publish + "
+                    "the stream queue's drain, calls into repro/obs",
+        "deliveries": deliveries,
+        "obs_calls": calls,
+        "obs_calls_per_delivery": round(per_delivery, 2),
+        "obs_calls_per_delivery_at_eade75c":
+            OBS_CALLS_PER_DELIVERY_AT_EADE75C,
+        "all_calls_per_delivery": round(stats.total_calls / deliveries, 2),
+        "ratio": round(ratio, 4),
+    })
+    assert stream.samples == deliveries
+    assert ratio <= MAX_OBS_CALLS_RATIO, (
+        f"{per_delivery:.0f} obs calls per delivery is {ratio:.2f}x the "
+        f"{OBS_CALLS_PER_DELIVERY_AT_EADE75C:.0f} of eade75c (gate "
+        f"{MAX_OBS_CALLS_RATIO}x): a hot site resolves its metric per call"
+    )
+
+
+def test_first_rollup_flush_calls_gate(monkeypatch):
+    """Count, do not time: every call of
+    ``RetainingWriter._flush_columns`` that makes a tier's rollup group
+    — a host's first rollup flush, which registers the host's layout
+    under the rollup metric — runs under a profiler of its own."""
+    flush = RetainingWriter._flush_columns
+    counts = []
+
+    def counted(self, group, state, i, mask):
+        if state.rollups[i] is not None:
+            return flush(self, group, state, i, mask)
+        profile = cProfile.Profile()
+        n = profiled(profile, flush)(self, group, state, i, mask)
+        if state.rollups[i] is not None:  # not a flush of nothing
+            counts.append((len(group), pstats.Stats(profile).total_calls))
+        return n
+
+    monkeypatch.setattr(RetainingWriter, "_flush_columns", counted)
+    stream, _, _ = run_fixture(TimeSeriesDB())
+    obs.reset()
+
+    hosts = len(stream._layouts)
+    width = max(k for k, _ in counts)
+    calls = max(n for _, n in counts)
+    ratio = calls / FIRST_FLUSH_CALLS_AT_EADE75C
+    report("first rollup flush (cProfile, 8 nodes, 12 h)", [
+        ("calls / first flush", f"{calls}",
+         f"{FIRST_FLUSH_CALLS_AT_EADE75C} at eade75c -> {ratio:.3f}x "
+         f"(gate {MAX_FIRST_FLUSH_RATIO}x)"),
+        ("first flushes", f"{len(counts)}",
+         f"{hosts} hosts x {len(stream.writer.policy.tiers)} tiers, "
+         f"{width} series a host"),
+    ], ["measure", "value", "detail"])
+    record_bench(BENCH_JSON, "first_flush_calls", {
+        "scenario": "8 nodes, 12 h sim, cProfile inside each "
+                    "RetainingWriter._flush_columns that makes a rollup "
+                    "group; the largest count",
+        "first_flushes": len(counts),
+        "series_per_host": width,
+        "calls": calls,
+        "calls_at_eade75c": FIRST_FLUSH_CALLS_AT_EADE75C,
+        "ratio": round(ratio, 4),
+    })
+    assert len(counts) == hosts * len(stream.writer.policy.tiers)
+    assert ratio <= MAX_FIRST_FLUSH_RATIO, (
+        f"{calls} calls in a first rollup flush is {ratio:.2f}x the "
+        f"{FIRST_FLUSH_CALLS_AT_EADE75C} of eade75c (gate "
+        f"{MAX_FIRST_FLUSH_RATIO}x): the layout is registered per series"
     )
 
 

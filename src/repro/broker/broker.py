@@ -23,8 +23,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.broker.message import Delivery, Message
+from repro.obs import handles
 from repro.broker.routing import topic_matches
 from repro.sim.events import EventQueue
 
@@ -33,6 +33,35 @@ ConsumerCallback = Callable[["Channel", Delivery], None]
 #: redeliveries of one message before it is dead-lettered (a consumer
 #: that always crashes must not livelock the queue head forever)
 DEFAULT_MAX_REDELIVERIES = 5
+
+_REJECTED = handles.counter(
+    "repro_broker_rejected_total",
+    "publishes refused while a partition fault was active",
+)
+_UNROUTABLE = handles.counter(
+    "repro_broker_unroutable_total",
+    "published messages that matched no queue binding",
+)
+_PUBLISHED = handles.counter(
+    "repro_broker_published_total", "messages accepted for routing"
+)
+_DUPLICATED = handles.counter(
+    "repro_broker_duplicated_total",
+    "deliveries duplicated by injected transport faults",
+)
+_DELIVERED = handles.counter(
+    "repro_broker_delivered_total",
+    "deliveries handed to a consumer callback",
+)
+_REDELIVERED = handles.counter(
+    "repro_broker_redelivered_total",
+    "deliveries of previously-delivered messages",
+)
+_DEAD_LETTERED = handles.counter(
+    "repro_broker_dead_lettered_total",
+    "messages dropped after exhausting the redelivery budget",
+)
+_DEPTH = handles.gauge("repro_broker_queue_depth", "ready messages per queue")
 
 
 class BrokerUnavailable(RuntimeError):
@@ -88,6 +117,12 @@ class _BrokerQueue:
         self._rr = 0
         self.enqueued = 0
         self.delivered = 0
+        #: this queue's samples of the per-queue broker metrics
+        self.obs_delivered = _DELIVERED.labels(queue=name)
+        self.obs_redelivered = _REDELIVERED.labels(queue=name)
+        self.obs_duplicated = _DUPLICATED.labels(queue=name)
+        self.obs_dead_lettered = _DEAD_LETTERED.labels(queue=name)
+        self.obs_depth = _DEPTH.labels(queue=name)
 
     def next_consumer(self) -> Optional[_Consumer]:
         if not self.consumers:
@@ -171,10 +206,7 @@ class Broker:
         now = self.events.clock.now() if self.events is not None else None
         if self.faults is not None and not self.faults.publish_allowed(now):
             self.rejected += 1
-            obs.counter(
-                "repro_broker_rejected_total",
-                "publishes refused while a partition fault was active",
-            ).inc()
+            _REJECTED.inc()
             raise BrokerUnavailable(f"broker unreachable at t={now}")
         msg = Message(
             body=body,
@@ -185,15 +217,10 @@ class Broker:
         targets = self._exchanges[exchange].route(routing_key)
         if not targets:
             self.dropped += 1
-            obs.counter(
-                "repro_broker_unroutable_total",
-                "published messages that matched no queue binding",
-            ).inc()
+            _UNROUTABLE.inc()
             return 0
         self.published += 1
-        obs.counter(
-            "repro_broker_published_total", "messages accepted for routing"
-        ).inc()
+        _PUBLISHED.inc()
         for qname in targets:
             q = self._queues[qname]
             q.ready.append(msg)
@@ -249,10 +276,7 @@ class Broker:
                 q.ready.append(dup)
                 q.enqueued += 1
                 self.duplicated += 1
-                obs.counter(
-                    "repro_broker_duplicated_total",
-                    "deliveries duplicated by injected transport faults",
-                ).inc(queue=q.name)
+                q.obs_duplicated.inc()
             dv = Delivery(
                 message=msg,
                 delivery_tag=tag,
@@ -261,15 +285,9 @@ class Broker:
                 delivered_at=now,
             )
             q.delivered += 1
-            obs.counter(
-                "repro_broker_delivered_total",
-                "deliveries handed to a consumer callback",
-            ).inc(queue=q.name)
+            q.obs_delivered.inc()
             if dv.redelivered:
-                obs.counter(
-                    "repro_broker_redelivered_total",
-                    "deliveries of previously-delivered messages",
-                ).inc(queue=q.name)
+                q.obs_redelivered.inc()
             if not consumer.auto_ack:
                 consumer.channel._unacked[tag] = (q.name, msg)
             try:
@@ -284,9 +302,7 @@ class Broker:
                     self._requeue(q, msg)
                 consumer.channel.close()
                 q.consumers = [c for c in q.consumers if c.channel is not consumer.channel]
-        obs.gauge(
-            "repro_broker_queue_depth", "ready messages per queue"
-        ).set(len(q.ready), queue=q.name)
+        q.obs_depth.set(len(q.ready))
 
     def _requeue(self, q: _BrokerQueue, msg: Message) -> bool:
         """Requeue at the head for redelivery, or dead-letter.
@@ -303,10 +319,7 @@ class Broker:
         if self.max_redeliveries is not None and n > self.max_redeliveries:
             q.dead.append(msg)
             self.dead_lettered += 1
-            obs.counter(
-                "repro_broker_dead_lettered_total",
-                "messages dropped after exhausting the redelivery budget",
-            ).inc(queue=q.name)
+            q.obs_dead_lettered.inc()
             return False
         q.ready.appendleft(msg)
         return True

@@ -27,9 +27,27 @@ from repro.core.config import MonitorConfig
 from repro.core.rawfile import RawFileWriter
 from repro.core.store import CentralStore
 from repro.faults.recovery import PUBLISH_RETRY, RetryPolicy
+from repro.obs import handles
 
 EXCHANGE = "tacc_stats"
 QUEUE = "tacc_stats_ingest"
+
+_BUFFERED = handles.gauge(
+    "repro_daemon_buffered_samples",
+    "samples buffered in daemon memory awaiting publish",
+)
+_PUBLISHED = handles.counter(
+    "repro_daemon_published_total",
+    "samples published by the per-node daemons",
+)
+_RETRIES = handles.counter(
+    "repro_daemon_publish_retries_total",
+    "daemon publish retries armed after BrokerUnavailable",
+)
+_LOST = handles.counter(
+    "repro_daemon_lost_samples_total",
+    "samples that died in a failed node's daemon buffer",
+)
 
 
 class DaemonMode:
@@ -144,21 +162,12 @@ class DaemonMode:
                 )
             except BrokerUnavailable:
                 self._arm_retry(node_name)
-                obs.gauge(
-                    "repro_daemon_buffered_samples",
-                    "samples buffered in daemon memory awaiting publish",
-                ).set(sum(len(p) for p in self._pending.values()))
+                _BUFFERED.set(sum(len(p) for p in self._pending.values()))
                 return
             pending.popleft()
-            obs.counter(
-                "repro_daemon_published_total",
-                "samples published by the per-node daemons",
-            ).inc()
+            _PUBLISHED.inc()
         self._attempts[node_name] = 0
-        obs.gauge(
-            "repro_daemon_buffered_samples",
-            "samples buffered in daemon memory awaiting publish",
-        ).set(sum(len(p) for p in self._pending.values()))
+        _BUFFERED.set(sum(len(p) for p in self._pending.values()))
 
     def _arm_retry(self, node_name: str) -> None:
         if self._retry_armed[node_name]:
@@ -167,10 +176,7 @@ class DaemonMode:
         delay = self.retry.delay(attempt)
         self._attempts[node_name] += 1
         self.publish_retries += 1
-        obs.counter(
-            "repro_daemon_publish_retries_total",
-            "daemon publish retries armed after BrokerUnavailable",
-        ).inc()
+        _RETRIES.inc()
         self._retry_armed[node_name] = True
         self.cluster.events.schedule_in(
             max(1, int(round(delay))),
@@ -197,10 +203,7 @@ class DaemonMode:
                 self.lost_buffered.get(node_name, 0) + lost
             )
             self._pending[node_name].clear()
-            obs.counter(
-                "repro_daemon_lost_samples_total",
-                "samples that died in a failed node's daemon buffer",
-            ).inc(lost)
+            _LOST.inc(lost)
         return lost
 
     def note_node_reboot(self, node_name: str) -> None:

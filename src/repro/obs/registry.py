@@ -14,8 +14,11 @@ Design constraints, in order:
   sim clock), never the wall clock, so two runs of the same seed
   produce byte-identical exports.
 * **Negligible cost** — one dict lookup plus a float add per event.
-  A disabled registry (``enabled = False``) short-circuits every
-  mutation, which is what the CI obs-overhead gate compares against.
+  A hot call site holds a :class:`Handle` (``Counter.labels(...)``, or
+  :mod:`repro.obs.handles` at module level): the family lookup and the
+  sorted label key are resolved once, not per event.  A disabled
+  registry (``enabled = False``) short-circuits every mutation, which
+  is what the CI obs-overhead gate compares against.
 * **No dependencies** — pure stdlib; importable from any layer
   without cycles.
 
@@ -26,8 +29,11 @@ e.g. ``repro_ingest_stage_seconds{stage="parse"}``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
+from bisect import bisect_left
+from types import SimpleNamespace
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -39,6 +45,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Sketch",
+    "Handle",
+    "CounterHandle",
+    "GaugeHandle",
+    "HistogramHandle",
     "MetricRegistry",
     "DEFAULT_BUCKETS",
     "SKETCH_QUANTILES",
@@ -69,10 +79,121 @@ def _label_str(key: LabelKey) -> str:
     return "{" + inner + "}"
 
 
+#: the registry a handle on a family made outside any registry sees:
+#: always enabled, never reset
+_UNREGISTERED = SimpleNamespace(enabled=True, generation=0)
+
+
+class Handle:
+    """One labelled sample of a registry family, resolved once.
+
+    What a hot call site keeps instead of looking its family up by name
+    and sorting its labels again on every call: the family object and
+    the label key.  ``Counter.labels(...)`` (``Gauge``, ``Histogram``)
+    returns one bound to that family; :mod:`repro.obs.handles` declares
+    one at import that binds on first use, so declaring it registers
+    nothing.  :meth:`MetricRegistry.reset` drops every family; the next
+    use after it binds again — registering the family afresh, as the
+    by-name lookup it replaces would — so a handle outlives a reset.
+    While the registry is disabled a handle does nothing at all.
+    """
+
+    kind = ""
+    __slots__ = (
+        "registry", "name", "help", "options", "label_map", "key",
+        "_metric", "_generation",
+    )
+
+    def __init__(
+        self,
+        registry: Optional["MetricRegistry"],
+        name: str,
+        help: str = "",
+        labels: Optional[Mapping[str, object]] = None,
+        options: Optional[Mapping[str, object]] = None,
+        metric: Optional["Metric"] = None,
+    ) -> None:
+        #: a family made outside any registry is always on, never reset
+        self.registry = registry if registry is not None else _UNREGISTERED
+        self.name = name
+        self.help = help
+        self.options = dict(options or {})
+        self.label_map = dict(labels or {})
+        self.key: LabelKey = _label_key(self.label_map)
+        self._metric = metric
+        #: the registry generation ``_metric`` was looked up in
+        self._generation = -1 if metric is None else self.registry.generation
+
+    def labels(self, **labels: object) -> "Handle":
+        """The sample of the same family with ``labels`` added."""
+        bound = self._generation == self.registry.generation
+        return type(self)(
+            self.registry, self.name, self.help,
+            {**self.label_map, **labels}, self.options,
+            self._metric if bound else None,
+        )
+
+    def _bind(self) -> None:
+        """Look the family up by name (registering it if it is new)."""
+        reg = self.registry
+        self._metric = getattr(reg, self.kind)(
+            self.name, self.help, **self.options
+        )
+        self._generation = reg.generation
+
+
+# each write checks generation and enabled inline, not through a shared
+# helper: it runs per event, and the call would be a third of its cost
+
+
+class CounterHandle(Handle):
+    kind = "counter"
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (must be >= 0) to the sample."""
+        if amount < 0:
+            raise ValueError(f"counter {self.name} cannot decrease")
+        reg = self.registry
+        if self._generation != reg.generation or not reg.enabled:
+            if not reg.enabled:
+                return
+            self._bind()
+        self._metric._add(self.key, amount)
+
+
+class GaugeHandle(Handle):
+    kind = "gauge"
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        reg = self.registry
+        if self._generation != reg.generation or not reg.enabled:
+            if not reg.enabled:
+                return
+            self._bind()
+        self._metric._put(self.key, value)
+
+
+class HistogramHandle(Handle):
+    kind = "histogram"
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        reg = self.registry
+        if self._generation != reg.generation or not reg.enabled:
+            if not reg.enabled:
+                return
+            self._bind()
+        self._metric._observe(self.key, value)
+
+
 class Metric:
     """Base class: one named metric family with labelled samples."""
 
     kind = "untyped"
+    #: what :meth:`labels` returns (``None``: the kind has no handles)
+    handle_class: Optional[type] = None
 
     def __init__(
         self, name: str, help: str = "", registry: Optional["MetricRegistry"] = None
@@ -92,6 +213,21 @@ class Metric:
         if reg is not None and reg.clock is not None:
             self._updated[key] = int(reg.clock())
 
+    def labels(self, **labels: object) -> Handle:
+        """This family's sample ``labels`` as a :class:`Handle` — the
+        shape of ``prometheus_client``'s ``.labels(...)`` children."""
+        if self.handle_class is None:
+            raise TypeError(f"{self.kind} metric {self.name} has no handles")
+        return self.handle_class(
+            self._registry, self.name, self.help, labels,
+            self._handle_options(), metric=self,
+        )
+
+    def _handle_options(self) -> Dict[str, object]:
+        """What the registry needs besides name and help to make this
+        family again (a handle re-binds by name after a reset)."""
+        return {}
+
     def updated_at(self, **labels: object) -> Optional[int]:
         """Timestamp (sim clock) of the sample's last mutation."""
         return self._updated.get(_label_key(labels))
@@ -103,107 +239,108 @@ class Metric:
         raise NotImplementedError
 
 
-class Counter(Metric):
-    """A monotonically increasing sum (events, bytes, core-seconds)."""
-
-    kind = "counter"
+class _Scalar(Metric):
+    """A family whose samples are single floats."""
 
     def __init__(self, name, help="", registry=None) -> None:
         super().__init__(name, help, registry)
         self._values: Dict[LabelKey, float] = {}
+
+    def _add(self, key: LabelKey, amount: float) -> None:
+        self._values[key] = self._values.get(key, 0.0) + float(amount)
+        reg = self._registry
+        if reg is not None and reg.clock is not None:
+            self._updated[key] = int(reg.clock())
+
+    def value(self, **labels: object) -> float:
+        return self._values.get(_label_key(labels), 0.0)
+
+    def label_keys(self) -> List[LabelKey]:
+        return sorted(self._values)
+
+    def samples(self) -> List[Tuple[LabelKey, float]]:
+        return [(k, self._values[k]) for k in sorted(self._values)]
+
+
+class Counter(_Scalar):
+    """A monotonically increasing sum (events, bytes, core-seconds)."""
+
+    kind = "counter"
+    handle_class = CounterHandle
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Add ``amount`` (must be >= 0) to the labelled sample."""
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        if not self._enabled():
-            return
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + float(amount)
-        self._stamp(key)
-
-    def value(self, **labels: object) -> float:
-        return self._values.get(_label_key(labels), 0.0)
+        if self._enabled():
+            self._add(_label_key(labels) if labels else (), amount)
 
     def total(self) -> float:
         """Sum over every label combination."""
         return sum(self._values.values())
 
-    def label_keys(self) -> List[LabelKey]:
-        return sorted(self._values)
-
-    def samples(self) -> List[Tuple[LabelKey, float]]:
-        return [(k, self._values[k]) for k in sorted(self._values)]
-
     def merge_delta(self, key: LabelKey, delta: float) -> None:
         """Harvest hook: add a worker-side delta under a raw label key."""
         if delta < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        if not self._enabled() or not delta:
-            return
-        self._values[key] = self._values.get(key, 0.0) + float(delta)
-        self._stamp(key)
+        if self._enabled() and delta:
+            self._add(key, delta)
 
 
-class Gauge(Metric):
+class Gauge(_Scalar):
     """A value that can go up and down (queue depth, buffered samples)."""
 
     kind = "gauge"
-
-    def __init__(self, name, help="", registry=None) -> None:
-        super().__init__(name, help, registry)
-        self._values: Dict[LabelKey, float] = {}
+    handle_class = GaugeHandle
 
     def set(self, value: float, **labels: object) -> None:
-        if not self._enabled():
-            return
-        key = _label_key(labels)
-        self._values[key] = float(value)
-        self._stamp(key)
+        if self._enabled():
+            self._put(_label_key(labels) if labels else (), value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if not self._enabled():
-            return
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + float(amount)
-        self._stamp(key)
+        if self._enabled():
+            self._add(_label_key(labels) if labels else (), amount)
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
 
-    def value(self, **labels: object) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def label_keys(self) -> List[LabelKey]:
-        return sorted(self._values)
-
-    def samples(self) -> List[Tuple[LabelKey, float]]:
-        return [(k, self._values[k]) for k in sorted(self._values)]
+    def _put(self, key: LabelKey, value: float) -> None:
+        self._values[key] = float(value)
+        reg = self._registry
+        if reg is not None and reg.clock is not None:
+            self._updated[key] = int(reg.clock())
 
     def merge_set(self, key: LabelKey, value: float) -> None:
         """Harvest hook: overwrite (last-snapshot-wins) a raw key."""
-        if not self._enabled():
-            return
-        self._values[key] = float(value)
-        self._stamp(key)
+        if self._enabled():
+            self._put(key, value)
 
 
 class _HistSample:
-    __slots__ = ("count", "sum", "min", "max", "buckets")
+    __slots__ = ("count", "sum", "min", "max", "counts")
 
     def __init__(self, n_buckets: int) -> None:
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        #: cumulative counts per bucket bound (le semantics), +Inf implicit
-        self.buckets = [0] * n_buckets
+        #: observations per bucket — bucket ``i`` holds what is above
+        #: bound ``i - 1`` and at most bound ``i``; the overflow (and
+        #: NaN) is ``count`` minus their sum
+        self.counts = [0] * n_buckets
+
+    @property
+    def buckets(self) -> List[int]:
+        """Cumulative counts per bucket bound (``le`` semantics), +Inf
+        implicit — what the exporters and the harvest read."""
+        return list(itertools.accumulate(self.counts))
 
 
 class Histogram(Metric):
     """A distribution of observations (stage timings, span durations)."""
 
     kind = "histogram"
+    handle_class = HistogramHandle
 
     def __init__(self, name, help="", registry=None, buckets=None) -> None:
         super().__init__(name, help, registry)
@@ -213,22 +350,34 @@ class Histogram(Metric):
         self.bounds: Tuple[float, ...] = bounds
         self._values: Dict[LabelKey, _HistSample] = {}
 
+    def _handle_options(self) -> Dict[str, object]:
+        return {"buckets": self.bounds}
+
     def observe(self, value: float, **labels: object) -> None:
-        if not self._enabled():
-            return
-        key = _label_key(labels)
+        if self._enabled():
+            self._observe(_label_key(labels) if labels else (), value)
+
+    def _observe(self, key: LabelKey, value: float) -> None:
         s = self._values.get(key)
         if s is None:
             s = self._values[key] = _HistSample(len(self.bounds))
         value = float(value)
         s.count += 1
         s.sum += value
-        s.min = min(s.min, value)
-        s.max = max(s.max, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                s.buckets[i] += 1
-        self._stamp(key)
+        # as min()/max(): the incumbent stays unless strictly beaten, so
+        # a NaN never becomes either
+        if value < s.min:
+            s.min = value
+        if value > s.max:
+            s.max = value
+        # the first bound >= value; a NaN compares false with every
+        # bound and belongs in +Inf only, where bisect_left cannot put it
+        i = bisect_left(self.bounds, value)
+        if i < len(s.counts) and value == value:
+            s.counts[i] += 1
+        reg = self._registry
+        if reg is not None and reg.clock is not None:
+            self._updated[key] = int(reg.clock())
 
     # -- reads -------------------------------------------------------------
     def _sample(self, labels: Mapping[str, object]) -> Optional[_HistSample]:
@@ -256,8 +405,8 @@ class Histogram(Metric):
         if s is None or s.count == 0:
             return 0.0
         rank = q * s.count
-        for i, bound in enumerate(self.bounds):
-            if s.buckets[i] >= rank:
+        for bound, cumulative in zip(self.bounds, s.buckets):
+            if cumulative >= rank:
                 return bound
         return s.max
 
@@ -295,8 +444,10 @@ class Histogram(Metric):
         s.sum += float(total)
         s.min = min(s.min, float(min_v))
         s.max = max(s.max, float(max_v))
+        below = 0
         for i, c in enumerate(buckets):
-            s.buckets[i] += int(c)
+            s.counts[i] += int(c) - below
+            below = int(c)
         self._stamp(key)
 
 
@@ -402,8 +553,9 @@ class MetricRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: the
     first call fixes the kind (and help text); later calls with the
-    same name return the same object, so instrumentation sites never
-    need to share module-level metric handles.
+    same name return the same object.  A lookup that finds its family
+    takes no lock; a hot call site skips even that by holding a
+    :class:`Handle`.
     """
 
     def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
@@ -413,20 +565,23 @@ class MetricRegistry:
         self.clock = clock
         #: when False every mutation is a no-op (overhead baseline)
         self.enabled = True
+        #: bumped by :meth:`reset`: a handle bound in an older
+        #: generation looks its family up again
+        self.generation = 0
 
     # -- construction ------------------------------------------------------
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
-        with self._lock:
-            m = self._metrics.get(name)
-            if m is None:
-                m = self._metrics[name] = cls(
-                    name, help=help, registry=self, **kwargs
-                )
-            elif not isinstance(m, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as {m.kind}"
-                )
-            return m
+        m = self._metrics.get(name)
+        if m is None:
+            with self._lock:
+                m = self._metrics.get(name)
+                if m is None:
+                    m = self._metrics[name] = cls(
+                        name, help=help, registry=self, **kwargs
+                    )
+        if not isinstance(m, cls):
+            raise TypeError(f"metric {name!r} already registered as {m.kind}")
+        return m
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -461,9 +616,11 @@ class MetricRegistry:
         self.clock = clock
 
     def reset(self) -> None:
-        """Drop every metric (tests / fresh CLI runs)."""
+        """Drop every metric (tests / fresh CLI runs); handles re-bind
+        on their next use."""
         with self._lock:
             self._metrics.clear()
+            self.generation += 1
 
     # -- export ------------------------------------------------------------
     def snapshot(self) -> Dict[str, dict]:

@@ -36,10 +36,10 @@ import contextvars
 import itertools
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.registry import MetricRegistry
+from repro.obs import handles
+from repro.obs.registry import CounterHandle, HistogramHandle, MetricRegistry
 
 __all__ = [
     "Span",
@@ -159,6 +159,67 @@ class _NullSpan(Span):
         return self
 
 
+class _SpanContext:
+    """What :meth:`Tracer.span` returns: opens the span on entry, closes
+    and records it on exit.  A slotted class, not a generator, so a
+    span costs a handful of calls."""
+
+    __slots__ = ("tracer", "name", "remote_parent", "attrs", "span", "token")
+
+    def __init__(
+        self,
+        tracer: "Tracer",
+        name: str,
+        remote_parent: Optional[Tuple[int, int]],
+        attrs: Dict[str, object],
+    ) -> None:
+        self.tracer = tracer
+        self.name = name
+        self.remote_parent = remote_parent
+        self.attrs = attrs
+        self.span: Optional[Span] = None
+
+    def __enter__(self) -> Span:
+        tracer = self.tracer
+        if not tracer.enabled:
+            return tracer._null
+        parent = tracer._current.get()
+        span_id = next(tracer._ids)
+        is_remote = False
+        if parent is not None:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        elif self.remote_parent is not None:
+            trace_id, parent_id = self.remote_parent
+            is_remote = True
+        else:
+            trace_id, parent_id = span_id, None
+        s = self.span = Span(
+            self.name, span_id, trace_id, parent_id, tracer.timer(),
+            self.attrs,
+        )
+        s.remote_parent = is_remote
+        self.token = tracer._current.set(s)
+        return s
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        s = self.span
+        if s is None:
+            return
+        if exc_type is not None:
+            s.status = "error"
+        tracer = self.tracer
+        s.ended = tracer.timer()
+        tracer._current.reset(self.token)
+        tracer._retain(s)
+        if tracer._span_seconds is not None:
+            timing = tracer._timings.get(s.name)
+            if timing is None:
+                timing = tracer._timings[s.name] = (
+                    tracer._span_seconds.labels(span=s.name)
+                )
+            timing.observe(s.ended - s.started)
+
+
 class Tracer:
     """Creates, nests and retains spans.
 
@@ -191,15 +252,29 @@ class Tracer:
         self.dropped = 0
         self.enabled = True
         self._null = _NullSpan()
+        self._span_seconds: Optional[HistogramHandle] = None
+        self._dropped: Optional[CounterHandle] = None
+        if registry is not None:
+            self._span_seconds = handles.histogram(
+                "repro_obs_span_seconds",
+                "wall-clock duration of traced operations",
+                registry=registry,
+            )
+            self._dropped = handles.counter(
+                "repro_obs_spans_dropped_total",
+                "completed spans evicted from the tracer ring buffer",
+                registry=registry,
+            )
+        #: span name → its ``repro_obs_span_seconds`` sample
+        self._timings: Dict[str, HistogramHandle] = {}
 
     # -- span lifecycle ----------------------------------------------------
-    @contextmanager
     def span(
         self,
         name: str,
         remote_parent: Optional[Tuple[int, int]] = None,
         **attrs: object,
-    ) -> Iterator[Span]:
+    ) -> "_SpanContext":
         """Context manager: open a child of the current span.
 
         ``remote_parent`` is a ``(trace_id, span_id)`` pair recovered
@@ -207,55 +282,13 @@ class Tracer:
         when no local parent is open, joining this span to the
         publisher's trace across the broker hop.
         """
-        if not self.enabled:
-            yield self._null
-            return
-        parent = self._current.get()
-        span_id = next(self._ids)
-        is_remote = False
-        if parent is not None:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        elif remote_parent is not None:
-            trace_id, parent_id = remote_parent
-            is_remote = True
-        else:
-            trace_id, parent_id = span_id, None
-        s = Span(
-            name=name,
-            span_id=span_id,
-            trace_id=trace_id,
-            parent_id=parent_id,
-            started=self.timer(),
-            attrs=dict(attrs),
-        )
-        s.remote_parent = is_remote
-        token = self._current.set(s)
-        try:
-            yield s
-        except BaseException:
-            s.status = "error"
-            raise
-        finally:
-            s.ended = self.timer()
-            self._current.reset(token)
-            self._finish(s)
-
-    def _finish(self, s: Span) -> None:
-        self._retain(s)
-        if self.registry is not None:
-            self.registry.histogram(
-                "repro_obs_span_seconds",
-                "wall-clock duration of traced operations",
-            ).observe(s.duration, span=s.name)
+        return _SpanContext(self, name, remote_parent, attrs)
 
     def _retain(self, s: Span) -> None:
         if self._spans.maxlen is not None and len(self._spans) == self._spans.maxlen:
             self.dropped += 1
-            if self.registry is not None:
-                self.registry.counter(
-                    "repro_obs_spans_dropped_total",
-                    "completed spans evicted from the tracer ring buffer",
-                ).inc()
+            if self._dropped is not None:
+                self._dropped.inc()
         self._spans.append(s)
 
     def adopt(self, span: Span) -> None:

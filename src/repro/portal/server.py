@@ -48,6 +48,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro import obs
+from repro.obs import handles
 from repro.portal.app import PortalApp, Response
 from repro.tsdb.cache import QueryCache
 
@@ -74,19 +75,14 @@ class PageCache(QueryCache):
     cache one tier below; only the exported counter names differ.
     """
 
-    @staticmethod
-    def _count_hit() -> None:
-        obs.counter(
-            "repro_portal_page_cache_hits_total",
-            "portal pages served from the rendered-page cache",
-        ).inc()
-
-    @staticmethod
-    def _count_miss() -> None:
-        obs.counter(
-            "repro_portal_page_cache_misses_total",
-            "portal pages that had to be rendered",
-        ).inc()
+    _hits = handles.counter(
+        "repro_portal_page_cache_hits_total",
+        "portal pages served from the rendered-page cache",
+    )
+    _misses = handles.counter(
+        "repro_portal_page_cache_misses_total",
+        "portal pages that had to be rendered",
+    )
 
 
 _STATUS_REASONS = {

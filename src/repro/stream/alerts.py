@@ -30,13 +30,26 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, TextIO, Tuple
 
-from repro import obs
 from repro.cluster.cluster import Cluster
 from repro.metrics.flags import FlagResult
+from repro.obs import handles
 
 __all__ = [
     "Alert", "AlertRouter", "SEVERITY_BY_RULE", "log_sink", "suspend_sink",
 ]
+
+_SUPPRESSED = handles.counter(
+    "repro_stream_alerts_suppressed_total",
+    "streaming alerts suppressed by the dedup/cooldown window",
+)
+_ROUTED = handles.counter(
+    "repro_stream_alerts_total",
+    "streaming alerts routed, by rule and severity",
+)
+_SINK_ERRORS = handles.counter(
+    "repro_stream_alert_sink_errors_total",
+    "alert sink callables that raised",
+)
 
 #: severity of each §V-A flag when it fires mid-run.  Sudden drops and
 #: metadata storms hurt *other* users (filesystem, application death)
@@ -147,10 +160,7 @@ class AlertRouter:
         last = self._last_fired.get(key)
         if last is not None and fired_at - last < self.cooldown:
             self.suppressed += 1
-            obs.counter(
-                "repro_stream_alerts_suppressed_total",
-                "streaming alerts suppressed by the dedup/cooldown window",
-            ).inc(rule=flag.name)
+            _SUPPRESSED.labels(rule=flag.name).inc()
             return None
         last_fired = self._last_fired
         last_fired[key] = int(fired_at)
@@ -175,18 +185,12 @@ class AlertRouter:
         )
         self.ledger.append(alert)
         self.feed.append(alert)
-        obs.counter(
-            "repro_stream_alerts_total",
-            "streaming alerts routed, by rule and severity",
-        ).inc(rule=alert.rule, severity=alert.severity)
+        _ROUTED.labels(rule=alert.rule, severity=alert.severity).inc()
         for sink in self._sinks:
             try:
                 sink(alert)
             except Exception:
-                obs.counter(
-                    "repro_stream_alert_sink_errors_total",
-                    "alert sink callables that raised",
-                ).inc(rule=alert.rule)
+                _SINK_ERRORS.labels(rule=alert.rule).inc()
         return alert
 
     def recent(self, limit: int = 20) -> List[Alert]:

@@ -43,6 +43,7 @@ from repro.core.daemon import EXCHANGE
 from repro.core.rawfile import Column, ParsedSample, RawFileParser
 from repro.hardware.devices.base import Schema
 from repro.metrics.flags import FlagResult, Thresholds
+from repro.obs import handles
 from repro.obs.analytics import FleetAnalytics
 from repro.stream.alerts import AlertRouter
 from repro.stream.analyzer import StreamEvent, StreamingFlagAnalyzer
@@ -57,6 +58,31 @@ STREAM_QUEUE = "tacc_stats_stream"
 #: sim-second buckets for sample→flag latency: collection intervals,
 #: not milliseconds, are the natural scale here
 LATENCY_BUCKETS = (10.0, 60.0, 300.0, 600.0, 900.0, 1200.0, 1800.0, 3600.0)
+
+_PARSE_ERRORS = handles.counter(
+    "repro_stream_parse_errors_total",
+    "corrupt raw lines quarantined on the live path",
+)
+_LINE_DECODED = handles.counter(
+    "repro_stream_line_decoded_records_total",
+    "records the parser decoded line by line, not by its template",
+)
+_SAMPLES = handles.counter(
+    "repro_stream_samples_total",
+    "samples processed through the live pipeline",
+)
+_POINTS = handles.counter(
+    "repro_stream_points_total", "points written into the live TSDB feed"
+)
+_INFLIGHT = handles.gauge(
+    "repro_stream_jobs_inflight",
+    "jobs currently tracked by the streaming analyzer",
+)
+_FLAG_LATENCY = handles.histogram(
+    "repro_stream_flag_latency_sim_seconds",
+    "sim-seconds from aligned sample to streaming flag",
+    buckets=LATENCY_BUCKETS,
+)
 
 
 class _Layout:
@@ -237,24 +263,16 @@ class StreamPipeline:
                 with obs.span("stream.tsdb_write") as wsp:
                     wsp.set(points=self._write_blocks(blocks))
             if parser.errors:
-                obs.counter(
-                    "repro_stream_parse_errors_total",
-                    "corrupt raw lines quarantined on the live path",
-                ).inc(len(parser.errors), host=host)
+                _PARSE_ERRORS.labels(host=host).inc(len(parser.errors))
                 # counted is all the live path does with them: kept, a
                 # torn line an interval is a leak for the process's life
                 parser.errors.clear()
             if parser.line_records != line_records:
-                obs.counter(
-                    "repro_stream_line_decoded_records_total",
-                    "records the parser decoded line by line, not by "
-                    "its template",
-                ).inc(parser.line_records - line_records, host=host)
+                _LINE_DECODED.labels(host=host).inc(
+                    parser.line_records - line_records
+                )
             self.samples += n_samples
-            obs.counter(
-                "repro_stream_samples_total",
-                "samples processed through the live pipeline",
-            ).inc(n_samples)
+            _SAMPLES.inc(n_samples)
             sp.set(samples=n_samples, sim_time=now)
             self._route(events, int(now), sp.trace_id or None)
             if self.analytics is not None:
@@ -263,10 +281,7 @@ class StreamPipeline:
                         [(lay.feeds, v) for lay, _, v in blocks], int(now)
                     )
                 self._score_completed(int(now), sp.trace_id or None)
-        obs.gauge(
-            "repro_stream_jobs_inflight",
-            "jobs currently tracked by the streaming analyzer",
-        ).set(self.analyzer.inflight)
+        _INFLIGHT.set(self.analyzer.inflight)
 
     def _row(
         self,
@@ -316,22 +331,16 @@ class StreamPipeline:
                 self.metric, layout.group, times, values
             )
         self.points += n
-        obs.counter(
-            "repro_stream_points_total",
-            "points written into the live TSDB feed",
-        ).inc(n)
+        _POINTS.inc(n)
         return n
 
     def _route(
         self, events: List[StreamEvent], now: int, trace_id: Optional[int]
     ) -> None:
-        latency = obs.histogram(
-            "repro_stream_flag_latency_sim_seconds",
-            "sim-seconds from aligned sample to streaming flag",
-            buckets=LATENCY_BUCKETS,
-        )
         for ev in events:
-            latency.observe(max(0, now - ev.data_time), rule=ev.flag.name)
+            _FLAG_LATENCY.labels(rule=ev.flag.name).observe(
+                max(0, now - ev.data_time)
+            )
             self.alerts.route(
                 ev.flag,
                 ev.jobid,
@@ -393,8 +402,5 @@ class StreamPipeline:
             self.analytics.flush_feeds()
         for writer in self.writers:
             writer.flush()
-        obs.gauge(
-            "repro_stream_jobs_inflight",
-            "jobs currently tracked by the streaming analyzer",
-        ).set(0)
+        _INFLIGHT.set(0)
         return dict(self.analyzer.completed)

@@ -31,12 +31,21 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import obs
+from repro.obs import handles
 from repro.tsdb.store import SeriesGroup, TagKey, TimeSeriesDB, _tagkey
 
 __all__ = ["RetentionTier", "RetentionPolicy", "RetainingWriter"]
 
 _AGGREGATES = ("avg", "sum", "max", "min")
+
+_ROLLUP_POINTS = handles.counter(
+    "repro_stream_rollup_points_total",
+    "downsampled rollup points flushed into the live TSDB",
+)
+_PRUNED = handles.counter(
+    "repro_stream_points_pruned_total",
+    "live-TSDB points dropped past their retention horizon",
+)
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,9 @@ class RetainingWriter:
         self._owner: Dict[Tuple[str, TagKey], Tuple[SeriesGroup, int]] = {}
         #: one-series groups, for callers that write by tag mapping
         self._singles: Dict[Tuple[str, TagKey], SeriesGroup] = {}
+        #: every rollup metric this writer has made → its tier, which
+        #: says how long the metric is kept whatever raw metrics exist
+        self._rollups: Dict[str, RetentionTier] = {}
         self._max_ts: Optional[int] = None
         self._last_prune: Optional[int] = None
         self.pruned = 0
@@ -261,9 +273,12 @@ class RetainingWriter:
         starts = st.start[cols]
         rollup = state.rollups[i]
         if rollup is None:
+            # the same layout under the rollup metric: its tag sets and
+            # sorted keys are the raw group's own
             rollup = state.rollups[i] = self.tsdb.group(
-                tier.rollup_metric(group.metric), group.tag_sets
+                tier.rollup_metric(group.metric), group
             )
+            self._rollups.setdefault(rollup.metric, tier)
         if len(cols) == len(group) and (starts == starts[0]).all():
             self.tsdb.put_many(
                 rollup.metric, rollup, starts[:1], values[None, :]
@@ -278,10 +293,7 @@ class RetainingWriter:
         st.count[cols] = 0
         st.acc[cols] = st.empty
         self.rollup_points += len(cols)
-        obs.counter(
-            "repro_stream_rollup_points_total",
-            "downsampled rollup points flushed into the live TSDB",
-        ).inc(len(cols))
+        _ROLLUP_POINTS.inc(len(cols))
         return len(cols)
 
     def flush(self) -> int:
@@ -304,29 +316,30 @@ class RetainingWriter:
         self.prune(now)
 
     def prune(self, now: int) -> int:
-        """Apply every horizon relative to data-time ``now``."""
-        metrics = {m for m in self.tsdb.metrics()}
-        rollups = {
-            tier.rollup_metric(m)
+        """Apply every horizon relative to data-time ``now``.
+
+        A metric is a rollup when this writer made it, and is kept for
+        its tier's horizon — also once its raw metric is gone; every
+        other metric is raw.  Each raw metric's pass also covers every
+        tier's rollup of it, made yet or not.
+        """
+        metrics = self.tsdb.metrics()
+        raw = [m for m in metrics if m not in self._rollups]
+        passes = [(m, self.policy.raw_horizon) for m in raw] + [
+            (tier.rollup_metric(m), tier.horizon)
             for tier in self.policy.tiers
+            for m in raw
+        ]
+        covered = {m for m, _ in passes}
+        passes += [
+            (m, self._rollups[m].horizon)
             for m in metrics
-        }
+            if m in self._rollups and m not in covered
+        ]
         dropped = 0
-        for m in metrics:
-            if m in rollups:
-                continue
-            dropped += self.tsdb.prune(now - self.policy.raw_horizon, metric=m)
-        for tier in self.policy.tiers:
-            for m in metrics:
-                if m in rollups:
-                    continue
-                dropped += self.tsdb.prune(
-                    now - tier.horizon, metric=tier.rollup_metric(m)
-                )
+        for m, horizon in passes:
+            dropped += self.tsdb.prune(now - horizon, metric=m)
         if dropped:
             self.pruned += dropped
-            obs.counter(
-                "repro_stream_points_pruned_total",
-                "live-TSDB points dropped past their retention horizon",
-            ).inc(dropped)
+            _PRUNED.inc(dropped)
         return dropped

@@ -46,9 +46,24 @@ from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
+from repro.obs import handles
 
 __all__ = ["QueryCache", "BufferCache"]
+
+_RESULT_HITS = handles.counter(
+    "repro_tsdb_cache_hits_total",
+    "TSDB query results served from the result cache",
+)
+_RESULT_MISSES = handles.counter(
+    "repro_tsdb_cache_misses_total", "TSDB queries that had to be computed"
+)
+_BUFFER_HITS = handles.counter(
+    "repro_tsdb_buffer_cache_hits_total",
+    "chunk decodes avoided by the decoded-buffer cache",
+)
+_BUFFER_MISSES = handles.counter(
+    "repro_tsdb_buffer_cache_misses_total", "chunk decodes that had to run"
+)
 
 
 class QueryCache:
@@ -83,24 +98,13 @@ class QueryCache:
                 self.misses += 1
                 hit = False
                 result = None
-        (self._count_hit if hit else self._count_miss)()
+        (self._hits if hit else self._misses).inc()
         return result
 
     # the two exported counters are all a subclass changes
     # (:class:`repro.portal.server.PageCache` counts pages, not queries)
-    @staticmethod
-    def _count_hit() -> None:
-        obs.counter(
-            "repro_tsdb_cache_hits_total",
-            "TSDB query results served from the result cache",
-        ).inc()
-
-    @staticmethod
-    def _count_miss() -> None:
-        obs.counter(
-            "repro_tsdb_cache_misses_total",
-            "TSDB queries that had to be computed",
-        ).inc()
+    _hits = _RESULT_HITS
+    _misses = _RESULT_MISSES
 
     def put(self, key: Hashable, epoch: int, result: Any) -> None:
         with self._lock:
@@ -164,10 +168,7 @@ class BufferCache:
             hits = len(found) - found.count(None)
             self.hits += hits
         if hits:
-            obs.counter(
-                "repro_tsdb_buffer_cache_hits_total",
-                "chunk decodes avoided by the decoded-buffer cache",
-            ).inc(hits)
+            _BUFFER_HITS.inc(hits)
         self.note_misses(len(found) - hits)
         return found
 
@@ -205,10 +206,7 @@ class BufferCache:
         if n:
             with self._lock:
                 self.misses += n
-            obs.counter(
-                "repro_tsdb_buffer_cache_misses_total",
-                "chunk decodes that had to run",
-            ).inc(n)
+            _BUFFER_MISSES.inc(n)
 
     def invalidate(self, chunk_ids: Iterable[int]) -> None:
         """Drop entries for chunks that no longer exist (prune/reseal)."""

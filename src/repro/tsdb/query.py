@@ -61,11 +61,16 @@ from typing import (
 
 import numpy as np
 
-from repro import obs
 from repro.hardware.counters import correct_rollover
+from repro.obs import handles
 from repro.tsdb.cache import QueryCache
 from repro.tsdb.chunks import Chunk, decode_many
 from repro.tsdb.store import TimeSeriesDB
+
+_PREAGG_SKIPS = handles.counter(
+    "repro_tsdb_preagg_skips_total",
+    "chunk decodes skipped by sealed pre-aggregates",
+)
 
 _AGGS = {
     "sum": np.nansum,
@@ -636,10 +641,7 @@ def _window_stats_locked(
                 tsdb.preagg_windows += 1
                 tsdb.preagg_chunks_skipped += skipped
             if skipped:
-                obs.counter(
-                    "repro_tsdb_preagg_skips_total",
-                    "chunk decodes skipped by sealed pre-aggregates",
-                ).inc(skipped)
+                _PREAGG_SKIPS.inc(skipped)
         else:
             t, v = s.arrays(time_range)
             if len(t):

@@ -45,9 +45,9 @@ from typing import (
 
 import numpy as np
 
-from repro import obs
 from repro.core.rawfile import BlockParser
 from repro.core.store import CentralStore
+from repro.obs import handles
 from repro.tsdb.chunks import CHUNK_POINTS, Chunk, decode_concat, seal_many
 
 TagKey = Tuple[Tuple[str, str], ...]
@@ -55,6 +55,27 @@ TagKey = Tuple[Tuple[str, str], ...]
 #: points per :func:`~repro.tsdb.chunks.seal_many` call in ``seal_heads``:
 #: bounds the encoder's temporaries (a few MiB) whatever the store holds
 _SEAL_SLAB_POINTS = 1 << 17
+
+_CHUNK_SEALS = handles.counter(
+    "repro_tsdb_chunk_seals_total",
+    "series heads frozen into compressed columnar chunks",
+)
+_CHUNK_BYTES = handles.counter(
+    "repro_tsdb_chunk_bytes_total",
+    "compressed bytes at rest in sealed TSDB chunks",
+)
+_HEAD_DETACHES = handles.counter(
+    "repro_tsdb_head_detaches_total",
+    "series that left a shared head block for one of their own",
+)
+_PRUNE_PASSES = handles.counter(
+    "repro_tsdb_prune_passes_total",
+    "per-metric prune passes, by whether the low-water mark let them "
+    "skip the walk",
+)
+_PRUNE_SKIPPED = _PRUNE_PASSES.labels(outcome="skipped")
+_PRUNE_WALKED = _PRUNE_PASSES.labels(outcome="walked")
+
 
 class RWLock:
     """A writer-priority readers/writer lock for the store.
@@ -161,14 +182,8 @@ def _seal_into(
             totals[0] += 1
             totals[1] += chunk.nbytes
     for metric, (n_chunks, nbytes) in sealed.items():
-        obs.counter(
-            "repro_tsdb_chunk_seals_total",
-            "series heads frozen into compressed columnar chunks",
-        ).inc(n_chunks, metric=metric)
-        obs.counter(
-            "repro_tsdb_chunk_bytes_total",
-            "compressed bytes at rest in sealed TSDB chunks",
-        ).inc(nbytes, metric=metric)
+        _CHUNK_SEALS.labels(metric=metric).inc(n_chunks)
+        _CHUNK_BYTES.labels(metric=metric).inc(nbytes)
 
 
 #: lower edge of a column whose series left the block: past every row
@@ -205,7 +220,12 @@ class _HeadBlock:
         "max_ts", "col_ordered", "base", "stamp",
     )
 
-    def __init__(self, members: Sequence["_Series"], chunk_size: int) -> None:
+    def __init__(
+        self,
+        members: Sequence["_Series"],
+        chunk_size: int,
+        history: Optional[Sequence[Tuple[int, bool]]] = None,
+    ) -> None:
         self.members = members
         self.chunk_size = chunk_size
         self.t, self.v, self.n = _NO_T, None, 0
@@ -213,10 +233,14 @@ class _HeadBlock:
         self.detached: List[int] = []
         #: per column, as a per-series head would keep them: the newest
         #: timestamp ever written, and whether every append so far was
-        #: newer than everything before it (sticky)
-        history = [s._history() for s in members]
-        self.max_ts = np.array([h[0] for h in history], dtype=np.int64)
-        self.col_ordered = np.array([h[1] for h in history], dtype=bool)
+        #: newer than everything before it (sticky) — the members'
+        #: ``history``, or that of series nothing was written to yet
+        if history is None:
+            self.max_ts = np.full(len(members), _NEVER, dtype=np.int64)
+            self.col_ordered = np.ones(len(members), dtype=bool)
+        else:
+            self.max_ts = np.array([h[0] for h in history], dtype=np.int64)
+            self.col_ordered = np.array([h[1] for h in history], dtype=bool)
         #: ``lo.min()``: rows before it belong to no column any more
         self.base = 0
         #: moves with every change; validates the members' ``_full``
@@ -610,32 +634,65 @@ class SeriesGroup:
     re-registers them on its next write instead of appending to a
     detached object.  Column ``j`` of a written block belongs to
     ``tag_sets[j]``.
+
+    The tag sets are the group's own copies, shared — never copied — by
+    the series registered through it and by every group derived from
+    it: ``SeriesGroup(tsdb, metric, other)`` is ``other``'s layout
+    under another metric, its keys ``other``'s sorted tag keys.
     """
 
-    __slots__ = ("tsdb", "metric", "tag_sets", "keys", "_block",
-                 "_generation")
+    __slots__ = ("tsdb", "metric", "tag_sets", "keys", "_layout",
+                 "_postings", "_block", "_generation")
 
     def __init__(
         self,
         tsdb: "TimeSeriesDB",
         metric: str,
-        tag_sets: Sequence[Mapping[str, str]],
+        tag_sets: Union[Sequence[Mapping[str, str]], "SeriesGroup"],
     ) -> None:
         self.tsdb = tsdb
         self.metric = metric
-        self.tag_sets: Tuple[Dict[str, str], ...] = tuple(
-            dict(tags) for tags in tag_sets
-        )
-        self.keys: Tuple[Tuple[str, TagKey], ...] = tuple(
-            (metric, _tagkey(tags)) for tags in self.tag_sets
-        )
-        if len(set(self.keys)) != len(self.keys):
-            raise ValueError("a series group cannot list a series twice")
+        if isinstance(tag_sets, SeriesGroup):
+            self.tag_sets = tag_sets.tag_sets
+            self.keys = tuple([(metric, key) for _, key in tag_sets.keys])
+            #: the group that first made this layout
+            self._layout: SeriesGroup = tag_sets._layout
+        else:
+            self.tag_sets: Tuple[Dict[str, str], ...] = tuple(
+                dict(tags) for tags in tag_sets
+            )
+            self.keys: Tuple[Tuple[str, TagKey], ...] = tuple(
+                (metric, _tagkey(tags)) for tags in self.tag_sets
+            )
+            if len(set(self.keys)) != len(self.keys):
+                raise ValueError("a series group cannot list a series twice")
+            self._layout = self
+        #: what registering every column adds to the tag index
+        #: (:meth:`postings`), kept by the layout's first group
+        self._postings: Optional[List[Tuple[str, str, List[int]]]] = None
         self._block: Optional[_HeadBlock] = None
         self._generation = -1  # never resolved
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    def postings(self, cols: Sequence[int]) -> List[Tuple[str, str, List[int]]]:
+        """``(tag, value, columns)`` for the series of ``cols``: the
+        posting-set entries registering them adds, in the order a
+        series-by-series walk would first meet each tag value.  For
+        every column at once the answer is the layout's, and is kept."""
+        whole = len(cols) == len(self.keys)
+        if whole and self._layout._postings is not None:
+            return self._layout._postings
+        by_value: Dict[Tuple[str, str], List[int]] = {}
+        tag_sets = self.tag_sets
+        for j in cols:
+            for tag, value in tag_sets[j].items():
+                by_value.setdefault((tag, str(value)), []).append(j)
+        out = [(tag, value, js) for (tag, value), js in by_value.items()]
+        if whole:
+            self._layout._postings = out
+        return out
 
 
 class TimeSeriesDB:
@@ -716,11 +773,14 @@ class TimeSeriesDB:
         return s
 
     def group(
-        self, metric: str, tag_sets: Sequence[Mapping[str, str]]
+        self,
+        metric: str,
+        tag_sets: Union[Sequence[Mapping[str, str]], SeriesGroup],
     ) -> SeriesGroup:
         """A write handle on K series of ``metric`` (see
-        :class:`SeriesGroup`).  Nothing is created until the first
-        :meth:`put_many` through it."""
+        :class:`SeriesGroup`); ``tag_sets`` may be another group, whose
+        layout is then reused as it is.  Nothing is created until the
+        first :meth:`put_many` through it."""
         return SeriesGroup(self, metric, tag_sets)
 
     def put(
@@ -820,23 +880,23 @@ class TimeSeriesDB:
         if len(block.lo) == 1:
             return block
         if block is not _EMPTY:
-            obs.counter(
-                "repro_tsdb_head_detaches_total",
-                "series that left a shared head block for one of their own",
-            ).inc()
+            _HEAD_DETACHES.inc()
         return self._adopt([s])
 
     def _attach(self, group: SeriesGroup) -> _HeadBlock:
-        """Resolve ``group``'s series and the block they share: a
-        series' own block for a one-series group, a block whose columns
-        are exactly these series as it is, a new one otherwise."""
-        members = [
-            self._get_series(key, tags)
-            for key, tags in zip(group.keys, group.tag_sets)
-        ]
+        """Resolve ``group``'s series and the block they share: a block
+        of their own when all of them are new, a series' own block for
+        a one-series group, a block whose columns are exactly these
+        series as it is, a new one otherwise."""
+        members = list(map(self._series.get, group.keys))
+        fresh = [j for j, s in enumerate(members) if s is None]
+        if fresh:
+            self._register(group, members, fresh)
         group._generation = self._generation
         block = members[0]._block
-        if len(members) == 1:
+        if len(fresh) == len(members):
+            block = self._adopt_fresh(members)
+        elif len(members) == 1:
             block = self._own_block(members[0])
         elif (
             len(block.lo) != len(members)
@@ -849,6 +909,36 @@ class TimeSeriesDB:
         group._block = block
         return block
 
+    def _register(
+        self,
+        group: SeriesGroup,
+        members: List[Optional[_Series]],
+        fresh: List[int],
+    ) -> None:
+        """Create and index the series of ``group`` the store lacks —
+        columns ``fresh``, ``None`` in ``members`` until filled in here
+        — in one pass: the series in column order, the metric's key set
+        extended once, each posting set once per tag value it gains.
+        What it leaves is what ``_get_series`` column by column would.
+        """
+        keys, tag_sets, cache = group.keys, group.tag_sets, self.buffer_cache
+        series = self._series
+        for j in fresh:
+            members[j] = series[keys[j]] = _Series(keys[j], tag_sets[j], cache)
+        self._by_metric[group.metric].update([keys[j] for j in fresh])
+        index = self._index
+        for tag, value, cols in group.postings(fresh):
+            index[tag][value].update([keys[j] for j in cols])
+
+    def _adopt_fresh(self, members: List[_Series]) -> _HeadBlock:
+        """A new block for series nothing was written to yet: no open
+        points to bring along, no history to read."""
+        block = _HeadBlock(members, self.chunk_size)
+        self._blocks[block] = None
+        for j, s in enumerate(members):
+            s._block, s._col = block, j
+        return block
+
     def _adopt(self, members: List[_Series]) -> _HeadBlock:
         """A new block for ``members``.  Open points can only come along
         from *one* block (they share its time vector), so the first
@@ -856,7 +946,11 @@ class TimeSeriesDB:
         change, whose new members start at the current row, keeps the
         host on the fast path — and a member holding open points
         anywhere else stays there, as a detached column."""
-        block = _HeadBlock(members, self.chunk_size)
+        block = _HeadBlock(
+            members, self.chunk_size,
+            [s._parked if s._block is _EMPTY else s._history()
+             for s in members],
+        )
         self._blocks[block] = None
         src = next((s._block for s in members if s.head_len()), None)
         joining, staying = [], []
@@ -893,18 +987,13 @@ class TimeSeriesDB:
         alone and open points are cut a head block at a time.  Returns
         points dropped.
         """
-        passes = obs.counter(
-            "repro_tsdb_prune_passes_total",
-            "per-metric prune passes, by whether the low-water mark let "
-            "them skip the walk",
-        )
         dropped = 0
         with self.write_locked():
             for m in [metric] if metric is not None else list(self._by_metric):
                 if before <= self._low.get(m, before):
-                    passes.inc(outcome="skipped")
+                    _PRUNE_SKIPPED.inc()
                 else:
-                    passes.inc(outcome="walked")
+                    _PRUNE_WALKED.inc()
                     dropped += self._prune_walk(before, m)
             if dropped:
                 self.epoch += 1

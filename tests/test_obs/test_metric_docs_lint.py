@@ -48,6 +48,29 @@ def test_lint_accepts_documented_and_ignores_non_metrics():
         assert lint.check_source(src, DOCS) == [], src
 
 
+def test_lint_collects_handles_and_their_labelled_children():
+    """A hot site declares its metric once, as a module-level handle
+    (``repro.obs.handles``) or a family's ``.labels(...)`` child; the
+    name is collected either way, and a child made from a declared
+    handle is no second declaration."""
+    for src in (
+        '_H = handles.counter("repro_missing_total", "help")\n',
+        '_H = handles.histogram(\n    "repro_missing_total", "h",'
+        ' buckets=(1.0,),\n).labels(stage="x")\n',
+        'obs.gauge("repro_missing_total").labels(queue="q").set(1)\n',
+    ):
+        out = lint.check_source(src, DOCS)
+        assert len(out) == 1 and "repro_missing_total" in out[0], src
+    declared = set()
+    assert lint.check_source(
+        '_H = handles.counter("repro_good_total", "h")\n'
+        'class Q:\n'
+        '    def __init__(self, name):\n'
+        '        self.c = _H.labels(queue=name)\n',
+        DOCS, declared=declared) == []
+    assert declared == {"repro_good_total"}
+
+
 def test_lint_reports_file_and_line():
     out = lint.check_source(
         'x = 1\nobs.sketch("repro_missing_dist")\n', DOCS,

@@ -63,7 +63,8 @@ class _Bucket:
 
 
 class ReferenceRetainingWriter(RetainingWriter):
-    """The per-point writer; only ``prune`` is shared with ``src/``."""
+    """The per-point writer; only ``prune`` is shared with ``src/`` (and
+    with it the record of which metrics are rollups, of which tier)."""
 
     def __init__(
         self,
@@ -77,6 +78,7 @@ class ReferenceRetainingWriter(RetainingWriter):
         self._tags: Dict[Tuple[int, str, tuple], Dict[str, str]] = {}
         self._max_ts: Optional[int] = None
         self._last_prune: Optional[int] = None
+        self._rollups: Dict[str, RetentionTier] = {}
         self.pruned = 0
         self.rollup_points = 0
 
@@ -130,6 +132,7 @@ class ReferenceRetainingWriter(RetainingWriter):
     ) -> None:
         bucket = self._open.pop(key)
         _, metric, _ = key
+        self._rollups.setdefault(tier.rollup_metric(metric), tier)
         self.tsdb.put(
             tier.rollup_metric(metric),
             self._tags[key],

@@ -117,6 +117,40 @@ def test_pruning_follows_the_data_clock():
     ).total() == w.pruned
 
 
+def test_rollups_keep_their_horizon_after_their_raw_metric_is_gone():
+    """``a`` stops at 4 h while ``b`` goes on: once ``a``'s raw points
+    are pruned (after 6 h) its three hourly rollups are still rollups,
+    kept for the tier's 48 h — not pruned at the 2 h raw horizon — and
+    no pass is issued for a rollup of a rollup."""
+    db = TimeSeriesDB()
+    hour = 3600
+    policy = RetentionPolicy(
+        raw_horizon=2 * hour,
+        tiers=(RetentionTier(hour, 48 * hour, "avg"),),
+        prune_interval=hour,
+    )
+    w = RetainingWriter(db, policy)
+    pruned_metrics = []
+    real_prune = db.prune
+    db.prune = lambda before, metric=None: (
+        pruned_metrics.append(metric), real_prune(before, metric))[1]
+
+    def rollup_times(metric):
+        return [s.arrays()[0].tolist() for s in db.select(metric)]
+
+    for ts in range(0, 51 * hour + 1, 600):
+        if ts < 4 * hour:
+            w.put("a", TAGS, ts, 1.0)
+        w.put("b", TAGS, ts, 2.0)
+        if ts in (7 * hour, 48 * hour):
+            assert "a" not in db.metrics()
+            assert rollup_times("a.avg3600s") == [[0, hour, 2 * hour]], ts
+    assert "a.avg3600s" not in db.metrics()
+    assert rollup_times("b.avg3600s")[0][0] >= 3 * hour
+    assert "a.avg3600s" in pruned_metrics
+    assert not [m for m in pruned_metrics if m.endswith(".avg3600s.avg3600s")]
+
+
 def test_memory_stays_bounded_on_a_long_run():
     db = TimeSeriesDB()
     policy = RetentionPolicy(

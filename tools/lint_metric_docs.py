@@ -9,7 +9,8 @@ the given root and collects the first-argument string of every
 ``counter(...)`` / ``gauge(...)`` / ``histogram(...)`` /
 ``sketch(...)`` call that looks like a metric name (``repro_*``),
 whichever object the constructor hangs off (``obs.counter``,
-``registry.sketch``, ``self.registry.counter`` ...).  Any collected
+``registry.sketch``, ``self.registry.counter``, a module-level
+``handles.counter`` handle, the family of a ``.labels(...)`` child ...).  Any collected
 name that does not appear verbatim in the docs file is a violation —
 and, when a whole tree is linted, so is any inventory row (a table
 line opening ``| `repro_…``) whose name nothing under the root
