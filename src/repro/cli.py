@@ -107,10 +107,10 @@ def _cmd_ingest_sharded(args: argparse.Namespace) -> int:
     """Sharded TSDB load of the raw store (``--shards N``).
 
     The raw files scatter across a consistent-hash ring of shard
-    stores; ``--shard-workers`` OS processes host the shards, packed
-    by observed load (file sizes) by the resource-aware scheduler.
+    stores; ``--shard-workers`` OS processes host the shards, worker
+    ``w`` the shards ``s % workers == w``.
     """
-    from repro.shard import ShardedTSDB, ShardMap, StoreSource
+    from repro.shard import ShardedTSDB, StoreSource
 
     source = StoreSource(args.store)
     hosts = source.hosts()
@@ -118,16 +118,7 @@ def _cmd_ingest_sharded(args: argparse.Namespace) -> int:
         print(f"no .raw files under {args.store}", file=sys.stderr)
         return 1
     workers = max(args.shard_workers, 0)
-    pool_args = {}
-    if workers:
-        # pack the workers by the raw bytes awaiting each shard
-        ring = ShardMap(args.shards)
-        loads: dict = {}
-        for h, load in source.load_hints(hosts).items():
-            s = ring.place(h)
-            loads[s] = loads.get(s, 0.0) + load
-        pool_args["loads"] = loads
-    tsdb = ShardedTSDB(shards=args.shards, workers=workers, **pool_args)
+    tsdb = ShardedTSDB(shards=args.shards, workers=workers)
     types = tuple(t for t in args.types.split(",") if t) or None
     report = tsdb.ingest(source, hosts=hosts, types=types)
     print(f"sharded ingest: {len(hosts)} hosts -> {args.shards} shards "

@@ -15,9 +15,10 @@ single result bit:
   one shard's store), the in-process backend that calls it, and the
   spawn-safe worker entry point that serves it;
 * :mod:`repro.shard.pool` — :class:`ShardWorkerPool`, the same two
-  verbs (``call``/``post``) over OS processes behind duplex pipes,
-  placed by the resource-aware
-  :class:`~repro.shard.scheduler.ResourceScheduler`;
+  verbs (``call``/``post``) over OS processes behind duplex pipes;
+  worker ``w`` owns the shards ``s % workers == w``;
+* :mod:`repro.shard.transport` — the framed pickle-5 codec every
+  message crosses a pipe in, columns out-of-band inside the frame;
 * :mod:`repro.shard.stream` — the sharded streaming pipeline: the
   live feed's rows written through one retention writer per shard.
 
@@ -45,14 +46,12 @@ from repro.shard.coordinator import (
 from repro.shard.ingest import StoreSource, TemplateSource
 from repro.shard.pool import ShardWorkerDied, ShardWorkerPool
 from repro.shard.ring import DEFAULT_VNODES, ShardMap
-from repro.shard.scheduler import ResourceScheduler
 from repro.shard.stream import ShardedStreamPipeline
 from repro.shard.worker import worker_main
 
 __all__ = [
     "DEFAULT_VNODES",
     "RemoteSeries",
-    "ResourceScheduler",
     "ShardIngestReport",
     "ShardMap",
     "ShardWorkerDied",

@@ -98,9 +98,7 @@ class ShardedTSDB:
 
     ``shards=1, workers=0`` is byte-identical to the single-process
     store on every read path (the equivalence suite pins it), which
-    is what makes ``--shards`` safe to default off.  ``backend_args``
-    go to the backend as they are: ``loads``, ``arena_bytes`` and
-    ``rpc_window`` configure a worker pool, nothing the in-process one.
+    is what makes ``--shards`` safe to default off.
     """
 
     def __init__(
@@ -108,19 +106,16 @@ class ShardedTSDB:
         shards: int = 1,
         workers: int = 0,
         chunk_size: int = CHUNK_POINTS,
-        **backend_args,
     ) -> None:
         self.map = ShardMap(shards)
         self.n_shards = self.map.shards
         self.workers = int(workers)
         if self.workers > 0:
             self.backend = ShardWorkerPool(
-                self.n_shards, self.workers, chunk_size, **backend_args
+                self.n_shards, self.workers, chunk_size
             )
         else:
-            self.backend = LocalShards(
-                range(self.n_shards), chunk_size, **backend_args
-            )
+            self.backend = LocalShards(range(self.n_shards), chunk_size)
         self.cache = QueryCache()
         #: write epoch — bumped on every mutation, which makes the
         #: QueryCache invalidate exactly like a single store's
@@ -182,12 +177,18 @@ class ShardedTSDB:
         seconds = time.perf_counter() - t0
         self.epoch += 1
         if self.workers:
-            # observed load: what the pool's scheduler packs by
             for sid, r in per_shard.items():
-                if r["points"] or r["samples"]:
-                    self.backend.scheduler.observe(
-                        sid, points=int(r["points"]), seconds=r["seconds"]
-                    )
+                if not (r["points"] or r["samples"]):
+                    continue
+                obs.counter(
+                    "repro_shard_points_total",
+                    "points ingested per shard across the worker pool",
+                ).inc(int(r["points"]), shard=sid)
+                if r["seconds"]:
+                    obs.histogram(
+                        "repro_shard_ingest_seconds",
+                        "wall seconds each shard's ingest slice took",
+                    ).observe(r["seconds"], shard=sid)
         return ShardIngestReport(
             points=int(sum(r["points"] for r in per_shard.values())),
             samples=int(sum(r["samples"] for r in per_shard.values())),

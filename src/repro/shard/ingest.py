@@ -6,9 +6,7 @@ stream comes from, so it can be shipped to spawn-started shard workers
 locally — the coordinator never reads or forwards raw bytes.
 
 * :class:`StoreSource` — a :class:`~repro.core.store.CentralStore`
-  directory on disk, the production layout.  Per-host load hints come
-  from real file sizes, which is what the resource-aware scheduler
-  (:mod:`repro.shard.scheduler`) packs workers by.
+  directory on disk, the production layout.
 * :class:`TemplateSource` — a synthetic fleet rendered from one
   host-day template by token substitution (the idiom of the
   deployment-scale benchmarks): 50k hosts of production wire format
@@ -20,7 +18,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["StoreSource", "TemplateSource"]
 
@@ -37,14 +35,6 @@ class StoreSource:
     def open(self, host: str):
         """A text stream of ``host``'s raw stats file."""
         return open(Path(self.root) / f"{host}.raw")
-
-    def load_hints(self, hosts: Iterable[str]) -> Dict[str, float]:
-        """Observed per-host load: raw bytes on disk awaiting parse."""
-        out: Dict[str, float] = {}
-        for h in hosts:
-            p = Path(self.root) / f"{h}.raw"
-            out[h] = float(p.stat().st_size) if p.exists() else 0.0
-        return out
 
 
 @dataclass

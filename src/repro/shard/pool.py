@@ -4,15 +4,12 @@
 ``workers`` OS processes — the RPC form of the two-verb backend over
 the op table in :mod:`repro.shard.worker`: it knows which worker owns
 which shard and how a frame crosses a pipe, nothing about what any
-command does.  The shard→worker assignment comes from the
-resource-aware :class:`~repro.shard.scheduler.ResourceScheduler`
-(load-hinted LPT packing), every process runs
-:func:`~repro.shard.worker.worker_main`, and all traffic rides the
-zero-copy frames of :mod:`repro.shard.transport` — protocol-5
-envelopes over ``Connection.send_bytes`` with numeric columns shipped
-as out-of-band raw buffers (or, for large replies, written straight
-into the worker's shared-memory arena and delivered by reference).
-A call sends to every worker it involves first and only then collects
+command does.  Worker ``w`` owns the shards ``s % workers == w``,
+every process runs :func:`~repro.shard.worker.worker_main`, and all
+traffic rides the zero-copy frames of :mod:`repro.shard.transport` —
+protocol-5 envelopes over ``Connection.send_bytes`` with numeric
+columns shipped as out-of-band raw buffers inside the frame.  A call
+sends to every worker it involves first and only then collects
 replies, so workers genuinely overlap on multi-core hosts.
 
 Posted writes are *pipelined*: :meth:`~ShardWorkerPool.post` does not
@@ -38,7 +35,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.shard import transport
-from repro.shard.scheduler import ResourceScheduler
 from repro.shard.worker import worker_main
 from repro.tsdb.chunks import CHUNK_POINTS
 
@@ -72,8 +68,6 @@ class ShardWorkerPool:
         shards: int,
         workers: int,
         chunk_size: int = CHUNK_POINTS,
-        loads: Optional[Mapping[int, float]] = None,
-        arena_bytes: int = transport.DEFAULT_ARENA_BYTES,
         rpc_window: int = DEFAULT_RPC_WINDOW,
     ) -> None:
         if shards < 1 or workers < 1:
@@ -81,65 +75,35 @@ class ShardWorkerPool:
         self.n_shards = int(shards)
         self.workers = int(workers)
         self.chunk_size = int(chunk_size)
-        self.arena_bytes = max(0, int(arena_bytes))
         self.rpc_window = max(1, int(rpc_window))
-        self.scheduler = ResourceScheduler(self.workers)
-        #: worker index → sorted shard ids it owns
-        self.assignment = self.scheduler.plan(range(self.n_shards), loads)
-        self._ctx = mp.get_context("spawn")
         n = self.workers
+        #: worker index → sorted shard ids it owns (``s % workers``)
+        self.assignment = [list(range(w, self.n_shards, n)) for w in range(n)]
+        self._ctx = mp.get_context("spawn")
         self._procs: List[Optional[mp.process.BaseProcess]] = [None] * n
         self._conns: List[Optional[object]] = [None] * n
-        self._arenas: List[Optional[transport.CoordinatorArena]] = [None] * n
         #: per-worker posted-but-unacknowledged write count
         self._unacked: List[int] = [0] * n
         #: per-worker replies to discard (queued by an aborted gather)
         self._stale: List[int] = [0] * n
         #: per-worker deferred write errors awaiting the next barrier
         self._write_errors: List[List[str]] = [[] for _ in range(n)]
-        self._worker_of: Dict[int, int] = {}
-        for w, sids in enumerate(self.assignment):
-            for sid in sids:
-                self._worker_of[sid] = w
+        for w in range(n):
             self._spawn(w)
 
     def _spawn(self, w: int) -> None:
         """Start (or restart) worker ``w`` with empty shard stores."""
-        arena: Optional[transport.CoordinatorArena] = None
-        if self.arena_bytes > 0:
-            try:
-                arena = transport.CoordinatorArena(self.arena_bytes)
-            except OSError:
-                # no shared memory to be had (a host that restricts
-                # /dev/shm): this worker's reply columns all take the
-                # spill path through the pipe — same bytes, more copying
-                obs.counter(
-                    "repro_shard_arena_unavailable_total",
-                    "shard workers started without a reply arena "
-                    "because the shared-memory block could not be "
-                    "created",
-                ).inc()
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(
-                child,
-                tuple(self.assignment[w]),
-                self.chunk_size,
-                arena.name if arena is not None else None,
-                self.arena_bytes,
-            ),
+            args=(child, tuple(self.assignment[w]), self.chunk_size),
             name=f"repro-shard-w{w}",
             daemon=True,
         )
         proc.start()
         child.close()
-        old = self._arenas[w]
-        if old is not None:
-            old.retire()
         self._procs[w] = proc
         self._conns[w] = parent
-        self._arenas[w] = arena
         self._unacked[w] = 0
         self._stale[w] = 0
         obs.counter(
@@ -157,20 +121,11 @@ class ShardWorkerPool:
             "repro_shard_rpc_wire_bytes_total",
             "bytes of RPC frames crossing shard worker pipes",
         ).inc(info.frame_bytes, dir=direction)
-        for placement, n in (("frame", info.inline_oob_bytes),
-                             ("arena", info.arena_bytes)):
-            if n:
-                obs.counter(
-                    "repro_shard_rpc_oob_bytes_total",
-                    "out-of-band column bytes moved by the shard RPC, by "
-                    "placement (frame = in the pipe, arena = shared memory)",
-                ).inc(n, placement=placement)
-        if info.arena_hits:
+        if info.oob_bytes:
             obs.counter(
-                "repro_shard_arena_hits_total",
-                "reply columns delivered by shared-memory reference "
-                "instead of through the pipe",
-            ).inc(info.arena_hits)
+                "repro_shard_rpc_oob_bytes_total",
+                "out-of-band column bytes moved inside shard RPC frames",
+            ).inc(info.oob_bytes)
 
     def _gauge_inflight(self, w: int) -> None:
         obs.gauge(
@@ -185,11 +140,7 @@ class ShardWorkerPool:
             raise ShardWorkerDied(w, self.assignment[w])
         cur = obs.get_tracer().current()
         ctx = (cur.trace_id, cur.span_id) if cur is not None and cur.span_id else None
-        arena = self._arenas[w]
-        frees = arena.drain_frees() if arena is not None else ()
-        frame, info = transport.encode(
-            (cmd, payload, ctx, {"ack": ack, "frees": frees})
-        )
+        frame, info = transport.encode((cmd, payload, ctx, ack))
         try:
             conn.send_bytes(frame)
         except (BrokenPipeError, OSError):
@@ -230,9 +181,7 @@ class ShardWorkerPool:
             frame = self._recv_frame(w)
             self._stale[w] -= 1
             try:
-                # decode so arena regions named by the discarded reply
-                # are tracked (and freed) rather than leaked
-                stale, _ = transport.decode(frame, arena=self._arenas[w])
+                stale, _ = transport.decode(frame)
             except transport.FrameError:  # pragma: no cover - corrupt
                 continue                  # stale frame: drop it
             # the worker drained its deferred-error buffer into this
@@ -240,7 +189,7 @@ class ShardWorkerPool:
             if isinstance(stale, tuple) and len(stale) == 3 and stale[2]:
                 self._write_errors[w].extend(stale[2])
         frame = self._recv_frame(w)
-        reply, info = transport.decode(frame, arena=self._arenas[w])
+        reply, info = transport.decode(frame)
         self._count_frame(info, "rx")
         status, result, deferred = reply
         self._unacked[w] = 0
@@ -335,7 +284,7 @@ class ShardWorkerPool:
         """
         by_worker: Dict[int, Dict[int, tuple]] = {}
         for shard, args in args_by_shard.items():
-            by_worker.setdefault(self._worker_of[shard], {})[shard] = args
+            by_worker.setdefault(shard % self.workers, {})[shard] = args
         out: Dict[int, object] = {}
         for reply in self._scatter(
             {w: (op, part) for w, part in by_worker.items()}
@@ -347,7 +296,7 @@ class ShardWorkerPool:
         """Pipeline a write to ``shard``; sync when the credit window
         is exhausted.  The store accepts the whole batch or raises,
         and a failure surfaces at the next barrier."""
-        w = self._worker_of[shard]
+        w = shard % self.workers
         self._send(w, op, {shard: args}, ack=False)
         self._unacked[w] += 1
         self._gauge_inflight(w)
@@ -434,8 +383,6 @@ class ShardWorkerPool:
 
         Returns the shard ids that must be re-ingested from their
         durable raw files before the shard answers queries again.
-        The dead worker's arena stays mapped until the last decoded
-        view over it dies; the respawned worker gets a fresh one.
         """
         proc = self._procs[worker]
         if proc is not None and proc.is_alive():
@@ -471,9 +418,6 @@ class ShardWorkerPool:
                 proc.join(timeout=2.0)
                 if proc.is_alive():  # pragma: no cover - stuck worker
                     proc.terminate()
-        for arena in self._arenas:
-            if arena is not None:
-                arena.retire()
         try:
             self._raise_deferred()
         except RuntimeError as exc:

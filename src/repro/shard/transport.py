@@ -1,69 +1,40 @@
-"""Zero-copy shard RPC: framed pickle-5 codec + shared-memory arena.
+"""Zero-copy shard RPC: the framed pickle-5 codec.
 
 Everything crossing a shard worker pipe used to be one
 ``conn.send(obj)`` — pickle protocol default, numeric columns
 round-tripped through ``list(...)`` so every point became a boxed
-Python object on both sides.  This module is the replacement plane:
+Python object on both sides.  :func:`encode` / :func:`decode` replace
+that: the command or reply envelope pickles with protocol 5 and a
+``buffer_callback``, so every contiguous NumPy column leaves the
+envelope as an *out-of-band* raw buffer.  The frame is one
+length-prefixed multi-buffer blob shipped via
+``Connection.send_bytes``; the receiver reconstructs each column as a
+read-only NumPy view over the received frame — zero list
+materialisation, zero per-point decoding.
 
-* **Framed codec** (:func:`encode` / :func:`decode`): the command or
-  reply envelope pickles with protocol 5 and a ``buffer_callback``,
-  so every contiguous NumPy column leaves the envelope as an
-  *out-of-band* raw buffer.  The frame is one length-prefixed
-  multi-buffer blob shipped via ``Connection.send_bytes``; the
-  receiver reconstructs each column as a NumPy view over the received
-  frame — zero list materialisation, zero per-point decoding.
-* **Reply arena** (:class:`CoordinatorArena` parent-side,
-  :class:`WorkerArena` worker-side): one ``multiprocessing.shared_memory``
-  block per worker.  Large reply columns (``scan`` results above
-  :data:`MIN_ARENA_BYTES`) are written in place by the worker and the
-  frame carries only ``(offset, length)`` — the coordinator wraps the
-  shared block with read-only NumPy views, so the bytes never cross
-  the pipe at all.  Region lifetime is tracked with
-  ``weakref.finalize`` on the decoded arrays: when the last view of a
-  region dies, the region id joins a free list that piggybacks on the
-  next request to that worker.  When the arena is full (or disabled
-  with ``arena_bytes=0``) the buffer transparently spills into the
-  frame — same bytes, same bit-exact results, just more copying.
+Layout (little-endian, every buffer 8-byte aligned)::
 
-The codec is deliberately self-contained and deterministic: frames
-are valid independent of arena state, a truncated frame raises
-:class:`FrameError` (never yields a truncated column), and the
-allocator is a plain first-fit free list with coalescing so tests can
-pin its behaviour exactly.
+    RSF1 | n_oob:u32 | env_len:u64 | n_oob × len:u64 | envelope | buffers
+
+Frames live only between the two ends of one pool, so the layout
+carries no version beyond the magic.  The codec is deterministic, and
+a frame whose lengths do not add up to exactly its size — a short
+read, a corrupt length, trailing bytes — raises :class:`FrameError`,
+never yields a truncated column.
 """
 
 from __future__ import annotations
 
-import ctypes
 import pickle
 import struct
-import threading
-import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
-import numpy as np
-
-__all__ = [
-    "MAGIC", "MIN_ARENA_BYTES", "DEFAULT_ARENA_BYTES", "FrameError",
-    "FrameInfo", "encode", "decode", "ArenaAllocator", "WorkerArena",
-    "CoordinatorArena",
-]
+__all__ = ["MAGIC", "FrameError", "FrameInfo", "encode", "decode"]
 
 MAGIC = b"RSF1"
 
-#: smallest out-of-band buffer worth a shared-memory region; below
-#: this the frame itself is the cheaper vehicle
-MIN_ARENA_BYTES = 4096
-
-#: default per-worker reply arena (see docs/scaling.md "Transport")
-DEFAULT_ARENA_BYTES = 4 << 20
-
-_INLINE = 0
-_ARENA = 1
-
-_HEAD = struct.Struct("<4sIQ")      # magic, n_oob, env_len
-_ENT_INLINE = struct.Struct("<BQ")  # kind, length
-_ENT_ARENA = struct.Struct("<BQQ")  # kind, offset, length
+_HEAD = struct.Struct("<4sIQ")  # magic, n_oob, env_len
+_LEN = struct.Struct("<Q")      # one out-of-band buffer's length
 
 _ALIGN = 8
 
@@ -72,426 +43,78 @@ class FrameError(ValueError):
     """A frame that cannot possibly decode to a complete message."""
 
 
-class FrameInfo:
+class FrameInfo(NamedTuple):
     """What one frame carried — the transport accounting record."""
 
-    __slots__ = ("frame_bytes", "inline_oob_bytes", "arena_bytes",
-                 "n_oob", "arena_hits")
-
-    def __init__(self, frame_bytes: int = 0, inline_oob_bytes: int = 0,
-                 arena_bytes: int = 0, n_oob: int = 0,
-                 arena_hits: int = 0) -> None:
-        self.frame_bytes = frame_bytes
-        self.inline_oob_bytes = inline_oob_bytes
-        self.arena_bytes = arena_bytes
-        self.n_oob = n_oob
-        self.arena_hits = arena_hits
+    frame_bytes: int
+    oob_bytes: int
 
 
 def _pad(offset: int) -> int:
     return (-offset) % _ALIGN
 
 
-def encode(
-    obj: object,
-    arena: Optional["WorkerArena"] = None,
-    min_arena_bytes: int = MIN_ARENA_BYTES,
-) -> Tuple[bytes, FrameInfo]:
-    """One message → one frame (and where its buffers went).
+def encode(obj: object) -> Tuple[bytes, FrameInfo]:
+    """One message → one frame.
 
     Contiguous buffers (NumPy columns, in practice) leave the pickle
-    stream out-of-band; each is either placed into ``arena`` (when
-    given, large enough, and the arena has room) or appended raw to
-    the frame.  The envelope itself stays tiny — tags, shapes, dtypes
-    and scalars only.
+    stream out-of-band and are appended raw to the frame; the envelope
+    itself stays tiny — tags, shapes, dtypes and scalars only.
     """
-    entries: List[Tuple[int, int, int]] = []  # (kind, a=off/len, b=len)
-    inline: List[memoryview] = []
-    info = FrameInfo()
+    oob: List[memoryview] = []
 
     def sink(pb: pickle.PickleBuffer):
         try:
-            raw = pb.raw()
+            oob.append(pb.raw())
         except BufferError:      # non-contiguous: let pickle copy it
             return True          # in-band
-        n = raw.nbytes
-        if arena is not None and n >= min_arena_bytes:
-            placed = arena.place(raw)
-            if placed is not None:
-                entries.append((_ARENA, placed, n))
-                info.arena_bytes += n
-                info.arena_hits += 1
-                info.n_oob += 1
-                return None      # out-of-band, zero frame bytes
-        entries.append((_INLINE, n, n))
-        inline.append(raw)
-        info.inline_oob_bytes += n
-        info.n_oob += 1
         return None              # out-of-band, raw bytes in the frame
 
     env = pickle.dumps(obj, protocol=5, buffer_callback=sink)
 
-    buf = bytearray(_HEAD.pack(MAGIC, len(entries), len(env)))
-    for kind, a, b in entries:
-        if kind == _INLINE:
-            buf += _ENT_INLINE.pack(_INLINE, a)
-        else:
-            buf += _ENT_ARENA.pack(_ARENA, a, b)
+    buf = bytearray(_HEAD.pack(MAGIC, len(oob), len(env)))
+    for raw in oob:
+        buf += _LEN.pack(raw.nbytes)
     buf += env
-    for raw in inline:
+    for raw in oob:
         buf += b"\x00" * _pad(len(buf))
         buf += raw.cast("B")
-    info.frame_bytes = len(buf)
-    return bytes(buf), info
+    return bytes(buf), FrameInfo(len(buf), sum(r.nbytes for r in oob))
 
 
-def decode(
-    frame: bytes,
-    arena: Optional["CoordinatorArena"] = None,
-) -> Tuple[object, FrameInfo]:
+def decode(frame: bytes) -> Tuple[object, FrameInfo]:
     """One frame → the message object (columns as zero-copy views).
 
-    Inline out-of-band buffers become views over ``frame``; arena
-    entries become read-only views over the worker's shared-memory
-    block, with region release hooked to the views' lifetime.  Any
-    structurally impossible frame raises :class:`FrameError` — a
-    short read can never surface as a silently truncated column.
+    Every out-of-band buffer becomes a view over ``frame`` (read-only,
+    as the ``bytes`` a pipe delivers is).  Any structurally impossible
+    frame raises :class:`FrameError` — a short read can never surface
+    as a silently truncated column.
     """
     mv = memoryview(frame)
-    info = FrameInfo(frame_bytes=len(frame))
-    if len(mv) < _HEAD.size:
-        raise FrameError(f"frame shorter than header: {len(mv)} bytes")
+    size = len(mv)
+    if size < _HEAD.size:
+        raise FrameError(f"frame shorter than header: {size} bytes")
     magic, n_oob, env_len = _HEAD.unpack_from(mv, 0)
     if magic != MAGIC:
         raise FrameError(f"bad frame magic {magic!r}")
     pos = _HEAD.size
-    entries: List[Tuple[int, int, int]] = []
-    for _ in range(n_oob):
-        if pos >= len(mv):
-            raise FrameError("frame truncated inside entry table")
-        kind = mv[pos]
-        if kind == _INLINE:
-            if pos + _ENT_INLINE.size > len(mv):
-                raise FrameError("frame truncated inside entry table")
-            _, n = _ENT_INLINE.unpack_from(mv, pos)
-            pos += _ENT_INLINE.size
-            entries.append((_INLINE, n, n))
-        elif kind == _ARENA:
-            if pos + _ENT_ARENA.size > len(mv):
-                raise FrameError("frame truncated inside entry table")
-            _, off, n = _ENT_ARENA.unpack_from(mv, pos)
-            pos += _ENT_ARENA.size
-            entries.append((_ARENA, off, n))
-        else:
-            raise FrameError(f"unknown buffer placement kind {kind}")
-    if pos + env_len > len(mv):
+    if pos + n_oob * _LEN.size > size:
+        raise FrameError("frame truncated inside entry table")
+    lengths = struct.unpack_from(f"<{n_oob}Q", mv, pos)
+    pos += n_oob * _LEN.size
+    if pos + env_len > size:
         raise FrameError("frame truncated inside envelope")
     env = mv[pos:pos + env_len]
     pos += env_len
 
     buffers: List[memoryview] = []
-    arena_entries: List[Tuple[int, int]] = []
-    for kind, a, b in entries:
-        if kind == _INLINE:
-            pos += _pad(pos)
-            if pos + a > len(mv):
-                raise FrameError("frame truncated inside inline buffer")
-            buffers.append(mv[pos:pos + a])
-            pos += a
-            info.inline_oob_bytes += a
-        else:
-            if arena is None:
-                raise FrameError(
-                    "frame references an arena region but no arena "
-                    "is attached"
-                )
-            buffers.append(arena.view(a, b))
-            arena_entries.append((a, b))
-            info.arena_bytes += b
-            info.arena_hits += 1
-        info.n_oob += 1
+    for n in lengths:
+        pos += _pad(pos)
+        if pos + n > size:
+            raise FrameError("frame truncated inside out-of-band buffer")
+        buffers.append(mv[pos:pos + n])
+        pos += n
+    if pos != size:
+        raise FrameError(f"frame has {size - pos} trailing bytes")
     obj = pickle.loads(env, buffers=buffers)
-    if arena_entries:
-        arena.track(obj, arena_entries)
-    return obj, info
-
-
-# -- the allocator ------------------------------------------------------------
-
-def _round_up(n: int) -> int:
-    return (n + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-class ArenaAllocator:
-    """First-fit free-list allocator with neighbour coalescing.
-
-    Offsets and sizes are 8-byte aligned.  ``alloc`` returns ``None``
-    when no free span is large enough (the caller spills to the
-    frame), never raises; ``free`` merges the returned span back with
-    its neighbours so fragmentation stays bounded by the number of
-    *live* regions, not the allocation history.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = int(size)
-        self._free: List[Tuple[int, int]] = (
-            [(0, self.size)] if self.size > 0 else []
-        )
-
-    def alloc(self, n: int) -> Optional[int]:
-        n = _round_up(max(1, int(n)))
-        for i, (off, avail) in enumerate(self._free):
-            if avail >= n:
-                if avail == n:
-                    del self._free[i]
-                else:
-                    self._free[i] = (off + n, avail - n)
-                return off
-        return None
-
-    def free(self, off: int, n: int) -> None:
-        n = _round_up(max(1, int(n)))
-        off = int(off)
-        # insert sorted by offset, then coalesce both neighbours
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid][0] < off:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._free.insert(lo, (off, n))
-        if lo + 1 < len(self._free):
-            noff, nsz = self._free[lo + 1]
-            if off + n == noff:
-                self._free[lo] = (off, n + nsz)
-                del self._free[lo + 1]
-        if lo > 0:
-            poff, psz = self._free[lo - 1]
-            off, n = self._free[lo]
-            if poff + psz == off:
-                self._free[lo - 1] = (poff, psz + n)
-                del self._free[lo]
-
-    @property
-    def free_bytes(self) -> int:
-        return sum(sz for _, sz in self._free)
-
-    @property
-    def spans(self) -> List[Tuple[int, int]]:
-        return list(self._free)
-
-
-# -- the shared-memory reply arena --------------------------------------------
-
-def _attach_shared_memory(name: str):
-    """Attach to an existing block created by the coordinator.
-
-    Attaching re-registers the segment with the resource tracker the
-    worker inherited from the coordinator; the tracker's cache is a
-    set, so the duplicate collapses into the coordinator's own
-    registration and the coordinator's eventual ``unlink`` retires it
-    exactly once — no per-side unregister games needed.
-    """
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(name=name)
-
-
-class WorkerArena:
-    """Worker-side writer of the per-worker reply arena.
-
-    Owns the allocator (the worker is the only allocator — the
-    coordinator merely reports regions it no longer references, via
-    the free list piggybacked on each request).  ``place`` copies a
-    raw buffer into a fresh region and returns its offset, or ``None``
-    on arena exhaustion (the codec then spills the buffer into the
-    frame; :data:`repro_shard_arena_spills_total` counts how often).
-    """
-
-    def __init__(self, shm, size: int) -> None:
-        self.shm = shm
-        self.size = int(size)
-        self.allocator = ArenaAllocator(self.size)
-        self.placed = 0
-        self.spilled = 0
-
-    @classmethod
-    def attach(cls, name: str, size: int) -> "WorkerArena":
-        return cls(_attach_shared_memory(name), size)
-
-    def place(self, raw: memoryview) -> Optional[int]:
-        from repro import obs
-
-        n = raw.nbytes
-        off = self.allocator.alloc(n)
-        if off is None:
-            self.spilled += 1
-            obs.counter(
-                "repro_shard_arena_spills_total",
-                "reply columns that spilled to the pipe because the "
-                "arena had no room",
-            ).inc()
-            return None
-        self.shm.buf[off:off + n] = raw.cast("B")
-        self.placed += 1
-        obs.counter(
-            "repro_shard_arena_placed_bytes_total",
-            "reply column bytes written into the shared-memory arena "
-            "instead of the pipe",
-        ).inc(n)
-        return off
-
-    def free_many(self, regions: Sequence[Tuple[int, int]]) -> None:
-        for off, n in regions:
-            self.allocator.free(off, n)
-
-    def close(self) -> None:
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - exiting anyway
-            pass
-
-
-class CoordinatorArena:
-    """Coordinator-side reader (and owner) of one worker's arena.
-
-    Creates the shared block, hands out read-only views, and tracks
-    region lifetime: :meth:`track` hooks ``weakref.finalize`` onto
-    every decoded array backed by the block, and when the last array
-    of a region dies the region lands on :meth:`drain_frees` — the
-    pool attaches that list to its next request so the worker's
-    allocator gets the space back.  Thread-safe where it must be
-    (finalizers can fire from anywhere).
-    """
-
-    def __init__(self, nbytes: int) -> None:
-        from multiprocessing import shared_memory
-
-        self.size = int(nbytes)
-        self.shm = shared_memory.SharedMemory(create=True, size=self.size)
-        c = ctypes.c_char.from_buffer(self.shm.buf)
-        self._base = ctypes.addressof(c)
-        del c
-        self._lock = threading.Lock()
-        self._pending: List[Tuple[int, int]] = []
-        self._outstanding = 0
-        self._retired = False
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def view(self, off: int, n: int) -> memoryview:
-        if off < 0 or n < 0 or off + n > self.size:
-            raise FrameError(
-                f"arena region [{off}, {off + n}) outside the "
-                f"{self.size}-byte arena"
-            )
-        return memoryview(self.shm.buf)[off:off + n].toreadonly()
-
-    # -- region lifetime -----------------------------------------------------
-    def track(self, obj: object, entries: Sequence[Tuple[int, int]]) -> None:
-        """Tie each region's release to the decoded arrays using it."""
-        arrays: List[np.ndarray] = []
-        _collect_arrays(obj, arrays)
-        spans = [(self._base + off, n, off) for off, n in entries]
-        matched: Dict[int, List[np.ndarray]] = {i: [] for i in
-                                                range(len(spans))}
-        for arr in arrays:
-            ptr = arr.__array_interface__["data"][0]
-            for i, (addr, n, _off) in enumerate(spans):
-                if addr <= ptr < addr + n:
-                    matched[i].append(arr)
-                    break
-        for i, (_, n, off) in enumerate(spans):
-            arrs = matched[i]
-            if not arrs:
-                # nothing decoded points here: release immediately
-                with self._lock:
-                    self._pending.append((off, n))
-                continue
-            state = {"left": len(arrs)}
-            with self._lock:
-                self._outstanding += 1
-            for arr in arrs:
-                weakref.finalize(arr, self._release, off, n, state)
-
-    def _release(self, off: int, n: int, state: dict) -> None:
-        # finalizers can run concurrently on any thread: the
-        # decrement-and-test must share the lock with the append, or
-        # two racing finalizers could free the region twice (or never)
-        with self._lock:
-            state["left"] -= 1
-            if state["left"]:
-                return
-            self._pending.append((off, n))
-            self._outstanding -= 1
-
-    def drain_frees(self) -> Tuple[Tuple[int, int], ...]:
-        with self._lock:
-            out, self._pending = tuple(self._pending), []
-        return out
-
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
-
-    # -- teardown ------------------------------------------------------------
-    def retire(self) -> None:
-        """Unlink now; unmap once the last decoded view dies.
-
-        Live views (a cached :class:`~repro.tsdb.query.QueryResult`
-        still holding a scan column, say) keep the *mapping* alive via
-        their exported buffers, so when ``close()`` refuses we just
-        drop our handles: the fd closes now, and the mmap is torn down
-        by the last view's release — never by ``SharedMemory.__del__``
-        at interpreter exit, which would spray ``BufferError`` noise.
-
-        The handle-dropping pokes at ``SharedMemory`` internals
-        (``_mmap``/``_fd``), which are CPython implementation details;
-        on a runtime that doesn't have them we leave the handle for GC
-        instead — a deferred unmap, never an error.
-        """
-        with self._lock:
-            if self._retired:
-                return
-            self._retired = True
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double retire
-            pass
-        try:
-            self.shm.close()
-            return
-        except BufferError:
-            pass
-        shm = self.shm
-        if not (hasattr(shm, "_mmap") and hasattr(shm, "_fd")):
-            return  # pragma: no cover - unfamiliar runtime: GC owns it
-        try:
-            shm._mmap = None
-            if shm._fd >= 0:
-                import os
-
-                os.close(shm._fd)
-                shm._fd = -1
-        except (AttributeError, TypeError, OSError):  # pragma: no cover
-            pass  # internals drifted or fd already closed: GC owns it
-
-
-def _collect_arrays(obj: object, out: List[np.ndarray], depth: int = 0) -> None:
-    """Every ndarray reachable through plain containers (bounded)."""
-    if depth > 8:
-        return
-    if isinstance(obj, np.ndarray):
-        out.append(obj)
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for item in obj:
-            _collect_arrays(item, out, depth + 1)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            _collect_arrays(item, out, depth + 1)
-    elif hasattr(obj, "__dict__"):
-        for item in vars(obj).values():
-            _collect_arrays(item, out, depth + 1)
+    return obj, FrameInfo(size, sum(lengths))

@@ -50,8 +50,8 @@ def _ingest(
     through :func:`~repro.tsdb.store.ingest_file`, so a regular host
     file is one block write (one ``put_many``, one head block).
 
-    Returns ``{points, samples, seconds}`` — the observed-load
-    feedback the resource scheduler packs future assignments by.
+    Returns ``{points, samples, seconds}`` — the per-shard report
+    behind ``repro_shard_points_total`` and ``repro_shard_ingest_seconds``.
     """
     points = samples = 0
     t0 = time.perf_counter()
@@ -152,18 +152,15 @@ def worker_main(
     conn,
     shard_ids: Sequence[int],
     chunk_size: int,
-    arena_name: Optional[str] = None,
-    arena_size: int = 0,
 ) -> None:
     """Process entry point: serve :data:`OPS` over ``conn``.
 
     Spawn-safe: importable at module top level with picklable
     arguments only.  Every message is one
     :mod:`repro.shard.transport` frame carrying
-    ``(cmd, payload, ctx, meta)`` — ``payload`` is ``{shard: args}``,
-    ``ctx`` is the coordinator's ``(trace_id, span_id)`` or ``None``;
-    ``meta["frees"]`` returns arena regions the coordinator no longer
-    references, and ``meta["ack"]`` selects the reply discipline:
+    ``(cmd, payload, ctx, ack)`` — ``payload`` is ``{shard: args}``,
+    ``ctx`` is the coordinator's ``(trace_id, span_id)`` or ``None``,
+    and ``ack`` selects the reply discipline:
 
     * **acked** commands answer ``("ok", {shard: result}, deferred)``
       or ``("err", message, deferred)``, where ``deferred`` drains
@@ -176,11 +173,9 @@ def worker_main(
     ``cmd`` is looked up in :data:`OPS` and nowhere else: any other
     name, whatever attribute it spells, fails like a failed command.
 
-    Reply columns above the arena threshold are written into the
-    shared-memory arena (when one was handed over) and travel as
-    ``(offset, length)`` references; everything else goes out-of-band
-    inside the frame.  The loop exits on ``close`` or a dropped pipe
-    (coordinator death must not leak workers).
+    Reply columns travel out-of-band inside the reply frame.  The loop
+    exits on ``close`` or a dropped pipe (coordinator death must not
+    leak workers).
 
     Every shard operation runs inside a ``shard.worker.<cmd>`` span
     joined to the coordinator's trace via ``ctx``; the
@@ -195,17 +190,10 @@ def worker_main(
     from repro.shard import transport
 
     shards = LocalShards(shard_ids, chunk_size)
-    arena = (
-        transport.WorkerArena.attach(arena_name, arena_size)
-        if arena_name is not None and arena_size > 0
-        else None
-    )
     deferred: list = []
 
     def reply(status: str, result) -> None:
-        frame, _ = transport.encode(
-            (status, result, tuple(deferred)), arena=arena
-        )
+        frame, _ = transport.encode((status, result, tuple(deferred)))
         deferred.clear()
         conn.send_bytes(frame)
 
@@ -215,12 +203,9 @@ def worker_main(
         except (EOFError, OSError):
             break
         try:
-            (cmd, payload, ctx, meta), _ = transport.decode(frame)
+            (cmd, payload, ctx, ack), _ = transport.decode(frame)
         except Exception:  # corrupt request: die visibly, not wrongly
             break
-        if arena is not None and meta.get("frees"):
-            arena.free_many(meta["frees"])
-        ack = meta.get("ack", True)
         try:
             if cmd == "close":
                 reply("ok", None)
@@ -251,6 +236,4 @@ def worker_main(
                     "pipelined write failures buffered for the next "
                     "barrier",
                 ).inc()
-    if arena is not None:
-        arena.close()
     conn.close()

@@ -292,8 +292,8 @@ def test_ingest_sharded_matches_unsharded_totals(
 
 
 def test_shard_transport_and_coalescing_flags_are_gone(capsys):
-    """The arena, the credit window and feed coalescing are constants
-    (docs/performance.md, "Tuning knobs")."""
+    """The credit window and feed coalescing are constants, and the
+    reply arena is gone (docs/performance.md, "Tuning knobs")."""
     parser = build_parser()
     for argv in (
         ["ingest", "--store", "s", "--shards", "2", "--arena-kb", "0"],

@@ -1,24 +1,19 @@
-"""The zero-copy shard RPC plane: codec, arena, pipelining, chaos.
+"""The zero-copy shard RPC plane: codec, pipelining, chaos.
 
-Three layers under test:
+Two layers under test:
 
 * the **frame codec** — protocol-5 envelopes with out-of-band column
   buffers must round-trip bit-exactly (NaN, ±inf, ``-0.0``, empty and
   single-point columns included), decode to zero-copy read-only
-  views, and refuse *any* truncated frame rather than surface a
-  truncated column;
-* the **shared-memory arena** — first-fit allocation with coalescing,
-  spill-to-frame when full or below threshold, and region lifetime
-  tied to the decoded arrays (freed regions come back through
-  ``drain_frees`` for the worker's allocator);
-* the **pool protocol** — a death during ``recv`` raises
+  views over the received frame, and refuse *any* truncated frame
+  rather than surface a truncated column;
+* the **pool protocol** — worker ``w`` owns the shards
+  ``s % workers == w``, a death during ``recv`` raises
   :class:`ShardWorkerDied` (never ``UnboundLocalError``), a worker
   killed mid-frame or mid-pipelined-window surfaces at the next
   barrier with no silent data loss, and deferred worker-side write
   errors arrive at ``flush()``.
 """
-
-import gc
 
 import numpy as np
 import pytest
@@ -26,61 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.shard.pool import ShardWorkerDied, ShardWorkerPool
-from repro.shard.transport import (
-    MIN_ARENA_BYTES,
-    ArenaAllocator,
-    CoordinatorArena,
-    FrameError,
-    WorkerArena,
-    decode,
-    encode,
-)
+from repro.shard.transport import FrameError, decode, encode
 from repro.tsdb.store import _tagkey
 
-# -- allocator ----------------------------------------------------------------
+# -- frame codec: round-trips -------------------------------------------------
 
 
-def test_allocator_first_fit_and_alignment():
-    a = ArenaAllocator(1024)
-    assert a.alloc(10) == 0          # rounds to 16
-    assert a.alloc(1) == 16          # rounds to 8
-    assert a.alloc(100) == 24
-    assert a.free_bytes == 1024 - 16 - 8 - 104
-
-
-def test_allocator_exhaustion_returns_none():
-    a = ArenaAllocator(64)
-    assert a.alloc(64) == 0
-    assert a.alloc(1) is None
-    a.free(0, 64)
-    assert a.alloc(64) == 0
-
-
-def test_allocator_free_coalesces_neighbours():
-    a = ArenaAllocator(96)
-    offs = [a.alloc(32) for _ in range(3)]
-    assert offs == [0, 32, 64]
-    assert a.alloc(1) is None
-    # free middle, then left, then right: one contiguous span again
-    a.free(32, 32)
-    a.free(0, 32)
-    a.free(64, 32)
-    assert a.spans == [(0, 96)]
-    assert a.alloc(96) == 0
-
-
-def test_allocator_zero_size_arena_never_allocates():
-    a = ArenaAllocator(0)
-    assert a.alloc(1) is None
-
-
-# -- frame codec: inline round-trips ------------------------------------------
-
-
-def _roundtrip(msg, encode_arena=None, decode_arena=None):
-    frame, _ = encode(msg, arena=encode_arena)
-    out, _ = decode(frame, arena=decode_arena)
+def _roundtrip(msg):
+    frame, _ = encode(msg)
+    out, _ = decode(frame)
     return out
+
+
+def _frame_of(arr):
+    """The bytes object a decoded column is a view over."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, memoryview)
+    return base.obj
 
 
 def assert_cols_bitwise(got, want):
@@ -163,115 +122,15 @@ def test_bad_magic_and_unknown_kind_raise():
     with pytest.raises(FrameError):
         decode(b"XXXX" + frame[4:])
     mangled = bytearray(frame)
-    mangled[12] = 9  # first entry's kind byte
+    mangled[12] = 9  # the envelope length's high word
     with pytest.raises(FrameError):
         decode(bytes(mangled))
 
 
-def test_arena_reference_without_arena_raises():
-    arena = CoordinatorArena(1 << 16)
-    worker = WorkerArena.attach(arena.name, 1 << 16)
-    try:
-        frame, info = encode(
-            ("ok", [np.arange(4096, dtype=np.float64)], ()), arena=worker
-        )
-        assert info.arena_hits == 1
-        with pytest.raises(FrameError):
-            decode(frame, arena=None)
-    finally:
-        worker.close()
-        arena.retire()
-
-
-# -- the shared-memory arena --------------------------------------------------
-
-
-def test_arena_roundtrip_and_region_lifecycle():
-    arena = CoordinatorArena(1 << 18)
-    worker = WorkerArena.attach(arena.name, 1 << 18)
-    try:
-        t = np.arange(8192, dtype=np.int64)
-        v = np.where(t % 97 == 0, np.nan, np.sqrt(t.astype(np.float64)))
-        frame, info = encode(("ok", [(t, v)], ()), arena=worker)
-        assert info.arena_hits == 2
-        assert info.arena_bytes == t.nbytes + v.nbytes
-        assert info.inline_oob_bytes == 0
-        # the frame itself carries only the envelope
-        assert info.frame_bytes < 1024
-
-        out, rinfo = decode(frame, arena=arena)
-        assert rinfo.arena_hits == 2
-        got_t, got_v = out[1][0]
-        assert_cols_bitwise((got_t, got_v), (t, v))
-        assert not got_t.flags.writeable and not got_v.flags.writeable
-        assert arena.outstanding == 2
-
-        # dropping the decoded arrays releases their regions
-        del out, got_t, got_v
-        gc.collect()
-        frees = arena.drain_frees()
-        assert sorted(n for _, n in frees) == sorted([t.nbytes, v.nbytes])
-        assert arena.outstanding == 0
-        worker.free_many(frees)
-        assert worker.allocator.free_bytes == 1 << 18
-    finally:
-        worker.close()
-        arena.retire()
-
-
-def test_small_columns_stay_inline_even_with_arena():
-    arena = CoordinatorArena(1 << 16)
-    worker = WorkerArena.attach(arena.name, 1 << 16)
-    try:
-        small = np.arange(MIN_ARENA_BYTES // 8 - 1, dtype=np.float64)
-        frame, info = encode(("ok", [small], ()), arena=worker)
-        assert info.arena_hits == 0 and info.inline_oob_bytes == small.nbytes
-        out, _ = decode(frame, arena=arena)
-        assert np.array_equal(out[1][0], small)
-    finally:
-        worker.close()
-        arena.retire()
-
-
-def test_oversize_column_spills_to_frame():
-    size = 1 << 14  # 16 KiB arena
-    arena = CoordinatorArena(size)
-    worker = WorkerArena.attach(arena.name, size)
-    try:
-        big = np.arange(size // 4, dtype=np.float64)  # 2× the arena
-        frame, info = encode(("ok", [big], ()), arena=worker)
-        assert info.arena_hits == 0
-        assert info.inline_oob_bytes == big.nbytes
-        assert worker.spilled == 1
-        out, _ = decode(frame, arena=arena)
-        assert np.array_equal(out[1][0], big)
-    finally:
-        worker.close()
-        arena.retire()
-
-
-def test_full_arena_spills_then_recovers_after_frees():
-    size = 1 << 14
-    arena = CoordinatorArena(size)
-    worker = WorkerArena.attach(arena.name, size)
-    try:
-        col = np.arange(size // 16, dtype=np.float64)  # half the arena
-        f1, i1 = encode(("ok", [col], ()), arena=worker)
-        f2, i2 = encode(("ok", [col + 1], ()), arena=worker)
-        f3, i3 = encode(("ok", [col + 2], ()), arena=worker)
-        assert (i1.arena_hits, i2.arena_hits, i3.arena_hits) == (1, 1, 0)
-        assert i3.inline_oob_bytes == col.nbytes  # spilled, not lost
-        outs = [decode(f, arena=arena)[0] for f in (f1, f2, f3)]
-        for k, out in enumerate(outs):
-            assert np.array_equal(out[1][0], col + k)
-        del outs, out
-        gc.collect()
-        worker.free_many(arena.drain_frees())
-        _, i4 = encode(("ok", [col + 3], ()), arena=worker)
-        assert i4.arena_hits == 1  # space reclaimed
-    finally:
-        worker.close()
-        arena.retire()
+def test_trailing_bytes_raise():
+    frame, _ = encode(("ok", [np.arange(8, dtype=np.int64)], ()))
+    with pytest.raises(FrameError):
+        decode(frame + b"\x00")
 
 
 # -- pool protocol: death, pipelining, barriers -------------------------------
@@ -307,8 +166,8 @@ def test_recv_death_raises_shard_worker_died():
 def test_kill_mid_frame_raises_died_never_truncated():
     """Kill a worker while a multi-megabyte reply is mid-pipe: the
     coordinator must raise ShardWorkerDied, never hand back a
-    truncated column (arena off so the columns ride the pipe)."""
-    pool = ShardWorkerPool(2, 2, chunk_size=4096, arena_bytes=0)
+    truncated column."""
+    pool = ShardWorkerPool(2, 2, chunk_size=4096)
     try:
         sid = pool.assignment[0][0]
         n = 500_000  # 8 MB of values: far beyond any pipe buffer
@@ -469,40 +328,28 @@ def test_window_exhaustion_inserts_sync_barrier():
         pool.close()
 
 
-def test_no_shared_memory_runs_on_the_spill_path(monkeypatch):
-    """A host that will not hand out a shared-memory block is observed,
-    not configured: the worker starts without an arena, every reply
-    column rides the pipe, and the answer is the arena run's bit for
-    bit."""
-    import os
-
-    from repro import obs
-    from repro.shard import transport
-
-    def scan_8k(pool):
-        t = np.arange(1024, dtype=np.int64) * 10
-        v = np.sqrt(np.arange(1024, dtype=np.float64))
+def test_large_scan_reply_is_bit_identical_views_over_the_frame():
+    """A 64 k-point scan through a real worker: both columns arrive
+    bit-exact, read-only, and backed by the one received frame."""
+    t = 1_443_657_600 + np.arange(65536, dtype=np.int64) * 10
+    v = np.where(t % 97 == 0, np.nan, np.sqrt(np.arange(65536.0)))
+    with ShardWorkerPool(1, 1, chunk_size=8192) as pool:
         put_many(pool, 0, {"host": "h"}, t, v)
-        assert t.nbytes >= 2 * MIN_ARENA_BYTES
-        got = pool.call(
-            "scan", {0: ("stats", [_tagkey({"host": "h"})], None)})
-        return [(c.dtype.str, c.tobytes()) for c in got[0][0]]
+        got_t, got_v = pool.call(
+            "scan", {0: ("stats", [_tagkey({"host": "h"})], None)})[0][0]
+    assert_cols_bitwise((got_t, got_v), (t, v))
+    assert not got_t.flags.writeable and not got_v.flags.writeable
+    frame = _frame_of(got_t)
+    assert isinstance(frame, bytes) and _frame_of(got_v) is frame
+    assert len(frame) >= t.nbytes + v.nbytes
 
-    with ShardWorkerPool(1, 1, chunk_size=256) as pool:
-        assert pool._arenas[0] is not None
-        want = scan_8k(pool)
 
-    def no_shm(nbytes):
-        raise OSError(28, "No space left on device")
-
-    unavailable = obs.counter("repro_shard_arena_unavailable_total", "")
-    hits = obs.counter("repro_shard_arena_hits_total", "")
-    before, hits0 = unavailable.total(), hits.total()
-    shm_before = set(os.listdir("/dev/shm"))
-    monkeypatch.setattr(transport, "CoordinatorArena", no_shm)
-    with ShardWorkerPool(1, 1, chunk_size=256) as pool:
-        assert pool._arenas[0] is None
-        assert scan_8k(pool) == want
-    assert unavailable.total() - before == 1
-    assert hits.total() == hits0  # nothing travelled by reference
-    assert set(os.listdir("/dev/shm")) == shm_before
+@pytest.mark.parametrize("shards, workers", [(4, 1), (7, 2), (3, 6)])
+def test_assignment_is_shard_modulo_workers(shards, workers):
+    with ShardWorkerPool(shards, workers, chunk_size=32) as pool:
+        want = [[s for s in range(shards) if s % workers == w]
+                for w in range(workers)]
+        assert pool.assignment == want
+        for w in range(workers):
+            assert pool.respawn(w) == want[w]
+        assert pool.assignment == want
