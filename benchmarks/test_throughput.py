@@ -266,7 +266,7 @@ def test_parallel_ingest_speedup(benchmark, tmp_path):
     speedup = oracle_s / etl_s
     report("Oracle vs ETL (32 hosts × 100 samples, 8 jobs)", [
         ("frozen per-sample oracle", f"{oracle_s:.2f}s", "1.0x"),
-        ("ingest_jobs, workers=1", f"{etl_s:.2f}s", f"{speedup:.1f}x"),
+        ("ingest_jobs", f"{etl_s:.2f}s", f"{speedup:.1f}x"),
     ], ["pipeline", "wall", "speedup"])
     record_bench("hot_path_32x100", {
         "corpus": "32 hosts x 100 samples, 8 four-node jobs",

@@ -27,7 +27,11 @@ the artifact upload:
   ``type=cpu``, and a ``seal_heads`` with nothing open must cost at
   most 2× as much on a store of 21 120 series as on one of 2 112 (a
   same-process ratio, so it travels across machines): a read or a seal
-  costs what it touches, not what the store holds.
+  costs what it touches, not what the store holds;
+* **one read step** — a ``window_stats`` over 64 series, half of them
+  written out of order, makes at most 2 ``BufferCache.get_many`` and
+  2 ``decode_concat`` calls, and the same on twice the series and
+  twice the chunks (counts, so they travel across machines).
 
 Cold here means *truly* cold: :meth:`TimeSeriesDB.drop_read_caches`
 (chunked) / per-series ``drop_read_cache`` (list) run before every
@@ -446,4 +450,93 @@ def test_store_scaling_gate():
             f"{name} costs {payload[name]['ratio']}x as much on "
             f"{33 * large} series as on {33 * small} "
             f"(ceiling {SCALING_RATIO_CEILING}x)"
+        )
+
+
+# -- one read step per window_stats ---------------------------------------------
+
+#: (series, chunks per series): twice the series and twice the chunks
+#: must cost the same number of read-step calls
+READ_STORES = ((64, 8), (128, 16))
+READ_CALLS_CEILING = 2
+#: the same script at 4d9db80, whose planner fetched a resident edge
+#: chunk by itself and read each out-of-order series on its own
+PARENT_READ_CALLS = {
+    "64x8": {"get_many": 64, "decode_concat": 33},
+    "128x16": {"get_many": 128, "decode_concat": 65},
+}
+
+
+def _mixed_store(series, chunks):
+    """``series`` series of ``chunks`` sealed 16-point chunks each; every
+    other one written out of order."""
+    db = TimeSeriesDB(chunk_size=16)
+    t = np.arange(16 * chunks, dtype=np.int64) * 600 + T0
+    rng = np.random.default_rng(5)
+    for h in range(series):
+        tt = t.copy()
+        if h % 2:
+            tt[[3, 4]] = tt[[4, 3]]
+        db.put_many("stats", {"host": f"h{h:03d}"}, tt, rng.normal(size=len(t)))
+    return db
+
+
+def _read_calls(monkeypatch, series, chunks):
+    """Calls into the buffer cache and the batch decoder made by one
+    ``window_stats`` whose left edge chunk is resident and whose right
+    edge chunk is not."""
+    import repro.tsdb.chunks as chunks_mod
+    import repro.tsdb.store as store_mod
+    from repro.tsdb.cache import BufferCache
+
+    db = _mixed_store(series, chunks)
+    n = 16 * chunks
+    window_stats(db, "stats", time_range=(T0 + 600 * 8, T0 + 600 * n // 2 + 5))
+    db.cache.clear()
+    calls = {"get_many": 0, "decode_concat": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(BufferCache, "get_many",
+                  counted("get_many", BufferCache.get_many))
+        decode = counted("decode_concat", chunks_mod.decode_concat)
+        m.setattr(chunks_mod, "decode_concat", decode)
+        m.setattr(store_mod, "decode_concat", decode)
+        stats = window_stats(
+            db, "stats", time_range=(T0 + 600 * 8, T0 + 600 * (n - 8))
+        )
+    assert len(stats) == series and db.buffer_cache.hits > 0
+    return calls
+
+
+def test_window_stats_read_calls_gate(monkeypatch):
+    payload = {"ceiling": READ_CALLS_CEILING, "parent_4d9db80": {},
+               "change": {}}
+    rows = []
+    for series, chunks in READ_STORES:
+        key = f"{series}x{chunks}"
+        got = _read_calls(monkeypatch, series, chunks)
+        payload["change"][key] = got
+        payload["parent_4d9db80"][key] = PARENT_READ_CALLS[key]
+        rows.append((
+            f"{series} series x {chunks} chunks",
+            f"{got['get_many']} / {got['decode_concat']}",
+            "{get_many} / {decode_concat}".format(**PARENT_READ_CALLS[key]),
+        ))
+    record_bench(BENCH_JSON, "window_stats_read_calls", payload)
+    report("calls per window_stats (half the series out of order)", rows,
+           ["store", "get_many / decode_concat", "parent"])
+    counts = list(payload["change"].values())
+    assert all(c == counts[0] for c in counts), (
+        f"read-step calls grow with the store: {payload['change']}"
+    )
+    for name in ("get_many", "decode_concat"):
+        assert counts[0][name] <= READ_CALLS_CEILING, (
+            f"{counts[0][name]} {name} calls per window_stats "
+            f"(ceiling {READ_CALLS_CEILING})"
         )

@@ -6,7 +6,7 @@ analogous workflow over the simulator::
 
     python -m repro.cli simulate --db quarter.db --nodes 12 --hours 12
     python -m repro.cli ingest   --store rawdata/ --db quarter.db \\
-                                 --workers 4 --batch-size 500
+                                 --batch-size 500
     python -m repro.cli popgen   --db quarter.db --jobs 30000
     python -m repro.cli search   --db quarter.db --exe wrf \\
                                  --field MetaDataRate__gt=10000
@@ -21,7 +21,7 @@ analogous workflow over the simulator::
                                  --json BENCH_portal.json
 
 ``simulate`` runs a monitored cluster (daemon mode) on a preset
-workload and ingests the results; ``ingest`` runs the parallel,
+workload and ingests the results; ``ingest`` runs the
 batched ETL pass over a directory of raw per-host stats files;
 ``popgen`` synthesises a database-scale population; ``stream`` runs a
 fleet with the real-time telemetry pipeline attached (live TSDB feed,
@@ -91,8 +91,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.pipeline import ingest_jobs
 
     result = ingest_jobs(
-        sess.store, sess.cluster.jobs, db,
-        workers=args.workers, batch_size=args.batch_size,
+        sess.store, sess.cluster.jobs, db, batch_size=args.batch_size,
     )
     db.commit()
     print(f"simulated {args.hours}h on {args.nodes} nodes "
@@ -156,15 +155,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             os.path.join(args.checkpoint, "checkpoint.json")
         )
     result = ingest_jobs(
-        store, None, db,
-        workers=args.workers,
-        batch_size=args.batch_size,
-        checkpoint=checkpoint,
+        store, None, db, batch_size=args.batch_size, checkpoint=checkpoint,
     )
     db.commit()
     quarantined = sum(store.quarantine_counts().values())
     print(f"ingested {result.ingested} jobs into {args.db} "
-          f"(workers={args.workers}, batch={args.batch_size}); "
+          f"(batch={args.batch_size}); "
           f"skipped {result.skipped_existing} already present, "
           f"dropped {result.dropped_short} short, "
           f"quarantined {quarantined} corrupt lines")
@@ -308,9 +304,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
             nodes=min(nodes, args.nodes),
         ))
     sess.cluster.run_for(args.hours * 3600)
-    result = ingest_jobs(
-        sess.store, sess.cluster.jobs, Database(), workers=args.workers
-    )
+    result = ingest_jobs(sess.store, sess.cluster.jobs, Database())
     harvest = None
     if args.shard_workers:
         # re-load the raw store through worker-hosted shards, then
@@ -594,15 +588,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=42)
     sim.add_argument("--runtime", type=float, default=4000.0)
     sim.add_argument("--preset", choices=sorted(PRESETS), default="standard")
-    sim.add_argument("--workers", type=int, default=1,
-                     help="parse/ingest worker count (1 = serial)")
     sim.add_argument("--batch-size", type=int, default=200,
                      help="jobs per committed+checkpointed batch")
     sim.set_defaults(fn=cmd_simulate)
 
     ing = sub.add_parser(
         "ingest",
-        help="parallel batched ETL over a directory of raw stats files",
+        help="batched ETL over a directory of raw stats files",
     )
     ing.add_argument("--store", required=True,
                      help="directory of per-host .raw stats files")
@@ -618,8 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--types", default="",
                      help="comma-separated device types for the sharded "
                           "TSDB load (default: all)")
-    ing.add_argument("--workers", type=int, default=1,
-                     help="parse worker processes (1 = in-process)")
     ing.add_argument("--batch-size", type=int, default=200,
                      help="jobs per committed+checkpointed batch")
     ing.add_argument("--checkpoint", default="",
@@ -670,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--interval", type=int, default=600)
     ob.add_argument("--runtime", type=float, default=4000.0)
     ob.add_argument("--preset", choices=sorted(PRESETS), default="standard")
-    ob.add_argument("--workers", type=int, default=2)
     ob.add_argument("--shard-workers", type=int, default=0,
                     help="also re-load the store through this many "
                          "worker-hosted shards and harvest their "

@@ -8,8 +8,8 @@ One pass, :func:`ingest_jobs`, in four stages:
 
 1. :func:`parse_blocks` — every host's raw file out of the
    :class:`~repro.core.store.CentralStore`, parsed into columnar
-   blocks (:class:`~repro.core.rawfile.BlockParser`), optionally
-   sharded over a process pool.
+   blocks (:class:`~repro.core.rawfile.BlockParser`), in sorted host
+   order.
 2. :func:`assemble_jobs` + :func:`accumulate_blocks` — records
    bucketed by job id (a record tagged with several jobs lands in each
    — shared nodes) and reduced to a :class:`JobAccum`: rollover-
@@ -20,14 +20,13 @@ One pass, :func:`ingest_jobs`, in four stages:
 4. one row per job into the database via chunked, checkpointed bulk
    inserts.
 
-Its output is byte-identical at any worker count and to the frozen
-per-sample oracle in ``tests/test_pipeline/reference.py`` — see
-``docs/architecture.md`` for the data-flow picture and
-``docs/performance.md`` for tuning.
+Its output is byte-identical to the frozen per-sample oracle in
+``tests/test_pipeline/reference.py`` — see ``docs/architecture.md``
+for the data-flow picture and ``docs/performance.md`` for tuning.
 
 Example
 -------
-Write a two-host raw store, then ingest it on two worker processes:
+Write a two-host raw store, then ingest it:
 
 >>> import tempfile
 >>> import numpy as np
@@ -51,7 +50,7 @@ Write a two-host raw store, then ingest it on two worker processes:
 ...                                      procs=[])))
 ...     store.append(host, "".join(parts), arrived_at=1800)
 >>> db = Database()
->>> result = ingest_jobs(store, None, db, workers=2)
+>>> result = ingest_jobs(store, None, db)
 >>> result.ingested
 1
 >>> tmp.cleanup()
@@ -68,7 +67,6 @@ from repro.pipeline.parallel import (
     assemble_jobs,
     ingest_jobs,
     parse_blocks,
-    shard_hosts,
 )
 from repro.pipeline.pickles import JobPickleStore
 
@@ -83,5 +81,4 @@ __all__ = [
     "JobPickleStore",
     "parse_blocks",
     "assemble_jobs",
-    "shard_hosts",
 ]

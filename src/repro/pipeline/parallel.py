@@ -8,10 +8,7 @@ computed metrics are then ingested into a PostgreSQL database."*
 1. **Parse** every per-host raw file with
    :class:`~repro.core.rawfile.BlockParser` — one columnar
    :class:`~repro.core.rawfile.HostBlock` per host, text→float64
-   conversion done in bulk (:func:`parse_blocks`).  With
-   ``workers > 1`` the hosts are sharded round-robin over a process
-   pool; a shard whose worker dies is re-parsed in the parent, so a
-   killed worker costs time, never data.
+   conversion done in bulk (:func:`parse_blocks`).
 2. **Assemble** jobs from blocks (:func:`assemble_jobs`, a bucket-sort
    of record indices by job id) and reduce each to a
    :class:`~repro.pipeline.accum.JobAccum` with
@@ -23,13 +20,11 @@ computed metrics are then ingested into a PostgreSQL database."*
 4. **Insert** rows with chunked ``bulk_create`` batches, checkpointing
    each committed batch.
 
-Everything is deterministic: hosts are sharded and merged in sorted
-order and jobs are ingested in sorted order, so a 1-worker and an
-N-worker run produce byte-identical databases — and both match the
-frozen per-sample oracle in ``tests/test_pipeline/reference.py`` bit
-for bit.  Recovery semantics: idempotent exactly-once ingest, durable
-checkpoints, and per-host quarantine ledgers merged into the store
-regardless of which worker hit the corruption.
+Everything is deterministic: hosts are parsed and jobs are ingested
+in sorted order, so the database matches the frozen per-sample oracle
+in ``tests/test_pipeline/reference.py`` bit for bit.  Recovery
+semantics: idempotent exactly-once ingest, durable checkpoints, and
+per-host quarantine ledgers merged into the store in host order.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from __future__ import annotations
 import os
 import sqlite3
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -57,88 +51,29 @@ from repro.pipeline.records import JobRecord
 
 __all__ = [
     "JobBlockData",
-    "shard_hosts",
     "parse_blocks",
     "assemble_jobs",
     "ingest_jobs",
 ]
 
 
-def shard_hosts(hosts: Iterable[str], shards: int) -> List[List[str]]:
-    """Deterministic round-robin split of sorted hosts into shards."""
-    shards = max(1, int(shards))
-    out: List[List[str]] = [[] for _ in range(shards)]
-    for i, host in enumerate(sorted(hosts)):
-        out[i % shards].append(host)
-    return [s for s in out if s]
-
-
-def _parse_host(host: str, path: str) -> Optional[HostBlock]:
-    """Parse one host's raw file into a block (worker unit of work)."""
-    if not os.path.exists(path):
-        return None
-    return BlockParser(on_error="quarantine").parse_path(path)
-
-
-def _parse_shard(tasks: List[Tuple[str, str]]) -> List[Tuple[str, Optional[HostBlock]]]:
-    """Worker entry point: parse every host file of one shard."""
-    return [(host, _parse_host(host, path)) for host, path in tasks]
-
-
 def parse_blocks(
-    store: CentralStore,
-    workers: int = 1,
-    hosts: Optional[Iterable[str]] = None,
+    store: CentralStore, hosts: Optional[Iterable[str]] = None
 ) -> Dict[str, HostBlock]:
     """Parse every host file of the store into columnar blocks.
 
-    ``workers <= 1`` parses in-process.  With ``workers > 1`` the
-    sorted host list is round-robin sharded over a process pool; a
-    shard whose worker fails — including a worker killed outright —
-    is retried in the parent, so the result never depends on worker
-    fate.  Quarantined lines from every worker are merged into the
-    store's per-host ledgers in sorted host order.
+    Hosts go in sorted order, so quarantined lines are merged into the
+    store's per-host ledgers in a deterministic order; a host without
+    a raw file is left out.
     """
     store.flush()
     host_list = sorted(hosts) if hosts is not None else store.hosts()
-    tasks = [(h, str(store.path_for(h))) for h in host_list]
-    results: Dict[str, Optional[HostBlock]] = {}
-    if workers <= 1:
-        for host, path in tasks:
-            results[host] = _parse_host(host, path)
-    else:
-        by_host = dict(tasks)
-        shards = [
-            [(h, by_host[h]) for h in shard]
-            for shard in shard_hosts(by_host, workers)
-        ]
-        failed: List[List[Tuple[str, str]]] = []
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_parse_shard, s) for s in shards]
-                for shard, fut in zip(shards, futures):
-                    try:
-                        for host, block in fut.result():
-                            results[host] = block
-                    except Exception:
-                        # worker died mid-shard (chaos kill, OOM, ...):
-                        # the shard is re-parsed in-process below
-                        failed.append(shard)
-        except Exception:
-            done = set(results)
-            failed = [
-                [t for t in s if t[0] not in done]
-                for s in shards
-                if any(t[0] not in done for t in s)
-            ]
-        for shard in failed:
-            for host, path in shard:
-                results[host] = _parse_host(host, path)
     blocks: Dict[str, HostBlock] = {}
-    for host in host_list:  # sorted: deterministic quarantine merge order
-        block = results.get(host)
-        if block is None:
+    for host in host_list:
+        path = str(store.path_for(host))
+        if not os.path.exists(path):
             continue
+        block = BlockParser(on_error="quarantine").parse_path(path)
         blocks[host] = block
         if block.errors:
             store.record_parse_errors(host, block.errors)
@@ -234,15 +169,13 @@ def ingest_jobs(
     checkpoint=None,
     skip_existing: bool = True,
     batch_size: int = 200,
-    workers: int = 1,
 ) -> IngestResult:
     """Full ETL pass: store → blocks → jobs → metrics → database rows.
 
     Only jobs that have *finished* are ingested (running jobs lack an
     epilog sample and would bias the averages).  When ``pickle_store``
     is given, each job's accumulation is also materialised as a job
-    pickle so detail views and re-analyses skip the raw parse.  Output
-    is byte-identical for any ``workers``.
+    pickle so detail views and re-analyses skip the raw parse.
 
     Recovery semantics: with ``skip_existing`` (default) a job whose
     row is already in the database is not re-inserted, so replaying the
@@ -250,7 +183,7 @@ def ingest_jobs(
     — an :class:`~repro.pipeline.ingest.IngestCheckpoint` — adds
     durable cross-process resume: rows are committed and checkpointed
     every ``batch_size`` jobs, and a later pass with the same
-    checkpoint, at any ``workers``, skips everything already committed.
+    checkpoint skips everything already committed.
     """
     if db is None:
         db = Database()
@@ -261,9 +194,9 @@ def ingest_jobs(
     JobRecord.bind(db)
     if create_table:
         JobRecord.create_table()
-    with obs.span("ingest.parse", workers=workers):
+    with obs.span("ingest.parse"):
         t0 = time.perf_counter()
-        blocks = parse_blocks(store, workers=workers)
+        blocks = parse_blocks(store)
         stage_seconds.observe(time.perf_counter() - t0, stage="parse")
     t0 = time.perf_counter()
     jobdata, dropped = assemble_jobs(blocks, jobs)
@@ -333,7 +266,7 @@ def ingest_jobs(
             checkpoint.mark_many(r.jobid for r in records)
         records.clear()
 
-    with obs.span("ingest.run", workers=workers) as run_span:
+    with obs.span("ingest.run") as run_span:
         for (jid, job, accum), metrics in zip(pending, metric_rows):
             if pickle_store is not None:
                 pickle_store.save(accum)

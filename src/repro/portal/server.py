@@ -67,13 +67,8 @@ CACHEABLE = frozenset({"", "search", "job", "date", "fleet", "tsdb"})
 
 
 class PageCache(QueryCache):
-    """Bounded LRU of fully rendered pages, invalidated by store epoch.
-
-    Keyed on ``(path+query, epoch)``: any TSDB write bumps the epoch,
-    so a stale page can never be served — the invalidation rule, lock
-    and hits + misses == lookups accounting are those of the query
-    cache one tier below; only the exported counter names differ.
-    """
+    """Rendered pages keyed on ``(path+query, epoch)``: the query
+    cache's LRU and epoch rule under the portal's own counters."""
 
     _hits = handles.counter(
         "repro_portal_page_cache_hits_total",

@@ -79,8 +79,9 @@ def _scan(
     keys: Sequence[TagKey],
     time_range: Optional[Tuple[int, int]],
 ):
-    """Materialise the named series in request order — one batched
-    decode (``decode_many``) across everything asked of this shard."""
+    """Materialise the named series in request order — the store's
+    scan: one buffer-cache lookup and one batched decode
+    (``decode_concat``) across everything asked of this shard."""
     return store.scan([store._series[(metric, k)] for k in keys], time_range)
 
 

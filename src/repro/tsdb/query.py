@@ -46,10 +46,15 @@ done:
 
 :func:`window_stats` is the second entry point: scalar
 count/sum/min/max/first/last (and mean) per series over a time
-window.  On an in-order chunked series it folds per-chunk partials in
-time order, taking fully-covered chunks' partials straight from the
-pre-aggregates sealed into the chunk — no decode, no cache, O(chunks)
-— and decoding only the chunks a window edge cuts through.
+window.  It reads through the same step as the scan
+(:func:`~repro.tsdb.store.read_chunks`): one plan over every in-order
+series' chunk metadata, one buffer-cache lookup and one batched
+decode.  A chunk the window fully covers answers from the
+pre-aggregates sealed into it — no lookup, no decode, O(chunks) — and
+only the chunks a window edge cuts through are read.  Per series the
+partials fold in time order; series with out-of-order writes are
+merged by one :meth:`~repro.tsdb.store.TimeSeriesDB.scan` call and
+reduced whole.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ import numpy as np
 from repro.hardware.counters import correct_rollover
 from repro.obs import handles
 from repro.tsdb.cache import QueryCache
-from repro.tsdb.chunks import Chunk, decode_many
-from repro.tsdb.store import TimeSeriesDB
+from repro.tsdb.chunks import Chunk
+from repro.tsdb.store import TimeSeriesDB, read_chunks
 
 _PREAGG_SKIPS = handles.counter(
     "repro_tsdb_preagg_skips_total",
@@ -570,63 +575,27 @@ def _window_stats_locked(
             return list(cached)
     lo, hi = time_range if time_range is not None else (None, None)
     selected = tsdb.select(metric, tags)
+    in_order = [s._ordered for s in selected]
+    parts_of, batch = read_chunks(
+        [s for s, o in zip(selected, in_order) if o], time_range,
+        tsdb.buffer_cache, file=True, preagg=use_preagg,
+    )
+    reads = iter(parts_of)
+    unordered = [s for s, o in zip(selected, in_order) if not o]
+    merged = iter(tsdb.scan(unordered, time_range) if unordered else ())
 
-    # pass 1: plan.  Decide per chunk whether its sealed pre-aggregate
-    # answers outright (window fully covers it) or a decode is needed,
-    # and gather every needed decode that misses the buffer cache into
-    # one batch — edge chunks across the whole fleet decompress in a
-    # single decode_many call, exactly like the store's scan.
-    plans: List[Optional[List[Tuple[Chunk, bool]]]] = []
-    to_decode: List[Chunk] = []
-    for s in selected:
-        if s._ordered:
-            items: List[Tuple[Chunk, bool]] = []
-            for chunk in s.chunks:
-                if not chunk.overlaps(lo, hi):
-                    continue
-                covered = (lo is None or chunk.t_min >= lo) and (
-                    hi is None or chunk.t_max < hi
-                )
-                if covered and use_preagg:
-                    items.append((chunk, True))
-                else:
-                    items.append((chunk, False))
-                    bc = s.buffer_cache
-                    if bc is None or chunk.chunk_id not in bc._entries:
-                        to_decode.append(chunk)
-            plans.append(items)
-        else:
-            plans.append(None)
-
-    decoded: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    if to_decode:
-        bc = tsdb.buffer_cache
-        if bc is not None:
-            bc.note_misses(len(to_decode))
-        fresh = []
-        for chunk, cols in zip(to_decode, decode_many(to_decode)):
-            decoded[chunk.chunk_id] = cols
-            fresh.append((chunk.chunk_id, cols))
-        if bc is not None:
-            bc.put_many(fresh)
-
-    # pass 2: fold partials per series, oldest part first
+    # fold partials per series, oldest part first
     out: List[SeriesStats] = []
-    for s, plan in zip(selected, plans):
+    for s, o in zip(selected, in_order):
         parts: List[_Part] = []
-        if plan is not None:
+        if o:
             skipped = 0
-            for chunk, covered in plan:
-                if covered:
-                    parts.append(_chunk_part(chunk))
+            for read in next(reads):
+                if isinstance(read, Chunk):
+                    parts.append(_chunk_part(read))
                     skipped += 1
                     continue
-                cols = decoded.get(chunk.chunk_id)
-                if cols is None:
-                    cols = s.buffer_cache.get(chunk.chunk_id)
-                    if cols is None:  # evicted between passes
-                        cols = chunk.decode()
-                t, v = cols
+                t, v = batch(read, read + 1) if type(read) is int else read
                 i = 0 if lo is None else int(np.searchsorted(t, lo))
                 j = len(t) if hi is None else int(np.searchsorted(t, hi))
                 if j > i:
@@ -643,7 +612,7 @@ def _window_stats_locked(
             if skipped:
                 _PREAGG_SKIPS.inc(skipped)
         else:
-            t, v = s.arrays(time_range)
+            t, v = next(merged)
             if len(t):
                 parts.append(_part_stats(t, v))
         out.append(_fold_parts(dict(s.tags), parts))

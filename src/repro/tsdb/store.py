@@ -40,7 +40,7 @@ import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -516,27 +516,103 @@ class _Series:
         return sum(c.count for c in self.chunks) + self.head_len()
 
 
+def read_chunks(
+    series_list: Sequence[_Series],
+    time_range: Optional[Tuple[int, int]],
+    cache: Optional[object],
+    file: bool,
+    preagg: bool = False,
+) -> Tuple[List[list], Callable[[int, int], Tuple[np.ndarray, np.ndarray]]]:
+    """The store's one read step: the sealed chunks a window holds of
+    each series, looked up and decoded once for all of them.
+
+    *Plan.*  One pass over each series' chunk metadata lists, oldest
+    first, the chunks the window touches — out-of-window chunks are
+    never decoded.  With ``preagg``, a chunk the window covers whole is
+    answered by the pre-aggregate sealed into it: it is neither looked
+    up nor decoded.
+    *Fetch.*  The buffer cache (``cache``, ``None`` when disabled) is
+    asked for every other chunk in one :meth:`BufferCache.get_many`:
+    one lock hold, recency touched in series order, hits and misses
+    counted once.  The resident columns are in hand from then on, so a
+    later eviction cannot matter.
+    *Decode.*  The rest — across every series — is decoded in one
+    :func:`~repro.tsdb.chunks.decode_concat` batch and, with ``file``,
+    filed in the cache.
+
+    Returns ``(parts, batch)``: per series, one entry per planned
+    chunk — the :class:`Chunk` itself where its pre-aggregate answers,
+    its resident ``(t, v)``, or the index ``p`` of its fresh decode —
+    and ``batch(p, q)``, the fresh decodes ``p .. q - 1`` as one view.
+    """
+    lo, hi = time_range if time_range is not None else (None, None)
+    plans: List[List[Chunk]] = []
+    wanted: List[Chunk] = []
+    for s in series_list:
+        plan = s.chunks if time_range is None else [
+            c for c in s.chunks if c.overlaps(lo, hi)
+        ]
+        plans.append(plan)
+        if preagg:  # only the chunks a window edge cuts through
+            wanted += [
+                c for c in plan
+                if (lo is not None and c.t_min < lo)
+                or (hi is not None and c.t_max >= hi)
+            ]
+        else:
+            wanted += plan
+    found = [None] * len(wanted) if cache is None else cache.get_many(
+        [c.chunk_id for c in wanted]
+    )
+    needed: List[Chunk] = []
+    for k, cols in enumerate(found):
+        if cols is None:
+            found[k] = len(needed)
+            needed.append(wanted[k])
+    if needed:
+        gt, gv, bounds = decode_concat(needed)
+        bounds = bounds.tolist()
+        if file and cache is not None:
+            cache.put_many([
+                (c.chunk_id, (gt[a:b], gv[a:b]))
+                for c, a, b in zip(needed, bounds, bounds[1:])
+            ])
+
+    def batch(p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+        return gt[bounds[p]:bounds[q]], gv[bounds[p]:bounds[q]]
+
+    parts: List[list] = []
+    i = 0  # the next chunk of ``wanted``
+    for plan in plans:
+        if not preagg:
+            parts.append(found[i:i + len(plan)])
+            i += len(plan)
+            continue
+        row = []
+        for c in plan:  # ``wanted`` lists the edge chunks in plan order
+            if i < len(wanted) and wanted[i] is c:
+                row.append(found[i])
+                i += 1
+            else:
+                row.append(c)
+        parts.append(row)
+    return parts, batch
+
+
 def _scan(
     series_list: Sequence[_Series],
     time_range: Optional[Tuple[int, int]],
     cache: Optional[object],
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Sorted, deduplicated ``(t, v)`` per series, optionally only
-    ``[lo, hi)``: the one read plan, behind :meth:`TimeSeriesDB.scan`
-    and :meth:`_Series.arrays` alike.
+    ``[lo, hi)``: behind :meth:`TimeSeriesDB.scan` and
+    :meth:`_Series.arrays` alike.
 
-    *Plan.*  A series whose full columns are materialised answers by
-    binary search.  Every other one lists, in one pass over its chunk
-    metadata, the sealed chunks the window touches — out-of-window
-    chunks are never decoded.
-    *Fetch.*  The buffer cache (``cache``, ``None`` when disabled) is
-    asked for all of them in one :meth:`BufferCache.get_many`: one lock
-    hold, recency touched in series order, hits and misses counted once.
-    The resident columns are in hand from then on, so a later eviction
-    cannot matter; the rest — across every series — is decoded in one
-    :func:`~repro.tsdb.chunks.decode_concat` batch.  A windowed scan
-    files those decodes in the cache (the next window will want some of
-    them again); an unwindowed one memoises each series whole instead.
+    A series whose full columns are materialised answers by binary
+    search.  Every other one is read by :func:`read_chunks`: a windowed
+    scan files its decodes in the cache (the next window will want some
+    of them again), an unwindowed one memoises each series whole
+    instead.
     *Assemble.*  Per series, oldest part first: resident columns as they
     are, each run of consecutive fresh decodes as one slice of the
     batch, then the open points.  In an in-order series the parts are
@@ -549,44 +625,23 @@ def _scan(
     """
     lo, hi = time_range if time_range is not None else (None, None)
     out = [s.materialised(time_range) for s in series_list]
-    plans: List[Optional[List[Chunk]]] = []
-    wanted: List[Chunk] = []
-    for s, cols in zip(series_list, out):
-        plan = None
-        if cols is None:
-            plan = s.chunks if time_range is None else [
-                c for c in s.chunks if c.overlaps(lo, hi)
-            ]
-            wanted += plan
-        plans.append(plan)
-    resident = [None] * len(wanted) if cache is None else cache.get_many(
-        [c.chunk_id for c in wanted]
+    todo = [k for k, cols in enumerate(out) if cols is None]
+    plans, batch = read_chunks(
+        [series_list[k] for k in todo], time_range, cache,
+        file=time_range is not None,
     )
-    needed = [c for c, cols in zip(wanted, resident) if cols is None]
-    if needed:
-        gt, gv, bounds = decode_concat(needed)
-        bounds = bounds.tolist()
-        if cache is not None and time_range is not None:
-            cache.put_many([
-                (c.chunk_id, (gt[a:b], gv[a:b]))
-                for c, a, b in zip(needed, bounds, bounds[1:])
-            ])
-    i = p = 0  # the next chunk of ``wanted``, the next decode of ``needed``
-    for k, (s, plan) in enumerate(zip(series_list, plans)):
-        if plan is None:
-            continue
+    for k, plan in zip(todo, plans):
+        s = series_list[k]
         parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        stop = i + len(plan)
+        i, stop = 0, len(plan)
         while i < stop:
-            cols = resident[i]
+            cols = plan[i]
             i += 1
-            if cols is None:
-                a = bounds[p]
-                p += 1
-                while i < stop and resident[i] is None:
+            if type(cols) is int:
+                p = cols
+                while i < stop and type(plan[i]) is int:
                     i += 1
-                    p += 1
-                cols = gt[a:bounds[p]], gv[a:bounds[p]]
+                cols = batch(p, plan[i - 1] + 1)
             parts.append(cols)
         ht, hv = s.head()
         ordered = s._ordered

@@ -32,14 +32,14 @@ def test_parser_requires_command():
 
 
 def test_ingest_executor_flag_is_gone(capsys):
-    """``workers`` alone picks in-process vs process pool."""
+    """The ETL parses in-process: no executor or worker-count flag."""
     parser = build_parser()
-    args = parser.parse_args(
-        ["ingest", "--store", "s", "--db", "d", "--workers", "2"])
-    assert args.workers == 2 and not hasattr(args, "executor")
+    args = parser.parse_args(["ingest", "--store", "s", "--db", "d"])
+    assert not hasattr(args, "executor") and not hasattr(args, "workers")
     # ... and ``batch_size`` alone bounds an insert
     assert not hasattr(args, "chunk_size")
-    for flag, value in (("--executor", "thread"), ("--chunk-size", "500")):
+    for flag, value in (("--executor", "thread"), ("--chunk-size", "500"),
+                        ("--workers", "2")):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(
                 ["ingest", "--store", "s", "--db", "d", flag, value])

@@ -90,9 +90,7 @@ def test_measured_overhead_within_2x_of_predicted(tmp_path):
 
 def test_ingest_counters_and_stage_timings(tmp_path):
     sess = run_daemon_day(tmp_path, hours=4)
-    result = ingest_jobs(
-        sess.store, sess.cluster.jobs, Database(), workers=2,
-    )
+    result = ingest_jobs(sess.store, sess.cluster.jobs, Database())
     assert result.ingested >= 1
     assert obs.counter("repro_ingest_jobs_total").value() >= 1
     assert (

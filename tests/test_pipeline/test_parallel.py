@@ -1,19 +1,15 @@
-"""The job ETL: oracle/N-worker equivalence and crash recovery.
+"""The job ETL: oracle equivalence and crash recovery.
 
 The contract under test is the one ``docs/architecture.md`` documents:
-at any worker count ``ingest_jobs`` must produce a database
-byte-identical to the frozen per-sample driver in ``reference.py``,
-quarantine the same corrupt lines, and recover from killed workers and
-mid-batch crashes without losing or duplicating jobs.
+``ingest_jobs`` must produce a database byte-identical to the frozen
+per-sample driver in ``reference.py``, quarantine the same corrupt
+lines, and recover from mid-batch crashes without losing or
+duplicating jobs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
 import sqlite3
-import sys
 
 import numpy as np
 import pytest
@@ -25,12 +21,7 @@ from repro.db import Database
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics.table1 import compute_metrics, compute_metrics_batch
 from repro.pipeline import IngestCheckpoint, parallel as parallel_mod
-from repro.pipeline.parallel import (
-    assemble_jobs,
-    ingest_jobs,
-    parse_blocks,
-    shard_hosts,
-)
+from repro.pipeline.parallel import assemble_jobs, ingest_jobs, parse_blocks
 from repro.pipeline.records import JobRecord
 from tests.test_pipeline.reference import (
     accumulate,
@@ -90,12 +81,7 @@ def dump(db: Database):
     return list(db.conn.iterdump())
 
 
-# -- oracle vs N-worker equivalence -------------------------------------------
-
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="forked pool workers inherit the monkeypatched module",
-)
+# -- oracle equivalence --------------------------------------------------------
 
 
 def test_ingest_jobs_is_the_only_driver():
@@ -103,18 +89,17 @@ def test_ingest_jobs_is_the_only_driver():
 
 
 def test_parallel_matches_serial_byte_identical(raw_store):
-    """In-process and 2-process runs equal the frozen per-sample driver."""
+    """The block-parsed ETL equals the frozen per-sample driver."""
     reference = Database()
     ref_result = reference_ingest(raw_store, None, reference)
     assert ref_result.ingested == 2
     ref_dump = dump(reference)
 
-    for workers in (1, 2):
-        db = Database()
-        result = ingest_jobs(raw_store, None, db, workers=workers)
-        assert result.ingested == ref_result.ingested, workers
-        assert result.flagged == ref_result.flagged, workers
-        assert dump(db) == ref_dump, workers
+    db = Database()
+    result = ingest_jobs(raw_store, None, db)
+    assert result.ingested == ref_result.ingested
+    assert result.flagged == ref_result.flagged
+    assert dump(db) == ref_dump
 
 
 def test_accumulate_blocks_matches_streaming(raw_store):
@@ -138,8 +123,8 @@ def test_compute_metrics_batch_matches_per_job(raw_store):
 
 
 def test_quarantine_merged_under_parallelism(raw_store):
-    """Corrupt lines quarantine identically at any worker count, and
-    exactly as the per-sample parser quarantines them."""
+    """Corrupt lines quarantine exactly as the per-sample parser
+    quarantines them."""
     victim = raw_store.hosts()[0]
     with open(raw_store.path_for(victim), "a") as fh:
         fh.write("cpu 0 not-a-number 1 2 3 4 5 6\n")
@@ -157,23 +142,13 @@ def test_quarantine_merged_under_parallelism(raw_store):
     expected = ledger(oracle_store)
     assert expected.get(victim)
 
-    for workers in (1, 2):
-        store = CentralStore(raw_store.root)
-        db = Database()
-        ingest_jobs(store, None, db, workers=workers)
-        assert ledger(store) == expected, workers
-        assert (store.root / "quarantine" / f"{victim}.bad").exists()
-        # and the damaged store still ingests identically
-        assert dump(db) == dump(db_ref), workers
-
-
-def test_shard_hosts_deterministic_and_complete():
-    hosts = [f"h{i}" for i in range(10)]
-    shards = shard_hosts(reversed(hosts), 3)
-    assert shard_hosts(hosts, 3) == shards  # order-insensitive input
-    assert sorted(h for s in shards for h in s) == sorted(hosts)
-    assert len(shards) == 3
-    assert shard_hosts(hosts, 99) == [[h] for h in sorted(hosts)]
+    store = CentralStore(raw_store.root)
+    db = Database()
+    ingest_jobs(store, None, db)
+    assert ledger(store) == expected
+    assert (store.root / "quarantine" / f"{victim}.bad").exists()
+    # and the damaged store still ingests identically
+    assert dump(db) == dump(db_ref)
 
 
 # -- checkpoint durability ----------------------------------------------------
@@ -181,23 +156,23 @@ def test_shard_hosts_deterministic_and_complete():
 
 def test_checkpoint_written_at_one_worker_count_is_read_at_any(
         raw_store, tmp_path, capsys):
-    """``--checkpoint DIR`` marked under ``--workers 4`` and reopened
-    under 1, 2 and 8 — each time against an empty database, so only the
-    checkpoint can recognise the jobs — skips every one of them."""
+    """``--checkpoint DIR`` marked by one run and reopened by three more
+    — each time against an empty database, so only the checkpoint can
+    recognise the jobs — skips every one of them."""
     from repro.cli import main
 
-    def run(workers, db):
+    def run(db):
         rc = main(["ingest", "--store", str(raw_store.root),
-                   "--db", str(tmp_path / db), "--workers", str(workers),
+                   "--db", str(tmp_path / db),
                    "--batch-size", "1", "--checkpoint", str(tmp_path / "ck")])
         assert rc == 0
         return capsys.readouterr().out
 
-    assert "ingested 2 jobs" in run(4, "first.db")
+    assert "ingested 2 jobs" in run("first.db")
     assert IngestCheckpoint(tmp_path / "ck" / "checkpoint.json").done() == [
         "2000000", "2000001"]
-    for workers in (1, 2, 8):
-        out = run(workers, f"again{workers}.db")
+    for again in range(3):
+        out = run(f"again{again}.db")
         assert "ingested 0 jobs" in out and "skipped 2 already" in out
 
 
@@ -218,8 +193,7 @@ def test_checkpoint_resume_after_midbatch_crash(raw_store, tmp_path,
 
     monkeypatch.setattr(JobRecord.objects, "bulk_create", flaky_bulk_create)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        ingest_jobs(raw_store, None, db, workers=2, batch_size=1,
-                    checkpoint=ckpt)
+        ingest_jobs(raw_store, None, db, batch_size=1, checkpoint=ckpt)
     monkeypatch.setattr(JobRecord.objects, "bulk_create", real_bulk_create)
 
     # the committed batch is durably checkpointed, the rest is not
@@ -228,7 +202,7 @@ def test_checkpoint_resume_after_midbatch_crash(raw_store, tmp_path,
     assert JobRecord.objects.count() == 1
 
     resumed = ingest_jobs(
-        raw_store, None, db, workers=2,
+        raw_store, None, db,
         checkpoint=IngestCheckpoint(tmp_path / "ckpt" / "checkpoint.json"))
     assert resumed.skipped_existing == 1
     assert resumed.ingested == 1
@@ -280,71 +254,3 @@ def test_database_failure_is_not_an_empty_table(raw_store, tmp_path):
         locker.rollback()
         locker.close()
     assert dump(db) == before
-
-
-# -- killed workers -----------------------------------------------------------
-
-#: where a doomed worker leaves proof that it really ran (and died) in a
-#: forked pool process; set by the test before the pool forks
-_MARK_DIR = None
-
-
-def _exploding_shard(tasks):
-    open(os.path.join(_MARK_DIR, f"raised-{os.getpid()}"), "w").close()
-    raise RuntimeError("worker OOM-killed mid-shard")
-
-
-def _suicidal_shard(tasks):
-    open(os.path.join(_MARK_DIR, f"killed-{os.getpid()}"), "w").close()
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _doom_workers(monkeypatch, tmp_path, shard_fn):
-    """Patch the worker entry point with a module-level function, so the
-    pool can pickle it by name and the forked workers resolve it."""
-    marks = tmp_path / "marks"
-    marks.mkdir()
-    monkeypatch.setattr(sys.modules[__name__], "_MARK_DIR", str(marks))
-    monkeypatch.setattr(parallel_mod, "_parse_shard", shard_fn)
-    return marks
-
-
-def assert_same_blocks(blocks, reference):
-    assert sorted(blocks) == sorted(reference)
-    for host, block in blocks.items():
-        ref = reference[host]
-        assert np.array_equal(block.times, ref.times)
-        for tname, groups in block.groups.items():
-            for inst, grp in groups.items():
-                assert np.array_equal(
-                    grp.values, ref.groups[tname][inst].values)
-
-
-@needs_fork
-def test_crashed_worker_shard_is_retried_serially(raw_store, monkeypatch,
-                                                  tmp_path):
-    """A worker that raises mid-shard costs time, never data."""
-    reference = parse_blocks(CentralStore(raw_store.root))
-    marks = _doom_workers(monkeypatch, tmp_path, _exploding_shard)
-    blocks = parse_blocks(CentralStore(raw_store.root), workers=3)
-    raised = [p for p in marks.iterdir() if p.name.startswith("raised-")]
-    assert raised and f"raised-{os.getpid()}" not in {p.name for p in raised}
-    assert_same_blocks(blocks, reference)
-
-
-@needs_fork
-def test_sigkilled_process_worker_is_retried(raw_store, monkeypatch,
-                                             tmp_path):
-    """A real SIGKILL of a pool process degrades to in-parent parsing."""
-    reference = parse_blocks(CentralStore(raw_store.root))
-    db_ref = Database()
-    ingest_jobs(CentralStore(raw_store.root), None, db_ref)
-
-    marks = _doom_workers(monkeypatch, tmp_path, _suicidal_shard)
-    blocks = parse_blocks(CentralStore(raw_store.root), workers=2)
-    assert any(p.name.startswith("killed-") for p in marks.iterdir())
-    assert_same_blocks(blocks, reference)
-
-    db = Database()
-    ingest_jobs(CentralStore(raw_store.root), None, db, workers=2)
-    assert dump(db) == dump(db_ref)

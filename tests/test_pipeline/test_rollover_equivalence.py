@@ -125,8 +125,7 @@ def test_byte_identical_under_reboot_any_worker_count(storm_store):
     assert ref_result.ingested == 2
     ref_dump = dump(reference)
 
-    for workers in (1, 2):
-        db = Database()
-        result = ingest_jobs(storm_store, None, db, workers=workers)
-        assert result.ingested == ref_result.ingested, workers
-        assert dump(db) == ref_dump, workers
+    db = Database()
+    result = ingest_jobs(storm_store, None, db)
+    assert result.ingested == ref_result.ingested
+    assert dump(db) == ref_dump

@@ -281,8 +281,8 @@ def test_buffer_cache_thread_safety():
         try:
             for i in range(2000):
                 cid = (tid * 7 + i) % 128
-                if cache.get(cid) is None:
-                    cache.put(cid, t, v)
+                if cache.get_many([cid]) == [None]:
+                    cache.put_many([(cid, (t, v))])
                 if i % 100 == 0:
                     cache.invalidate([cid])
         except Exception as exc:  # noqa: BLE001

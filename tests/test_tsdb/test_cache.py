@@ -124,24 +124,26 @@ def cols(n):
 
 def test_buffer_cache_lru_and_counters():
     bc = BufferCache(maxsize=2)
-    bc.put(1, *cols(3))
-    bc.put(2, *cols(3))
-    assert bc.get(1) is not None        # refresh 1
-    bc.put(3, *cols(3))                 # evicts 2
-    assert bc.get(2) is None
-    assert bc.get(1) is not None and bc.get(3) is not None
+    bc.put_many([(1, cols(3))])
+    bc.put_many([(2, cols(3))])
+    assert bc.get_many([1])[0] is not None  # refresh 1
+    bc.put_many([(3, cols(3))])             # evicts 2
+    assert bc.get_many([2]) == [None]
+    assert None not in bc.get_many([1, 3])
     assert len(bc) == 2
     assert (bc.hits, bc.misses) == (3, 1)
     assert bc.hit_ratio == 0.75
 
 
 def test_buffer_cache_put_many_and_note_misses():
+    """Four planned decodes miss, are filed in one batch, and the batch
+    evicts once."""
     bc = BufferCache(maxsize=3)
-    bc.note_misses(4)
+    assert bc.get_many([10, 11, 12, 13]) == [None] * 4
     bc.put_many((cid, cols(2)) for cid in (10, 11, 12, 13))
     assert len(bc) == 3
-    assert bc.get(10) is None  # batch eviction dropped the oldest
-    assert bc.get(13) is not None
+    assert bc.get_many([10]) == [None]  # batch eviction dropped the oldest
+    assert bc.get_many([13])[0] is not None
     assert bc.misses == 5
     bc.invalidate([13, 999])
     assert 13 not in bc._entries
@@ -152,8 +154,7 @@ def test_buffer_cache_put_many_and_note_misses():
 def test_buffer_cache_get_many_is_one_counted_lookup_per_id():
     obs.reset()
     bc = BufferCache(maxsize=3)
-    for cid in (1, 2, 3):
-        bc.put(cid, *cols(cid))
+    bc.put_many((cid, cols(cid)) for cid in (1, 2, 3))
     found = bc.get_many([3, 9, 1, 8, 7])
     assert [None if c is None else len(c[0]) for c in found] == [
         3, None, 1, None, None]
@@ -161,7 +162,7 @@ def test_buffer_cache_get_many_is_one_counted_lookup_per_id():
     assert obs.counter("repro_tsdb_buffer_cache_hits_total").value() == 2
     assert obs.counter("repro_tsdb_buffer_cache_misses_total").value() == 3
     # recency was touched in list order: 2 is now the oldest, then 3, 1
-    bc.put(4, *cols(4))
+    bc.put_many([(4, cols(4))])
     assert list(bc._entries) == [3, 1, 4]
     assert bc.get_many([]) == [] and (bc.hits, bc.misses) == (2, 3)
     obs.reset()
