@@ -13,10 +13,14 @@ estimate is the later reading itself (the counter restarted from 0).
 At the boundary — a wrapped increment of exactly ``width/4`` — the
 drop is still treated as a wrap.
 
-Both readers of raw register values — the streaming device reader
-(:func:`repro.hardware.devices.base.rollover_delta`) and the batch
-accumulator (:func:`repro.pipeline.accum._unwrap`) — MUST delegate
-here.  They historically disagreed (the streaming reader blindly
+Every reader of raw register values MUST delegate here: the
+streaming device reader
+(:func:`repro.hardware.devices.base.rollover_delta`), the TSDB rate
+aggregator (:mod:`repro.tsdb.query`) and the job accumulator
+(:func:`repro.pipeline.accum._unwrap` under
+:func:`~repro.pipeline.accum.reduce_series`, which both the batch ETL
+and the live flag analyzer reduce through).  The device reader and
+the accumulator historically disagreed (the reader blindly
 wrap-corrected every negative delta), which broke the byte-identical
 guarantee between streaming and batch ingest whenever a node rebooted
 mid-job; keeping a single implementation is the fix.

@@ -40,6 +40,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.obs.registry import MetricRegistry
 from repro.obs.sketch import (
     DEFAULT_ALPHA,
@@ -47,11 +49,6 @@ from repro.obs.sketch import (
     QuantileSketch,
     observe_segments,
 )
-
-try:  # optional, mirrors repro.obs.sketch — pure-stdlib without it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "ANALYTICS_METRICS",
@@ -64,7 +61,8 @@ __all__ = [
 ]
 
 #: the Table I metric vector jobs are scored on (order fixed — the
-#: signature and centroid vectors index by it)
+#: signature and centroid vectors index by it); the live flag analyzer
+#: computes exactly these, as ``repro.stream.STREAM_METRICS``
 ANALYTICS_METRICS: Tuple[str, ...] = (
     "MetaDataRate", "GigEBW", "MemUsage", "idle", "catastrophe", "cpi",
 )

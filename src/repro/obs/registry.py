@@ -19,8 +19,9 @@ Design constraints, in order:
   sorted label key are resolved once, not per event.  A disabled
   registry (``enabled = False``) short-circuits every mutation, which
   is what the CI obs-overhead gate compares against.
-* **No dependencies** — pure stdlib; importable from any layer
-  without cycles.
+* **No upper-layer imports** — the stdlib plus
+  :mod:`repro.obs.sketch` (NumPy); importable from any layer without
+  cycles.
 
 Metric naming follows the Prometheus convention the exporters mimic:
 ``repro_<subsystem>_<what>[_total|_seconds]`` with optional labels,

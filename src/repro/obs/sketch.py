@@ -30,9 +30,9 @@ every value in the bucket.  Negative values mirror into their own
 store; zeros, NaNs and ±inf are counted exactly.  NaNs are excluded
 from quantiles; ±inf sort to the extremes.
 
-NumPy is optional here on purpose — ``repro.obs`` stays importable
-from any layer — but when present the columnar ``observe_many`` path
-computes bucket keys for a whole value column in one vectorised pass.
+The columnar ``observe_many`` path computes bucket keys for a whole
+value column in one vectorised NumPy pass; columns shorter than
+``_VECTOR_MIN`` take the scalar path, which is cheaper at that size.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # vectorised observe_many; scalar fallback keeps obs stdlib-only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is normally present
-    _np = None
+import numpy as _np
 
 __all__ = [
     "QuantileSketch", "observe_segments", "DEFAULT_ALPHA", "DEFAULT_MAX_BINS",
@@ -146,7 +143,7 @@ class QuantileSketch:
         n = len(values)  # type: ignore[arg-type]
         if n == 0:
             return
-        if _np is None or n < _VECTOR_MIN:
+        if n < _VECTOR_MIN:
             for v in values:
                 self.observe(v)
             return
@@ -364,11 +361,6 @@ def observe_segments(
     :meth:`~QuantileSketch.observe_many` of its segment would leave;
     ``sum`` is accumulated left to right and may differ in final ulps.
     """
-    if _np is None:  # pragma: no cover - numpy is normally present
-        for i, row in enumerate(targets):
-            for sk in row:
-                sk.observe_many(values[bounds[i]:bounds[i + 1]])
-        return
     col = _np.asarray(values, dtype=_np.float64)
     edges = _np.asarray(bounds, dtype=_np.int64)
     starts, sizes = edges[:-1], _np.diff(edges)

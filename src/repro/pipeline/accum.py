@@ -12,14 +12,17 @@ holding, for every quantity,
 * ``gauges[q]`` — an ``(n_hosts, T)`` array of snapshots.
 
 Hosts are aligned on the intersection of their sample timestamps
-(collections are cluster-wide events, so normally identical).  All
-downstream metric evaluation is NumPy on these arrays.
+(collections are cluster-wide events, so normally identical), and
+:func:`reduce_series` turns the aligned ``(hosts, quantities, times)``
+counter sums into those arrays — for this batch path and for the live
+flag analyzer alike.  All downstream metric evaluation is NumPy on
+these arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -152,11 +155,12 @@ def accumulate_blocks(
     """Reduce one job's host blocks to canonical quantity arrays.
 
     Takes, per host, a :class:`~repro.core.rawfile.HostBlock` plus the
-    record indices belonging to the job, and works with whole-array
-    NumPy operations per (host, device, instance).  Hosts are aligned
+    record indices belonging to the job, and sums each quantity's
+    counters with whole-array NumPy operations per (host, device,
+    instance) before one :func:`reduce_series` call.  Hosts are aligned
     on the intersection of their timestamps, a repeated timestamp
-    keeps its later record, an interior gap is forward-filled, and an
-    instance absent from a record contributes nothing to it.  The
+    keeps its later record, a gap is forward-filled, and an instance
+    absent from a record contributes nothing to it.  The
     per-sample oracle in ``tests/test_pipeline/reference.py`` defines
     the expected arrays bit for bit.
     """
@@ -181,7 +185,7 @@ def accumulate_blocks(
     # per host: for each device type, NaN-aligned (T, C) value matrices
     # in file instance order (NaN row = instance absent at that time)
     aligned: List[Dict[str, List[np.ndarray]]] = []
-    type_orders: List[List[str]] = []
+    cores: List[Optional[str]] = []  # per host: its core counter type
     for h in hosts:
         block, rows = host_rows[h]
         trow = block.times[rows]
@@ -210,54 +214,31 @@ def accumulate_blocks(
             if any_found:
                 per_type[type_name] = mats
         aligned.append(per_type)
-        type_orders.append(list(block.type_order))
+        cores.append(next(
+            (t for t in block.type_order
+             if t in _CORE_TYPES and t in per_type),
+            None,
+        ))
 
-    deltas: Dict[str, np.ndarray] = {}
-    gauges: Dict[str, np.ndarray] = {}
-    for q in quantities:
-        event_rows = np.zeros((N, T - 1))
-        gauge_rows = np.zeros((N, T))
-        present = False
-        for n in range(N):
-            per_type = aligned[n]
-            if q.type_name:
-                type_name = q.type_name if q.type_name in per_type else None
-            else:
-                type_name = next(
-                    (
-                        t for t in type_orders[n]
-                        if t in _CORE_TYPES and t in per_type
-                    ),
-                    None,
-                )
-            if type_name is None:
-                continue
-            schema = schemas.get(type_name)
+    # (N, Q, T) summed-counter series; NaN where nothing reported
+    series = np.full((N, len(quantities), T), np.nan)
+    widths = np.full((N, len(quantities), 1), 2.0**64)
+    for n, (per_type, core) in enumerate(zip(aligned, cores)):
+        for i, q in enumerate(quantities):
+            type_name = q.type_name or core
+            schema = schemas.get(type_name) if type_name in per_type else None
             if schema is None:
                 continue
             idx = [schema.index[c] for c in q.counters if c in schema.index]
             if not idx:
                 continue
-            series: Optional[np.ndarray] = None
-            for mat in per_type[type_name]:
-                contrib = mat[:, idx].sum(axis=1)
-                series = (
-                    contrib if series is None
-                    else _nan_add(series, contrib)
-                )
-            if series is None or np.all(np.isnan(series)):
-                continue
-            present = True
-            filled = _ffill(series)
-            if q.gauge:
-                gauge_rows[n] = filled
-            else:
-                width = _counter_width(schema, q.counters)
-                event_rows[n] = _event_deltas(filled, width)
-        if q.gauge:
-            gauges[q.key] = gauge_rows if present else np.zeros((N, T))
-        else:
-            deltas[q.key] = event_rows if present else np.zeros((N, T - 1))
+            mats = per_type[type_name]
+            row = mats[0][:, idx].sum(axis=1)
+            for mat in mats[1:]:
+                row = _nan_add(row, mat[:, idx].sum(axis=1))
+            series[n, i] = row
+            widths[n, i] = _counter_width(schema, q.counters)
+    deltas, gauges = reduce_series(quantities, series, widths)
 
     return JobAccum(
         jobid=jobid,
@@ -270,8 +251,36 @@ def accumulate_blocks(
     )
 
 
+def reduce_series(
+    quantities: Sequence[Quantity], series: np.ndarray, widths: np.ndarray
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """Aligned summed-counter series → ``JobAccum`` ``(deltas, gauges)``.
+
+    ``series`` is ``(N hosts, Q quantities, T)``, NaN where a host
+    reported nothing, and ``widths`` the ``(N, Q, 1)`` register moduli.
+    Batch accumulation and the live flag analyzer both reduce here:
+    :func:`_ffill`, then :func:`_event_deltas` for event quantities.
+    Each returned array is C-contiguous, so metric sums run in one
+    order whoever built the job.
+    """
+    filled = _ffill(series)
+    event = [i for i, q in enumerate(quantities) if not q.gauge]
+    stepped = _event_deltas(filled[:, event], widths[:, event])
+    deltas = {
+        quantities[i].key: np.ascontiguousarray(stepped[:, j])
+        for j, i in enumerate(event)
+    }
+    gauges = {
+        q.key: np.ascontiguousarray(filled[:, i])
+        for i, q in enumerate(quantities) if q.gauge
+    }
+    return deltas, gauges
+
+
 def _unwrap(
-    deltas: np.ndarray, later_values: np.ndarray, width: float
+    deltas: np.ndarray,
+    later_values: np.ndarray,
+    width: Union[float, np.ndarray],
 ) -> np.ndarray:
     """Correct negative deltas: register rollover vs counter reset.
 
@@ -284,29 +293,34 @@ def _unwrap(
     return correct_rollover(deltas, later_values, width)
 
 
-def _event_deltas(filled: np.ndarray, width: float) -> np.ndarray:
-    """Per-interval increments of one forward-filled counter series.
+def _event_deltas(
+    filled: np.ndarray, width: Union[float, np.ndarray]
+) -> np.ndarray:
+    """Per-interval increments of forward-filled counter series.
 
-    Every event-row reduction — :func:`accumulate_blocks` and the
-    per-sample oracle in ``tests/test_pipeline/reference.py`` — MUST
-    go through here so the rollover/reset policy has one definition.
+    Differences along the last axis, so one series or a stack of them
+    (``width`` a scalar or broadcastable modulus array).  Every
+    event-row reduction — :func:`reduce_series` and the per-sample
+    oracle in ``tests/test_pipeline/reference.py`` — MUST go through
+    here so the rollover/reset policy has one definition.
     """
-    return _unwrap(np.diff(filled), filled[1:], width)
+    return _unwrap(np.diff(filled), filled[..., 1:], width)
 
 
 def _ffill(series: np.ndarray) -> np.ndarray:
-    """Forward-fill NaNs; leading NaNs become the first finite value."""
-    out = series.copy()
-    mask = np.isnan(out)
+    """Forward-fill NaNs along the last axis.
+
+    Leading NaNs become the first finite value, and a series with no
+    finite value becomes zeros — for one series or a stack of them.
+    """
+    mask = np.isnan(series)
     if not mask.any():
-        return out
-    finite = np.where(~mask)[0]
-    if len(finite) == 0:
-        return np.zeros_like(out)
-    # leading
-    out[: finite[0]] = out[finite[0]]
-    # interior/trailing
-    idx = np.maximum.accumulate(
-        np.where(~np.isnan(out), np.arange(len(out)), 0)
-    )
-    return out[idx]
+        return series.copy()
+    finite = ~mask
+    at = np.where(finite, np.arange(series.shape[-1]), 0)
+    np.maximum.accumulate(at, axis=-1, out=at)
+    # a leading gap takes the first finite value (argmax finds it)
+    np.maximum(at, finite.argmax(axis=-1)[..., None], out=at)
+    out = np.take_along_axis(series, at, axis=-1)
+    out[~finite.any(axis=-1)] = 0.0
+    return out

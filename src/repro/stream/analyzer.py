@@ -12,21 +12,21 @@ Bit-exactness is by construction, not by approximation:
 * Per (job, host) the analyzer keeps the *same* per-timestamp summed
   counter values batch accumulation builds (:func:`_sum_counters`
   over the device type :func:`_resolve_type` picks, instances added
-  in file order).
+  in file order), plus each quantity's register modulus.
 * Hosts are aligned on the intersection of their sample timestamps
   exactly like :func:`~repro.pipeline.accum.accumulate_blocks`: an aligned
   timestamp ``T`` is only *consumed* once every participating host has
   reported past ``T`` (or finished), so late per-host deliveries —
   which stay FIFO per node even through daemon publish retries — can
   never rewrite consumed history.
-* Per consumed timestamp, forward-fill and rollover/reset correction
-  are applied incrementally with the shared policy
-  (:func:`~repro.hardware.counters.correct_rollover`), yielding the
-  identical per-interval delta the batch ``_ffill``/``_event_deltas``
-  pair produces.
-* Flag evaluation assembles the per-host delta lists into the same
-  ``(N, T-1)`` arrays and calls the *same* Table I metric functions
-  and :func:`~repro.metrics.flags.evaluate_flags` — so even NumPy's
+* The consumed rows are reduced by the batch accumulator's own
+  :func:`~repro.pipeline.accum.reduce_series` — forward fill,
+  leading-gap backfill, all-NaN zero rows and the rollover/reset
+  policy have one implementation, and a host that joined late has NaN
+  rows before its first sample, backfilled like any leading gap.
+* Flag evaluation calls the *same* Table I metric functions and
+  :func:`~repro.metrics.flags.evaluate_flags` on that
+  :class:`~repro.pipeline.accum.JobAccum` — so even NumPy's
   pairwise-summation order matches the batch path bit for bit.
 
 Only the quantities the §V-A flag set consumes are tracked
@@ -41,15 +41,16 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.hardware.counters import correct_rollover
 from repro.metrics.flags import FlagResult, Thresholds, evaluate_flags
 from repro.metrics.table1 import METRIC_REGISTRY, JobStack
+from repro.obs.analytics import ANALYTICS_METRICS
 from repro.pipeline.accum import (
     _CORE_TYPES,
     CANONICAL_QUANTITIES,
     JobAccum,
     Quantity,
     _counter_width,
+    reduce_series,
 )
 
 __all__ = [
@@ -74,10 +75,9 @@ STREAM_QUANTITIES: Tuple[Quantity, ...] = tuple(
     q for q in CANONICAL_QUANTITIES if q.key in _STREAM_KEYS
 )
 
-#: Table I metrics those predicates read
-STREAM_METRICS = (
-    "MetaDataRate", "GigEBW", "MemUsage", "idle", "catastrophe", "cpi",
-)
+#: Table I metrics those predicates read — the vector continuous
+#: scoring indexes, so one tuple serves both
+STREAM_METRICS = ANALYTICS_METRICS
 
 #: job-metadata provider: (jobid, observed hosts) → evaluate_flags meta
 MetaFn = Callable[[str, Sequence[str]], Mapping[str, object]]
@@ -147,36 +147,20 @@ class StreamJobResult:
 class _HostState:
     """Per-(job, host) incremental accumulation state."""
 
-    __slots__ = (
-        "pending", "done", "max_ts", "types", "widths",
-        "last_filled", "deltas", "gauge_values", "gauge_last",
-        "gauge_leading",
-    )
+    __slots__ = ("pending", "done", "max_ts", "types", "widths", "rows")
 
-    def __init__(self, quantities: Sequence[Quantity]) -> None:
-        #: timestamp → quantity key → raw summed counter value
-        self.pending: Dict[int, Dict[str, float]] = {}
+    def __init__(self, n_quantities: int, n_times: int) -> None:
+        #: timestamp → raw summed counter value per quantity
+        self.pending: Dict[int, List[float]] = {}
         self.done = False
         self.max_ts = -1
         self.types: Dict[str, Optional[str]] = {}
+        #: quantity key → register modulus, stored at intake
         self.widths: Dict[str, float] = {}
-        self.last_filled: Dict[str, Optional[float]] = {
-            q.key: None for q in quantities if not q.gauge
-        }
-        #: per event quantity: consumed per-interval deltas (length T-1)
-        self.deltas: Dict[str, List[float]] = {
-            q.key: [] for q in quantities if not q.gauge
-        }
-        #: per gauge quantity: consumed forward-filled values (length T)
-        self.gauge_values: Dict[str, List[float]] = {
-            q.key: [] for q in quantities if q.gauge
-        }
-        self.gauge_last: Dict[str, Optional[float]] = {
-            q.key: None for q in quantities if q.gauge
-        }
-        self.gauge_leading: Dict[str, int] = {
-            q.key: 0 for q in quantities if q.gauge
-        }
+        #: one row of raw values per consumed time: a host joining
+        #: late has NaN rows before its first sample
+        nan_row = (math.nan,) * n_quantities
+        self.rows: List[Sequence[float]] = [nan_row] * n_times
 
 
 class _JobStream:
@@ -202,16 +186,12 @@ class _JobStream:
                 # incremental consumer cannot. Track it best-effort and
                 # mark the job so equivalence checks can exclude it.
                 self.diverged = True
-            hs = self.hosts[host] = _HostState(self.quantities)
-            for q in self.quantities:
-                if q.gauge:
-                    hs.gauge_values[q.key] = [math.nan] * len(self.times)
-                    hs.gauge_leading[q.key] = len(self.times)
-                else:
-                    hs.deltas[q.key] = [0.0] * max(0, len(self.times) - 1)
+            hs = self.hosts[host] = _HostState(
+                len(self.quantities), len(self.times)
+            )
         ts = int(sample.timestamp)
         hs.max_ts = max(hs.max_ts, ts)
-        row: Dict[str, float] = {}
+        row: List[float] = []
         for q in self.quantities:
             type_name = hs.types.get(q.key)
             if type_name is None:
@@ -221,15 +201,17 @@ class _JobStream:
                 if type_name is not None:
                     hs.types[q.key] = type_name
             if type_name is None:
-                row[q.key] = math.nan
+                row.append(math.nan)
                 continue
             schema = schemas.get(type_name)
             if schema is None:
-                row[q.key] = math.nan
+                row.append(math.nan)
                 continue
-            if not q.gauge and q.key not in hs.widths:
+            if q.key not in hs.widths:
                 hs.widths[q.key] = _counter_width(schema, q.counters)
-            row[q.key] = _sum_counters(sample.data, type_name, schema, q.counters)
+            row.append(
+                _sum_counters(sample.data, type_name, schema, q.counters)
+            )
         # duplicate timestamps (prolog + periodic coincide): last wins,
         # as in accumulate_blocks()
         hs.pending[ts] = row
@@ -258,61 +240,8 @@ class _JobStream:
 
     def _consume(self, t: int) -> None:
         self.times.append(t)
-        first = len(self.times) == 1
         for hs in self.hosts.values():
-            row = hs.pending.pop(t)
-            for q in self.quantities:
-                v = row.get(q.key, math.nan)
-                if q.gauge:
-                    self._consume_gauge(hs, q.key, v)
-                else:
-                    self._consume_event(hs, q.key, v, first)
-
-    @staticmethod
-    def _consume_gauge(hs: _HostState, key: str, v: float) -> None:
-        vals = hs.gauge_values[key]
-        if not math.isnan(v):
-            if hs.gauge_last[key] is None and hs.gauge_leading[key]:
-                # leading NaNs backfill with the first finite value,
-                # exactly like _ffill()
-                for i in range(hs.gauge_leading[key]):
-                    vals[i] = v
-            hs.gauge_leading[key] = 0
-            hs.gauge_last[key] = v
-            vals.append(v)
-        elif hs.gauge_last[key] is not None:
-            vals.append(hs.gauge_last[key])  # forward-fill the gap
-        else:
-            vals.append(math.nan)
-            hs.gauge_leading[key] += 1
-
-    def _consume_event(
-        self, hs: _HostState, key: str, v: float, first: bool
-    ) -> None:
-        prev = hs.last_filled[key]
-        if not math.isnan(v):
-            if prev is None:
-                # leading-NaN backfill: all earlier intervals were
-                # already recorded as 0.0, matching diff-of-constant
-                if not first:
-                    hs.deltas[key].append(0.0)
-                hs.last_filled[key] = v
-                return
-            raw = v - prev
-            if raw < 0:
-                corrected = correct_rollover(
-                    np.array([raw]),
-                    np.array([v]),
-                    hs.widths.get(key, 2.0**64),
-                )
-                hs.deltas[key].append(float(corrected[0]))
-            else:
-                hs.deltas[key].append(float(raw))
-            hs.last_filled[key] = v
-        else:
-            # forward-filled value ⇒ zero increment over this interval
-            if not first:
-                hs.deltas[key].append(0.0)
+            hs.rows.append(hs.pending.pop(t))
 
     def _prune_stale_pending(self) -> None:
         """Drop pending timestamps that can no longer become common.
@@ -360,24 +289,14 @@ class _JobStream:
     # -- evaluation --------------------------------------------------------
     def _assemble(self) -> JobAccum:
         hosts = sorted(self.hosts)
-        T = len(self.times)
-        deltas: Dict[str, np.ndarray] = {}
-        gauges: Dict[str, np.ndarray] = {}
-        for q in self.quantities:
-            if q.gauge:
-                rows = np.zeros((len(hosts), T))
-                for n, h in enumerate(hosts):
-                    vals = self.hosts[h].gauge_values[q.key]
-                    if self.hosts[h].gauge_last[q.key] is not None:
-                        rows[n] = vals
-                    # else: all-NaN series stays a zero row, like batch
-                gauges[q.key] = rows
-            else:
-                rows = np.zeros((len(hosts), max(0, T - 1)))
-                for n, h in enumerate(hosts):
-                    if self.hosts[h].last_filled[q.key] is not None:
-                        rows[n] = self.hosts[h].deltas[q.key]
-                deltas[q.key] = rows
+        states = [self.hosts[h] for h in hosts]
+        # (N, T, Q) rows → the (N, Q, T) series batch accumulation reduces
+        series = np.array([hs.rows for hs in states]).transpose(0, 2, 1)
+        widths = np.array([
+            [[hs.widths.get(q.key, 2.0**64)] for q in self.quantities]
+            for hs in states
+        ])
+        deltas, gauges = reduce_series(self.quantities, series, widths)
         return JobAccum(
             jobid=self.jobid,
             hosts=hosts,
@@ -415,11 +334,9 @@ class StreamingFlagAnalyzer:
         self,
         thresholds: Optional[Thresholds] = None,
         job_meta: Optional[MetaFn] = None,
-        quantities: Sequence[Quantity] = STREAM_QUANTITIES,
     ) -> None:
         self.thresholds = thresholds or Thresholds()
         self.job_meta = job_meta
-        self.quantities = tuple(quantities)
         self.active: Dict[str, _JobStream] = {}
         self.completed: Dict[str, StreamJobResult] = {}
         #: host → jobids currently observed on that host
@@ -448,7 +365,7 @@ class StreamingFlagAnalyzer:
                 continue
             js = self.active.get(jid)
             if js is None:
-                js = self.active[jid] = _JobStream(jid, self.quantities)
+                js = self.active[jid] = _JobStream(jid, STREAM_QUANTITIES)
             js.observe(host, sample, schemas)
             known.add(jid)
             touched.append(jid)

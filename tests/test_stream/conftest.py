@@ -100,8 +100,9 @@ def soak_run():
     db = Database()
     result = ingest_jobs(sess.store, sess.cluster.jobs, db)
     JobRecord.bind(db)
+    batch_records = {r.jobid: r for r in JobRecord.objects.all()}
     batch_flags = {
-        r.jobid: sorted(r.flags or []) for r in JobRecord.objects.all()
+        jobid: sorted(r.flags or []) for jobid, r in batch_records.items()
     }
     return SimpleNamespace(
         sess=sess,
@@ -113,5 +114,6 @@ def soak_run():
         deliveries=probe_deliveries,
         metrics=metrics,
         result=result,
+        batch_records=batch_records,
         batch_flags=batch_flags,
     )

@@ -61,8 +61,8 @@ def test_timestamps_outside_the_intersection_are_dropped():
         mk("n2", 0, 100), mk("n2", 1200, 500),  # n2 missed t=600
     ])
     assert js.times == [0, 1200]
-    assert js.hosts["n1"].deltas["mdc_reqs"] == [200.0]
-    assert js.hosts["n2"].deltas["mdc_reqs"] == [400.0]
+    rows = js._assemble().deltas["mdc_reqs"].tolist()
+    assert rows == [[200.0], [400.0]]  # n1, n2
 
 
 def test_wrap_correction_mid_series():
@@ -72,7 +72,7 @@ def test_wrap_correction_mid_series():
         mk("n1", 600, width - 100),
         mk("n1", 1200, 100),  # wraps past 2**32
     ])
-    assert js.hosts["n1"].deltas["mdc_reqs"] == [200.0, 200.0]
+    assert js._assemble().deltas["mdc_reqs"].tolist() == [[200.0, 200.0]]
 
 
 def test_counter_reset_detected():
@@ -81,7 +81,7 @@ def test_counter_reset_detected():
         mk("n1", 0, 3e9),
         mk("n1", 600, 1e6),
     ])
-    assert js.hosts["n1"].deltas["mdc_reqs"] == [1e6]
+    assert js._assemble().deltas["mdc_reqs"].tolist() == [[1e6]]
 
 
 def test_duplicate_timestamp_last_wins():
@@ -90,7 +90,7 @@ def test_duplicate_timestamp_last_wins():
         mk("n1", 0, 150),  # prolog + periodic coincide
         mk("n1", 600, 250),
     ])
-    assert js.hosts["n1"].deltas["mdc_reqs"] == [100.0]
+    assert js._assemble().deltas["mdc_reqs"].tolist() == [[100.0]]
 
 
 def test_gauge_leading_nan_backfilled():
@@ -99,7 +99,7 @@ def test_gauge_leading_nan_backfilled():
         mk("n1", 600, 200, mem=5e9),
         mk("n1", 1200, 300, mem=7e9),
     ])
-    assert js.hosts["n1"].gauge_values["mem_used"] == [5e9, 5e9, 7e9]
+    assert js._assemble().gauges["mem_used"].tolist() == [[5e9, 5e9, 7e9]]
 
 
 def test_assembled_arrays_are_batch_shaped():

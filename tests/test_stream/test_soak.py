@@ -3,14 +3,18 @@
 The claims under test, on one shared multi-day run (``soak_run``):
 
 * every job the batch pipeline ingests also completes in the stream,
-  and its completion-time (streaming) flag set equals the batch set;
+  and its completion-time (streaming) flag set equals the batch set,
+  as do the bytes of the six Table I metrics the flags read;
 * flags fire *while jobs run* — alerts exist before ``finalize()``,
   with sample→flag latency on the order of one collection interval;
 * every broker delivery carries trace context, and the spans stitch
   into one trace per delivery (publish → process → tsdb write).
 """
 
+import struct
+
 from repro.obs.tracing import SPAN_ID_HEADER, TRACE_ID_HEADER
+from repro.stream import STREAM_METRICS
 
 
 def test_run_is_multiday_and_nontrivial(soak_run):
@@ -33,6 +37,21 @@ def test_streaming_flags_equal_batch_flags(soak_run):
         assert not res.diverged, f"job {jobid} marked diverged"
         if sorted(res.final_flags) != flags:
             mismatches[jobid] = (sorted(res.final_flags), flags)
+    assert not mismatches, f"stream != batch: {mismatches}"
+
+
+def test_streaming_metrics_equal_batch_metric_bytes(soak_run):
+    """Completion-time metric values are the batch record's columns,
+    floats compared by their bytes."""
+    jobs = [r for r in soak_run.completed.values() if not r.short]
+    assert len(jobs) >= 6
+    mismatches = {}
+    for res in jobs:
+        record = soak_run.batch_records[res.jobid]
+        for name in STREAM_METRICS:
+            got, want = res.metrics[name], getattr(record, name)
+            if struct.pack("<d", got) != struct.pack("<d", want):
+                mismatches[(res.jobid, name)] = (got, want)
     assert not mismatches, f"stream != batch: {mismatches}"
 
 
