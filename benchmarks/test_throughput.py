@@ -23,9 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks import _support
 from benchmarks._support import git_commit, once, report
 from repro import monitoring_session
 from repro.cluster import JobSpec, make_app
+from repro.core import CentralStore
 from repro.core.collector import Sample
 from repro.core.rawfile import BlockParser, RawFileParser, RawFileWriter
 from repro.db import Database
@@ -35,6 +37,7 @@ from repro.pipeline import ingest_jobs
 from repro.pipeline.records import JobRecord
 from repro.tsdb import TimeSeriesDB
 from repro.tsdb.query import query
+from repro.tsdb.store import ingest_file
 from tests.test_core.test_rawfile import fleet_host_day
 from tests.test_metrics.test_table1 import make_accum
 from tests.test_pipeline.reference import reference_ingest
@@ -232,6 +235,93 @@ def test_block_parse_strided_host_day(benchmark):
         f"{calls} calls inside BlockParser.parse_text is {ratio:.2f}x the "
         f"per-token parser's {STRIDED_CALLS_PER_HOST_DAY_AT_1D35E8F} "
         f"(gate {MAX_STRIDED_CALLS_RATIO}x)"
+    )
+
+
+#: Python + builtin calls of one ``batch_fleet_day``-shaped rack-day at
+#: ee7a6e4, per stage, on one warm store (``test_rack_day_calls``)
+RACK_DAY_CALLS_AT_EE7A6E4 = {
+    "etl": 9796, "ingest_file x8": 9811, "seal_heads": 6260,
+}
+#: the rack-day's gate against their sum
+MAX_RACK_DAY_CALLS_RATIO = 0.7
+
+
+def _rack(root, rack, text, hosts=8, hosts_per_job=4):
+    """``batch_fleet_day``'s rack-day: ``hosts`` copies of ``text``
+    under their own host names, ``hosts_per_job`` hosts a job."""
+    root.mkdir(parents=True)
+    out = []
+    for h in range(hosts):
+        host = f"c{rack:03d}-{h:03d}"
+        job = str(5_000_000 + rack * hosts + h // hosts_per_job)
+        host_text = text.replace("c001-001", host).replace("5000001", job)
+        (root / f"{host}.raw").write_text(host_text)
+        out.append((host, host_text))
+    return out
+
+
+def test_rack_day_calls(benchmark, tmp_path):
+    """A rack-day pays once per host layout: count, do not time.
+
+    One ``batch_fleet_day``-shaped rack-day (8 host-days of
+    ``fleet_host_day()``, two 4-host jobs) after one warm-up rack on the
+    same job database and store: the ETL pass, the 8 ``ingest_file``
+    calls and ``seal_heads``, each under cProfile.  ``total_calls`` is
+    every Python and builtin call the stage cost — a count, so it
+    travels between machines.  Gate: ≤ 0.7× ee7a6e4's sum.  Wall time
+    of a whole rack-day is reported, not gated.
+    """
+    text = fleet_host_day()
+    db, tsdb = Database(), TimeSeriesDB()
+
+    def rack_day(rack, profiles=None):
+        root = tmp_path / f"r{rack:03d}"
+        hosts = _rack(root, rack, text)
+        stages = (
+            ("etl", lambda: ingest_jobs(CentralStore(str(root)), None, db)),
+            ("ingest_file x8",
+             lambda: [ingest_file(tsdb, h, t) for h, t in hosts]),
+            ("seal_heads", tsdb.seal_heads),
+        )
+        out = {}
+        for stage, run in stages:
+            profile = cProfile.Profile() if profiles is not None else None
+            if profile is not None:
+                profile.enable()
+            try:
+                out[stage] = run()
+            finally:
+                if profile is not None:
+                    profile.disable()
+                    profiles[stage] = pstats.Stats(profile).total_calls
+        return out
+
+    rack_day(0)  # the layout, the job table and the store exist from here
+    calls = {}
+    out = rack_day(1, calls)
+    assert out["etl"].ingested == 2 and not out["etl"].errors
+    assert [n for n, _ in out["ingest_file x8"]] == [144 * 33] * 8
+    assert tsdb.n_chunks() == 2 * 8 * 33
+    racks = iter(range(2, 10**6))
+    benchmark(lambda: rack_day(next(racks)))
+    total = sum(calls.values())
+    parent = sum(RACK_DAY_CALLS_AT_EE7A6E4.values())
+    ratio = total / parent
+    _support.record_bench(BENCH_JSON, "rack_day_calls", {
+        "corpus": "one batch_fleet_day-shaped rack-day: 8 host-days of "
+                  "fleet_host_day(), two 4-host jobs, after one warm-up "
+                  "rack on the same job database and TimeSeriesDB",
+        "calls": calls,
+        "calls_total": total,
+        "calls_at_ee7a6e4": RACK_DAY_CALLS_AT_EE7A6E4,
+        "calls_total_at_ee7a6e4": parent,
+        "ratio": round(ratio, 4),
+        "rack_day_wall_ms": round(benchmark.stats.stats.median * 1e3, 2),
+    })
+    assert ratio <= MAX_RACK_DAY_CALLS_RATIO, (
+        f"{total} calls a rack-day ({calls}) is {ratio:.2f}x ee7a6e4's "
+        f"{parent} (gate {MAX_RACK_DAY_CALLS_RATIO}x)"
     )
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import getitem
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -553,6 +553,64 @@ def _decimals(b: np.ndarray, starts: np.ndarray,
     return _POW10[18 - width:] @ digits.astype(np.int64)
 
 
+#: layouts :class:`BlockParser` keeps, and derivations a layout keeps:
+#: past either bound the memo starts over
+_LAYOUTS = 64
+_DERIVED = 16
+_MISS = object()
+
+
+class Layout:
+    """One host layout: the header's ``!`` schema lines and one record's
+    device lines, ``(type, instance, width)`` each.
+
+    Every host of a rack writes the same layout, so :class:`BlockParser`
+    parses it once: each strided :class:`HostBlock` of that shape shares
+    this object, its ``schemas`` dict (read-only) and the byte pattern
+    its body is checked against, and a consumer derives what it needs
+    from a layout once, through :meth:`derive`.
+    """
+
+    __slots__ = (
+        "schemas", "columns", "line_end", "pattern", "prefix", "at", "off",
+        "cols", "_derived",
+    )
+
+    def __init__(
+        self, schemas: Dict[str, Schema], columns: Tuple[Column, ...]
+    ) -> None:
+        self.schemas = schemas
+        self.columns = columns
+        # every token is followed by one separator: token i of a record
+        # ends at its i-th separator; the line ends fall where the
+        # layout puts them and every other separator is a space
+        self.line_end = np.cumsum([2] + [2 + w for _, _, w in columns]) - 1
+        self.pattern = np.full(self.line_end[-1] + 1, 32, np.uint8)
+        self.pattern[self.line_end] = 10
+        # each device line opens with its ``"<type> <inst> "`` bytes
+        prefixes = [f"{t} {inst} ".encode() for t, inst, _ in columns]
+        self.prefix = np.frombuffer(b"".join(prefixes), np.uint8)
+        self.at = np.repeat(self.line_end[:-1], [len(p) for p in prefixes])
+        self.off = np.concatenate(
+            [np.arange(1, len(p) + 1) for p in prefixes])
+        # the separators a value token sits after
+        self.cols = np.concatenate([
+            np.arange(o + 2, o + 2 + w)
+            for o, (_, _, w) in zip(self.line_end[:-1] + 1, columns)
+        ])
+        self._derived: Dict[object, object] = {}
+
+    def derive(self, key, build: Callable[[], object]):
+        """``build()``, made on the first call for ``key`` and kept."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            if len(self._derived) >= _DERIVED:
+                self._derived.clear()
+            value = self._derived[key] = build()
+            return value
+
+
 @dataclass
 class BlockGroup:
     """All readings of one (device type, instance) across a host file."""
@@ -588,10 +646,24 @@ class HostBlock:
     #: record index → procfs records of that sample
     procs: Dict[int, List[ProcessRecord]] = field(default_factory=dict)
     errors: List[ParseError] = field(default_factory=list)
+    #: the strided path's: the :class:`Layout` every record follows and
+    #: the ``(records, counters)`` rows it decoded, each group a column
+    #: slice of them (``None`` for a block the record decoder stacked)
+    layout: Optional["Layout"] = None
+    matrix: Optional[np.ndarray] = None
 
     @property
     def n_records(self) -> int:
         return len(self.times)
+
+    def derive(self, key, build: Callable[[], object]):
+        """What a consumer makes of this block's layout: made once per
+        :class:`Layout` (:meth:`Layout.derive`), or by every call for a
+        block without one.  ``build`` may read only what every block of
+        the layout shares: its schemas and devices, not their values."""
+        if self.layout is None:
+            return build()
+        return self.layout.derive(key, build)
 
     def job_rows(self) -> Dict[str, np.ndarray]:
         """Record indices per job id (the jobmap bucket-sort, columnar)."""
@@ -636,7 +708,9 @@ class BlockParser:
        ASCII digits): its body is decoded in one pass over its bytes —
        token bounds from the separators, the layout checked by one
        reshape-and-compare and one gather, every number by
-       :func:`_decimals`;
+       :func:`_decimals`.  Its :class:`Layout` — the ``!`` lines and
+       the first record's device lines — is parsed once for every file
+       that shares it (:meth:`_layout`) and kept on the block;
     2. *records* — any other file (``ps`` lines, a late device, schema
        evolution, damage) goes through :class:`RawFileParser`, and its
        rows are stacked: records that share a ``columns`` layout become
@@ -678,49 +752,40 @@ class BlockParser:
     # -- strided fast path ---------------------------------------------------
     def _try_strided(self, text: str) -> Optional[HostBlock]:
         header = RawFileParser()
+        schema_lines: List[str] = []
         pos = 0
         try:
             while text.startswith(("$", "!"), pos):
                 end = text.index("\n", pos)
-                header._header_line(text[pos:end])
+                if text[pos] == "!":
+                    schema_lines.append(text[pos:end])
+                else:
+                    header._header_line(text[pos:end])
                 pos = end + 1
             body = text[pos:] if text.endswith("\n") else text[pos:] + "\n"
             b = np.frombuffer(body.encode("ascii"), np.uint8)
             # the layout: the first record's device lines
-            layout: List[Tuple[str, str, int]] = []
+            columns: List[Column] = []
             end = body.index("\n")
             while end + 1 < len(body) and not body[end + 1].isdigit():
                 start, end = end + 1, body.index("\n", end + 1)
                 t, inst, *values = body[start:end].split(" ")
                 if not t or not inst or t == "ps" or t[0] in "$!":
                     return None
-                layout.append((t, inst, len(values)))
-            schemas = header.schemas
-            if not layout or any(t in schemas and w != len(schemas[t])
-                                 for t, _, w in layout):
+                columns.append((t, inst, len(values)))
+            layout = self._layout(tuple(schema_lines), tuple(columns))
+            if layout is None:
                 return None
-            # every token is followed by one separator: token i of
-            # record r ends at ``sep[r, i]``; the line ends fall where
-            # the layout puts them and every other separator is a space
-            line_end = np.cumsum([2] + [2 + w for _, _, w in layout]) - 1
-            pattern = np.full(line_end[-1] + 1, 32, np.uint8)
-            pattern[line_end] = 10
+            # token i of record r ends at ``sep[r, i]``
             sep = np.flatnonzero(b <= 32)
-            R, rem = divmod(len(sep), len(pattern))
-            if rem or not (b[sep].reshape(R, -1) == pattern).all():
+            R, rem = divmod(len(sep), len(layout.pattern))
+            if rem or not (b[sep].reshape(R, -1) == layout.pattern).all():
                 return None
             sep = sep.reshape(R, -1)
-            # each device line opens with its ``"<type> <inst> "`` bytes
-            prefixes = [f"{t} {inst} ".encode() for t, inst, _ in layout]
-            at = np.repeat(line_end[:-1], [len(p) for p in prefixes])
-            off = np.concatenate([np.arange(1, len(p) + 1) for p in prefixes])
-            if not (b[sep[:, at] + off] == np.frombuffer(
-                    b"".join(prefixes), np.uint8)).all():
+            if not (b[sep[:, layout.at] + layout.off] == layout.prefix).all():
                 return None
-            cols = np.concatenate([np.arange(o + 2, o + 2 + w) for o, (_, _, w)
-                                   in zip(line_end[:-1] + 1, layout)])
-            ints = _decimals(b, sep[:, cols - 1].ravel() + 1,
-                             sep[:, cols].ravel())
+            ints = _decimals(b, sep[:, layout.cols - 1].ravel() + 1,
+                             sep[:, layout.cols].ravel())
             times = _decimals(b, np.concatenate(([0], sep[:-1, -1] + 1)),
                               sep[:, 0])
         except (ValueError, IndexError):
@@ -736,17 +801,49 @@ class BlockParser:
         rows = np.arange(R, dtype=np.int64)
         groups: Dict[str, Dict[str, BlockGroup]] = {}
         lo = 0
-        for t, inst, w in layout:
+        for t, inst, w in layout.columns:
             # a device listed twice: one row a record, the last line's
             groups.setdefault(t, {})[inst] = BlockGroup(
                 rows, values[:, lo:lo + w])
             lo += w
         return HostBlock(
             host=header.hostname or "?", arch=header.arch,
-            mem_bytes=header.mem_bytes, schemas=schemas,
+            mem_bytes=header.mem_bytes, schemas=layout.schemas,
             times=times, jobids=[split[js] for js in jobs],
             groups=groups, type_order=list(groups),
+            layout=layout, matrix=values,
         )
+
+    #: ``(schema lines, columns)`` → its :class:`Layout`, or ``None``
+    #: when a device's width disagrees with its schema; shared by every
+    #: parser, emptied when full
+    _layouts: Dict[Tuple[Tuple[str, ...], Tuple[Column, ...]],
+                   Optional[Layout]] = {}
+
+    @classmethod
+    def _layout(
+        cls, schema_lines: Tuple[str, ...], columns: Tuple[Column, ...]
+    ) -> Optional[Layout]:
+        """The layout these lines spell, its schemas parsed on first
+        sight (a bad schema line raises ``ValueError``, remembering
+        nothing)."""
+        key = (schema_lines, columns)
+        # one lookup: another thread may empty the memo between two
+        hit = cls._layouts.get(key, _MISS)
+        if hit is not _MISS:
+            return hit
+        header = RawFileParser()
+        for line in schema_lines:
+            header._header_line(line)
+        schemas = header.schemas
+        layout = None
+        if columns and not any(t in schemas and w != len(schemas[t])
+                               for t, _, w in columns):
+            layout = Layout(schemas, columns)
+        if len(cls._layouts) >= _LAYOUTS:
+            cls._layouts.clear()
+        cls._layouts[key] = layout
+        return layout
 
     # -- the record decoder's rows, stacked ----------------------------------
     def _stack_records(self, lines: List[str]) -> HostBlock:

@@ -171,14 +171,23 @@ class Model(metaclass=ModelMeta):
     # -- schema -------------------------------------------------------------
     @classmethod
     def create_table(cls) -> None:
+        """Create the table and its indexes, issuing DDL only when one
+        read of ``sqlite_master`` shows one of them missing."""
+        indexed = [f.name for f in cls._fields.values()
+                   if f.index and not f.primary_key]
+        want = {cls._table} | {f"idx_{cls._table}_{n}" for n in indexed}
+        cur = cls._db().execute(
+            "SELECT name FROM sqlite_master WHERE tbl_name = ?", (cls._table,)
+        )
+        if want <= {row[0] for row in cur.fetchall()}:
+            return
         cols = ", ".join(f.ddl() for f in cls._fields.values())
         cls._db().execute(f"CREATE TABLE IF NOT EXISTS {cls._table} ({cols})")
-        for f in cls._fields.values():
-            if f.index and not f.primary_key:
-                cls._db().execute(
-                    f"CREATE INDEX IF NOT EXISTS idx_{cls._table}_{f.name} "
-                    f"ON {cls._table} ({f.name})"
-                )
+        for name in indexed:
+            cls._db().execute(
+                f"CREATE INDEX IF NOT EXISTS idx_{cls._table}_{name} "
+                f"ON {cls._table} ({name})"
+            )
         cls._db().commit()
 
     @classmethod

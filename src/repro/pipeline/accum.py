@@ -133,16 +133,68 @@ def _counter_width(schema, counters: Tuple[str, ...]) -> float:
     )
 
 
-def _nan_add(total: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Elementwise add treating NaN as *absent* (not poisonous).
+#: one quantity a host layout reports: its index in ``quantities``, the
+#: column of each of its counters in each device of its type —
+#: ``(devices, counters)`` — those devices' indices, and the register
+#: modulus
+_Step = Tuple[int, np.ndarray, List[int], float]
 
-    An instance missing from one sample contributes nothing there,
-    while a timestamp where *no* instance reported stays NaN.
-    """
-    both = ~np.isnan(total) & ~np.isnan(contrib)
-    out = np.where(np.isnan(total), contrib, total)
-    out[both] = total[both] + contrib[both]
-    return out
+
+def _plan(
+    columns: Sequence[Tuple[str, str, int]],
+    schemas: Dict[str, Schema],
+    quantities: Sequence[Quantity],
+) -> List[_Step]:
+    """What to sum for each quantity out of rows laid out as ``columns``
+    (``(type, instance, width)`` runs side by side; an instance listed
+    twice is read from its last run, and its index is that run's).  The
+    core counter type is the first architecture type the columns hold."""
+    runs: Dict[str, Dict[str, Tuple[int, int, int]]] = {}
+    lo = 0
+    for d, (type_name, instance, width) in enumerate(columns):
+        runs.setdefault(type_name, {})[instance] = (d, lo, width)
+        lo += width
+    core = next((t for t in runs if t in _CORE_TYPES), None)
+    plan = []
+    for i, q in enumerate(quantities):
+        type_name = q.type_name or core
+        schema = schemas.get(type_name) if type_name in runs else None
+        if schema is None:
+            continue
+        idx = [schema.index[c] for c in q.counters if c in schema.index]
+        if not idx:
+            continue
+        per = list(runs[type_name].values())
+        if max(idx) >= min(width for _, _, width in per):
+            raise IndexError(f"{type_name}: schema wider than its readings")
+        plan.append((
+            i, np.array([[lo + j for j in idx] for _, lo, _ in per]),
+            [d for d, _, _ in per], _counter_width(schema, q.counters),
+        ))
+    return plan
+
+
+def _gather(
+    block: "HostBlock", sel: np.ndarray
+) -> Tuple[List[Tuple[str, str, int]], np.ndarray, np.ndarray]:
+    """A block without a layout at the records ``sel``: the devices read
+    there (not schema-less ragged ones) as ``(columns, rows, present)``
+    — their values side by side, 0 where a device was not read, and
+    whether it was, a row per column."""
+    columns, mats, present = [], [], []
+    for type_name in block.type_order:
+        for instance, grp in block.groups[type_name].items():
+            if grp.ragged is not None:
+                continue  # schema-less ragged data: no counter index
+            p = np.minimum(np.searchsorted(grp.rows, sel), len(grp.rows) - 1)
+            found = grp.rows[p] == sel
+            if not found.any():
+                continue
+            columns.append((type_name, instance, grp.values.shape[1]))
+            mats.append(np.where(found[:, None], grp.values[p], 0.0))
+            present.append(found)
+    rows = np.concatenate(mats, axis=1) if mats else np.zeros((len(sel), 0))
+    return columns, rows, np.array(present, dtype=bool).reshape(-1, len(sel))
 
 
 def accumulate_blocks(
@@ -155,14 +207,19 @@ def accumulate_blocks(
     """Reduce one job's host blocks to canonical quantity arrays.
 
     Takes, per host, a :class:`~repro.core.rawfile.HostBlock` plus the
-    record indices belonging to the job, and sums each quantity's
-    counters with whole-array NumPy operations per (host, device,
-    instance) before one :func:`reduce_series` call.  Hosts are aligned
-    on the intersection of their timestamps, a repeated timestamp
-    keeps its later record, a gap is forward-filled, and an instance
-    absent from a record contributes nothing to it.  The
-    per-sample oracle in ``tests/test_pipeline/reference.py`` defines
-    the expected arrays bit for bit.
+    record indices belonging to the job.  Hosts are aligned on the
+    intersection of their timestamps, a repeated timestamp keeps its
+    later record, a gap is forward-filled, and an instance absent from
+    a record contributes nothing to it.  Each host's aligned rows are
+    read under a plan (:func:`_plan`: per quantity, which columns to
+    sum), and the hosts that share a plan — the hosts of one layout,
+    whose plan the layout keeps — are stacked, so each quantity is one
+    gather and two sums over all of them before one
+    :func:`reduce_series` call.  A block without a layout is gathered
+    device by device and planned on its own.  The per-sample oracle in
+    ``tests/test_pipeline/reference.py`` defines the expected arrays
+    bit for bit: counters sum within an instance as ``ndarray.sum``
+    does, instances one after another from 0.
     """
     hosts = sorted(host_rows)
     if not hosts:
@@ -182,62 +239,54 @@ def accumulate_blocks(
     arch_obj = ARCHITECTURES.get(arch or "", None)
     vector_width = arch_obj.vector_width_doubles if arch_obj else 4
 
-    # per host: for each device type, NaN-aligned (T, C) value matrices
-    # in file instance order (NaN row = instance absent at that time)
-    aligned: List[Dict[str, List[np.ndarray]]] = []
-    cores: List[Optional[str]] = []  # per host: its core counter type
-    for h in hosts:
+    #: id(plan) → (plan, host indices, their (T, W) rows, their presence)
+    stacks: Dict[int, Tuple[List[_Step], List[int], list, list]] = {}
+    for n, h in enumerate(hosts):
         block, rows = host_rows[h]
         trow = block.times[rows]
         # dedupe repeated timestamps keeping the later sample (stable
         # sort + rightmost match)
         order = np.argsort(trow, kind="stable")
-        sorted_t = trow[order]
-        pos = np.searchsorted(sorted_t, times, side="right") - 1
+        pos = np.searchsorted(trow[order], times, side="right") - 1
         sel = rows[order[pos]]  # (T,) record index per aligned time
-        per_type: Dict[str, List[np.ndarray]] = {}
-        for type_name in block.type_order:
-            mats: List[np.ndarray] = []
-            any_found = False
-            for grp in block.groups[type_name].values():
-                if grp.ragged is not None:
-                    continue  # schema-less ragged data: no counter index
-                p = np.searchsorted(grp.rows, sel)
-                p = np.minimum(p, len(grp.rows) - 1)
-                found = grp.rows[p] == sel
-                if not found.any():
-                    continue
-                any_found = True
-                mat = np.full((T, grp.values.shape[1]), np.nan)
-                mat[found] = grp.values[p[found]]
-                mats.append(mat)
-            if any_found:
-                per_type[type_name] = mats
-        aligned.append(per_type)
-        cores.append(next(
-            (t for t in block.type_order
-             if t in _CORE_TYPES and t in per_type),
-            None,
-        ))
+        layout = block.layout
+        if layout is None:
+            columns, matrix, present = _gather(block, sel)
+            plan = _plan(columns, schemas, quantities)
+        else:
+            matrix, present = block.matrix[sel], None
+            if quantities is CANONICAL_QUANTITIES and schemas == block.schemas:
+                plan = block.derive(
+                    "accumulate_blocks",
+                    lambda: _plan(layout.columns, block.schemas, quantities),
+                )
+            else:
+                plan = _plan(layout.columns, schemas, quantities)
+        _, ns, matrices, presence = stacks.setdefault(
+            id(plan), (plan, [], [], []))
+        ns.append(n)
+        matrices.append(matrix)
+        presence.append(present)
 
     # (N, Q, T) summed-counter series; NaN where nothing reported
     series = np.full((N, len(quantities), T), np.nan)
     widths = np.full((N, len(quantities), 1), 2.0**64)
-    for n, (per_type, core) in enumerate(zip(aligned, cores)):
-        for i, q in enumerate(quantities):
-            type_name = q.type_name or core
-            schema = schemas.get(type_name) if type_name in per_type else None
-            if schema is None:
-                continue
-            idx = [schema.index[c] for c in q.counters if c in schema.index]
-            if not idx:
-                continue
-            mats = per_type[type_name]
-            row = mats[0][:, idx].sum(axis=1)
-            for mat in mats[1:]:
-                row = _nan_add(row, mat[:, idx].sum(axis=1))
-            series[n, i] = row
-            widths[n, i] = _counter_width(schema, q.counters)
+    for plan, ns, matrices, presence in stacks.values():
+        stacked = np.stack(matrices)  # (H, T, W)
+        present = None if presence[0] is None else np.stack(presence, 1)
+        for i, cols, devices, width in plan:
+            # (H, T, instances): the counters of each instance, summed
+            # along the row as ``ndarray.sum`` does; then the instances
+            # added one after another
+            per_instance = stacked[..., cols].sum(axis=-1)
+            total = np.add.reduce(
+                np.ascontiguousarray(np.moveaxis(per_instance, -1, 0)),
+                axis=0, initial=0.0,
+            )
+            if present is not None:
+                total[~present[devices].any(axis=0)] = np.nan
+            series[ns, i] = total
+            widths[ns, i] = width
     deltas, gauges = reduce_series(quantities, series, widths)
 
     return JobAccum(

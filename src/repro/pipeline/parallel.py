@@ -12,8 +12,8 @@ computed metrics are then ingested into a PostgreSQL database."*
 2. **Assemble** jobs from blocks (:func:`assemble_jobs`, a bucket-sort
    of record indices by job id) and reduce each to a
    :class:`~repro.pipeline.accum.JobAccum` with
-   :func:`~repro.pipeline.accum.accumulate_blocks` — whole-array
-   NumPy per (host, device, instance).
+   :func:`~repro.pipeline.accum.accumulate_blocks` — the hosts of one
+   layout stacked, one gather and two sums per quantity.
 3. **Compute** Table I with
    :func:`~repro.metrics.table1.compute_metrics_batch`, stacking
    same-shaped jobs into (jobs, nodes, T-1) arrays.
@@ -159,6 +159,23 @@ def assemble_jobs(
     return out, dropped
 
 
+#: job ids per exactly-once probe: under SQLite's oldest bound-variable
+#: limit (999)
+_PROBE_IDS = 900
+
+
+def _ingested(jobids: List[str]) -> set:
+    """Which of ``jobids`` already have a row: ``jobid IN (…)`` a chunk
+    at a time, answered by the job id index — the probe costs this
+    pass's jobs, not the table's."""
+    found: set = set()
+    for i in range(0, len(jobids), _PROBE_IDS):
+        found.update(JobRecord.objects.filter(
+            jobid__in=jobids[i:i + _PROBE_IDS]
+        ).values_list("jobid", flat=True))
+    return found
+
+
 def ingest_jobs(
     store: CentralStore,
     jobs: Optional[Mapping[str, Job]] = None,
@@ -205,9 +222,7 @@ def ingest_jobs(
     already: set = set()
     if skip_existing:
         try:
-            already = set(
-                JobRecord.objects.all().values_list("jobid", flat=True)
-            )
+            already = _ingested(sorted(jobdata))
         except sqlite3.OperationalError as exc:
             # create_table=False on a first run: nothing ingested yet.
             # Any other database failure must not read as "empty".

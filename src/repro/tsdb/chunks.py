@@ -48,10 +48,12 @@ Two read-path accelerators live here as well:
 
 The write path is batched the same way: :func:`seal_many` stacks
 columns of equal length into ``(k, n)`` matrices and encodes each
-group with one pass of whole-array operations — what
-:meth:`repro.tsdb.store.TimeSeriesDB.seal_heads` runs at the end of a
-nightly load.  :meth:`Chunk.seal` is its one-column case, so the codec
-exists once.
+group with one pass of whole-array operations.  The store's head block
+is such a group already — K columns over one shared time vector — so
+:meth:`repro.tsdb.store.TimeSeriesDB.seal_heads` hands the encoder
+(:func:`_seal_group`) the block's ``(K, n)`` slab as it is, and its
+timestamp column is encoded once for all K.  :meth:`Chunk.seal` is
+:func:`seal_many`'s one-column case, so the codec exists once.
 """
 
 from __future__ import annotations
@@ -457,28 +459,37 @@ def seal_many(
 
 
 def _seal_group(t: np.ndarray, v: np.ndarray) -> List[Chunk]:
-    """Encode ``k`` validated columns of one length ``n`` (``(k, n)``)."""
-    k, n = t.shape
+    """Encode ``k`` validated columns of one length ``n``: ``v`` is their
+    C-contiguous ``(k, n)`` values and ``t`` either their ``(k, n)``
+    times or one ``(n,)`` time vector they all share — a head block's
+    slab, whose timestamp column is then encoded once for all ``k``."""
+    k, n = v.shape
+    tt = t.reshape(-1, n)
+    kt = len(tt)
     # constant cadence (the monitoring norm: every delta-of-delta past
     # the first is zero) stores no timestamp stream at all — just the
     # step, from which decode rebuilds t0 + k*step bit-exactly in int64
-    t_steps: List[Optional[int]] = [0] * k
-    t_lens, t_payload = [b""] * k, [b""] * k
+    t_steps: List[Optional[int]] = [0] * kt
+    t_lens, t_payload = [b""] * kt, [b""] * kt
     if n > 1:
-        d = np.diff(t, axis=1)
+        d = np.diff(tt, axis=1)
         t_steps = d[:, 0].tolist()
         irregular = np.flatnonzero((d != d[:, :1]).any(axis=1))
         if len(irregular):
             # delta-of-delta stream: [t0, d1, d2-d1, ...]
             di = d[irregular]
             dod = np.empty((len(irregular), n), dtype=np.int64)
-            dod[:, 0] = t[irregular, 0]
+            dod[:, 0] = tt[irregular, 0]
             dod[:, 1] = di[:, 0]
             dod[:, 2:] = di[:, 1:] - di[:, :-1]
             for i, lens, payload in zip(
                 irregular.tolist(), *_encode_words(_zigzag(dod))
             ):
                 t_steps[i], t_lens[i], t_payload[i] = None, lens, payload
+    t_min, t_max = tt[:, 0].tolist(), tt[:, -1].tolist()
+    if kt < k:  # one shared time column
+        t_steps, t_lens, t_payload = t_steps * k, t_lens * k, t_payload * k
+        t_min, t_max = t_min * k, t_max * k
 
     # XOR-with-previous on the raw IEEE-754 bit patterns
     words = v.view(np.uint64)
@@ -500,7 +511,6 @@ def _seal_group(t: np.ndarray, v: np.ndarray) -> List[Chunk]:
     agg_count, agg_min, agg_max = (
         agg_count.tolist(), agg_min.tolist(), agg_max.tolist()
     )
-    t_min, t_max = t[:, 0].tolist(), t[:, -1].tolist()
     v_first, v_last = v[:, 0].tolist(), v[:, -1].tolist()
     return [
         Chunk(

@@ -48,12 +48,12 @@ import numpy as np
 from repro.core.rawfile import BlockParser
 from repro.core.store import CentralStore
 from repro.obs import handles
-from repro.tsdb.chunks import CHUNK_POINTS, Chunk, decode_concat, seal_many
+from repro.tsdb.chunks import CHUNK_POINTS, Chunk, _seal_group, decode_concat
 
 TagKey = Tuple[Tuple[str, str], ...]
 
-#: points per :func:`~repro.tsdb.chunks.seal_many` call in ``seal_heads``:
-#: bounds the encoder's temporaries (a few MiB) whatever the store holds
+#: points per encoder call in :func:`_seal_into`: bounds its
+#: temporaries (a few MiB) whatever the store holds
 _SEAL_SLAB_POINTS = 1 << 17
 
 _CHUNK_SEALS = handles.counter(
@@ -151,36 +151,37 @@ def _tagkey(tags: Mapping[str, str]) -> TagKey:
 def _sort_dedupe(
     t: np.ndarray, v: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable sort by time, keep the *last-inserted* value per ts."""
+    """Stable sort by time, keep the *last-inserted* value per ts: of
+    one ``(n,)`` column or of each row of a ``(K, n)`` slab."""
     order = np.argsort(t, kind="stable")
-    t, v = t[order], v[order]
+    t = t[order]
     if len(t) > 1:
         keep = np.append(t[1:] != t[:-1], True)
-        t, v = t[keep], v[keep]
-    return t, v
+        t, order = t[keep], order[keep]
+    return t, v[..., order]
 
 
 def _seal_into(
-    heads: List[Tuple["_Series", np.ndarray, np.ndarray]], chunk_size: int
+    slabs: List[Tuple[List["_Series"], np.ndarray, np.ndarray]]
 ) -> None:
-    """Seal each ``(series, t, v)`` into a new chunk of that series.
+    """Seal each ``(series, t, v)`` slab — K series of one metric over
+    the strictly increasing times ``t``, ``v`` their C-contiguous
+    ``(K, n)`` values — into one new chunk per series.
 
-    Columns are encoded a slab at a time through
-    :func:`~repro.tsdb.chunks.seal_many` — bit for bit the chunks a
-    per-series seal would produce — and the seal counters move once
-    per metric.
+    A slab goes to the encoder whole, a few MiB of it at a time, and is
+    bit for bit what :func:`~repro.tsdb.chunks.seal_many` would make of
+    its columns one by one; the seal counters move once per metric.
     """
-    per_slab = max(1, _SEAL_SLAB_POINTS // chunk_size)
     sealed: Dict[str, List[int]] = {}
-    for i in range(0, len(heads), per_slab):
-        slab = heads[i:i + per_slab]
-        for (s, _, _), chunk in zip(
-            slab, seal_many([(t, v) for _, t, v in slab])
-        ):
-            s.chunks.append(chunk)
-            totals = sealed.setdefault(s.metric, [0, 0])
-            totals[0] += 1
-            totals[1] += chunk.nbytes
+    for members, t, v in slabs:
+        per = max(1, _SEAL_SLAB_POINTS // len(t))
+        totals = sealed.setdefault(members[0].metric, [0, 0])
+        for i in range(0, len(members), per):
+            chunks = _seal_group(t, v[i:i + per])
+            for s, chunk in zip(members[i:i + per], chunks):
+                s.chunks.append(chunk)
+            totals[0] += len(chunks)
+            totals[1] += sum([chunk.nbytes for chunk in chunks])
     for metric, (n_chunks, nbytes) in sealed.items():
         _CHUNK_SEALS.labels(metric=metric).inc(n_chunks)
         _CHUNK_BYTES.labels(metric=metric).inc(nbytes)
@@ -266,9 +267,7 @@ class _HeadBlock:
         while self.n - self.base >= self.chunk_size:
             # the oldest chunk_size rows of every column that has them
             due = np.flatnonzero(self.n - self.lo >= self.chunk_size)
-            _seal_into(
-                self.sealable(due, self.chunk_size), self.chunk_size
-            )
+            _seal_into(self.slabs(due, self.chunk_size))
             self.lo[due] += self.chunk_size
             self._edges_moved()
         return int(t[0] if rising else t.min())
@@ -309,24 +308,33 @@ class _HeadBlock:
         t = self.t[:self.n]
         return bool((t[1:] > t[:-1]).all())
 
-    def sealable(
+    def slabs(
         self, cols: np.ndarray, size: int
-    ) -> List[Tuple["_Series", np.ndarray, np.ndarray]]:
-        """``(series, t, v)`` over the oldest ``size`` open rows of each
-        of ``cols``, strictly increasing: as buffered when the rows are
-        in order, sorted + keep-last otherwise."""
+    ) -> List[Tuple[List["_Series"], np.ndarray, np.ndarray]]:
+        """The oldest ``size`` open rows of each of ``cols`` as
+        ``(series, t, v)`` slabs, one per distinct lower edge: the
+        columns' shared times, strictly increasing, and their ``(K, n)``
+        values — as buffered when the rows are in order, sorted +
+        keep-last otherwise."""
+        if not len(cols):
+            return []
         rising = self._rising()
+        lo = self.lo[cols]
+        edges = [int(lo[0])] if (lo == lo[0]).all() else np.unique(lo).tolist()
         out = []
-        for j, a in zip(cols.tolist(), self.lo[cols].tolist()):
+        for a in edges:
+            js = cols if len(edges) == 1 else cols[lo == a]
             b = min(a + size, self.n)
-            t, v = self.t[a:b], self.v[j, a:b]
+            t, v = self.t[a:b], self.v[js, a:b]
             if not rising:
                 # within one sealed slice, last-inserted wins for
                 # duplicate timestamps; later slices/heads override at
                 # merge time because chunks are concatenated in seal
                 # order before the stable sort
                 t, v = _sort_dedupe(t, v)
-            out.append((self.members[j], t, v))
+                v = np.ascontiguousarray(v)
+            members = self.members
+            out.append(([members[j] for j in js.tolist()], t, v))
         return out
 
     def dissolve(self) -> None:
@@ -728,6 +736,23 @@ class SeriesGroup:
         self._block: Optional[_HeadBlock] = None
         self._generation = -1  # never resolved
 
+    @classmethod
+    def _made(
+        cls, tsdb: "TimeSeriesDB", metric: str,
+        tag_sets: Tuple[Dict[str, str], ...],
+        keys: Tuple[Tuple[str, TagKey], ...],
+        postings: List[Tuple[str, str, List[int]]],
+    ) -> "SeriesGroup":
+        """A group whose keys and postings were worked out already (see
+        :class:`HostTemplate`): the constructor's checks are the
+        template's."""
+        group = cls.__new__(cls)
+        group.tsdb, group.metric = tsdb, metric
+        group.tag_sets, group.keys = tag_sets, keys
+        group._layout, group._postings = group, postings
+        group._block, group._generation = None, -1
+        return group
+
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -748,6 +773,50 @@ class SeriesGroup:
         if whole:
             self._layout._postings = out
         return out
+
+
+class HostTemplate:
+    """The series one host layout writes, with the host left out.
+
+    Built once per layout from tag sets whose ``host`` is a placeholder
+    (every other tag fixed), it keeps what a :class:`SeriesGroup` would
+    work out for each host afresh — the sorted tag keys, cut around the
+    ``host`` item, and the posting entries a series-by-series walk would
+    add.  :meth:`bind` substitutes a host into them, so a host's series
+    cost no key sort and no posting walk; what the group registers is
+    exactly what ``SeriesGroup(tsdb, metric, tag_sets)`` would.
+    """
+
+    __slots__ = ("metric", "tag_sets", "parts", "postings", "_host_at")
+
+    def __init__(
+        self, metric: str, tag_sets: Sequence[Mapping[str, str]]
+    ) -> None:
+        group = SeriesGroup(None, metric, tag_sets)  # checks the layout
+        self.metric = metric
+        self.tag_sets = group.tag_sets
+        self.parts = []
+        for _, key in group.keys:
+            at = [tag for tag, _ in key].index("host")
+            self.parts.append((key[:at], key[at + 1:]))
+        self.postings = group.postings(range(len(group)))
+        self._host_at = next(
+            i for i, (tag, _, _) in enumerate(self.postings) if tag == "host"
+        )
+
+    def bind(self, tsdb: "TimeSeriesDB", host: str) -> SeriesGroup:
+        """The write handle on ``host``'s series of this layout."""
+        value = str(host)
+        item = (("host", value),)
+        metric = self.metric
+        postings = list(self.postings)
+        postings[self._host_at] = ("host", value, postings[self._host_at][2])
+        return SeriesGroup._made(
+            tsdb, metric,
+            tuple([{**tags, "host": host} for tags in self.tag_sets]),
+            tuple([(metric, a + item + b) for a, b in self.parts]),
+            postings,
+        )
 
 
 class TimeSeriesDB:
@@ -1112,12 +1181,10 @@ class TimeSeriesDB:
             blocks, self._blocks = self._blocks, {}
             if not blocks:
                 return
-            heads = []
+            slabs = []
             for block in blocks:
-                heads += block.sealable(
-                    np.flatnonzero(block.lo < block.n), block.n
-                )
-            _seal_into(heads, self.chunk_size)
+                slabs += block.slabs(np.flatnonzero(block.lo < block.n), block.n)
+            _seal_into(slabs)
             for block in blocks:
                 block.dissolve()
             self._generation += 1  # every group handle has lost its block
@@ -1235,6 +1302,34 @@ class TimeSeriesDB:
         return [self._series[k] for k in sorted(keys)]
 
 
+def _ingest_plan(
+    block, metric: str, wanted: Optional[frozenset]
+) -> List[Tuple[List[Tuple[str, str]], HostTemplate]]:
+    """What :func:`ingest_file` writes of ``block``, host left out: per
+    set of records, in file order, the devices read in exactly those
+    records and the template of their series.  Keyed by content, so a
+    device pieced together from several record layouts has a set of
+    its own, whatever it holds."""
+    shared: Dict[bytes, Tuple[List[Tuple[str, str]], list]] = {}
+    for type_name in block.type_order:
+        schema = block.schemas.get(type_name)
+        if schema is None or (wanted is not None and type_name not in wanted):
+            continue
+        names = schema.names()
+        for device, grp in block.groups[type_name].items():
+            devices, tag_sets = shared.setdefault(grp.rows.tobytes(), ([], []))
+            devices.append((type_name, device))
+            tag_sets.extend(
+                {"host": "", "type": type_name, "device": device,
+                 "event": event}
+                for event in names
+            )
+    return [
+        (devices, HostTemplate(metric, tag_sets))
+        for devices, tag_sets in shared.values()
+    ]
+
+
 def ingest_file(
     tsdb: TimeSeriesDB,
     host: str,
@@ -1255,46 +1350,30 @@ def ingest_file(
     :meth:`TimeSeriesDB.put_many`.  A regular file — every device read
     in every record — is one write and one head block for the whole
     host; a device that appears late or skips a record covers other
-    records and gets a block of its own.  A corrupt line raises
-    ``ValueError("<host>: line <n>: <reason>")`` before anything is
-    written.  Returns ``(points, samples)``.
+    records and gets a block of its own.  Which devices go together and
+    their series' :class:`HostTemplate` are the block's layout's, made
+    once for every host that shares it; only the host is filled in.  A
+    corrupt line raises ``ValueError("<host>: line <n>: <reason>")``
+    before anything is written.  Returns ``(points, samples)``.
     """
-    wanted = set(types) if types is not None else None
+    wanted = frozenset(types) if types is not None else None
     text = fh if isinstance(fh, str) else fh.read()
     try:
         block = BlockParser(on_error="raise").parse_text(text)
     except ValueError as exc:
         raise ValueError(f"{host}: {exc}") from exc
-    #: record index → ``(rows, tag sets, value slabs)``, in file order;
-    #: keyed by content: a device pieced together from several record
-    #: layouts has an index array of its own, whatever it holds
-    shared: Dict[bytes, Tuple[np.ndarray, list, list]] = {}
-    for type_name in block.type_order:
-        schema = block.schemas.get(type_name)
-        if schema is None or (wanted is not None and type_name not in wanted):
-            continue
-        names = schema.names()
-        for device, grp in block.groups[type_name].items():
-            _, tag_sets, slabs = shared.setdefault(
-                grp.rows.tobytes(), (grp.rows, [], [])
-            )
-            tag_sets.extend(
-                {
-                    "host": host,
-                    "type": type_name,
-                    "device": device,
-                    "event": event,
-                }
-                for event in names
-            )
-            slabs.append(grp.values)
+    plan = block.derive(
+        ("ingest_file", metric, wanted),
+        lambda: _ingest_plan(block, metric, wanted),
+    )
     n = 0
-    for rows, tag_sets, slabs in shared.values():
+    for devices, template in plan:
+        groups = [block.groups[t][device] for t, device in devices]
         n += tsdb.put_many(
             metric,
-            tsdb.group(metric, tag_sets),
-            block.times[rows],
-            np.concatenate(slabs, axis=1),
+            template.bind(tsdb, host),
+            block.times[groups[0].rows],
+            np.concatenate([g.values for g in groups], axis=1),
         )
     return n, block.n_records
 

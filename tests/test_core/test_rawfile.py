@@ -1,6 +1,8 @@
 """Raw stats file format: write/parse round-trips."""
 
 import io
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.collector import Sample
 from repro.core.rawfile import (
-    BlockParser, RawFileParser, RawFileWriter, _decimals,
+    _LAYOUTS, BlockParser, RawFileParser, RawFileWriter, _decimals,
 )
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.hardware.devices.procfs import ProcessRecord
@@ -566,6 +568,52 @@ def test_no_final_newline_is_strided():
     text = "\n".join(regular_lines())
     assert BlockParser()._try_strided(text) is not None
     assert_block_equals_the_frozen_parser(text)
+
+
+def test_a_layout_memo_emptied_by_another_thread_leaves_every_parse_strided():
+    """Three times as many layouts as the memo keeps, parsed by four
+    threads at once: the memo is emptied under the readers, and every
+    file still takes the strided path."""
+    texts = ["".join(line + "\n" for line in
+                     regular_lines(extra=(f"a {k + 2} 1 2",)))
+             for k in range(3 * _LAYOUTS)]
+
+    def strided(offset):
+        return [BlockParser()._try_strided(texts[(offset + k) % len(texts)])
+                is not None for k in range(len(texts))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = list(pool.map(strided, range(0, 4 * _LAYOUTS, _LAYOUTS)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(all(run) for run in runs)
+
+
+class _EmptiedAfterEachLookup(dict):
+    """A layout memo that another thread empties right after every
+    lookup — the worst interleaving, made deterministic."""
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        self.clear()
+        return found
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        self.clear()
+        return found
+
+
+def test_a_layout_memo_emptied_between_lookups_still_serves_the_hit(
+        monkeypatch):
+    monkeypatch.setattr(BlockParser, "_layouts", _EmptiedAfterEachLookup())
+    text = "".join(line + "\n" for line in regular_lines())
+    assert BlockParser()._try_strided(text) is not None
+    # the second parse finds its layout, then loses the memo under it
+    assert BlockParser()._try_strided(text) is not None
 
 
 @st.composite
