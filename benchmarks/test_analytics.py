@@ -12,12 +12,10 @@ slower.  The measured numbers land in ``BENCH_analytics.json`` for
 the CI artifact upload.
 """
 
-import json
-import os
 import time
 from pathlib import Path
 
-from benchmarks._support import git_commit, report
+from benchmarks._support import record_bench, report
 from repro import monitoring_session, obs
 from repro.cluster import JobSpec, make_app
 from repro.core.daemon import EXCHANGE
@@ -81,17 +79,6 @@ def timed_replay(sess, deliveries, with_analytics: bool):
     return wall, pipe, analytics
 
 
-def record_bench(section: str, payload: dict) -> None:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def test_analytics_overhead_within_budget():
     sess, deliveries = capture_soak_corpus()
     assert len(deliveries) > 500, "soak corpus unexpectedly small"
@@ -120,10 +107,8 @@ def test_analytics_overhead_within_budget():
           f"{len(analytics.scorer.classes)} classes")],
         ["mode", "best", "detail"],
     )
-    record_bench("soak_replay_6x2d", {
+    record_bench(BENCH_JSON, "soak_replay_6x2d", {
         "scenario": "6 nodes, 2 d sim, 600 s cadence, offender mix",
-        "cpu_count": os.cpu_count(),
-        "commit": git_commit(),
         "rounds": ROUNDS,
         "deliveries": len(deliveries),
         "samples": pipe.samples,

@@ -11,14 +11,13 @@ far faster than wall-clock (a backend slower than real time cannot
 monitor anything).
 """
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from benchmarks._support import git_commit, once, report
-from benchmarks.test_throughput import record_bench
+from benchmarks._support import once, record_bench, report
+from benchmarks.test_throughput import BENCH_JSON
 from repro import monitoring_session
 from repro.cluster import DEFAULT_MIX, WorkloadGenerator
 from repro.core.collector import Sample
@@ -183,9 +182,7 @@ def test_scale_full_day_ingest(benchmark, tmp_path):
         ("ETL pass", f"{wall:.1f}s", f"{rate:,.0f} samples/s"),
         ("jobs ingested", f"{result.ingested:,}", ""),
     ], ["stage", "size/wall", "rate"])
-    record_bench("full_day_1984_nodes", {
-        "cpu_count": os.cpu_count(),
-        "commit": git_commit(),
+    record_bench(BENCH_JSON, "full_day_1984_nodes", {
         "hosts": FLEET_NODES,
         "samples_per_host": DAY_SAMPLES,
         "jobs": n_jobs,

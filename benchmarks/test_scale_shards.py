@@ -17,13 +17,12 @@ Size knob: ``REPRO_SHARD_BENCH_HOSTS`` (default 50000) scales the
 fleet down for quick local runs, e.g. ``REPRO_SHARD_BENCH_HOSTS=2000``.
 """
 
-import json
 import os
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks._support import report
+from benchmarks._support import record_bench, report
 from repro.core.collector import Sample
 from repro.core.rawfile import RawFileWriter
 from repro.hardware.devices.base import Schema, SchemaEntry
@@ -53,18 +52,6 @@ _SCHEMAS = {
 TEMPLATE_HOST = "HOSTTMPL-000"
 TEMPLATE_JOB = "JOBTMPL"
 T0 = 1_443_657_600  # 2015-10-01, the Stampede-era epoch the corpus uses
-
-
-def record_bench(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into BENCH_shards.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def build_host_day_template(samples: int = SAMPLES) -> str:
@@ -157,7 +144,6 @@ def test_shard_scaling_fleet_day():
         "points": want_points,
         "shards": SHARDS,
         "types": TYPES,
-        "cpu_count": cpu_count,
         "configs": {f"workers={w}": r for w, r in results.items()},
         "speedup_2v1": round(speedup_2v1, 2),
         "speedup_4v1": round(speedup_4v1, 2),
@@ -167,7 +153,7 @@ def test_shard_scaling_fleet_day():
             f"skipped: cpu_count={cpu_count} < 4 cannot scale"
         ),
     }
-    record_bench("shard_scaling", payload)
+    record_bench(BENCH_JSON, "shard_scaling", payload)
 
     report(
         f"sharded ingest scaling ({HOSTS} hosts x {SAMPLES} samples, "

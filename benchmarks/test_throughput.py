@@ -14,8 +14,6 @@ statistically solid slowdowns.
 """
 
 import cProfile
-import json
-import os
 import pstats
 import time
 from pathlib import Path
@@ -23,8 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks import _support
-from benchmarks._support import git_commit, once, report
+from benchmarks._support import once, record_bench, report
 from repro import monitoring_session
 from repro.cluster import JobSpec, make_app
 from repro.core import CentralStore
@@ -45,18 +42,6 @@ from tests.test_pipeline.test_parallel import build_store
 
 #: oracle-vs-ETL and fleet-day numbers land here
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_ingest.json"
-
-
-def record_bench(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into BENCH_ingest.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 #: the job mix ``bench/corpus.py::record_session`` runs
 OFFENDER_MIX = (
@@ -175,11 +160,9 @@ def test_block_parse_session_host_day(benchmark, tmp_path):
     assert block.n_records == records and block.procs and not block.errors
     share = decoder.template_records / records
     device_lines = sum(len(s.columns) for s in samples) / records
-    record_bench("block_parse_session_host_day", {
+    record_bench(BENCH_JSON, "block_parse_session_host_day", {
         "corpus": "one host-day of an 8-node monitoring_session, "
                   "offender mix, 600 s cadence, ps lines",
-        "cpu_count": os.cpu_count(),
-        "commit": git_commit(),
         "records": records,
         "device_lines_per_record": round(device_lines, 1),
         "template_records": decoder.template_records,
@@ -218,12 +201,10 @@ def test_block_parse_strided_host_day(benchmark):
     calls = pstats.Stats(profile).total_calls
     benchmark(lambda: parser.parse_text(text))
     ratio = calls / STRIDED_CALLS_PER_HOST_DAY_AT_1D35E8F
-    record_bench("block_parse_strided_host_day", {
+    record_bench(BENCH_JSON, "block_parse_strided_host_day", {
         "corpus": "one host-day of batch_fleet_day's shape, written by "
                   "RawFileWriter: 144 records, cpu x4 + lnet + mdc + mem, "
                   "33 counters a record",
-        "cpu_count": os.cpu_count(),
-        "commit": git_commit(),
         "records": block.n_records,
         "calls": calls,
         "calls_at_1d35e8f": STRIDED_CALLS_PER_HOST_DAY_AT_1D35E8F,
@@ -308,7 +289,7 @@ def test_rack_day_calls(benchmark, tmp_path):
     total = sum(calls.values())
     parent = sum(RACK_DAY_CALLS_AT_EE7A6E4.values())
     ratio = total / parent
-    _support.record_bench(BENCH_JSON, "rack_day_calls", {
+    record_bench(BENCH_JSON, "rack_day_calls", {
         "corpus": "one batch_fleet_day-shaped rack-day: 8 host-days of "
                   "fleet_host_day(), two 4-host jobs, after one warm-up "
                   "rack on the same job database and TimeSeriesDB",
@@ -358,10 +339,8 @@ def test_parallel_ingest_speedup(benchmark, tmp_path):
         ("frozen per-sample oracle", f"{oracle_s:.2f}s", "1.0x"),
         ("ingest_jobs", f"{etl_s:.2f}s", f"{speedup:.1f}x"),
     ], ["pipeline", "wall", "speedup"])
-    record_bench("hot_path_32x100", {
+    record_bench(BENCH_JSON, "hot_path_32x100", {
         "corpus": "32 hosts x 100 samples, 8 four-node jobs",
-        "cpu_count": os.cpu_count(),
-        "commit": git_commit(),
         "oracle_per_sample_s": round(oracle_s, 3),
         "etl_workers1_s": round(etl_s, 3),
         "speedup": round(speedup, 2),

@@ -136,6 +136,10 @@ class QuerySet:
         return clone
 
     def order_by(self, *fields: str) -> "QuerySet":
+        """``"-name"`` sorts descending.  ``"+name"`` (``"-+name"``) is
+        SQL's ``+name``: the same order, which SQLite may not read off an
+        index on ``name``, so it sorts the matches instead of walking
+        every row of the table in index order."""
         clone = self._clone()
         clone._order = list(fields)
         return clone
@@ -201,19 +205,24 @@ class QuerySet:
         return sql, params
 
     # -- evaluation ---------------------------------------------------------
+    def _rows(self, cols: str) -> Tuple[Tuple[str, ...], List[tuple]]:
+        """Run the SELECT of ``cols``: one statement, whose rows come
+        back as the cursor's tuples, with the result's column names."""
+        sql, params = self._select(cols)
+        with obs.span("db.select") as sp:
+            cur = self.model._db().execute(sql, params)
+            cur.row_factory = None
+            columns = tuple(d[0] for d in cur.description)
+            # execute() stepped to the first row; fetchall reads the rest
+            rows = cur.fetchall()
+            sp.set(rows=len(rows), columns=len(columns))
+        return columns, rows
+
     def _fetch(self) -> List:
         """Run the SELECT and hydrate every row: one statement."""
         only = self._only
-        sql, params = self._select("*" if only is None else ", ".join(only))
-        with obs.span("db.select") as sp:
-            cur = self.model._db().execute(sql, params)
-            cur.row_factory = None  # tuples: the hydrator reads by position
-            columns = tuple(d[0] for d in cur.description)
-            hydrate = self.model._hydrator(columns, partial=only is not None)
-            # execute() stepped to the first row; fetchall reads the rest
-            records = hydrate(cur.fetchall())
-            sp.set(rows=len(records), columns=len(columns))
-        return records
+        columns, rows = self._rows("*" if only is None else ", ".join(only))
+        return self.model._hydrator(columns, partial=only is not None)(rows)
 
     def __iter__(self) -> Iterator:
         return iter(self._fetch())
@@ -274,15 +283,12 @@ class QuerySet:
         return [dict(r) for r in cur.fetchall()]
 
     def values_list(self, *fields: str, flat: bool = False) -> List:
+        """The cursor's tuples of ``fields``, in that order; with
+        ``flat=True`` (one field) the values themselves."""
         if flat and len(fields) != 1:
             raise ValueError("flat=True requires exactly one field")
-        cols = ", ".join(self._known(fields))
-        sql, params = self._select(cols)
-        cur = self.model._db().execute(sql, params)
-        rows = cur.fetchall()
-        if flat:
-            return [r[0] for r in rows]
-        return [tuple(r) for r in rows]
+        _, rows = self._rows(", ".join(self._known(fields)))
+        return [r[0] for r in rows] if flat else rows
 
     # -- aggregation ----------------------------------------------------------
     def aggregate(self, **aggs: Aggregate) -> Dict[str, Any]:

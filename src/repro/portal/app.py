@@ -43,22 +43,9 @@ from repro.core.store import CentralStore
 from repro.db.connection import Database
 from repro.pipeline.records import JobRecord
 from repro.portal import histograms, views
-from repro.portal.reports import _PAGE, render_detail_html
+from repro.portal.reports import _PAGE, render_detail_html, render_job_table
 from repro.portal.search import JobSearch, SearchField, browse_date
 from repro.portal.views import JobDetailView, JobListView
-
-#: cell types whose ``str()`` holds nothing HTML escapes, and which
-#: ``str.format`` renders exactly as ``str()`` does
-_PLAIN_CELLS = frozenset({int, float, type(None)})
-_JOB_TABLE_HEAD = "<table><tr>" + "".join(
-    f"<th>{c}</th>" for c in views.LIST_COLUMNS
-) + "</tr>"
-#: one job-list row, cells by position; the jobid cell links to the job
-_JOB_TABLE_ROW = "<tr>" + "".join(
-    f'<td><a href="/job/{{{i}}}">{{{i}}}</a></td>' if col == "jobid"
-    else f"<td>{{{i}}}</td>"
-    for i, col in enumerate(views.LIST_COLUMNS)
-) + "</tr>"
 
 
 def _int_param(name: str, raw: str) -> int:
@@ -203,21 +190,9 @@ class PortalApp:
             if params.get("min_runtime") else None,
             fields=fields,
         )
-        panels = histograms.DEFAULT_PANELS
-        matches = search.run(
-            only=views.LIST_COLUMNS + tuple(f for f, _ in panels)
-        )
-        hists = histograms.job_histograms(matches, panels)
-        body = [self._search_form(params)]
-        body.append(f"<h2>{len(matches)} jobs</h2>")
-        body.append(self._job_table(matches[:200]))
-        body.append("<h2>Histograms</h2><pre>")
-        for h in hists.values():
-            body.append(html.escape(histograms.render_ascii(h)))
-            body.append("\n")
-        body.append("</pre>")
         return Response(body=_PAGE.format(
-            title="Search results", body="".join(body)
+            title="Search results",
+            body=self._search_form(params) + self._search_results(search),
         ))
 
     def job_detail(self, params: Dict[str, str], jobid: str) -> Response:
@@ -541,16 +516,32 @@ class PortalApp:
     # -- fragments ----------------------------------------------------------
     @staticmethod
     def _job_table(records) -> str:
-        escape = html.escape
-        with obs.span("portal.table"):
-            parts = [_JOB_TABLE_HEAD]
-            for cells in JobListView(records).cells():
-                parts.append(_JOB_TABLE_ROW.format(*[
-                    c if type(c) in _PLAIN_CELLS else escape(str(c))
-                    for c in cells
-                ]))
-            parts.append("</table>")
-            return "".join(parts)
+        return render_job_table(list(zip(*JobListView(records).cells())))
+
+    @staticmethod
+    def _search_results(search: JobSearch) -> str:
+        """The match count, the first 200 matches as the job table and
+        the Fig. 4 quartet over all of them, from the rows of one
+        statement: the key, the listed columns, the panel fields."""
+        panels = histograms.DEFAULT_PANELS
+        names = tuple(dict.fromkeys(
+            ("id", *views.LIST_COLUMNS, *(f for f, _ in panels))
+        ))
+        rows = search.rows(*names)
+        columns = list(zip(*rows)) or [()] * len(names)
+        hists = histograms.column_histograms(
+            [columns[names.index(f)] for f, _ in panels], panels
+        )
+        body = [
+            f"<h2>{len(rows)} jobs</h2>",
+            render_job_table([c[:200] for c in columns[1:]]),
+            "<h2>Histograms</h2><pre>",
+        ]
+        for h in hists.values():
+            body.append(html.escape(histograms.render_ascii(h)))
+            body.append("\n")
+        body.append("</pre>")
+        return "".join(body)
 
     @staticmethod
     def _search_form(params: Optional[Dict[str, str]] = None) -> str:

@@ -10,10 +10,26 @@ from __future__ import annotations
 
 import datetime as _dt
 import html
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
+from repro import obs
 from repro.portal.histograms import Histogram, render_ascii
-from repro.portal.views import JobDetailView, JobListView
+from repro.portal.views import LIST_COLUMNS, JobDetailView, JobListView
+
+#: cell types whose ``str()`` holds nothing HTML escapes; ``%s`` prints
+#: them as ``str()`` does
+_PLAIN_CELLS = frozenset({int, float, type(None)})
+_JOB_TABLE_HEAD = "<table><tr>" + "".join(
+    f"<th>{c}</th>" for c in LIST_COLUMNS
+) + "</tr>"
+#: one job-list row, cells in ``LIST_COLUMNS`` order; the jobid cell
+#: links to the job, so it takes the jobid twice
+_JOB_TABLE_ROW = "<tr>" + "".join(
+    '<td><a href="/job/%s">%s</a></td>' if col == "jobid" else "<td>%s</td>"
+    for col in LIST_COLUMNS
+) + "</tr>"
+_JOBID = LIST_COLUMNS.index("jobid")
 
 
 def _ts(epoch: Optional[int]) -> str:
@@ -126,22 +142,50 @@ td, th {{ border: 1px solid #999; padding: 2px 8px; font-size: 90%; }}
 """
 
 
-def render_job_list_html(view: JobListView, title: str = "Job search") -> str:
-    rows = view.rows()
-    cells = []
-    cells.append(
-        "<tr>" + "".join(f"<th>{html.escape(c)}</th>" for c in view.header())
-        + "</tr>"
-    )
-    for r in rows:
-        cells.append(
-            "<tr>"
-            + "".join(
-                f"<td>{html.escape(str(r[c]))}</td>" for c in view.header()
-            )
-            + "</tr>"
+def _escaped(column: Sequence, memo: Dict[str, str]) -> Sequence:
+    """One table column's cells as ``%s`` prints them: a ``str`` escaped
+    through ``memo`` (each distinct string escaped once), an int,
+    float or ``None`` as it is, anything else ``html.escape(str(...))``.
+    Only exact ``str`` cells meet the memo, so ``True``, ``1`` and
+    ``np.int64(1)`` never share an entry."""
+    kinds = set(map(type, column))
+    if kinds <= _PLAIN_CELLS:
+        return column
+    strings = kinds == {str}
+    new = list((set(column) if strings
+                else {c for c in column if type(c) is str}).difference(memo))
+    memo.update(zip(new, map(html.escape, new)))
+    if strings:
+        return list(map(memo.__getitem__, column))
+    return [
+        memo[c] if type(c) is str
+        else c if type(c) in _PLAIN_CELLS else html.escape(str(c))
+        for c in column
+    ]
+
+
+def render_job_table(columns: Sequence[Sequence]) -> str:
+    """The job list as an HTML table, from its columns: one sequence of
+    cells per :data:`~repro.portal.views.LIST_COLUMNS` entry, in that
+    order and all of one length (columns past those are ignored).  The
+    rows are one ``%`` of the row template repeated."""
+    with obs.span("portal.table"):
+        memo: Dict[str, str] = {}
+        cells = [_escaped(c, memo) for c in columns[:len(LIST_COLUMNS)]]
+        if not cells or not len(cells[0]):
+            return _JOB_TABLE_HEAD + "</table>"
+        cells.insert(_JOBID, cells[_JOBID])
+        return (
+            _JOB_TABLE_HEAD
+            + _JOB_TABLE_ROW * len(cells[0])
+            % tuple(chain.from_iterable(zip(*cells)))
+            + "</table>"
         )
-    body = f"<p>{len(rows)} jobs</p><table>" + "".join(cells) + "</table>"
+
+
+def render_job_list_html(view: JobListView, title: str = "Job search") -> str:
+    cells = list(view.cells())
+    body = f"<p>{len(cells)} jobs</p>" + render_job_table(list(zip(*cells)))
     return _PAGE.format(title=html.escape(title), body=body)
 
 

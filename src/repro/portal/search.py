@@ -101,14 +101,33 @@ class JobSearch:
             qs = qs.filter(**f.lookup())
         return qs
 
+    def _newest_first(self) -> QuerySet:
+        """The matches, newest first.  When no indexed filter (``user``,
+        ``queue``, ``jobid``, a start window, a metric field) narrows
+        the search, SQLite would walk ``idx_job_start_time`` and look up
+        every row of the table to test the rest; ``+start_time`` makes
+        it scan the table and sort the matches instead, and ``id DESC``
+        breaks ties as the walk did.  An indexed filter keeps
+        ``start_time DESC`` and the plan that filter's index gives."""
+        qs = self.queryset()
+        if self.fields or any(
+            v is not None for v in (self.user, self.queue, self.jobid,
+                                    self.start_after, self.start_before)
+        ):
+            return qs.order_by("-start_time")
+        return qs.order_by("-+start_time", "-id")
+
     def run(self, only: Sequence[str] = ()) -> List:
         """Execute and return matching job records, newest first:
         full records, or partial ones holding the ``only`` fields the
         caller reads (:meth:`~repro.db.queryset.QuerySet.only`)."""
         # iter(): list() on the query set itself would COUNT(*) first
-        return list(iter(
-            self.queryset().order_by("-start_time").only(*only)
-        ))
+        return list(iter(self._newest_first().only(*only)))
+
+    def rows(self, *columns: str) -> List[tuple]:
+        """The matches as rows of ``columns``, newest first: what
+        :meth:`run` selects, as the cursor's tuples."""
+        return self._newest_first().values_list(*columns)
 
     def flagged_sublist(self) -> List:
         """The flagged jobs among the matches (§V-A sublist)."""

@@ -52,9 +52,6 @@ class JobListView:
     def rows(self) -> List[Dict[str, object]]:
         return [dict(zip(LIST_COLUMNS, cells)) for cells in self.cells()]
 
-    def header(self) -> List[str]:
-        return list(LIST_COLUMNS)
-
 
 @dataclass
 class MetricCheck:

@@ -323,3 +323,48 @@ def test_full_and_partial_reads_of_a_table_written_before_sync_table():
                    Legacy.objects.all().order_by("added")):
         with pytest.raises(sqlite3.OperationalError, match="added"):
             broken.first()
+
+
+def _values_list_via_rows(qs, *fields, flat=False):
+    """``values_list`` as it read before it took the cursor's tuples:
+    ``sqlite3.Row`` objects, each copied with ``tuple()``."""
+    if flat and len(fields) != 1:
+        raise ValueError("flat=True requires exactly one field")
+    sql, params = qs._select(", ".join(qs._known(fields)))
+    rows = qs.model._db().execute(sql, params).fetchall()
+    assert all(isinstance(r, sqlite3.Row) for r in rows)
+    return [r[0] for r in rows] if flat else [tuple(r) for r in rows]
+
+
+@pytest.mark.parametrize("fields, flat", [
+    (("name", "rank", "note"), False),   # plain, NULLs included
+    (("value", "name", "value"), False),  # a name twice
+    (("note",), True),
+    (("rank",), False),
+])
+@pytest.mark.parametrize("where", [{}, {"rank__gte": 3}, {"name": "nope"}])
+def test_values_list_gives_the_rows_it_gave_as_sqlite_rows(db, fields, flat,
+                                                           where):
+    qs = Row.objects.filter(**where).order_by("-rank")
+    got = qs.values_list(*fields, flat=flat)
+    want = _values_list_via_rows(qs, *fields, flat=flat)
+    assert got == want
+    assert type(got) is list
+    assert all(type(v) is tuple for v in got) or flat
+    if "name" in where:
+        assert got == []
+
+
+@pytest.mark.parametrize("fields, flat, error", [
+    (("name", "rank"), True, ValueError),
+    (("nope",), False, ValueError),
+    (("nope",), True, ValueError),
+    ((), False, sqlite3.OperationalError),
+])
+def test_values_list_refuses_what_it_refused(db, fields, flat, error):
+    qs = Row.objects.all()
+    with pytest.raises(error) as got:
+        qs.values_list(*fields, flat=flat)
+    with pytest.raises(error) as want:
+        _values_list_via_rows(qs, *fields, flat=flat)
+    assert str(got.value) == str(want.value)

@@ -10,6 +10,12 @@ character for character:
 * :func:`job_table` — ``PortalApp._job_table`` over
   ``JobListView.rows()``: one dict per record, ``html.escape(str(...))``
   on every cell;
+* :func:`job_histograms`, :func:`render_ascii` — the Fig. 4 quartet
+  as of commit ``2aeb500``: one ``np.histogram`` per panel over
+  ``getattr`` values, one f-string per bin;
+* :func:`search_results` — the results half of ``PortalApp.search`` as
+  of ``2aeb500``: full records read newest first by ``start_time
+  DESC``, the quartet over them, the first 200 as the job table;
 * :func:`sparkline`, :func:`render_panel_svg` — the per-point glyph
   generator and the ``xy()`` closure of ``repro.portal.plots``;
 * :func:`render_result_ascii`, :func:`render_result_svg` — the
@@ -26,11 +32,12 @@ from __future__ import annotations
 
 import html
 from contextlib import contextmanager
-from typing import Iterator, List
+from typing import Dict, Iterator, List
 from unittest import mock
 
 import numpy as np
 
+from repro.portal.histograms import DEFAULT_PANELS, Histogram
 from repro.portal.plots import _COLOURS, Panel
 from repro.portal.views import LIST_COLUMNS
 from repro.tsdb.query import QueryResult
@@ -79,6 +86,59 @@ def job_table(records) -> str:
         cells.append("</tr>")
     cells.append("</table>")
     return "".join(cells)
+
+
+# -- repro.portal.histograms ----------------------------------------------------
+def job_histograms(records, panels=DEFAULT_PANELS, bins=20) -> Dict:
+    """``repro.portal.histograms.job_histograms``."""
+    out = {}
+    for field, label in panels:
+        vals = np.array(
+            [float(getattr(r, field, 0) or 0) for r in records], dtype=float
+        )
+        if field in {"run_time", "queue_wait"}:
+            vals = vals / 3600.0
+        if vals.size == 0:
+            counts, edges = np.zeros(bins), np.linspace(0, 1, bins + 1)
+        else:
+            lo, hi = float(vals.min()), float(vals.max())
+            if lo == hi:
+                hi = lo + 1.0
+            counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
+        out[field] = Histogram(
+            field=field, label=label, counts=counts, edges=edges
+        )
+    return out
+
+
+def render_ascii(h, width: int = 40) -> str:
+    """``repro.portal.histograms.render_ascii``."""
+    lines = [f"{h.label}  (n={h.total})"]
+    peak = max(1, int(h.counts.max()) if h.counts.size else 1)
+    for i, c in enumerate(h.counts):
+        bar = "#" * int(round(width * c / peak))
+        lines.append(
+            f"  {h.edges[i]:>12.2f} – {h.edges[i + 1]:>12.2f} |{bar} {int(c)}"
+        )
+    return "\n".join(lines)
+
+
+def search_results(search) -> str:
+    """The results half of ``PortalApp.search``: ``search.run()`` read
+    every column, newest first by a plain ``ORDER BY start_time DESC``."""
+    from repro.portal import histograms
+
+    panels = histograms.DEFAULT_PANELS
+    matches = fetch(search.queryset().order_by("-start_time"))
+    hists = job_histograms(matches, panels)
+    body = [f"<h2>{len(matches)} jobs</h2>"]
+    body.append(job_table(matches[:200]))
+    body.append("<h2>Histograms</h2><pre>")
+    for h in hists.values():
+        body.append(html.escape(render_ascii(h)))
+        body.append("\n")
+    body.append("</pre>")
+    return "".join(body)
 
 
 # -- repro.portal.plots ---------------------------------------------------------
@@ -211,12 +271,15 @@ def render_result_html(result: QueryResult, label: str = "") -> str:
 def reference_portal() -> Iterator[None]:
     """Inside the block every ``PortalApp`` renders through the frozen
     functions above: rows are read and hydrated the old way, the job
-    table, the chart fragment and the Fig. 5 panels are the old code."""
+    table, the search results, the chart fragment and the Fig. 5 panels
+    are the old code."""
     from repro.db.queryset import QuerySet
 
     with mock.patch.object(QuerySet, "_fetch", fetch), \
             mock.patch("repro.portal.app.PortalApp._job_table",
                        staticmethod(job_table)), \
+            mock.patch("repro.portal.app.PortalApp._search_results",
+                       staticmethod(search_results)), \
             mock.patch("repro.tsdb.render.render_result_html",
                        render_result_html), \
             mock.patch("repro.portal.plots.render_panel_svg",

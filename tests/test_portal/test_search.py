@@ -1,9 +1,13 @@
 """Portal search: metadata filters + ≤3 metric search fields."""
 
+import datetime as dt
+
 import pytest
 
+from repro.analysis.popgen import generate_population
 from repro.db import Database
 from repro.pipeline.records import JobRecord
+from repro.portal.app import PortalApp
 from repro.portal.search import JobSearch, SearchField, browse_date
 
 
@@ -97,3 +101,81 @@ def test_browse_date(db):
 def test_jobid_lookup(db):
     got = JobSearch(jobid="3").run()
     assert ids(got) == ["3"]
+
+
+class _RecordingDatabase(Database):
+    """Keeps every statement with its parameters."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.executed = []
+
+    def execute(self, sql, params=()):
+        self.executed.append((sql, tuple(params)))
+        return super().execute(sql, params)
+
+
+def _plans(urls):
+    """``{kind: EXPLAIN QUERY PLAN details}`` of the one statement each
+    page issues.  Without ``ANALYZE`` statistics SQLite plans from the
+    schema alone, so a small population plans as the portal's does."""
+    db = _RecordingDatabase()
+    generate_population(db, 60, seed=2)
+    JobRecord.bind(db)
+    rows = JobRecord.objects.all().values_list("user", "executable",
+                                               "end_time")
+    user, exe, end_time = rows[0]
+    day = end_time - end_time % 86_400
+    app = PortalApp(db)
+    out = {}
+    for kind, url in urls(user, exe, day).items():
+        db.executed.clear()
+        assert app.get_url(url).status == 200
+        ((sql, params),) = db.executed
+        cur = db.execute("EXPLAIN QUERY PLAN " + sql, params)
+        out[kind] = " | ".join(str(r[3]) for r in cur.fetchall())
+    return out
+
+
+def test_the_job_list_pages_plan_as_intended():
+    plans = _plans(lambda user, exe, day: {
+        "search_wide": f"/search?exe={exe[:3]}&min_runtime=60",
+        "by_exe": f"/search?exe={exe[:3]}&status=COMPLETED",
+        "status": "/search?status=COMPLETED",
+        "front": "/",
+        "search": f"/search?user={user}&min_runtime=60",
+        "date": "/date/" + dt.datetime.fromtimestamp(
+            day, dt.timezone.utc).strftime("%Y-%m-%d"),
+    })
+    # filters no index serves: scan the table and sort the matches, not
+    # a walk of every row in start-time order
+    for kind in ("search_wide", "by_exe", "status"):
+        assert "idx_job_start_time" not in plans[kind], plans
+        assert "TEMP B-TREE FOR ORDER BY" in plans[kind], plans
+    assert "USING INDEX idx_job_end_time" in plans["front"], plans
+    assert "TEMP B-TREE" not in plans["front"], plans
+    assert "SEARCH" in plans["search"], plans
+    assert "USING INDEX idx_job_user (user=?)" in plans["search"], plans
+    assert "SEARCH" in plans["date"], plans
+    assert "USING INDEX idx_job_end_time (end_time>? AND end_time<?)" in \
+        plans["date"], plans
+
+
+def test_a_sorted_search_breaks_ties_as_the_start_time_walk_did(fresh_db):
+    """Newest first, and among jobs that started in the same second the
+    later row first — the order a walk of ``idx_job_start_time`` gives."""
+    JobRecord.objects.bulk_create([
+        JobRecord(jobid=str(i), user="u", executable=exe, start_time=t,
+                  run_time=600)
+        for i, (exe, t) in enumerate([
+            ("wrf", 50), ("wrf", 70), ("namd", 70), ("wrf", 70),
+            ("wrf", 10), ("wrf", 50), ("wrf", 90),
+        ])
+    ])
+    walked = JobRecord.objects.filter(executable__contains="wrf").order_by(
+        "-start_time").values_list("jobid", flat=True)
+    assert walked == ["6", "3", "1", "5", "0", "4"]
+    for search in (JobSearch(executable="wrf"),
+                   JobSearch(executable="wrf", min_run_time=60)):
+        assert [r.jobid for r in search.run()] == walked
+        assert [j for j, in search.rows("jobid")] == walked
