@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import html
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -82,7 +83,8 @@ def fig5_series(accum: JobAccum) -> Dict[str, Panel]:
 
 
 _SPARK = "▁▂▃▄▅▆▇█"
-_SPARK_GLYPHS = np.array(list(_SPARK))
+#: the glyphs' code points: a gather of them is the line's UTF-32 text
+_SPARK_CODES = np.array([ord(c) for c in _SPARK], dtype="<u4")
 
 
 def sparkline(values: np.ndarray, lo: float = None, hi: float = None) -> str:
@@ -96,7 +98,7 @@ def sparkline(values: np.ndarray, lo: float = None, hi: float = None) -> str:
         return _SPARK[0] * v.size
     idx = np.clip(((v - lo) / (hi - lo) * (len(_SPARK) - 1)).astype(int),
                   0, len(_SPARK) - 1)
-    return "".join(_SPARK_GLYPHS[idx].tolist())
+    return _SPARK_CODES[idx].tobytes().decode("utf-32-le")
 
 
 #: a colour cycle for per-node lines (SVG rendering)
@@ -104,6 +106,46 @@ _COLOURS = (
     "#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d68910",
     "#148f77", "#7b241c", "#2c3e50",
 )
+
+
+@lru_cache(maxsize=4)
+def _tenths(n: int) -> np.ndarray:
+    """The polyline word table of a canvas: ``"%.1f,"`` of ``k / 10``
+    for ``k < n``, then ``"%.1f "`` of the same, as one object array
+    (built on first use, not at import)."""
+    words = ["%d.%d" % divmod(k, 10) for k in range(n)]
+    return np.array([w + "," for w in words] + [w + " " for w in words],
+                    dtype=object)
+
+
+def _point_words(xy: np.ndarray, extent: int) -> List[str]:
+    """``"%.1f,"`` of every x and ``"%.1f "`` of every y of the ``(n, 2)``
+    points ``xy``, in order: one gather over :func:`_tenths`.
+
+    For ``0 <= c`` and ``10·c < 2**14``, ``fl(10·c)`` is within
+    ``2**-39`` of the exact product, so wherever its fraction is more
+    than ``1e-6`` away from ``.5`` its nearest integer ``k`` is the one
+    ``%.1f`` rounds ``c`` to, and the word of ``k`` is what ``%`` would
+    print.  A coordinate past the table (sized by the canvas
+    ``extent``, which bounds every drawn one), negative, ``-0.0``,
+    non-finite or that near a tie is formatted by ``%`` itself.
+    """
+    table = _tenths(min(10 * extent + 1, 1 << 14))
+    n = len(table) // 2
+    flat = xy.ravel()
+    with np.errstate(all="ignore"):
+        scaled = flat * 10.0
+        k = np.floor(scaled + 0.5)
+        exact = (
+            (k < n) & ~np.signbit(flat)
+            & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
+        )
+    idx = np.where(exact, k, 0).astype(np.intp)
+    idx[1::2] += n
+    words = table[idx]
+    for i in np.flatnonzero(~exact).tolist():
+        words[i] = ("%.1f " if i & 1 else "%.1f,") % flat[i]
+    return words.tolist()
 
 
 def render_panel_svg(
@@ -130,8 +172,11 @@ def render_panel_svg(
     if s.size and len(t) >= 2:
         lo = float(np.nanmin(s))
         hi = float(np.nanmax(s))
+        scale = hi - lo
         if hi <= lo:
-            hi = lo + 1.0
+            # every drawn value is ``lo``: any non-zero divisor gives 0,
+            # and ``lo + 1.0 - lo`` is 0 from 2**53 up
+            hi, scale = lo + 1.0, 1.0
         t0, t1 = float(t.min()), float(t.max())
         span = max(t1 - t0, 1.0)
         # every drawn point of every line in two array expressions, in
@@ -143,12 +188,12 @@ def render_panel_svg(
         xy[:, 0] = pad_l + (
             np.broadcast_to(t[:drawn.shape[1]], drawn.shape)[finite] - t0
         ) / span * plot_w
-        xy[:, 1] = pad_t + (1.0 - (drawn[finite] - lo) / (hi - lo)) * plot_h
-        coords = xy.ravel().tolist()
+        xy[:, 1] = pad_t + (1.0 - (drawn[finite] - lo) / scale) * plot_h
+        words = _point_words(xy, max(width, height))
         end = 0
         for i, n in enumerate(finite.sum(axis=1).tolist()):
             start, end = end, end + 2 * n
-            pts = " ".join(["%.1f,%.1f"] * n) % tuple(coords[start:end])
+            pts = "".join(words[start:end])[:-1]
             colour = _COLOURS[i % len(_COLOURS)]
             parts.append(
                 f'<polyline points="{pts}" fill="none" '

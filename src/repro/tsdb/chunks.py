@@ -248,7 +248,7 @@ def decode_concat(
     # with an encoded dod stream pay for word decode + two segmented
     # cumsums (t[j] = ccum(ccum(dod))[j] - j * t0 per segment)
     steps = [c.t_step for c in chunks]
-    if all(s is not None for s in steps):
+    if None not in steps:
         t = np.repeat(
             np.asarray([c.t_min for c in chunks], dtype=np.int64), counts
         )

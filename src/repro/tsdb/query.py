@@ -83,6 +83,20 @@ _AGGS = {
     "max": np.nanmax,
     "min": np.nanmin,
 }
+#: the plain reductions a NaN-free block takes for ``sum`` and ``avg``:
+#: on such input ``np.nansum`` / ``np.nanmean`` run ``np.add.reduce``
+#: over a copy of the same layout and divide by the same count, so the
+#: bits are the same without the mask and the copy.  ``max`` and
+#: ``min`` keep the NaN-skipping forms (see :func:`_downsample_matrix`)
+_DENSE = {"sum": np.sum, "avg": np.mean}
+
+
+def _reducer(agg: str, block: np.ndarray):
+    """The reduction ``agg`` runs over ``block``: dense when it can."""
+    dense = _DENSE.get(agg)
+    if dense is not None and not np.isnan(block).any():
+        return dense
+    return _AGGS[agg]
 
 
 class ReadableStore(Protocol):
@@ -228,18 +242,23 @@ def _query_locked(
     cols = tsdb.scan(selected, time_range)
     groups: Dict[Tuple[str, ...], List[int]] = {}
     for i, s in enumerate(selected):
-        key = tuple(str(s.tags.get(g, "")) for g in group_by)
+        key = tuple([str(s.tags.get(g, "")) for g in group_by])
         groups.setdefault(key, []).append(i)
 
     # shared-grid detection: the stacked fast path applies when every
     # non-empty series sits on one common timestamp grid (the normal
-    # case for cadenced monitoring data); one equal-length check plus
-    # one whole-matrix comparison, no per-pair loop
+    # case for cadenced monitoring data).  Series the scan read as one
+    # run hand back one time column, so identity decides first; only
+    # then one equal-length check plus one whole-matrix comparison, no
+    # per-pair loop
     nonempty = [i for i, (t, _) in enumerate(cols) if len(t)]
     grid: Optional[np.ndarray] = None
     if nonempty:
-        n0 = len(cols[nonempty[0]][0])
-        if all(len(cols[i][0]) == n0 for i in nonempty):
+        first = cols[nonempty[0]][0]
+        n0 = len(first)
+        if all([cols[i][0] is first for i in nonempty]):
+            grid = first
+        elif all(len(cols[i][0]) == n0 for i in nonempty):
             tmat = np.concatenate(
                 [cols[i][0] for i in nonempty]
             ).reshape(len(nonempty), n0)
@@ -346,10 +365,11 @@ def _aggregate_groups(
     evaluates that reduction exactly like ``agg(mat[rows], axis=0)``
     on each group alone (element-wise accumulation over a non-final
     axis is order-identical), so the rows of the result are
-    bit-identical to the baseline's per-group matrices.
+    bit-identical to the baseline's per-group matrices.  A NaN-free
+    ``sum`` or ``avg`` reduces without the NaN mask (:func:`_reducer`).
     """
     out = np.empty((len(group_rows), mat.shape[1]))
-    fn = _AGGS[aggregate]
+    fn = _reducer(aggregate, mat)
     by_size: Dict[int, List[int]] = {}
     for gi, rows in enumerate(group_rows):
         by_size.setdefault(len(rows), []).append(gi)
@@ -414,7 +434,9 @@ def _downsample_matrix(
     independent per row, so each output row is bit-identical to
     :func:`_downsample` on that row alone.  (A last-axis 3-D reduce
     would *not* be safe here — NumPy's SIMD min/max path can pick the
-    other signed zero — so the gather stays two-dimensional.)
+    other signed zero — so the gather stays two-dimensional.)  A
+    NaN-free ``sum`` or ``avg`` reduces without the NaN mask
+    (:func:`_reducer`).
     """
     if agg not in _AGGS:
         raise ValueError(f"unknown downsample aggregator {agg!r}")
@@ -424,7 +446,7 @@ def _downsample_matrix(
     uniq, starts, counts = _bucket_segments(t, interval)
     flat = np.ascontiguousarray(vmat).reshape(-1)
     out = np.empty((n_groups, len(uniq)))
-    fn = _AGGS[agg]
+    fn = _reducer(agg, flat)
     rows = np.arange(n_groups, dtype=np.int64)[:, None, None] * n
     with np.errstate(all="ignore"):
         for size in set(counts.tolist()):
@@ -576,7 +598,7 @@ def _window_stats_locked(
     lo, hi = time_range if time_range is not None else (None, None)
     selected = tsdb.select(metric, tags)
     in_order = [s._ordered for s in selected]
-    parts_of, batch = read_chunks(
+    _, parts_of = read_chunks(
         [s for s, o in zip(selected, in_order) if o], time_range,
         tsdb.buffer_cache, file=True, preagg=use_preagg,
     )
@@ -595,7 +617,7 @@ def _window_stats_locked(
                     parts.append(_chunk_part(read))
                     skipped += 1
                     continue
-                t, v = batch(read, read + 1) if type(read) is int else read
+                t, v = read
                 i = 0 if lo is None else int(np.searchsorted(t, lo))
                 j = len(t) if hi is None else int(np.searchsorted(t, hi))
                 if j > i:

@@ -60,7 +60,8 @@ def _ascii(series: List[ResultSeries], grid: _Aligned, label: str) -> str:
         # same doubles as the per-series form below, one call each
         lo = min(mat.min(axis=1).tolist())
         hi = max(mat.max(axis=1).tolist())
-        means = np.nanmean(mat, axis=1).tolist()
+        # no NaN, so the plain mean is the NaN-skipping one bit for bit
+        means = np.mean(mat, axis=1).tolist()
         peaks = np.nanmax(mat, axis=1).tolist()
     else:
         finite = [s.values[np.isfinite(s.values)] for s in series]
@@ -75,15 +76,15 @@ def _ascii(series: List[ResultSeries], grid: _Aligned, label: str) -> str:
         np.nan_to_num(np.concatenate([s.values for s in series]), nan=lo),
         lo, hi,
     )
-    lines = [f"{label or 'query'}  [{lo:.3g} .. {hi:.3g}]"]
+    cells = []
     end = 0
     for s, tag, mean, peak in zip(series, grid.labels, means, peaks):
         start, end = end, end + len(s.values)
-        lines.append(
-            f"  {tag:<24} {glyphs[start:end]}"
-            f"  mean={mean:.3g} max={peak:.3g}"
-        )
-    return "\n".join(lines)
+        cells += (tag, glyphs[start:end], mean, peak)
+    return (
+        f"{label or 'query'}  [{lo:.3g} .. {hi:.3g}]"
+        + "\n  %-24s %s  mean=%.3g max=%.3g" * len(series) % tuple(cells)
+    )
 
 
 def _svg(

@@ -40,7 +40,7 @@ import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -530,7 +530,7 @@ def read_chunks(
     cache: Optional[object],
     file: bool,
     preagg: bool = False,
-) -> Tuple[List[list], Callable[[int, int], Tuple[np.ndarray, np.ndarray]]]:
+) -> Tuple[List[List[Chunk]], List[list]]:
     """The store's one read step: the sealed chunks a window holds of
     each series, looked up and decoded once for all of them.
 
@@ -548,10 +548,9 @@ def read_chunks(
     :func:`~repro.tsdb.chunks.decode_concat` batch and, with ``file``,
     filed in the cache.
 
-    Returns ``(parts, batch)``: per series, one entry per planned
-    chunk — the :class:`Chunk` itself where its pre-aggregate answers,
-    its resident ``(t, v)``, or the index ``p`` of its fresh decode —
-    and ``batch(p, q)``, the fresh decodes ``p .. q - 1`` as one view.
+    Returns ``(plans, parts)``: per series, the planned chunks and one
+    entry per planned chunk — the :class:`Chunk` itself where its
+    pre-aggregate answers, else its ``(t, v)``, resident or decoded.
     """
     lo, hi = time_range if time_range is not None else (None, None)
     plans: List[List[Chunk]] = []
@@ -572,22 +571,17 @@ def read_chunks(
     found = [None] * len(wanted) if cache is None else cache.get_many(
         [c.chunk_id for c in wanted]
     )
-    needed: List[Chunk] = []
-    for k, cols in enumerate(found):
-        if cols is None:
-            found[k] = len(needed)
-            needed.append(wanted[k])
-    if needed:
+    missing = [k for k, cols in enumerate(found) if cols is None]
+    if missing:
+        needed = [wanted[k] for k in missing]
         gt, gv, bounds = decode_concat(needed)
         bounds = bounds.tolist()
+        for k, a, b in zip(missing, bounds, bounds[1:]):
+            found[k] = gt[a:b], gv[a:b]
         if file and cache is not None:
             cache.put_many([
-                (c.chunk_id, (gt[a:b], gv[a:b]))
-                for c, a, b in zip(needed, bounds, bounds[1:])
+                (c.chunk_id, found[k]) for c, k in zip(needed, missing)
             ])
-
-    def batch(p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-        return gt[bounds[p]:bounds[q]], gv[bounds[p]:bounds[q]]
 
     parts: List[list] = []
     i = 0  # the next chunk of ``wanted``
@@ -604,7 +598,7 @@ def read_chunks(
             else:
                 row.append(c)
         parts.append(row)
-    return parts, batch
+    return plans, parts
 
 
 def _scan(
@@ -621,68 +615,80 @@ def _scan(
     scan files its decodes in the cache (the next window will want some
     of them again), an unwindowed one memoises each series whole
     instead.
-    *Assemble.*  Per series, oldest part first: resident columns as they
-    are, each run of consecutive fresh decodes as one slice of the
-    batch, then the open points.  In an in-order series the parts are
-    sorted and disjoint, so only the first and the last chunk part and
-    the head can cross a window edge: they are cut by binary search,
-    and a read that ends up with a single part returns that view, never
-    a copy.  A series that saw out-of-order or duplicate writes merges
-    whole parts in insertion order, masks, and stable-sorts keeping the
-    last value per timestamp — the flat-list semantics.
+    *Assemble.*  The series read are assembled in runs that share one
+    time column.  In-order series with no open points whose planned
+    chunks have equal ``(t_min, count, t_step)``, every ``t_step`` set,
+    hold the same timestamps — what prefilled and batch-sealed data
+    looks like — so they form one run; every other series is a run of
+    one, its open points after its chunks.  A run takes its time column
+    from its first member's parts and gathers every member's value
+    parts, oldest first, into one ``(K, n)`` block.  An in-order run is
+    cut to the window before the gather — only its first and last chunk
+    part and the open points can cross an edge, so one binary-search
+    pair on the first member's parts cuts every member — and each
+    member gets the shared time column and a view of its row: a run of
+    one with a single part is a view of that part, never a copy.  A
+    series that saw out-of-order or duplicate writes masks the window
+    and stable-sorts its merged parts keeping the last value per
+    timestamp — the flat-list semantics.
     """
-    lo, hi = time_range if time_range is not None else (None, None)
     out = [s.materialised(time_range) for s in series_list]
     todo = [k for k, cols in enumerate(out) if cols is None]
-    plans, batch = read_chunks(
-        [series_list[k] for k in todo], time_range, cache,
-        file=time_range is not None,
+    reading = [series_list[k] for k in todo]
+    plans, parts = read_chunks(
+        reading, time_range, cache, file=time_range is not None,
     )
-    for k, plan in zip(todo, plans):
-        s = series_list[k]
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        i, stop = 0, len(plan)
-        while i < stop:
-            cols = plan[i]
-            i += 1
-            if type(cols) is int:
-                p = cols
-                while i < stop and type(plan[i]) is int:
-                    i += 1
-                cols = batch(p, plan[i - 1] + 1)
-            parts.append(cols)
-        ht, hv = s.head()
-        ordered = s._ordered
-        if ordered and time_range is not None:
-            if parts:
-                t, v = parts[0]
-                if t[0] < lo:
-                    a = t.searchsorted(lo)
-                    parts[0] = t[a:], v[a:]
-                t, v = parts[-1]
-                if t[-1] >= hi:
-                    b = t.searchsorted(hi)
-                    parts[-1] = t[:b], v[:b]
-            if len(ht):
-                a, b = ht.searchsorted(time_range)
-                ht, hv = ht[a:b], hv[a:b]
+
+    runs: Dict[object, List[int]] = {}
+    for j, (s, plan) in enumerate(zip(reading, plans)):
+        key: object = j
+        # an irregular chunk (no t_step) may hide other timestamps
+        # behind equal metadata
+        if (plan and s._ordered and not s.head_len()
+                and None not in [c.t_step for c in plan]):
+            key = tuple([(c.t_min, c.count, c.t_step) for c in plan])
+        runs.setdefault(key, []).append(j)
+    for members in runs.values():
+        first = reading[members[0]]
+        ordered = first._ordered
+        windowed = ordered and time_range is not None
+        cols = list(parts[members[0]])
+        cuts = [slice(None)] * len(cols)
+        if cols and windowed:
+            # sorted, disjoint chunk parts: only the outer two cross an
+            # edge of the window
+            lo, hi = time_range
+            t = cols[0][0]
+            a = int(t.searchsorted(lo)) if t[0] < lo else 0
+            t = cols[-1][0]
+            b = int(t.searchsorted(hi)) if t[-1] >= hi else len(t)
+            cuts[0], cuts[-1] = slice(a, None), slice(None, b)
+            if len(cols) == 1:
+                cuts[0] = slice(a, b)
+        ht, hv = first.head()
         if len(ht):
-            parts.append((ht, hv))
-        if not parts:
-            t, v = _NO_T, _NO_V
-        elif len(parts) == 1:
-            t, v = parts[0]
+            cols.append((ht, hv))
+            cuts.append(slice(*ht.searchsorted(time_range)) if windowed
+                        else slice(None))
+        if cols:
+            ts = [t[cut] for (t, _), cut in zip(cols, cuts)]
+            vs = [v[cut] for (_, v), cut in zip(cols, cuts)]
+            for j in members[1:]:
+                vs += [v[cut] for (_, v), cut in zip(parts[j], cuts)]
+            t = ts[0] if len(ts) == 1 else np.concatenate(ts)
+            block = (vs[0] if len(vs) == 1 else np.concatenate(vs)).reshape(
+                len(members), -1)
         else:
-            t = np.concatenate([part[0] for part in parts])
-            v = np.concatenate([part[1] for part in parts])
+            t, block = _NO_T, _NO_V.reshape(1, 0)
         if not ordered:
             if time_range is not None:
-                m = (t >= lo) & (t < hi)
-                t, v = t[m], v[m]
-            t, v = _sort_dedupe(t, v)
-        if time_range is None:
-            s._full = (s._block.stamp, t, v)
-        out[k] = (t, v)
+                m = (t >= time_range[0]) & (t < time_range[1])
+                t, block = t[m], block[:, m]
+            t, block = _sort_dedupe(t, block)
+        for j, v in zip(members, block):
+            if time_range is None:
+                reading[j]._full = (reading[j]._block.stamp, t, v)
+            out[todo[j]] = (t, v)
     return out
 
 

@@ -179,14 +179,15 @@ def render_panel_svg(
     if s.size and len(t) >= 2:
         lo = float(np.nanmin(s))
         hi = float(np.nanmax(s))
+        scale = hi - lo
         if hi <= lo:
-            hi = lo + 1.0
+            hi, scale = lo + 1.0, 1.0  # lo + 1.0 == lo from 2**53 up
         t0, t1 = float(t.min()), float(t.max())
         span = max(t1 - t0, 1.0)
 
         def xy(ti: float, vi: float) -> str:
             x = pad_l + (ti - t0) / span * plot_w
-            y = pad_t + (1.0 - (vi - lo) / (hi - lo)) * plot_h
+            y = pad_t + (1.0 - (vi - lo) / scale) * plot_h
             return f"{x:.1f},{y:.1f}"
 
         for i in range(min(s.shape[0], max_hosts)):

@@ -271,6 +271,58 @@ def test_render_panel_svg_all_nan_is_the_oracles_bytes():
     assert got.count('<polyline points=""') == 2 and ">nan</text>" in got
 
 
+def test_a_flat_series_past_2_53_draws_its_points():
+    """``lo + 1.0 == lo`` from 2**53 up: the flat line is drawn on the
+    axis, not at ``nan``, and nothing warns."""
+    panel = plots.Panel(key="k", label="x", times=np.arange(3.0),
+                        series=np.full((1, 3), 2.0**60), hosts=["a"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = plots.render_panel_svg(panel)
+    assert 'points="48.0,106.0 341.0,106.0 634.0,106.0"' in svg
+
+
+def _beside(x: float):
+    """``x`` and the doubles either side of it."""
+    return st.sampled_from([np.nextafter(x, -np.inf), x,
+                            np.nextafter(x, np.inf)])
+
+
+#: exact ``k / 20`` ties (where binary has them) and every other
+#: twentieth up past the 640-wide table, with their neighbours; signed
+#: zeros, subnormals, the table's end, non-finite values, negatives
+_COORDS = st.one_of(
+    st.integers(0, 12_900).map(lambda k: k / 20).flatmap(_beside),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 640.0,
+        640.04, 640.05, 640.1, 1638.4, 1e300, float("nan"),
+        float("inf"), float("-inf"), -0.04, -0.05, -1.25,
+    ]).flatmap(_beside),
+    st.floats(-10.0, 700.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _percent_words(coords):
+    return [("%.1f " if i & 1 else "%.1f,") % c for i, c in enumerate(coords)]
+
+
+@given(coords=st.integers(0, 20).flatmap(
+    lambda n: st.lists(_COORDS, min_size=2 * n, max_size=2 * n)))
+def test_point_words_print_what_percent_prints(coords):
+    xy = np.array(coords, dtype=float).reshape(-1, 2)
+    assert plots._point_words(xy, 640) == _percent_words(coords)
+
+
+def test_point_words_on_every_tenth_of_the_canvas():
+    """Every tenth of a 640 x 160 canvas and the doubles beside it."""
+    tenths = np.arange(6401) / 10
+    x = np.concatenate([np.nextafter(tenths, -np.inf), tenths,
+                        np.nextafter(tenths, np.inf)])
+    xy = np.stack([x, x % 160.1], axis=1)
+    assert plots._point_words(xy, 640) == _percent_words(xy.ravel().tolist())
+
+
 # -- TSDB result charts -----------------------------------------------------------------
 _TAGS = st.dictionaries(st.sampled_from(("host", "event", "x<y")), _TEXT,
                         max_size=2)

@@ -16,6 +16,8 @@ last-write-wins rewrites that straddle seal boundaries:
 (``float64.tobytes()``), so NaN==NaN and -0.0!=+0.0.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,61 @@ def test_query_matches_baseline_on_arbitrary_data(writes, n_series):
             assert np.array_equal(
                 sa.values.view(np.uint64), sb.values.view(np.uint64)
             ), kw
+
+
+#: the matrices the shared-grid path reduces: NaN-free ones take the
+#: dense sum and mean, the others the NaN-skipping forms
+_GRID_CELLS = {
+    "finite": st.floats(-1e6, 1e6),
+    "nan": st.one_of(st.floats(-1e6, 1e6), st.just(float("nan"))),
+    "zeros": st.sampled_from([0.0, -0.0]),
+    "inf": st.one_of(st.floats(-1e6, 1e6),
+                     st.sampled_from([float("inf"), float("-inf")])),
+}
+
+
+@given(kind=st.sampled_from(sorted(_GRID_CELLS)), data=st.data())
+@settings(max_examples=16, deadline=None)
+def test_shared_grid_reductions_match_baseline(kind, data):
+    """Series on one grid, every aggregator under every downsample
+    aggregator, whole and windowed: bit-identical to the frozen
+    baseline, warning nothing it does not."""
+    from tests.test_tsdb.reference import baseline_query
+    from repro.tsdb.query import query
+
+    n_series, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 30))
+    cells = data.draw(st.lists(_GRID_CELLS[kind], min_size=n_series * n,
+                               max_size=n_series * n))
+    t = np.arange(n, dtype=np.int64) * 60
+    db, flat = TimeSeriesDB(chunk_size=8), ListBackedTSDB()
+    for i, row in enumerate(np.array(cells).reshape(n_series, n)):
+        for store in (db, flat):
+            store.put_many("stats", {"host": f"h{i}", "rack": str(i % 2)},
+                           t, row)
+    db.seal_heads()
+    for aggregate in ("sum", "avg", "max", "min"):
+        for downsample in (None, (180, "sum"), (180, "avg"), (180, "max"),
+                           (180, "min")):
+            for time_range in (None, (60, 60 * n - 60)):
+                kw = {"aggregate": aggregate, "downsample": downsample,
+                      "group_by": ("rack",), "time_range": time_range}
+                warned = []
+                for run in (lambda: query(db, "stats", **kw),
+                            lambda: baseline_query(flat, "stats", **kw)):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        warned.append((run(), {
+                            (w.category, str(w.message)) for w in caught
+                        }))
+                (ra, got), (rb, want) = warned
+                assert got <= want, kw
+                assert len(ra) == len(rb), kw
+                for sa, sb in zip(ra.series, rb.series):
+                    assert sa.tags == sb.tags, kw
+                    assert np.array_equal(sa.times, sb.times), kw
+                    assert np.array_equal(
+                        sa.values.view(np.uint64), sb.values.view(np.uint64)
+                    ), kw
 
 
 def test_preagg_skip_counter_and_mean():

@@ -511,3 +511,125 @@ def test_scan_plan_equals_the_list_engine_on_window_edges(data, cache):
             write(data.draw(st.integers(1, 5)))
     for t, v, t_was, v_was in held:
         assert (t.tolist(), bits(v)) == (t_was, v_was)
+
+
+# -- series that share a chunk layout read as one run -------------------------
+
+#: one point a minute; chunks of 8 cut every 480 s
+_STEP, _N = 60, 40
+
+
+def _mixed_layouts(stores):
+    """Write into every store one metric whose series a scan has to read
+    every way at once: four series with one layout (each written on
+    its own, sealed at the same points), two written as a group slab,
+    one with that layout plus open points, one with an out-of-order and
+    a duplicate write, one whose chunks are cut at other points, and
+    two irregular series (``t_step`` None) whose chunks have equal
+    ``(t_min, count)`` but other timestamps inside."""
+    rng = np.random.default_rng(5)
+    t = np.arange(_N, dtype=np.int64) * _STEP
+
+    def put_many(tags, times, values):
+        for store in stores:
+            store.put_many("m", tags, times, values)
+
+    def seal():
+        for store in stores:
+            store.seal_heads()
+
+    def values(n=_N):
+        v = rng.normal(size=n)
+        v[rng.random(n) < 0.1] = np.nan
+        return v
+
+    put_many({"s": "cut"}, t[:3], values(3))
+    seal()  # a chunk of 3: every later chunk of "cut" starts elsewhere
+    put_many({"s": "cut"}, t[3:], values(_N - 3))
+    for h in "abcd":
+        put_many({"s": "same", "h": h}, t, values())
+    put_many({"s": "open"}, t, values())
+    slab = values(2 * _N).reshape(_N, 2)
+    for store in stores:
+        tag_sets = [{"s": "slab", "h": h} for h in "xy"]
+        if isinstance(store, TimeSeriesDB):  # one (n, 2) head block
+            store.put_many("m", store.group("m", tag_sets), t, slab)
+        else:
+            for tags, column in zip(tag_sets, slab.T):
+                store.put_many("m", tags, t, column)
+    put_many({"s": "late"}, t, values())
+    jitter = np.arange(_N) % 3 == 1
+    put_many({"s": "irr", "h": "1"}, t + np.where(jitter, 7, 0), values())
+    put_many({"s": "irr", "h": "2"}, t + np.where(jitter, 9, 0), values())
+    seal()
+    put_many({"s": "open"}, t[-1] + _STEP * np.arange(1, 4), values(3))
+    put_many({"s": "late"}, [t[5] + 1, t[7]], values(2))  # late, duplicate
+
+
+def _layout_windows(db):
+    """Windows at, inside and beyond chunk edges, empty and inverted
+    ones, and the whole series."""
+    edges = {-100, 10**6}
+    for s in db.select("m"):
+        for c in s.chunks:
+            edges.update((c.t_min - 1, c.t_min, c.t_min + 1,
+                          c.t_max, c.t_max + 1))
+    edges = sorted(edges)
+    return ([(a, b) for a, b in zip(edges, edges[3:])]
+            + [(0, 0), (500, 400), (-100, 10**6), None])
+
+
+@pytest.mark.parametrize("cache", sorted(_BUFFER_CACHES))
+def test_a_scan_of_mixed_layouts_equals_the_list_engine(cache):
+    """Every series of a mixed-layout scan is bit-equal to the list
+    engine, on every window, cold, through the buffer cache and after
+    the unwindowed scan memoised the columns; read from chunks, the
+    series that share a layout come back on one time column, and
+    nobody else joins them."""
+    db = TimeSeriesDB(chunk_size=8, **_BUFFER_CACHES[cache]())
+    oracle = ListBackedTSDB()
+    _mixed_layouts([db, oracle])
+    series, listed = db.select("m"), oracle.select("m")
+    assert [s.tags for s in series] == [s.tags for s in listed]
+    kinds = [s.tags["s"] for s in series]
+    for memoised in (False, True):
+        for window in _layout_windows(db):
+            got = db.scan(series, window)
+            want = oracle.scan(listed, window)
+            for kind, (t, v), (wt, wv) in zip(kinds, got, want):
+                assert (t.dtype, v.dtype) == (np.int64, np.float64)
+                assert (t.tolist(), bits(v)) == (wt.tolist(), bits(wv)), (
+                    kind, window)
+            shared = {id(t) for k, (t, _) in zip(kinds, got)
+                      if k in ("same", "slab") and len(t)}
+            others = {id(t) for k, (t, _) in zip(kinds, got)
+                      if k not in ("same", "slab") and len(t)}
+            if not memoised and window is not None and shared:
+                assert len(shared) == 1 and not shared & others, window
+
+
+@pytest.mark.parametrize("shards,workers", [(1, 0), (3, 0), (1, 1), (3, 1)])
+def test_a_sharded_scan_of_mixed_layouts_equals_the_store(shards, workers):
+    """The same through the shard coordinator, in process and over the
+    worker pipe, where a run's rows leave a shard as views of one
+    block: every column, and every query over them, is the store's."""
+    db = TimeSeriesDB(chunk_size=8)
+    sharded = ShardedTSDB(shards=shards, workers=workers, chunk_size=8)
+    try:
+        _mixed_layouts([db, sharded])
+        series, handles = db.select("m"), sharded.select("m")
+        assert [h.key for h in handles] == [s.key[1] for s in series]
+        for window in _layout_windows(db):
+            got = sharded.scan(handles, window)
+            for (t, v), (wt, wv) in zip(got, db.scan(series, window)):
+                assert (t.tolist(), bits(v)) == (wt.tolist(), bits(wv)), (
+                    window)
+            kw = {"group_by": ("s",), "downsample": (120, "avg"),
+                  "time_range": window}
+            ra, rb = sharded.query("m", **kw), db.query("m", **kw)
+            assert len(ra) == len(rb), window
+            for a, b in zip(ra.series, rb.series):
+                assert (a.tags, a.times.tolist(), bits(a.values)) == (
+                    b.tags, b.times.tolist(), bits(b.values)), window
+    finally:
+        sharded.close()
