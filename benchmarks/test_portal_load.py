@@ -76,6 +76,11 @@ def test_portal_load_gate():
     jobids = [r.jobid for r in JobRecord.objects.all()[:4]]
     stream = _LiveStream()
     app = PortalApp(db, stream=stream)
+    # every render runs on a pool thread: counting them counts the
+    # requests handed to the pool (list.append is atomic under the GIL)
+    renders = []
+    render = app.get_url
+    app.get_url = lambda url: renders.append(url) or render(url)
     server = PortalServer(app, workers=8, queue_cap=256, deadline=30.0)
     host, port = server.start_background()
     paths = default_paths(jobids=jobids, with_tsdb=True, metric="stats")
@@ -100,6 +105,10 @@ def test_portal_load_gate():
     payload = result.to_dict()
     payload["p99_gate_ms"] = P99_GATE_MS
     payload["page_cache_hit_ratio"] = round(server.page_cache.hit_ratio, 3)
+    # counts that do not depend on the machine: a hit is answered on the
+    # event loop, so only misses are handed to the render pool
+    payload["page_cache_hits"] = server.page_cache.hits
+    payload["pool_renders"] = len(renders)
     record_bench(BENCH_JSON, "loadtest", payload)
 
     report(
@@ -113,3 +122,4 @@ def test_portal_load_gate():
     assert problems == [], problems
     # the tiered cache must actually be absorbing the repeat traffic
     assert server.page_cache.hits > 0
+    assert len(renders) == server.page_cache.misses

@@ -6,11 +6,17 @@ building blocks only:
 
 * **transport** — ``asyncio.start_server`` speaking enough HTTP/1.1
   for browsers and the load generator (GET/HEAD, keep-alive,
-  Content-Length framing).
-* **dispatch** — page rendering is synchronous (sqlite + numpy), so
-  each admitted request runs on a bounded ``ThreadPoolExecutor``
-  via ``run_in_executor``; the event loop itself never blocks.
-* **admission control** — at most ``queue_cap`` requests may be
+  Content-Length framing).  An HTTP/1.0 connection stays open only
+  on ``Connection: keep-alive``; a request that carries a body
+  (``Content-Length`` > 0 or any ``Transfer-Encoding``) is answered
+  and then the connection is closed, so body bytes are never read as
+  the next request.
+* **dispatch** — a page-cache hit is answered on the event loop from
+  the bytes it was filed as: one lookup, one socket write.  Rendering
+  is synchronous (sqlite + numpy), so a miss is admitted and runs on
+  a bounded ``ThreadPoolExecutor`` via ``run_in_executor``; the event
+  loop itself never blocks.
+* **admission control** — at most ``queue_cap`` misses may be
   outstanding (rendering or queued for a worker).  Beyond that the
   server *sheds*: an immediate ``503`` with ``Retry-After``, counted
   separately from errors, instead of an unbounded queue whose tail
@@ -28,14 +34,16 @@ building blocks only:
   treated as read-only while serving (re-ingest → restart or epoch
   bump).
 * **observability** — per-endpoint latency histograms
-  (``repro_portal_request_seconds``), an in-flight gauge, and
-  counters for responses by status class, shed requests and deadline
-  expiries, all on the shared :mod:`repro.obs` registry (visible on
-  the portal's own ``/obs`` page).
+  (``repro_portal_request_seconds``), a gauge of the requests on the
+  render pool, and counters for responses by status class, shed
+  requests and deadline expiries, all on the shared :mod:`repro.obs`
+  registry (visible on the portal's own ``/obs`` page).
 
-``/healthz`` answers on the event loop itself — no worker, no
-admission — so liveness probes succeed even while the pool is
-saturated.
+``/healthz`` and page-cache hits answer on the event loop itself —
+no worker, no admission — so liveness probes and cached pages are
+served even while the pool is saturated.  The store epoch a lookup
+keys on is a plain attribute of every store, so reading it on the
+loop never blocks.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from urllib.parse import urlsplit
 
 from repro import obs
 from repro.obs import handles
-from repro.portal.app import PortalApp, Response
+from repro.portal.app import PortalApp
 from repro.tsdb.cache import QueryCache
 
 __all__ = ["PageCache", "PortalServer", "ROUTE_LABELS"]
@@ -66,9 +74,13 @@ ROUTE_LABELS = frozenset(
 CACHEABLE = frozenset({"", "search", "job", "date", "fleet", "tsdb"})
 
 
+#: a page as it is sent: ``(status, content type, encoded body)``
+Page = Tuple[int, str, bytes]
+
+
 class PageCache(QueryCache):
-    """Rendered pages keyed on ``(path+query, epoch)``: the query
-    cache's LRU and epoch rule under the portal's own counters."""
+    """Rendered :data:`Page` s keyed on ``(path+query, epoch)``: the
+    query cache's LRU and epoch rule under the portal's own counters."""
 
     _hits = handles.counter(
         "repro_portal_page_cache_hits_total",
@@ -86,6 +98,30 @@ _STATUS_REASONS = {
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
+_INFLIGHT = handles.gauge(
+    "repro_portal_inflight", "portal requests handed to the render pool")
+_SHED = handles.counter(
+    "repro_portal_shed_total", "requests shed by admission control (503)")
+_DEADLINE = handles.counter(
+    "repro_portal_deadline_total",
+    "requests that exceeded the render deadline (504)")
+_ERRORS = handles.counter(
+    "repro_portal_errors_total", "unhandled exceptions while rendering (500)")
+_SHUTDOWN_ERRORS = handles.counter(
+    "repro_portal_shutdown_errors_total",
+    "errors while draining handlers at shutdown")
+_REQUEST_SECONDS = handles.histogram(
+    "repro_portal_request_seconds", "portal request latency by route")
+_RESPONSES = handles.counter(
+    "repro_portal_responses_total",
+    "portal responses by status class and route")
+#: the labelled samples, bound once: by route, and by (status // 100,
+#: route)
+_ROUTES = ROUTE_LABELS | {"other"}
+_SECONDS_OF = {r: _REQUEST_SECONDS.labels(route=r) for r in _ROUTES}
+_RESPONSES_OF = {(c, r): _RESPONSES.labels(code=f"{c}xx", route=r)
+                 for c in range(1, 6) for r in _ROUTES}
+
 
 class PortalServer:
     """Serve a :class:`PortalApp` over HTTP with load shedding.
@@ -101,8 +137,9 @@ class PortalServer:
         render threads.  Also the natural concurrency of the pool;
         ``queue_cap`` admitted requests beyond this merely wait.
     queue_cap:
-        maximum outstanding (admitted, unanswered) requests before
-        the server sheds with 503 + ``Retry-After``.
+        maximum outstanding (admitted, unanswered) misses before the
+        server sheds with 503 + ``Retry-After``; hits are never
+        admitted.
     deadline:
         seconds an admitted request may take before the client gets a
         504.  The render keeps running on its worker and still
@@ -134,7 +171,6 @@ class PortalServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
 
-    # -- rendering (worker threads) ---------------------------------------
     def _store_epoch(self) -> int:
         stream = getattr(self.app, "stream", None)
         if stream is None:
@@ -146,48 +182,44 @@ class PortalServer:
         seg = path.lstrip("/").split("/", 1)[0]
         return seg if seg in ROUTE_LABELS else "other"
 
-    def _render(self, target: str) -> Response:
-        """Render one request on a pool thread, through the page cache.
+    # -- rendering (worker threads) ---------------------------------------
+    def _render(self, target: str, route: str, epoch: Optional[int]) -> Page:
+        """Render one page missed by the page cache, on a pool thread,
+        and file a 200 under ``epoch`` (None: not cacheable).
 
-        The epoch is captured *before* the cache lookup; a write that
+        ``epoch`` was captured *before* the cache lookup; a write that
         lands mid-render bumps the epoch, so the possibly-stale page
         is filed under the old epoch and never served after the write.
         """
-        route = self._route_label(urlsplit(target).path)
-        cacheable = route in CACHEABLE
-        if cacheable:
-            epoch = self._store_epoch()
-            page = self.page_cache.get(target, epoch)
-            if page is not None:
-                return page
         with obs.span("portal.render", route=route):
-            page = self.app.get_url(target)
-        if cacheable and page.status == 200:
+            resp = self.app.get_url(target)
+        page = (resp.status, resp.content_type,
+                resp.body.encode("utf-8", "replace"))
+        if epoch is not None and resp.status == 200:
             self.page_cache.put(target, epoch, page)
         return page
 
     # -- HTTP plumbing (event loop) ---------------------------------------
     @staticmethod
     def _encode(
-        resp: Response, *, head_only: bool, keep_alive: bool,
+        page: Page, *, head_only: bool, keep_alive: bool,
         extra: Tuple[Tuple[str, str], ...] = (),
     ) -> bytes:
-        body = resp.body.encode("utf-8", "replace")
-        reason = _STATUS_REASONS.get(resp.status, "Unknown")
-        lines = [
-            f"HTTP/1.1 {resp.status} {reason}",
-            f"Content-Type: {resp.content_type}; charset=utf-8",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        lines.extend(f"{k}: {v}" for k, v in extra)
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
+        status, content_type, body = page
+        head = (
+            f"HTTP/1.1 {status} {_STATUS_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}; charset=utf-8\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            + "".join(f"{k}: {v}\r\n" for k, v in extra) + "\r\n"
+        ).encode("ascii")
         return head if head_only else head + body
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str]]]:
-        """One request head → (method, target, headers), None on EOF."""
+    ) -> Optional[Tuple[str, str, str, bool]]:
+        """One request head → (method, target, route, keep-alive), None
+        on EOF."""
         try:
             raw = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -199,14 +231,31 @@ class PortalServer:
         parts = request_line.split()
         if len(parts) != 3:
             raise ValueError(f"malformed request line: {request_line!r}")
-        method, target, _version = parts
+        method, target, version = parts
         headers: Dict[str, str] = {}
         for line in rest.split("\r\n"):
             if not line:
                 continue
             name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return method.upper(), target, headers
+            name, value = name.strip().lower(), value.strip()
+            # a repeated field joins its values, so a second
+            # Content-Length cannot hide the first
+            if name in headers:
+                value = f"{headers[name]},{value}"
+            headers[name] = value
+        tokens = {t.strip().lower()
+                  for t in headers.get("connection", "").split(",")}
+        if version == "HTTP/1.0":
+            keep_alive = "keep-alive" in tokens
+        else:
+            keep_alive = "close" not in tokens
+        # a body is never read, so the connection closes after the
+        # answer: its bytes must not be parsed as the next request
+        if "transfer-encoding" in headers or headers.get(
+                "content-length", "").strip(" 0,"):
+            keep_alive = False
+        return method.upper(), target, self._route_label(
+            urlsplit(target).path), keep_alive
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -217,18 +266,16 @@ class PortalServer:
                     req = await self._read_request(reader)
                 except ValueError as exc:
                     writer.write(self._encode(
-                        Response(status=400, body=str(exc),
-                                 content_type="text/plain"),
+                        (400, "text/plain", str(exc).encode()),
                         head_only=False, keep_alive=False,
                     ))
                     await writer.drain()
                     return
                 if req is None:
                     return
-                method, target, headers = req
-                keep_alive = headers.get("connection", "").lower() != "close"
-                payload = await self._respond(method, target, keep_alive)
-                writer.write(payload)
+                method, target, route, keep_alive = req
+                writer.write(await self._respond(
+                    method, target, route, keep_alive))
                 await writer.drain()
                 if not keep_alive:
                     return
@@ -246,81 +293,65 @@ class PortalServer:
                 pass
 
     async def _respond(
-        self, method: str, target: str, keep_alive: bool
+        self, method: str, target: str, route: str, keep_alive: bool
     ) -> bytes:
         head_only = method == "HEAD"
-        route = self._route_label(urlsplit(target).path)
         if method not in ("GET", "HEAD"):
-            self._count_status(405, route)
+            _RESPONSES_OF[4, route].inc()
             return self._encode(
-                Response(status=405, body="GET or HEAD only",
-                         content_type="text/plain"),
+                (405, "text/plain", b"GET or HEAD only"),
                 head_only=head_only, keep_alive=keep_alive,
                 extra=(("Allow", "GET, HEAD"),),
             )
         if route == "healthz":
             # liveness answers on the loop: no admission, no worker
-            self._count_status(200, route)
+            _RESPONSES_OF[2, route].inc()
             return self._encode(
-                Response(body="ok\n", content_type="text/plain"),
+                (200, "text/plain", b"ok\n"),
                 head_only=head_only, keep_alive=keep_alive,
             )
+        start = time.perf_counter()
+        epoch = None
+        if route in CACHEABLE:
+            # a hit answers here, from the bytes it was filed as
+            epoch = self._store_epoch()
+            page = self.page_cache.get(target, epoch)
+            if page is not None:
+                _SECONDS_OF[route].observe(time.perf_counter() - start)
+                _RESPONSES_OF[2, route].inc()
+                return self._encode(
+                    page, head_only=head_only, keep_alive=keep_alive)
         if self._outstanding >= self.queue_cap:
-            obs.counter(
-                "repro_portal_shed_total",
-                "requests shed by admission control (503)",
-            ).inc()
-            self._count_status(503, route)
+            _SHED.inc()
+            _RESPONSES_OF[5, route].inc()
             return self._encode(
-                Response(status=503, body="portal overloaded, retry\n",
-                         content_type="text/plain"),
+                (503, "text/plain", b"portal overloaded, retry\n"),
                 head_only=head_only, keep_alive=keep_alive,
                 extra=(("Retry-After", "1"),),
             )
         self._outstanding += 1
-        inflight = obs.gauge(
-            "repro_portal_inflight", "portal requests being served"
-        )
-        inflight.inc()
-        start = time.perf_counter()
+        _INFLIGHT.set(self._outstanding)
         loop = asyncio.get_running_loop()
         try:
-            resp = await asyncio.wait_for(
-                loop.run_in_executor(self._pool, self._render, target),
+            page = await asyncio.wait_for(
+                loop.run_in_executor(
+                    self._pool, self._render, target, route, epoch),
                 timeout=self.deadline,
             )
         except asyncio.TimeoutError:
-            obs.counter(
-                "repro_portal_deadline_total",
-                "requests that exceeded the render deadline (504)",
-            ).inc()
-            resp = Response(status=504, body="render deadline exceeded\n",
-                            content_type="text/plain")
+            _DEADLINE.inc()
+            page = (504, "text/plain", b"render deadline exceeded\n")
         except Exception as exc:  # render bug → 500, never a dead conn
-            obs.counter(
-                "repro_portal_errors_total",
-                "unhandled exceptions while rendering (500)",
-            ).inc()
-            resp = Response(
-                status=500, content_type="text/plain",
-                body=f"internal error: {type(exc).__name__}: {exc}\n",
-            )
+            _ERRORS.inc()
+            page = (500, "text/plain", (
+                f"internal error: {type(exc).__name__}: {exc}\n"
+            ).encode("utf-8", "replace"))
         finally:
             self._outstanding -= 1
-            inflight.dec()
-            obs.histogram(
-                "repro_portal_request_seconds",
-                "portal request latency by route",
-            ).observe(time.perf_counter() - start, route=route)
-        self._count_status(resp.status, route)
-        return self._encode(resp, head_only=head_only, keep_alive=keep_alive)
-
-    @staticmethod
-    def _count_status(status: int, route: str) -> None:
-        obs.counter(
-            "repro_portal_responses_total",
-            "portal responses by status class and route",
-        ).inc(code=f"{status // 100}xx", route=route)
+            _INFLIGHT.set(self._outstanding)
+            _SECONDS_OF[route].observe(time.perf_counter() - start)
+        _RESPONSES_OF[page[0] // 100, route].inc()
+        return self._encode(page, head_only=head_only, keep_alive=keep_alive)
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
@@ -390,10 +421,7 @@ class PortalServer:
             try:
                 fut.result(timeout=10)
             except Exception:
-                obs.counter(
-                    "repro_portal_shutdown_errors_total",
-                    "errors while draining handlers at shutdown",
-                ).inc()
+                _SHUTDOWN_ERRORS.inc()
             loop.call_soon_threadsafe(loop.stop)
             self._thread.join(timeout=10)
             if not loop.is_running():
