@@ -19,7 +19,7 @@ from benchmarks._support import record_bench, report
 from repro import monitoring_session, obs
 from repro.cluster import JobSpec, make_app
 from repro.core.daemon import EXCHANGE
-from repro.obs.analytics import FleetAnalytics
+from repro.stream.analytics import FleetAnalytics
 from repro.stream import StreamPipeline
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_analytics.json"

@@ -36,7 +36,6 @@ is the §VI-B guardian (a metadata storm's job is suspended);
 
 from __future__ import annotations
 
-from repro.obs.analytics import ContinuousScorer, FleetAnalytics, JobScore
 from repro.stream.alerts import (
     Alert,
     AlertRouter,
@@ -44,6 +43,7 @@ from repro.stream.alerts import (
     log_sink,
     suspend_sink,
 )
+from repro.stream.analytics import ContinuousScorer, FleetAnalytics, JobScore
 from repro.stream.analyzer import (
     STREAM_METRICS,
     STREAM_QUANTITIES,

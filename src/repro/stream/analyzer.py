@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.metrics.flags import FlagResult, Thresholds, evaluate_flags
 from repro.metrics.table1 import METRIC_REGISTRY, JobStack
-from repro.obs.analytics import ANALYTICS_METRICS
+from repro.stream.analytics import ANALYTICS_METRICS
 from repro.pipeline.accum import (
     _CORE_TYPES,
     CANONICAL_QUANTITIES,
