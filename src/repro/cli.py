@@ -686,9 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="partition the live feed across a sharded "
                          "exchange (0 = single consumer)")
     st.add_argument("--analytics", action="store_true",
-                    help="attach always-on fleet analytics: feed "
-                         "sketches, continuous efficiency scoring, "
-                         "fleet-quantile anomaly alerts")
+                    help="attach always-on fleet analytics: continuous "
+                         "efficiency scoring, fleet-quantile anomaly "
+                         "alerts, counter-feed sketches read from the "
+                         "live TSDB")
     st.add_argument("--quiet-alerts", action="store_true",
                     help="suppress the per-alert log lines")
     st.add_argument("--verify", action="store_true",

@@ -38,13 +38,11 @@ value column in one vectorised NumPy pass; columns shorter than
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as _np
 
-__all__ = [
-    "QuantileSketch", "observe_segments", "DEFAULT_ALPHA", "DEFAULT_MAX_BINS",
-]
+__all__ = ["QuantileSketch", "DEFAULT_ALPHA", "DEFAULT_MAX_BINS"]
 
 #: default relative accuracy: 0.5 % — comfortably inside the 1 % rank
 #: error the acceptance tests demand
@@ -343,106 +341,3 @@ class QuantileSketch:
             f"bins={self.n_bins}, min={self.min:g}, max={self.max:g})"
         )
 
-
-def observe_segments(
-    values: Sequence[float],
-    bounds: Sequence[int],
-    targets: Sequence[Sequence[QuantileSketch]],
-) -> None:
-    """Fold consecutive segments of one column into groups of sketches.
-
-    Segment ``i`` is ``values[bounds[i]:bounds[i + 1]]`` — none may be
-    empty — and goes into every sketch of ``targets[i]``; all sketches
-    share one ``alpha``.  Bucket keys and tallies of every segment come
-    out of one vectorised pass, so many short columns (a fleet's
-    counter feeds between two window rotations) cost one set of array
-    operations, not one per column.  Each sketch ends in the
-    :meth:`~QuantileSketch.dist_state` that
-    :meth:`~QuantileSketch.observe_many` of its segment would leave;
-    ``sum`` is accumulated left to right and may differ in final ulps.
-    """
-    col = _np.asarray(values, dtype=_np.float64)
-    edges = _np.asarray(bounds, dtype=_np.int64)
-    starts, sizes = edges[:-1], _np.diff(edges)
-    if len(sizes) != len(targets) or (sizes <= 0).any():
-        raise ValueError("one non-empty segment per target row")
-    lg = next((sk._lg for row in targets for sk in row), None)
-    if lg is None:
-        return
-
-    def tally(mask) -> "_np.ndarray":
-        return _np.add.reduceat(mask, starts, dtype=_np.int64)
-
-    finite = _np.isfinite(col)
-    clean = bool(finite.all())
-    if clean:
-        nans = pos_infs = neg_infs = _np.zeros(len(sizes), dtype=_np.int64)
-    else:
-        nans = tally(_np.isnan(col))
-        pos_infs = tally(col == _np.inf)
-        neg_infs = tally(col == -_np.inf)
-    totals = _np.add.reduceat(
-        col if clean else _np.where(finite, col, 0.0), starts)
-    # fmin/fmax skip NaN; an all-NaN segment yields NaN, which the
-    # min()/max() below never prefer to the incumbent
-    lows = _np.fmin.reduceat(col, starts).tolist()
-    highs = _np.fmax.reduceat(col, starts).tolist()
-
-    zeros = sizes - nans - pos_infs - neg_infs  # minus the signed, below
-    for sign, extremes in ((1.0, highs), (-1.0, lows)):
-        # the segment extremes say whether the sign occurs at all
-        if not any(sign * x > 0.0 for x in extremes):
-            continue
-        mask = col > 0.0 if sign > 0 else col < 0.0
-        if not clean:
-            mask &= finite
-        at = _np.flatnonzero(mask)
-        if not at.size:
-            continue
-        per_segment = _np.diff(_np.searchsorted(at, edges))
-        zeros = zeros - per_segment
-        keys = col[at]
-        if sign < 0:
-            _np.negative(keys, out=keys)
-        _np.log(keys, out=keys)
-        keys /= lg
-        keys -= 1e-11
-        keys = _np.ceil(keys, out=keys).astype(_np.int64)
-        base = int(keys.min())
-        span = int(keys.max()) - base + 1
-        keys -= base
-        keys += _np.repeat(_np.arange(len(sizes)), per_segment) * span
-        # keys now number the (segment, bucket) pairs: one sort counts
-        # them all
-        pairs, counts = _np.unique(keys, return_counts=True)
-        owners, offsets = _np.divmod(pairs, span)
-        stores = [
-            [sk._pos if sign > 0 else sk._neg for sk in row]
-            for row in targets
-        ]
-        for i, k, c in zip(owners.tolist(), (offsets + base).tolist(),
-                           counts.tolist()):
-            for store in stores[i]:
-                store[k] = store.get(k, 0) + c
-        for row, row_stores in zip(targets, stores):
-            for sk, store in zip(row, row_stores):
-                if len(store) > sk.max_bins:
-                    sk._cap(store)
-
-    for row, n, zero, total, low, high in zip(
-        targets, sizes.tolist(), zeros.tolist(), totals.tolist(), lows, highs
-    ):
-        for sk in row:
-            sk.count += n
-            sk.zero += zero
-            sk.sum += total
-            sk.min = min(sk.min, low)
-            sk.max = max(sk.max, high)
-    if not clean:
-        for row, nan, pos_inf, neg_inf in zip(
-            targets, nans.tolist(), pos_infs.tolist(), neg_infs.tolist()
-        ):
-            for sk in row:
-                sk.nan += nan
-                sk.pos_inf += pos_inf
-                sk.neg_inf += neg_inf

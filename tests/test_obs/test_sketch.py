@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch, observe_segments
+from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
 
 #: finite, non-degenerate doubles: the sketch's bucket math covers
 #: ~17 decades either side of zero before the collapse escape hatch
@@ -85,43 +85,6 @@ def test_scalar_and_vector_paths_agree_bitwise():
         scalar.observe(v)
     vector.observe_many(values)
     assert scalar.dist_state() == vector.dist_state()
-
-
-@given(
-    st.lists(st.lists(any_float, min_size=1, max_size=40),
-             min_size=1, max_size=8),
-    st.data(),
-)
-def test_segment_fold_equals_one_observe_many_per_segment(segments, data):
-    """``observe_segments`` leaves every sketch of every row where
-    ``observe_many`` of that row's segment would, whatever was in the
-    sketch before; a row without sketches is skipped."""
-    widths = [data.draw(st.integers(0, 3)) for _ in segments]
-    seed = [1.0, -2.0, 0.0, float("nan")]
-    got = [[_sketch_of(seed) for _ in range(w)] for w in widths]
-    want = [[_sketch_of(seed) for _ in range(w)] for w in widths]
-    flat = [v for seg in segments for v in seg]
-    bounds = [0]
-    for seg in segments:
-        bounds.append(bounds[-1] + len(seg))
-    observe_segments(flat, bounds, got)
-    for seg, got_row, want_row in zip(segments, got, want):
-        # ``sum`` is the one float accumulation: equal up to summation order
-        scale = sum(abs(v) for v in seg if math.isfinite(v))
-        for g, w in zip(got_row, want_row):
-            w.observe_many(seg)
-            assert g.dist_state() == w.dist_state()
-            if math.isfinite(scale):
-                assert abs(g.sum - w.sum) <= 1e-12 * scale + 1e-12
-
-
-def test_segment_fold_rejects_empty_and_miscounted_segments():
-    sk = QuantileSketch()
-    with pytest.raises(ValueError):
-        observe_segments([1.0, 2.0], [0, 0, 2], [[sk], [sk]])
-    with pytest.raises(ValueError):
-        observe_segments([1.0, 2.0], [0, 2], [[sk], [sk]])
-    assert sk.count == 0
 
 
 # -- merge algebra ------------------------------------------------------------

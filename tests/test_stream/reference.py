@@ -13,8 +13,9 @@ the row-wise replacements in ``src/`` have an oracle:
   delivery.
 
 Do not "fix" or speed these up: they are the specification.  (The
-fleet-analytics tap is not part of the reference; it takes row blocks
-now and never touched the store.)
+fleet analytics are not part of the reference: their counter feeds are
+reads over the store written here, which the equivalence suites
+already pin, and they write nothing.)
 """
 
 from __future__ import annotations
