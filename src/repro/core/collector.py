@@ -53,6 +53,8 @@ class Collector:
         self.monitor = monitor or MonitorConfig()
         self.overhead = OverheadModel(self.monitor.collect_seconds)
         self.collections = 0
+        #: device types this build collects
+        self._wanted = self.build.wanted_types()
 
     def collect(
         self, node_name: str, jobid_hint: Optional[str] = None
@@ -74,11 +76,10 @@ class Collector:
         with obs.span("collector.collect", node=node_name) as sp:
             now = self.cluster.now()
             self.cluster.catch_up(node_name, now)
-            wanted = self.build.wanted_types()
             data = {
                 t: dev.read()
                 for t, dev in node.tree.devices.items()
-                if t in wanted
+                if t in self._wanted
             }
             jobids = list(node.jobids)
             if jobid_hint and jobid_hint not in jobids:
@@ -109,9 +110,8 @@ class Collector:
     def schemas_for(self, node_name: str) -> Dict[str, object]:
         """Schemas of the devices this build collects on ``node_name``."""
         node = self.cluster.nodes[node_name]
-        wanted = self.build.wanted_types()
         return {
             t: dev.schema
             for t, dev in node.tree.devices.items()
-            if t in wanted
+            if t in self._wanted
         }

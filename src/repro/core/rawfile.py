@@ -42,13 +42,8 @@ from repro.hardware.devices.procfs import ProcessRecord
 FORMAT_VERSION = "2.3.2"
 
 
-def _fmt_num(x: float) -> str:
-    """Counters are integers on the wire, like the real registers."""
-    return str(int(x))
-
-
 def _cpuset(ids: Iterable[int]) -> str:
-    s = ",".join(str(i) for i in ids)
+    s = ",".join(map(str, ids))
     return s if s else "-"
 
 
@@ -85,38 +80,27 @@ class RawFileWriter:
         return "\n".join(lines) + "\n"
 
     def record(self, sample: "SampleLike") -> str:
-        """Render one sample as a record block."""
+        """Render one sample as a record block.
+
+        Counters are integers on the wire, like the real registers.
+        Each goes through a Python ``int``: a 64-bit register read can
+        exceed what int64 holds.
+        """
         jobids = ",".join(sample.jobids) if sample.jobids else "-"
         lines = [f"{int(sample.timestamp)} {jobids}"]
         for type_name in sorted(sample.data):
-            for instance in sorted(sample.data[type_name]):
-                vals = sample.data[type_name][instance]
-                lines.append(
-                    f"{type_name} {instance} "
-                    + " ".join(_fmt_num(v) for v in vals)
-                )
+            rows = sample.data[type_name]
+            for instance in sorted(rows):
+                values = " ".join(map(str, map(int, rows[instance].tolist())))
+                lines.append(f"{type_name} {instance} {values}")
         for p in sample.procs:
+            name = p.name.replace(" ", "_") or "-"
             lines.append(
-                "ps "
-                + " ".join(
-                    [
-                        str(p.pid),
-                        p.name.replace(" ", "_") or "-",
-                        p.owner,
-                        p.jobid or "-",
-                        str(p.vmsize_kb),
-                        str(p.vmhwm_kb),
-                        str(p.vmrss_kb),
-                        str(p.vmrss_hwm_kb),
-                        str(p.vmlck_kb),
-                        str(p.data_kb),
-                        str(p.stack_kb),
-                        str(p.text_kb),
-                        str(p.threads),
-                        _cpuset(p.cpu_affinity),
-                        _cpuset(p.mem_affinity),
-                    ]
-                )
+                f"ps {p.pid} {name} {p.owner} {p.jobid or '-'} "
+                f"{p.vmsize_kb} {p.vmhwm_kb} {p.vmrss_kb} {p.vmrss_hwm_kb} "
+                f"{p.vmlck_kb} {p.data_kb} {p.stack_kb} {p.text_kb} "
+                f"{p.threads} {_cpuset(p.cpu_affinity)} "
+                f"{_cpuset(p.mem_affinity)}"
             )
         return "\n".join(lines) + "\n"
 

@@ -120,7 +120,8 @@ class Activity:
         )
 
     def with_cpus(self, cpus: int) -> "Activity":
-        """Return a copy whose per-CPU arrays are sized/broadcast to ``cpus``."""
+        """Return an activity whose per-CPU arrays are sized/broadcast to
+        ``cpus``: a copy, or ``self`` when they already are."""
 
         def fit(a: np.ndarray) -> np.ndarray:
             a = np.asarray(a, dtype=float)
@@ -132,21 +133,26 @@ class Activity:
             out[: min(cpus, a.shape[0])] = a[: min(cpus, a.shape[0])]
             return out
 
+        u = fit(self.cpu_user_frac)
+        s = fit(self.cpu_system_frac)
+        w = fit(self.cpu_iowait_frac)
+        if (u is self.cpu_user_frac and s is self.cpu_system_frac
+                and w is self.cpu_iowait_frac):
+            return self
         return replace(
-            self,
-            cpu_user_frac=fit(self.cpu_user_frac),
-            cpu_system_frac=fit(self.cpu_system_frac),
-            cpu_iowait_frac=fit(self.cpu_iowait_frac),
+            self, cpu_user_frac=u, cpu_system_frac=s, cpu_iowait_frac=w
         )
 
     def validated(self) -> "Activity":
         """Clip time fractions into [0, 1] and enforce their sum ≤ 1 per CPU."""
-        u = np.clip(np.asarray(self.cpu_user_frac, dtype=float), 0.0, 1.0)
-        s = np.clip(np.asarray(self.cpu_system_frac, dtype=float), 0.0, 1.0)
-        w = np.clip(np.asarray(self.cpu_iowait_frac, dtype=float), 0.0, 1.0)
+        # np.minimum(np.maximum(...)) is np.clip without its Python
+        # wrappers; a device tree validates every tick
+        u = np.minimum(np.maximum(self.cpu_user_frac, 0.0, dtype=float), 1.0)
+        s = np.minimum(np.maximum(self.cpu_system_frac, 0.0, dtype=float), 1.0)
+        w = np.minimum(np.maximum(self.cpu_iowait_frac, 0.0, dtype=float), 1.0)
         total = u + s + w
         over = total > 1.0
-        if np.any(over):
+        if over.any():
             scale = np.ones_like(total)
             scale[over] = 1.0 / total[over]
             u, s, w = u * scale, s * scale, w * scale

@@ -48,6 +48,15 @@ CPUTIME_SCHEMA = Schema(
 )
 
 
+#: the order a CPU's core-counter increments draw their noise in
+_CORE_ORDER = CORE_SCHEMA.columns(
+    "cycles", "instructions", "loads", "l1_hits", "l2_hits", "llc_hits",
+    "fp_scalar", "fp_vector",
+)
+#: the order a CPU's jiffy increments draw their noise in
+_CPUTIME_ORDER = CPUTIME_SCHEMA.columns("user", "system", "iowait", "idle")
+
+
 class CoreCounterDevice(Device):
     """Per-hardware-thread core counters for one node.
 
@@ -62,30 +71,25 @@ class CoreCounterDevice(Device):
         )
 
     def advance(self, activity: Activity, dt: float, rng: np.random.Generator) -> None:
-        act = activity.with_cpus(self.arch.cpus)
         hz = self.arch.base_ghz * 1e9
-        ipc = max(act.instr_per_cycle, 1e-9)
-        for i in range(self.arch.cpus):
-            busy = float(act.cpu_user_frac[i]) + float(act.cpu_system_frac[i])
-            if busy <= 0.0:
-                continue
-            cycles = busy * hz * dt
-            instructions = cycles * ipc
-            loads = instructions * act.loads_per_instr
-            self.bump(
-                str(i),
-                {
-                    "cycles": cycles,
-                    "instructions": instructions,
-                    "loads": loads,
-                    "l1_hits": loads * act.l1_hit_frac,
-                    "l2_hits": loads * act.l2_hit_frac,
-                    "llc_hits": loads * act.llc_hit_frac,
-                    "fp_scalar": instructions * act.fp_scalar_per_instr,
-                    "fp_vector": instructions * act.fp_vector_per_instr,
-                },
-                rng,
-            )
+        ipc = max(activity.instr_per_cycle, 1e-9)
+        busy = activity.cpu_user_frac + activity.cpu_system_frac
+        rows = np.flatnonzero(~(busy <= 0.0))  # idle CPUs count nothing
+        if not rows.size:
+            return
+        cycles = busy[rows] * hz * dt
+        instructions = cycles * ipc
+        loads = instructions * activity.loads_per_instr
+        self.step(np.array([
+            cycles,
+            instructions,
+            loads,
+            loads * activity.l1_hit_frac,
+            loads * activity.l2_hit_frac,
+            loads * activity.llc_hit_frac,
+            instructions * activity.fp_scalar_per_instr,
+            instructions * activity.fp_vector_per_instr,
+        ]).T, rng, rows, _CORE_ORDER)
 
 
 class CpuTimeDevice(Device):
@@ -100,19 +104,10 @@ class CpuTimeDevice(Device):
         )
 
     def advance(self, activity: Activity, dt: float, rng: np.random.Generator) -> None:
-        act = activity.with_cpus(self.cpus).validated()
-        for i in range(self.cpus):
-            user = float(act.cpu_user_frac[i])
-            system = float(act.cpu_system_frac[i])
-            iowait = float(act.cpu_iowait_frac[i])
-            idle = max(0.0, 1.0 - user - system - iowait)
-            self.bump(
-                str(i),
-                {
-                    "user": user * USER_HZ * dt,
-                    "system": system * USER_HZ * dt,
-                    "iowait": iowait * USER_HZ * dt,
-                    "idle": idle * USER_HZ * dt,
-                },
-                rng,
-            )
+        user = activity.cpu_user_frac
+        system = activity.cpu_system_frac
+        iowait = activity.cpu_iowait_frac
+        idle = 1.0 - user - system - iowait
+        idle = np.where(idle > 0.0, idle, 0.0)
+        jiffies = np.array([user, system, iowait, idle]).T * USER_HZ * dt
+        self.step(jiffies, rng, columns=_CPUTIME_ORDER)

@@ -40,16 +40,8 @@ class GigEDevice(Device):
 
     def advance(self, activity: Activity, dt: float, rng: np.random.Generator) -> None:
         total_bps = activity.gige_bytes + self.BACKGROUND_BPS
-        nbytes = total_bps * dt / len(self._true)
+        nbytes = total_bps * dt / len(self.rows)
         pkts = nbytes / self.MTU
-        for name in self.instances:
-            self.bump(
-                name,
-                {
-                    "rx_bytes": nbytes / 2,
-                    "tx_bytes": nbytes / 2,
-                    "rx_packets": pkts / 2,
-                    "tx_packets": pkts / 2,
-                },
-                rng,
-            )
+        # rx_bytes, tx_bytes, rx_packets, tx_packets on every NIC
+        row = [nbytes / 2, nbytes / 2, pkts / 2, pkts / 2]
+        self.step([row] * len(self.rows), rng)

@@ -40,15 +40,8 @@ class InfinibandDevice(Device):
             return
         bytes_per_port = activity.ib_bytes * dt / self.ports
         pkts_per_port = activity.ib_packets * dt / self.ports
-        for name in self.instances:
-            # symmetric traffic: MPI exchanges send and receive alike
-            self.bump(
-                name,
-                {
-                    "rx_bytes": bytes_per_port / 2,
-                    "tx_bytes": bytes_per_port / 2,
-                    "rx_packets": pkts_per_port / 2,
-                    "tx_packets": pkts_per_port / 2,
-                },
-                rng,
-            )
+        # symmetric traffic: MPI exchanges send and receive alike;
+        # rx_bytes, tx_bytes, rx_packets, tx_packets on every port
+        row = [bytes_per_port / 2, bytes_per_port / 2,
+               pkts_per_port / 2, pkts_per_port / 2]
+        self.step([row] * self.ports, rng)

@@ -133,20 +133,16 @@ class OscDevice(Device):
             and activity.lustre_write_bytes <= 0
         ):
             return
-        # stripe traffic across the first filesystem's OSTs
-        targets = self.instances[: self.osts_per_fs]
-        n = len(targets)
-        for t in targets:
-            self.bump(
-                t,
-                {
-                    "reqs": activity.osc_reqs * dt / n,
-                    "wait_us": activity.osc_wait_us * dt / n,
-                    "read_bytes": activity.lustre_read_bytes * dt / n,
-                    "write_bytes": activity.lustre_write_bytes * dt / n,
-                },
-                rng,
-            )
+        # stripe traffic across the first filesystem's OSTs:
+        # reqs, wait_us, read_bytes, write_bytes on each
+        n = self.osts_per_fs
+        row = [
+            activity.osc_reqs * dt / n,
+            activity.osc_wait_us * dt / n,
+            activity.lustre_read_bytes * dt / n,
+            activity.lustre_write_bytes * dt / n,
+        ]
+        self.step([row] * n, rng, rows=slice(n))
 
 
 class LliteDevice(Device):

@@ -48,16 +48,8 @@ class MemDevice(Device):
     def advance(self, activity: Activity, dt: float, rng: np.random.Generator) -> None:
         per_socket_total = self.total_bytes // self.sockets
         app = activity.mem_used_bytes / self.sockets
-        for s in range(self.sockets):
-            used = min(per_socket_total, BASELINE_USED + app)
-            self.bump(
-                str(s),
-                {
-                    "MemTotal": per_socket_total,
-                    "MemUsed": used,
-                    "AnonPages": app,
-                    "FilePages": BASELINE_USED * 0.6,
-                    "Slab": BASELINE_USED * 0.1,
-                },
-                rng,
-            )
+        used = min(per_socket_total, BASELINE_USED + app)
+        # MemTotal, MemUsed, FilePages, Slab, AnonPages on every socket
+        row = [per_socket_total, used, BASELINE_USED * 0.6,
+               BASELINE_USED * 0.1, app]
+        self.step([row] * self.sockets, rng)

@@ -39,14 +39,10 @@ class MicDevice(Device):
     def advance(self, activity: Activity, dt: float, rng: np.random.Generator) -> None:
         busy = min(max(activity.mic_busy_frac, 0.0), 1.0)
         wall = MIC_JIFFY_HZ * dt
-        for i in range(self.cards):
-            self.bump(
-                f"mic{i}",
-                {
-                    "user_sum": busy * wall * self.cores * 0.95,
-                    "sys_sum": busy * wall * self.cores * 0.05,
-                    "idle_sum": (1.0 - busy) * wall * self.cores,
-                    "jiffy_counter": wall,
-                },
-                rng,
-            )
+        row = [
+            busy * wall * self.cores * 0.95,  # user_sum
+            busy * wall * self.cores * 0.05,  # sys_sum
+            (1.0 - busy) * wall * self.cores,  # idle_sum
+            wall,  # jiffy_counter
+        ]
+        self.step([row] * self.cards, rng)

@@ -69,18 +69,11 @@ class BlockDevice(Device):
         wr = activity.local_write_bytes * dt
         if rd <= 0 and wr <= 0:
             return
-        n = len(self._true)
-        for name in self.instances:
-            self.bump(
-                name,
-                {
-                    "rd_ios": rd / self.IO_BYTES / n,
-                    "rd_sectors": rd / SECTOR / n,
-                    "wr_ios": wr / self.IO_BYTES / n,
-                    "wr_sectors": wr / SECTOR / n,
-                },
-                rng,
-            )
+        n = len(self.rows)
+        # rd_ios, rd_sectors, wr_ios, wr_sectors on every disk
+        row = [rd / self.IO_BYTES / n, rd / SECTOR / n,
+               wr / self.IO_BYTES / n, wr / SECTOR / n]
+        self.step([row] * n, rng)
 
 
 class VmDevice(Device):
@@ -142,13 +135,7 @@ class NumaDevice(Device):
         if lines <= 0:
             return
         per = lines / self.sockets
-        for s in range(self.sockets):
-            self.bump(
-                str(s),
-                {
-                    "numa_hit": per * (1.0 - self.REMOTE_FRACTION),
-                    "numa_miss": per * self.REMOTE_FRACTION,
-                    "numa_foreign": per * self.REMOTE_FRACTION,
-                },
-                rng,
-            )
+        # numa_hit, numa_miss, numa_foreign on every node
+        row = [per * (1.0 - self.REMOTE_FRACTION),
+               per * self.REMOTE_FRACTION, per * self.REMOTE_FRACTION]
+        self.step([row] * self.sockets, rng)

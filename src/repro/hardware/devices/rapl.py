@@ -57,30 +57,23 @@ class RaplDevice(Device):
         )
 
     def advance(self, activity: Activity, dt: float, rng: np.random.Generator) -> None:
-        act = activity.with_cpus(self.topology.cpus)
-        busy = np.asarray(act.cpu_user_frac) + np.asarray(act.cpu_system_frac)
-        bw_per_socket = activity.mem_bw_bytes / self.topology.sockets
-        for s in range(self.topology.sockets):
-            cpus = self.topology.cpus_of_socket(s)
-            # a physical core is as busy as its busiest hardware thread
-            core_busy = 0.0
-            lo = s * self.topology.cores_per_socket
-            for core in range(lo, lo + self.topology.cores_per_socket):
-                sib = self.topology.cpus_of_core(core)
-                core_busy += float(max(busy[c] for c in sib))
-            any_busy = 1.0 if core_busy > 0 else 0.0
-            core_w = self.CORE_DYNAMIC_W * core_busy
-            pkg_w = self.PKG_IDLE_W + core_w + self.LLC_W * any_busy
-            dram_w = (
-                self.DRAM_IDLE_W
-                + self.DRAM_J_PER_GB * bw_per_socket / 1e9
-            )
-            self.bump(
-                str(s),
-                {
-                    "pkg_energy": pkg_w * dt * 1e6,
-                    "core_energy": (self.PKG_IDLE_W * 0.5 + core_w) * dt * 1e6,
-                    "dram_energy": dram_w * dt * 1e6,
-                },
-                rng,
-            )
+        topo = self.topology
+        busy = activity.cpu_user_frac + activity.cpu_system_frac
+        # a physical core is as busy as its busiest hardware thread
+        # (logical CPU c + t * cores is thread t of core c); a socket's
+        # cores are summed in core order
+        per_core = np.maximum.reduce(
+            busy.reshape(topo.threads_per_core, topo.cores), axis=0
+        )
+        core_busy = np.add.accumulate(
+            per_core.reshape(topo.sockets, topo.cores_per_socket), axis=1
+        )[:, -1]
+        core_w = self.CORE_DYNAMIC_W * core_busy
+        bw_per_socket = activity.mem_bw_bytes / topo.sockets
+        watts = np.empty((topo.sockets, 3))  # pkg, core, dram
+        watts[:, 0] = self.PKG_IDLE_W + core_w + self.LLC_W * (core_busy > 0)
+        watts[:, 1] = self.PKG_IDLE_W * 0.5 + core_w
+        watts[:, 2] = self.DRAM_IDLE_W + self.DRAM_J_PER_GB * bw_per_socket / 1e9
+        watts *= dt
+        watts *= 1e6  # µJ
+        self.step(watts, rng)

@@ -58,18 +58,10 @@ class ImcDevice(Device):
         per_socket = total_lines / self.sockets
         reads = per_socket * self.READ_FRACTION
         writes = per_socket * (1.0 - self.READ_FRACTION)
-        for s in range(self.sockets):
-            self.bump(
-                str(s),
-                {
-                    "cas_reads": reads,
-                    "cas_writes": writes,
-                    # row activates/precharges track CAS volume loosely
-                    "act_count": per_socket * 0.25,
-                    "pre_count": per_socket * 0.25,
-                },
-                rng,
-            )
+        # cas_reads, cas_writes, act_count, pre_count on every socket;
+        # row activates/precharges track CAS volume loosely
+        row = [reads, writes, per_socket * 0.25, per_socket * 0.25]
+        self.step([row] * self.sockets, rng)
 
 
 class QpiDevice(Device):
@@ -92,9 +84,5 @@ class QpiDevice(Device):
         if remote_bytes <= 0:
             return
         flits = remote_bytes / self.FLIT_BYTES / self.sockets
-        for s in range(self.sockets):
-            self.bump(
-                str(s),
-                {"g1_data_flits": flits, "g2_ncb_flits": flits * 0.1},
-                rng,
-            )
+        # g1_data_flits, g2_ncb_flits on every socket
+        self.step([[flits, flits * 0.1]] * self.sockets, rng)

@@ -56,7 +56,11 @@ class DeviceTree:
     def advance(
         self, activity: Activity, dt: float, rng: np.random.Generator
     ) -> None:
-        """Advance every device by ``dt`` seconds of ``activity``."""
+        """Advance every device by ``dt`` seconds of ``activity``.
+
+        The activity is fitted to the node's CPUs and validated here,
+        once per tick; the devices take it as it is.
+        """
         act = activity.with_cpus(self.topology.cpus).validated()
         for dev in self.devices.values():
             dev.advance(act, dt, rng)
