@@ -90,9 +90,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     db = _open_db(args.db)
     from repro.pipeline import ingest_jobs
 
-    result = ingest_jobs(
-        sess.store, sess.cluster.jobs, db, batch_size=args.batch_size,
-    )
+    result = ingest_jobs(sess.store, sess.cluster.jobs, db)
     db.commit()
     print(f"simulated {args.hours}h on {args.nodes} nodes "
           f"(preset={args.preset}); ingested {result.ingested} jobs "
@@ -588,8 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=42)
     sim.add_argument("--runtime", type=float, default=4000.0)
     sim.add_argument("--preset", choices=sorted(PRESETS), default="standard")
-    sim.add_argument("--batch-size", type=int, default=200,
-                     help="jobs per committed+checkpointed batch")
     sim.set_defaults(fn=cmd_simulate)
 
     ing = sub.add_parser(

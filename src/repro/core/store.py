@@ -19,6 +19,16 @@ from repro import obs
 from repro.core.rawfile import ParseError, ParsedSample, RawFileParser
 
 
+def raw_path(root: Path, host: str) -> Path:
+    """Where ``host``'s raw stats file lives under a store root."""
+    return root / f"{host}.raw"
+
+
+def raw_hosts(root: Path) -> List[str]:
+    """The hosts with a raw stats file under a store root, sorted."""
+    return sorted(p.stem for p in root.glob("*.raw"))
+
+
 def _read_ledger(path: Path) -> List[ParseError]:
     """A ``.bad`` file's entries: a ``line N: reason`` line, then the line."""
     with open(path, newline="") as fh:  # a bad line may hold a CR
@@ -58,7 +68,7 @@ class CentralStore:
             self._file(bad.stem, _read_ledger(bad))
 
     def path_for(self, host: str) -> Path:
-        return self.root / f"{host}.raw"
+        return raw_path(self.root, host)
 
     def append(
         self,
@@ -89,7 +99,7 @@ class CentralStore:
 
     def hosts(self) -> List[str]:
         self.flush()
-        return sorted(p.stem for p in self.root.glob("*.raw"))
+        return raw_hosts(self.root)
 
     def samples(self, host: str, strict: bool = False) -> Iterator[ParsedSample]:
         """Stream parsed samples for one host.

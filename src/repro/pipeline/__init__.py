@@ -68,7 +68,6 @@ from repro.pipeline.parallel import (
     ingest_jobs,
     parse_blocks,
 )
-from repro.pipeline.pickles import JobPickleStore
 
 __all__ = [
     "JobAccum",
@@ -78,7 +77,6 @@ __all__ = [
     "ingest_jobs",
     "IngestResult",
     "IngestCheckpoint",
-    "JobPickleStore",
     "parse_blocks",
     "assemble_jobs",
 ]

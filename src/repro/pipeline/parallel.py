@@ -46,7 +46,6 @@ from repro.metrics.flags import Thresholds, evaluate_flags
 from repro.metrics.table1 import compute_metrics_batch
 from repro.pipeline.accum import JobAccum, accumulate_blocks
 from repro.pipeline.ingest import IngestResult, record_from
-from repro.pipeline.pickles import JobPickleStore
 from repro.pipeline.records import JobRecord
 
 __all__ = [
@@ -182,7 +181,6 @@ def ingest_jobs(
     db: Optional[Database] = None,
     thresholds: Optional[Thresholds] = None,
     create_table: bool = True,
-    pickle_store: Optional[JobPickleStore] = None,
     checkpoint=None,
     skip_existing: bool = True,
     batch_size: int = 200,
@@ -190,9 +188,7 @@ def ingest_jobs(
     """Full ETL pass: store → blocks → jobs → metrics → database rows.
 
     Only jobs that have *finished* are ingested (running jobs lack an
-    epilog sample and would bias the averages).  When ``pickle_store``
-    is given, each job's accumulation is also materialised as a job
-    pickle so detail views and re-analyses skip the raw parse.
+    epilog sample and would bias the averages).
 
     Recovery semantics: with ``skip_existing`` (default) a job whose
     row is already in the database is not re-inserted, so replaying the
@@ -283,8 +279,6 @@ def ingest_jobs(
 
     with obs.span("ingest.run") as run_span:
         for (jid, job, accum), metrics in zip(pending, metric_rows):
-            if pickle_store is not None:
-                pickle_store.save(accum)
             meta = {
                 "queue": job.queue if job else "normal",
                 "nodes": job.nodes if job else accum.n_hosts,

@@ -67,23 +67,21 @@ class LoadReport:
     client_errors: int = 0     # other 4xx
     server_errors: int = 0     # 5xx except 503
     exceptions: int = 0        # transport-level failures
-    latencies_ms: List[float] = field(default_factory=list)
-    #: streaming quantile sketch over the same latencies — answers
-    #: percentile() in O(bins) without re-sorting the sample, and
-    #: merges exactly if reports are ever combined across generators
+    #: streaming quantile sketch over the successful requests'
+    #: latencies — answers percentile() in O(bins) without keeping the
+    #: sample, and merges exactly if reports are ever combined across
+    #: generators
     sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
     def record(self, latency_ms: float) -> None:
         """Record one successful request's latency."""
-        self.latencies_ms.append(latency_ms)
         self.sketch.observe(latency_ms)
 
     def percentile(self, q: float) -> float:
         """Latency percentile in ms over successful (2xx) requests.
 
         Served from the mergeable :class:`QuantileSketch` (relative
-        value error ≤ its ``alpha``, 0.5 % by default); the raw
-        ``latencies_ms`` list is retained for exact offline analysis.
+        value error ≤ its ``alpha``, 0.5 % by default).
         """
         if not self.sketch.count:
             return 0.0

@@ -33,8 +33,12 @@ the whole trick behind the bit-exactness guarantee:
   reduces centrally over full columns rather than merging per-shard
   sums.)
 
-Every write bumps the epoch, so the result cache invalidates exactly
-like the single store's (per-shard epochs never cross the pipe).
+Every write moves the epoch, so the result cache invalidates exactly
+like the single store's.  The epoch is derived, never set: the
+coordinator's own write count plus the epochs of its in-process shard
+stores, so rows written into a shard store directly (a sharded live
+feed) move it too.  Worker-process epochs never cross the pipe; there
+every write goes through the coordinator.
 """
 
 from __future__ import annotations
@@ -117,9 +121,8 @@ class ShardedTSDB:
         else:
             self.backend = LocalShards(range(self.n_shards), chunk_size)
         self.cache = QueryCache()
-        #: write epoch — bumped on every mutation, which makes the
-        #: QueryCache invalidate exactly like a single store's
-        self.epoch = 0
+        #: writes made through this coordinator (see :attr:`epoch`)
+        self._writes = 0
         #: merge state for obs harvest (pool backend only)
         self._harvest_merger = HarvestMerger() if self.workers else None
 
@@ -127,9 +130,16 @@ class ShardedTSDB:
         """The same arguments for every shard."""
         return dict.fromkeys(range(self.n_shards), args)
 
+    @property
+    def epoch(self) -> int:
+        """Write epoch the QueryCache keys on (module docstring)."""
+        stores = getattr(self.backend, "stores", {})
+        return self._writes + sum(s.epoch for s in stores.values())
+
     def read_locked(self):
-        """Nothing to hold: the shard stores lock themselves, and the
-        epoch only moves on the thread that writes through here."""
+        """Nothing to hold: the shard stores lock themselves, and every
+        epoch term only grows, so a result is never filed under an
+        epoch newer than the data it scanned."""
         return nullcontext()
 
     # -- write path (routed by the ring) -------------------------------------
@@ -138,7 +148,7 @@ class ShardedTSDB:
     ) -> None:
         shard = self.map.place_tags(metric, tags)
         self.backend.post("put", shard, (metric, dict(tags), ts, value))
-        self.epoch += 1
+        self._writes += 1
 
     def put_many(
         self,
@@ -154,7 +164,7 @@ class ShardedTSDB:
         v = np.ascontiguousarray(values, dtype=np.float64)
         shard = self.map.place_tags(metric, tags)
         self.backend.post("put_many", shard, (metric, dict(tags), t, v))
-        self.epoch += 1
+        self._writes += 1
         return len(t)
 
     def ingest(
@@ -175,7 +185,7 @@ class ShardedTSDB:
             s: (source, part, types, metric) for s, part in by_shard.items()
         })
         seconds = time.perf_counter() - t0
-        self.epoch += 1
+        self._writes += 1
         if self.workers:
             for sid, r in per_shard.items():
                 if not (r["points"] or r["samples"]):
@@ -209,7 +219,7 @@ class ShardedTSDB:
     def prune(self, before: int, metric: Optional[str] = None) -> int:
         n = sum(self.backend.call("prune", self._all(before, metric)).values())
         if n:
-            self.epoch += 1
+            self._writes += 1
         return n
 
     # -- read path (scatter-gather) ------------------------------------------
@@ -313,7 +323,7 @@ class ShardedTSDB:
         must not be served for data that is no longer there.
         """
         lost = self.backend.respawn(worker)
-        self.epoch += 1
+        self._writes += 1
         return lost
 
     # -- bookkeeping ----------------------------------------------------------

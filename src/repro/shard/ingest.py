@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.core.store import raw_hosts, raw_path
+
 __all__ = ["StoreSource", "TemplateSource"]
 
 
@@ -30,11 +32,11 @@ class StoreSource:
     root: str
 
     def hosts(self) -> List[str]:
-        return sorted(p.stem for p in Path(self.root).glob("*.raw"))
+        return raw_hosts(Path(self.root))
 
     def open(self, host: str):
         """A text stream of ``host``'s raw stats file."""
-        return open(Path(self.root) / f"{host}.raw")
+        return open(raw_path(Path(self.root), host))
 
 
 @dataclass

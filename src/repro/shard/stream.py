@@ -32,9 +32,9 @@ class ShardedStreamPipeline(StreamPipeline):
     """A :class:`StreamPipeline` that owns a :class:`ShardedTSDB`.
 
     ``pipeline_args`` are the plain pipeline's, ``tsdb`` excepted.
-    Rows go into the shard stores directly, so read through
-    :meth:`query` / :meth:`window_stats` here, which sync the sharded
-    store's epoch first.
+    Rows go into the shard stores directly; the sharded store's
+    ``epoch`` counts those writes, so ``query(pipe.tsdb, ...)`` and a
+    portal over ``pipe.tsdb`` never serve a result cached before them.
     """
 
     def __init__(
@@ -51,20 +51,7 @@ class ShardedStreamPipeline(StreamPipeline):
         return self.writers[self.map.place(host, self.metric)]
 
     # -- reads (scatter-gather, same store as batch shards) ------------------
-    def _sync_epoch(self) -> None:
-        # rows are written concurrently with queries; fold the per-store
-        # write epochs into the sharded store's so its QueryCache
-        # invalidates exactly like a single live store's would
-        self.tsdb.epoch = sum(
-            s.epoch for s in self.tsdb.backend.stores.values()
-        )
-
-    def query(self, metric: str, **kw):
-        self._sync_epoch()
-        return self.tsdb.query(metric, **kw)
-
     def window_stats(self, metric: str, **kw):
-        self._sync_epoch()
         return self.tsdb.window_stats(metric, **kw)
 
     def shard_points(self) -> Dict[int, int]:

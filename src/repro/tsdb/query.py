@@ -87,7 +87,7 @@ _AGGS = {
 #: on such input ``np.nansum`` / ``np.nanmean`` run ``np.add.reduce``
 #: over a copy of the same layout and divide by the same count, so the
 #: bits are the same without the mask and the copy.  ``max`` and
-#: ``min`` keep the NaN-skipping forms (see :func:`_downsample_matrix`)
+#: ``min`` keep the NaN-skipping forms (see :func:`_downsample`)
 _DENSE = {"sum": np.sum, "avg": np.mean}
 
 
@@ -165,30 +165,18 @@ class QueryResult:
 
 
 def _to_rate(
-    t: np.ndarray, v: np.ndarray, width: float = 2.0**64
+    t: np.ndarray, mat: np.ndarray, width: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Counter series → per-interval rates.
+    """Counter series → per-interval rates, over a (series × samples)
+    matrix in one pass.
 
     Negative deltas are not dropped: they are routed through the one
     shared rollover/reset policy
     (:func:`repro.hardware.counters.correct_rollover`, ``width`` being
     the register modulus), exactly like the streaming and batch ingest
-    paths, so rates around a mid-series wrap agree with Table I.
-    """
-    if len(t) < 2:
-        return t[:0], v[:0]
-    dt = np.diff(t).astype(np.float64)
-    dv = correct_rollover(np.diff(v), v[1:], width)
-    return t[1:], dv / np.maximum(dt, 1e-300)
-
-
-def _to_rate_stacked(
-    t: np.ndarray, mat: np.ndarray, width: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_to_rate` over a (series × samples) matrix, one pass.
-
-    Every operation is elementwise or along the sample axis, so each
-    row equals the per-series conversion bit-for-bit.
+    paths, so rates around a mid-series wrap agree with Table I.  Every
+    operation is elementwise or along the sample axis, so each row
+    equals the conversion of that series alone bit-for-bit.
     """
     if len(t) < 2:
         return t[:0], mat[:, :0]
@@ -271,7 +259,7 @@ def _query_locked(
             [cols[i][1] for i in nonempty]
         ).reshape(len(nonempty), n0)
         if rate:
-            grid, mat = _to_rate_stacked(grid, mat, counter_width)
+            grid, mat = _to_rate(grid, mat, counter_width)
         if len(grid):
             row_of = {i: r for r, i in enumerate(nonempty)}
             keys_out: List[Tuple[str, ...]] = []
@@ -284,7 +272,7 @@ def _query_locked(
             vmat = _aggregate_groups(mat, group_rows, aggregate)
             times = grid
             if downsample is not None:
-                times, vmat = _downsample_matrix(grid, vmat, *downsample)
+                times, vmat = _downsample(grid, vmat, *downsample)
             for key, values in zip(keys_out, vmat):
                 out.append(ResultSeries(
                     tags=dict(zip(group_by, key)), times=times,
@@ -296,7 +284,8 @@ def _query_locked(
             for i in groups[key]:
                 t, v = cols[i]
                 if rate:
-                    t, v = _to_rate(t, v, counter_width)
+                    t, m = _to_rate(t, v[None], counter_width)
+                    v = m[0]
                 if len(t):
                     prepared.append((t, v))
             if not prepared:
@@ -310,7 +299,8 @@ def _query_locked(
                 agg = _AGGS[aggregate](mat, axis=0)
             times, values = union, agg
             if downsample is not None:
-                times, values = _downsample(times, values, *downsample)
+                times, vmat = _downsample(times, agg[None], *downsample)
+                values = vmat[0]
             out.append(
                 ResultSeries(
                     tags=dict(zip(group_by, key)), times=times,
@@ -380,70 +370,36 @@ def _aggregate_groups(
     return out
 
 
-def _bucket_segments(
-    t: np.ndarray, interval: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Downsample bucket labels, segment starts and sizes of sorted t."""
-    buckets = (t // interval) * interval
-    flag = np.empty(len(t), dtype=bool)
-    flag[0] = True
-    np.not_equal(buckets[1:], buckets[:-1], out=flag[1:])
-    starts = np.flatnonzero(flag)
-    counts = np.append(starts[1:], len(t)) - starts
-    return buckets[starts], starts, counts
-
-
 def _downsample(
-    t: np.ndarray, v: np.ndarray, interval: int, agg: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-interval buckets, vectorised over equal-sized buckets.
-
-    ``t`` is sorted (it is a union grid), so each bucket is one
-    contiguous segment — found with one pairwise comparison, no sort.
-    Buckets sharing a size gather into a ``(buckets, size)`` matrix
-    and reduce along the rows — NumPy evaluates that exactly like the
-    same NaN-aware reduction applied to each bucket alone, so the
-    output is bit-identical to the baseline's per-bucket loop.  The
-    remaining Python loop is over distinct bucket *sizes*: one for
-    pure cadenced data, two when a window clips the edge buckets.
-    """
-    if agg not in _AGGS:
-        raise ValueError(f"unknown downsample aggregator {agg!r}")
-    if len(t) == 0:
-        return t, v
-    uniq, starts, counts = _bucket_segments(t, interval)
-    out = np.empty(len(uniq))
-    fn = _AGGS[agg]
-    with np.errstate(all="ignore"):
-        for size in set(counts.tolist()):
-            sel = np.flatnonzero(counts == size)
-            gathered = v[starts[sel][:, None] + np.arange(size)]
-            out[sel] = fn(gathered, axis=1)
-    return uniq, out
-
-
-def _downsample_matrix(
     t: np.ndarray, vmat: np.ndarray, interval: int, agg: str
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_downsample` applied to every row of ``vmat`` at once.
+    """Fixed-interval buckets over every row of ``vmat`` at once.
 
-    The shared-grid path hands every group the same ``t``, so the
-    bucket structure is computed once and each (group, bucket) cell
-    gathers from the flattened matrix into one ``(groups × buckets,
-    size)`` stack per distinct bucket size.  Row-axis reductions are
-    independent per row, so each output row is bit-identical to
-    :func:`_downsample` on that row alone.  (A last-axis 3-D reduce
-    would *not* be safe here — NumPy's SIMD min/max path can pick the
-    other signed zero — so the gather stays two-dimensional.)  A
-    NaN-free ``sum`` or ``avg`` reduces without the NaN mask
-    (:func:`_reducer`).
+    ``t`` is sorted (a scan grid or a union grid), so each bucket is
+    one contiguous segment — found with one pairwise comparison, no
+    sort — and the bucket structure is computed once for all rows.
+    Each (row, bucket) cell gathers from the flattened matrix into one
+    ``(rows × buckets, size)`` stack per distinct bucket size: one for
+    pure cadenced data, two when a window clips the edge buckets.
+    Row-axis reductions are independent per row, so each output row is
+    bit-identical to the per-bucket reduction of that row alone.  (A
+    last-axis 3-D reduce would *not* be safe here — NumPy's SIMD
+    min/max path can pick the other signed zero — so the gather stays
+    two-dimensional.)  A NaN-free ``sum`` or ``avg`` reduces without
+    the NaN mask (:func:`_reducer`).
     """
     if agg not in _AGGS:
         raise ValueError(f"unknown downsample aggregator {agg!r}")
     n_groups, n = vmat.shape
     if n == 0:
         return t, vmat
-    uniq, starts, counts = _bucket_segments(t, interval)
+    buckets = (t // interval) * interval
+    flag = np.empty(n, dtype=bool)
+    flag[0] = True
+    np.not_equal(buckets[1:], buckets[:-1], out=flag[1:])
+    starts = np.flatnonzero(flag)
+    counts = np.append(starts[1:], n) - starts
+    uniq = buckets[starts]
     flat = np.ascontiguousarray(vmat).reshape(-1)
     out = np.empty((n_groups, len(uniq)))
     fn = _reducer(agg, flat)

@@ -8,11 +8,16 @@ every TSDB read must agree — the TSDB reads bit-for-bit — and every
 delivery crosses the broker once.
 """
 
+import http.client
+
 import numpy as np
 import pytest
 
 from repro import monitoring_session, obs
 from repro.cluster import JobSpec, make_app
+from repro.db import Database
+from repro.portal.app import PortalApp
+from repro.portal.server import PortalServer
 from repro.shard.stream import ShardedStreamPipeline
 from repro.stream import LiveStatus, StreamPipeline
 from repro.tsdb.query import query, window_stats
@@ -166,3 +171,67 @@ def test_live_cache_invalidation_tracks_feed_writes(runs):
     r2 = three.query("stats", group_by=("host",))
     assert three.tsdb.cache.hits == hits_before + 1
     assert len(r1.series) == len(r2.series)
+
+
+# -- reads that bypass the pipeline's own methods ------------------------------
+
+def _feed(shards):
+    """A small live fleet; ``shards=None`` is the plain pipeline."""
+    sess = monitoring_session(nodes=4, seed=29, interval=600)
+    kw = dict(jobs=sess.cluster.jobs, types=["mdc"])
+    if shards is None:
+        pipe = StreamPipeline(sess.broker, **kw)
+    else:
+        pipe = ShardedStreamPipeline(sess.broker, shards=shards, **kw)
+    pipe.start()
+    sess.cluster.submit(JobSpec(
+        user="alice", app=make_app("wrf", runtime_mean=6000.0), nodes=2
+    ))
+    return sess, pipe
+
+
+def _bits(result):
+    return [
+        (s.tags, s.times.tolist(),
+         np.asarray(s.values).view(np.uint64).tolist())
+        for s in result.series
+    ]
+
+
+def test_query_over_the_sharded_store_sees_the_newest_rows():
+    """``query(pipe.tsdb, ...)`` is how the portal reads a live feed: a
+    result cached before a delivery must not answer after it."""
+    (plain_sess, plain), (sess, sharded) = _feed(None), _feed(3)
+    kw = {"group_by": ("host",), "rate": True}
+    for _ in range(2):
+        plain_sess.cluster.run_for(3600)
+        sess.cluster.run_for(3600)
+        want = query(plain.tsdb, "stats", **kw)
+        assert want.series
+        assert _bits(query(sharded.tsdb, "stats", **kw)) == _bits(want)
+
+
+def test_portal_over_a_sharded_feed_shows_the_new_epoch():
+    sess, pipe = _feed(3)
+    sess.cluster.run_for(3600)
+    server = PortalServer(PortalApp(Database(), stream=pipe), workers=2)
+    host, port = server.start_background()
+
+    def page():
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/tsdb?group_by=host")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            return resp.read()
+        finally:
+            conn.close()
+
+    try:
+        epoch = pipe.tsdb.epoch
+        assert f"store epoch {epoch} ".encode() in page()
+        sess.cluster.run_for(600)
+        assert pipe.tsdb.epoch > epoch
+        assert f"store epoch {pipe.tsdb.epoch} ".encode() in page()
+    finally:
+        server.close()

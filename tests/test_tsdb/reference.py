@@ -15,6 +15,10 @@ their replacements in ``src/`` have an oracle:
   downsample bucket.  It takes no shortcuts, consults no caches and
   touches no pre-aggregates, which is what makes it a trustworthy
   oracle;
+* :func:`_to_rate_ref` and :func:`downsample_1d` — the one-row
+  rate and downsample kernels ``repro.tsdb.query`` kept beside their
+  matrix forms for the union-grid path, which now calls the matrix
+  kernels on one row;
 * :func:`seal_1d` — the one-column chunk encoder ``Chunk.seal`` used to
   be (one Python round-trip per series), returning the chunk's slots as
   a dict;
@@ -385,6 +389,33 @@ def _to_rate_ref(
     dt = np.diff(t).astype(np.float64)
     dv = correct_rollover(np.diff(v), v[1:], width)
     return t[1:], dv / np.maximum(dt, 1e-300)
+
+
+def downsample_1d(
+    t: np.ndarray, v: np.ndarray, interval: int, agg: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The vectorised one-row downsample: each bucket is a contiguous
+    segment of the sorted ``t``, and buckets sharing a size reduce as
+    one ``(buckets, size)`` gather (reference copy)."""
+    if agg not in _AGGS_REF:
+        raise ValueError(f"unknown downsample aggregator {agg!r}")
+    if len(t) == 0:
+        return t, v
+    buckets = (t // interval) * interval
+    flag = np.empty(len(t), dtype=bool)
+    flag[0] = True
+    np.not_equal(buckets[1:], buckets[:-1], out=flag[1:])
+    starts = np.flatnonzero(flag)
+    counts = np.append(starts[1:], len(t)) - starts
+    uniq = buckets[starts]
+    out = np.empty(len(uniq))
+    fn = _AGGS_REF[agg]
+    with np.errstate(all="ignore"):
+        for size in set(counts.tolist()):
+            sel = np.flatnonzero(counts == size)
+            gathered = v[starts[sel][:, None] + np.arange(size)]
+            out[sel] = fn(gathered, axis=1)
+    return uniq, out
 
 
 def _downsample_ref(

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import TimeSeriesDB, correlate
-from repro.tsdb.query import ResultSeries, query
+from repro.tsdb.query import ResultSeries, _downsample, _to_rate, query
+
+from tests.test_tsdb.reference import _to_rate_ref, downsample_1d
 
 
 def fill(db, host, values, metric="m", t0=0, step=600, **tags):
@@ -170,6 +172,58 @@ def test_sum_of_singleton_group_is_identity(values):
     fill(db, "n1", values)
     res = query(db, "m", aggregate="sum")
     assert np.allclose(res.series[0].values, values)
+
+
+_EDGE_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+    st.floats(0.0, 2.0**64),
+)
+
+
+@st.composite
+def _one_row(draw):
+    """A sorted, unique time column (a union grid) and its values:
+    empty and one-point series included."""
+    n = draw(st.integers(0, 24))
+    times = draw(st.lists(
+        st.integers(0, 100_000), min_size=n, max_size=n, unique=True
+    ))
+    values = draw(st.lists(_EDGE_VALUES, min_size=n, max_size=n))
+    return (np.asarray(sorted(times), dtype=np.int64),
+            np.asarray(values, dtype=np.float64))
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
+
+
+@given(
+    row=_one_row(),
+    width=st.sampled_from([2.0**32, 2.0**48, 2.0**64]),
+    interval=st.sampled_from([1, 7, 600, 3600]),
+    agg=st.sampled_from(["sum", "avg", "max", "min"]),
+)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+def test_matrix_kernels_on_one_row_equal_the_one_row_kernels(
+    row, width, interval, agg
+):
+    """The union-grid path runs the matrix kernels on ``v[None]``; on
+    one row they must equal the one-row kernels they replaced, byte
+    for byte."""
+    t, v = row
+    with np.errstate(all="ignore"):
+        want_t, want_v = _to_rate_ref(t, v, width)
+        got_t, got_m = _to_rate(t, v[None], width)
+    assert _same_bytes(got_t, want_t) and _same_bytes(got_m[0], want_v)
+    for tt, vv in ((t, v), (want_t, want_v)):
+        want_t2, want_v2 = downsample_1d(tt, vv, interval, agg)
+        got_t2, got_m2 = _downsample(tt, vv[None], interval, agg)
+        assert _same_bytes(got_t2, want_t2)
+        assert _same_bytes(got_m2[0], want_v2)
 
 
 def test_method_attached_to_class():
