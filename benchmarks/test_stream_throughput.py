@@ -29,8 +29,8 @@ machine-independent:
 * **Python calls per delivery** inside ``RawFileParser.parse`` (the
   time its generator spends in ``next()``) plus ``StreamPipeline._row``
   — turning one message into one float64 row — counted the same way,
-  at or below 0.4x of the line-at-a-time parser and the per-device
-  gather it replaced;
+  at or below 0.24x of the line-at-a-time parser and the per-device
+  gather it replaced (0.200x recorded, plus 15 %);
 * **calls into ``repro/obs`` per delivery** — the metric and span
   bookkeeping of one delivery — at or below half of what per-call
   lookups by name cost (pre-bound handles and class-based spans);
@@ -47,6 +47,7 @@ import cProfile
 import functools
 import os
 import pstats
+import re
 import time
 from pathlib import Path
 
@@ -56,7 +57,7 @@ from benchmarks._support import record_bench, report
 from repro import monitoring_session, obs
 from repro.broker import Broker
 from repro.cluster import JobSpec, make_app
-from repro.core.rawfile import RawFileParser
+from repro.core.rawfile import RawFileParser, _record_pattern
 from repro.stream import RetainingWriter, StreamPipeline
 from repro.stream.pipeline import STREAM_QUEUE
 from repro.tsdb import TimeSeriesDB
@@ -82,7 +83,7 @@ MAX_CALLS_RATIO = 0.25
 #: small array per data line, then a dict walk and a concatenate),
 #: counted the way the gate below counts
 DECODE_CALLS_PER_DELIVERY_AT_85305F7 = 489_078 / 584  # 837.5
-MAX_DECODE_CALLS_RATIO = 0.4
+MAX_DECODE_CALLS_RATIO = 0.24
 
 #: calls into functions under ``repro/obs`` per delivery inside
 #: ``Broker.publish`` + the stream queue's drain on this fixture at
@@ -284,6 +285,11 @@ def test_decode_calls_per_delivery_gate(monkeypatch):
     monkeypatch.setattr(RawFileParser, "parse", profiled_parse)
     monkeypatch.setattr(
         StreamPipeline, "_row", profiled(profile, StreamPipeline._row))
+    # the record patterns are shared by every parser, and ``re`` keeps
+    # its own cache: one an earlier test compiled would take its
+    # compile out of the count
+    _record_pattern.cache_clear()
+    re.purge()
     stream, deliveries, _ = run_fixture(TimeSeriesDB())
     parsers = stream._parsers.values()
     by_template = sum(p.template_records for p in parsers)

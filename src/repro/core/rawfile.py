@@ -28,9 +28,10 @@ real.
 
 from __future__ import annotations
 
+import functools
+import re
+import sys
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import getitem
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -207,50 +208,44 @@ class ParseError:
     reason: str
 
 
-class _Template:
-    """The line structure of one record, to decode the next by.
+#: a possessive repeat (Python 3.11+): the same matches as a greedy
+#: one, at half the cost — nothing after a run could take part of it
+_ONCE = "+" if sys.version_info >= (3, 11) else ""
+#: a value or timestamp the template's pattern takes: 1–18 ASCII digits
+#: (``\d`` would take ``"٣"``, which ``float`` reads as 3.0)
+_TOKEN = "[0-9]{1,18}" + _ONCE
 
-    Derived from a sample's ``columns``: device line ``i`` opens with
-    ``prefixes[i]`` (``"<type> <instance> "``), holds ``counts[i]``
-    spaces and carries its values in ``cuts[i]``.  A record whose lines
-    pass all three, line for line, with nothing but ``ps`` lines after
-    them, has ``columns`` and ``width`` value tokens — whatever schema
-    widths the lines were checked against when ``columns`` was
-    decoded, the same check has now been made of these.
+#: record patterns :func:`_record_pattern` keeps (the least recently
+#: used goes first), layouts :class:`BlockParser` keeps and derivations a
+#: layout keeps (past either bound the memo starts over)
+_LAYOUTS = 64
+_DERIVED = 16
+_MISS = object()
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _record_pattern(columns: Tuple[Column, ...]) -> Optional[re.Pattern]:
+    """The record ``columns`` spell, as one pattern: the record-open
+    line (timestamp, job ids), each device line's ``"<type> <instance> "``
+    and exactly its width of single-spaced tokens (a group each), then
+    any ``ps`` lines (one group).  ``None`` when a device has no values
+    or there is no device: such a record is always decoded line by line.
     """
+    if not columns or not all(width for _, _, width in columns):
+        return None
+    devices = "".join(
+        f"{re.escape(f'{t} {inst} ')}"
+        f"({_TOKEN}(?: {_TOKEN}){{{width - 1}}}{_ONCE})\n"
+        for t, inst, width in columns
+    )
+    rest = f"[^\n]*{_ONCE}"  # the rest of a line
+    return re.compile(
+        f"({_TOKEN}) ({rest})\n{devices}((?:ps {rest}\n)*{_ONCE})")
 
-    __slots__ = ("columns", "prefixes", "spaces", "counts", "cuts", "width")
 
-    def __init__(self, columns: Tuple[Column, ...]) -> None:
-        self.columns = columns
-        self.prefixes = [f"{t} {inst} " for t, inst, _ in columns]
-        self.spaces = [" "] * len(columns)
-        self.counts = [width + 1 for _, _, width in columns]
-        self.cuts = [slice(len(prefix), None) for prefix in self.prefixes]
-        self.width = sum(width for _, _, width in columns)
-
-    def decode(self, lines: List[str]) -> Optional[np.ndarray]:
-        """The row of the record ``lines`` make, when they have the
-        structure and every value converts; its ``ps`` lines are
-        ``lines[len(columns):]``."""
-        # each ``map`` stops with the shorter list: at the template's
-        # last line, or short of ``counts`` when lines are missing
-        if not (
-            all(map(str.startswith, lines, self.prefixes))
-            and list(map(str.count, lines, self.spaces)) == self.counts
-            and all(map(
-                str.startswith, lines[len(self.columns):], repeat("ps ")))
-        ):
-            return None
-        try:
-            row = np.fromiter(
-                map(float, " ".join(map(getitem, lines, self.cuts)).split(" ")),
-                np.float64, self.width,
-            )
-        except ValueError:
-            return None  # a token ``float`` refuses: the line path names it
-        row.flags.writeable = False
-        return row
+def _jobids(jobs: str) -> List[str]:
+    """The job ids a record-open line lists after its timestamp."""
+    return [] if jobs in ("-", "") else jobs.split(",")
 
 
 class RawFileParser:
@@ -262,21 +257,26 @@ class RawFileParser:
     keeps parsing — a truncated tail or a corrupted block costs only
     the damaged lines, never the whole host file.
 
-    The unit of decoding is the record.  :meth:`parse` only classifies
-    lines; an open record's data lines are buffered and decoded when
-    the record closes — or when a ``$``/``!`` line interrupts it, so a
-    line's width is always checked against the schema it was read
-    under.  A host repeats its device lines from one record to the
-    next, so the parser keeps the line structure of the last whole
-    record it decoded line by line as a *template*: a whole record that
-    has it — the same ``"<type> <instance> "`` prefix and token count
-    line for line, only ``ps`` lines after — is converted in one pass
-    into the sample's ``row``.  Any other record is decoded line by
-    line, in order, by :meth:`_data_line`, which alone decides what is
-    refused and why.  A ``!`` line drops the template (the width check
-    is part of it), which is why :attr:`schemas` is the stream's to
-    change once parsing has begun.  :attr:`template_records` and
-    :attr:`line_records` count the records decoded each way.
+    The unit of decoding is the record.  A host repeats its device
+    lines from one record to the next, so the parser keeps the
+    ``columns`` of the last whole record it decoded line by line as a
+    *template*, and tries it first at every record-open line: one match
+    of the pattern those columns spell (:func:`_record_pattern`, made
+    on the first record tried against them and shared by every parser)
+    takes the whole record — its ``ps`` lines too, and only when the
+    next line opens a record or the text ends — and its values convert
+    as one int64 array, cast to the sample's float64 ``row``.  1–18
+    ASCII digits spell an integer int64 holds, and the cast rounds to
+    nearest-even, as ``float(token)`` does.  Any record the pattern
+    does not take is decoded line by line: its data lines are buffered
+    and decoded when the record closes — or when a ``$``/``!`` line
+    interrupts it, so a line's width is always checked against the
+    schema it was read under — in order, by :meth:`_data_line`, which
+    alone decides what is refused and why.  A ``!`` line drops the
+    template (the width check is part of it), which is why
+    :attr:`schemas` is the stream's to change once parsing has begun.
+    :attr:`template_records` and :attr:`line_records` count the records
+    decoded each way.
     """
 
     def __init__(self, on_error: str = "raise") -> None:
@@ -291,14 +291,16 @@ class RawFileParser:
         #: records decoded through the template / line by line
         self.template_records = 0
         self.line_records = 0
-        self._template: Optional[_Template] = None
+        #: the template's columns, and their pattern once looked up
+        self._template: Optional[Tuple[Column, ...]] = None
+        self._pattern = _MISS
 
     def parse(self, stream) -> Iterator[ParsedSample]:
-        """Yield samples from a text stream (file object or string)."""
-        if isinstance(stream, str):
-            lines: Iterable[str] = stream.split("\n")
-        else:
-            lines = map(str.rstrip, stream, repeat("\n"))
+        """Yield samples from raw stats text: a string, or a file
+        object read whole."""
+        text = stream if isinstance(stream, str) else stream.read()
+        if not text.endswith("\n"):
+            text += "\n"
         current: Optional[ParsedSample] = None
         #: the open record's data lines not decoded yet, and their numbers
         pending: List[str] = []
@@ -308,7 +310,12 @@ class RawFileParser:
         #: after a corrupt record-open line, orphan data lines are part
         #: of the same damaged block — swallow them without re-reporting
         skipping_block = False
-        for lineno, line in enumerate(lines, 1):
+        pos = lineno = 0
+        while pos < len(text):
+            start = pos
+            pos = text.index("\n", start) + 1
+            lineno += 1
+            line = text[start:pos - 1]
             if not line:
                 continue
             c = line[0]
@@ -332,17 +339,23 @@ class RawFileParser:
                     interrupted = True
                 pending.clear()
                 linenos.clear()
+            if opens:
+                skipping_block = interrupted = False
+                hit = self._by_template(text, start, lineno)
+                if hit is not None:
+                    sample, pos = hit
+                    lineno += len(sample.columns) + len(sample.procs)
+                    yield sample
+                    continue
             try:
                 if not opens:
                     self._header_line(line)
                 else:
-                    skipping_block = interrupted = False
                     ts_str, _, jobs_str = line.partition(" ")
-                    jobids = [] if jobs_str in ("-", "") else jobs_str.split(",")
                     current = ParsedSample(
                         host=self.hostname or "?",
                         timestamp=int(ts_str),
-                        jobids=jobids,
+                        jobids=_jobids(jobs_str),
                         data={},
                         lineno=lineno,
                     )
@@ -355,6 +368,41 @@ class RawFileParser:
         if current is not None:
             self._close(current, pending, linenos, not interrupted)
             yield current
+
+    def _by_template(
+        self, text: str, pos: int, lineno: int
+    ) -> Optional[Tuple[ParsedSample, int]]:
+        """The record that opens at ``pos`` (line ``lineno``) decoded by
+        one match of the template's pattern, and where it ends; ``None``
+        unless the match is a whole record and its ``ps`` lines parse."""
+        columns = self._template
+        if columns is None:
+            return None
+        pattern = self._pattern
+        if pattern is _MISS:
+            pattern = self._pattern = _record_pattern(columns)
+        match = pattern.match(text, pos) if pattern is not None else None
+        if match is None:
+            return None
+        end = match.end()
+        if end < len(text) and not text[end].isdigit():
+            return None  # a line the record would have gone on with
+        ts, jobs, *values, ps = match.groups()
+        try:
+            procs = [self._parse_ps(line.split(" "))
+                     for line in ps.split("\n")[:-1]]
+        except ValueError:
+            return None  # a bad ``ps`` line: the line path names it
+        row = np.fromstring(" ".join(values), np.int64, sep=" ").astype(
+            np.float64)
+        row.flags.writeable = False
+        sample = ParsedSample(
+            host=self.hostname or "?", timestamp=int(ts),
+            jobids=_jobids(jobs), data={}, procs=procs, lineno=lineno,
+        )
+        sample._seal(row, columns)
+        self.template_records += 1
+        return sample, end
 
     def _refuse(self, lineno: int, line: str, exc: Exception) -> None:
         """The failure policy: raise, or file the line under ``errors``."""
@@ -375,28 +423,14 @@ class RawFileParser:
     ) -> None:
         """Decode what the closing record still has buffered and seal
         it; ``whole`` when that is every data line it has."""
-        template = self._template
-        if whole and template is not None:
-            row = template.decode(lines)
-            if row is not None:
-                try:
-                    sample.procs = [
-                        self._parse_ps(line.split(" "))
-                        for line in lines[len(template.columns):]
-                    ]
-                except ValueError:
-                    pass  # a bad ``ps`` line: the line path names it
-                else:
-                    sample._seal(row, template.columns)
-                    self.template_records += 1
-                    return
         self._decode_lines(sample, lines, linenos)
         sample._seal(*_flatten(sample.data))
         self.line_records += 1
         if whole:
             # whatever order its lines came in, the record's columns
             # spell the order the next one is expected in
-            self._template = _Template(sample.columns)
+            self._template = sample.columns
+            self._pattern = _MISS
 
     def _decode_lines(
         self, sample: ParsedSample, lines: List[str], linenos: List[int]
@@ -535,13 +569,6 @@ def _decimals(b: np.ndarray, starts: np.ndarray,
     if digits.max() > 9:
         return None
     return _POW10[18 - width:] @ digits.astype(np.int64)
-
-
-#: layouts :class:`BlockParser` keeps, and derivations a layout keeps:
-#: past either bound the memo starts over
-_LAYOUTS = 64
-_DERIVED = 16
-_MISS = object()
 
 
 class Layout:
@@ -725,7 +752,7 @@ class BlockParser:
         block = self._try_strided(text)
         path = "records" if block is None else "strided"
         if block is None:
-            block = self._stack_records(text.split("\n"))
+            block = self._stack_records(text)
         obs.counter("repro_rawfile_block_parses_total",
                     "host files block-parsed, by path").inc(path=path)
         if self.on_error == "raise" and block.errors:
@@ -830,9 +857,9 @@ class BlockParser:
         return layout
 
     # -- the record decoder's rows, stacked ----------------------------------
-    def _stack_records(self, lines: List[str]) -> HostBlock:
+    def _stack_records(self, text: str) -> HostBlock:
         parser = RawFileParser(on_error="quarantine")
-        samples = list(parser.parse(lines))
+        samples = list(parser.parse(text))
         #: ``columns`` → the records laid out that way, and their rows
         layouts: Dict[
             Tuple[Column, ...], Tuple[List[int], List[np.ndarray]]
@@ -857,6 +884,8 @@ class BlockParser:
                 )
                 lo += width
         errors = parser.errors
+        #: the text's lines, split once a reading is dropped
+        lines: Optional[List[str]] = None
         groups: Dict[str, Dict[str, BlockGroup]] = {}
         for (type_name, instance), parts in pieces.items():
             schema = parser.schemas.get(type_name)
@@ -870,6 +899,8 @@ class BlockParser:
                     f"{type_name}/{instance}: {width} values vs "
                     f"schema of {len(schema)}"
                 )
+                if lines is None:
+                    lines = text.split("\n")
                 errors.extend(
                     ParseError(n, lines[n - 1], reason)
                     for n in (samples[r].lineno for r in index)

@@ -65,7 +65,8 @@ _PARSE_ERRORS = handles.counter(
 )
 _LINE_DECODED = handles.counter(
     "repro_stream_line_decoded_records_total",
-    "records the parser decoded line by line, not by its template",
+    "records the parser decoded line by line, not by its template's "
+    "pattern: a new line structure, or a token the pattern does not take",
 )
 _SAMPLES = handles.counter(
     "repro_stream_samples_total",

@@ -177,11 +177,12 @@ def test_roundtrip_property(points):
 # -- record-at-a-time decoding ≡ the frozen line-at-a-time parser ------------------
 #
 # ``RawFileParser`` decodes a record at a time and, where a record
-# repeats the previous one's line structure, in one pass through a
-# template; ``tests/test_core/reference.py`` keeps the parser it
-# replaced.  Whatever the text, however it is fed, in either mode: same
-# samples bit for bit, same ``errors`` entry for entry, same raised
-# text, same parser state.
+# repeats the previous one's line structure with counters of 1–18 ASCII
+# digits, in one match of its template's pattern;
+# ``tests/test_core/reference.py`` keeps the parser it replaced.
+# Whatever the text, however it is fed, in either mode: same samples
+# bit for bit, same ``errors`` entry for entry, same raised text, same
+# parser state.
 
 PS_LINE = "ps 41 wrf.exe alice 100 160 200 100 120 8 64 8 2 2 0,16 0"
 ODD_TOKENS = ["nan", "inf", "-inf", "-0.0", "1e5", "1_0", "1.5", "0x10",
@@ -357,8 +358,14 @@ REGULAR = ["a 0 1 2", "a 1 3 4", "b - 5", PS_LINE]
 #: leaves a template the next regular record does not match)
 IRREGULAR = {
     "regular": (REGULAR, 1),
+    # tokens ``float`` takes but the pattern does not
     "values only differ": (["a 0 nan -0.0", "a 1 1e5 1_0", "b - inf",
-                            PS_LINE], 1),
+                            PS_LINE], 2),
+    "a 19-digit token": (["a 0 1 2", "a 1 3 1234567890123456789", "b - 5",
+                          PS_LINE], 2),
+    "a 20-digit token ≥ 2**63": (["a 0 1 2", "a 1 3 18446744073709551615",
+                                  "b - 5", PS_LINE], 2),
+    "a non-ASCII digit": (["a 0 1 2", "a 1 3 ٣", "b - 5", PS_LINE], 2),
     "a token float refuses": (["a 0 1 2", "a 1 3 x", "b - 5", PS_LINE], 3),
     "an empty token": (["a 0 1 2", "a 1 3 ", "b - 5", PS_LINE], 3),
     "a token too many": (["a 0 1 2", "a 1 3 4 9", "b - 5", PS_LINE], 3),
@@ -383,7 +390,7 @@ IRREGULAR = {
     "a ! line mid-record": (["a 0 1 2", "!a c0,E c1,E", "a 1 3 4", "b - 5",
                              PS_LINE], 3),
     "a changed ! line at its end": (REGULAR + ["!a c0,E"], 4),
-    "a blank line": (["a 0 1 2", "", "a 1 3 4", "b - 5", PS_LINE], 1),
+    "a blank line": (["a 0 1 2", "", "a 1 3 4", "b - 5", PS_LINE], 2),
 }
 
 
@@ -404,6 +411,50 @@ def test_what_sends_a_record_to_the_line_path(name):
     assert len(outcome(parser, bodies)[0]) == 5
     assert (parser.template_records, parser.line_records) == (
         5 - line_records, line_records)
+
+
+#: counters the pattern takes, spelt as a register read can spell them
+DIGITS = (
+    st.integers(0, 10**18 - 1).map(str)
+    | st.sampled_from([str(2**53 - 1), str(2**53), str(2**53 + 1),
+                       str(10**18 - 1), "0", "00", "007",
+                       "000000000000000001"])
+    | st.tuples(st.integers(0, 10**9), st.integers(1, 18)).map(
+        lambda v: str(v[0]).zfill(v[1])[-18:])
+)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_counter_of_1_to_18_digits_is_decoded_exactly_by_template(data):
+    """Records of 1–18-digit counters: bit for bit the frozen parser's
+    rows (``float(token)``), and every record after the first is taken
+    by the template's pattern."""
+    widths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    records = data.draw(st.integers(2, 5))
+    head = "$hostname h1\n" + "".join(
+        f"!t{i} " + " ".join(f"c{k},E,W=64" for k in range(w)) + "\n"
+        for i, w in enumerate(widths))
+    bodies = []
+    for r in range(records):
+        lines = [f"{600 * r} {data.draw(st.sampled_from(['-', '1', '1,2']))}"]
+        lines += [
+            f"t{i} {dev} " + " ".join(data.draw(DIGITS) for _ in range(w))
+            for i, w in enumerate(widths) for dev in ("0", "1")
+        ]
+        lines += [PS_LINE] * data.draw(st.integers(0, 2))
+        bodies.append("".join(line + "\n" for line in lines))
+    bodies[0] = head + bodies[0]
+    text = "".join(bodies)
+    whole = outcome(ReferenceRawFileParser("raise"), [text])
+    for feeds, want in (
+        ([text], whole), ([io.StringIO(text)], whole),
+        (bodies, outcome(ReferenceRawFileParser("raise"), bodies)),
+    ):
+        parser = RawFileParser("raise")
+        assert outcome(parser, feeds) == want
+        assert (parser.template_records, parser.line_records) == (
+            records - 1, 1)
 
 
 # -- BlockParser ≡ the frozen parser, whichever path the file takes ----------------

@@ -3,12 +3,14 @@
 Docs rot silently — a renamed file or module breaks every page that
 points at it without failing anything.  This suite keeps the markdown
 in ``docs/`` and the README honest: every relative link must resolve
-to a real file, and every ``repro.*`` module or CLI subcommand a doc
-names must actually exist.
+to a real file, and every ``repro.*`` module, ``_private`` name or CLI
+subcommand a doc names must actually exist.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import importlib
 import re
 from pathlib import Path
@@ -20,6 +22,9 @@ DOC_FILES = sorted(REPO.glob("docs/*.md")) + [REPO / "README.md"]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(#[^)\s]*)?\)")
 MODULE_RE = re.compile(r"`(repro(?:\.[a-z_0-9]+)+)")
+PRIVATE_RE = re.compile(r"`(_[A-Za-z0-9_]+)")
+#: the performance diary names kernels as they were when it was measured
+PRIVATE_NAME_DOCS = [p for p in DOC_FILES if p.name != "performance.md"]
 
 
 def doc_ids(paths):
@@ -67,6 +72,41 @@ def test_referenced_modules_exist(doc):
                 break
             obj = getattr(obj, attr)
     assert not bad, f"{doc.name}: stale module references {bad}"
+
+
+@functools.lru_cache(maxsize=None)
+def _names_defined_in_src():
+    """Every function, class, assigned name or attribute and
+    ``__slots__`` entry under ``src/``."""
+    names = set()
+    for path in (REPO / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    names.update(
+                        n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(target)
+                        if isinstance(n, (ast.Name, ast.Attribute)))
+                    if getattr(target, "id", None) == "__slots__":
+                        names.update(
+                            c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant))
+    return names
+
+
+@pytest.mark.parametrize("doc", PRIVATE_NAME_DOCS,
+                         ids=doc_ids(PRIVATE_NAME_DOCS))
+def test_referenced_private_names_exist(doc):
+    """Every backticked `_private` name a doc mentions is defined in
+    ``src/`` — a renamed kernel must break the page that still names it."""
+    named = set(PRIVATE_RE.findall(doc.read_text()))
+    stale = sorted(named - _names_defined_in_src())
+    assert not stale, f"{doc.name}: names not defined in src/ {stale}"
 
 
 def test_documented_cli_commands_exist():
