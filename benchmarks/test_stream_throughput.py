@@ -17,10 +17,10 @@ upload (``BENCH_stream.json``).  Three numbers matter:
   rolled over (~1.2 on this scenario).  It gates at 3; the per-series
   write path it replaced made ~340.
 
-Six more gates hold the two ends of that write — the decode of the
+Seven more gates hold the two ends of that write — the decode of the
 message text into the row, and the store's side (row-block heads and
-the prune low-water mark) — and the monitor's own bookkeeping, all
-machine-independent:
+the prune low-water mark) — the flag analyzer, and the monitor's own
+bookkeeping, all machine-independent:
 
 * **Python calls per delivery** inside ``RetainingWriter.put_many``
   (store write + retention fold + prune check), counted by ``cProfile``
@@ -31,6 +31,11 @@ machine-independent:
   — turning one message into one float64 row — counted the same way,
   at or below 0.24x of the line-at-a-time parser and the per-device
   gather it replaced (0.200x recorded, plus 15 %);
+* **Python calls per delivery** inside
+  ``StreamingFlagAnalyzer.observe`` — one gather per sample under the
+  batch accumulator's plan, then each job's alignment and evaluation —
+  counted the same way, at or below 39 (33.82 recorded, plus 15 %;
+  76.6 when each job of a sample gathered it again);
 * **calls into ``repro/obs`` per delivery** — the metric and span
   bookkeeping of one delivery — at or below half of what per-call
   lookups by name cost (pre-bound handles and class-based spans);
@@ -58,7 +63,7 @@ from repro import monitoring_session, obs
 from repro.broker import Broker
 from repro.cluster import JobSpec, make_app
 from repro.core.rawfile import RawFileParser, _record_pattern
-from repro.stream import RetainingWriter, StreamPipeline
+from repro.stream import RetainingWriter, StreamingFlagAnalyzer, StreamPipeline
 from repro.stream.pipeline import STREAM_QUEUE
 from repro.tsdb import TimeSeriesDB
 from tests.test_tsdb.reference import ListBackedTSDB
@@ -84,6 +89,16 @@ MAX_CALLS_RATIO = 0.25
 #: counted the way the gate below counts
 DECODE_CALLS_PER_DELIVERY_AT_85305F7 = 489_078 / 584  # 837.5
 MAX_DECODE_CALLS_RATIO = 0.24
+
+#: Python + builtin calls inside ``StreamingFlagAnalyzer.observe`` over
+#: this fixture's 584 deliveries at bda2a2d (each job of a sample resolved
+#: its device types and summed ``data`` views instance by instance),
+#: counted the way the gate below counts
+ANALYZE_CALLS_AT_BDA2A2D = 44_749
+ANALYZE_CALLS_PER_DELIVERY_AT_BDA2A2D = ANALYZE_CALLS_AT_BDA2A2D / 584
+#: the count recorded with one gather per sample under the batch
+#: accumulator's plan (33.82), plus 15 %, rounded up
+MAX_ANALYZE_CALLS_PER_DELIVERY = 39
 
 #: calls into functions under ``repro/obs`` per delivery inside
 #: ``Broker.publish`` + the stream queue's drain on this fixture at
@@ -323,6 +338,49 @@ def test_decode_calls_per_delivery_gate(monkeypatch):
         f"StreamPipeline._row is {ratio:.2f}x the line-at-a-time "
         f"parser's {DECODE_CALLS_PER_DELIVERY_AT_85305F7:.0f} "
         f"(gate {MAX_DECODE_CALLS_RATIO}x)"
+    )
+
+
+def test_analyze_calls_per_delivery_gate(monkeypatch):
+    """Count, do not time: the profiler runs only inside
+    ``StreamingFlagAnalyzer.observe``, so ``total_calls`` is every
+    Python and builtin call the live flag analyzer costs a delivery —
+    the sample's gather, the per-job alignment and every evaluation."""
+    profile = cProfile.Profile()
+    monkeypatch.setattr(
+        StreamingFlagAnalyzer, "observe",
+        profiled(profile, StreamingFlagAnalyzer.observe))
+    stream, deliveries, _ = run_fixture(TimeSeriesDB())
+    obs.reset()
+
+    stats = pstats.Stats(profile)
+    calls = stats.total_calls / deliveries
+    ratio = calls / ANALYZE_CALLS_PER_DELIVERY_AT_BDA2A2D
+    report("analyze calls per delivery (cProfile, 8 nodes, 12 h)", [
+        ("calls / delivery", f"{calls:.1f}",
+         f"{ANALYZE_CALLS_PER_DELIVERY_AT_BDA2A2D:.1f} at bda2a2d -> "
+         f"{ratio:.3f}x (gate {MAX_ANALYZE_CALLS_PER_DELIVERY})"),
+        ("jobs", f"{len(stream.analyzer.completed)} completed",
+         f"{deliveries} deliveries"),
+    ], ["measure", "value", "detail"])
+    record_bench(BENCH_JSON, "analyze_calls_8x12h", {
+        "scenario": "8 nodes, 12 h sim, cProfile inside "
+                    "StreamingFlagAnalyzer.observe only",
+        "deliveries": deliveries,
+        "calls": stats.total_calls,
+        "calls_per_delivery": round(calls, 2),
+        "calls_at_bda2a2d": ANALYZE_CALLS_AT_BDA2A2D,
+        "calls_per_delivery_at_bda2a2d":
+            ANALYZE_CALLS_PER_DELIVERY_AT_BDA2A2D,
+        "max_calls_per_delivery": MAX_ANALYZE_CALLS_PER_DELIVERY,
+        "ratio": round(ratio, 4),
+    })
+    assert stream.samples == deliveries
+    assert calls <= MAX_ANALYZE_CALLS_PER_DELIVERY, (
+        f"{calls:.0f} calls per delivery inside "
+        f"StreamingFlagAnalyzer.observe (gate "
+        f"{MAX_ANALYZE_CALLS_PER_DELIVERY}): a sample is gathered more "
+        f"than once"
     )
 
 

@@ -687,18 +687,18 @@ class HostBlock:
             for jid, rows in buckets.items()
         }
 
-    def iter_samples(self) -> Iterator[ParsedSample]:
-        """Materialise the streaming-parser view of this block."""
-        per_record: List[Dict[str, Dict[str, np.ndarray]]] = [
-            {} for _ in range(self.n_records)
-        ]
+    def iter_samples(self, records: Iterable[int]) -> Iterator[ParsedSample]:
+        """The streaming-parser view of the records ``records`` indexes,
+        in that order; no other record is materialised."""
+        per_record: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {
+            int(r): {} for r in records
+        }
         for type_name in self.type_order:
             for inst, grp in self.groups.get(type_name, {}).items():
-                for i, r in enumerate(grp.rows):
-                    per_record[int(r)].setdefault(type_name, {})[inst] = (
-                        grp.row_values(i)
-                    )
-        for r in range(self.n_records):
+                for i in np.flatnonzero(np.isin(grp.rows, list(per_record))):
+                    per_record[int(grp.rows[i])].setdefault(type_name, {})[
+                        inst] = grp.row_values(i)
+        for r in per_record:
             yield ParsedSample(
                 host=self.host,
                 timestamp=int(self.times[r]),

@@ -12,9 +12,10 @@ holding, for every quantity,
 * ``gauges[q]`` — an ``(n_hosts, T)`` array of snapshots.
 
 Hosts are aligned on the intersection of their sample timestamps
-(collections are cluster-wide events, so normally identical), and
-:func:`reduce_series` turns the aligned ``(hosts, quantities, times)``
-counter sums into those arrays — for this batch path and for the live
+(collections are cluster-wide events, so normally identical).  A
+layout's :func:`_plan` and :func:`_sum_step` gather the counter sums,
+and :func:`reduce_series` turns the aligned ``(hosts, quantities,
+times)`` sums into those arrays — for this batch path and for the live
 flag analyzer alike.  All downstream metric evaluation is NumPy on
 these arrays.
 """
@@ -174,6 +175,18 @@ def _plan(
     return plan
 
 
+def _sum_step(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """One plan step over one sample's row or stacked ``(..., W)`` rows:
+    the counters ``cols`` names, ``(instances, counters)``, summed
+    within each instance as ``ndarray.sum`` does, then the instances
+    one after another from 0.0 — batch and live alike, so their bits
+    agree whatever the shape."""
+    per_instance = rows[..., cols].sum(axis=-1)
+    # a scan adds in order on any shape (a reduction over one row pairs
+    # its terms); plus 0.0, its last partial sum is the sum from 0.0
+    return np.add.accumulate(per_instance, axis=-1)[..., -1] + 0.0
+
+
 def _gather(
     block: "HostBlock", sel: np.ndarray
 ) -> Tuple[List[Tuple[str, str, int]], np.ndarray, np.ndarray]:
@@ -214,12 +227,11 @@ def accumulate_blocks(
     read under a plan (:func:`_plan`: per quantity, which columns to
     sum), and the hosts that share a plan — the hosts of one layout,
     whose plan the layout keeps — are stacked, so each quantity is one
-    gather and two sums over all of them before one
-    :func:`reduce_series` call.  A block without a layout is gathered
-    device by device and planned on its own.  The per-sample oracle in
+    :func:`_sum_step` over all of them before one :func:`reduce_series`
+    call.  A block without a layout is gathered device by device and
+    planned on its own.  The per-sample oracle in
     ``tests/test_pipeline/reference.py`` defines the expected arrays
-    bit for bit: counters sum within an instance as ``ndarray.sum``
-    does, instances one after another from 0.
+    bit for bit.
     """
     hosts = sorted(host_rows)
     if not hosts:
@@ -275,14 +287,7 @@ def accumulate_blocks(
         stacked = np.stack(matrices)  # (H, T, W)
         present = None if presence[0] is None else np.stack(presence, 1)
         for i, cols, devices, width in plan:
-            # (H, T, instances): the counters of each instance, summed
-            # along the row as ``ndarray.sum`` does; then the instances
-            # added one after another
-            per_instance = stacked[..., cols].sum(axis=-1)
-            total = np.add.reduce(
-                np.ascontiguousarray(np.moveaxis(per_instance, -1, 0)),
-                axis=0, initial=0.0,
-            )
+            total = _sum_step(stacked, cols)
             if present is not None:
                 total[~present[devices].any(axis=0)] = np.nan
             series[ns, i] = total

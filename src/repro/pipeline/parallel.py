@@ -112,13 +112,10 @@ class JobBlockData:
         For the consumers that need more than counter columns: the
         process table and the per-socket / per-process energy report.
         """
-        out: Dict[str, List[ParsedSample]] = {}
-        for host, (block, rows) in self.host_rows.items():
-            samples = list(block.iter_samples())
-            out[host] = sorted(
-                (samples[r] for r in rows), key=lambda s: s.timestamp
-            )
-        return out
+        return {
+            host: sorted(block.iter_samples(rows), key=lambda s: s.timestamp)
+            for host, (block, rows) in self.host_rows.items()
+        }
 
 
 def assemble_jobs(

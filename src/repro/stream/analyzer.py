@@ -10,9 +10,14 @@ batch answer exactly at job completion.
 Bit-exactness is by construction, not by approximation:
 
 * Per (job, host) the analyzer keeps the *same* per-timestamp summed
-  counter values batch accumulation builds (:func:`_sum_counters`
-  over the device type :func:`_resolve_type` picks, instances added
-  in file order), plus each quantity's register modulus.
+  counter values batch accumulation builds, gathered by the same code:
+  a host's plan is :func:`~repro.pipeline.accum._plan` of its sample's
+  ``columns`` (the device type, counters and register modulus of each
+  quantity), and a sample's row is summed by
+  :func:`~repro.pipeline.accum._sum_step`, the function batch sums its
+  stacked rows with — once per sample, for every job on the host.
+* The register moduli are the host's latest plan's: one schema per
+  type, the last, as batch keeps them.
 * Hosts are aligned on the intersection of their sample timestamps
   exactly like :func:`~repro.pipeline.accum.accumulate_blocks`: an aligned
   timestamp ``T`` is only *consumed* once every participating host has
@@ -45,11 +50,11 @@ from repro.metrics.flags import FlagResult, Thresholds, evaluate_flags
 from repro.metrics.table1 import METRIC_REGISTRY, JobStack
 from repro.stream.analytics import ANALYTICS_METRICS
 from repro.pipeline.accum import (
-    _CORE_TYPES,
     CANONICAL_QUANTITIES,
     JobAccum,
     Quantity,
-    _counter_width,
+    _plan,
+    _sum_step,
     reduce_series,
 )
 
@@ -81,35 +86,6 @@ STREAM_METRICS = ANALYTICS_METRICS
 
 #: job-metadata provider: (jobid, observed hosts) → evaluate_flags meta
 MetaFn = Callable[[str, Sequence[str]], Mapping[str, object]]
-
-
-def _resolve_type(q: Quantity, available: Sequence[str]) -> Optional[str]:
-    """The device type of one sample that carries quantity ``q``."""
-    if q.type_name:
-        return q.type_name if q.type_name in available else None
-    for t in available:
-        if t in _CORE_TYPES:
-            return t
-    return None
-
-
-def _sum_counters(
-    sample_data: Dict[str, Dict[str, np.ndarray]],
-    type_name: str,
-    schema,
-    counters: Tuple[str, ...],
-) -> float:
-    """Sum selected counters over all instances of a device type."""
-    per_type = sample_data.get(type_name)
-    if not per_type:
-        return np.nan
-    idx = [schema.index[c] for c in counters if c in schema.index]
-    if not idx:
-        return np.nan
-    total = 0.0
-    for values in per_type.values():
-        total += float(values[idx].sum()) if len(values) else 0.0
-    return total
 
 
 @dataclass(frozen=True)
@@ -144,19 +120,54 @@ class StreamJobResult:
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
+class _HostPlans:
+    """Each host's plan: batch's :func:`~repro.pipeline.accum._plan` of
+    its latest sample's ``columns`` under their types' schemas, rebuilt
+    when either changes (the stream pipeline's layout key).  A host's
+    register moduli are its latest plan's — one schema per type, the
+    last, as batch keeps them; a quantity that plan lacks keeps its
+    own."""
+
+    def __init__(self, quantities: Sequence[Quantity]) -> None:
+        self.quantities = tuple(quantities)
+        #: host → its layout's ``columns``, their types, those types'
+        #: schemas and the layout's plan
+        self._plans: Dict[str, tuple] = {}
+        #: host → register modulus per quantity
+        self.widths: Dict[str, np.ndarray] = {}
+
+    def row(self, host: str, sample, schemas: Mapping[str, object]):
+        """A sample's row summed through
+        :func:`~repro.pipeline.accum._sum_step`: one value per quantity,
+        NaN for one its devices do not carry."""
+        columns = sample.columns
+        plan = self._plans.get(host)
+        if (plan is None or plan[0] is not columns
+                or plan[2] != tuple(map(schemas.get, plan[1]))):
+            types = tuple(dict.fromkeys(t for t, _, _ in columns))
+            steps = _plan(columns, schemas, self.quantities)
+            plan = self._plans[host] = (
+                columns, types, tuple(map(schemas.get, types)), steps)
+            widths = self.widths.setdefault(
+                host, np.full(len(self.quantities), 2.0**64))
+            for i, _, _, width in steps:
+                widths[i] = width
+        sums = np.full(len(self.quantities), math.nan)
+        for i, cols, _, _ in plan[3]:
+            sums[i] = _sum_step(sample.row, cols)
+        return sums
+
+
 class _HostState:
     """Per-(job, host) incremental accumulation state."""
 
-    __slots__ = ("pending", "done", "max_ts", "types", "widths", "rows")
+    __slots__ = ("pending", "done", "max_ts", "rows")
 
     def __init__(self, n_quantities: int, n_times: int) -> None:
-        #: timestamp → raw summed counter value per quantity
-        self.pending: Dict[int, List[float]] = {}
+        #: timestamp → the sample's summed counters, one per quantity
+        self.pending: Dict[int, Sequence[float]] = {}
         self.done = False
         self.max_ts = -1
-        self.types: Dict[str, Optional[str]] = {}
-        #: quantity key → register modulus, stored at intake
-        self.widths: Dict[str, float] = {}
         #: one row of raw values per consumed time: a host joining
         #: late has NaN rows before its first sample
         nan_row = (math.nan,) * n_quantities
@@ -164,11 +175,13 @@ class _HostState:
 
 
 class _JobStream:
-    """Incremental accumulator for one in-flight job."""
+    """Incremental accumulator for one in-flight job, fed the rows its
+    hosts' ``plans`` sum."""
 
-    def __init__(self, jobid: str, quantities: Sequence[Quantity]) -> None:
+    def __init__(self, jobid: str, plans: _HostPlans) -> None:
         self.jobid = jobid
-        self.quantities = tuple(quantities)
+        self.plans = plans
+        self.quantities = plans.quantities
         self.hosts: Dict[str, _HostState] = {}
         self.times: List[int] = []  # consumed aligned timestamps
         self.fired: Dict[str, FlagResult] = {}
@@ -177,7 +190,8 @@ class _JobStream:
         self.last_metrics: Dict[str, float] = {}
 
     # -- sample intake -----------------------------------------------------
-    def observe(self, host: str, sample, schemas: Mapping[str, object]) -> None:
+    def observe(self, host: str, timestamp: int, sums: Sequence[float]) -> None:
+        """One sample of ``host``: its time and :meth:`_HostPlans.row`."""
         hs = self.hosts.get(host)
         if hs is None:
             if self.times:
@@ -189,32 +203,11 @@ class _JobStream:
             hs = self.hosts[host] = _HostState(
                 len(self.quantities), len(self.times)
             )
-        ts = int(sample.timestamp)
+        ts = int(timestamp)
         hs.max_ts = max(hs.max_ts, ts)
-        row: List[float] = []
-        for q in self.quantities:
-            type_name = hs.types.get(q.key)
-            if type_name is None:
-                # lazy resolution: retry until a sample actually
-                # carries the device type
-                type_name = _resolve_type(q, list(sample.data))
-                if type_name is not None:
-                    hs.types[q.key] = type_name
-            if type_name is None:
-                row.append(math.nan)
-                continue
-            schema = schemas.get(type_name)
-            if schema is None:
-                row.append(math.nan)
-                continue
-            if q.key not in hs.widths:
-                hs.widths[q.key] = _counter_width(schema, q.counters)
-            row.append(
-                _sum_counters(sample.data, type_name, schema, q.counters)
-            )
         # duplicate timestamps (prolog + periodic coincide): last wins,
         # as in accumulate_blocks()
-        hs.pending[ts] = row
+        hs.pending[ts] = sums
 
     def mark_done(self, host: str) -> None:
         hs = self.hosts.get(host)
@@ -292,10 +285,7 @@ class _JobStream:
         states = [self.hosts[h] for h in hosts]
         # (N, T, Q) rows → the (N, Q, T) series batch accumulation reduces
         series = np.array([hs.rows for hs in states]).transpose(0, 2, 1)
-        widths = np.array([
-            [[hs.widths.get(q.key, 2.0**64)] for q in self.quantities]
-            for hs in states
-        ])
+        widths = np.array([self.plans.widths[h] for h in hosts])[..., None]
         deltas, gauges = reduce_series(self.quantities, series, widths)
         return JobAccum(
             jobid=self.jobid,
@@ -338,6 +328,7 @@ class StreamingFlagAnalyzer:
         self.thresholds = thresholds or Thresholds()
         self.job_meta = job_meta
         self.active: Dict[str, _JobStream] = {}
+        self.plans = _HostPlans(STREAM_QUANTITIES)
         self.completed: Dict[str, StreamJobResult] = {}
         #: host → jobids currently observed on that host
         self.host_jobs: Dict[str, Set[str]] = {}
@@ -360,13 +351,15 @@ class StreamingFlagAnalyzer:
             if js is not None:
                 js.mark_done(host)
                 touched.append(jid)
+        # gathered once, for every job the sample carries
+        sums = self.plans.row(host, sample, schemas) if mentioned else None
         for jid in sample.jobids:
             if jid in self.completed:
                 continue
             js = self.active.get(jid)
             if js is None:
-                js = self.active[jid] = _JobStream(jid, STREAM_QUANTITIES)
-            js.observe(host, sample, schemas)
+                js = self.active[jid] = _JobStream(jid, self.plans)
+            js.observe(host, sample.timestamp, sums)
             known.add(jid)
             touched.append(jid)
         events: List[StreamEvent] = []

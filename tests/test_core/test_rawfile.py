@@ -486,12 +486,16 @@ def assert_block_equals_the_frozen_parser(text):
                 del per[inst]
                 stale += 1
     block = BlockParser("quarantine").parse_text(text)
-    got = list(block.iter_samples())
+    got = list(block.iter_samples(range(block.n_records)))
     assert len(got) == len(want) == block.n_records
     for g, w in zip(got, want):
         assert (g.timestamp, g.jobids, g.procs) == (
             w.timestamp, w.jobids, w.procs)
         assert arrays(g) == arrays(w)
+    # a subset, out of order: those records, in that order
+    some = list(range(block.n_records))[::-2]
+    assert [(s.timestamp, arrays(s)) for s in block.iter_samples(some)] == [
+        (got[r].timestamp, arrays(got[r])) for r in some]
     assert (block.host, block.arch, block.mem_bytes) == (
         ref.hostname or "?", ref.arch, ref.mem_bytes)
     assert [(t, sc.names()) for t, sc in block.schemas.items()] == [
@@ -512,7 +516,8 @@ def assert_block_equals_the_frozen_parser(text):
         assert str(exc.value) == f"line {first.lineno}: {first.reason}"
     else:
         strict = BlockParser("raise").parse_text(text)
-        assert [arrays(s) for s in strict.iter_samples()] == [
+        assert [arrays(s) for s in strict.iter_samples(
+            range(strict.n_records))] == [
             arrays(s) for s in got]
     return block
 

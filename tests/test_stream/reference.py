@@ -28,6 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.broker import Channel, Delivery
+from repro.core.rawfile import ParsedSample
 from repro.stream.analyzer import StreamEvent
 from repro.stream.pipeline import StreamPipeline
 from repro.stream.retention import (
@@ -198,9 +199,12 @@ class ReferenceStreamPipeline(StreamPipeline):
                 n_samples += 1
                 self._collect_sample(sample, parser, batch)
                 with obs.span("stream.analyze"):
-                    events.extend(
-                        self.analyzer.observe(host, sample, parser.schemas)
-                    )
+                    # the analyzer reads a sample as the parser in
+                    # ``src/`` yields it: one row and its columns
+                    events.extend(self.analyzer.observe(host, ParsedSample(
+                        sample.host, sample.timestamp, sample.jobids,
+                        sample.data, sample.procs,
+                    ), parser.schemas))
             if batch:
                 with obs.span("stream.tsdb_write") as wsp:
                     wsp.set(points=self._write_batch(host, batch))

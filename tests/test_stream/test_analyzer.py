@@ -9,12 +9,13 @@ duplicate timestamps, job lifecycle and divergence tracking.
 import numpy as np
 import pytest
 
-from repro.core.collector import Sample
+from repro.core.rawfile import ParsedSample
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics.flags import Thresholds
 from repro.stream.analyzer import (
     STREAM_QUANTITIES,
     StreamingFlagAnalyzer,
+    _HostPlans,
     _JobStream,
 )
 
@@ -30,27 +31,37 @@ def mk(host, ts, reqs, mem=2e9, jobids=("7",)):
     data = {"mdc": {"t": np.array([float(reqs)])}}
     if mem is not None:
         data["mem"] = {"0": np.array([float(mem)])}
-    return Sample(host=host, timestamp=ts, jobids=list(jobids),
-                  data=data, procs=[])
+    return ParsedSample(host=host, timestamp=ts, jobids=list(jobids),
+                        data=data, procs=[])
+
+
+def job_stream():
+    return _JobStream("7", _HostPlans(STREAM_QUANTITIES))
+
+
+def feed(js, host, sample):
+    """What ``StreamingFlagAnalyzer.observe`` hands a job: the sample's
+    summed counters under its host's plan."""
+    js.observe(host, sample.timestamp, js.plans.row(host, sample, SCHEMAS))
 
 
 def stream_for(samples, force=True):
-    js = _JobStream("7", STREAM_QUANTITIES)
+    js = job_stream()
     for s in samples:
-        js.observe(s.host, s, SCHEMAS)
+        feed(js, s.host, s)
     js.advance(TH, None, force=force)
     return js
 
 
 def test_frontier_waits_for_lagging_host():
-    js = _JobStream("7", STREAM_QUANTITIES)
-    js.observe("n1", mk("n1", 0, 100), SCHEMAS)
-    js.observe("n1", mk("n1", 600, 200), SCHEMAS)
-    js.observe("n2", mk("n2", 0, 100), SCHEMAS)
+    js = job_stream()
+    feed(js, "n1", mk("n1", 0, 100))
+    feed(js, "n1", mk("n1", 600, 200))
+    feed(js, "n2", mk("n2", 0, 100))
     js.advance(TH, None)
     # n2 has not reported past t=0 yet: nothing may be consumed
     assert js.times == []
-    js.observe("n2", mk("n2", 600, 300), SCHEMAS)
+    feed(js, "n2", mk("n2", 600, 300))
     js.advance(TH, None)
     assert js.times == [0]  # both reported past 0; 600 still open
 

@@ -23,11 +23,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.collector import Sample
+from repro.core.rawfile import ParsedSample
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics.flags import Thresholds
 from repro.pipeline.accum import _event_deltas, _ffill
-from repro.stream.analyzer import STREAM_QUANTITIES, _JobStream
+from repro.stream.analyzer import STREAM_QUANTITIES, _HostPlans, _JobStream
 from tests.test_pipeline.reference import JobData, accumulate
 
 W32 = 2.0**32
@@ -66,6 +66,12 @@ def assert_same_arrays(got, want, where=None):
         for key in b:
             assert a[key].shape == b[key].shape, (where, key)
             assert a[key].tobytes() == b[key].tobytes(), (where, key)
+
+
+def feed(js, host, sample):
+    """What ``StreamingFlagAnalyzer.observe`` hands a job: the sample's
+    summed counters under its host's plan."""
+    js.observe(host, sample.timestamp, js.plans.row(host, sample, SCHEMAS))
 
 
 def oracle(js, arrived):
@@ -129,7 +135,7 @@ def host_streams(draw):
                         per[i] = reg.copy()
                     if per:
                         data[t] = per
-                samples.append(Sample(
+                samples.append(ParsedSample(
                     host=host, timestamp=600 * slot, jobids=["7"], data=data,
                 ))
         if samples:
@@ -146,7 +152,7 @@ def host_streams(draw):
 def test_assembled_accum_equals_the_oracle_after_every_advance(streams_order):
     streams, order = streams_order
     queues = {host: list(samples) for host, (samples, _) in streams.items()}
-    js = _JobStream("7", STREAM_QUANTITIES)
+    js = _JobStream("7", _HostPlans(STREAM_QUANTITIES))
     arrived = []
 
     def check(where):
@@ -156,7 +162,7 @@ def test_assembled_accum_equals_the_oracle_after_every_advance(streams_order):
     for step, host in enumerate(order):
         if queues[host]:
             sample = queues[host].pop(0)
-            js.observe(host, sample, SCHEMAS)
+            feed(js, host, sample)
             arrived.append((host, sample))
         else:
             js.mark_done(host)  # the host stopped mentioning the job
@@ -173,20 +179,20 @@ def mk(host, ts, reqs, mem):
     data = {"mdc": {"0": np.array([float(reqs)])}}
     if mem is not None:
         data["mem"] = {"0": np.array([float(mem)])}
-    return Sample(host=host, timestamp=ts, jobids=["7"], data=data)
+    return ParsedSample(host=host, timestamp=ts, jobids=["7"], data=data)
 
 
 def test_late_joiner_rows_are_backfilled_like_a_leading_gap():
-    js = _JobStream("7", STREAM_QUANTITIES)
+    js = _JobStream("7", _HostPlans(STREAM_QUANTITIES))
     for s in (mk("n1", 0, 100, 1e9), mk("n1", 600, 200, 2e9),
               mk("n1", 1200, 400, 3e9)):
-        js.observe("n1", s, SCHEMAS)
+        feed(js, "n1", s)
         js.advance(TH, None)
     assert js.times == [0, 600]
-    js.observe("n2", mk("n2", 1200, 5000, 8e9), SCHEMAS)  # joins late
+    feed(js, "n2", mk("n2", 1200, 5000, 8e9))  # joins late
     assert js.diverged
-    js.observe("n2", mk("n2", 1800, 5300, 9e9), SCHEMAS)
-    js.observe("n1", mk("n1", 1800, 700, 4e9), SCHEMAS)
+    feed(js, "n2", mk("n2", 1800, 5300, 9e9))
+    feed(js, "n1", mk("n1", 1800, 700, 4e9))
     js.advance(TH, None, force=True)
     assert js.times == [0, 600, 1200, 1800]
     accum = js._assemble()
