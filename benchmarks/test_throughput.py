@@ -140,7 +140,8 @@ def test_block_parse_session_host_day(benchmark, tmp_path):
     ``ps`` lines, so ``BlockParser`` stacks the record decoder's rows;
     what that costs is how many records the decoder takes by template
     — a count, so it travels between machines.  Gate: ≥ 0.95 of the
-    records read.  Wall time is reported, not gated.
+    records read, and the host-day is one run under one layout, as a
+    strided file is.  Wall time is reported, not gated.
     """
     sess = monitoring_session(
         nodes=8, seed=5, interval=600, store_dir=str(tmp_path / "store"))
@@ -158,6 +159,7 @@ def test_block_parse_session_host_day(benchmark, tmp_path):
     samples = list(decoder.parse(text))
     records = len(samples)
     assert block.n_records == records and block.procs and not block.errors
+    assert len(block.runs) == 1 and block.layout is not None
     share = decoder.template_records / records
     device_lines = sum(len(s.columns) for s in samples) / records
     record_bench(BENCH_JSON, "block_parse_session_host_day", {

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.pipeline.parallel import JobBlockData
+from repro.core.rawfile import ParsedSample
 
 USER_HZ = 100.0
 COMPONENTS = ("pkg", "core", "dram")
@@ -87,14 +87,18 @@ def _rapl_deltas(samples) -> Dict[str, np.ndarray]:
     return out
 
 
-def energy_breakdown(jd: JobBlockData) -> EnergyReport:
-    """Compute the per-socket / per-process energy report for a job."""
+def energy_breakdown(
+    jobid: str, host_samples: Mapping[str, List[ParsedSample]]
+) -> EnergyReport:
+    """Compute the per-socket / per-process energy report for a job
+    from its whole samples per host, oldest first
+    (:meth:`~repro.pipeline.parallel.JobBlockData.host_samples`)."""
     per_socket: Dict[Tuple[str, str], Dict[str, float]] = {}
     per_process: Dict[int, float] = defaultdict(float)
     unattributed = 0.0
     t_lo, t_hi = None, None
 
-    for host, samples in sorted(jd.host_samples().items()):
+    for host, samples in sorted(host_samples.items()):
         if len(samples) < 2:
             continue
         t_lo = samples[0].timestamp if t_lo is None else min(t_lo, samples[0].timestamp)
@@ -112,7 +116,7 @@ def energy_breakdown(jd: JobBlockData) -> EnergyReport:
         unattributed += _attribute_processes(samples, per_process, host)
 
     return EnergyReport(
-        jobid=jd.jobid,
+        jobid=jobid,
         elapsed=float((t_hi or 0) - (t_lo or 0)),
         per_socket=per_socket,
         per_process=dict(per_process),

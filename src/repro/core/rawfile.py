@@ -28,11 +28,13 @@ real.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -138,14 +140,17 @@ class ParsedSample:
     yields *is* its row: ``data`` is built on first read, as views of
     it, and consecutive records of a host share one ``columns`` object
     for as long as their line structure repeats, so a consumer compares
-    layouts by identity.  A sample built from a ``data`` mapping
-    (:meth:`HostBlock.iter_samples`) is flattened on first read of
-    ``row`` or ``columns``.  ``lineno`` is the line its record opened
-    on in the stream it was parsed from (0 when it was not parsed).
+    layouts by identity.  A sample built from a ``data`` mapping is
+    flattened on first read of ``row`` or ``columns``.  ``lineno`` is
+    the line its record opened on in the stream it was parsed from (0
+    when it was not parsed).  ``layout`` is the :class:`Layout` its
+    record was read under — its columns and the schemas in force when
+    its lines were read — set by whoever read it (``None`` for a sample
+    built from ``data``, until one is given).
     """
 
     __slots__ = (
-        "host", "timestamp", "jobids", "procs", "lineno",
+        "host", "timestamp", "jobids", "procs", "lineno", "layout",
         "_data", "_row", "_columns",
     )
 
@@ -163,6 +168,7 @@ class ParsedSample:
         self.jobids = jobids
         self.procs: List[ProcessRecord] = [] if procs is None else procs
         self.lineno = lineno
+        self.layout: Optional[Layout] = None
         self._data: Optional[Dict[str, Dict[str, np.ndarray]]] = data
         self._row: Optional[np.ndarray] = None
         self._columns: Optional[Tuple[Column, ...]] = None
@@ -215,16 +221,14 @@ _ONCE = "+" if sys.version_info >= (3, 11) else ""
 #: (``\d`` would take ``"٣"``, which ``float`` reads as 3.0)
 _TOKEN = "[0-9]{1,18}" + _ONCE
 
-#: record patterns :func:`_record_pattern` keeps (the least recently
-#: used goes first), layouts :class:`BlockParser` keeps and derivations a
-#: layout keeps (past either bound the memo starts over)
+#: layouts :meth:`Layout.of` keeps and derivations a layout keeps (past
+#: either bound the table starts over)
 _LAYOUTS = 64
 _DERIVED = 16
 _MISS = object()
 
 
-@functools.lru_cache(maxsize=_LAYOUTS)
-def _record_pattern(columns: Tuple[Column, ...]) -> Optional[re.Pattern]:
+def _spell_record(columns: Tuple[Column, ...]) -> Optional[re.Pattern]:
     """The record ``columns`` spell, as one pattern: the record-open
     line (timestamp, job ids), each device line's ``"<type> <instance> "``
     and exactly its width of single-spaced tokens (a group each), then
@@ -243,6 +247,104 @@ def _record_pattern(columns: Tuple[Column, ...]) -> Optional[re.Pattern]:
         f"({_TOKEN}) ({rest})\n{devices}((?:ps {rest}\n)*{_ONCE})")
 
 
+def _stride(columns: Tuple[Column, ...]) -> Tuple[np.ndarray, ...]:
+    """A record of ``columns`` as the strided decoder checks it: every
+    token is followed by one separator, so token i of a record ends at
+    its i-th separator.  The separators' bytes (``\n`` where the layout
+    puts a line end, a space elsewhere); each device line's ``"<type>
+    <inst> "`` bytes, and which separator and offset each sits at; the
+    separators the value tokens sit after."""
+    line_end = np.cumsum([2] + [2 + w for _, _, w in columns]) - 1
+    pattern = np.full(line_end[-1] + 1, 32, np.uint8)
+    pattern[line_end] = 10
+    prefixes = [f"{t} {inst} ".encode() for t, inst, _ in columns]
+    return (
+        pattern,
+        np.frombuffer(b"".join(prefixes), np.uint8),
+        np.repeat(line_end[:-1], [len(p) for p in prefixes]),
+        np.concatenate([np.arange(1, len(p) + 1) for p in prefixes]),
+        np.concatenate([
+            np.arange(o + 2, o + 2 + w)
+            for o, (_, _, w) in zip(line_end[:-1] + 1, columns)
+        ]),
+    )
+
+
+class Layout:
+    """One record layout: a record's device lines, ``(type, instance,
+    width)`` each, and the ``!`` line in force for each of their types
+    when the record was read (``lines``, one per type in first-appearance
+    order, ``None`` for a type without one).
+
+    Which schema reads a reading is decided here, once: there is one
+    layout per ``(columns, lines)`` (:meth:`of`), every sample, block
+    run and host read that way shares it, and a consumer derives what
+    it needs of it once, through :meth:`derive` — the record pattern
+    the parser's template matches, the strided byte pattern, the
+    accumulation plan, the TSDB series.  ``schemas`` maps each type to
+    the schema its readings are filed under: its ``!`` line's, unless
+    one of its devices is not that schema's width (a ``!`` line inside
+    a record), when the type is read schema-less.  ``starts`` maps each
+    type's devices to where their runs start in a row (a device listed
+    twice: its last run's).
+    """
+
+    __slots__ = ("columns", "lines", "schemas", "starts", "_derived")
+
+    #: ``(columns, lines)`` → its layout; shared by every reader
+    _interned: Dict[tuple, "Layout"] = {}
+
+    def __init__(
+        self, columns: Tuple[Column, ...], lines: Tuple[Optional[str], ...]
+    ) -> None:
+        self.columns = columns
+        self.lines = lines
+        header = RawFileParser()
+        for line in lines:
+            if line:
+                header._header_line(line)
+        schemas = header.schemas
+        self.starts: Dict[str, Dict[str, int]] = {}
+        lo = 0
+        for type_name, instance, width in columns:
+            self.starts.setdefault(type_name, {})[instance] = lo
+            lo += width
+            schema = schemas.get(type_name)
+            if schema is not None and width != len(schema):
+                del schemas[type_name]
+        self.schemas: Dict[str, Schema] = schemas
+        self._derived: Dict[object, object] = {}
+
+    @classmethod
+    def of(
+        cls, columns: Tuple[Column, ...], lines: Mapping[str, str]
+    ) -> "Layout":
+        """The layout of a record of ``columns`` read while ``lines``
+        held the ``!`` line of each type; made on first sight (a bad
+        line raises ``ValueError``, interning nothing)."""
+        types = dict.fromkeys([t for t, _, _ in columns])
+        key = (columns, tuple([lines.get(t) for t in types]))
+        # one lookup: another thread may empty the table between two
+        layout = cls._interned.get(key)
+        if layout is None:
+            layout = cls(*key)
+            if len(cls._interned) >= _LAYOUTS:
+                cls._interned.clear()
+            cls._interned[key] = layout
+        return layout
+
+    def derive(self, key, build: Callable[[], object]):
+        """``build()``, made on the first call for ``key`` and kept.
+        ``build`` may read only the layout, never a reading."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            if len(self._derived) >= _DERIVED:
+                self._derived.clear()
+            value = self._derived[key] = build()
+            return value
+
+
 def _jobids(jobs: str) -> List[str]:
     """The job ids a record-open line lists after its timestamp."""
     return [] if jobs in ("-", "") else jobs.split(",")
@@ -259,15 +361,14 @@ class RawFileParser:
 
     The unit of decoding is the record.  A host repeats its device
     lines from one record to the next, so the parser keeps the
-    ``columns`` of the last whole record it decoded line by line as a
-    *template*, and tries it first at every record-open line: one match
-    of the pattern those columns spell (:func:`_record_pattern`, made
-    on the first record tried against them and shared by every parser)
-    takes the whole record — its ``ps`` lines too, and only when the
-    next line opens a record or the text ends — and its values convert
-    as one int64 array, cast to the sample's float64 ``row``.  1–18
-    ASCII digits spell an integer int64 holds, and the cast rounds to
-    nearest-even, as ``float(token)`` does.  Any record the pattern
+    last whole record it decoded line by line as a *template*, and tries
+    it first at every record-open line: one match of the pattern its
+    columns spell (made once per :class:`Layout`, so shared by every
+    parser) takes the whole record — its ``ps`` lines too, and only
+    when the next line opens a record or the text ends — and its values
+    convert as one int64 array, cast to the sample's float64 ``row``.
+    1–18 ASCII digits spell an integer int64 holds, and the cast rounds
+    to nearest-even, as ``float(token)`` does.  Any record the pattern
     does not take is decoded line by line: its data lines are buffered
     and decoded when the record closes — or when a ``$``/``!`` line
     interrupts it, so a line's width is always checked against the
@@ -277,6 +378,12 @@ class RawFileParser:
     :attr:`schemas` is the stream's to change once parsing has begun.
     :attr:`template_records` and :attr:`line_records` count the records
     decoded each way.
+
+    Every sample carries its :class:`Layout`: its columns under the
+    ``!`` lines in force when its first data line was decoded — for a
+    record a ``!`` line follows, the schemas it was written under, not
+    the next record's.  A record the template takes is the template's
+    layout again, so that costs one attribute store.
     """
 
     def __init__(self, on_error: str = "raise") -> None:
@@ -291,8 +398,11 @@ class RawFileParser:
         #: records decoded through the template / line by line
         self.template_records = 0
         self.line_records = 0
-        #: the template's columns, and their pattern once looked up
-        self._template: Optional[Tuple[Column, ...]] = None
+        #: type → its ``!`` line; replaced, never changed, by a ``!``
+        #: line, so a record keeps the one it was read under
+        self._lines: Dict[str, str] = {}
+        #: the template record, and its layout's pattern once looked up
+        self._template: Optional[ParsedSample] = None
         self._pattern = _MISS
 
     def parse(self, stream) -> Iterator[ParsedSample]:
@@ -305,8 +415,9 @@ class RawFileParser:
         #: the open record's data lines not decoded yet, and their numbers
         pending: List[str] = []
         linenos: List[int] = []
-        #: a ``$``/``!`` line made the open record decode some lines early
-        interrupted = False
+        #: the ``!`` lines in force when a ``$``/``!`` line made the open
+        #: record decode some lines early (``None``: it has not)
+        read_under: Optional[Dict[str, str]] = None
         #: after a corrupt record-open line, orphan data lines are part
         #: of the same damaged block — swallow them without re-reporting
         skipping_block = False
@@ -331,16 +442,18 @@ class RawFileParser:
                 continue
             if current is not None:
                 if opens:
-                    self._close(current, pending, linenos, not interrupted)
+                    self._close(current, pending, linenos, read_under)
                     yield current
                     current = None
                 elif pending:
                     self._decode_lines(current, pending, linenos)
-                    interrupted = True
+                    if read_under is None:
+                        read_under = self._lines
                 pending.clear()
                 linenos.clear()
             if opens:
-                skipping_block = interrupted = False
+                skipping_block = False
+                read_under = None
                 hit = self._by_template(text, start, lineno)
                 if hit is not None:
                     sample, pos = hit
@@ -366,7 +479,7 @@ class RawFileParser:
                     # that follows has no timestamp to attach to
                     skipping_block = True
         if current is not None:
-            self._close(current, pending, linenos, not interrupted)
+            self._close(current, pending, linenos, read_under)
             yield current
 
     def _by_template(
@@ -375,12 +488,14 @@ class RawFileParser:
         """The record that opens at ``pos`` (line ``lineno``) decoded by
         one match of the template's pattern, and where it ends; ``None``
         unless the match is a whole record and its ``ps`` lines parse."""
-        columns = self._template
-        if columns is None:
+        template = self._template
+        if template is None:
             return None
         pattern = self._pattern
         if pattern is _MISS:
-            pattern = self._pattern = _record_pattern(columns)
+            layout = template.layout
+            pattern = self._pattern = layout.derive(
+                "record pattern", lambda: _spell_record(layout.columns))
         match = pattern.match(text, pos) if pattern is not None else None
         if match is None:
             return None
@@ -400,7 +515,8 @@ class RawFileParser:
             host=self.hostname or "?", timestamp=int(ts),
             jobids=_jobids(jobs), data={}, procs=procs, lineno=lineno,
         )
-        sample._seal(row, columns)
+        sample._seal(row, template.columns)
+        sample.layout = template.layout
         self.template_records += 1
         return sample, end
 
@@ -419,17 +535,20 @@ class RawFileParser:
         sample: ParsedSample,
         lines: List[str],
         linenos: List[int],
-        whole: bool,
+        read_under: Optional[Dict[str, str]],
     ) -> None:
-        """Decode what the closing record still has buffered and seal
-        it; ``whole`` when that is every data line it has."""
+        """Decode what the closing record still has buffered, seal it
+        and give it its layout; ``read_under`` is the ``!`` lines of an
+        interrupted record, which decoded some lines early."""
         self._decode_lines(sample, lines, linenos)
         sample._seal(*_flatten(sample.data))
+        sample.layout = Layout.of(
+            sample.columns, self._lines if read_under is None else read_under)
         self.line_records += 1
-        if whole:
+        if read_under is None:
             # whatever order its lines came in, the record's columns
             # spell the order the next one is expected in
-            self._template = sample.columns
+            self._template = sample
             self._pattern = _MISS
 
     def _decode_lines(
@@ -448,6 +567,7 @@ class RawFileParser:
         if line[0] == "!":
             type_name, schema = Schema.parse_line(line)
             self.schemas[type_name] = schema
+            self._lines = {**self._lines, type_name: line}
             self._template = None
             return
         key, _, value = line[1:].partition(" ")
@@ -532,11 +652,11 @@ class SampleLike:
 # -- columnar block parsing ---------------------------------------------------
 #
 # A host file at rest is read whole into a :class:`HostBlock`: one
-# ``(records, counters)`` array per (device type, instance), which the
-# batched ETL (:mod:`repro.pipeline.parallel`) and the TSDB loader
-# (:func:`repro.tsdb.store.ingest_file`) consume directly.  There is
-# one record decoder, :class:`RawFileParser`; :class:`BlockParser`
-# stacks the rows it yields.  The one thing it does without it is
+# ``(records, counters)`` matrix per :class:`Layout` its records were
+# read under, which the batched ETL (:mod:`repro.pipeline.parallel`)
+# and the TSDB loader (:func:`repro.tsdb.store.ingest_file`) consume
+# directly.  There is one record decoder, :class:`RawFileParser`;
+# :class:`BlockParser` stacks the rows it yields.  The one thing it does without it is
 # decode a perfectly regular file in one pass over its bytes, because
 # that is the nightly bulk load: a rack of 8 host-days (144 records × 7
 # device lines) reads in 3.3–6.8 ms strided against 15–20 ms stacked
@@ -571,71 +691,14 @@ def _decimals(b: np.ndarray, starts: np.ndarray,
     return _POW10[18 - width:] @ digits.astype(np.int64)
 
 
-class Layout:
-    """One host layout: the header's ``!`` schema lines and one record's
-    device lines, ``(type, instance, width)`` each.
+class BlockRun(NamedTuple):
+    """The records of a host file read under one :class:`Layout`."""
 
-    Every host of a rack writes the same layout, so :class:`BlockParser`
-    parses it once: each strided :class:`HostBlock` of that shape shares
-    this object, its ``schemas`` dict (read-only) and the byte pattern
-    its body is checked against, and a consumer derives what it needs
-    from a layout once, through :meth:`derive`.
-    """
-
-    __slots__ = (
-        "schemas", "columns", "line_end", "pattern", "prefix", "at", "off",
-        "cols", "_derived",
-    )
-
-    def __init__(
-        self, schemas: Dict[str, Schema], columns: Tuple[Column, ...]
-    ) -> None:
-        self.schemas = schemas
-        self.columns = columns
-        # every token is followed by one separator: token i of a record
-        # ends at its i-th separator; the line ends fall where the
-        # layout puts them and every other separator is a space
-        self.line_end = np.cumsum([2] + [2 + w for _, _, w in columns]) - 1
-        self.pattern = np.full(self.line_end[-1] + 1, 32, np.uint8)
-        self.pattern[self.line_end] = 10
-        # each device line opens with its ``"<type> <inst> "`` bytes
-        prefixes = [f"{t} {inst} ".encode() for t, inst, _ in columns]
-        self.prefix = np.frombuffer(b"".join(prefixes), np.uint8)
-        self.at = np.repeat(self.line_end[:-1], [len(p) for p in prefixes])
-        self.off = np.concatenate(
-            [np.arange(1, len(p) + 1) for p in prefixes])
-        # the separators a value token sits after
-        self.cols = np.concatenate([
-            np.arange(o + 2, o + 2 + w)
-            for o, (_, _, w) in zip(self.line_end[:-1] + 1, columns)
-        ])
-        self._derived: Dict[object, object] = {}
-
-    def derive(self, key, build: Callable[[], object]):
-        """``build()``, made on the first call for ``key`` and kept."""
-        try:
-            return self._derived[key]
-        except KeyError:
-            if len(self._derived) >= _DERIVED:
-                self._derived.clear()
-            value = self._derived[key] = build()
-            return value
-
-
-@dataclass
-class BlockGroup:
-    """All readings of one (device type, instance) across a host file."""
-
-    #: record indices (into :attr:`HostBlock.times`) with a reading
-    rows: np.ndarray
-    #: ``(len(rows), n_counters)`` float64 counter values
-    values: np.ndarray
-    #: per-row arrays when rows have differing widths and no schema to
-    #: validate against (only :meth:`HostBlock.iter_samples` reads these)
-    ragged: Optional[List[np.ndarray]] = None
-
-    def row_values(self, i: int) -> np.ndarray:
-        return self.ragged[i] if self.ragged is not None else self.values[i]
+    layout: Layout
+    #: (n,) record indices (into :attr:`HostBlock.times`), ascending
+    records: np.ndarray
+    #: ``(n, W)`` float64 rows, laid out as ``layout.columns``
+    matrix: np.ndarray
 
 
 @dataclass
@@ -645,36 +708,38 @@ class HostBlock:
     host: str
     arch: Optional[str]
     mem_bytes: int
-    schemas: Dict[str, Schema]
     #: (R,) record timestamps, file order (duplicates preserved)
     times: np.ndarray
     #: per record, the job ids it was tagged with
     jobids: List[Tuple[str, ...]]
-    #: type → instance → column group
-    groups: Dict[str, Dict[str, BlockGroup]]
-    #: device types in first-appearance (file) order
-    type_order: List[str]
+    #: one run per layout, in first-appearance order; every record is
+    #: in exactly one
+    runs: List[BlockRun]
     #: record index → procfs records of that sample
     procs: Dict[int, List[ProcessRecord]] = field(default_factory=dict)
     errors: List[ParseError] = field(default_factory=list)
-    #: the strided path's: the :class:`Layout` every record follows and
-    #: the ``(records, counters)`` rows it decoded, each group a column
-    #: slice of them (``None`` for a block the record decoder stacked)
-    layout: Optional["Layout"] = None
-    matrix: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        #: per record, its run and its row in that run's matrix
+        self.run_of = np.zeros(len(self.times), dtype=np.intp)
+        self.row_of = np.zeros(len(self.times), dtype=np.intp)
+        for u, run in enumerate(self.runs):
+            self.run_of[run.records] = u
+            self.row_of[run.records] = np.arange(len(run.records))
 
     @property
     def n_records(self) -> int:
         return len(self.times)
 
-    def derive(self, key, build: Callable[[], object]):
-        """What a consumer makes of this block's layout: made once per
-        :class:`Layout` (:meth:`Layout.derive`), or by every call for a
-        block without one.  ``build`` may read only what every block of
-        the layout shares: its schemas and devices, not their values."""
-        if self.layout is None:
-            return build()
-        return self.layout.derive(key, build)
+    @property
+    def layout(self) -> Optional[Layout]:
+        """The layout every record follows (``None`` unless one does)."""
+        return self.runs[0].layout if len(self.runs) == 1 else None
+
+    @property
+    def matrix(self) -> Optional[np.ndarray]:
+        """Every record's row, when one layout holds them all."""
+        return self.runs[0].matrix if len(self.runs) == 1 else None
 
     def job_rows(self) -> Dict[str, np.ndarray]:
         """Record indices per job id (the jobmap bucket-sort, columnar)."""
@@ -689,23 +754,20 @@ class HostBlock:
 
     def iter_samples(self, records: Iterable[int]) -> Iterator[ParsedSample]:
         """The streaming-parser view of the records ``records`` indexes,
-        in that order; no other record is materialised."""
-        per_record: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {
-            int(r): {} for r in records
-        }
-        for type_name in self.type_order:
-            for inst, grp in self.groups.get(type_name, {}).items():
-                for i in np.flatnonzero(np.isin(grp.rows, list(per_record))):
-                    per_record[int(grp.rows[i])].setdefault(type_name, {})[
-                        inst] = grp.row_values(i)
-        for r in per_record:
-            yield ParsedSample(
+        in that order, each with its layout; no other record is
+        materialised."""
+        for r in records:
+            run = self.runs[self.run_of[r]]
+            sample = ParsedSample(
                 host=self.host,
                 timestamp=int(self.times[r]),
                 jobids=list(self.jobids[r]),
-                data=per_record[r],
-                procs=self.procs.get(r, []),
+                data={},
+                procs=self.procs.get(int(r), []),
             )
+            sample._seal(run.matrix[self.row_of[r]], run.layout.columns)
+            sample.layout = run.layout
+            yield sample
 
 
 class BlockParser:
@@ -719,21 +781,21 @@ class BlockParser:
        ASCII digits): its body is decoded in one pass over its bytes —
        token bounds from the separators, the layout checked by one
        reshape-and-compare and one gather, every number by
-       :func:`_decimals`.  Its :class:`Layout` — the ``!`` lines and
-       the first record's device lines — is parsed once for every file
-       that shares it (:meth:`_layout`) and kept on the block;
+       :func:`_decimals` — into one run;
     2. *records* — any other file (``ps`` lines, a late device, schema
        evolution, damage) goes through :class:`RawFileParser`, and its
-       rows are stacked: records that share a ``columns`` layout become
-       one ``(records, K)`` matrix, a device's :class:`BlockGroup` a
-       column slice of it.  What is refused, why and in what order is
-       the decoder's answer: ``errors`` is its ledger.
+       rows are stacked: the records of one :class:`Layout` become one
+       run, a ``(records, W)`` matrix.  What is refused, why and in
+       what order is the decoder's answer: ``errors`` is its ledger.
 
-    The block keeps one schema per type — the file's last — so a
-    reading the decoder accepted under an earlier schema of another
-    width cannot be filed under it: it is dropped and ledgered at the
-    line its record opened on.  ``on_error="raise"`` fails the file at
-    the first ledger entry with ``ValueError("line <n>: <reason>")``.
+    Either way a record is filed under the layout the decoder would
+    give it — its columns under the schemas in force when it was read —
+    so a file whose ``!`` lines change between days keeps each day's
+    readings under that day's schemas, and a file of one layout (the
+    strided files; a simulator host-day with its ``ps`` lines) is one
+    run, with :attr:`HostBlock.layout` and :attr:`HostBlock.matrix`.
+    ``on_error="raise"`` fails the file at the first ledger entry with
+    ``ValueError("line <n>: <reason>")``.
     """
 
     def __init__(self, on_error: str = "quarantine") -> None:
@@ -763,15 +825,19 @@ class BlockParser:
     # -- strided fast path ---------------------------------------------------
     def _try_strided(self, text: str) -> Optional[HostBlock]:
         header = RawFileParser()
+        #: type → its last ``!`` line, and every ``!`` line
+        lines: Dict[str, str] = {}
         schema_lines: List[str] = []
         pos = 0
         try:
             while text.startswith(("$", "!"), pos):
                 end = text.index("\n", pos)
-                if text[pos] == "!":
-                    schema_lines.append(text[pos:end])
+                line = text[pos:end]
+                if line[0] == "!":
+                    lines[line[1:].split(None, 1)[0]] = line
+                    schema_lines.append(line)
                 else:
-                    header._header_line(text[pos:end])
+                    header._header_line(line)
                 pos = end + 1
             body = text[pos:] if text.endswith("\n") else text[pos:] + "\n"
             b = np.frombuffer(body.encode("ascii"), np.uint8)
@@ -784,19 +850,29 @@ class BlockParser:
                 if not t or not inst or t == "ps" or t[0] in "$!":
                     return None
                 columns.append((t, inst, len(values)))
-            layout = self._layout(tuple(schema_lines), tuple(columns))
-            if layout is None:
+            if not columns:
                 return None
+            layout = Layout.of(tuple(columns), lines)
+            # the layout parsed its types' lines; the decoder would
+            # refuse any other that does not parse, or a device not as
+            # wide as its schema
+            for line in schema_lines:
+                if line not in layout.lines:
+                    header._header_line(line)
+            if len(layout.schemas) != sum(map(bool, layout.lines)):
+                return None
+            pattern, prefix, at, off, cols = layout.derive(
+                "stride", lambda: _stride(layout.columns))
             # token i of record r ends at ``sep[r, i]``
             sep = np.flatnonzero(b <= 32)
-            R, rem = divmod(len(sep), len(layout.pattern))
-            if rem or not (b[sep].reshape(R, -1) == layout.pattern).all():
+            R, rem = divmod(len(sep), len(pattern))
+            if rem or not (b[sep].reshape(R, -1) == pattern).all():
                 return None
             sep = sep.reshape(R, -1)
-            if not (b[sep[:, layout.at] + layout.off] == layout.prefix).all():
+            if not (b[sep[:, at] + off] == prefix).all():
                 return None
-            ints = _decimals(b, sep[:, layout.cols - 1].ravel() + 1,
-                             sep[:, layout.cols].ravel())
+            ints = _decimals(b, sep[:, cols - 1].ravel() + 1,
+                             sep[:, cols].ravel())
             times = _decimals(b, np.concatenate(([0], sep[:-1, -1] + 1)),
                               sep[:, 0])
         except (ValueError, IndexError):
@@ -804,134 +880,38 @@ class BlockParser:
         # an empty job token is a doubled or trailing space
         if ints is None or times is None or (sep[:, 1] - sep[:, 0] < 2).any():
             return None
-        values = ints.astype(np.float64).reshape(R, -1)
         jobs = [body[lo:hi] for lo, hi in zip(
             (sep[:, 0] + 1).tolist(), sep[:, 1].tolist())]
         split = {js: () if js == "-" else tuple(js.split(","))
                  for js in set(jobs)}
-        rows = np.arange(R, dtype=np.int64)
-        groups: Dict[str, Dict[str, BlockGroup]] = {}
-        lo = 0
-        for t, inst, w in layout.columns:
-            # a device listed twice: one row a record, the last line's
-            groups.setdefault(t, {})[inst] = BlockGroup(
-                rows, values[:, lo:lo + w])
-            lo += w
         return HostBlock(
             host=header.hostname or "?", arch=header.arch,
-            mem_bytes=header.mem_bytes, schemas=layout.schemas,
-            times=times, jobids=[split[js] for js in jobs],
-            groups=groups, type_order=list(groups),
-            layout=layout, matrix=values,
+            mem_bytes=header.mem_bytes, times=times,
+            jobids=[split[js] for js in jobs],
+            runs=[BlockRun(layout, np.arange(R, dtype=np.int64),
+                           ints.astype(np.float64).reshape(R, -1))],
         )
-
-    #: ``(schema lines, columns)`` → its :class:`Layout`, or ``None``
-    #: when a device's width disagrees with its schema; shared by every
-    #: parser, emptied when full
-    _layouts: Dict[Tuple[Tuple[str, ...], Tuple[Column, ...]],
-                   Optional[Layout]] = {}
-
-    @classmethod
-    def _layout(
-        cls, schema_lines: Tuple[str, ...], columns: Tuple[Column, ...]
-    ) -> Optional[Layout]:
-        """The layout these lines spell, its schemas parsed on first
-        sight (a bad schema line raises ``ValueError``, remembering
-        nothing)."""
-        key = (schema_lines, columns)
-        # one lookup: another thread may empty the memo between two
-        hit = cls._layouts.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        header = RawFileParser()
-        for line in schema_lines:
-            header._header_line(line)
-        schemas = header.schemas
-        layout = None
-        if columns and not any(t in schemas and w != len(schemas[t])
-                               for t, _, w in columns):
-            layout = Layout(schemas, columns)
-        if len(cls._layouts) >= _LAYOUTS:
-            cls._layouts.clear()
-        cls._layouts[key] = layout
-        return layout
 
     # -- the record decoder's rows, stacked ----------------------------------
     def _stack_records(self, text: str) -> HostBlock:
         parser = RawFileParser(on_error="quarantine")
         samples = list(parser.parse(text))
-        #: ``columns`` → the records laid out that way, and their rows
-        layouts: Dict[
-            Tuple[Column, ...], Tuple[List[int], List[np.ndarray]]
-        ] = {}
+        #: layout → its records and their rows, in first-appearance order
+        by_layout: Dict[Layout, Tuple[List[int], List[np.ndarray]]] = {}
         for r, sample in enumerate(samples):
-            records, rows = layouts.setdefault(sample.columns, ([], []))
+            records, rows = by_layout.setdefault(sample.layout, ([], []))
             records.append(r)
             rows.append(sample.row)
-        #: device → its ``(record index, values)`` under each layout, in
-        #: first-appearance order (a layout's first record is where each
-        #: of its devices not seen before first appears)
-        pieces: Dict[
-            Tuple[str, str], List[Tuple[np.ndarray, np.ndarray]]
-        ] = {}
-        for columns, (records, rows) in layouts.items():
-            index = np.array(records, dtype=np.int64)
-            matrix = np.vstack(rows)
-            lo = 0
-            for type_name, instance, width in columns:
-                pieces.setdefault((type_name, instance), []).append(
-                    (index, matrix[:, lo:lo + width])
-                )
-                lo += width
-        errors = parser.errors
-        #: the text's lines, split once a reading is dropped
-        lines: Optional[List[str]] = None
-        groups: Dict[str, Dict[str, BlockGroup]] = {}
-        for (type_name, instance), parts in pieces.items():
-            schema = parser.schemas.get(type_name)
-            kept = []
-            for index, values in parts:
-                width = values.shape[1]
-                if schema is None or width == len(schema):
-                    kept.append((index, values))
-                    continue
-                reason = (
-                    f"{type_name}/{instance}: {width} values vs "
-                    f"schema of {len(schema)}"
-                )
-                if lines is None:
-                    lines = text.split("\n")
-                errors.extend(
-                    ParseError(n, lines[n - 1], reason)
-                    for n in (samples[r].lineno for r in index)
-                )
-            if not kept:
-                continue
-            ragged = None
-            if len(kept) == 1:
-                (index, values), = kept
-            else:
-                # a record has one layout, so no index repeats
-                index = np.concatenate([i for i, _ in kept])
-                order = np.argsort(index)
-                index = index[order]
-                if len({values.shape[1] for _, values in kept}) == 1:
-                    values = np.concatenate([v for _, v in kept])[order]
-                else:
-                    # schema-less and of varying width: per-row arrays
-                    flat = [row for _, values in kept for row in values]
-                    ragged = [flat[i] for i in order]
-                    values = np.zeros((len(index), 0))
-            groups.setdefault(type_name, {})[instance] = BlockGroup(
-                rows=index, values=values, ragged=ragged
-            )
-        errors.sort(key=lambda e: e.lineno)  # stable: it stays file order
         return HostBlock(
             host=parser.hostname or "?", arch=parser.arch,
-            mem_bytes=parser.mem_bytes, schemas=parser.schemas,
+            mem_bytes=parser.mem_bytes,
             times=np.array([s.timestamp for s in samples], dtype=np.int64),
             jobids=[tuple(s.jobids) for s in samples],
-            groups=groups, type_order=list(groups),
+            runs=[
+                BlockRun(layout, np.array(records, dtype=np.int64),
+                         np.vstack(rows))
+                for layout, (records, rows) in by_layout.items()
+            ],
             procs={r: s.procs for r, s in enumerate(samples) if s.procs},
-            errors=errors,
+            errors=parser.errors,
         )

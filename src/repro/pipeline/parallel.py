@@ -12,8 +12,9 @@ computed metrics are then ingested into a PostgreSQL database."*
 2. **Assemble** jobs from blocks (:func:`assemble_jobs`, a bucket-sort
    of record indices by job id) and reduce each to a
    :class:`~repro.pipeline.accum.JobAccum` with
-   :func:`~repro.pipeline.accum.accumulate_blocks` — the hosts of one
-   layout stacked, one gather and two sums per quantity.
+   :func:`~repro.pipeline.accum.accumulate_blocks` — each record read
+   under its own layout, the hosts of one layout stacked, one gather
+   and two sums per quantity.
 3. **Compute** Table I with
    :func:`~repro.metrics.table1.compute_metrics_batch`, stacking
    same-shaped jobs into (jobs, nodes, T-1) arrays.
@@ -39,7 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.jobs import Job
-from repro.core.rawfile import BlockParser, HostBlock, ParsedSample, Schema
+from repro.core.rawfile import BlockParser, HostBlock, ParsedSample
 from repro.core.store import CentralStore
 from repro.db.connection import Database
 from repro.metrics.flags import Thresholds, evaluate_flags
@@ -89,8 +90,6 @@ class JobBlockData:
     host_rows: Dict[str, Tuple[HostBlock, np.ndarray]] = field(
         default_factory=dict
     )
-    schemas: Dict[str, Schema] = field(default_factory=dict)
-    arch: Optional[str] = None
 
     @property
     def n_hosts(self) -> int:
@@ -102,9 +101,7 @@ class JobBlockData:
         return min(len(rows) for _, rows in self.host_rows.values())
 
     def accumulate(self) -> JobAccum:
-        return accumulate_blocks(
-            self.jobid, self.host_rows, self.schemas, self.arch
-        )
+        return accumulate_blocks(self.jobid, self.host_rows)
 
     def host_samples(self) -> Dict[str, List[ParsedSample]]:
         """The job's whole samples per host, oldest first.
@@ -139,11 +136,6 @@ def assemble_jobs(
             if jd is None:
                 jd = out[jid] = JobBlockData(jobid=jid)
             jd.host_rows[host] = (block, rows)
-            if not jd.schemas:
-                jd.schemas = dict(block.schemas)
-                jd.arch = block.arch
-            elif len(block.schemas) > len(jd.schemas):
-                jd.schemas.update(block.schemas)
     dropped: Dict[str, int] = {}
     for jid, jd in list(out.items()):
         if jobs is not None:

@@ -109,9 +109,11 @@ class JobDetailView:
             "nodes": getattr(job, "nodes", accum.n_hosts) if job else accum.n_hosts,
         }
         flags = evaluate_flags(metrics, accum, meta, thresholds)
+        # built once: the process table and the energy report read them
+        host_samples = jd.host_samples()
         # last process snapshot across the job's hosts
         procs = []
-        for host, samples in sorted(jd.host_samples().items()):
+        for host, samples in sorted(host_samples.items()):
             for s in reversed(samples):
                 if s.procs:
                     procs.extend(
@@ -126,7 +128,7 @@ class JobDetailView:
             panels=fig5_series(accum),
             flags=flags,
             processes=procs,
-            energy=energy_breakdown(jd),
+            energy=energy_breakdown(jobid, host_samples),
         )
 
     def metric_report(

@@ -11,13 +11,15 @@ Bit-exactness is by construction, not by approximation:
 
 * Per (job, host) the analyzer keeps the *same* per-timestamp summed
   counter values batch accumulation builds, gathered by the same code:
-  a host's plan is :func:`~repro.pipeline.accum._plan` of its sample's
-  ``columns`` (the device type, counters and register modulus of each
-  quantity), and a sample's row is summed by
+  a sample's plan is :func:`~repro.pipeline.accum.plan_of` its
+  :class:`~repro.core.rawfile.Layout` — the record's columns under the
+  schemas it was read with, the object batch plans the record's block
+  run under — and its row is summed by
   :func:`~repro.pipeline.accum._sum_step`, the function batch sums its
   stacked rows with — once per sample, for every job on the host.
-* The register moduli are the host's latest plan's: one schema per
-  type, the last, as batch keeps them.
+* A host's register modulus for a quantity is the one its last consumed
+  sample that reads the quantity was read under — batch's rule for its
+  last aligned record.
 * Hosts are aligned on the intersection of their sample timestamps
   exactly like :func:`~repro.pipeline.accum.accumulate_blocks`: an aligned
   timestamp ``T`` is only *consumed* once every participating host has
@@ -53,8 +55,9 @@ from repro.pipeline.accum import (
     CANONICAL_QUANTITIES,
     JobAccum,
     Quantity,
-    _plan,
+    _Step,
     _sum_step,
+    plan_of,
     reduce_series,
 )
 
@@ -120,68 +123,45 @@ class StreamJobResult:
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
-class _HostPlans:
-    """Each host's plan: batch's :func:`~repro.pipeline.accum._plan` of
-    its latest sample's ``columns`` under their types' schemas, rebuilt
-    when either changes (the stream pipeline's layout key).  A host's
-    register moduli are its latest plan's — one schema per type, the
-    last, as batch keeps them; a quantity that plan lacks keeps its
-    own."""
-
-    def __init__(self, quantities: Sequence[Quantity]) -> None:
-        self.quantities = tuple(quantities)
-        #: host → its layout's ``columns``, their types, those types'
-        #: schemas and the layout's plan
-        self._plans: Dict[str, tuple] = {}
-        #: host → register modulus per quantity
-        self.widths: Dict[str, np.ndarray] = {}
-
-    def row(self, host: str, sample, schemas: Mapping[str, object]):
-        """A sample's row summed through
-        :func:`~repro.pipeline.accum._sum_step`: one value per quantity,
-        NaN for one its devices do not carry."""
-        columns = sample.columns
-        plan = self._plans.get(host)
-        if (plan is None or plan[0] is not columns
-                or plan[2] != tuple(map(schemas.get, plan[1]))):
-            types = tuple(dict.fromkeys(t for t, _, _ in columns))
-            steps = _plan(columns, schemas, self.quantities)
-            plan = self._plans[host] = (
-                columns, types, tuple(map(schemas.get, types)), steps)
-            widths = self.widths.setdefault(
-                host, np.full(len(self.quantities), 2.0**64))
-            for i, _, _, width in steps:
-                widths[i] = width
-        sums = np.full(len(self.quantities), math.nan)
-        for i, cols, _, _ in plan[3]:
-            sums[i] = _sum_step(sample.row, cols)
-        return sums
+def _gather(sample) -> Tuple[np.ndarray, List[_Step]]:
+    """A sample's row summed under its layout's plan
+    (:func:`~repro.pipeline.accum._sum_step`): one value per streamed
+    quantity, NaN for one its devices do not carry; and the plan."""
+    steps = plan_of(sample.layout, STREAM_QUANTITIES)
+    sums = np.full(len(STREAM_QUANTITIES), math.nan)
+    for i, cols, _ in steps:
+        sums[i] = _sum_step(sample.row, cols)
+    return sums, steps
 
 
 class _HostState:
     """Per-(job, host) incremental accumulation state."""
 
-    __slots__ = ("pending", "done", "max_ts", "rows")
+    __slots__ = ("pending", "done", "max_ts", "rows", "steps", "widths")
 
     def __init__(self, n_quantities: int, n_times: int) -> None:
-        #: timestamp → the sample's summed counters, one per quantity
-        self.pending: Dict[int, Sequence[float]] = {}
+        #: timestamp → the sample's summed counters, one per quantity,
+        #: and the plan they were summed under
+        self.pending: Dict[int, Tuple[Sequence[float], List[_Step]]] = {}
         self.done = False
         self.max_ts = -1
         #: one row of raw values per consumed time: a host joining
         #: late has NaN rows before its first sample
         nan_row = (math.nan,) * n_quantities
         self.rows: List[Sequence[float]] = [nan_row] * n_times
+        #: the plan of the last consumed sample, and the register
+        #: modulus per quantity so far
+        self.steps: Optional[List[_Step]] = None
+        self.widths = np.full(n_quantities, 2.0**64)
 
 
 class _JobStream:
-    """Incremental accumulator for one in-flight job, fed the rows its
-    hosts' ``plans`` sum."""
+    """Incremental accumulator for one in-flight job, fed its hosts'
+    samples as :func:`_gather` sums them."""
 
-    def __init__(self, jobid: str, plans: _HostPlans) -> None:
+    def __init__(self, jobid: str) -> None:
         self.jobid = jobid
-        self.plans = plans
-        self.quantities = plans.quantities
+        self.quantities = STREAM_QUANTITIES
         self.hosts: Dict[str, _HostState] = {}
         self.times: List[int] = []  # consumed aligned timestamps
         self.fired: Dict[str, FlagResult] = {}
@@ -190,8 +170,15 @@ class _JobStream:
         self.last_metrics: Dict[str, float] = {}
 
     # -- sample intake -----------------------------------------------------
-    def observe(self, host: str, timestamp: int, sums: Sequence[float]) -> None:
-        """One sample of ``host``: its time and :meth:`_HostPlans.row`."""
+    def observe(
+        self,
+        host: str,
+        timestamp: int,
+        sums: Sequence[float],
+        steps: List[_Step],
+    ) -> None:
+        """One sample of ``host``: its time and what :func:`_gather`
+        made of it."""
         hs = self.hosts.get(host)
         if hs is None:
             if self.times:
@@ -207,7 +194,7 @@ class _JobStream:
         hs.max_ts = max(hs.max_ts, ts)
         # duplicate timestamps (prolog + periodic coincide): last wins,
         # as in accumulate_blocks()
-        hs.pending[ts] = sums
+        hs.pending[ts] = (sums, steps)
 
     def mark_done(self, host: str) -> None:
         hs = self.hosts.get(host)
@@ -234,7 +221,12 @@ class _JobStream:
     def _consume(self, t: int) -> None:
         self.times.append(t)
         for hs in self.hosts.values():
-            hs.rows.append(hs.pending.pop(t))
+            sums, steps = hs.pending.pop(t)
+            hs.rows.append(sums)
+            if steps is not hs.steps:
+                hs.steps = steps
+                for i, _, width in steps:
+                    hs.widths[i] = width
 
     def _prune_stale_pending(self) -> None:
         """Drop pending timestamps that can no longer become common.
@@ -285,7 +277,7 @@ class _JobStream:
         states = [self.hosts[h] for h in hosts]
         # (N, T, Q) rows → the (N, Q, T) series batch accumulation reduces
         series = np.array([hs.rows for hs in states]).transpose(0, 2, 1)
-        widths = np.array([self.plans.widths[h] for h in hosts])[..., None]
+        widths = np.array([hs.widths for hs in states])[..., None]
         deltas, gauges = reduce_series(self.quantities, series, widths)
         return JobAccum(
             jobid=self.jobid,
@@ -328,7 +320,6 @@ class StreamingFlagAnalyzer:
         self.thresholds = thresholds or Thresholds()
         self.job_meta = job_meta
         self.active: Dict[str, _JobStream] = {}
-        self.plans = _HostPlans(STREAM_QUANTITIES)
         self.completed: Dict[str, StreamJobResult] = {}
         #: host → jobids currently observed on that host
         self.host_jobs: Dict[str, Set[str]] = {}
@@ -337,10 +328,10 @@ class StreamingFlagAnalyzer:
     def inflight(self) -> int:
         return len(self.active)
 
-    def observe(
-        self, host: str, sample, schemas: Mapping[str, object]
-    ) -> List[StreamEvent]:
-        """Feed one parsed sample; returns flags that newly fired."""
+    def observe(self, host: str, sample) -> List[StreamEvent]:
+        """Feed one parsed sample (one with its
+        :attr:`~repro.core.rawfile.ParsedSample.layout`); returns flags
+        that newly fired."""
         mentioned = set(sample.jobids)
         touched: List[str] = []
         known = self.host_jobs.setdefault(host, set())
@@ -352,14 +343,14 @@ class StreamingFlagAnalyzer:
                 js.mark_done(host)
                 touched.append(jid)
         # gathered once, for every job the sample carries
-        sums = self.plans.row(host, sample, schemas) if mentioned else None
+        sums, steps = _gather(sample) if mentioned else (None, None)
         for jid in sample.jobids:
             if jid in self.completed:
                 continue
             js = self.active.get(jid)
             if js is None:
-                js = self.active[jid] = _JobStream(jid, self.plans)
-            js.observe(host, sample.timestamp, sums)
+                js = self.active[jid] = _JobStream(jid)
+            js.observe(host, sample.timestamp, sums, steps)
             known.add(jid)
             touched.append(jid)
         events: List[StreamEvent] = []

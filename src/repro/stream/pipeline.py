@@ -9,8 +9,10 @@ delivery is parsed once and fans out three ways:
    ``(host, type, device, event)`` in a live
    :class:`~repro.tsdb.store.TimeSeriesDB`.  A sample arrives as one
    *row* (:attr:`~repro.core.rawfile.ParsedSample.row`) and is written
-   as it arrived: the host's *layout* maps the row's columns (its
-   types, their schemas, their devices) onto K series behind one
+   as it arrived: its :class:`~repro.core.rawfile.Layout` — the row's
+   columns under the schemas it was read with — maps them onto K series
+   (:func:`~repro.tsdb.store.series_plan`, made once per layout for
+   every host), bound to the host as one
    :class:`~repro.tsdb.store.SeriesGroup`.  A delivery's rows are
    written as one ``(n, K)`` block in a single
    :meth:`~repro.stream.retention.RetainingWriter.put_many`, through
@@ -32,7 +34,7 @@ write → alert evaluation (`daemon.publish` → `stream.process` →
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,8 +42,7 @@ from repro import obs
 from repro.broker import Broker, Channel, Delivery
 from repro.cluster.jobs import Job
 from repro.core.daemon import EXCHANGE
-from repro.core.rawfile import Column, ParsedSample, RawFileParser
-from repro.hardware.devices.base import Schema
+from repro.core.rawfile import Layout, ParsedSample, RawFileParser
 from repro.metrics.flags import FlagResult, Thresholds
 from repro.obs import handles
 from repro.stream.alerts import AlertRouter
@@ -49,7 +50,7 @@ from repro.stream.analytics import FleetAnalytics
 from repro.stream.analyzer import StreamEvent, StreamingFlagAnalyzer
 from repro.stream.retention import RetainingWriter, RetentionPolicy
 from repro.tsdb.query import QueryResult, query
-from repro.tsdb.store import SeriesGroup, TimeSeriesDB
+from repro.tsdb.store import SeriesGroup, TimeSeriesDB, series_plan
 
 __all__ = ["STREAM_QUEUE", "LATENCY_BUCKETS", "StreamPipeline"]
 
@@ -86,70 +87,20 @@ _FLAG_LATENCY = handles.histogram(
 )
 
 
-class _Layout:
-    """The K series one host's samples fill, in row order.
+class _Host(NamedTuple):
+    """Where one host's rows go: the layout its group was bound for,
+    the row columns written (``None``: all of them), the host's writer
+    and its series behind one group of the writer's store."""
 
-    Built for one ``columns`` tuple under one set of schemas, which is
-    its key: ``types`` are the device types of ``columns`` and
-    ``schemas`` what each resolved to.  ``take`` picks the row entries
-    that are written — ``None`` for all of them; a type outside the
-    ``types`` filter or without a schema leaves its columns out.
-    ``group.tag_sets[j]`` is written column ``j``'s tag set (``group``
-    is ``None`` when nothing is written).  ``writer`` is where the rows
-    go: ``group`` is a group of its store.
-    """
-
-    __slots__ = (
-        "columns", "types", "schemas", "take", "writer", "group",
-    )
-
-    def __init__(
-        self,
-        writer: RetainingWriter,
-        metric: str,
-        host: str,
-        sample: ParsedSample,
-        schemas: Mapping[str, Schema],
-        wanted: Optional[Set[str]],
-    ) -> None:
-        columns = sample.columns
-        types = tuple(dict.fromkeys(t for t, _, _ in columns))
-        tag_sets = []
-        take: List[int] = []
-        lo = 0
-        for type_name, device, width in columns:
-            schema = schemas.get(type_name)
-            if schema is not None and (wanted is None or type_name in wanted):
-                take.extend(range(lo, lo + width))
-                for event in schema.names():
-                    tag_sets.append({
-                        "host": host,
-                        "type": type_name,
-                        "device": device,
-                        "event": event,
-                    })
-            lo += width
-        if len(take) != len(tag_sets):
-            # a schema line between a record's data and the next record
-            raise ValueError(
-                f"{host}: sample at {sample.timestamp} carries {len(take)} "
-                f"values for {len(tag_sets)} schema columns"
-            )
-        self.columns: Tuple[Column, ...] = columns
-        self.types = types
-        self.schemas = tuple(map(schemas.get, types))
-        self.take: Optional[np.ndarray] = (
-            None if len(take) == lo else np.array(take, dtype=np.intp)
-        )
-        self.writer = writer
-        self.group: Optional[SeriesGroup] = (
-            writer.tsdb.group(metric, tag_sets) if tag_sets else None
-        )
+    layout: Layout
+    take: Optional[np.ndarray]
+    writer: RetainingWriter
+    group: Optional[SeriesGroup]
 
 
-#: rows of consecutive samples that share a layout: ``(layout, times
-#: (n,), values (n, K))``
-Block = Tuple[_Layout, np.ndarray, np.ndarray]
+#: rows of consecutive samples that share a host binding: ``(binding,
+#: times (n,), values (n, K))``
+Block = Tuple[_Host, np.ndarray, np.ndarray]
 
 
 class StreamPipeline:
@@ -183,7 +134,7 @@ class StreamPipeline:
         self.metric = metric
         if analytics is not None:
             analytics.attach(self._stores(), metric)
-        self.types = set(types) if types is not None else None
+        self.types = frozenset(types) if types is not None else None
         job_meta = None
         if jobs is not None:
             def job_meta(jobid: str, hosts) -> Dict[str, object]:
@@ -195,10 +146,10 @@ class StreamPipeline:
                 }
         self.analyzer = StreamingFlagAnalyzer(thresholds, job_meta=job_meta)
         self._parsers: Dict[str, RawFileParser] = {}
-        #: host → the layout of its latest sample.  One per host, and a
-        #: changed layout is always a new object (a delivery's rows are
-        #: split into blocks on layout identity)
-        self._layouts: Dict[str, _Layout] = {}
+        #: host → its binding, for the layout of its latest sample.  A
+        #: changed layout is always a new binding (a delivery's rows are
+        #: split into blocks on binding identity)
+        self._hosts: Dict[str, _Host] = {}
         self.samples = 0
         self.points = 0
         self.last_seen = 0  # sim time of the latest delivery processed
@@ -239,25 +190,23 @@ class StreamPipeline:
             line_records = parser.line_records
             events: List[StreamEvent] = []
             n_samples = 0
-            #: (layout, [timestamp], [row]) per run of samples that
+            #: (binding, [timestamp], [row]) per run of samples that
             #: share a layout — one run, as a rule
-            runs: List[Tuple[_Layout, List[int], List[np.ndarray]]] = []
+            runs: List[Tuple[_Host, List[int], List[np.ndarray]]] = []
             for sample in parser.parse(msg.body):
                 n_samples += 1
-                placed = self._row(host, sample, parser.schemas)
+                placed = self._row(host, sample)
                 if placed is not None:
-                    layout, row = placed
-                    if not runs or runs[-1][0] is not layout:
-                        runs.append((layout, [], []))
+                    binding, row = placed
+                    if not runs or runs[-1][0] is not binding:
+                        runs.append((binding, [], []))
                     runs[-1][1].append(sample.timestamp)
                     runs[-1][2].append(row)
                 with obs.span("stream.analyze"):
-                    events.extend(
-                        self.analyzer.observe(host, sample, parser.schemas)
-                    )
+                    events.extend(self.analyzer.observe(host, sample))
             blocks: List[Block] = [
-                (layout, np.array(ts, dtype=np.int64), np.array(rows))
-                for layout, ts, rows in runs
+                (binding, np.array(ts, dtype=np.int64), np.array(rows))
+                for binding, ts, rows in runs
             ]
             if blocks:
                 with obs.span("stream.tsdb_write") as wsp:
@@ -280,51 +229,52 @@ class StreamPipeline:
         _INFLIGHT.set(self.analyzer.inflight)
 
     def _row(
-        self,
-        host: str,
-        sample: ParsedSample,
-        schemas: Mapping[str, Schema],
-    ) -> Optional[Tuple[_Layout, np.ndarray]]:
-        """One sample as ``(layout, float64 row)``.
+        self, host: str, sample: ParsedSample
+    ) -> Optional[Tuple[_Host, np.ndarray]]:
+        """One sample as ``(binding, float64 row)``.
 
-        The host's layout is rebuilt when the sample's columns or the
-        schema of one of its types differ from its previous sample's —
-        a device or a ``!`` line appearing mid-stream starts a new
-        layout, it is not a shape error.  ``None`` for a sample with no
-        column to write.
+        The host's group is bound again when the sample's layout is not
+        its previous sample's — a device or a ``!`` line appearing
+        mid-stream starts a new layout, it is not a shape error.
+        ``None`` for a sample with no column to write.
         """
-        layout = self._layouts.get(host)
-        if (
-            layout is None
-            or layout.columns is not sample.columns
-            or layout.schemas != tuple(map(schemas.get, layout.types))
-        ):
-            layout = self._layouts[host] = _Layout(
-                self._writer_for(host), self.metric, host, sample, schemas,
-                self.types,
-            )
-        if layout.group is None:
+        binding = self._hosts.get(host)
+        layout = sample.layout
+        if binding is None or binding.layout is not layout:
+            writer = (self._writer_for(host) if binding is None
+                      else binding.writer)
+            plan = layout.derive(
+                ("series", self.metric, self.types, ()),
+                lambda: series_plan((layout,), self.metric, self.types))
+            take, group = None, None
+            if plan:
+                (template, _, cols), = plan
+                if cols[0] != list(range(len(sample.row))):
+                    take = np.array(cols[0], dtype=np.intp)
+                group = template.bind(writer.tsdb, host)
+            binding = self._hosts[host] = _Host(layout, take, writer, group)
+        if binding.group is None:
             return None
-        if layout.take is None:
-            return layout, sample.row
-        return layout, sample.row[layout.take]
+        if binding.take is None:
+            return binding, sample.row
+        return binding, sample.row[binding.take]
 
     def _stores(self) -> List[TimeSeriesDB]:
         """The stores rows are written into: :attr:`tsdb` itself."""
         return [self.tsdb]
 
     def _writer_for(self, host: str) -> RetainingWriter:
-        """Which of :attr:`writers` takes ``host``'s rows.  Asked where
-        a layout is built — once per host, not per delivery."""
+        """Which of :attr:`writers` takes ``host``'s rows.  Asked once
+        per host, not per delivery."""
         return self.writer
 
     def _write_blocks(self, blocks: List[Block]) -> int:
         """Live counterpart of :func:`repro.tsdb.store.ingest_store`:
         one :meth:`RetainingWriter.put_many` per block of rows."""
         n = 0
-        for layout, times, values in blocks:
-            n += layout.writer.put_many(
-                self.metric, layout.group, times, values
+        for binding, times, values in blocks:
+            n += binding.writer.put_many(
+                self.metric, binding.group, times, values
             )
         self.points += n
         _POINTS.inc(n)

@@ -1308,31 +1308,41 @@ class TimeSeriesDB:
         return [self._series[k] for k in sorted(keys)]
 
 
-def _ingest_plan(
-    block, metric: str, wanted: Optional[frozenset]
-) -> List[Tuple[List[Tuple[str, str]], HostTemplate]]:
-    """What :func:`ingest_file` writes of ``block``, host left out: per
-    set of records, in file order, the devices read in exactly those
-    records and the template of their series.  Keyed by content, so a
-    device pieced together from several record layouts has a set of
-    its own, whatever it holds."""
-    shared: Dict[bytes, Tuple[List[Tuple[str, str]], list]] = {}
-    for type_name in block.type_order:
-        schema = block.schemas.get(type_name)
-        if schema is None or (wanted is not None and type_name not in wanted):
-            continue
-        names = schema.names()
-        for device, grp in block.groups[type_name].items():
-            devices, tag_sets = shared.setdefault(grp.rows.tobytes(), ([], []))
-            devices.append((type_name, device))
-            tag_sets.extend(
-                {"host": "", "type": type_name, "device": device,
-                 "event": event}
-                for event in names
-            )
+def series_plan(
+    layouts: Tuple, metric: str, wanted: Optional[frozenset]
+) -> List[Tuple[HostTemplate, Tuple[int, ...], Dict[int, List[int]]]]:
+    """What rows laid out as ``layouts`` write under ``metric``, host
+    left out: per set of series read in exactly the same layouts, type
+    by type, their template, those layouts' indices and each one's row
+    columns of them.  A series is named by the schema of the layout it
+    is read under; a type without a schema, or outside ``wanted``, is
+    left out, and a device listed twice is read from its last run.
+    Batch (:func:`ingest_file`, a layout per block run) and the live
+    pipeline (one layout) keep it on the first layout."""
+    #: (type, device, event) → {layout: its column}, in first-appearance
+    #: order
+    where: Dict[Tuple[str, str, str], Dict[int, int]] = {}
+    for u, layout in enumerate(layouts):
+        for type_name, devices in layout.starts.items():
+            schema = layout.schemas.get(type_name)
+            if schema is None or (
+                    wanted is not None and type_name not in wanted):
+                continue
+            for device, at in devices.items():
+                for j, event in enumerate(schema.names()):
+                    where.setdefault((type_name, device, event), {})[u] = (
+                        at + j)
+    types = {t: i for i, t in enumerate(dict.fromkeys(k[0] for k in where))}
+    #: layouts → the series read in exactly those
+    slabs: Dict[Tuple[int, ...], List[Tuple[str, str, str]]] = {}
+    for key in sorted(where, key=lambda k: types[k[0]]):
+        slabs.setdefault(tuple(where[key]), []).append(key)
     return [
-        (devices, HostTemplate(metric, tag_sets))
-        for devices, tag_sets in shared.values()
+        (HostTemplate(metric, [
+            {"host": "", "type": t, "device": d, "event": e}
+            for t, d, e in keys
+        ]), runs, {u: [where[k][u] for k in keys] for u in runs})
+        for runs, keys in slabs.items()
     ]
 
 
@@ -1349,18 +1359,19 @@ def ingest_file(
     workers (:mod:`repro.shard`) can ingest exactly the same way from
     any source — text, or a file-like object read in one go.  The
     stream is parsed once into a columnar
-    :class:`~repro.core.rawfile.HostBlock` and written a block at a
-    time: the device slabs whose readings cover the same records are
-    laid side by side into one ``(records, series)`` matrix and go
-    through one :class:`SeriesGroup` in one
-    :meth:`TimeSeriesDB.put_many`.  A regular file — every device read
-    in every record — is one write and one head block for the whole
-    host; a device that appears late or skips a record covers other
-    records and gets a block of its own.  Which devices go together and
-    their series' :class:`HostTemplate` are the block's layout's, made
-    once for every host that shares it; only the host is filled in.  A
-    corrupt line raises ``ValueError("<host>: line <n>: <reason>")``
-    before anything is written.  Returns ``(points, samples)``.
+    :class:`~repro.core.rawfile.HostBlock` and written a slab at a
+    time: the series whose readings cover the same records are laid
+    side by side into one ``(records, series)`` matrix and go through
+    one :class:`SeriesGroup` in one :meth:`TimeSeriesDB.put_many`.  A
+    file of one layout — every device read in every record, under one
+    set of schemas — is one write and one head block for the whole
+    host; a device that appears late or skips a record, or a type whose
+    schema changes, covers other records and gets a slab of its own.
+    Which series go together and their :class:`HostTemplate` are made
+    once for every host whose runs have the same layouts; only the host
+    is filled in.  A corrupt line raises ``ValueError("<host>: line
+    <n>: <reason>")`` before anything is written.  Returns ``(points,
+    samples)``.
     """
     wanted = frozenset(types) if types is not None else None
     text = fh if isinstance(fh, str) else fh.read()
@@ -1368,19 +1379,19 @@ def ingest_file(
         block = BlockParser(on_error="raise").parse_text(text)
     except ValueError as exc:
         raise ValueError(f"{host}: {exc}") from exc
-    plan = block.derive(
-        ("ingest_file", metric, wanted),
-        lambda: _ingest_plan(block, metric, wanted),
-    )
+    layouts = tuple(run.layout for run in block.runs)
+    plan = layouts[0].derive(
+        ("series", metric, wanted, layouts[1:]),
+        lambda: series_plan(layouts, metric, wanted),
+    ) if layouts else []
     n = 0
-    for devices, template in plan:
-        groups = [block.groups[t][device] for t, device in devices]
-        n += tsdb.put_many(
-            metric,
-            template.bind(tsdb, host),
-            block.times[groups[0].rows],
-            np.concatenate([g.values for g in groups], axis=1),
-        )
+    for template, runs, cols in plan:
+        records = np.concatenate([block.runs[u].records for u in runs])
+        values = np.concatenate(
+            [block.runs[u].matrix[:, cols[u]] for u in runs])
+        order = np.argsort(records)
+        n += tsdb.put_many(metric, template.bind(tsdb, host),
+                           block.times[records[order]], values[order])
     return n, block.n_records
 
 

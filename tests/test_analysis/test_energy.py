@@ -14,7 +14,7 @@ def wrf_report(monitored_run):
         j for j in jobdata.values()
         if j.job and j.job.executable == "wrf.exe"
     )
-    return jd, energy_breakdown(jd)
+    return jd, energy_breakdown(jd.jobid, jd.host_samples())
 
 
 def test_per_socket_breakdown_shape(wrf_report):
@@ -79,7 +79,7 @@ def test_idle_job_energy_mostly_unattributed(monitored_run):
         j for j in jobdata.values()
         if j.job and j.job.executable == "run_ensemble.sh"
     )
-    rep = energy_breakdown(jd)
+    rep = energy_breakdown(jd.jobid, jd.host_samples())
     assert rep.totals()["pkg"] > 0
     # half the nodes idle: a substantial unattributed share (the idle
     # node's baseline core energy belongs to no process)

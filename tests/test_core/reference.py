@@ -176,3 +176,22 @@ class ReferenceRawFileParser:
             cpu_affinity=_parse_cpuset(cpus),
             mem_affinity=_parse_cpuset(mems),
         )
+
+
+class StampingReferenceParser(ReferenceRawFileParser):
+    """The frozen parser, each sample it yields stamped with
+    ``schemas``: the schemas in force when its first data line was read
+    (empty for a record without one) — the schemas a reading was
+    written under, which the oracles read it with.  Parsing itself is
+    the base class's, untouched."""
+
+    def parse(self, stream) -> Iterator[ParsedSample]:
+        for sample in super().parse(stream):
+            if "schemas" not in vars(sample):
+                sample.schemas = {}
+            yield sample
+
+    def _data_line(self, sample: ParsedSample, line: str) -> None:
+        if "schemas" not in vars(sample):
+            sample.schemas = dict(self.schemas)
+        super()._data_line(sample, line)

@@ -1,7 +1,8 @@
 """Frozen per-sample ETL: the oracle of the job-pipeline suites.
 
 Until PR 15 ``src/`` shipped the job ETL twice.  The per-sample half —
-``map_jobs``/``JobData`` over the frozen ``ReferenceRawFileParser``,
+``map_jobs``/``JobData`` over the frozen ``ReferenceRawFileParser``
+(stamping each sample with the schemas it was read under),
 the sample-by-sample :func:`accumulate`, the six scalar metric kernels
 and the 31 scalar Table I formulas — is kept here verbatim in
 behaviour, with a minimal map → accumulate → metrics → flags →
@@ -43,7 +44,7 @@ from repro.pipeline.accum import (
 )
 from repro.pipeline.ingest import IngestResult, record_from
 from repro.pipeline.records import JobRecord
-from tests.test_core.reference import ParsedSample, ReferenceRawFileParser
+from tests.test_core.reference import ParsedSample, StampingReferenceParser
 
 
 
@@ -72,10 +73,10 @@ class JobData:
 
     jobid: str
     job: Optional[Job] = None
-    #: host → samples sorted by timestamp
+    #: host → samples sorted by timestamp, each with the ``schemas`` in
+    #: force when it was read
     hosts: Dict[str, List[ParsedSample]] = field(default_factory=dict)
-    #: device schemas seen while parsing (host files share them)
-    schemas: Dict[str, object] = field(default_factory=dict)
+    #: the architecture of its first host in sorted order
     arch: Optional[str] = None
 
     def add(self, host: str, sample: ParsedSample) -> None:
@@ -121,10 +122,10 @@ def map_jobs(
         ``dropped`` maps job id → its deficient sample count.
     """
     out: Dict[str, JobData] = {}
-    for host in hosts if hosts is not None else store.hosts():
+    for host in sorted(hosts) if hosts is not None else store.hosts():
         # tolerant parsing: corrupt lines are quarantined via the
         # store's ledger instead of aborting the whole ETL pass
-        parser = ReferenceRawFileParser(on_error="quarantine")
+        parser = StampingReferenceParser(on_error="quarantine")
         path = store.path_for(host)
         if not path.exists():
             continue
@@ -134,14 +135,8 @@ def map_jobs(
                 for jid in sample.jobids:
                     jd = out.get(jid)
                     if jd is None:
-                        jd = out[jid] = JobData(jobid=jid)
+                        jd = out[jid] = JobData(jobid=jid, arch=parser.arch)
                     jd.add(host, sample)
-                    if not jd.schemas:
-                        jd.schemas = dict(parser.schemas)
-                        jd.arch = parser.arch
-                    # late schema lines (new day headers) may add types
-                    elif len(parser.schemas) > len(jd.schemas):
-                        jd.schemas.update(parser.schemas)
         if parser.errors:
             store.record_parse_errors(host, parser.errors)
 
@@ -192,7 +187,10 @@ def _sum_counters(
 def accumulate(
     jd: JobData, quantities: Sequence[Quantity] = CANONICAL_QUANTITIES
 ) -> JobAccum:
-    """Reduce one job's raw samples to canonical quantity arrays."""
+    """Reduce one job's raw samples to canonical quantity arrays, each
+    sample read under the schemas it carries.  A host's register
+    modulus for a quantity is its last aligned sample's that reads the
+    quantity."""
     hosts = sorted(jd.hosts)
     if not hosts:
         raise ValueError(f"job {jd.jobid}: no hosts")
@@ -228,18 +226,22 @@ def accumulate(
             for s in samples:
                 by_t[int(s.timestamp)] = s
             type_name = None
+            width = 2.0**64
             series = np.full(T, np.nan)
             for t_int, s in by_t.items():
                 if type_name is None:
                     type_name = _resolve_type(q, list(s.data))
                 if type_name is None:
                     continue
-                schema = jd.schemas.get(type_name)
+                schema = s.schemas.get(type_name)
                 if schema is None:
                     continue
                 series[tindex[t_int]] = _sum_counters(
                     s.data, type_name, schema, q.counters
                 )
+                if s.data.get(type_name) and any(
+                        c in schema.index for c in q.counters):
+                    width = _counter_width(schema, q.counters)
             if np.all(np.isnan(series)):
                 continue
             present = True
@@ -248,10 +250,6 @@ def accumulate(
             if q.gauge:
                 gauge_rows[n] = filled
             else:
-                if type_name is not None and type_name in jd.schemas:
-                    width = _counter_width(jd.schemas[type_name], q.counters)
-                else:
-                    width = 2.0**64
                 event_rows[n] = _event_deltas(filled, width)
         if q.gauge:
             gauges[q.key] = gauge_rows if present else np.zeros((N, T))

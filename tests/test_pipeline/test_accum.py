@@ -2,7 +2,7 @@
 
 Every hand-built case is written to raw-file text and read twice: by
 ``BlockParser`` into ``accumulate_blocks`` (the ETL) and by
-``ReferenceRawFileParser`` into the frozen per-sample ``accumulate`` (the
+``StampingReferenceParser`` into the frozen per-sample ``accumulate`` (the
 oracle in ``reference.py``).  The two must agree array for array, or
 both reject the job; the assertions below then pin the values.
 """
@@ -12,10 +12,11 @@ import pytest
 
 from repro.core.collector import Sample
 from repro.core.rawfile import BlockParser, RawFileWriter
+from repro.core.store import CentralStore
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.pipeline.accum import accumulate_blocks
-from repro.pipeline.parallel import assemble_jobs
-from tests.test_core.reference import ReferenceRawFileParser
+from repro.pipeline.parallel import assemble_jobs, parse_blocks
+from tests.test_core.reference import StampingReferenceParser
 from tests.test_pipeline import reference
 
 SCHEMAS = {
@@ -62,10 +63,10 @@ def accumulate(samples_by_host, arch="intel_snb"):
         w = RawFileWriter(host, arch, SCHEMAS)
         text = w.header() + "".join(w.record(s) for s in samples)
         blocks[host] = BlockParser().parse_text(text)
-        parser = ReferenceRawFileParser()
+        parser = StampingReferenceParser()
         for s in parser.parse(text):
             oracle.add(host, s)
-        oracle.schemas, oracle.arch = dict(parser.schemas), parser.arch
+        oracle.arch = parser.arch
     oracle.sort()
     jobdata, _ = assemble_jobs(blocks, require_samples=0)
     try:
@@ -94,6 +95,26 @@ def test_vector_width_from_arch():
     job = {"n1": [sample("n1", 0), sample("n1", 600)]}
     assert accumulate(job, arch="intel_nhm").vector_width == 2
     assert accumulate(job, arch="intel_hsw").vector_width == 4
+
+
+@pytest.mark.parametrize("first, second, width", [
+    ("intel_hsw", "intel_nhm", 4), ("intel_nhm", "intel_hsw", 2),
+])
+def test_vector_width_of_a_job_of_mixed_architectures(tmp_path, first,
+                                                      second, width):
+    """The rule for a job whose hosts differ in architecture: the vector
+    width and ``meta["arch"]`` are its first host's, in sorted order,
+    whatever order the hosts are listed in — batch and oracle alike."""
+    store = CentralStore(tmp_path)
+    for host, arch in (("n2", second), ("n1", first)):
+        w = RawFileWriter(host, arch, SCHEMAS)
+        store.append(host, w.header() + "".join(
+            w.record(sample(host, ts)) for ts in (0, 600)), arrived_at=0)
+    jobdata, _ = assemble_jobs(parse_blocks(store))
+    oracle, _ = reference.map_jobs(store)
+    got, want = jobdata["J"].accumulate(), reference.accumulate(oracle["J"])
+    reference.assert_same_accum(got, want)
+    assert (got.vector_width, got.meta) == (width, {"arch": first})
 
 
 def test_rollover_unwrapped():
@@ -136,7 +157,7 @@ def test_no_hosts_rejected():
     with pytest.raises(ValueError):
         reference.accumulate(reference.JobData(jobid="J"))
     with pytest.raises(ValueError):
-        accumulate_blocks("J", {}, {}, None)
+        accumulate_blocks("J", {})
 
 
 def test_duplicate_timestamps_deduped():

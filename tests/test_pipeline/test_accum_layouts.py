@@ -1,8 +1,9 @@
 """Stacked accumulation against the per-sample oracle, across layouts.
 
-``accumulate_blocks`` stacks the hosts of one layout and reduces each
-quantity over all of them at once; a host of another layout, or one the
-record decoder read, is planned on its own.  Whatever the mix, the job's
+``accumulate_blocks`` reads each record under its own layout: it
+stacks the hosts of one layout and reduces each quantity over all of
+them at once; a host of another layout, or each run of a host of
+several, is planned on its own.  Whatever the mix, the job's
 arrays must be the frozen per-sample ``accumulate``'s bit for bit.  The
 jobs drawn here mix: hosts of one shared layout (stacked), a host with
 an extra or a missing device, an instance absent from some records, a
@@ -58,18 +59,18 @@ def hosts(draw):
     return devices, times, (absent, absent_from), ragged
 
 
-def host_text(name, spec, rng):
+def host_text(name, spec, rng, schemas=SCHEMAS, job="J"):
     devices, times, (absent, absent_from), ragged = spec
     lines = ["$tacc_stats 2.3.2", f"$hostname {name}", "$arch intel_hsw",
              "$mem 0"]
-    lines += [SCHEMAS[t].spec_line(t) for t in sorted(devices)]
+    lines += [schemas[t].spec_line(t) for t in sorted(devices)]
     for r, ts in enumerate(times):
-        lines.append(f"{ts} J")
+        lines.append(f"{ts} {job}")
         for t in sorted(devices):
             for inst in devices[t]:
                 if (t, inst) == absent and r in absent_from:
                     continue
-                values = rng.integers(0, 1 << 59, len(SCHEMAS[t]))
+                values = rng.integers(0, 1 << 59, len(schemas[t]))
                 lines.append(f"{t} {inst} " + " ".join(map(str, values)))
         if ragged:  # no schema, one more value each record
             lines.append("xdev 0 " + " ".join(["7"] * (r + 1)))
@@ -132,6 +133,11 @@ def test_each_kind_of_host_in_one_job(tmp_path):
     layouts = [blocks[f"h{h}"].layout for h in range(len(specs))]
     assert layouts[0] is layouts[1] is layouts[2] is not None
     assert layouts[3] is not layouts[0] and layouts[3] is not None
-    assert layouts[6] is None and layouts[8] is None
+    # a host of several layouts: a run for each, the shared one too
+    assert [(run.layout, run.records.tolist()) for run in blocks["h6"].runs] \
+        == [(layouts[0], [0, 2]), (blocks["h6"].runs[1].layout, [1])]
+    assert ("cpu", "1", 7) not in blocks["h6"].runs[1].layout.columns
+    assert [run.layout.columns[-1] for run in blocks["h8"].runs] == [
+        ("xdev", "0", 1), ("xdev", "0", 2), ("xdev", "0", 3)]
     assert layouts[7] is layouts[0]  # a repeated record is still regular
     assert assert_accum_equals_the_oracle(store) == 1

@@ -3,7 +3,8 @@
 Each case runs ``assemble_jobs`` over ``parse_blocks`` (the ETL) and
 the frozen per-sample ``map_jobs`` (the oracle in ``reference.py``) on
 the same store and requires the same jobs, hosts, per-host timestamps,
-dropped-short counts, schemas and arch before asserting the values.
+dropped-short counts, the schemas each record is read under and the
+arch before asserting the values.
 """
 
 import numpy as np
@@ -25,7 +26,8 @@ def put(store, host, entries, schemas=SCHEMAS):
     for ts, jobids, v in entries:
         text += w.record(Sample(
             host=host, timestamp=ts, jobids=list(jobids),
-            data={"mdc": {"i": np.array([float(v)])}}, procs=[],
+            data={t: {"i": np.array([float(v)])} for t in schemas},
+            procs=[],
         ))
     store.append(host, text, arrived_at=0)
 
@@ -39,13 +41,20 @@ def map_jobs(store, jobs=None, hosts=None):
     for jid, jd in got.items():
         ref = want[jid]
         assert jd.job is ref.job
-        assert jd.arch == ref.arch
-        assert sorted(jd.schemas) == sorted(ref.schemas)
+        # the job's architecture is its first host's
+        assert jd.host_rows[min(jd.host_rows)][0].arch == ref.arch
         samples = jd.host_samples()
         assert sorted(samples) == sorted(ref.hosts)
         for host, rows in samples.items():
             assert [(s.timestamp, s.jobids) for s in rows] == [
                 (s.timestamp, s.jobids) for s in ref.hosts[host]
+            ]
+            assert [
+                {t: sc.names() for t, sc in s.layout.schemas.items()}
+                for s in rows
+            ] == [
+                {t: sc.names() for t, sc in s.schemas.items() if t in s.data}
+                for s in ref.hosts[host]
             ]
     return got, dropped
 
@@ -112,19 +121,23 @@ def test_schemas_and_arch_recorded(tmp_path):
     store = CentralStore(tmp_path)
     put(store, "n1", [(0, ["A"], 1), (600, ["A"], 2)])
     jd, _ = map_jobs(store)
-    assert "mdc" in jd["A"].schemas
-    assert jd["A"].arch == "intel_snb"
+    assert [sorted(s.layout.schemas)
+            for s in jd["A"].host_samples()["n1"]] == [["mdc"], ["mdc"]]
+    assert jd["A"].host_rows["n1"][0].arch == "intel_snb"
 
 
 def test_late_schema_lines_extend_the_job(tmp_path):
-    """A host whose file declares more device types (a new day's
-    header) widens the job's schema set."""
+    """A new day's header that declares more device types: the job's
+    records after it are read under the wider set, those before it —
+    the last one too, which the header follows — under theirs."""
     wider = dict(SCHEMAS, mem=Schema([SchemaEntry("MemUsed", event=False)]))
     store = CentralStore(tmp_path)
     put(store, "n1", [(0, ["A"], 1), (600, ["A"], 2)])
-    put(store, "n2", [(0, ["A"], 1), (600, ["A"], 2)], schemas=wider)
+    put(store, "n1", [(1200, ["A"], 3), (1800, ["A"], 4)], schemas=wider)
     jd, _ = map_jobs(store)
-    assert sorted(jd["A"].schemas) == ["mdc", "mem"]
+    assert [sorted(s.layout.schemas)
+            for s in jd["A"].host_samples()["n1"]] == [
+        ["mdc"], ["mdc"], ["mdc", "mem"], ["mdc", "mem"]]
 
 
 def test_hosts_filter(tmp_path):

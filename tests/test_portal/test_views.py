@@ -169,6 +169,29 @@ def test_detail_parses_only_the_jobs_hosts(monitored_run, monitored_records,
         assert np.array_equal(known.accum.deltas[key], arr), key
 
 
+def test_a_job_page_builds_the_jobs_samples_once(monitored_run,
+                                                monitored_records,
+                                                monkeypatch):
+    """The process table and the energy report read one build of the
+    job's samples: one ``iter_samples`` pass per host a page."""
+    from repro.core.rawfile import HostBlock
+
+    passes = []
+    real = HostBlock.iter_samples
+
+    def counting(self, records):
+        passes.append(self.host)
+        return real(self, records)
+
+    monkeypatch.setattr(HostBlock, "iter_samples", counting)
+    store, jobs = monitored_run.store, monitored_run.cluster.jobs
+    wrf = [r for r in monitored_records.values()
+           if r.executable == "wrf.exe"][0]
+    view = JobDetailView.load(wrf.jobid, store, jobs, record=wrf)
+    assert view.energy.per_socket and view.processes
+    assert sorted(passes) == sorted(jobs[wrf.jobid].assigned_nodes)
+
+
 def test_flagged_job_detail_matches_per_sample_oracle(monitored_run,
                                                       monitored_records):
     """The rendered page of every flagged job is character for character
@@ -177,15 +200,6 @@ def test_flagged_job_detail_matches_per_sample_oracle(monitored_run,
     from repro.analysis.energy import energy_breakdown
     from repro.metrics.flags import evaluate_flags
     from tests.test_pipeline import reference
-
-    class PerSample:
-        """What ``energy_breakdown`` reads, served by the oracle."""
-
-        def __init__(self, jd):
-            self.jobid, self._hosts = jd.jobid, jd.hosts
-
-        def host_samples(self):
-            return self._hosts
 
     store, jobs = monitored_run.store, monitored_run.cluster.jobs
     jobdata, _ = reference.map_jobs(store, jobs)
@@ -207,7 +221,7 @@ def test_flagged_job_detail_matches_per_sample_oracle(monitored_run,
             jobid=rec.jobid, record=rec, accum=accum, metrics=metrics,
             panels=fig5_series(accum),
             flags=evaluate_flags(metrics, accum, meta),
-            processes=procs, energy=energy_breakdown(PerSample(jd)),
+            processes=procs, energy=energy_breakdown(jd.jobid, jd.hosts),
         )
         got = JobDetailView.load(rec.jobid, store, jobs, record=rec)
         assert sorted(f.name for f in got.flags) == sorted(rec.flags)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.broker import Channel, Delivery
-from repro.core.rawfile import ParsedSample
+from repro.core.rawfile import Layout, ParsedSample
 from repro.stream.analyzer import StreamEvent
 from repro.stream.pipeline import StreamPipeline
 from repro.stream.retention import (
@@ -37,7 +37,15 @@ from repro.stream.retention import (
     RetentionTier,
 )
 from repro.tsdb.store import TimeSeriesDB, _tagkey
-from tests.test_core.reference import ReferenceRawFileParser
+from tests.test_core.reference import StampingReferenceParser
+
+
+def laid_out(sample: ParsedSample, schemas: Mapping[str, object]):
+    """``sample``, a sample built from ``data``, given the layout of its
+    columns read under ``schemas``."""
+    sample.layout = Layout.of(
+        sample.columns, {t: s.spec_line(t) for t, s in schemas.items()})
+    return sample
 
 
 @dataclass
@@ -166,7 +174,7 @@ class ReferenceStreamPipeline(StreamPipeline):
         super().__init__(broker, **kw)
         self.writer = ReferenceRetainingWriter(self.tsdb, retention)
         self.writers = [self.writer]
-        self._parsers: Dict[str, ReferenceRawFileParser] = {}
+        self._parsers: Dict[str, StampingReferenceParser] = {}
         self._errors_seen: Dict[str, int] = {}
 
     def _on_delivery(self, channel: Channel, delivery: Delivery) -> None:
@@ -185,7 +193,7 @@ class ReferenceStreamPipeline(StreamPipeline):
         ) as sp:
             parser = self._parsers.get(host)
             if parser is None:
-                parser = self._parsers[host] = ReferenceRawFileParser(
+                parser = self._parsers[host] = StampingReferenceParser(
                     on_error="quarantine"
                 )
                 self._errors_seen[host] = 0
@@ -200,11 +208,12 @@ class ReferenceStreamPipeline(StreamPipeline):
                 self._collect_sample(sample, parser, batch)
                 with obs.span("stream.analyze"):
                     # the analyzer reads a sample as the parser in
-                    # ``src/`` yields it: one row and its columns
-                    events.extend(self.analyzer.observe(host, ParsedSample(
-                        sample.host, sample.timestamp, sample.jobids,
-                        sample.data, sample.procs,
-                    ), parser.schemas))
+                    # ``src/`` yields it: one row and its layout
+                    events.extend(self.analyzer.observe(host, laid_out(
+                        ParsedSample(sample.host, sample.timestamp,
+                                     sample.jobids, sample.data,
+                                     sample.procs),
+                        sample.schemas)))
             if batch:
                 with obs.span("stream.tsdb_write") as wsp:
                     wsp.set(points=self._write_batch(host, batch))
@@ -229,14 +238,14 @@ class ReferenceStreamPipeline(StreamPipeline):
     def _collect_sample(
         self,
         sample,
-        parser: ReferenceRawFileParser,
+        parser: StampingReferenceParser,
         batch: Dict[Tuple[str, str, str], Tuple[list, list]],
     ) -> None:
         """Fold one parsed sample into the delivery's write batch."""
         for type_name, per_inst in sample.data.items():
             if self.types is not None and type_name not in self.types:
                 continue
-            schema = parser.schemas.get(type_name)
+            schema = sample.schemas.get(type_name)
             if schema is None:
                 continue
             names = schema.names()

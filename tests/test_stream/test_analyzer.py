@@ -13,11 +13,11 @@ from repro.core.rawfile import ParsedSample
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics.flags import Thresholds
 from repro.stream.analyzer import (
-    STREAM_QUANTITIES,
     StreamingFlagAnalyzer,
-    _HostPlans,
     _JobStream,
+    _gather,
 )
+from tests.test_stream.reference import laid_out
 
 SCHEMAS = {
     "mdc": Schema([SchemaEntry("reqs", width=32)]),
@@ -31,18 +31,19 @@ def mk(host, ts, reqs, mem=2e9, jobids=("7",)):
     data = {"mdc": {"t": np.array([float(reqs)])}}
     if mem is not None:
         data["mem"] = {"0": np.array([float(mem)])}
-    return ParsedSample(host=host, timestamp=ts, jobids=list(jobids),
-                        data=data, procs=[])
+    return laid_out(ParsedSample(host=host, timestamp=ts,
+                                 jobids=list(jobids), data=data, procs=[]),
+                    SCHEMAS)
 
 
 def job_stream():
-    return _JobStream("7", _HostPlans(STREAM_QUANTITIES))
+    return _JobStream("7")
 
 
 def feed(js, host, sample):
     """What ``StreamingFlagAnalyzer.observe`` hands a job: the sample's
-    summed counters under its host's plan."""
-    js.observe(host, sample.timestamp, js.plans.row(host, sample, SCHEMAS))
+    summed counters under its layout's plan."""
+    js.observe(host, sample.timestamp, *_gather(sample))
 
 
 def stream_for(samples, force=True):
@@ -132,17 +133,17 @@ def test_analyzer_job_lifecycle_and_flag_fires_mid_run():
     an = StreamingFlagAnalyzer()
     events = []
     # an absurd metadata rate so high_metadata_rate must trip
-    events += an.observe("n1", mk("n1", 0, 0), SCHEMAS)
-    events += an.observe("n1", mk("n1", 600, 1e8), SCHEMAS)
+    events += an.observe("n1", mk("n1", 0, 0))
+    events += an.observe("n1", mk("n1", 600, 1e8))
     assert an.inflight == 1
-    events += an.observe("n1", mk("n1", 1200, 2e8), SCHEMAS)
+    events += an.observe("n1", mk("n1", 1200, 2e8))
     fired = [(e.jobid, e.flag.name, e.data_time) for e in events]
     assert ("7", "high_metadata_rate", 600) in fired
     # the same flag does not fire twice
-    events2 = an.observe("n1", mk("n1", 1800, 3e8), SCHEMAS)
+    events2 = an.observe("n1", mk("n1", 1800, 3e8))
     assert "high_metadata_rate" not in [e.flag.name for e in events2]
     # the host stops mentioning the job: it completes
-    an.observe("n1", mk("n1", 2400, 4e8, jobids=()), SCHEMAS)
+    an.observe("n1", mk("n1", 2400, 4e8, jobids=()))
     assert an.inflight == 0
     res = an.completed["7"]
     assert not res.short and not res.diverged
@@ -153,8 +154,8 @@ def test_analyzer_job_lifecycle_and_flag_fires_mid_run():
 
 def test_single_sample_job_is_short():
     an = StreamingFlagAnalyzer()
-    an.observe("n1", mk("n1", 0, 100), SCHEMAS)
-    an.observe("n1", mk("n1", 600, 100, jobids=()), SCHEMAS)
+    an.observe("n1", mk("n1", 0, 100))
+    an.observe("n1", mk("n1", 600, 100, jobids=()))
     res = an.completed["7"]
     assert res.short
     assert res.final_flags == [] and res.n_times == 1
@@ -162,20 +163,20 @@ def test_single_sample_job_is_short():
 
 def test_late_joining_host_marks_divergence():
     an = StreamingFlagAnalyzer()
-    an.observe("n1", mk("n1", 0, 100), SCHEMAS)
-    an.observe("n1", mk("n1", 600, 200), SCHEMAS)
-    an.observe("n1", mk("n1", 1200, 300), SCHEMAS)  # times consumed now
-    an.observe("n2", mk("n2", 1800, 100), SCHEMAS)
-    an.observe("n1", mk("n1", 1800, 400, jobids=()), SCHEMAS)
-    an.observe("n2", mk("n2", 2400, 200, jobids=()), SCHEMAS)
+    an.observe("n1", mk("n1", 0, 100))
+    an.observe("n1", mk("n1", 600, 200))
+    an.observe("n1", mk("n1", 1200, 300))  # times consumed now
+    an.observe("n2", mk("n2", 1800, 100))
+    an.observe("n1", mk("n1", 1800, 400, jobids=()))
+    an.observe("n2", mk("n2", 2400, 200, jobids=()))
     res = an.completed["7"]
     assert res.diverged
 
 
 def test_finalize_drains_active_jobs():
     an = StreamingFlagAnalyzer()
-    an.observe("n1", mk("n1", 0, 0), SCHEMAS)
-    an.observe("n1", mk("n1", 600, 1e8), SCHEMAS)
+    an.observe("n1", mk("n1", 0, 0))
+    an.observe("n1", mk("n1", 600, 1e8))
     assert an.inflight == 1
     events = an.finalize()
     assert an.inflight == 0
@@ -186,9 +187,9 @@ def test_finalize_drains_active_jobs():
 
 def test_completed_jobs_are_not_reopened():
     an = StreamingFlagAnalyzer()
-    an.observe("n1", mk("n1", 0, 100), SCHEMAS)
-    an.observe("n1", mk("n1", 600, 200, jobids=()), SCHEMAS)
+    an.observe("n1", mk("n1", 0, 100))
+    an.observe("n1", mk("n1", 600, 200, jobids=()))
     assert "7" in an.completed
-    an.observe("n1", mk("n1", 1200, 300), SCHEMAS)  # stale mention
+    an.observe("n1", mk("n1", 1200, 300))  # stale mention
     assert an.inflight == 0
     assert "7" in an.completed

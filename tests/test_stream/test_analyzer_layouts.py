@@ -18,12 +18,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import CentralStore
 from repro.core.rawfile import BlockParser, RawFileParser
-from repro.pipeline.accum import accumulate_blocks
+from repro.hardware.devices.base import Schema, SchemaEntry
+from repro.pipeline.accum import _event_deltas, accumulate_blocks
 from repro.pipeline.parallel import assemble_jobs
 from repro.stream.analyzer import STREAM_QUANTITIES, StreamingFlagAnalyzer
-from tests.test_pipeline.test_accum_layouts import SCHEMAS, host_text, hosts
+from repro.tsdb import TimeSeriesDB
+from repro.tsdb.store import ingest_file
+from tests.test_pipeline.test_accum_layouts import (
+    BASE, SCHEMAS, assert_accum_equals_the_oracle, host_text, hosts,
+)
 from tests.test_stream.test_analyzer_oracle import assert_same_arrays
+from tests.test_tsdb.reference import ingest_file_reference
+from tests.test_tsdb.test_ingest import assert_same_store
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -64,20 +72,18 @@ def live(texts):
             if queue:
                 parser = parsers[host]
                 for sample in parser.parse(queue.pop(0)):
-                    analyzer.observe(host, sample, parser.schemas)
+                    analyzer.observe(host, sample)
     analyzer.finalize()
     return analyzer.accums
 
 
-def batch(texts, schemas=None):
+def batch(texts):
     """Job id → the batch accumulation of the streamed quantities."""
     blocks = {host: BlockParser().parse_text(t) for host, t in texts.items()}
     jobdata, _ = assemble_jobs(blocks)
     return {
         jid: accumulate_blocks(
-            jid, jd.host_rows, schemas or jd.schemas, jd.arch,
-            quantities=STREAM_QUANTITIES,
-        )
+            jid, jd.host_rows, quantities=STREAM_QUANTITIES)
         for jid, jd in jobdata.items()
     }
 
@@ -106,7 +112,7 @@ def test_live_accum_equals_batch_on_mixed_layouts(specs, seed):
         f"h{h}": listed_twice(host_text(f"h{h}", spec, rng), twice, rng)
         for h, (spec, twice) in enumerate(specs)
     }
-    got, want = live(texts), batch(texts, SCHEMAS)
+    got, want = live(texts), batch(texts)
     assert sorted(got) == sorted(want) == ["J"]
     accum, diverged = got["J"]
     assert not diverged
@@ -114,9 +120,9 @@ def test_live_accum_equals_batch_on_mixed_layouts(specs, seed):
 
 
 def test_a_mid_stream_schema_line_sets_the_width_a_wrap_is_read_at():
-    """Batch keeps one schema per type, the file's last: a ``!`` line
-    that widens ``mdc``'s register mid-job makes the later fall a wrap
-    at 2**48, live as in batch."""
+    """A host's register modulus is the one its last aligned record
+    was read under: a ``!`` line that widens ``mdc``'s register mid-job
+    makes the later fall a wrap at 2**48, live as in batch."""
     text = "".join(line + "\n" for line in [
         "$tacc_stats 2.3.2", "$hostname h0", "$arch intel_hsw", "$mem 0",
         "!mdc reqs,E,W=32", "!mem MemUsed,U=B",
@@ -132,3 +138,89 @@ def test_a_mid_stream_schema_line_sets_the_width_a_wrap_is_read_at():
     assert want["J"].deltas["mdc_reqs"].tolist() == [
         [100.0, 2.0**48 - 300, 150.0]]
     assert_same_arrays(accum, want["J"])
+
+
+# -- a reading is filed under the schema it was written with --------------------
+
+
+def written(text, type_name, counter):
+    """Per record of ``text``, ``counter``'s value summed over the
+    ``type_name`` devices it lists."""
+    sums = []
+    for line in text.splitlines():
+        if line[0].isdigit():
+            sums.append(0.0)
+        elif line.startswith(type_name + " "):
+            sums[-1] += float(line.split(" ")[2 + counter])
+    return np.array(sums)
+
+
+def assert_live_equals_batch(texts, tmp_path):
+    """Every job's completion-time live accumulation is batch's and the
+    per-sample oracle's, arrays by their bytes, and no reading of the
+    files is quarantined.  Job id → batch's accumulation."""
+    blocks = {host: BlockParser().parse_text(t) for host, t in texts.items()}
+    assert all(block.errors == [] for block in blocks.values())
+    got, want = live(texts), batch(texts)
+    assert sorted(got) == sorted(want)
+    for jid, (accum, diverged) in got.items():
+        assert not diverged
+        assert_same_arrays(accum, want[jid])
+    store = CentralStore(tmp_path)
+    for host, text in texts.items():
+        store.path_for(host).write_text(text)
+    assert assert_accum_equals_the_oracle(store) == len(want)
+    return want
+
+
+def test_a_job_whose_hosts_have_different_device_types(tmp_path):
+    """One host reports ``lnet``, the other a core counter type: each is
+    read under its own layout, so the second host's ``instructions``
+    deltas are the counts it wrote (all 0.0 while a job kept the schemas
+    of its first host)."""
+    rng = np.random.default_rng(41)
+    times = [0, 600, 1200, 1800]
+    texts = {
+        "h0": host_text("h0", ({**BASE, "lnet": ["0"]}, times,
+                               (None, set()), False), rng),
+        "h1": host_text("h1", ({**BASE, "intel_hsw": ["0", "1"]}, times,
+                               (None, set()), False), rng),
+    }
+    want = assert_live_equals_batch(texts, tmp_path)["J"]
+    instructions = _event_deltas(written(texts["h1"], "intel_hsw", 0),
+                                 2.0**48)
+    assert (instructions != 0).all()
+    assert want.deltas["instructions"].tobytes() == np.stack(
+        [np.zeros(3), instructions]).tobytes()
+
+
+def test_a_schema_change_inside_one_host_file(tmp_path):
+    """A day-2 header adds a counter to ``mdc`` in the file the central
+    store keeps appending to: the day-1 readings stay under the day-1
+    schema — the last day-1 record, which the header follows, too — so
+    day-1 job ``J1``'s ``mdc_reqs`` deltas are the counts written (they
+    were quarantined and read 0.0 while a file kept its last schema),
+    and the TSDB loader takes the file as the per-sample reference
+    does."""
+    wider = {**SCHEMAS, "mdc": Schema([
+        SchemaEntry("reqs"), SchemaEntry("wait_us", unit="us"),
+        SchemaEntry("getattr")])}
+    rng = np.random.default_rng(42)
+    day = (BASE, [600 * k for k in range(6)], (None, set()), False)
+    day2 = (BASE, [86_400 + 600 * k for k in range(6)], (None, set()), False)
+    text = (host_text("h0", day, rng, job="J1")
+            + host_text("h0", day2, rng, schemas=wider, job="J2"))
+    block = BlockParser().parse_text(text)
+    assert [run.records.tolist() for run in block.runs] == [
+        list(range(6)), list(range(6, 12))]
+    want = assert_live_equals_batch({"h0": text}, tmp_path)
+    reqs = _event_deltas(written(text, "mdc", 0), 2.0**64)
+    assert (reqs != 0).all()
+    assert want["J1"].deltas["mdc_reqs"][0].tobytes() == reqs[:5].tobytes()
+    assert want["J2"].deltas["mdc_reqs"][0].tobytes() == reqs[6:].tobytes()
+    new, ref = TimeSeriesDB(), TimeSeriesDB()
+    assert ingest_file(new, "h0", text) == ingest_file_reference(
+        ref, "h0", text)
+    assert_same_store(new, ref)
+    getattr_ = new.select("stats", {"type": "mdc", "event": "getattr"})
+    assert [len(s) for s in getattr_] == [6]

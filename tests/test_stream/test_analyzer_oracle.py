@@ -27,8 +27,10 @@ from repro.core.rawfile import ParsedSample
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics.flags import Thresholds
 from repro.pipeline.accum import _event_deltas, _ffill
-from repro.stream.analyzer import STREAM_QUANTITIES, _HostPlans, _JobStream
+from repro.stream.analyzer import STREAM_QUANTITIES, _JobStream, _gather
+from tests.test_core.reference import ParsedSample as ReferenceSample
 from tests.test_pipeline.reference import JobData, accumulate
+from tests.test_stream.reference import laid_out
 
 W32 = 2.0**32
 W48 = 2.0**48
@@ -70,17 +72,20 @@ def assert_same_arrays(got, want, where=None):
 
 def feed(js, host, sample):
     """What ``StreamingFlagAnalyzer.observe`` hands a job: the sample's
-    summed counters under its host's plan."""
-    js.observe(host, sample.timestamp, js.plans.row(host, sample, SCHEMAS))
+    summed counters under its layout's plan."""
+    js.observe(host, sample.timestamp, *_gather(sample))
 
 
 def oracle(js, arrived):
     """The reference accumulation of the consumed part of ``arrived``."""
     consumed = set(js.times)
-    jd = JobData(jobid=js.jobid, schemas=SCHEMAS, arch=ARCH)
+    jd = JobData(jobid=js.jobid, arch=ARCH)
     for host, sample in arrived:
         if sample.timestamp in consumed:
-            jd.add(host, sample)
+            read = ReferenceSample(sample.host, sample.timestamp,
+                                   sample.jobids, sample.data)
+            read.schemas = SCHEMAS
+            jd.add(host, read)
     jd.sort()
     return accumulate(jd, STREAM_QUANTITIES)
 
@@ -135,9 +140,9 @@ def host_streams(draw):
                         per[i] = reg.copy()
                     if per:
                         data[t] = per
-                samples.append(ParsedSample(
+                samples.append(laid_out(ParsedSample(
                     host=host, timestamp=600 * slot, jobids=["7"], data=data,
-                ))
+                ), SCHEMAS))
         if samples:
             streams[host] = (samples, draw(st.booleans()))
     order = draw(st.permutations([
@@ -152,7 +157,7 @@ def host_streams(draw):
 def test_assembled_accum_equals_the_oracle_after_every_advance(streams_order):
     streams, order = streams_order
     queues = {host: list(samples) for host, (samples, _) in streams.items()}
-    js = _JobStream("7", _HostPlans(STREAM_QUANTITIES))
+    js = _JobStream("7")
     arrived = []
 
     def check(where):
@@ -179,11 +184,13 @@ def mk(host, ts, reqs, mem):
     data = {"mdc": {"0": np.array([float(reqs)])}}
     if mem is not None:
         data["mem"] = {"0": np.array([float(mem)])}
-    return ParsedSample(host=host, timestamp=ts, jobids=["7"], data=data)
+    return laid_out(
+        ParsedSample(host=host, timestamp=ts, jobids=["7"], data=data),
+        SCHEMAS)
 
 
 def test_late_joiner_rows_are_backfilled_like_a_leading_gap():
-    js = _JobStream("7", _HostPlans(STREAM_QUANTITIES))
+    js = _JobStream("7")
     for s in (mk("n1", 0, 100, 1e9), mk("n1", 600, 200, 2e9),
               mk("n1", 1200, 400, 3e9)):
         feed(js, "n1", s)

@@ -256,13 +256,16 @@ def test_list_series_store_takes_rows_too():
     assert_same_outcome(new, ref)
 
 
-def test_schema_line_inside_a_record_is_refused_before_any_write():
+def test_schema_line_inside_a_record_applies_from_the_next_record():
+    """A ``!`` line between a record's data and the next record: the
+    record is written under the schema it was read with, the next one
+    under the new — live as in the reference."""
     body = "$hostname h1\n!x a,E b,E\n" + record(0, ["x 0 1 2"]) \
         + "!x a,E\n" + record(600, ["x 0 3"])
-    pipeline = StreamPipeline(Broker())
-    with pytest.raises(ValueError, match="2 values for 1 schema columns"):
-        deliver(pipeline, "h1", body, 1)
-    assert pipeline.tsdb.n_series() == 0
+    new = both([("h1", body, 1)])
+    assert {s.tags["event"]: s.arrays()[1].tolist()
+            for s in new.tsdb.select("stats")} == {"a": [1.0, 3.0],
+                                                   "b": [2.0]}
 
 
 # -- the prune rule ---------------------------------------------------------------

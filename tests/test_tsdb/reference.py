@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.hardware.counters import correct_rollover
 from repro.tsdb.store import SeriesGroup, TimeSeriesDB, _tagkey
-from tests.test_core.reference import ReferenceRawFileParser
+from tests.test_core.reference import StampingReferenceParser
 
 #: every Chunk slot the encoder decides (``chunk_id`` is a process-wide
 #: serial number, not a property of the data)
@@ -167,9 +167,10 @@ def ingest_file_reference(
     types: Optional[Iterable[str]] = None,
     metric: str = "stats",
 ) -> Tuple[int, int]:
-    """The pre-PR-13 ``ingest_file`` body: per-sample gather."""
+    """The pre-PR-13 ``ingest_file`` body: per-sample gather, each
+    reading named by the schema it was read under."""
     wanted = set(types) if types is not None else None
-    parser = ReferenceRawFileParser()
+    parser = StampingReferenceParser()
     #: (type, device, event) → ([ts...], [value...])
     columns: Dict[Tuple[str, str, str], Tuple[list, list]] = {}
     samples = 0
@@ -178,7 +179,7 @@ def ingest_file_reference(
         for type_name, per_inst in sample.data.items():
             if wanted is not None and type_name not in wanted:
                 continue
-            schema = parser.schemas.get(type_name)
+            schema = sample.schemas.get(type_name)
             if schema is None:
                 continue
             names = schema.names()

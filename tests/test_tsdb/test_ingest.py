@@ -11,28 +11,15 @@ the same sealed chunks.  How many write calls it took is not data:
 ``epoch`` is held to its own rule (one bump per block written), not to
 the reference's count.
 
-One known divergence, pinned by
-:func:`test_schema_redefined_mid_file_uses_the_final_schema`: a ``!``
-schema line that *redefines* a type after records were written.  The
-reference resolved event names per sample, so readings before the
-redefinition landed under the old names and later ones under the new;
-a block keeps one schema per type for the whole file (the last), so
-every reading of the file is filed under the final names.  Widths are
-checked where every reader checks them — by the record decoder, as
-each line is read, against the schema then in force — so after a
-redefinition that changes the counter count a line of the old width is
-refused like any other bad line.  What the final names cannot take is
-the other half of such a file: readings *accepted* under the earlier
-schema.  The block parser drops them and ledgers each at the line its
-record opened on (``<type>/<device>: W values vs schema of N``), so a
-quarantining reader never sees a device of two widths under a schema,
-and ``ingest_file``, which reads in raise mode, fails the file at its
-first ledger entry (``"<host>: line <n>: … schema of N"``, nothing
-written) whether or not the lines after the redefinition conform —
-where the reference accepted it.  Writers emit schemas once, in the
-header; a mid-file redefinition only arises from concatenating files
-across a schema change, which the archive layout (one file per host
-per rotation) rules out.
+Both name a reading by the schema it was read under, so a ``!`` line
+that *redefines* a type after records were written — a new day's
+header in a host file the central store keeps appending to — files the
+readings before it under the old names and widths and the later ones
+under the new (:func:`test_schema_redefined_mid_file_equals_the_reference`).
+Widths are checked where every reader checks them — by the record
+decoder, as each line is read, against the schema then in force — so
+after a redefinition that changes the counter count a line of the old
+width is refused like any other bad line.
 """
 
 import io
@@ -354,9 +341,9 @@ def test_corrupt_line_names_host_and_line_and_leaves_store_untouched(
         ingest_file_reference(TimeSeriesDB(), "c401-107", "\n".join(lines))
 
 
-def test_schema_redefined_mid_file_uses_the_final_schema():
-    """The one known divergence from the per-sample reference (see the
-    module docstring): one schema per type per file — the last."""
+def test_schema_redefined_mid_file_equals_the_reference():
+    """A redefinition keeps every reading under the schema it was read
+    with — the record the ``!`` line follows too."""
     lines = list(HEADER)
     for k in range(3):
         lines += record(T0 + 600 * k, k=k)
@@ -364,37 +351,34 @@ def test_schema_redefined_mid_file_uses_the_final_schema():
     for k in range(3, 6):
         lines += record(T0 + 600 * k, k=k)
     text = "\n".join(lines) + "\n"
-    new, ref = TimeSeriesDB(), TimeSeriesDB()
-    assert ingest_file(new, "h", text) == ingest_file_reference(ref, "h", text)
+    new, ref = load_both(text)
     events = lambda db: {
         s.tags["event"]: len(s) for s in db.select("stats", {"type": "mdc"})
     }
-    assert events(new) == {"requests": 6, "latency": 6}
-    assert set(events(ref)) == {"reqs", "wait", "requests", "latency"}
-    assert new.n_points() == ref.n_points()
-    # cpu was not redefined: identical either way
-    for s in ref.select("stats", {"type": "cpu"}):
-        twin = new.select("stats", s.tags)[0]
-        assert np.array_equal(twin.arrays()[1], s.arrays()[1])
+    assert events(new) == {"reqs": 3, "wait": 3, "requests": 3, "latency": 3}
+    assert_same_store(new, ref)
 
-    # a redefinition that changes the width fails the file outright
+    # a redefinition that changes the width refuses the later lines of
+    # the old width, in both
     widened = text.replace(
         "!mdc requests,E latency,E,U=us", "!mdc requests,E"
     )
     db = TimeSeriesDB()
-    with pytest.raises(ValueError, match=r"^h: line \d+: .*schema of 1"):
+    with pytest.raises(ValueError, match=r"^h: line \d+: .*2 .*schema of 1"):
         ingest_file(db, "h", widened)
     assert db.n_series() == 0 and db.epoch == 0
-    # ... and so does one whose later lines conform to it: the readings
-    # accepted before it are the ones the final schema cannot name
+    with pytest.raises(ValueError, match="2 values vs schema of 1"):
+        ingest_file_reference(TimeSeriesDB(), "h", widened)
+    # ... and takes the file whose later lines conform to it: each
+    # reading under its own width
     conforming = "\n".join(
         line.rpartition(" ")[0] if i > 18 and line.startswith("mdc") else line
         for i, line in enumerate(widened.split("\n"))
     )
     assert conforming.count("mdc scratch") == 6 and conforming != widened
-    with pytest.raises(ValueError, match=r"^h: line 7: mdc/scratch: 2 .*of 1"):
-        ingest_file(db, "h", conforming)
-    assert db.n_series() == 0 and db.epoch == 0
+    new, ref = load_both(conforming)
+    assert events(new) == {"reqs": 3, "wait": 3, "requests": 3}
+    assert_same_store(new, ref)
 
 
 def test_seal_heads_counts_once_per_metric_with_exact_totals():
