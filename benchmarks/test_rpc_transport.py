@@ -1,4 +1,4 @@
-"""Transport gates: what the frame codec and the write window buy.
+"""Transport gate: what the frame codec buys.
 
 Machine-speed-independent counts, recorded in ``BENCH_rpc.json``
 (stamped with ``commit`` and ``cpu_count``) and enforced on every run
@@ -13,10 +13,6 @@ Machine-speed-independent counts, recorded in ``BENCH_rpc.json``
   frame is *larger* than the legacy pickle (8 bytes a point against
   pickle's compact ints), so a byte ratio would gate the wrong thing:
   what the codec buys is no per-point Python object on either side.
-* **streaming write round-trips** — ``N`` pipelined ``put_many`` calls
-  under the default credit window must cost at least ``5×`` fewer
-  synchronous round-trips than the legacy one-reply-per-write
-  protocol's ``N``.
 
 Wall times and throughput ride along in the payload for the curve's
 sake but are never gated.
@@ -39,11 +35,8 @@ from repro.tsdb.store import _tagkey
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_rpc.json"
 
 N_SCAN = 65536          # the gated scan reply: 64k points, 1 MiB of columns
-N_WRITES = 512          # pipelined micro-batches on the write path
-WINDOW = 64             # default credit window
 MAX_FRAME_OVERHEAD = 300  # frame bytes above the raw column bytes
 MIN_ALLOC_RATIO = 100.0   # legacy loads peak / frame decode peak
-MIN_RTT_RATIO = 5.0     # legacy round-trips / measured round-trips
 T0 = 1_443_657_600
 
 
@@ -67,8 +60,7 @@ def test_scan_reply_codec_gate():
     wire = obs.counter("repro_shard_rpc_wire_bytes_total", "")
 
     with ShardWorkerPool(1, 1, chunk_size=8192) as pool:
-        pool.post("put_many", 0, ("stats", {"host": "h0"}, t, v))
-        pool.flush()
+        pool.call("put_many", {0: ("stats", {"host": "h0"}, t, v)})
         rx0 = wire.value(dir="rx")
         t_start = time.perf_counter()
         cols = pool.call(
@@ -83,7 +75,7 @@ def test_scan_reply_codec_gate():
     column_bytes = t.nbytes + v.nbytes
     overhead = rx_bytes - column_bytes
     # the worker's reply, re-encoded here: the same frame byte for byte
-    frame, _ = encode(("ok", {0: [(t, v)]}, ()))
+    frame, _ = encode(("ok", {0: [(t, v)]}))
     assert len(frame) == rx_bytes
     # the protocol the codec replaced: default-pickle envelope with the
     # columns materialised as Python lists
@@ -125,49 +117,3 @@ def test_scan_reply_codec_gate():
         f"{alloc_ratio:.1f}x (gate {MIN_ALLOC_RATIO:.0f}x)"
     )
     assert views, "decoded scan columns should be views over the frame"
-
-
-def test_streaming_write_roundtrips_gate():
-    rtt = obs.counter("repro_shard_rpc_roundtrips_total", "")
-    posted = obs.counter("repro_shard_rpc_writes_pipelined_total", "")
-
-    with ShardWorkerPool(1, 1, chunk_size=8192, rpc_window=WINDOW) as pool:
-        r0, p0 = rtt.total(), posted.total()
-        t_start = time.perf_counter()
-        for i in range(N_WRITES):
-            pool.post("put_many", 0, (
-                "stats", {"host": f"h{i % 8}"}, [T0 + i * 10], [float(i)],
-            ))
-        pool.flush()
-        wall = time.perf_counter() - t_start
-        roundtrips = rtt.total() - r0
-        pipelined = posted.total() - p0
-        assert pool.call("stats", {0: ()})[0]["points"] == N_WRITES
-
-    legacy = N_WRITES  # the replaced protocol: one reply awaited per write
-    ratio = legacy / max(1, roundtrips)
-
-    payload = {
-        "writes": N_WRITES,
-        "rpc_window": WINDOW,
-        "legacy_roundtrips": legacy,
-        "roundtrips": int(roundtrips),
-        "writes_pipelined": int(pipelined),
-        "roundtrip_ratio": round(ratio, 1),
-        "write_wall_s": round(wall, 4),
-        "writes_per_s": round(N_WRITES / wall) if wall > 0 else None,
-        "gate": f"enforced: >= {MIN_RTT_RATIO}x fewer round-trips",
-    }
-    record_bench(BENCH_JSON, "streaming_write_roundtrips", payload)
-    report(
-        f"streaming write path ({N_WRITES} micro-batches, window {WINDOW})",
-        [("legacy sync", f"{legacy}", "1.0x"),
-         ("pipelined", f"{int(roundtrips)}", f"{ratio:.0f}x")],
-        ["protocol", "round-trips", "reduction"],
-    )
-    assert pipelined == N_WRITES
-    assert roundtrips == N_WRITES // WINDOW  # one sync per full window
-    assert ratio >= MIN_RTT_RATIO, (
-        f"{N_WRITES} writes cost {roundtrips} round-trips — only "
-        f"{ratio:.1f}x better than legacy (gate {MIN_RTT_RATIO}x)"
-    )

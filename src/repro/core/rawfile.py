@@ -284,12 +284,14 @@ class Layout:
     accumulation plan, the TSDB series.  ``schemas`` maps each type to
     the schema its readings are filed under: its ``!`` line's, unless
     one of its devices is not that schema's width (a ``!`` line inside
-    a record), when the type is read schema-less.  ``starts`` maps each
-    type's devices to where their runs start in a row (a device listed
-    twice: its last run's).
+    a record), when the type is read schema-less and named in
+    ``mismatched`` — the parser ledgers such a record.  ``starts`` maps
+    each type's devices to where their runs start in a row (a device
+    listed twice: its last run's).
     """
 
-    __slots__ = ("columns", "lines", "schemas", "starts", "_derived")
+    __slots__ = ("columns", "lines", "schemas", "mismatched", "starts",
+                 "_derived")
 
     #: ``(columns, lines)`` → its layout; shared by every reader
     _interned: Dict[tuple, "Layout"] = {}
@@ -304,6 +306,7 @@ class Layout:
             if line:
                 header._header_line(line)
         schemas = header.schemas
+        mismatched: List[str] = []
         self.starts: Dict[str, Dict[str, int]] = {}
         lo = 0
         for type_name, instance, width in columns:
@@ -312,7 +315,9 @@ class Layout:
             schema = schemas.get(type_name)
             if schema is not None and width != len(schema):
                 del schemas[type_name]
+                mismatched.append(type_name)
         self.schemas: Dict[str, Schema] = schemas
+        self.mismatched: Tuple[str, ...] = tuple(mismatched)
         self._derived: Dict[object, object] = {}
 
     @classmethod
@@ -412,6 +417,8 @@ class RawFileParser:
         if not text.endswith("\n"):
             text += "\n"
         current: Optional[ParsedSample] = None
+        #: the ledger's length when the open record opened, and its line
+        opened: Tuple[int, str] = (0, "")
         #: the open record's data lines not decoded yet, and their numbers
         pending: List[str] = []
         linenos: List[int] = []
@@ -442,7 +449,7 @@ class RawFileParser:
                 continue
             if current is not None:
                 if opens:
-                    self._close(current, pending, linenos, read_under)
+                    self._close(current, opened, pending, linenos, read_under)
                     yield current
                     current = None
                 elif pending:
@@ -472,6 +479,7 @@ class RawFileParser:
                         data={},
                         lineno=lineno,
                     )
+                    opened = (len(self.errors), line)
             except (ValueError, IndexError) as exc:
                 self._refuse(lineno, line, exc)
                 if opens:
@@ -479,7 +487,7 @@ class RawFileParser:
                     # that follows has no timestamp to attach to
                     skipping_block = True
         if current is not None:
-            self._close(current, pending, linenos, read_under)
+            self._close(current, opened, pending, linenos, read_under)
             yield current
 
     def _by_template(
@@ -533,17 +541,29 @@ class RawFileParser:
     def _close(
         self,
         sample: ParsedSample,
+        opened: Tuple[int, str],
         lines: List[str],
         linenos: List[int],
         read_under: Optional[Dict[str, str]],
     ) -> None:
         """Decode what the closing record still has buffered, seal it
         and give it its layout; ``read_under`` is the ``!`` lines of an
-        interrupted record, which decoded some lines early."""
+        interrupted record, which decoded some lines early.  A type the
+        layout reads schema-less because a ``!`` line inside the record
+        changed its width is refused at the record's open line
+        (``opened``: the ledger's length then, and the line), filed in
+        front of the record's own entries so the ledger stays in file
+        order; the sample keeps its readings, schema-less."""
         self._decode_lines(sample, lines, linenos)
         sample._seal(*_flatten(sample.data))
-        sample.layout = Layout.of(
+        layout = sample.layout = Layout.of(
             sample.columns, self._lines if read_under is None else read_under)
+        if layout.mismatched:
+            at, line = opened
+            self._refuse(sample.lineno, line, ValueError(
+                f"{', '.join(layout.mismatched)}: a ! line inside the "
+                f"record changed its width; read without a schema"))
+            self.errors.insert(at, self.errors.pop())
         self.line_records += 1
         if read_under is None:
             # whatever order its lines came in, the record's columns
@@ -859,7 +879,7 @@ class BlockParser:
             for line in schema_lines:
                 if line not in layout.lines:
                     header._header_line(line)
-            if len(layout.schemas) != sum(map(bool, layout.lines)):
+            if layout.mismatched:
                 return None
             pattern, prefix, at, off, cols = layout.derive(
                 "stride", lambda: _stride(layout.columns))

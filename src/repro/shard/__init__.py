@@ -14,9 +14,9 @@ single result bit:
 * :mod:`repro.shard.worker` — the op table (what each command does to
   one shard's store), the in-process backend that calls it, and the
   spawn-safe worker entry point that serves it;
-* :mod:`repro.shard.pool` — :class:`ShardWorkerPool`, the same two
-  verbs (``call``/``post``) over OS processes behind duplex pipes;
-  worker ``w`` owns the shards ``s % workers == w``;
+* :mod:`repro.shard.pool` — :class:`ShardWorkerPool`, the same one
+  verb (``call``) over OS processes behind duplex pipes; worker ``w``
+  owns the shards ``s % workers == w``, and answers every command;
 * :mod:`repro.shard.transport` — the framed pickle-5 codec every
   message crosses a pipe in, columns out-of-band inside the frame;
 * :mod:`repro.shard.stream` — the sharded streaming pipeline: the

@@ -147,7 +147,7 @@ class ShardedTSDB:
         self, metric: str, tags: Mapping[str, str], ts: int, value: float
     ) -> None:
         shard = self.map.place_tags(metric, tags)
-        self.backend.post("put", shard, (metric, dict(tags), ts, value))
+        self.backend.call("put", {shard: (metric, dict(tags), ts, value)})
         self._writes += 1
 
     def put_many(
@@ -163,7 +163,7 @@ class ShardedTSDB:
         t = np.ascontiguousarray(times, dtype=np.int64)
         v = np.ascontiguousarray(values, dtype=np.float64)
         shard = self.map.place_tags(metric, tags)
-        self.backend.post("put_many", shard, (metric, dict(tags), t, v))
+        self.backend.call("put_many", {shard: (metric, dict(tags), t, v)})
         self._writes += 1
         return len(t)
 
@@ -206,15 +206,6 @@ class ShardedTSDB:
             per_shard=per_shard,
             workers=self.workers,
         )
-
-    def flush(self) -> None:
-        """Write barrier: every ``put``/``put_many`` before it landed,
-        or this raises (the pipelining contract of
-        :mod:`repro.shard.pool`).  Reads and ``close()`` are barriers
-        too — an explicit flush just lets callers pick *where*
-        failures surface.  A no-op for the in-process backend.
-        """
-        self.backend.flush()
 
     def prune(self, before: int, metric: Optional[str] = None) -> int:
         n = sum(self.backend.call("prune", self._all(before, metric)).values())

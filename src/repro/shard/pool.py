@@ -1,7 +1,7 @@
 """A spawn-started pool of shard worker processes.
 
 :class:`ShardWorkerPool` hosts ``shards`` shard stores across
-``workers`` OS processes — the RPC form of the two-verb backend over
+``workers`` OS processes — the RPC form of the one-verb backend over
 the op table in :mod:`repro.shard.worker`: it knows which worker owns
 which shard and how a frame crosses a pipe, nothing about what any
 command does.  Worker ``w`` owns the shards ``s % workers == w``,
@@ -12,13 +12,9 @@ columns shipped as out-of-band raw buffers inside the frame.  A call
 sends to every worker it involves first and only then collects
 replies, so workers genuinely overlap on multi-core hosts.
 
-Posted writes are *pipelined*: :meth:`~ShardWorkerPool.post` does not
-wait for a reply, keeping up to ``rpc_window`` un-acknowledged
-messages in flight per worker.  Worker-side write failures are
-buffered and surfaced — together with :class:`ShardWorkerDied` — at
-the next barrier: an explicit :meth:`flush`, any :meth:`call`, or
-:meth:`close`.  No barrier, no guarantee; after a barrier, everything
-before it either landed or raised.
+Every command, a write too, is one round trip: the worker answers it,
+and a failed command — or a dead worker — raises from the
+:meth:`~ShardWorkerPool.call` that met it.
 
 Failure behaviour is deliberately simple and visible: a worker whose
 pipe drops raises :class:`ShardWorkerDied` naming the worker and the
@@ -38,11 +34,7 @@ from repro.shard import transport
 from repro.shard.worker import worker_main
 from repro.tsdb.chunks import CHUNK_POINTS
 
-__all__ = ["ShardWorkerDied", "ShardWorkerPool", "DEFAULT_RPC_WINDOW"]
-
-#: un-acknowledged writes allowed in flight per worker before the
-#: pool inserts a sync barrier (one round-trip per window)
-DEFAULT_RPC_WINDOW = 64
+__all__ = ["ShardWorkerDied", "ShardWorkerPool"]
 
 
 class ShardWorkerDied(RuntimeError):
@@ -68,26 +60,20 @@ class ShardWorkerPool:
         shards: int,
         workers: int,
         chunk_size: int = CHUNK_POINTS,
-        rpc_window: int = DEFAULT_RPC_WINDOW,
     ) -> None:
         if shards < 1 or workers < 1:
             raise ValueError("shards and workers must be >= 1")
         self.n_shards = int(shards)
         self.workers = int(workers)
         self.chunk_size = int(chunk_size)
-        self.rpc_window = max(1, int(rpc_window))
         n = self.workers
         #: worker index → sorted shard ids it owns (``s % workers``)
         self.assignment = [list(range(w, self.n_shards, n)) for w in range(n)]
         self._ctx = mp.get_context("spawn")
         self._procs: List[Optional[mp.process.BaseProcess]] = [None] * n
         self._conns: List[Optional[object]] = [None] * n
-        #: per-worker posted-but-unacknowledged write count
-        self._unacked: List[int] = [0] * n
         #: per-worker replies to discard (queued by an aborted gather)
         self._stale: List[int] = [0] * n
-        #: per-worker deferred write errors awaiting the next barrier
-        self._write_errors: List[List[str]] = [[] for _ in range(n)]
         for w in range(n):
             self._spawn(w)
 
@@ -104,7 +90,6 @@ class ShardWorkerPool:
         child.close()
         self._procs[w] = proc
         self._conns[w] = parent
-        self._unacked[w] = 0
         self._stale[w] = 0
         obs.counter(
             "repro_shard_workers_spawned_total",
@@ -127,36 +112,19 @@ class ShardWorkerPool:
                 "out-of-band column bytes moved inside shard RPC frames",
             ).inc(info.oob_bytes)
 
-    def _gauge_inflight(self, w: int) -> None:
-        obs.gauge(
-            "repro_shard_rpc_inflight",
-            "un-acknowledged pipelined writes currently in flight",
-        ).set(self._unacked[w], worker=str(w))
-
-    def _send(self, w: int, cmd: str, payload,
-              ack: bool = True) -> None:
+    def _send(self, w: int, cmd: str, payload) -> None:
         conn = self._conns[w]
         if conn is None:
             raise ShardWorkerDied(w, self.assignment[w])
         cur = obs.get_tracer().current()
         ctx = (cur.trace_id, cur.span_id) if cur is not None and cur.span_id else None
-        frame, info = transport.encode((cmd, payload, ctx, ack))
+        frame, info = transport.encode((cmd, payload, ctx))
         try:
             conn.send_bytes(frame)
         except (BrokenPipeError, OSError):
             self._note_death(w)
             raise ShardWorkerDied(w, self.assignment[w])
         self._count_frame(info, "tx")
-        if ack:
-            obs.counter(
-                "repro_shard_rpc_roundtrips_total",
-                "synchronous request/reply exchanges with shard workers",
-            ).inc()
-        else:
-            obs.counter(
-                "repro_shard_rpc_writes_pipelined_total",
-                "write commands posted without waiting for a reply",
-            ).inc()
 
     def _recv_frame(self, w: int) -> bytes:
         conn = self._conns[w]
@@ -169,7 +137,7 @@ class ShardWorkerPool:
             raise ShardWorkerDied(w, self.assignment[w])
 
     def _recv_reply(self, w: int):
-        """Collect one reply from ``w`` — every reply is a barrier.
+        """Collect one reply from ``w``.
 
         Death raises :class:`ShardWorkerDied` *here, explicitly* —
         :meth:`_note_death` only records it.  Replies queued by an
@@ -178,24 +146,10 @@ class ShardWorkerPool:
         reply.
         """
         while self._stale[w]:
-            frame = self._recv_frame(w)
+            self._recv_frame(w)
             self._stale[w] -= 1
-            try:
-                stale, _ = transport.decode(frame)
-            except transport.FrameError:  # pragma: no cover - corrupt
-                continue                  # stale frame: drop it
-            # the worker drained its deferred-error buffer into this
-            # reply; the reply is discarded, the errors must not be
-            if isinstance(stale, tuple) and len(stale) == 3 and stale[2]:
-                self._write_errors[w].extend(stale[2])
-        frame = self._recv_frame(w)
-        reply, info = transport.decode(frame)
+        (status, result), info = transport.decode(self._recv_frame(w))
         self._count_frame(info, "rx")
-        status, result, deferred = reply
-        self._unacked[w] = 0
-        self._gauge_inflight(w)
-        if deferred:
-            self._write_errors[w].extend(deferred)
         if status != "ok":
             raise RuntimeError(f"shard worker {w}: {result}")
         return result
@@ -212,29 +166,14 @@ class ShardWorkerPool:
         proc = self._procs[w]
         if proc is not None:
             proc.join(timeout=1.0)
-        self._unacked[w] = 0
         self._stale[w] = 0
-        self._gauge_inflight(w)
         obs.counter(
             "repro_shard_worker_deaths_total",
             "shard worker processes lost mid-conversation",
         ).inc()
 
-    def _raise_deferred(self) -> None:
-        """Surface buffered pipelined-write failures (barrier point)."""
-        if not any(self._write_errors):
-            return
-        detail = "; ".join(
-            f"worker {w}: {msg}"
-            for w, errs in enumerate(self._write_errors)
-            for msg in errs
-        )
-        for errs in self._write_errors:
-            errs.clear()
-        raise RuntimeError(f"pipelined shard writes failed: {detail}")
-
     def _exchange(self, w: int, cmd: str, payload):
-        """One synchronous round-trip (implicitly a per-worker barrier)."""
+        """One round trip with worker ``w``."""
         self._send(w, cmd, payload)
         return self._recv_reply(w)
 
@@ -270,17 +209,17 @@ class ShardWorkerPool:
             for w in sent:
                 if w not in consumed and self._conns[w] is not None:
                     self._stale[w] += 1
-        self._raise_deferred()
         return out
 
-    # -- the two verbs (same shape as worker.LocalShards) ---------------------
+    # -- the one verb (same shape as worker.LocalShards) ----------------------
     def call(
         self, op: str, args_by_shard: Mapping[int, tuple]
     ) -> Dict[int, object]:
         """Run ``OPS[op]`` on each named shard with its own arguments.
 
         One frame per worker that owns any of the shards, all sent
-        before the first reply is read.  Every call is a barrier.
+        before the first reply is read.  A command that fails on a
+        worker raises ``RuntimeError`` naming the worker and the error.
         """
         by_worker: Dict[int, Dict[int, tuple]] = {}
         for shard, args in args_by_shard.items():
@@ -291,25 +230,6 @@ class ShardWorkerPool:
         ).values():
             out.update(reply)
         return out
-
-    def post(self, op: str, shard: int, args: tuple) -> None:
-        """Pipeline a write to ``shard``; sync when the credit window
-        is exhausted.  The store accepts the whole batch or raises,
-        and a failure surfaces at the next barrier."""
-        w = shard % self.workers
-        self._send(w, op, {shard: args}, ack=False)
-        self._unacked[w] += 1
-        self._gauge_inflight(w)
-        if self._unacked[w] >= self.rpc_window:
-            self._exchange(w, "flush", ())
-            self._raise_deferred()
-
-    def flush(self) -> None:
-        """Barrier: every pipelined write landed, or this raises."""
-        for w, conn in enumerate(self._conns):
-            if conn is not None and self._unacked[w]:
-                self._exchange(w, "flush", ())
-        self._raise_deferred()
 
     # -- obs harvest ---------------------------------------------------------
     def harvest_obs(self, merger) -> "HarvestReport":
@@ -388,17 +308,15 @@ class ShardWorkerPool:
         if proc is not None and proc.is_alive():
             proc.terminate()
             proc.join(timeout=2.0)
-        self._write_errors[worker].clear()
         self._spawn(worker)
         return list(self.assignment[worker])
 
     def close(self) -> None:
-        """Drain, stop and reap every worker.
+        """Stop and reap every worker.
 
-        ``close`` is a barrier like any other: pipelined writes that
-        failed — or a worker found dead while draining — raise *after*
-        every process is stopped and joined, so shutdown never leaks
-        workers but never swallows data loss either.
+        A worker found dead on the way raises *after* every process is
+        stopped and joined, so shutdown never leaks workers but never
+        hides a death either.
         """
         first: Optional[BaseException] = None
         for w in range(len(self._conns)):
@@ -418,11 +336,6 @@ class ShardWorkerPool:
                 proc.join(timeout=2.0)
                 if proc.is_alive():  # pragma: no cover - stuck worker
                     proc.terminate()
-        try:
-            self._raise_deferred()
-        except RuntimeError as exc:
-            if first is None:
-                first = exc
         if first is not None:
             raise first
 

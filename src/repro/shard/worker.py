@@ -5,9 +5,8 @@ a function of *one* shard's :class:`~repro.tsdb.store.TimeSeriesDB`
 and the command's arguments.  How a call's arguments split by shard
 and how the shards' replies merge is
 :class:`~repro.shard.coordinator.ShardedTSDB`'s business; both backends
-are the same two-verb proxy over the table —
-``call(op, {shard: args}) -> {shard: result}`` and
-``post(op, shard, args)``:
+are the same one-verb proxy over the table,
+``call(op, {shard: args}) -> {shard: result}``:
 
 * **in-process** (``workers=0``): :class:`LocalShards` holds the shard
   stores and calls the row — deterministic, sim-friendly, and the
@@ -117,7 +116,7 @@ OPS: Dict[str, Callable] = {
 
 
 class LocalShards:
-    """The in-process backend: the shard stores, and the two verbs."""
+    """The in-process backend: the shard stores, and the one verb."""
 
     def __init__(self, shard_ids: Iterable[int], chunk_size: int) -> None:
         self.stores: Dict[int, TimeSeriesDB] = {
@@ -137,14 +136,6 @@ class LocalShards:
             for shard, args in args_by_shard.items()
         }
 
-    def post(self, op: str, shard: int, args: tuple) -> None:
-        """A write nobody waits for; in-process it has simply happened
-        (and a bad one raises here rather than at the next barrier)."""
-        self.call(op, {shard: args})
-
-    def flush(self) -> None:
-        """Nothing is ever in flight in-process."""
-
     def close(self) -> None:
         """No process to stop."""
 
@@ -157,20 +148,11 @@ def worker_main(
     """Process entry point: serve :data:`OPS` over ``conn``.
 
     Spawn-safe: importable at module top level with picklable
-    arguments only.  Every message is one
-    :mod:`repro.shard.transport` frame carrying
-    ``(cmd, payload, ctx, ack)`` — ``payload`` is ``{shard: args}``,
-    ``ctx`` is the coordinator's ``(trace_id, span_id)`` or ``None``,
-    and ``ack`` selects the reply discipline:
-
-    * **acked** commands answer ``("ok", {shard: result}, deferred)``
-      or ``("err", message, deferred)``, where ``deferred`` drains
-      every error buffered by earlier un-acked writes (the
-      coordinator's error-at-barrier contract);
-    * **un-acked** commands (pipelined ``put``/``put_many``) send no
-      reply at all — a failure is buffered and rides out on the next
-      acked exchange.
-
+    arguments only.  Every request is one
+    :mod:`repro.shard.transport` frame carrying ``(cmd, payload, ctx)``
+    — ``payload`` is ``{shard: args}`` and ``ctx`` is the coordinator's
+    ``(trace_id, span_id)`` or ``None`` — and every request is answered
+    by one frame, ``("ok", {shard: result})`` or ``("err", message)``.
     ``cmd`` is looked up in :data:`OPS` and nowhere else: any other
     name, whatever attribute it spells, fails like a failed command.
 
@@ -191,11 +173,9 @@ def worker_main(
     from repro.shard import transport
 
     shards = LocalShards(shard_ids, chunk_size)
-    deferred: list = []
 
     def reply(status: str, result) -> None:
-        frame, _ = transport.encode((status, result, tuple(deferred)))
-        deferred.clear()
+        frame, _ = transport.encode((status, result))
         conn.send_bytes(frame)
 
     while True:
@@ -204,37 +184,22 @@ def worker_main(
         except (EOFError, OSError):
             break
         try:
-            (cmd, payload, ctx, ack), _ = transport.decode(frame)
+            (cmd, payload, ctx), _ = transport.decode(frame)
         except Exception:  # corrupt request: die visibly, not wrongly
             break
         try:
             if cmd == "close":
                 reply("ok", None)
                 break
-            if cmd == "flush":
-                # pure barrier: everything before it already ran (the
-                # pipe is FIFO); the reply carries the deferred errors
-                reply("ok", None)
-                continue
             if cmd == "obs_snapshot":
                 reply("ok", snapshot_process())
                 continue
             with obs.span(f"shard.worker.{cmd}", remote_parent=ctx):
                 result = shards.call(cmd, payload)
-            if ack:
-                reply("ok", result)
+            reply("ok", result)
         except Exception as exc:  # surfaced coordinator-side
-            err = f"{type(exc).__name__}: {exc}"
-            if ack:
-                try:
-                    reply("err", err)
-                except Exception:  # reply itself unserialisable/dead
-                    break
-            else:
-                deferred.append(f"{cmd}: {err}")
-                obs.counter(
-                    "repro_shard_rpc_deferred_errors_total",
-                    "pipelined write failures buffered for the next "
-                    "barrier",
-                ).inc()
+            try:
+                reply("err", f"{type(exc).__name__}: {exc}")
+            except Exception:  # reply itself unserialisable/dead
+                break
     conn.close()

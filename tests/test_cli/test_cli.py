@@ -292,8 +292,8 @@ def test_ingest_sharded_matches_unsharded_totals(
 
 
 def test_shard_transport_and_coalescing_flags_are_gone(capsys):
-    """The credit window and feed coalescing are constants, and the
-    reply arena is gone (docs/performance.md, "Tuning knobs")."""
+    """The write window, the reply arena and feed coalescing are gone
+    (docs/performance.md, "Tuning knobs")."""
     parser = build_parser()
     for argv in (
         ["ingest", "--store", "s", "--shards", "2", "--arena-kb", "0"],

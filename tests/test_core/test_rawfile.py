@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.collector import Sample
 from repro.core.rawfile import (
-    _LAYOUTS, BlockParser, Layout, RawFileParser, RawFileWriter, _decimals,
+    _LAYOUTS, BlockParser, Layout, ParseError, RawFileParser, RawFileWriter,
+    _decimals,
 )
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.hardware.devices.procfs import ProcessRecord
+from repro.tsdb.store import TimeSeriesDB, ingest_file
 from tests.test_core.reference import (
     ReferenceRawFileParser, StampingReferenceParser,
 )
@@ -184,7 +186,8 @@ def test_roundtrip_property(points):
 # ``tests/test_core/reference.py`` keeps the parser it replaced.
 # Whatever the text, however it is fed, in either mode: same samples
 # bit for bit, same ``errors`` entry for entry, same raised text, same
-# parser state.
+# parser state — but for one stated divergence, which
+# :class:`LedgeringReferenceParser` adds to the frozen parser.
 
 PS_LINE = "ps 41 wrf.exe alice 100 160 200 100 120 8 64 8 2 2 0,16 0"
 ODD_TOKENS = ["nan", "inf", "-inf", "-0.0", "1e5", "1_0", "1.5", "0x10",
@@ -271,6 +274,47 @@ def host_streams(draw):
     return msgs
 
 
+class LedgeringReferenceParser(StampingReferenceParser):
+    """The frozen parser and the one divergence from it: a record with
+    a device of a type not as wide as the type's schema when the
+    record's first data line was read (a ``!`` line inside the record
+    changed it) is refused at its open line, in front of the record's
+    own entries.  The frozen parser reads such a record silently, and
+    its readings of that type have no schema."""
+
+    def parse(self, stream):
+        if isinstance(stream, str):
+            stream = io.StringIO(stream)
+        first = len(self.errors)  # this feed's first entry
+
+        def lines():
+            for lineno, raw in enumerate(stream, 1):
+                if raw[:1].isdigit():
+                    self._opening = (lineno, raw.rstrip("\n"))
+                yield raw
+
+        for sample in super().parse(lines()):
+            bad = [t for t, per in sample.data.items()
+                   if t in sample.schemas and any(
+                       len(v) != len(sample.schemas[t]) for v in per.values())]
+            if bad:
+                lineno, line = sample.opening
+                reason = (f"{', '.join(bad)}: a ! line inside the record "
+                          f"changed its width; read without a schema")
+                if self.on_error == "raise":
+                    raise ValueError(reason)
+                at = next((i for i in range(first, len(self.errors))
+                           if self.errors[i].lineno > lineno),
+                          len(self.errors))
+                self.errors.insert(at, ParseError(lineno, line, reason))
+            yield sample
+
+    def _data_line(self, sample, line):
+        if "schemas" not in vars(sample):
+            sample.opening = self._opening
+        super()._data_line(sample, line)
+
+
 def frozen(sample):
     return (
         sample.host, sample.timestamp, sample.jobids,
@@ -315,12 +359,12 @@ def test_decoding_equals_the_frozen_parser(msgs, final_newline):
     if not final_newline:
         text = text[:-1]
     for on_error in ("quarantine", "raise"):
-        whole = outcome(ReferenceRawFileParser(on_error), [text])
+        whole = outcome(LedgeringReferenceParser(on_error), [text])
         assert outcome(RawFileParser(on_error), [text]) == whole
         assert outcome(RawFileParser(on_error), [io.StringIO(text)]) == whole
         new = RawFileParser(on_error)
         assert outcome(new, bodies) == outcome(
-            ReferenceRawFileParser(on_error), bodies)
+            LedgeringReferenceParser(on_error), bodies)
         if on_error == "quarantine":
             assert new.template_records + new.line_records == sum(
                 len(samples) for samples, _ in whole[0])
@@ -483,7 +527,7 @@ def schemas_read_under(sample):
 
 
 def assert_block_equals_the_frozen_parser(text):
-    ref = StampingReferenceParser("quarantine")
+    ref = LedgeringReferenceParser("quarantine")
     want = list(ref.parse(text))
     block = BlockParser("quarantine").parse_text(text)
     got = list(block.iter_samples(range(block.n_records)))
@@ -856,6 +900,25 @@ def test_a_trailing_ps_line_changes_the_path_not_the_block():
     assert strided.matrix.shape == stacked.matrix.shape
     assert strided.matrix.tobytes() == stacked.matrix.tobytes()
     assert list(stacked.procs) == [3] and not strided.procs
+
+
+def test_a_schema_line_inside_a_record_is_ledgered_not_dropped_silently():
+    """Record 0's ``a`` devices are read under two ``!`` lines, so the
+    type is read schema-less and its three values are neither
+    accumulated nor written: one entry at the record's open line says
+    so, and raise mode refuses the file before anything is written."""
+    text = ("$hostname h\n!a x,E y,E\n0 J\na 0 1 2\n!a x,E\na 1 3\n"
+            "600 J\na 0 4\na 1 5\n")
+    reason = "a: a ! line inside the record changed its width; read " \
+             "without a schema"
+    block = assert_block_equals_the_frozen_parser(text)
+    assert block.errors == [ParseError(3, "0 J", reason)]
+    assert block.runs[0].layout.mismatched == ("a",)
+    assert block.runs[1].layout.mismatched == ()
+    db = TimeSeriesDB()
+    with pytest.raises(ValueError, match=f"^h: line 3: {reason}$"):
+        ingest_file(db, "h", text)
+    assert db.n_points() == 0
 
 
 def test_readings_under_an_earlier_schema_of_another_width_are_kept():

@@ -147,30 +147,20 @@ def pooled(fleet_day):
     db.close()
 
 
-# the transport acceptance matrix: every shard/worker combination, each
-# ingested twice.  The third id keeps the name it had when it toggled
-# the shared-memory reply arena — which this corpus's 144-point columns
-# (1 152 B) never reached, so both legs always ran the in-frame path.
-# It now toggles the write credit window: "arena" is the default pool,
-# "noarena" syncs on every pipelined write (``rpc_window=1``).
-POOL_MATRIX = [
-    (s, w, leg)
-    for s in (1, 3, 7)
-    for w in (1, 2)
-    for leg in ("arena", "noarena")
-]
+# the transport acceptance matrix: every shard/worker combination.  The
+# ids keep the "-arena" suffix of a deleted third axis (the reply arena,
+# then the write window), so the suite's test names stay the same.
+POOL_MATRIX = [(s, w) for s in (1, 3, 7) for w in (1, 2)]
 
 
 @pytest.fixture(
     scope="module",
     params=POOL_MATRIX,
-    ids=[f"s{s}-w{w}-{leg}" for s, w, leg in POOL_MATRIX],
+    ids=[f"s{s}-w{w}-arena" for s, w in POOL_MATRIX],
 )
 def pooled_matrix(request, fleet_day):
-    shards, workers, leg = request.param
+    shards, workers = request.param
     db = ShardedTSDB(shards=shards, workers=workers, chunk_size=CHUNK_SIZE)
-    if leg == "noarena":
-        db.backend.rpc_window = 1
     report = db.ingest(StoreSource(fleet_day.store.root), types=TYPES)
     assert report.points > 0 and report.workers == workers
     yield db

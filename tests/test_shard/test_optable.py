@@ -81,9 +81,8 @@ def backends():
     for backend in (local, pool):
         for shard, series in CORPUS.items():
             for tags in series:
-                backend.post(
-                    "put_many", shard, ("stats", tags, T, _values(tags)))
-        backend.flush()
+                backend.call(
+                    "put_many", {shard: ("stats", tags, T, _values(tags))})
     yield local, pool
     pool.close()
 
@@ -109,16 +108,13 @@ def test_row_answers_the_same_through_both_backends(op, backends, fleet_day):
 def test_a_name_that_is_not_a_row_is_refused(name, backends):
     """The worker looks a command up in OPS, never on an object: an
     attribute of the shard holder is as unknown as a typo — an ``err``
-    reply (a deferred error when posted), the worker alive after it."""
+    reply, the worker alive after it."""
     local, pool = backends
     with pytest.raises(ValueError, match="unknown shard op"):
         local.call(name, {0: ()})
     with pytest.raises(RuntimeError, match="unknown shard op"):
         pool.call(name, {0: ()})
     assert pool._stale == [0]
-    pool.post(name, 0, ())
-    with pytest.raises(RuntimeError, match=f"{name}: .*unknown shard op"):
-        pool.flush()
     assert contents(pool) == contents(local)
 
 
@@ -127,16 +123,15 @@ def test_wire_cost_of_a_fixed_script_is_pinned(fleet_day):
     commit before the op table (7275e47): ingest, window_stats, the
     query's select and scan, seal_heads."""
     frames = obs.counter("repro_shard_rpc_frames_total", "")
-    trips = obs.counter("repro_shard_rpc_roundtrips_total", "")
     source = StoreSource(str(fleet_day.store.root))
     db = ShardedTSDB(shards=4, workers=1, chunk_size=CHUNK_SIZE)
     try:
-        f0, r0 = frames.total(), trips.total()
+        f0, tx0 = frames.total(), frames.value(dir="tx")
         db.ingest(source, hosts=source.hosts()[:2], types=TYPES)
         assert len(db.window_stats("stats")) == 24
         assert len(db.query("stats", group_by=("host",))) == 2
         db.seal_heads()
         assert frames.total() - f0 == 10
-        assert trips.total() - r0 == 5
+        assert frames.value(dir="tx") - tx0 == 5
     finally:
         db.close()

@@ -1,4 +1,4 @@
-"""The zero-copy shard RPC plane: codec, pipelining, chaos.
+"""The zero-copy shard RPC plane: codec, round trips, chaos.
 
 Two layers under test:
 
@@ -9,10 +9,10 @@ Two layers under test:
   rather than surface a truncated column;
 * the **pool protocol** — worker ``w`` owns the shards
   ``s % workers == w``, a death during ``recv`` raises
-  :class:`ShardWorkerDied` (never ``UnboundLocalError``), a worker
-  killed mid-frame or mid-pipelined-window surfaces at the next
-  barrier with no silent data loss, and deferred worker-side write
-  errors arrive at ``flush()``.
+  :class:`ShardWorkerDied` (never ``UnboundLocalError``), every
+  command — a write too — is one round trip, and a bad write or a
+  worker killed mid-frame or between two writes raises from the call
+  that met it, with no silent data loss.
 """
 
 import numpy as np
@@ -20,9 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.shard import ShardedTSDB, StoreSource
 from repro.shard.pool import ShardWorkerDied, ShardWorkerPool
 from repro.shard.transport import FrameError, decode, encode
 from repro.tsdb.store import _tagkey
+
+from .conftest import CHUNK_SIZE, TYPES
 
 # -- frame codec: round-trips -------------------------------------------------
 
@@ -133,15 +136,11 @@ def test_trailing_bytes_raise():
         decode(frame + b"\x00")
 
 
-# -- pool protocol: death, pipelining, barriers -------------------------------
+# -- pool protocol: death, round trips, write errors -------------------------
 
 
 def put_many(pool, sid, tags, times, values):
-    pool.post("put_many", sid, ("stats", tags, times, values))
-
-
-def points(pool, sid):
-    return pool.call("stats", {sid: ()})[sid]["points"]
+    pool.call("put_many", {sid: ("stats", tags, times, values)})
 
 
 def test_recv_death_raises_shard_worker_died():
@@ -174,7 +173,6 @@ def test_kill_mid_frame_raises_died_never_truncated():
         t = np.arange(n, dtype=np.int64)
         v = np.sqrt(np.arange(n, dtype=np.float64))
         put_many(pool, sid, {"host": "h"}, t, v)
-        pool.flush()
         pool._send(0, "scan", {sid: ("stats", [_tagkey({"host": "h"})], None)})
         # wait until the reply starts flowing — the worker is now
         # blocked mid-frame (the message dwarfs the pipe buffer)
@@ -187,28 +185,64 @@ def test_kill_mid_frame_raises_died_never_truncated():
         pool.close()
 
 
-def test_kill_mid_window_surfaces_at_flush_and_respawn_recovers():
-    """The acceptance chaos: pipelined writes + SIGKILL mid-window →
-    ShardWorkerDied at the next barrier, then respawn + re-write
-    restores full service with no silent loss."""
-    pool = ShardWorkerPool(2, 2, chunk_size=64, rpc_window=10_000)
+def battery(db):
+    """Every point and every window statistic, as comparable bytes."""
+    result = db.query("stats", group_by=("host", "event"))
+    return (
+        [(s.tags, s.times.tobytes(), s.values.tobytes())
+         for s in result.series],
+        [repr(st) for st in db.window_stats("stats")],
+    )
+
+
+def test_kill_between_writes_raises_at_the_next_write_and_respawn_recovers(
+    fleet_day,
+):
+    """A worker killed between two writes: the second ``put_many``
+    raises ShardWorkerDied itself, and respawn plus a re-ingest of the
+    lost shards' raw files gives the same queries bit for bit."""
+    source = StoreSource(str(fleet_day.store.root))
+    db = ShardedTSDB(shards=2, workers=2, chunk_size=CHUNK_SIZE)
     try:
-        sid = pool.assignment[0][0]
-        for i in range(50):
-            put_many(pool, sid, {"host": "h"}, [i * 10], [float(i)])
-        pool._procs[0].kill()
-        pool._procs[0].join()
+        db.ingest(source, types=TYPES)
+        want = battery(db)
+        tags = next({"host": f"probe{i}"} for i in range(100)
+                    if db.map.place_tags("probe", {"host": f"probe{i}"}) == 0)
+        db.put_many("probe", tags, [0], [1.0])
+        db.backend._procs[0].kill()
+        db.backend._procs[0].join()
         with pytest.raises(ShardWorkerDied) as err:
-            pool.flush()
+            db.put_many("probe", tags, [10], [2.0])
         assert err.value.worker == 0
-        # recovery: respawn empty, re-ingest the durable copy
-        assert pool.respawn(0) == sorted(pool.assignment[0])
-        for i in range(50):
-            put_many(pool, sid, {"host": "h"}, [i * 10], [float(i)])
-        pool.flush()
-        assert points(pool, sid) == 50
+        lost = db.respawn(0)
+        assert lost == [0]
+        db.ingest(source, types=TYPES, hosts=[
+            h for h in source.hosts() if db.map.place(h) in lost])
+        assert battery(db) == want
     finally:
-        pool.close()
+        db.close()
+
+
+@pytest.mark.parametrize("workers, raised, match", [
+    (0, ValueError, "^times/values must be aligned"),
+    (1, RuntimeError, "^shard worker 0: ValueError: times/values"),
+], ids=["local", "pool"])
+def test_a_bad_write_raises_at_that_call(workers, raised, match, fleet_day):
+    """Misaligned columns: the in-process store's ``ValueError`` is
+    raised by the ``put_many`` itself, and through a worker as a
+    ``RuntimeError`` carrying it; the store keeps what it held and
+    answers as before."""
+    source = StoreSource(str(fleet_day.store.root))
+    db = ShardedTSDB(shards=2, workers=workers, chunk_size=CHUNK_SIZE)
+    try:
+        db.ingest(source, types=TYPES)
+        want = battery(db), db.n_points()
+        host = source.hosts()[0]
+        with pytest.raises(raised, match=match):
+            db.put_many("stats", {"host": host}, [1, 2, 3], [1.0])
+        assert (battery(db), db.n_points()) == want
+    finally:
+        db.close()
 
 
 def test_scatter_err_reply_is_not_marked_stale():
@@ -229,31 +263,6 @@ def test_scatter_err_reply_is_not_marked_stale():
         stats = pool.call("stats", {sid0: (), sid1: ()})
         assert stats[sid0]["points"] == 0
         assert pool._stale == [0, 0]  # stale reply drained exactly once
-    finally:
-        pool.close()
-
-
-def test_deferred_errors_survive_a_stale_discarded_reply():
-    """A stale-discarded reply may be the one carrying buffered
-    pipelined-write failures out of the worker (``reply()`` drains the
-    deferred buffer on *every* acked exchange); the discard must keep
-    the errors for the next barrier, or they are silently lost."""
-    pool = ShardWorkerPool(2, 2, chunk_size=32)
-    try:
-        sid0 = pool.assignment[0][0]
-        sid1 = pool.assignment[1][0]
-        # misaligned columns: worker 1 buffers a deferred write error
-        put_many(pool, sid1, {"host": "x"}, [1, 2, 3], [1.0])
-        # a scatter in which worker 0 errs first: worker 1's reply —
-        # the one draining the deferred error — is marked stale
-        bad = {sid0: ("stats", [_tagkey({"host": "nope"})], None)}
-        with pytest.raises(RuntimeError, match="shard worker 0"):
-            pool._scatter({0: ("scan", bad), 1: ("stats", {sid1: ()})})
-        assert pool._stale[1] == 1
-        # the stale reply is discarded at the next barrier, but the
-        # write failure it carried must still raise there
-        with pytest.raises(RuntimeError, match="pipelined shard writes"):
-            pool.flush()
     finally:
         pool.close()
 
@@ -281,49 +290,6 @@ def test_harvest_err_reply_is_a_miss_not_an_abort():
         assert report.sources == ["w1"]
         pool._recv_reply = real
         assert pool.call("stats", {0: (), 1: ()})  # streams still in sync
-    finally:
-        pool.close()
-
-
-def test_pipelined_write_errors_surface_at_barrier():
-    pool = ShardWorkerPool(2, 1, chunk_size=32)
-    try:
-        # misaligned columns: the worker-side extend raises, the
-        # error is buffered, and the *flush* is where it surfaces
-        put_many(pool, 0, {"host": "x"}, [1, 2, 3], [1.0])
-        with pytest.raises(RuntimeError, match="pipelined shard writes"):
-            pool.flush()
-        # one barrier drains the buffer: the pool stays usable
-        put_many(pool, 0, {"host": "x"}, [1, 2], [1.0, 2.0])
-        pool.flush()
-        assert points(pool, 0) == 2
-    finally:
-        pool.close()
-
-
-def test_query_is_a_write_barrier():
-    pool = ShardWorkerPool(2, 1, chunk_size=32)
-    try:
-        put_many(pool, 0, {"host": "x"}, [5, 6], [1.0])
-        with pytest.raises(RuntimeError, match="pipelined shard writes"):
-            pool.call("window_stats", {0: ("stats",), 1: ("stats",)})
-    finally:
-        pool.close()
-
-
-def test_window_exhaustion_inserts_sync_barrier():
-    pool = ShardWorkerPool(1, 1, chunk_size=32, rpc_window=4)
-    try:
-        # the 4th posted write trips the window and syncs: unacked
-        # drops back to zero without an explicit flush
-        for i in range(4):
-            pool.post("put", 0, ("stats", {"host": "x"}, i, float(i)))
-        assert pool._unacked[0] == 0
-        pool.post("put", 0, ("stats", {"host": "x"}, 99, 1.0))
-        assert pool._unacked[0] == 1
-        pool.flush()
-        assert pool._unacked[0] == 0
-        assert points(pool, 0) == 5
     finally:
         pool.close()
 
