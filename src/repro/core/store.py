@@ -16,7 +16,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.rawfile import ParseError, ParsedSample, RawFileParser
+from repro.core.rawfile import (
+    ParseError, ParsedSample, RawFileParser, forget_parsed,
+)
 
 
 def raw_path(root: Path, host: str) -> Path:
@@ -93,9 +95,14 @@ class CentralStore:
             fh.flush()
 
     def close(self) -> None:
+        """Close the append handles, and drop the blocks an ETL pass
+        filed for this store's files to save their load a parse
+        (:func:`~repro.core.rawfile.take_parsed`): a closed store is
+        done with."""
         for fh in self._open_files.values():
             fh.close()
         self._open_files.clear()
+        forget_parsed(self.root)
 
     def hosts(self) -> List[str]:
         self.flush()

@@ -174,15 +174,22 @@ class ShardedTSDB:
         types: Optional[Sequence[str]] = None,
         metric: str = "stats",
     ) -> ShardIngestReport:
-        """Scatter a host source across the shards and load it all."""
+        """Scatter a host source across the shards and load it all.
+
+        A host whose file an ETL pass in this process already parsed,
+        unchanged since (``source.parsed``), travels as that block's
+        columns; its shard parses every other host's file itself."""
         if hosts is None:
             hosts = source.hosts()
         by_shard: Dict[int, List[str]] = {s: [] for s in range(self.n_shards)}
         for host in hosts:
             by_shard[self.map.place(host, metric)].append(host)
         t0 = time.perf_counter()
+        blocks = {h: b.slim() for h, b in source.parsed(hosts).items()}
         per_shard = self.backend.call("ingest", {
-            s: (source, part, types, metric) for s, part in by_shard.items()
+            s: (source, part, types, metric,
+                {h: blocks[h] for h in part if h in blocks})
+            for s, part in by_shard.items()
         })
         seconds = time.perf_counter() - t0
         self._writes += 1

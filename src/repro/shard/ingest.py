@@ -3,7 +3,10 @@
 A *source* is a picklable description of where each host's raw stats
 stream comes from, so it can be shipped to spawn-started shard workers
 (:mod:`repro.shard.worker`) that open and parse their own hosts
-locally — the coordinator never reads or forwards raw bytes.
+locally.  A source also answers which hosts need no parse there
+(:meth:`parsed`): the blocks an ETL pass in the coordinator's process
+already parsed of exactly the files' current text.  The coordinator
+ships those blocks' columns instead; it never forwards raw text.
 
 * :class:`StoreSource` — a :class:`~repro.core.store.CentralStore`
   directory on disk, the production layout.
@@ -18,8 +21,9 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.core.rawfile import HostBlock, take_parsed
 from repro.core.store import raw_hosts, raw_path
 
 __all__ = ["StoreSource", "TemplateSource"]
@@ -37,6 +41,14 @@ class StoreSource:
     def open(self, host: str):
         """A text stream of ``host``'s raw stats file."""
         return open(raw_path(Path(self.root), host))
+
+    def parsed(self, hosts: Sequence[str]) -> Dict[str, HostBlock]:
+        """The blocks this process parsed of ``hosts``' files and that
+        still hold the text parsed, taken
+        (:func:`~repro.core.rawfile.take_parsed`)."""
+        root = Path(self.root)
+        blocks = {h: take_parsed(raw_path(root, h)) for h in hosts}
+        return {h: b for h, b in blocks.items() if b is not None}
 
 
 @dataclass
@@ -68,6 +80,10 @@ class TemplateSource:
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_idx"}
+
+    def parsed(self, hosts: Sequence[str]) -> Dict[str, HostBlock]:
+        """None: a rendered host was never parsed outside a worker."""
+        return {}
 
     def open(self, host: str):
         jid = self._index().get(host, host)

@@ -19,10 +19,13 @@ are the same one-verb proxy over the table,
   :class:`~repro.tsdb.query.SeriesStats`) pickles losslessly, so a
   scatter-gathered result is bit-identical to the in-process one.
 
-A worker never sees raw bytes from the coordinator: ingest commands
-carry a picklable *source* (:mod:`repro.shard.ingest`) and the host
-names to pull from it, and each host is parsed with the same
+An ingest command carries a picklable *source*
+(:mod:`repro.shard.ingest`), the host names to pull from it, and the
+blocks the coordinator's own ETL pass already parsed of some of them
+(their columns only, out-of-band); a worker parses the other hosts' files
+itself.  Every host goes through the same
 :func:`~repro.tsdb.store.ingest_file` the single-process loader uses.
+Raw text never crosses the pipe.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import time
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.core.rawfile import HostBlock
 from repro.obs.harvest import snapshot_process
 from repro.tsdb.query import window_stats
 from repro.tsdb.store import TagKey, TimeSeriesDB, ingest_file
@@ -44,10 +48,13 @@ def _ingest(
     hosts: Sequence[str],
     types: Optional[Sequence[str]],
     metric: str,
+    blocks: Mapping[str, HostBlock],
 ) -> Dict[str, float]:
-    """Parse and load ``hosts`` from ``source`` into this shard: each
-    through :func:`~repro.tsdb.store.ingest_file`, so a regular host
-    file is one block write (one ``put_many``, one head block).
+    """Load ``hosts`` into this shard: each through
+    :func:`~repro.tsdb.store.ingest_file`, as the block ``blocks``
+    carries for it (parsed by the coordinator's ETL pass), else as the
+    file ``source`` opens, parsed here.  A regular host file is one
+    block write (one ``put_many``, one head block).
 
     Returns ``{points, samples, seconds}`` — the per-shard report
     behind ``repro_shard_points_total`` and ``repro_shard_ingest_seconds``.
@@ -55,8 +62,11 @@ def _ingest(
     points = samples = 0
     t0 = time.perf_counter()
     for host in hosts:
-        with source.open(host) as fh:
-            n, k = ingest_file(store, host, fh, types=types, metric=metric)
+        src = blocks.get(host)
+        if src is None:
+            with source.open(host) as fh:
+                src = fh.read()
+        n, k = ingest_file(store, host, src, types=types, metric=metric)
         points += n
         samples += k
     return {

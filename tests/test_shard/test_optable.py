@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.rawfile import BlockParser
 from repro.shard import ShardedTSDB, ShardWorkerPool, StoreSource
 from repro.shard.worker import OPS, LocalShards
 from repro.tsdb.query import SeriesStats
@@ -33,12 +34,20 @@ def _values(tags):
     return np.sqrt(T + len(tags["host"]) + ord(tags["event"]))
 
 
+def _slim(source, host):
+    with source.open(host) as fh:
+        return BlockParser().parse_text(fh.read()).slim()
+
+
 #: op → ``(shard, source, hosts) -> args``; one entry per row of OPS
 CASES = {
     "put": lambda s, src, hosts: ("stats", CORPUS[s][0], 5000 + s, 1.5),
     "put_many": lambda s, src, hosts: (
         "stats", {"host": f"new{s}"}, T[:7], np.cos(T[:7] + s)),
-    "ingest": lambda s, src, hosts: (src, hosts[s::2], TYPES, "stats"),
+    # the first host as a block the coordinator parsed, the other read
+    # and parsed by the shard
+    "ingest": lambda s, src, hosts: (
+        src, hosts[s::2], TYPES, "stats", {hosts[s]: _slim(src, hosts[s])}),
     "prune": lambda s, src, hosts: (300 + 10 * s, "stats"),
     "select": lambda s, src, hosts: ("stats", {"event": "x"}),
     "scan": lambda s, src, hosts: (
