@@ -40,7 +40,9 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.jobs import Job
-from repro.core.rawfile import BlockParser, HostBlock, ParsedSample
+from repro.core.rawfile import (
+    BlockParser, HostBlock, ParsedSample, file_parsed,
+)
 from repro.core.store import CentralStore
 from repro.db.connection import Database
 from repro.metrics.flags import Thresholds, evaluate_flags
@@ -58,25 +60,33 @@ __all__ = [
 
 
 def parse_blocks(
-    store: CentralStore, hosts: Optional[Iterable[str]] = None
+    store: CentralStore,
+    hosts: Optional[Iterable[str]] = None,
+    keep: bool = False,
 ) -> Dict[str, HostBlock]:
     """Parse every host file of the store into columnar blocks.
 
     Hosts go in sorted order, so quarantined lines are merged into the
     store's per-host ledgers in a deterministic order; a host without
-    a raw file is left out.
+    a raw file is left out.  With ``keep`` — the nightly pass, whose
+    TSDB load follows — each clean block is also kept for that load
+    (:func:`~repro.core.rawfile.file_parsed`).
     """
     store.flush()
     host_list = sorted(hosts) if hosts is not None else store.hosts()
+    parser = BlockParser(on_error="quarantine")
     blocks: Dict[str, HostBlock] = {}
     for host in host_list:
         path = str(store.path_for(host))
         if not os.path.exists(path):
             continue
-        block = BlockParser(on_error="quarantine").parse_path(path)
-        blocks[host] = block
+        with open(path) as fh:
+            text = fh.read()
+        block = blocks[host] = parser.parse_text(text)
         if block.errors:
             store.record_parse_errors(host, block.errors)
+        elif keep:
+            file_parsed(path, text, block)
     return blocks
 
 
@@ -198,7 +208,7 @@ def ingest_jobs(
         JobRecord.create_table()
     with obs.span("ingest.parse"):
         t0 = time.perf_counter()
-        blocks = parse_blocks(store)
+        blocks = parse_blocks(store, keep=True)
         stage_seconds.observe(time.perf_counter() - t0, stage="parse")
     t0 = time.perf_counter()
     jobdata, dropped = assemble_jobs(blocks, jobs)

@@ -145,13 +145,14 @@ def test_detail_parses_only_the_jobs_hosts(monitored_run, monitored_records,
     from repro.core.rawfile import BlockParser
 
     parsed = []
-    real = BlockParser.parse_path
+    real = BlockParser.parse_text
 
-    def counting(self, path):
-        parsed.append(str(path))
-        return real(self, path)
+    def counting(self, text):
+        block = real(self, text)
+        parsed.append(block.host)
+        return block
 
-    monkeypatch.setattr(BlockParser, "parse_path", counting)
+    monkeypatch.setattr(BlockParser, "parse_text", counting)
     store, jobs = monitored_run.store, monitored_run.cluster.jobs
     wrf = [r for r in monitored_records.values()
            if r.executable == "wrf.exe"][0]
@@ -159,7 +160,7 @@ def test_detail_parses_only_the_jobs_hosts(monitored_run, monitored_records,
     assert 0 < len(nodes) < len(store.hosts())
 
     known = JobDetailView.load(wrf.jobid, store, jobs, record=wrf)
-    assert sorted(parsed) == sorted(str(store.path_for(n)) for n in nodes)
+    assert sorted(parsed) == sorted(nodes)
 
     del parsed[:]
     unknown = JobDetailView.load(wrf.jobid, store)
