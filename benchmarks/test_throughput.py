@@ -314,6 +314,17 @@ def test_rack_day_calls(benchmark, tmp_path):
 #: two more 2-node jobs, run past one midnight
 SESSION_MIX = OFFENDER_MIX + (("alice", "wrf", 2), ("bob", "namd", 2))
 SESSION_SECONDS = 25 * 3600
+#: the ETL's stages (``repro_ingest_stage_seconds{stage}``) that make up
+#: each part of its wall
+ETL_PARTS = {
+    "parse": ("parse",),
+    "assemble_accumulate": ("assemble", "accumulate"),
+    "metrics": ("metrics",),
+}
+#: Python + builtin calls of one rack-day's ETL, load and seal under
+#: cProfile, as recorded by ``test_session_rack_day``; gated + 15 %
+SESSION_RACK_DAY_CALLS = 116397
+SESSION_RACK_DAY_CALLS_MARGIN = 1.15
 
 
 def test_session_rack_day(benchmark, tmp_path):
@@ -324,10 +335,12 @@ def test_session_rack_day(benchmark, tmp_path):
     what the strided kernel refuses, so every file takes the record
     decoder.  Each round: the ETL into a fresh job database, an
     in-process ``ShardedTSDB`` load from ``StoreSource`` and the seal.
-    Gate: one block parse per host file a round — the load takes the
-    ETL's blocks (``repro.core.rawfile.take_parsed``) — and a store
-    identical to one loaded without the ETL pass.  Stage walls are
-    reported, not gated.
+    Gates: one block parse per host file a round — the load takes the
+    ETL's blocks (``repro.core.rawfile.take_parsed``) — a store
+    identical to one loaded without the ETL pass, and the Python calls
+    of one more round under cProfile ≤ the recorded count + 15 %.
+    Stage walls, the ETL's split into parse, assemble + accumulate and
+    metrics among them, are reported, not gated.
     """
     # the files' 4.5 M characters fit the parse table's 8 Mi, whatever
     # the benchmarks before this one left in it
@@ -355,12 +368,17 @@ def test_session_rack_day(benchmark, tmp_path):
     want = contents(unshared)
 
     parses = obs.counter("repro_rawfile_block_parses_total")
+    etl_stages = obs.histogram("repro_ingest_stage_seconds")
     walls = {"etl": [], "tsdb_ingest": [], "seal": []}
+    walls.update({f"etl_{part}": [] for part in ETL_PARTS})
     rounds = []
 
-    def rack_day():
-        before = {p: parses.value(path=p) for p in ("strided", "records")}
-        sdb = ShardedTSDB(shards=4)
+    def etl_parts():
+        return [sum(etl_stages.sum(stage=s) for s in stages)
+                for stages in ETL_PARTS.values()]
+
+    def load(sdb):
+        """The nightly path: ETL, sharded load, seal; its stage walls."""
         t0 = time.perf_counter()
         etl = ingest_jobs(CentralStore(root), None, Database())
         t1 = time.perf_counter()
@@ -368,7 +386,15 @@ def test_session_rack_day(benchmark, tmp_path):
         t2 = time.perf_counter()
         sdb.seal_heads()
         t3 = time.perf_counter()
-        for stage, dt in zip(walls, (t1 - t0, t2 - t1, t3 - t2)):
+        return etl, loaded, (t1 - t0, t2 - t1, t3 - t2)
+
+    def rack_day():
+        before = {p: parses.value(path=p) for p in ("strided", "records")}
+        split = etl_parts()
+        sdb = ShardedTSDB(shards=4)
+        etl, loaded, dts = load(sdb)
+        dts += tuple(b - a for a, b in zip(split, etl_parts()))
+        for stage, dt in zip(walls, dts):
             walls[stage].append(dt)
         rounds.append((etl, loaded, contents(sdb), {
             p: int(parses.value(path=p) - n) for p, n in before.items()}))
@@ -379,6 +405,15 @@ def test_session_rack_day(benchmark, tmp_path):
         assert got == want
         assert parsed == {"strided": 0, "records": 8}, (
             f"{parsed} block parses a rack-day; one per host file is 8")
+    profile = cProfile.Profile()
+    sdb = ShardedTSDB(shards=4)
+    profile.enable()
+    try:
+        load(sdb)
+    finally:
+        profile.disable()
+    calls = pstats.Stats(profile).total_calls
+    assert contents(sdb) == want
     median_ms = {
         stage: round(statistics.median(dts) * 1e3, 2)
         for stage, dts in walls.items()}
@@ -394,11 +429,20 @@ def test_session_rack_day(benchmark, tmp_path):
         "block_parses_per_rack_day": rounds[0][3],
         "block_parses_per_rack_day_at_16a7e60": {"records": 16, "strided": 0},
         "stage_wall_ms_median_of_5": median_ms,
-        "rack_day_wall_ms": round(sum(median_ms.values()), 2),
+        "rack_day_wall_ms": round(
+            median_ms["etl"] + median_ms["tsdb_ingest"] + median_ms["seal"],
+            2),
+        "calls_per_rack_day": calls,
+        "calls_recorded": SESSION_RACK_DAY_CALLS,
+        "calls_margin": SESSION_RACK_DAY_CALLS_MARGIN,
     })
     report("A simulator-written rack-day (median of 5)",
-           [(stage, f"{ms:.1f} ms") for stage, ms in median_ms.items()],
+           [(stage, f"{ms:.1f} ms") for stage, ms in median_ms.items()]
+           + [("calls under cProfile", f"{calls}")],
            ["stage", "wall"])
+    assert calls <= SESSION_RACK_DAY_CALLS_MARGIN * SESSION_RACK_DAY_CALLS, (
+        f"{calls} calls a rack-day, recorded {SESSION_RACK_DAY_CALLS} "
+        f"(gate +{SESSION_RACK_DAY_CALLS_MARGIN - 1:.0%})")
 
 
 def test_parallel_ingest_speedup(benchmark, tmp_path):

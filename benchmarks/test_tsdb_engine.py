@@ -31,7 +31,12 @@ the artifact upload:
 * **one read step** — a ``window_stats`` over 64 series, half of them
   written out of order, makes at most 2 ``BufferCache.get_many`` and
   2 ``decode_concat`` calls, and the same on twice the series and
-  twice the chunks (counts, so they travel across machines).
+  twice the chunks (counts, so they travel across machines);
+* **one slab per head block** — a ``window_stats`` over one host's
+  33-series head block and a ``seal_heads`` of a bench-shaped rack
+  (8 such blocks of 144 points) each make at most their recorded
+  number of Python calls + 15 % (cProfile counts); microseconds a slab
+  are reported beside them, not gated.
 
 Cold here means *truly* cold: :meth:`TimeSeriesDB.drop_read_caches`
 (chunked) / per-series ``drop_read_cache`` (list) run before every
@@ -47,6 +52,8 @@ and reported for trend tracking; the gates above are the hard
 assertions.
 """
 
+import cProfile
+import pstats
 import time
 from pathlib import Path
 
@@ -539,4 +546,87 @@ def test_window_stats_read_calls_gate(monkeypatch):
         assert counts[0][name] <= READ_CALLS_CEILING, (
             f"{counts[0][name]} {name} calls per window_stats "
             f"(ceiling {READ_CALLS_CEILING})"
+        )
+
+
+# -- one slab per head block ---------------------------------------------------
+
+#: Python + builtin calls under cProfile: one ``window_stats`` over one
+#: host's 33-series head block, and one ``seal_heads`` of a bench-shaped
+#: rack (8 such blocks, 144 points each) — as recorded by this test
+SLAB_CALLS = {"window_stats_host": 771, "seal_heads_rack": 3146}
+#: the same script at 3f1c3d6: one partial per head series, one
+#: ``Chunk`` built per index
+SLAB_CALLS_AT_3F1C3D6 = {"window_stats_host": 1926, "seal_heads_rack": 3098}
+SLAB_CALLS_MARGIN = 1.15
+SLAB_HOSTS = 8
+SLAB_POINTS = 144
+
+
+def _open_rack():
+    """A rack of head blocks as a rack-day's load leaves it: one
+    33-series group a host, ``SLAB_POINTS`` rows, nothing sealed."""
+    db = TimeSeriesDB(cache=None)
+    rng = np.random.default_rng(20151001)
+    times = np.arange(SLAB_POINTS, dtype=np.int64) * 600 + T0
+    for h in range(SLAB_HOSTS):
+        group = db.group("stats", [
+            {"host": f"s{h:03d}", "type": type_name, "device": device,
+             "event": f"ev{e}"}
+            for type_name, device, width in SCALING_DEVICES
+            for e in range(width)
+        ])
+        rows = np.cumsum(rng.integers(
+            0, 200_000, (SLAB_POINTS, len(group))).astype(np.float64), axis=0)
+        db.put_many("stats", group, times, rows)
+    return db
+
+
+def _profiled_calls(fn):
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        fn()
+    finally:
+        profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def test_head_slab_calls_gate():
+    """A head block is reduced and sealed as one slab: count, do not
+    time.  Gate: each count ≤ the recorded one + 15 %.  Microseconds a
+    slab (best of 20) are reported next to it, not gated."""
+    db = _open_rack()
+    assert len(db._blocks) == SLAB_HOSTS
+    host = {"host": "s003"}
+    stats = window_stats(db, "stats", tags=host)
+    assert len(stats) == 33 and all(s.count == SLAB_POINTS for s in stats)
+    calls = {"window_stats_host": _profiled_calls(
+        lambda: window_stats(db, "stats", tags=host))}
+    us = {"window_stats_host": 1e6 * _best_seconds(
+        lambda: window_stats(db, "stats", tags=host), repeats=20)}
+    calls["seal_heads_rack"] = _profiled_calls(db.seal_heads)
+    assert db.n_chunks() == 33 * SLAB_HOSTS and not db._blocks
+    racks = [_open_rack() for _ in range(20)]
+    us["seal_heads_rack"] = 1e6 / SLAB_HOSTS * _best_seconds(
+        lambda: racks.pop().seal_heads(), repeats=20)
+    payload = {
+        "scenario": f"{SLAB_HOSTS} hosts x one 33-series head block of "
+                    f"{SLAB_POINTS} points; window_stats over one host, "
+                    f"seal_heads over the rack",
+        "calls": calls,
+        "calls_recorded": SLAB_CALLS,
+        "calls_at_3f1c3d6": SLAB_CALLS_AT_3F1C3D6,
+        "margin": SLAB_CALLS_MARGIN,
+        "us_per_slab_best_of_20": {k: round(v, 1) for k, v in us.items()},
+    }
+    record_bench(BENCH_JSON, "head_slab_calls", payload)
+    report("one slab per head block (calls; us a slab, not gated)", [
+        (name, calls[name], SLAB_CALLS_AT_3F1C3D6[name], f"{us[name]:.1f}")
+        for name in calls
+    ], ["op", "calls", "at 3f1c3d6", "us / slab"])
+    for name, got in calls.items():
+        assert got <= SLAB_CALLS_MARGIN * SLAB_CALLS[name], (
+            f"{name}: {got} calls, recorded {SLAB_CALLS[name]} "
+            f"(gate +{SLAB_CALLS_MARGIN - 1:.0%})"
         )

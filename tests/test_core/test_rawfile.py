@@ -88,6 +88,35 @@ def test_ps_record_roundtrip():
     assert p.vmhwm_kb == 200
 
 
+def test_ps_lines_equal_the_frozen_parser_and_share_cpusets():
+    """16 ``ps`` lines a record, cpusets repeating across lines and
+    records, ``-`` for none: the records equal the frozen parser's, and
+    one cpuset string is parsed into one tuple."""
+    samples = []
+    for i in range(3):
+        s = make_sample(ts=1443657600 + 600 * i)
+        s.procs = [
+            ProcessRecord(
+                pid=4000 + r, name="wrf.exe", owner="alice", jobid="100",
+                vmsize_kb=160 + r, vmhwm_kb=200, vmrss_kb=100,
+                vmrss_hwm_kb=120, vmlck_kb=8, data_kb=64, stack_kb=8,
+                text_kb=2, threads=2,
+                cpu_affinity=(r % 4, r % 4 + 16) if r % 5 else (),
+                mem_affinity=(r // 8,),
+            )
+            for r in range(16)
+        ]
+        samples.append(s)
+    w = make_writer()
+    text = w.header() + "".join(w.record(s) for s in samples)
+    got = list(RawFileParser().parse(text))
+    want = list(ReferenceRawFileParser().parse(text))
+    assert [g.procs for g in got] == [w.procs for w in want]
+    assert [g.procs for g in got] == [s.procs for s in samples]
+    firsts = [g.procs[1].cpu_affinity for g in got]
+    assert firsts[0] == (1, 17) and all(c is firsts[0] for c in firsts)
+
+
 def test_no_jobs_renders_dash():
     w = make_writer()
     s = make_sample(jobids=())

@@ -22,6 +22,11 @@ their replacements in ``src/`` have an oracle:
 * :func:`seal_1d` — the one-column chunk encoder ``Chunk.seal`` used to
   be (one Python round-trip per series), returning the chunk's slots as
   a dict;
+* :func:`part_stats` and :func:`window_stats_reference` — the one-row
+  partial ``window_stats`` reduced every decoded slice and every
+  series head with (``repro.tsdb.query._part_stats``, before one slab
+  kernel took its place), and the ``window_stats`` body that called it
+  once per head series;
 * :func:`ingest_file_reference` — the per-sample loader ``ingest_file``
   used to be (``RawFileParser`` walked sample by sample, every point
   appended to Python lists).  It is an oracle for *data* — which series
@@ -497,3 +502,89 @@ def baseline_query(
             )
         )
     return QueryResult(series=out)
+
+
+# -- the per-series window partials -------------------------------------------
+
+def part_stats(t: np.ndarray, v: np.ndarray) -> tuple:
+    """Partial statistics of one non-empty segment: ``(points, count,
+    sum, min, max, first, last, first_ts, last_ts)``."""
+    cnt = int(np.count_nonzero(~np.isnan(v)))
+    s = float(np.nansum(v))
+    if cnt:
+        with np.errstate(all="ignore"):
+            mn = float(np.nanmin(v))
+            mx = float(np.nanmax(v))
+    else:
+        mn = mx = float("nan")
+    return (
+        len(t), cnt, s, mn, mx,
+        float(v[0]), float(v[-1]), int(t[0]), int(t[-1]),
+    )
+
+
+def window_stats_reference(
+    tsdb,
+    metric: str,
+    tags: Optional[Mapping[str, object]] = None,
+    time_range: Optional[Tuple[int, int]] = None,
+    use_preagg: bool = True,
+):
+    """``window_stats`` as it was before head partials went by block:
+    the same plan and fold, :func:`part_stats` once per decoded edge
+    slice and once per series head (a boolean window mask), no result
+    cache and no counters."""
+    from repro.tsdb.chunks import Chunk
+    from repro.tsdb.query import _chunk_part, _fold_parts
+    from repro.tsdb.store import read_chunks
+
+    lo, hi = time_range if time_range is not None else (None, None)
+    selected = tsdb.select(metric, tags)
+    in_order = [s._ordered for s in selected]
+    _, parts_of = read_chunks(
+        [s for s, o in zip(selected, in_order) if o], time_range,
+        None, file=False, preagg=use_preagg,
+    )
+    reads = iter(parts_of)
+    unordered = [s for s, o in zip(selected, in_order) if not o]
+    merged = iter(tsdb.scan(unordered, time_range) if unordered else ())
+    out = []
+    for s, o in zip(selected, in_order):
+        parts = []
+        if o:
+            for read in next(reads):
+                if isinstance(read, Chunk):
+                    parts.append(_chunk_part(read))
+                    continue
+                t, v = read
+                i = 0 if lo is None else int(np.searchsorted(t, lo))
+                j = len(t) if hi is None else int(np.searchsorted(t, hi))
+                if j > i:
+                    parts.append(part_stats(t[i:j], v[i:j]))
+            t, v = s.head()
+            if lo is not None and len(t):
+                m = (t >= lo) & (t < hi)
+                t, v = t[m], v[m]
+            if len(t):
+                parts.append(part_stats(t, v))
+        else:
+            t, v = next(merged)
+            if len(t):
+                parts.append(part_stats(t, v))
+        out.append(_fold_parts(dict(s.tags), parts))
+    return out
+
+
+def stats_bytes(stats) -> bytes:
+    """``window_stats`` results as bytes: every field of every entry,
+    floats by their 8 bytes (NaN payloads and signed zeros count),
+    everything else by its ``repr`` (so a NumPy scalar where a Python
+    number was differs)."""
+    fields = (
+        "tags", "points", "count", "sum", "min", "max", "first", "last",
+        "first_ts", "last_ts",
+    )
+    return b"|".join(
+        struct.pack("<d", x) if type(x) is float else repr(x).encode()
+        for st in stats for x in (getattr(st, name) for name in fields)
+    )

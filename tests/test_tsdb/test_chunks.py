@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.tsdb.chunks import CHUNK_POINTS, Chunk, seal_many
@@ -257,6 +257,12 @@ _SPECIALS = np.append(
     _SPECIALS,
 )
 
+#: XOR words on both sides of the byte-count edges: 0 and 1 byte,
+#: 1 and 2 bytes, 7 and 8 bytes, and the widest word
+_EDGE_WORDS = np.array(
+    [0, 255, 256, 2**56 - 1, 2**56, 2**64 - 1], dtype=np.uint64
+)
+
 
 def _column(n, t_kind, v_kind, seed):
     rng = np.random.default_rng(seed)
@@ -278,6 +284,10 @@ def _column(n, t_kind, v_kind, seed):
         v = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
     elif v_kind == "specials":
         v = rng.choice(_SPECIALS, n)
+    elif v_kind == "edge_words":  # the XOR stream is exactly these words
+        v = np.bitwise_xor.accumulate(
+            rng.choice(_EDGE_WORDS, n)
+        ).view(np.float64)
     elif v_kind == "zeros":
         v = rng.choice(np.array([0.0, -0.0, np.nan]), n)
     else:
@@ -290,7 +300,8 @@ _columns = st.lists(
         st.sampled_from(_LENGTHS) | st.integers(1, 600),
         st.sampled_from(["regular", "irregular", "wide"]),
         st.sampled_from(
-            ["counter", "noisy", "bits", "specials", "zeros", "all_nan"]
+            ["counter", "noisy", "bits", "specials", "zeros", "all_nan",
+             "edge_words"]
         ),
         st.integers(0, 2**32 - 1),
     ),
@@ -300,6 +311,11 @@ _columns = st.lists(
 
 
 @given(_columns)
+@example([
+    (n, t_kind, "edge_words", seed)
+    for n, seed in ((1, 0), (2, 1), (7, 2), (8, 3), (143, 4), (144, 5))
+    for t_kind in ("regular", "irregular")
+])
 def test_seal_many_equals_frozen_encoder(specs):
     """Any batch, any mix of lengths: slot for slot the old chunk."""
     cols = [_column(*spec) for spec in specs]
