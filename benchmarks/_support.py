@@ -8,6 +8,7 @@ in EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -27,8 +28,13 @@ STANDARD_MIX = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def git_commit() -> str:
-    """``git describe`` of the checkout, recorded next to BENCH numbers."""
+    """``git describe`` of the checkout, recorded next to BENCH numbers.
+
+    Run once per process, at the first record and so before any write:
+    asked again, it would see the BENCH file an earlier section of the
+    same run rewrote and name the commit ``-dirty``."""
     try:
         return subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -17,8 +17,6 @@ analogous workflow over the simulator::
     python -m repro.cli stream   --nodes 8 --hours 24 --verify
     python -m repro.cli serve    --db quarter.db --port 8787 \\
                                  --workers 8 --queue-cap 64
-    python -m repro.cli loadtest --users 200 --live-nodes 4 \\
-                                 --json BENCH_portal.json
 
 ``simulate`` runs a monitored cluster (daemon mode) on a preset
 workload and ingests the results; ``ingest`` runs the
@@ -26,10 +24,9 @@ batched ETL pass over a directory of raw per-host stats files;
 ``popgen`` synthesises a database-scale population; ``stream`` runs a
 fleet with the real-time telemetry pipeline attached (live TSDB feed,
 streaming flags, alerts); ``serve`` puts the
-portal behind the asyncio HTTP front-end with admission control;
-``loadtest`` drives it with closed-loop synthetic users and gates
-p99 latency + error rate; the remaining commands are portal-style
-queries over the resulting job table.
+portal behind the asyncio HTTP front-end with admission control; the
+remaining commands are portal-style queries over the resulting job
+table.
 """
 
 from __future__ import annotations
@@ -501,56 +498,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Closed-loop synthetic-user load test against a served portal."""
-    import json
-
-    from repro.portal.app import PortalApp
-    from repro.portal.loadgen import LoadGenerator, default_paths
-    from repro.portal.server import PortalServer
-
-    db = Database(args.db) if args.db else Database()
-    JobRecord.bind(db)
-    if not args.db:
-        generate_population(db, args.jobs, seed=args.seed)
-    stream = None
-    metric = ""
-    if args.live_nodes:
-        stream = _demo_stream(args.live_nodes, args.live_minutes, args.seed)
-        metric = stream.metric
-    jobids = [r.jobid for r in JobRecord.objects.all()[:4]]
-    app = PortalApp(db, stream=stream)
-    server = PortalServer(
-        app, workers=args.workers, queue_cap=args.queue_cap,
-        deadline=args.deadline,
-    )
-    host, port = server.start_background()
-    try:
-        gen = LoadGenerator(
-            host, port,
-            default_paths(jobids=jobids, with_tsdb=stream is not None,
-                          metric=metric),
-            users=args.users, requests_per_user=args.requests,
-            think_time=args.think, seed=args.seed,
-        )
-        report = gen.run()
-    finally:
-        server.close()
-    print(report.render_text())
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    problems = report.gate(p99_ms=args.p99_ms)
-    if problems:
-        for msg in problems:
-            print(f"GATE FAIL: {msg}", file=sys.stderr)
-        return 1
-    print(f"gate ok: p99 {report.percentile(99):.1f} ms <= "
-          f"{args.p99_ms:g} ms, zero 5xx, zero exceptions")
-    return 0
-
-
 def cmd_casestudy(args: argparse.Namespace) -> int:
     _open_db(args.db)
     try:
@@ -711,31 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--live-minutes", type=int, default=30)
     sv.add_argument("--seed", type=int, default=42)
     sv.set_defaults(fn=cmd_serve)
-
-    lt = sub.add_parser(
-        "loadtest",
-        help="closed-loop synthetic-user load test of the portal",
-    )
-    lt.add_argument("--db", default="",
-                    help="job DB; default synthesises one in memory")
-    lt.add_argument("--jobs", type=int, default=2000,
-                    help="synthetic jobs when no --db is given")
-    lt.add_argument("--users", type=int, default=200)
-    lt.add_argument("--requests", type=int, default=10,
-                    help="requests per synthetic user")
-    lt.add_argument("--think", type=float, default=0.02,
-                    help="mean think time between requests (s)")
-    lt.add_argument("--workers", type=int, default=8)
-    lt.add_argument("--queue-cap", type=int, default=64)
-    lt.add_argument("--deadline", type=float, default=30.0)
-    lt.add_argument("--live-nodes", type=int, default=0)
-    lt.add_argument("--live-minutes", type=int, default=30)
-    lt.add_argument("--p99-ms", type=float, default=2000.0,
-                    help="fail if p99 latency exceeds this")
-    lt.add_argument("--json", default="",
-                    help="write the report to this JSON file")
-    lt.add_argument("--seed", type=int, default=42)
-    lt.set_defaults(fn=cmd_loadtest)
 
     ch = sub.add_parser(
         "chaos",

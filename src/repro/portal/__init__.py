@@ -21,7 +21,6 @@ asyncio, thread-pool dispatch, admission control; ``repro serve``):
 from repro.portal.app import PortalApp, Response
 from repro.portal.daily import DailyReportGenerator
 from repro.portal.histograms import job_histograms
-from repro.portal.loadgen import LoadGenerator, LoadReport
 from repro.portal.plots import fig5_series
 from repro.portal.search import JobSearch, SearchField
 from repro.portal.server import PageCache, PortalServer
@@ -32,8 +31,6 @@ __all__ = [
     "Response",
     "PortalServer",
     "PageCache",
-    "LoadGenerator",
-    "LoadReport",
     "DailyReportGenerator",
     "JobSearch",
     "SearchField",

@@ -5,7 +5,7 @@ a router with no transport.  This module closes that gap with stdlib
 building blocks only:
 
 * **transport** — ``asyncio.start_server`` speaking enough HTTP/1.1
-  for browsers and the load generator (GET/HEAD, keep-alive,
+  for browsers and test clients (GET/HEAD, keep-alive,
   Content-Length framing).  An HTTP/1.0 connection stays open only
   on ``Connection: keep-alive``; a request that carries a body
   (``Content-Length`` > 0 or any ``Transfer-Encoding``) is answered
@@ -371,8 +371,8 @@ class PortalServer:
     def start_background(self) -> Tuple[str, int]:
         """Run the server on a dedicated event-loop thread.
 
-        Returns ``(host, port)`` once the socket is bound — tests and
-        the load generator connect immediately after.
+        Returns ``(host, port)`` once the socket is bound — clients
+        can connect immediately after.
         """
         loop = asyncio.new_event_loop()
         self._loop = loop

@@ -571,7 +571,7 @@ def _window_stats_locked(
     in_order = [s._ordered for s in selected]
     ordered = [s for s, o in zip(selected, in_order) if o]
     _, parts_of = read_chunks(
-        ordered, time_range, tsdb.buffer_cache, file=True, preagg=use_preagg,
+        ordered, time_range, tsdb.buffer_cache, preagg=use_preagg,
     )
     reads = iter(parts_of)
     heads = iter(_head_parts(ordered, lo, hi))

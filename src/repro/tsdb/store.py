@@ -218,7 +218,7 @@ class _HeadBlock:
 
     __slots__ = (
         "members", "chunk_size", "t", "v", "n", "lo", "detached",
-        "max_ts", "col_ordered", "base", "stamp",
+        "max_ts", "col_ordered", "base",
     )
 
     def __init__(
@@ -244,8 +244,6 @@ class _HeadBlock:
             self.col_ordered = np.array([h[1] for h in history], dtype=bool)
         #: ``lo.min()``: rows before it belong to no column any more
         self.base = 0
-        #: moves with every change; validates the members' ``_full``
-        self.stamp = 0
 
     def append(self, t: np.ndarray, v_t: np.ndarray) -> int:
         """Store ``len(t)`` rows, ``v_t`` being ``(K, len(t))``; returns
@@ -263,7 +261,6 @@ class _HeadBlock:
         else:
             self.col_ordered[:] = False
         np.maximum(self.max_ts, t[-1] if rising else t.max(), out=self.max_ts)
-        self.stamp += 1
         while self.n - self.base >= self.chunk_size:
             # the oldest chunk_size rows of every column that has them
             due = np.flatnonzero(self.n - self.lo >= self.chunk_size)
@@ -346,7 +343,7 @@ class _HeadBlock:
         ):
             if a < _DEAD:
                 s._parked = (top, ordered)
-                s._block, s._col, s._full = _EMPTY, 0, None
+                s._block, s._col = _EMPTY, 0
 
     def take(
         self, src: "_HeadBlock", mine: List[int], theirs: List[int]
@@ -389,8 +386,6 @@ class _HeadBlock:
             self._keep_rows(keep, int(ahead[-1]))
         now = np.clip(self.n - self.lo, 0, None)
         dropped = int((was - now).sum())
-        if dropped:
-            self.stamp += 1
         self._edges_moved()
         return dropped, np.flatnonzero(
             (now == 0) & (self.lo < _DEAD)
@@ -407,7 +402,7 @@ class _Series:
 
     __slots__ = (
         "key", "metric", "tags", "chunks", "buffer_cache",
-        "_block", "_col", "_parked", "_full",
+        "_block", "_col", "_parked",
     )
 
     def __init__(
@@ -425,9 +420,6 @@ class _Series:
         self._block, self._col = _EMPTY, 0
         #: ``(max_ts, ordered)`` while in no block (see :meth:`_history`)
         self._parked: Tuple[int, bool] = (_NEVER, True)
-        #: ``(block stamp, t, v)``: the materialised full columns, good
-        #: while the block has not changed since
-        self._full: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # -- the head -----------------------------------------------------------
     def _history(self) -> Tuple[int, bool]:
@@ -468,23 +460,6 @@ class _Series:
         :func:`_scan` of this one series."""
         return _scan([self], time_range, self.buffer_cache)[0]
 
-    def materialised(
-        self, time_range: Optional[Tuple[int, int]]
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The window out of the full columns, if they are current."""
-        full = self._full
-        if full is None or full[0] != self._block.stamp:
-            return None
-        _, t, v = full
-        if time_range is None:
-            return t, v
-        i, j = np.searchsorted(t, time_range)
-        return t[i:j], v[i:j]
-
-    def drop_read_cache(self) -> None:
-        """Forget materialised columns (cold-read benchmarking)."""
-        self._full = None
-
     def prune_chunks(self, before: int) -> int:
         """Drop sealed points older than ``before``; returns how many.
 
@@ -509,7 +484,6 @@ class _Series:
                 dead_ids.append(chunk.chunk_id)
         if dead_ids:
             self.chunks = kept_chunks
-            self._full = None
             if self.buffer_cache is not None:
                 # ids are never reused, so this is pure garbage collection
                 self.buffer_cache.invalidate(dead_ids)
@@ -528,7 +502,6 @@ def read_chunks(
     series_list: Sequence[_Series],
     time_range: Optional[Tuple[int, int]],
     cache: Optional[object],
-    file: bool,
     preagg: bool = False,
 ) -> Tuple[List[List[Chunk]], List[list]]:
     """The store's one read step: the sealed chunks a window holds of
@@ -545,8 +518,8 @@ def read_chunks(
     counted once.  The resident columns are in hand from then on, so a
     later eviction cannot matter.
     *Decode.*  The rest — across every series — is decoded in one
-    :func:`~repro.tsdb.chunks.decode_concat` batch and, with ``file``,
-    filed in the cache.
+    :func:`~repro.tsdb.chunks.decode_concat` batch and filed in the
+    cache.
 
     Returns ``(plans, parts)``: per series, the planned chunks and one
     entry per planned chunk — the :class:`Chunk` itself where its
@@ -578,7 +551,7 @@ def read_chunks(
         bounds = bounds.tolist()
         for k, a, b in zip(missing, bounds, bounds[1:]):
             found[k] = gt[a:b], gv[a:b]
-        if file and cache is not None:
+        if cache is not None:
             cache.put_many([
                 (c.chunk_id, found[k]) for c, k in zip(needed, missing)
             ])
@@ -610,12 +583,9 @@ def _scan(
     ``[lo, hi)``: behind :meth:`TimeSeriesDB.scan` and
     :meth:`_Series.arrays` alike.
 
-    A series whose full columns are materialised answers by binary
-    search.  Every other one is read by :func:`read_chunks`: a windowed
-    scan files its decodes in the cache (the next window will want some
-    of them again), an unwindowed one memoises each series whole
-    instead.
-    *Assemble.*  The series read are assembled in runs that share one
+    Every series is read by :func:`read_chunks`, which files its
+    decodes in the buffer cache, windowed or not.
+    *Assemble.*  The series are assembled in runs that share one
     time column.  In-order series with no open points whose planned
     chunks have equal ``(t_min, count, t_step)``, every ``t_step`` set,
     hold the same timestamps — what prefilled and batch-sealed data
@@ -632,15 +602,11 @@ def _scan(
     and stable-sorts its merged parts keeping the last value per
     timestamp — the flat-list semantics.
     """
-    out = [s.materialised(time_range) for s in series_list]
-    todo = [k for k, cols in enumerate(out) if cols is None]
-    reading = [series_list[k] for k in todo]
-    plans, parts = read_chunks(
-        reading, time_range, cache, file=time_range is not None,
-    )
+    out: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(series_list)
+    plans, parts = read_chunks(series_list, time_range, cache)
 
     runs: Dict[object, List[int]] = {}
-    for j, (s, plan) in enumerate(zip(reading, plans)):
+    for j, (s, plan) in enumerate(zip(series_list, plans)):
         key: object = j
         # an irregular chunk (no t_step) may hide other timestamps
         # behind equal metadata
@@ -649,7 +615,7 @@ def _scan(
             key = tuple([(c.t_min, c.count, c.t_step) for c in plan])
         runs.setdefault(key, []).append(j)
     for members in runs.values():
-        first = reading[members[0]]
+        first = series_list[members[0]]
         ordered = first._ordered
         windowed = ordered and time_range is not None
         cols = list(parts[members[0]])
@@ -686,9 +652,7 @@ def _scan(
                 t, block = t[m], block[:, m]
             t, block = _sort_dedupe(t, block)
         for j, v in zip(members, block):
-            if time_range is None:
-                reading[j]._full = (reading[j]._block.stamp, t, v)
-            out[todo[j]] = (t, v)
+            out[j] = (t, v)
     return out
 
 
@@ -1104,7 +1068,7 @@ class TimeSeriesDB:
         was = s._block
         if was is not _EMPTY and was.leave(s._col):
             del self._blocks[was]
-        s._block, s._col, s._full = block, col, None
+        s._block, s._col = block, col
 
     def prune(self, before: int, metric: Optional[str] = None) -> int:
         """Drop points older than ``before`` (optionally one metric).
@@ -1211,13 +1175,11 @@ class TimeSeriesDB:
     def drop_read_caches(self) -> None:
         """Forget every cached read artifact (cold-read benchmarking).
 
-        Clears materialised per-series columns, the decoded-buffer
-        cache and the query-result cache; the next query pays the full
-        decode + compute cost, as a freshly restarted process would.
+        Clears the decoded-buffer cache and the query-result cache; the
+        next query pays the full decode + compute cost, as a freshly
+        restarted process would.
         """
         with self.write_locked():
-            for s in self._series.values():
-                s.drop_read_cache()
             if self.buffer_cache is not None:
                 self.buffer_cache.clear()
             if self.cache is not None:

@@ -204,43 +204,6 @@ def test_serve_parser_defaults():
     assert args.deadline == 30.0
 
 
-def test_loadtest_parser_defaults():
-    args = build_parser().parse_args(["loadtest"])
-    assert args.fn.__name__ == "cmd_loadtest"
-    assert args.users == 200
-    assert args.p99_ms == 2000.0
-    assert args.json == ""
-
-
-def test_loadtest_small_run_writes_report(tmp_path, capsys):
-    import json
-
-    out_json = tmp_path / "BENCH_portal.json"
-    rc = main([
-        "loadtest", "--users", "8", "--jobs", "80", "--requests", "3",
-        "--think", "0.001", "--workers", "4", "--seed", "3",
-        "--json", str(out_json),
-    ])
-    captured = capsys.readouterr()
-    assert rc == 0, captured.err
-    assert "gate ok" in captured.out
-    data = json.loads(out_json.read_text())
-    assert data["users"] == 8
-    assert data["requests"] == 24
-    assert data["http_5xx"] == 0
-    assert data["exceptions"] == 0
-
-
-def test_loadtest_gate_failure_exits_nonzero(tmp_path, capsys):
-    rc = main([
-        "loadtest", "--users", "4", "--jobs", "50", "--requests", "2",
-        "--think", "0", "--p99-ms", "0.000001", "--seed", "3",
-    ])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "GATE FAIL" in captured.err
-
-
 # -- sharded ingest ------------------------------------------------------------
 
 

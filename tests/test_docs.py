@@ -178,10 +178,10 @@ def test_documented_cli_flags_exist():
 
 
 def test_service_commands_stay_documented():
-    """`serve` and `loadtest` must keep worked examples in the docs —
-    that is what extends the flag-integrity check above to them."""
+    """`serve` must keep worked examples in the docs — that is what
+    extends the flag-integrity check above to it."""
     documented = {command for _d, command, _f in _documented_cli_invocations()}
-    assert {"serve", "loadtest"} <= documented
+    assert {"serve"} <= documented
 
 
 def test_all_docs_linked_from_readme():

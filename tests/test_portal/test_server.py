@@ -1,9 +1,12 @@
 """PortalServer: HTTP transport, admission control, tiered cache."""
 
+import asyncio
 import http.client
+import re
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,8 +210,6 @@ def test_page_cache_rejects_bad_size():
 
 def test_server_page_cache_invalidated_by_tsdb_write():
     """A TSDB write must invalidate every cached /tsdb page."""
-    from types import SimpleNamespace
-
     db = Database()
     generate_population(db, 30, seed=33)
     JobRecord.bind(db)
@@ -295,8 +296,6 @@ def test_a_hit_is_answered_while_the_pool_is_saturated():
 
 
 def test_every_cacheable_request_is_one_hit_or_one_miss():
-    from types import SimpleNamespace
-
     db = Database()
     generate_population(db, 30, seed=33)
     JobRecord.bind(db)
@@ -487,3 +486,86 @@ def test_any_request_head_gets_one_answer_or_a_close(
     status, headers_out, rest = _parse_head(data)
     assert 200 <= status < 500 or status == 503, data[:200]
     assert len(rest) in (0, int(headers_out["Content-Length"])), data[:200]
+
+
+# -- many keep-alive connections at once ----------------------------------------
+
+async def _keep_alive_gets(host, port, paths):
+    """GET ``paths`` in turn over one HTTP/1.1 keep-alive connection:
+    ``(status, ms)`` per request.  A transport error raises."""
+    reader, writer = await asyncio.open_connection(host, port)
+    out = []
+    try:
+        for path in paths:
+            t0 = time.perf_counter()
+            writer.write(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head)
+            await reader.readexactly(int(length.group(1)))
+            out.append((int(head.split()[1]),
+                        (time.perf_counter() - t0) * 1e3))
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    return out
+
+
+async def _connections(host, port, paths_each):
+    """One connection per entry of ``paths_each``, all at once: the
+    ``(status, ms)`` list of each, or the exception that ended it.
+    Raises ``TimeoutError`` if they are not all done in 60 s."""
+    return await asyncio.wait_for(asyncio.gather(
+        *(_keep_alive_gets(host, port, paths) for paths in paths_each),
+        return_exceptions=True,
+    ), 60.0)
+
+
+def test_200_keep_alive_connections_get_no_5xx_and_p99_under_2s():
+    """200 connections × 8 GETs over a 5 000-job population and a live
+    TSDB (8 hosts × 720 points), after one serial warm-up pass: every
+    request is answered without a 5xx or a transport error, p99 ≤ 2 s,
+    the page cache absorbs repeats and only its misses reach the pool."""
+    users, per_user = 200, 8
+    db = Database()
+    generate_population(db, 5_000, seed=33)
+    JobRecord.bind(db)
+    tsdb = TimeSeriesDB()
+    rng = np.random.default_rng(404)
+    t = (np.arange(720) * 60).tolist()  # 12 h at minute cadence
+    for h in range(8):
+        v = np.cumsum(rng.integers(0, 1000, size=720)).astype(float)
+        tsdb.put_many("stats", {"host": f"n{h:02d}"}, t, v.tolist())
+    stream = SimpleNamespace(
+        tsdb=tsdb, metric="stats", samples=0,
+        analyzer=SimpleNamespace(inflight=0),
+        alerts=SimpleNamespace(ledger=(), suppressed=0, recent=lambda n: []),
+    )
+    app = PortalApp(db, stream=stream)
+    renders = []  # list.append is atomic: a thread-safe tally
+    render = app.get_url
+    app.get_url = lambda url: renders.append(url) or render(url)
+    paths = [
+        "/", "/search?status=COMPLETED", "/search?min_runtime=600", "/fleet",
+        *(f"/job/{r.jobid}" for r in JobRecord.objects.all()[:4]),
+        "/tsdb", "/tsdb?group_by=host&downsample=600:avg",
+        "/tsdb?metric=stats&agg=avg",
+    ]
+    server = PortalServer(app, workers=8, queue_cap=256, deadline=30.0)
+    host, port = server.start_background()
+    try:
+        warm, = asyncio.run(_connections(host, port, [paths]))
+        done = asyncio.run(_connections(host, port, [
+            [paths[(u + i) % len(paths)] for i in range(per_user)]
+            for u in range(users)
+        ]))
+    finally:
+        server.close()
+    errors = [r for r in [warm, *done] if isinstance(r, BaseException)]
+    assert errors == [], errors[:3]
+    assert {status for status, _ms in warm} == {200}, warm
+    answered = [x for conn in done for x in conn]
+    assert len(answered) == users * per_user
+    assert {status for status, _ms in answered} == {200}
+    assert np.percentile([ms for _s, ms in answered], 99) <= 2_000.0
+    assert server.page_cache.hits > 0
+    assert len(renders) == server.page_cache.misses

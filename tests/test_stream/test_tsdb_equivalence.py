@@ -163,7 +163,7 @@ def test_battery_vs_frozen_baseline_all_cache_modes(engine_matrix):
     query path (`tests/test_tsdb/reference.py`), with the decoded-buffer cache
     enabled and disabled.  Each query runs twice
     per configuration so the second pass reads through whatever caches
-    the configuration keeps (result cache, buffer cache, ``_full``)."""
+    the configuration keeps (result cache, buffer cache)."""
     configs, listed = engine_matrix
     for kw in QUERIES:
         expected = baseline_query(listed, "stats", **kw)

@@ -543,7 +543,7 @@ def window_stats_reference(
     in_order = [s._ordered for s in selected]
     _, parts_of = read_chunks(
         [s for s, o in zip(selected, in_order) if o], time_range,
-        None, file=False, preagg=use_preagg,
+        None, preagg=use_preagg,
     )
     reads = iter(parts_of)
     unordered = [s for s, o in zip(selected, in_order) if not o]

@@ -223,14 +223,12 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(back=st.integers(0, 30), width=st.integers(0, 30))
     def windowed_scan(self, back, width):
-        """The scan plan proper: the invariants leave every series
-        materialised, which would answer a window by binary search."""
+        """The scan plan proper, through whatever earlier reads left in
+        the buffer cache, then through what this one filed."""
         window = (self.now - back, self.now - back + width)
         series = self.db.select("m")
         want = self.oracle.scan(self.oracle.select("m"), window)
-        for _ in range(2):      # mostly cold, then through the cache
-            for s in series:
-                s.drop_read_cache()
+        for _ in range(2):
             got = self.db.scan(series, window)
             assert [(t.tolist(), bits(v)) for t, v in got] == [
                 (t.tolist(), bits(v)) for t, v in want], window

@@ -358,8 +358,7 @@ def test_scan_matches_per_series_arrays():
 
 def test_drop_read_caches_forces_fresh_decode():
     db = _filled()
-    # unwindowed cold scans memoise whole series (``_full``) instead of
-    # per-chunk buffers; a windowed scan keeps its chunk decodes around
+    # every scan, windowed or not, files its chunk decodes
     db.scan(db.select("m"), (600 * 2, 600 * 30))
     assert db.buffer_cache is not None and len(db.buffer_cache) > 0
     db.drop_read_caches()
@@ -367,6 +366,22 @@ def test_drop_read_caches_forces_fresh_decode():
     before = db.buffer_cache.misses
     db.scan(db.select("m"), None)
     assert db.buffer_cache.misses > before
+
+
+def test_a_second_unwindowed_scan_hits_every_chunk_it_plans():
+    """An unwindowed scan files its decodes in the buffer cache like a
+    windowed one: a second scan of an unchanged store decodes nothing."""
+    db = _filled()
+    series = db.select("m")
+    planned = sum(len(s.chunks) for s in series)
+    assert planned > len(series)
+    first = db.scan(series, None)
+    bc = db.buffer_cache
+    hits, misses = bc.hits, bc.misses
+    again = db.scan(series, None)
+    assert (bc.hits - hits, bc.misses - misses) == (planned, 0)
+    for (t, v), (t2, v2) in zip(first, again):
+        assert np.array_equal(t, t2) and np.array_equal(v, v2)
 
 
 def test_prune_invalidates_buffer_cache_entries():
@@ -409,8 +424,7 @@ def test_read_stats_counts_scan_activity():
     stats = db.read_stats()
     assert stats["buffer_cache"]["misses"] > 0
     db.scan(db.select("m"), None)
-    # second scan is answered from memoised series columns or the
-    # buffer cache — either way no new decode misses
+    # second scan is answered from the buffer cache: no new decode misses
     assert db.read_stats()["buffer_cache"]["misses"] == (
         stats["buffer_cache"]["misses"]
     )
@@ -489,8 +503,7 @@ def test_scan_plan_equals_the_list_engine_on_window_edges(data, cache):
         series, listed = db.select("m"), oracle.select("m")
         assert [s.tags for s in series] == [s.tags for s in listed]
         lookups = sum(
-            1 for s in series if s.materialised(None) is None
-            for c in s.chunks
+            1 for s in series for c in s.chunks
             if window is None
             or not (c.t_max < window[0] or c.t_min >= window[1])
         )
