@@ -28,6 +28,11 @@ is the last measured ratio plus at most 10 % — while the gates had 35 %
 of headroom, the charts grew by 10 % unseen.
 Each job-list page's ``EXPLAIN QUERY PLAN`` is recorded beside its
 counts (``tests/test_portal/test_search.py`` pins the plans).
+
+A second gate reloads ``portal_hot_rw``'s 10-URL dashboard shape after
+one write that lands after every window it plots: every TSDB query is
+a result-cache hit and no series is scanned.  Under a cache that drops
+every result on any write it reads 0 hits of 6 and 6 scans.
 """
 
 import cProfile
@@ -233,3 +238,88 @@ def test_render_counts_gate():
         assert columns != "*" and columns <= limit, (kind, measured[kind])
     for kind, limit in MAX_RATIO.items():
         assert measured[kind]["ratio"] <= limit, (kind, measured[kind])
+
+
+# -- the dashboard reload: a live write that misses every window ----------------
+
+#: what one dashboard reload is allowed to recompute after a write that
+#: lands outside every plotted window: nothing
+RELOAD_HIT_RATIO = 1.0
+RELOAD_SCANS = 0
+
+
+def dashboard_urls():
+    """``portal_hot_rw``'s shape: the front page, three searches, five
+    host charts and one fleet chart, every window inside the prefill."""
+    users = sorted({u for (u,) in JobRecord.objects.all().values_list(
+        "user")})[:3]
+    urls = ["/"] + [f"/search?user={u}" for u in users]
+    for h in range(5):
+        lo = T0 + 3600 * (2 + h)
+        urls.append(f"/tsdb?tag.host=c{h:03d}-{100 + h:03d}&tag.type=cpu"
+                    f"&group_by=event&rate=1&range={lo}:{lo + 7200}")
+    urls.append("/tsdb?tag.type=mdc&group_by=host&downsample=600:avg"
+                f"&range={T0 + 3600}:{T0 + 7 * 3600}")
+    return urls
+
+
+def test_reload_after_a_write_outside_every_window_gate():
+    """A 10-URL dashboard is rendered, one live write lands after every
+    window it plots, and the dashboard is rendered again: every TSDB
+    query of the second pass is a result-cache hit, no series is
+    scanned, and each page equals its render with the caches dropped
+    (up to the footer's epoch and hit counts)."""
+    import re
+
+    db = CountingDatabase()
+    generate_population(db, 500, seed=SEED)
+    JobRecord.bind(db)
+    tsdb = TimeSeriesDB()
+    prefill(tsdb)
+    pipeline = StreamPipeline(Broker(), tsdb=tsdb)
+    pipeline.start()
+    app = PortalApp(db, stream=pipeline)
+    urls = dashboard_urls()
+    scans = []
+    scan = tsdb.scan
+    tsdb.scan = lambda *a, **kw: scans.append(1) or scan(*a, **kw)
+
+    def render_all():
+        bodies = []
+        for url in urls:
+            page = app.get_url(url)
+            assert page.status == 200, url
+            bodies.append(re.sub(r"store epoch \d+ &middot; cache \d+/\d+",
+                                 "", page.body))
+        return bodies
+
+    render_all()
+    tsdb.put("stats", {"host": "c000-100", "type": "cpu", "device": "0",
+                       "event": "user"}, T0 + SAMPLES * INTERVAL, 1.0)
+    hits, misses, scans[:] = tsdb.cache.hits, tsdb.cache.misses, []
+    got = render_all()
+    hits, misses = tsdb.cache.hits - hits, tsdb.cache.misses - misses
+    reloaded_scans = len(scans)
+    tsdb.drop_read_caches()
+    assert render_all() == got
+
+    ratio = hits / (hits + misses)
+    record_bench(BENCH_JSON, "reload", {
+        "fixture": (f"500 jobs seed {SEED}; tsdb {HOSTS} hosts x 33 series "
+                    f"x {SAMPLES} samples, sealed; one write after every "
+                    "window"),
+        "dashboard_urls": len(urls),
+        "result_cache_hits": hits,
+        "result_cache_misses": misses,
+        "result_cache_hit_ratio": ratio,
+        "scan_calls": reloaded_scans,
+    })
+    report(
+        "Dashboard reload after a write outside every window",
+        [(len(urls), hits, misses, ratio, RELOAD_HIT_RATIO, reloaded_scans,
+          RELOAD_SCANS)],
+        ["urls", "result hits", "misses", "hit ratio", "gate", "scans",
+         "gate"],
+    )
+    assert hits > 0 and ratio >= RELOAD_HIT_RATIO
+    assert reloaded_scans <= RELOAD_SCANS

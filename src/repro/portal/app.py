@@ -21,7 +21,7 @@ Routes
                           ``metric``, ``tag.<name>=v`` filters,
                           ``group_by`` (comma list), ``agg``, ``rate``,
                           ``downsample=<s>:<agg>``, ``range=<lo>:<hi>``
-                          — served through the epoch-invalidated query
+                          — served through the TSDB's query-result
                           cache
 ``/obs``                  the monitor's own metrics + span stats
 ``/analytics``            continuous fleet analytics: job classes,
@@ -351,9 +351,8 @@ class PortalApp:
         """Ad-hoc aggregation plots over the live TSDB (§VI-A graphs).
 
         Query parameters mirror :func:`repro.tsdb.query.query`; every
-        request is served through the store's epoch-invalidated result
-        cache, so dashboard reloads of an unchanged store cost one
-        cache lookup.
+        request is served through the store's query-result cache, so a
+        reload costs one lookup while no write touched the window.
         """
         if self.stream is None:
             return Response(

@@ -24,7 +24,7 @@ building blocks only:
   long a client waits — on expiry the client gets a ``504`` (the
   worker finishes in the background and its result still lands in the
   page cache).
-* **tiered caching** — under the app, the TSDB's epoch-invalidated
+* **tiered caching** — under the app, the TSDB's window-scoped
   :class:`~repro.tsdb.cache.QueryCache` memoises query results; above
   it, :class:`PageCache` memoises whole rendered pages keyed on
   ``(path, params, store epoch)``.  A page hit skips rendering
@@ -289,8 +289,8 @@ class PortalServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+            except (OSError, asyncio.CancelledError):
+                pass  # shutdown may also cancel a handler still closing
 
     async def _respond(
         self, method: str, target: str, route: str, keep_alive: bool

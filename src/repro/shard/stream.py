@@ -34,7 +34,7 @@ class ShardedStreamPipeline(StreamPipeline):
     ``pipeline_args`` are the plain pipeline's, ``tsdb`` excepted.
     Rows go into the shard stores directly; the sharded store's
     ``epoch`` counts those writes, so ``query(pipe.tsdb, ...)`` and a
-    portal over ``pipe.tsdb`` never serve a result cached before them.
+    portal over ``pipe.tsdb`` never serve a result that they changed.
     """
 
     def __init__(

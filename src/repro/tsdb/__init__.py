@@ -16,7 +16,7 @@ This package implements exactly that data model:
   together share one time vector and one values matrix), a per-metric
   series index, time-range pushdown, batched
   :meth:`TimeSeriesDB.put_many` writes (one series' column, or rows
-  across a :class:`SeriesGroup`) and an epoch-invalidated LRU
+  across a :class:`SeriesGroup`) and a window-scoped LRU
   query-result cache (:mod:`repro.tsdb.cache`).  The displaced
   growable-list engine is frozen as the test oracle
   ``tests/test_tsdb/reference.py::ListBackedTSDB``, the golden

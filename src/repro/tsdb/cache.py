@@ -3,21 +3,21 @@
 Both caches are one bounded, locked LRU (:class:`LRUCache`) and differ
 only in what they file and which counters they export:
 
-* :class:`QueryCache` — LRU of *query results*, invalidated by write
-  epoch.  The portal's ``/fleet`` and plot pages re-issue the same
-  handful of aggregation queries on every page load; under the
-  paper's million-user north star those queries dominate read
-  traffic.  Every :class:`~repro.tsdb.store.TimeSeriesDB` mutation
-  bumps the store's ``epoch``, and each cache entry remembers the
-  epoch it was computed at — a lookup only hits when the store has
-  not changed since, so a hit is always byte-identical to
-  recomputing.  Stale entries are evicted on contact.  The epoch check
-  is all this class adds to the core.
+* :class:`QueryCache` — LRU of *query results*.  The portal's
+  ``/fleet`` and plot pages re-issue the same handful of aggregation
+  queries on every page load; under the paper's million-user north
+  star those queries dominate read traffic.  Every
+  :class:`~repro.tsdb.store.TimeSeriesDB` mutation bumps the store's
+  ``epoch`` and files what it touched in a :class:`ChangeLog`; an entry
+  filed at one epoch holds while no mutation since touched its metric
+  inside its time range, so a hit is always byte-identical to
+  recomputing, however many writes landed elsewhere.  Stale entries are
+  evicted on contact.
 * :class:`BufferCache` — LRU of *decoded chunk columns*, keyed by the
   chunk's process-unique ``chunk_id``.  Sealed chunks are immutable,
   so an entry can never go stale — no epoch check is needed, which is
-  exactly why this cache keeps paying off on a live store whose
-  result cache is invalidated by every write.  The only bookkeeping
+  why this cache keeps paying off while writes land inside the windows
+  being read.  The only bookkeeping
   is garbage collection: when :meth:`~repro.tsdb.store._Series.prune`
   drops or re-seals chunks it calls :meth:`LRUCache.invalidate`
   with the dead ids (chunk ids are never reused, so a missed
@@ -39,12 +39,14 @@ then on, so a later eviction cannot matter.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import handles
 
-__all__ = ["LRUCache", "QueryCache", "BufferCache"]
+__all__ = ["ChangeLog", "LRUCache", "QueryCache", "BufferCache"]
+
+CHANGE_LOG_LEN = 64  #: mutations a :class:`ChangeLog` keeps
 
 
 class LRUCache:
@@ -119,7 +121,7 @@ class LRUCache:
 
 
 class QueryCache(LRUCache):
-    """Query results keyed on their shape, good for one store epoch.
+    """Query results keyed on their shape, filed under a store epoch.
 
     (:class:`repro.portal.server.PageCache` files pages the same way
     and exports its own counters.)
@@ -136,17 +138,46 @@ class QueryCache(LRUCache):
     def __init__(self, maxsize: int = 256) -> None:
         super().__init__(maxsize)
 
-    def get(self, key: Hashable, epoch: int) -> Optional[Any]:
-        """The cached result, or None on miss / stale entry."""
+    def get(self, key: Hashable, epoch: int, unchanged=None) -> Optional[Any]:
+        """The cached result, or None on a miss; an entry filed under
+        another epoch ``e`` is re-filed under ``epoch`` if
+        ``unchanged(e)``, else dropped."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] != epoch:
-                del self._entries[key]  # written since: drop stale result
+                if unchanged is not None and unchanged(entry[0]):
+                    self._entries[key] = (epoch, entry[1])
+                else:
+                    del self._entries[key]  # written since: drop it
             (entry,) = self.get_many((key,))
         return None if entry is None else entry[1]
 
     def put(self, key: Hashable, epoch: int, result: Any) -> None:
         self.put_many(((key, (epoch, result)),))
+
+
+class ChangeLog(deque):
+    """A store's newest mutations, appended as ``(epoch, metric, span)``
+    under its write lock: ``span`` is the ``(oldest, newest)`` timestamps
+    written, ``None`` the whole metric (``metric=None``: every metric)."""
+
+    def __init__(self) -> None:
+        super().__init__(maxlen=CHANGE_LOG_LEN)
+
+    def unchanged_since(self, metric, filed: int, time_range, now) -> bool:
+        """No mutation after epoch ``filed`` touched ``metric`` inside
+        ``time_range`` (``None``: all time); ``now`` is the last filed."""
+        log = tuple(self)  # a copy, so a reader needs no lock
+        if (log[-1][0] if log else 0) != now or (
+                len(log) == CHANGE_LOG_LEN and filed < log[0][0]):
+            return False  # a mutation not filed, or pushed out since
+        for epoch, m, span in reversed(log):
+            if epoch <= filed:
+                break
+            if m in (metric, None) and (span is None or time_range is None or (
+                    span[0] <= time_range[1] and span[1] >= time_range[0])):
+                return False
+        return True
 
 
 class BufferCache(LRUCache):

@@ -96,9 +96,9 @@ def test_hammer_mixed_routes_with_live_writer(live_app):
     lookups = []  # list.append is atomic: a thread-safe tally
     orig_get = cache.get
 
-    def counted_get(key, epoch):
+    def counted_get(key, epoch, unchanged=None):
         lookups.append(None)
-        return orig_get(key, epoch)
+        return orig_get(key, epoch, unchanged)
 
     cache.get = counted_get
     hits0, misses0 = cache.hits, cache.misses

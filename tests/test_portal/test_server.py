@@ -569,3 +569,58 @@ def test_200_keep_alive_connections_get_no_5xx_and_p99_under_2s():
     assert np.percentile([ms for _s, ms in answered], 99) <= 2_000.0
     assert server.page_cache.hits > 0
     assert len(renders) == server.page_cache.misses
+
+
+
+def test_close_under_idle_keep_alive_clients_logs_nothing(monkeypatch):
+    """Keep-alive clients that drop their connections without awaiting
+    ``wait_closed()`` — their handlers are still closing — and others
+    left open and idle: closing the server cancels every handler
+    quietly, its loop's exception handler sees nothing, and every
+    request answered before is intact."""
+    closing = []  # list.append is atomic: a thread-safe tally
+    wait_closed = asyncio.StreamWriter.wait_closed
+
+    async def slow_wait_closed(writer):
+        closing.append(writer)
+        await asyncio.sleep(0.2)  # a close that takes a while
+        await wait_closed(writer)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", slow_wait_closed)
+    server = PortalServer(_make_app(), workers=2)
+    host, port = server.start_background()
+    seen = []
+    server._loop.set_exception_handler(lambda loop, ctx: seen.append(ctx))
+    want = _get(host, port, "/")[2]
+
+    async def get_and_drop(n):
+        conns = [await asyncio.open_connection(host, port) for _ in range(n)]
+        out = []
+        for reader, writer in conns:
+            writer.write(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head)
+            out.append((int(head.split()[1]),
+                        await reader.readexactly(int(length.group(1)))))
+        for _reader, writer in conns:
+            writer.close()  # and no ``await writer.wait_closed()``
+        return out
+
+    idle = [http.client.HTTPConnection(host, port, timeout=10)
+            for _ in range(20)]
+    try:
+        answered = asyncio.run(get_and_drop(50))
+        for conn in idle:
+            conn.request("GET", "/")
+            resp = conn.getresponse()
+            answered.append((resp.status, resp.read()))
+        deadline = time.monotonic() + 10
+        while len(closing) < 1 + 50 and time.monotonic() < deadline:
+            time.sleep(0.01)  # every dropped handler is closing
+        server.close()
+    finally:
+        for conn in idle:
+            conn.close()
+    assert seen == []
+    assert len(answered) == 70
+    assert all(status == 200 and body == want for status, body in answered)

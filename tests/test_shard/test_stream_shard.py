@@ -235,3 +235,35 @@ def test_portal_over_a_sharded_feed_shows_the_new_epoch():
         assert f"store epoch {pipe.tsdb.epoch} ".encode() in page()
     finally:
         server.close()
+
+
+def test_cached_reads_outlive_the_feed_writes_that_miss_them():
+    """A sharded live feed writes into its shard stores directly: a
+    cached query and ``window_stats`` over a window the feed has left
+    behind are kept across its deliveries, one over the window it
+    writes into is recomputed, and both equal a recompute bit for bit."""
+    sess, pipe = _feed(3)
+    sess.cluster.run_for(3600)
+    db, t0 = pipe.tsdb, sess.cluster.clock.epoch
+    windows = {"past": (t0, t0 + 1800),
+               "ahead": (sess.cluster.now(), sess.cluster.now() + 7200)}
+
+    def reads():
+        out = {}
+        for name, window in windows.items():
+            out[name, "query"] = _bits(query(
+                db, "stats", group_by=("host",), rate=True,
+                time_range=window))
+            out[name, "stats"] = [repr(s) for s in db.window_stats(
+                "stats", time_range=window)]
+        return out
+
+    before = reads()
+    sess.cluster.run_for(1200)
+    hits = db.cache.hits
+    got = reads()
+    assert db.cache.hits - hits == 2  # the past window's two reads
+    assert got["past", "query"] == before["past", "query"]
+    assert got["ahead", "query"] != before["ahead", "query"]
+    db.cache.clear()
+    assert reads() == got

@@ -116,6 +116,109 @@ def test_cache_counters_on_obs_registry():
     obs.reset()
 
 
+# -- scoped validity: a result outlives writes outside its window --------------
+
+def bits(stats):
+    return [(st.tags, st.points, np.array(
+        [st.sum, st.min, st.max, st.first, st.last]).tobytes())
+        for st in stats]
+
+
+def test_an_entry_filed_under_another_epoch_asks_unchanged():
+    c = QueryCache()
+    c.put("k", 3, "result")
+    asked = []
+    assert c.get("k", 5, lambda filed: asked.append(filed) or True) == (
+        "result")
+    assert asked == [3]
+    assert c.get("k", 5) == "result"      # re-filed under 5: nothing asked
+    assert c.get("k", 6, lambda filed: False) is None
+    assert c.get("k", 5) is None          # and dropped on contact
+
+
+def test_a_write_outside_the_window_keeps_the_result():
+    db = TimeSeriesDB()
+    fill(db, "n1", [1.0, 2.0, 3.0])      # t = 0, 600, 1200
+    early, late = (0, 700), (1200, 5000)
+    for w in (early, late):
+        query(db, "m", time_range=w)
+    db.put("m", {"host": "n1"}, 1800, 9.0)   # inside late only
+    hits = db.cache.hits
+    assert list(query(db, "m", time_range=early).series[0].values) == [
+        1.0, 2.0]
+    assert db.cache.hits == hits + 1
+    assert list(query(db, "m", time_range=late).series[0].values) == [
+        3.0, 9.0]
+    assert db.cache.hits == hits + 1
+    db.put("x", {"host": "n1"}, 0, 5.0)      # another metric, same times
+    query(db, "m", time_range=early)
+    assert db.cache.hits == hits + 2
+
+
+def test_seal_heads_keeps_every_result():
+    db = TimeSeriesDB()
+    fill(db, "n1", [1.0, 2.0, 3.0])
+    want = bits(window_stats(db, "m", time_range=(0, 700)))
+    db.seal_heads()
+    assert bits(window_stats(db, "m", time_range=(0, 700))) == want
+    assert db.cache.hits == 1
+
+
+def test_a_new_series_touches_the_whole_metric():
+    """``window_stats`` answers a row per series, points in the window
+    or not: a series born outside the window changes it."""
+    db = TimeSeriesDB()
+    fill(db, "n1", [1.0, 2.0, 3.0])
+    assert len(window_stats(db, "m", time_range=(0, 700))) == 1
+    db.put("m", {"host": "n2"}, 5000, 1.0)
+    assert len(window_stats(db, "m", time_range=(0, 700))) == 2
+    assert db.cache.hits == 0
+
+
+def test_a_prune_touches_the_whole_metric():
+    db = TimeSeriesDB()
+    fill(db, "n1", [1.0])
+    fill(db, "n2", [1.0, 2.0, 3.0])
+    assert len(window_stats(db, "m", time_range=(1000, 2000))) == 2
+    assert db.prune(before=500) == 2         # n1 is deleted
+    db.put("m", {"host": "n2"}, 5000, 4.0)   # and a write after the window
+    assert len(window_stats(db, "m", time_range=(1000, 2000))) == 1
+
+
+def test_a_late_write_outside_the_window_touches_the_whole_metric():
+    """An out-of-order write moves a series off the chunk-partials fold
+    onto one reduction of the merged window, whose sum associates
+    differently: the bits of a window it never reached can change."""
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal(40) * 10.0 ** rng.integers(-3, 6, 40)
+    db, fresh = TimeSeriesDB(chunk_size=4), TimeSeriesDB(chunk_size=4)
+    for store in (db, fresh):
+        store.put_many("m", {"host": "n1"}, 100 + np.arange(40), values)
+    window_stats(db, "m", time_range=(100, 200))
+    for store in (db, fresh):
+        store.put("m", {"host": "n1"}, 5, 1.0)
+    got = window_stats(db, "m", time_range=(100, 200))
+    want = window_stats(fresh, "m", time_range=(100, 200))
+    assert bits(got) == bits(want)
+    assert db.cache.hits == 0
+
+
+def test_an_entry_older_than_the_log_counts_as_changed():
+    from repro.tsdb.cache import CHANGE_LOG_LEN
+
+    db = TimeSeriesDB()
+    fill(db, "n1", [1.0])                    # epoch 1, the log's first
+    query(db, "m", time_range=(0, 10))
+    for i in range(CHANGE_LOG_LEN - 1):      # the log is full, all kept
+        db.put("m", {"host": "n1"}, 1000 + i, 1.0)
+    query(db, "m", time_range=(0, 10))
+    assert db.cache.hits == 1                # re-filed at the newest epoch
+    for i in range(CHANGE_LOG_LEN):          # all after the window too
+        db.put("m", {"host": "n1"}, 2000 + i, 1.0)
+    query(db, "m", time_range=(0, 10))       # its epoch fell off the log
+    assert db.cache.hits == 1
+
+
 # -- the decoded-buffer cache (ISSUE 6) ---------------------------------------
 
 def cols(n):

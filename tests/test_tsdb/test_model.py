@@ -12,7 +12,9 @@ statements of what the store should hold:
 
 * the frozen list engine (:class:`~tests.test_tsdb.reference.
   ListBackedTSDB`): every series' sorted columns, ``query`` and
-  ``window_stats``;
+  ``window_stats`` — over fixed windows too, so a result the store's
+  query cache kept across a write that missed its window is checked
+  at every step;
 * :class:`ModelSeries`, the per-series head the row blocks replaced
   (append to a list, freeze the oldest ``chunk_size`` points, rebuild
   the list to prune): chunk boundaries, the raw head in arrival order,
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
-    RuleBasedStateMachine, initialize, invariant, rule,
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
 from repro import obs
@@ -50,6 +52,11 @@ TAGS = [
 #: "abcde" is the layout both grow into, "c" is a one-series group
 GROUPS = {"abc": [0, 1, 2], "bcd": [1, 2, 3], "abcde": [0, 1, 2, 3, 4],
           "c": [2]}
+
+#: fixed windows whose results the store's query cache keeps across
+#: writes: one the writes soon leave behind, one they cross, one they
+#: reach only late in a run
+WINDOWS = ((0, 14), (11, 30), (60, 1 << 40))
 
 #: sums of these are exact in any association, so ``window_stats``
 #: agrees bit for bit across engines; the non-finite ones ride along
@@ -210,7 +217,18 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(metric=st.sampled_from([None, "m", "x", "nope"]),
           back=st.integers(-4, 25))
     def prune(self, metric, back):
-        before = self.now - back
+        self._prune(self.now - back, metric)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def prune_a_series_away(self, data):
+        """A horizon just past one series' newest point: it is deleted,
+        and its metric's cached results with it."""
+        key = data.draw(st.sampled_from(sorted(self.model)))
+        self._prune(self.model[key].max_ts + 1, key[0])
+        assert key not in self.db._series
+
+    def _prune(self, before, metric):
         dropped = self.db.prune(before, metric)
         # the list engine counts a duplicate a seal already folded away
         self.oracle.prune(before, metric)
@@ -269,9 +287,14 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def same_answers(self):
+        """Every answer equals the oracle's — the fixed windows' through
+        results the query cache kept across the writes that missed
+        them."""
         window = (self.now - 12, self.now - 1)
         for kw in ({}, {"group_by": ("event",), "aggregate": "max"},
-                   {"time_range": window, "downsample": (4, "min")}):
+                   {"time_range": window, "downsample": (4, "min")},
+                   *({"time_range": w, "group_by": ("event",),
+                      "aggregate": "sum"} for w in WINDOWS)):
             got = query(self.db, "m", **kw)
             want = baseline_query(self.oracle, "m", **kw)
             assert [
@@ -279,7 +302,7 @@ class StoreMachine(RuleBasedStateMachine):
             ] == [
                 (s.tags, s.times.tolist(), bits(s.values)) for s in want.series
             ], kw
-        for time_range in (None, window):
+        for time_range in (None, window, *WINDOWS):
             got, want = (
                 window_stats(store, "m", time_range=time_range)
                 for store in (self.db, self.oracle)
