@@ -7,7 +7,10 @@ the artifact upload:
 
 * **write throughput** — batched :meth:`TimeSeriesDB.put_many` must
   land points at ≥3× the rate of per-point :meth:`put` on the same
-  engine (the ISSUE 5 bar; in practice it is far higher);
+  engine (the ISSUE 5 bar; in practice it is far higher).  The batched
+  fill takes a few milliseconds, so it is timed as the best of
+  ``WRITE_REPEATS`` fresh stores: one scheduler stall must not decide
+  the ratio;
 * **compression** — sealed chunks must hold the corpus at ≤8
   bytes/point, at least 4 bytes/point under the 16 B/point raw
   columns (constant-cadence timestamp elision + XOR values);
@@ -86,6 +89,8 @@ SEAL_SPEEDUP_FLOOR = 3.0  # seal_many vs per-chunk, 144-point heads
 
 #: repeats of the 5-query portal battery
 ROUNDS = 30
+#: fresh stores the batched fill is timed on (best of)
+WRITE_REPEATS = 3
 
 
 def _corpus():
@@ -207,11 +212,13 @@ def test_tsdb_engine_gates():
     n_total = sum(len(t) for _, t, _ in corpus)
 
     # -- write path ---------------------------------------------------------
-    per_point_db = TimeSeriesDB(cache=None)
+    per_point_db = TimeSeriesDB()
     per_point_s = _fill_per_point(per_point_db, corpus)
-    batched_db = TimeSeriesDB(cache=None)
-    batched_s = _fill_batched(batched_db, corpus)
-    list_db = ListBackedTSDB(cache=None)
+    batched_s = float("inf")
+    for _ in range(WRITE_REPEATS):
+        batched_db = TimeSeriesDB()
+        batched_s = min(batched_s, _fill_batched(batched_db, corpus))
+    list_db = ListBackedTSDB()
     list_s = _fill_per_point(list_db, corpus)
     assert per_point_db.n_points() == batched_db.n_points() == n_total
 
@@ -345,9 +352,13 @@ def test_tsdb_engine_gates():
 SEAL_HEADS = 2112
 
 
-def _best_seconds(fn, repeats=5):
+def _best_seconds(fn, repeats=5, reset=None):
+    """Best wall seconds of ``fn()``; ``reset()``, if given, runs before
+    each call, outside the timer."""
     best = float("inf")
     for _ in range(repeats):
+        if reset is not None:
+            reset()
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -401,7 +412,7 @@ SCALING_CALLS = 64
 
 
 def _sealed_fleet(hosts):
-    db = TimeSeriesDB(cache=None)
+    db = TimeSeriesDB()
     times = np.arange(4, dtype=np.int64) * 600 + T0
     for h in range(hosts):
         group = db.group("stats", [
@@ -566,7 +577,7 @@ SLAB_POINTS = 144
 def _open_rack():
     """A rack of head blocks as a rack-day's load leaves it: one
     33-series group a host, ``SLAB_POINTS`` rows, nothing sealed."""
-    db = TimeSeriesDB(cache=None)
+    db = TimeSeriesDB()
     rng = np.random.default_rng(20151001)
     times = np.arange(SLAB_POINTS, dtype=np.int64) * 600 + T0
     for h in range(SLAB_HOSTS):
@@ -601,10 +612,15 @@ def test_head_slab_calls_gate():
     host = {"host": "s003"}
     stats = window_stats(db, "stats", tags=host)
     assert len(stats) == 33 and all(s.count == SLAB_POINTS for s in stats)
+    # every counted or timed call computes: none answers from the
+    # result the one before it filed
+    db.cache.clear()
     calls = {"window_stats_host": _profiled_calls(
         lambda: window_stats(db, "stats", tags=host))}
     us = {"window_stats_host": 1e6 * _best_seconds(
-        lambda: window_stats(db, "stats", tags=host), repeats=20)}
+        lambda: window_stats(db, "stats", tags=host), repeats=20,
+        reset=db.cache.clear)}
+    assert db.cache.hits == 0
     calls["seal_heads_rack"] = _profiled_calls(db.seal_heads)
     assert db.n_chunks() == 33 * SLAB_HOSTS and not db._blocks
     racks = [_open_rack() for _ in range(20)]

@@ -266,8 +266,6 @@ class PortalApp:
         stats = read_stats()
 
         def _cache(label: str, c) -> str:
-            if c is None:
-                return f" &middot; {label}: off"
             return (
                 f" &middot; {label}: {c['hits']} hits / "
                 f"{c['misses']} misses "
@@ -326,7 +324,7 @@ class PortalApp:
         """Fleet-wide per-host activity off the live TSDB, rendered
         through the cached query path (repeat page loads hit)."""
         from repro.tsdb.query import query
-        from repro.tsdb.render import render_result_ascii
+        from repro.portal.render import render_result_ascii
 
         s = self.stream
         try:
@@ -359,7 +357,7 @@ class PortalApp:
                 status=404, body=self._error("no live TSDB attached")
             )
         from repro.tsdb.query import query
-        from repro.tsdb.render import render_result_html
+        from repro.portal.render import render_result_html
 
         tsdb = self.stream.tsdb
         metric = params.get("metric", self.stream.metric)
@@ -400,14 +398,11 @@ class PortalApp:
                 time_range=time_range,
             )
         label = metric + (f" {tags}" if tags else "")
-        cache = getattr(tsdb, "cache", None)
+        cache = tsdb.cache
         footer = (
             f"<p>{len(res)} series &middot; store epoch {tsdb.epoch}"
-            + (
-                f" &middot; cache {cache.hits}/{cache.hits + cache.misses}"
-                f" hits" if cache is not None else ""
-            )
-            + "</p>"
+            f" &middot; cache {cache.hits}/{cache.hits + cache.misses}"
+            f" hits</p>"
         )
         with obs.span("portal.chart"):
             chart = render_result_html(res, label=label)

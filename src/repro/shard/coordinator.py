@@ -62,6 +62,7 @@ from repro.tsdb.chunks import CHUNK_POINTS
 from repro.tsdb.query import (
     QueryResult,
     SeriesStats,
+    _cached,
     _norm_tags,
     query as _central_query,
 )
@@ -290,26 +291,18 @@ class ShardedTSDB:
         metric: str,
         tags: Optional[Mapping[str, object]] = None,
         time_range: Optional[Tuple[int, int]] = None,
-        use_preagg: bool = True,
     ) -> List[SeriesStats]:
         """Per-series scalar stats in single-store order — a pure
         re-sort of the shards' own partials (module docstring)."""
-        cache_key = (
-            "window_stats", metric, _norm_tags(tags), time_range,
-            bool(use_preagg),
-        )
-        epoch = self.epoch
-        cached = self.cache.get(cache_key, epoch, lambda filed: (
-            self.unchanged_since(metric, filed, time_range)))
-        if cached is not None:
-            return list(cached)
-        replies = self.backend.call(
-            "window_stats", self._all(metric, tags, time_range, use_preagg)
-        )
-        out = [st for rows in replies.values() for st in rows]
-        out.sort(key=lambda st: _tagkey(st.tags))
-        self.cache.put(cache_key, epoch, tuple(out))
-        return out
+        def merged() -> Tuple[SeriesStats, ...]:
+            replies = self.backend.call(
+                "window_stats", self._all(metric, tags, time_range)
+            )
+            out = [st for rows in replies.values() for st in rows]
+            return tuple(sorted(out, key=lambda st: _tagkey(st.tags)))
+
+        key = ("window_stats", metric, _norm_tags(tags), time_range)
+        return list(_cached(self, key, metric, time_range, merged))
 
     def query(self, metric: str, **kw) -> QueryResult:
         """One aggregation query, scatter-gathered across shards.

@@ -1,7 +1,10 @@
 """Read-path caches: query results and decoded chunk buffers.
 
 Both caches are one bounded, locked LRU (:class:`LRUCache`) and differ
-only in what they file and which counters they export:
+only in what they file and which counters they export.  Every
+:class:`~repro.tsdb.store.TimeSeriesDB` carries one of each; its
+``cache=`` and ``buffer_cache=`` arguments only inject another object
+(say, a smaller one):
 
 * :class:`QueryCache` — LRU of *query results*.  The portal's
   ``/fleet`` and plot pages re-issue the same handful of aggregation

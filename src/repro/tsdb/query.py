@@ -38,11 +38,12 @@ done:
   exactly like the same reduction on each bucket alone.  The Python
   loop is over *distinct bucket sizes* (usually one), not buckets,
   and never over points;
-* **result cache** — when the store carries a
-  :class:`~repro.tsdb.cache.QueryCache` (the default), the fully
-  normalised query shape is looked up first, so a repeat query whose
-  metric no write touched inside its time range since answers without
-  touching the series at all.
+* **result cache** — every store carries a
+  :class:`~repro.tsdb.cache.QueryCache`, and both entry points read
+  through it (:func:`_cached`): the fully normalised query shape is
+  looked up first, so a repeat query whose metric no write touched
+  inside its time range since answers without touching the series at
+  all.
 
 :func:`window_stats` is the second entry point: scalar
 count/sum/min/max/first/last (and mean) per series over a time
@@ -62,7 +63,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    ContextManager, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple,
+    Callable, ContextManager, Dict, List, Mapping, Optional, Protocol,
+    Sequence, Tuple,
 )
 
 import numpy as np
@@ -110,7 +112,7 @@ class ReadableStore(Protocol):
 
     #: write epoch — what a cached result is filed under
     epoch: int
-    cache: Optional[QueryCache]
+    cache: QueryCache
 
     def unchanged_since(self, metric: str, filed: int, time_range) -> bool:
         """No write after epoch ``filed`` touched ``metric`` inside
@@ -208,30 +210,42 @@ def query(
     """
     if aggregate not in _AGGS:
         raise ValueError(f"unknown aggregator {aggregate!r}; use {_AGGS}")
+    # the query shape, normalised: tag filters are order-insensitive
+    key = (
+        metric, _norm_tags(tags), tuple(group_by), aggregate, bool(rate),
+        float(counter_width), downsample, time_range,
+    )
     with tsdb.read_locked():
-        return _query_locked(
+        series = _cached(tsdb, key, metric, time_range, lambda: _query_series(
             tsdb, metric, tags, group_by, aggregate, rate,
             counter_width, downsample, time_range,
-        )
+        ))
+    # fresh wrapper, shared (treat-as-immutable) series
+    return QueryResult(series=list(series))
 
 
-def _query_locked(
+def _cached(
+    store: ReadableStore, key: Tuple, metric: str,
+    time_range: Optional[Tuple[int, int]], compute: Callable[[], Tuple],
+) -> Tuple:
+    """``compute()``, through ``store.cache``: filed under ``key`` at
+    the epoch read before it runs, and served from there while no write
+    touched ``metric`` inside ``time_range`` since.  Run under the
+    store's read lock, the epoch, the compute and the put are one
+    atomic read (:meth:`ReadableStore.read_locked`)."""
+    epoch = store.epoch
+    found = store.cache.get(key, epoch, lambda filed: (
+        store.unchanged_since(metric, filed, time_range)))
+    if found is None:
+        found = compute()
+        store.cache.put(key, epoch, found)
+    return found
+
+
+def _query_series(
     tsdb, metric, tags, group_by, aggregate, rate,
     counter_width, downsample, time_range,
-) -> QueryResult:
-    cache = tsdb.cache
-    cache_key = None
-    epoch = tsdb.epoch
-    if cache is not None:
-        cache_key = _cache_key(
-            metric, tags, group_by, aggregate, rate, counter_width,
-            downsample, time_range,
-        )
-        cached = cache.get(cache_key, epoch, lambda filed: (
-            tsdb.unchanged_since(metric, filed, time_range)))
-        if cached is not None:
-            # fresh wrapper, shared (treat-as-immutable) series
-            return QueryResult(series=list(cached.series))
+) -> Tuple[ResultSeries, ...]:
     selected = tsdb.select(metric, tags)
     cols = tsdb.scan(selected, time_range)
     groups: Dict[Tuple[str, ...], List[int]] = {}
@@ -313,10 +327,7 @@ def _query_locked(
                     values=values,
                 )
             )
-    result = QueryResult(series=out)
-    if cache is not None:
-        cache.put(cache_key, epoch, result)
-    return result
+    return tuple(out)
 
 
 def _norm_tags(tags: Optional[Mapping[str, object]]) -> Tuple:
@@ -331,23 +342,6 @@ def _norm_tags(tags: Optional[Mapping[str, object]]) -> Tuple:
             )
             for k, want in (tags or {}).items()
         )
-    )
-
-
-def _cache_key(
-    metric: str,
-    tags: Optional[Mapping[str, object]],
-    group_by: Sequence[str],
-    aggregate: str,
-    rate: bool,
-    counter_width: float,
-    downsample: Optional[Tuple[int, str]],
-    time_range: Optional[Tuple[int, int]],
-) -> Tuple:
-    """A hashable, order-insensitive normalisation of a query shape."""
-    return (
-        metric, _norm_tags(tags), tuple(group_by), aggregate, bool(rate),
-        float(counter_width), downsample, time_range,
     )
 
 
@@ -537,7 +531,6 @@ def window_stats(
     metric: str,
     tags: Optional[Mapping[str, object]] = None,
     time_range: Optional[Tuple[int, int]] = None,
-    use_preagg: bool = True,
 ) -> List[SeriesStats]:
     """Scalar statistics per selected series over ``time_range``.
 
@@ -545,39 +538,28 @@ def window_stats(
     time order: a chunk the window fully covers contributes its
     sealed pre-aggregate — no decode at all — and only chunks cut by
     a window edge decode (through the buffer cache) and reduce their
-    in-window slice.  ``use_preagg=False`` forces the decode path for
-    every chunk; the property suite proves both modes bit-identical.
+    in-window slice.  The property suites pin the answer bit for bit
+    to a full decode of every chunk
+    (``tests/test_tsdb/reference.py::window_stats_reference``).
     Series with out-of-order or duplicate timestamps fall back to one
     reduction over the merged window — same statistics, single-segment
-    association.
+    association.  Answers are filed in the store's result cache.
     """
+    key = ("window_stats", metric, _norm_tags(tags), time_range)
     with tsdb.read_locked():
-        return _window_stats_locked(
-            tsdb, metric, tags, time_range, use_preagg
-        )
+        return list(_cached(tsdb, key, metric, time_range, lambda: (
+            _window_stats_series(tsdb, metric, tags, time_range))))
 
 
-def _window_stats_locked(
-    tsdb, metric, tags, time_range, use_preagg
-) -> List[SeriesStats]:
-    cache = tsdb.cache
-    cache_key = None
-    epoch = tsdb.epoch
-    if cache is not None:
-        cache_key = (
-            "window_stats", metric, _norm_tags(tags), time_range,
-            bool(use_preagg),
-        )
-        cached = cache.get(cache_key, epoch, lambda filed: (
-            tsdb.unchanged_since(metric, filed, time_range)))
-        if cached is not None:
-            return list(cached)
+def _window_stats_series(
+    tsdb, metric, tags, time_range
+) -> Tuple[SeriesStats, ...]:
     lo, hi = time_range if time_range is not None else (None, None)
     selected = tsdb.select(metric, tags)
     in_order = [s._ordered for s in selected]
     ordered = [s for s, o in zip(selected, in_order) if o]
     _, parts_of = read_chunks(
-        ordered, time_range, tsdb.buffer_cache, preagg=use_preagg,
+        ordered, time_range, tsdb.buffer_cache, preagg=True,
     )
     reads = iter(parts_of)
     heads = iter(_head_parts(ordered, lo, hi))
@@ -613,9 +595,7 @@ def _window_stats_locked(
             if len(t):
                 parts += _parts(t, v[None])
         out.append(_fold_parts(dict(s.tags), parts))
-    if cache is not None:
-        cache.put(cache_key, epoch, tuple(out))
-    return out
+    return tuple(out)
 
 
 TimeSeriesDB.window_stats = (

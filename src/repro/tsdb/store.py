@@ -49,6 +49,7 @@ import numpy as np
 from repro.core.rawfile import BlockParser, HostBlock, take_parsed
 from repro.core.store import CentralStore
 from repro.obs import handles
+from repro.tsdb.cache import BufferCache, ChangeLog, QueryCache
 from repro.tsdb.chunks import CHUNK_POINTS, Chunk, _seal_group, decode_concat
 
 TagKey = Tuple[Tuple[str, str], ...]
@@ -418,13 +419,13 @@ class _Series:
         self,
         key: Tuple[str, TagKey],
         tags: Dict[str, str],
-        buffer_cache: Optional[object],
+        buffer_cache: BufferCache,
     ) -> None:
         self.key = key
         self.metric = key[0]
         self.tags = tags
         self.chunks: List[Chunk] = []
-        #: decoded-chunk LRU shared across the store (None disables)
+        #: decoded-chunk LRU shared across the store
         self.buffer_cache = buffer_cache
         self._block, self._col = _EMPTY, 0
         #: ``(max_ts, ordered)`` while in no block (see :meth:`_history`)
@@ -493,9 +494,8 @@ class _Series:
                 dead_ids.append(chunk.chunk_id)
         if dead_ids:
             self.chunks = kept_chunks
-            if self.buffer_cache is not None:
-                # ids are never reused, so this is pure garbage collection
-                self.buffer_cache.invalidate(dead_ids)
+            # ids are never reused, so this is pure garbage collection
+            self.buffer_cache.invalidate(dead_ids)
         return dropped
 
     @property
@@ -510,7 +510,7 @@ class _Series:
 def read_chunks(
     series_list: Sequence[_Series],
     time_range: Optional[Tuple[int, int]],
-    cache: Optional[object],
+    cache: BufferCache,
     preagg: bool = False,
 ) -> Tuple[List[List[Chunk]], List[list]]:
     """The store's one read step: the sealed chunks a window holds of
@@ -521,11 +521,10 @@ def read_chunks(
     never decoded.  With ``preagg``, a chunk the window covers whole is
     answered by the pre-aggregate sealed into it: it is neither looked
     up nor decoded.
-    *Fetch.*  The buffer cache (``cache``, ``None`` when disabled) is
-    asked for every other chunk in one :meth:`BufferCache.get_many`:
-    one lock hold, recency touched in series order, hits and misses
-    counted once.  The resident columns are in hand from then on, so a
-    later eviction cannot matter.
+    *Fetch.*  The buffer cache ``cache`` is asked for every other chunk
+    in one :meth:`BufferCache.get_many`: one lock hold, recency touched
+    in series order, hits and misses counted once.  The resident
+    columns are in hand from then on, so a later eviction cannot matter.
     *Decode.*  The rest — across every series — is decoded in one
     :func:`~repro.tsdb.chunks.decode_concat` batch and filed in the
     cache.
@@ -550,9 +549,7 @@ def read_chunks(
             ]
         else:
             wanted += plan
-    found = [None] * len(wanted) if cache is None else cache.get_many(
-        [c.chunk_id for c in wanted]
-    )
+    found = cache.get_many([c.chunk_id for c in wanted])
     missing = [k for k, cols in enumerate(found) if cols is None]
     if missing:
         needed = [wanted[k] for k in missing]
@@ -560,10 +557,9 @@ def read_chunks(
         bounds = bounds.tolist()
         for k, a, b in zip(missing, bounds, bounds[1:]):
             found[k] = gt[a:b], gv[a:b]
-        if cache is not None:
-            cache.put_many([
-                (c.chunk_id, found[k]) for c, k in zip(needed, missing)
-            ])
+        cache.put_many([
+            (c.chunk_id, found[k]) for c, k in zip(needed, missing)
+        ])
 
     parts: List[list] = []
     i = 0  # the next chunk of ``wanted``
@@ -586,7 +582,7 @@ def read_chunks(
 def _scan(
     series_list: Sequence[_Series],
     time_range: Optional[Tuple[int, int]],
-    cache: Optional[object],
+    cache: BufferCache,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Sorted, deduplicated ``(t, v)`` per series, optionally only
     ``[lo, hi)``: behind :meth:`TimeSeriesDB.scan` and
@@ -798,17 +794,21 @@ class HostTemplate:
         )
 
 
+def _given(injected, make):
+    """An injected cache, or ``make()`` for None — never ``injected or
+    make()``: an empty cache has ``len`` 0, so it is falsy."""
+    return make() if injected is None else injected
+
+
 class TimeSeriesDB:
     """An in-memory tag-indexed TSDB over chunked columnar series."""
 
     def __init__(
         self,
         chunk_size: int = CHUNK_POINTS,
-        cache: Optional[object] = ...,
-        buffer_cache: Optional[object] = ...,
+        cache: Optional[QueryCache] = None,
+        buffer_cache: Optional[BufferCache] = None,
     ) -> None:
-        from repro.tsdb.cache import BufferCache, ChangeLog, QueryCache
-
         self._series: Dict[Tuple[str, TagKey], _Series] = {}
         #: tag name → tag value → set of series keys (inverted index)
         self._index: Dict[str, Dict[str, set]] = defaultdict(
@@ -834,13 +834,10 @@ class TimeSeriesDB:
         #: under an older generation looks its series up again
         self._generation = 0
         #: LRU query-result cache consulted by :func:`repro.tsdb.query`
-        #: (pass ``cache=None`` to disable)
-        self.cache = QueryCache() if cache is ... else cache
+        #: (``cache=`` and ``buffer_cache=`` inject one, say to size it)
+        self.cache = _given(cache, QueryCache)
         #: LRU of decoded chunk columns shared by every series
-        #: (pass ``buffer_cache=None`` to disable)
-        self.buffer_cache = (
-            BufferCache() if buffer_cache is ... else buffer_cache
-        )
+        self.buffer_cache = _given(buffer_cache, BufferCache)
         #: windowed-stats calls answered through the chunk path, and
         #: chunk decodes skipped outright thanks to pre-aggregates
         self.preagg_windows = 0
@@ -1200,10 +1197,8 @@ class TimeSeriesDB:
         restarted process would.
         """
         with self.write_locked():
-            if self.buffer_cache is not None:
-                self.buffer_cache.clear()
-            if self.cache is not None:
-                self.cache.clear()
+            self.buffer_cache.clear()
+            self.cache.clear()
 
     def read_stats(self) -> Dict[str, object]:
         """Read-path accelerator counters for the portal ``/fleet`` page.
@@ -1212,12 +1207,9 @@ class TimeSeriesDB:
         result cache and buffer cache report independently —
         result-cache hits skip the whole computation, buffer-cache
         hits only skip chunk decodes, and pre-aggregate skips avoid
-        decodes without any cache involved.  ``None`` marks a disabled
-        cache.
+        decodes without any cache involved.
         """
-        def _cache_stats(c) -> Optional[Dict[str, object]]:
-            if c is None:
-                return None
+        def _cache_stats(c) -> Dict[str, object]:
             return {
                 "hits": c.hits,
                 "misses": c.misses,

@@ -20,7 +20,7 @@ character for character:
   generator and the ``xy()`` closure of ``repro.portal.plots``;
 * :func:`render_result_ascii`, :func:`render_result_svg` — the
   per-series ``nanmean`` / ``nanmax`` / ``sparkline`` loop and the
-  union-grid scatter of ``repro.tsdb.render``;
+  union-grid scatter of ``repro.portal.render``;
 * :func:`reference_portal` — a context manager that routes a
   ``PortalApp`` through all of the above (and through the old
   ``list(queryset)`` reads), for whole-page comparisons.
@@ -209,7 +209,7 @@ def render_panel_svg(
     return "".join(parts)
 
 
-# -- repro.tsdb.render ------------------------------------------------------------
+# -- repro.portal.render --------------------------------------------------------
 def render_result_ascii(
     result: QueryResult, label: str = "", width: int = 48
 ) -> str:
@@ -281,7 +281,7 @@ def reference_portal() -> Iterator[None]:
                        staticmethod(job_table)), \
             mock.patch("repro.portal.app.PortalApp._search_results",
                        staticmethod(search_results)), \
-            mock.patch("repro.tsdb.render.render_result_html",
+            mock.patch("repro.portal.render.render_result_html",
                        render_result_html), \
             mock.patch("repro.portal.plots.render_panel_svg",
                        render_panel_svg):

@@ -36,11 +36,11 @@ from repro.db import (
 from repro.db.fields import JSONField
 from repro.db.models import ModelMeta
 from repro.pipeline.records import JobRecord
-from repro.portal import histograms, plots, views
+from repro.portal import histograms, plots, render, views
 from repro.portal.app import PortalApp
 from repro.portal.views import LIST_COLUMNS, JobListView
 from repro.stream import StreamPipeline
-from repro.tsdb import TimeSeriesDB, render
+from repro.tsdb import TimeSeriesDB
 from repro.tsdb.query import QueryResult, ResultSeries
 
 from tests.test_portal import reference

@@ -14,6 +14,7 @@ import pytest
 from repro.shard import ShardedTSDB, ShardWorkerDied, StoreSource
 from repro.tsdb import TimeSeriesDB, ingest_store, window_stats
 from repro.tsdb.query import query
+from tests.test_tsdb.reference import stats_bytes, window_stats_reference
 
 from .conftest import CHUNK_SIZE, TYPES
 
@@ -95,15 +96,15 @@ def test_window_stats_identical(single, sharded):
     t1 = max(s.arrays()[0][-1] for s in single.select("stats"))
     mid = (int(t0) + int(t1)) // 2
     for time_range in (None, (int(t0), mid), (mid, int(t1) + 1)):
-        for use_preagg in (True, False):
-            want = window_stats(
-                single, "stats", time_range=time_range,
-                use_preagg=use_preagg,
-            )
-            got = sharded.window_stats(
-                "stats", time_range=time_range, use_preagg=use_preagg
-            )
+        want = window_stats_reference(
+            single, "stats", time_range=time_range, use_preagg=False
+        )
+        for got in (
+            window_stats(single, "stats", time_range=time_range),
+            sharded.window_stats("stats", time_range=time_range),
+        ):
             assert [repr(s) for s in got] == [repr(s) for s in want]
+            assert stats_bytes(got) == stats_bytes(want)
 
 
 def test_point_and_series_counts_match(single, sharded):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.shard import ShardedTSDB
 from repro.tsdb import TimeSeriesDB, window_stats
 from repro.tsdb.query import query
+from tests.test_tsdb.reference import window_stats_reference
 
 CHUNK = 8  # tiny: several seals even in small examples
 
@@ -55,16 +56,14 @@ def _pair(shards, writes):
 
 
 def _check(single, sharded, time_range=None):
-    for use_preagg in (True, False):
-        want = window_stats(
-            single, "stats", time_range=time_range, use_preagg=use_preagg
-        )
-        got = sharded.window_stats(
-            "stats", time_range=time_range, use_preagg=use_preagg
-        )
-        assert_stats_identical(
-            got, want, ctx=f"preagg={use_preagg} tr={time_range}"
-        )
+    want = window_stats_reference(
+        single, "stats", time_range=time_range, use_preagg=False
+    )
+    for name, got in (
+        ("single", window_stats(single, "stats", time_range=time_range)),
+        ("sharded", sharded.window_stats("stats", time_range=time_range)),
+    ):
+        assert_stats_identical(got, want, ctx=f"{name} tr={time_range}")
 
 
 # -- deterministic edge cases -------------------------------------------------

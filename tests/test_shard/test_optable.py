@@ -52,7 +52,7 @@ CASES = {
     "select": lambda s, src, hosts: ("stats", {"event": "x"}),
     "scan": lambda s, src, hosts: (
         "stats", [_tagkey(t) for t in reversed(CORPUS[s])], (40, 900)),
-    "window_stats": lambda s, src, hosts: ("stats", None, (15, 555), True),
+    "window_stats": lambda s, src, hosts: ("stats", None, (15, 555)),
     "stats": lambda s, src, hosts: (),
     "drop_read_caches": lambda s, src, hosts: (),
     "seal_heads": lambda s, src, hosts: (),

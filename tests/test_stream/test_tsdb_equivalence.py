@@ -13,8 +13,10 @@ exercised, not just the head.
 import numpy as np
 import pytest
 
-from repro.tsdb import TimeSeriesDB, ingest_store, window_stats
-from tests.test_tsdb.reference import ListBackedTSDB, baseline_query
+from repro.tsdb import BufferCache, TimeSeriesDB, ingest_store, window_stats
+from tests.test_tsdb.reference import (
+    ListBackedTSDB, baseline_query, stats_bytes, window_stats_reference,
+)
 from repro.tsdb.query import query
 
 #: small enough that the soak corpus seals many chunks per series
@@ -37,11 +39,15 @@ def engines(soak_run):
 def engine_matrix(soak_run):
     """Chunked engines in every read-path configuration under test:
 
-    buffer cache enabled (default) and disabled — both loaded with the same soak corpus as the frozen list baseline.
+    the default buffer cache, and one of a single entry (every decode
+    filed evicts the one before) — both loaded with the same soak
+    corpus as the frozen list baseline.
     """
     configs = {
         "buffered": TimeSeriesDB(chunk_size=CHUNK_SIZE),
-        "unbuffered": TimeSeriesDB(chunk_size=CHUNK_SIZE, buffer_cache=None),
+        "one_entry": TimeSeriesDB(
+            chunk_size=CHUNK_SIZE, buffer_cache=BufferCache(maxsize=1)
+        ),
     }
     listed = ListBackedTSDB()
     n_ref = ingest_store(listed, soak_run.sess.store, types=["mdc"])
@@ -161,7 +167,7 @@ def test_interference_analysis_identical_end_to_end(engines, soak_run):
 def test_battery_vs_frozen_baseline_all_cache_modes(engine_matrix):
     """The full battery, bit-identical to the *frozen* pre-vectorisation
     query path (`tests/test_tsdb/reference.py`), with the decoded-buffer cache
-    enabled and disabled.  Each query runs twice
+    at its default and at one entry.  Each query runs twice
     per configuration so the second pass reads through whatever caches
     the configuration keeps (result cache, buffer cache)."""
     configs, listed = engine_matrix
@@ -203,7 +209,8 @@ def test_windowed_battery_vs_frozen_baseline_all_cache_modes(engine_matrix):
 
 def test_window_stats_matches_list_recompute_on_soak(engine_matrix):
     """Fleet summaries (the /fleet page) agree bit-for-bit with a
-    materialise-and-reduce pass over the list engine, preagg on/off."""
+    materialise-and-reduce pass over the list engine, and byte for byte
+    the frozen full-decode body."""
     configs, listed = engine_matrix
     t0 = min(s.arrays()[0][0] for s in listed.select("stats"))
     t1 = max(s.arrays()[0][-1] for s in listed.select("stats"))
@@ -221,17 +228,16 @@ def test_window_stats_matches_list_recompute_on_soak(engine_matrix):
                     np.float64(np.nanmax(v) if cnt else np.nan).tobytes(),
                 )
         for name, db in configs.items():
-            for use_preagg in (True, False):
-                got = window_stats(
-                    db, "stats", time_range=time_range,
-                    use_preagg=use_preagg,
-                )
-                assert len(got) == len(ref)
-                for st in got:
-                    key = tuple(sorted(st.tags.items()))
-                    n, cnt, s_b, mn_b, mx_b = ref[key]
-                    ctx = f"{name}/preagg={use_preagg}/{time_range}/{key}"
-                    assert st.points == n and st.count == cnt, ctx
-                    assert np.float64(st.sum).tobytes() == s_b, ctx
-                    assert np.float64(st.min).tobytes() == mn_b, ctx
-                    assert np.float64(st.max).tobytes() == mx_b, ctx
+            got = window_stats(db, "stats", time_range=time_range)
+            assert stats_bytes(got) == stats_bytes(window_stats_reference(
+                db, "stats", time_range=time_range, use_preagg=False
+            )), f"{name}/{time_range}"
+            assert len(got) == len(ref)
+            for st in got:
+                key = tuple(sorted(st.tags.items()))
+                n, cnt, s_b, mn_b, mx_b = ref[key]
+                ctx = f"{name}/{time_range}/{key}"
+                assert st.points == n and st.count == cnt, ctx
+                assert np.float64(st.sum).tobytes() == s_b, ctx
+                assert np.float64(st.min).tobytes() == mn_b, ctx
+                assert np.float64(st.max).tobytes() == mx_b, ctx

@@ -523,6 +523,17 @@ def part_stats(t: np.ndarray, v: np.ndarray) -> tuple:
     )
 
 
+class _NoBuffers:
+    """A buffer cache that holds nothing and counts nothing: every
+    chunk :func:`window_stats_reference` reads is decoded."""
+
+    def get_many(self, keys):
+        return [None] * len(keys)
+
+    def put_many(self, items):
+        pass
+
+
 def window_stats_reference(
     tsdb,
     metric: str,
@@ -543,7 +554,7 @@ def window_stats_reference(
     in_order = [s._ordered for s in selected]
     _, parts_of = read_chunks(
         [s for s, o in zip(selected, in_order) if o], time_range,
-        None, preagg=use_preagg,
+        _NoBuffers(), preagg=use_preagg,
     )
     reads = iter(parts_of)
     unordered = [s for s, o in zip(selected, in_order) if not o]

@@ -98,11 +98,23 @@ def test_tag_filter_order_normalised():
     assert db.cache.hits == 2  # all three normalise to one key
 
 
-def test_cache_can_be_disabled():
-    db = TimeSeriesDB(cache=None)
-    fill(db, "n1", [1.0])
-    assert query(db, "m").series[0].values[0] == 1.0
-    assert db.cache is None
+def test_an_injected_empty_cache_is_the_one_the_store_uses():
+    """An empty cache is falsy (``LRUCache`` has ``__len__``): the store
+    must keep the very object it was handed, not default past it."""
+    results, buffers = QueryCache(maxsize=1), BufferCache(maxsize=1)
+    assert not results and not buffers
+    db = TimeSeriesDB(chunk_size=2, cache=results, buffer_cache=buffers)
+    assert db.cache is results and db.buffer_cache is buffers
+    fill(db, "n1", [1.0, 2.0, 3.0, 4.0, 5.0])
+    query(db, "m", time_range=(0, 1800))
+    assert (results.misses, len(results)) == (1, 1)
+    assert buffers.misses == 2 and len(buffers) == 1
+
+
+def test_none_means_the_default_caches():
+    db = TimeSeriesDB(cache=None, buffer_cache=None)
+    assert isinstance(db.cache, QueryCache)
+    assert isinstance(db.buffer_cache, BufferCache)
 
 
 def test_cache_counters_on_obs_registry():
@@ -276,19 +288,11 @@ def test_buffer_cache_maxsize_must_be_positive():
         BufferCache(maxsize=0)
 
 
-def test_buffer_cache_can_be_disabled():
-    db = TimeSeriesDB(buffer_cache=None)
-    fill(db, "n1", [1.0, 2.0])
-    assert db.buffer_cache is None
-    assert query(db, "m").series[0].values[-1] == 2.0
-
-
 # -- the /fleet stats schema --------------------------------------------------
 
 def test_read_stats_schema_pinned():
     """The exact shape the portal ``/fleet`` page renders: the result
-    cache, the buffer cache, and pre-aggregate skips report separately,
-    and a disabled cache shows as None (not zeros)."""
+    cache, the buffer cache, and pre-aggregate skips report separately."""
     db = TimeSeriesDB(chunk_size=4)
     for i in range(12):
         db.put("m", {"host": "n1"}, i, float(i))
@@ -313,7 +317,3 @@ def test_read_stats_schema_pinned():
     assert stats["preagg"]["windows"] >= 2
     assert stats["preagg"]["chunks_skipped"] >= 3  # full-history pass
     assert isinstance(stats["epoch"], int)
-
-    off = TimeSeriesDB(cache=None, buffer_cache=None).read_stats()
-    assert off["result_cache"] is None
-    assert off["buffer_cache"] is None

@@ -1,11 +1,11 @@
-"""TSDB result rendering."""
+"""TSDB result rendering (:mod:`repro.portal.render`)."""
 
 import numpy as np
 import pytest
 
 from repro.tsdb import TimeSeriesDB
 from repro.tsdb.query import QueryResult, query
-from repro.tsdb.render import render_result_ascii, render_result_svg
+from repro.portal.render import render_result_ascii, render_result_svg
 
 
 @pytest.fixture

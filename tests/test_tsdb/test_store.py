@@ -360,7 +360,7 @@ def test_drop_read_caches_forces_fresh_decode():
     db = _filled()
     # every scan, windowed or not, files its chunk decodes
     db.scan(db.select("m"), (600 * 2, 600 * 30))
-    assert db.buffer_cache is not None and len(db.buffer_cache) > 0
+    assert len(db.buffer_cache) > 0
     db.drop_read_caches()
     assert len(db.buffer_cache) == 0
     before = db.buffer_cache.misses
@@ -444,7 +444,6 @@ _SCAN_STEPS = {
     "dup": st.integers(0, 3),
 }
 _BUFFER_CACHES = {
-    "off": lambda: {"buffer_cache": None},
     "default": dict,
     # every decode filed evicts the one before it
     "one": lambda: {"buffer_cache": BufferCache(maxsize=1)},
@@ -458,8 +457,8 @@ def test_scan_plan_equals_the_list_engine_on_window_edges(data, cache):
     ``t_min`` / ``t_max``, between chunks, empty, inverted and wider than
     the series — over in-order, out-of-order and duplicate-timestamp
     series, sealed or with open heads, before and after a prune re-seals
-    a straddling chunk, with the buffer cache off, at its default and at
-    one entry: bit-equal to the list engine, one cache lookup counted
+    a straddling chunk, with the buffer cache at its default and at one
+    entry: bit-equal to the list engine, one cache lookup counted
     per chunk read, and nothing a scan returned is ever rewritten."""
     db = TimeSeriesDB(chunk_size=4, **_BUFFER_CACHES[cache]())
     oracle = ListBackedTSDB()
@@ -507,11 +506,10 @@ def test_scan_plan_equals_the_list_engine_on_window_edges(data, cache):
             if window is None
             or not (c.t_max < window[0] or c.t_min >= window[1])
         )
-        counted = bc.hits + bc.misses if bc is not None else 0
+        counted = bc.hits + bc.misses
         got = db.scan(series, window)
-        if bc is not None:
-            assert bc.hits + bc.misses - counted == lookups
-            assert len(bc) <= bc.maxsize
+        assert bc.hits + bc.misses - counted == lookups
+        assert len(bc) <= bc.maxsize
         want = oracle.scan(listed, window)
         for s, (t, v), (wt, wv) in zip(series, got, want):
             assert (t.dtype, v.dtype) == (np.int64, np.float64)
